@@ -28,9 +28,11 @@ from typing import Optional
 from .bdd import FALSE, TRUE, Bdd, VarOrder, from_structure_function, minimise
 from .domains import INF, AttributeDomain, KTopMode, ValueKind
 from .errors import (
+    AtError,
     DagRejected,
     DynamicTreeRejected,
     IncompatibleDomain,
+    InvalidRequest,
     MissingAttribution,
     MissingNeutrals,
     NotProbability,
@@ -40,11 +42,32 @@ from .errors import (
 )
 from .semantics import (
     DEFAULT_BUDGET,
-    is_well_formed,
+    is_well_formed,  # read only by perfbench's per-layer tracer
     oracle_metric_dynamic,
     oracle_metric_static,
 )
-from .tree import AttackTree, Dynamics, NodeType, Shape, bas_of, classify
+from .tree import AttackTree, Dynamics, NodeType, Shape, StructureKind, bas_of, classify, postorder
+
+
+def _refusal(engine: str, d: AttributeDomain) -> Optional[AtError]:
+    """Why the engine is not exact for the domain, or None. The auto route
+    and the engine guards all ask this one question."""
+    if engine == "bu_dat":
+        if d.seq_op is None or not (d.is_semiring_dynamic or (d.seq_equals_and and d.is_semiring)):
+            return NotSemiringDynamic(
+                f"domain {d.name} does not support bottom-up dynamic evaluation"
+            )
+    elif not d.is_semiring:
+        return NotSemiring(f"domain {d.name} is not a semiring")
+    elif engine == "bu_bdd" and not d.has_neutrals:
+        return MissingNeutrals(f"domain {d.name} lacks neutral elements for the BDD fold")
+    return None
+
+
+def _require(engine: str, domain: AttributeDomain) -> None:
+    refusal = _refusal(engine, domain)
+    if refusal is not None:
+        raise refusal
 
 
 def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) -> None:
@@ -55,7 +78,7 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
         domain.validate_value(alpha[b])
 
 
-def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain, start: int):
+def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int]):
     """Memoized bottom-up fold; the memoization is what makes it naive on
     DAGs (a shared node contributes one value to every parent)."""
     ops = {
@@ -63,38 +86,30 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain, start: int):
         NodeType.AND: domain.and_op,
         NodeType.SAND: domain.seq_op,
     }
+    order = t.postorder if node is None else postorder(t, node)
     vals: dict[int, object] = {}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v in vals:
-            continue
-        node = t.nodes[v]
-        if node.type is NodeType.BAS:
+    for v in order:
+        n = t.nodes[v]
+        if n.type is NodeType.BAS:
             try:
                 vals[v] = alpha[v]
             except KeyError:
-                raise MissingAttribution(f"no value for basic action {node.label!r}") from None
+                raise MissingAttribution(f"no value for basic action {n.label!r}") from None
             continue
-        pending = [c for c in node.children if c not in vals]
-        if pending:
-            stack.append(v)
-            stack.extend(pending)
-            continue
-        op = ops[node.type]
+        op = ops[n.type]
         if op is None:
             raise IncompatibleDomain(
-                f"domain {domain.name} has no sequential operator for SAND gate {node.label!r}"
+                f"domain {domain.name} has no sequential operator for SAND gate {n.label!r}"
             )
-        vals[v] = functools.reduce(op, [vals[c] for c in node.children])
-    return vals[start]
+        vals[v] = functools.reduce(op, [vals[c] for c in n.children])
+    return vals[order[-1]]
 
 
 def naive_bottom_up(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int] = None):
     """The tree fold applied without checking for sharing. Wrong on DAGs."""
     if classify(t).dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("naive_bottom_up evaluates OR/AND models only")
-    return _fold(t, alpha, domain, t.root if node is None else node)
+    return _fold(t, alpha, domain, node)
 
 
 def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int] = None):
@@ -104,9 +119,8 @@ def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[i
         raise DagRejected("bu_sat is only sound on proper trees; shared nodes double-count")
     if kind.dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("bu_sat handles static models; use bu_dat")
-    if not domain.is_semiring:
-        raise NotSemiring(f"domain {domain.name} is not a semiring")
-    return _fold(t, alpha, domain, t.root if node is None else node)
+    _require("bu_sat", domain)
+    return _fold(t, alpha, domain, node)
 
 
 @dataclass(frozen=True)
@@ -119,10 +133,7 @@ class BuBddRun:
 def bu_bdd_detailed(
     t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None
 ) -> BuBddRun:
-    if not domain.is_semiring:
-        raise NotSemiring(f"domain {domain.name} is not a semiring")
-    if not domain.has_neutrals:
-        raise MissingNeutrals(f"domain {domain.name} lacks neutral elements for the BDD fold")
+    _require("bu_bdd", domain)
     m = minimise(from_structure_function(t, order))
     store = m.store
     vals: dict[int, object] = {FALSE: domain.or_neutral, TRUE: domain.and_neutral}
@@ -174,7 +185,7 @@ def k_top_detailed(
     order: Optional[VarOrder] = None,
 ) -> tuple[list, Bdd]:
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InvalidRequest("k must be at least 1")
     if domain.ktop_mode is KTopMode.UNSUPPORTED:
         raise UnsupportedDomainForKTop(
             f"domain {domain.name} does not reduce to additive shortest paths"
@@ -225,19 +236,12 @@ def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[i
     static fold of the projection, which matches the definitional triple
     fold because both degenerate to one flat fold over each attack).
     """
-    kind = classify(t)
-    if kind.shape is Shape.DAG:
+    if classify(t).shape is Shape.DAG:
         raise DagRejected("bu_dat is only sound on proper trees")
-    if domain.seq_op is None or not (
-        domain.is_semiring_dynamic or (domain.seq_equals_and and domain.is_semiring)
-    ):
-        raise NotSemiringDynamic(
-            f"domain {domain.name} does not support bottom-up dynamic evaluation"
-        )
-    ok, cycle = is_well_formed(t)
-    if not ok:  # unreachable for proper trees; SAND children are disjoint
-        raise DagRejected(f"ordering cycle through {[t.label_of(v) for v in cycle]}")
-    return _fold(t, alpha, domain, t.root if node is None else node)
+    _require("bu_dat", domain)
+    # no well-formedness check: the children of a SAND gate in a proper
+    # tree have disjoint BAS sets, so the ordering graph cannot cycle
+    return _fold(t, alpha, domain, node)
 
 
 def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
@@ -253,11 +257,7 @@ def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
     if kind.dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("total probability is defined for static trees")
     vals: dict[int, Fraction] = {}
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v in vals:
-            continue
+    for v in t.postorder:
         node = t.nodes[v]
         if node.type is NodeType.BAS:
             try:
@@ -267,11 +267,6 @@ def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
             if isinstance(p, bool) or not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
                 raise NotProbability(f"value {p!r} for {node.label!r} is not a probability")
             vals[v] = Fraction(p)
-            continue
-        pending = [c for c in node.children if c not in vals]
-        if pending:
-            stack.append(v)
-            stack.extend(pending)
             continue
         kids = [vals[c] for c in node.children]
         if node.type is NodeType.AND:
@@ -304,6 +299,28 @@ class AnalysisResult:
 
 _ORACLE_WARNING = "definitional oracle is exponential in the number of basic actions"
 
+# auto route: structure kind -> (algorithm, engine whose rules the domain
+# must meet); dynamic DAGs have no efficient exact algorithm
+_AUTO = {
+    StructureKind(Shape.TREE, Dynamics.STATIC): ("bu", "bu_sat"),
+    StructureKind(Shape.DAG, Dynamics.STATIC): ("bdd", "bu_bdd"),
+    StructureKind(Shape.TREE, Dynamics.DYNAMIC): ("bu", "bu_dat"),
+}
+
+
+def auto_route(kind: StructureKind, domain: AttributeDomain) -> tuple[str, Optional[str]]:
+    """(algorithm, warning) under the auto policy; the warning says why the
+    route fell back to the oracle and is None on a fast path."""
+    if kind not in _AUTO:
+        return "oracle", (
+            "no efficient algorithm is known for dynamic models with shared "
+            "subtrees; falling back to the exponential definitional oracle"
+        )
+    algorithm, engine = _AUTO[kind]
+    if _refusal(engine, domain) is not None:
+        return "oracle", _ORACLE_WARNING
+    return algorithm, None
+
 
 def analyze(req: AnalysisRequest) -> AnalysisResult:
     """Route a request to the cheapest sound algorithm and time it.
@@ -314,13 +331,12 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
     warning. Explicit algorithm choices are honored or rejected, never
     silently downgraded.
     """
+    started = time.perf_counter()
     t, domain, alpha = req.tree, req.domain, req.alpha
     validate_attribution(t, alpha, domain)
     kind = classify(t)
-    warnings: list[str] = []
-    witnesses = None
+    warning = witnesses = None
     stats: dict = {"nodes": len(t)}
-    started = time.perf_counter()
 
     if req.k is not None:
         pairs, diagram = k_top_detailed(t, alpha, domain, req.k, req.order)
@@ -331,49 +347,26 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
     else:
         algorithm = req.algorithm
         if algorithm == "auto":
-            if kind.dynamics is Dynamics.STATIC and kind.shape is Shape.TREE:
-                algorithm = "bu" if domain.is_semiring else "oracle"
-            elif kind.dynamics is Dynamics.STATIC:
-                algorithm = "bdd" if domain.is_semiring and domain.has_neutrals else "oracle"
-            elif kind.shape is Shape.TREE:
-                eligible = domain.seq_op is not None and (
-                    domain.is_semiring_dynamic or (domain.seq_equals_and and domain.is_semiring)
-                )
-                algorithm = "bu" if eligible else "oracle"
-            else:
-                algorithm = "oracle"
-                warnings.append(
-                    "no efficient algorithm is known for dynamic models with shared "
-                    "subtrees; falling back to the exponential definitional oracle"
-                )
-            if algorithm == "oracle" and not warnings:
-                warnings.append(_ORACLE_WARNING)
-
+            algorithm, warning = auto_route(kind, domain)
+        dynamic = kind.dynamics is Dynamics.DYNAMIC
         if algorithm == "bu":
-            value = (
-                bu_dat(t, alpha, domain)
-                if kind.dynamics is Dynamics.DYNAMIC
-                else bu_sat(t, alpha, domain)
-            )
+            value = (bu_dat if dynamic else bu_sat)(t, alpha, domain)
         elif algorithm == "bdd":
             run = bu_bdd_detailed(t, alpha, domain, req.order)
             value = run.value
             stats["bdd_nodes"] = run.diagram.node_count()
         elif algorithm == "oracle":
-            value = (
-                oracle_metric_dynamic(t, alpha, domain, req.budget)
-                if kind.dynamics is Dynamics.DYNAMIC
-                else oracle_metric_static(t, alpha, domain, req.budget)
-            )
+            oracle = oracle_metric_dynamic if dynamic else oracle_metric_static
+            value = oracle(t, alpha, domain, req.budget)
         else:
-            raise ValueError(f"unknown algorithm {req.algorithm!r}")
+            raise InvalidRequest(f"unknown algorithm {req.algorithm!r}")
 
     stats["millis"] = int((time.perf_counter() - started) * 1000)
     return AnalysisResult(
         metric=domain.name,
         value=value,
         algorithm=algorithm,
-        warnings=tuple(warnings),
+        warnings=() if warning is None else (warning,),
         witnesses=witnesses,
         stats=stats,
     )

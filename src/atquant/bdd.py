@@ -182,19 +182,10 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
         raise OrderMismatch("order must cover exactly the model's basic actions")
     store = _Store(order)
     vals: dict[int, int] = {}
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v in vals:
-            continue
+    for v in t.postorder:
         node = t.nodes[v]
         if node.type is NodeType.BAS:
             vals[v] = store.node(order.rank_of(v), FALSE, TRUE)
-            continue
-        pending = [c for c in node.children if c not in vals]
-        if pending:
-            stack.append(v)
-            stack.extend(pending)
             continue
         op = "or" if node.type is NodeType.OR else "and"
         acc = vals[node.children[0]]

@@ -123,13 +123,11 @@ def cmd_check(args) -> int:
     return 0 if well else 2
 
 
-def _attack_key(t, attack):
-    pos = {b: i for i, b in enumerate(bas_of(t))}
+def _attack_key(pos: dict, attack):
     return (len(attack), tuple(sorted(pos[b] for b in attack)))
 
 
-def _attack_labels(t, attack) -> list[str]:
-    pos = {b: i for i, b in enumerate(bas_of(t))}
+def _attack_labels(t, pos: dict, attack) -> list[str]:
     return [t.label_of(b) for b in sorted(attack, key=pos.__getitem__)]
 
 
@@ -138,28 +136,29 @@ def cmd_semantics(args) -> int:
     t = doc.tree
     kind = classify(t)
     budget = _budget(args)
+    pos = {b: i for i, b in enumerate(bas_of(t))}  # BAS id -> leftmost position
     if kind.dynamics is Dynamics.STATIC:
-        suite = sorted(minimal_attacks_static(t, budget), key=lambda a: _attack_key(t, a))
+        suite = sorted(minimal_attacks_static(t, budget), key=lambda a: _attack_key(pos, a))
         if args.format == "json":
             payload = {
                 "kind": f"{_shape_text(kind)}, {kind.dynamics.value}",
-                "attacks": [{"bas": _attack_labels(t, a)} for a in suite],
+                "attacks": [{"bas": _attack_labels(t, pos, a)} for a in suite],
             }
             _write(args, json.dumps(payload, indent=2) + "\n")
         else:
-            lines = ["{" + ", ".join(_attack_labels(t, a)) + "}" for a in suite]
+            lines = ["{" + ", ".join(_attack_labels(t, pos, a)) + "}" for a in suite]
             _write(args, "\n".join(lines) + "\n")
     else:
         suite = sorted(
             minimal_attacks_dynamic(t, budget),
-            key=lambda p: (_attack_key(t, p.nodes), sorted(p.order)),
+            key=lambda p: (_attack_key(pos, p.nodes), sorted(p.order)),
         )
         if args.format == "json":
             payload = {
                 "kind": f"{_shape_text(kind)}, {kind.dynamics.value}",
                 "attacks": [
                     {
-                        "bas": _attack_labels(t, p.nodes),
+                        "bas": _attack_labels(t, pos, p.nodes),
                         "order": [
                             [t.label_of(a), t.label_of(b)] for a, b in sorted(p.order)
                         ],
@@ -171,7 +170,7 @@ def cmd_semantics(args) -> int:
         else:
             lines = []
             for p in suite:
-                bas = "{" + ", ".join(_attack_labels(t, p.nodes)) + "}"
+                bas = "{" + ", ".join(_attack_labels(t, pos, p.nodes)) + "}"
                 if p.order:
                     chain = ", ".join(
                         f"{t.label_of(a)} < {t.label_of(b)}" for a, b in sorted(p.order)
@@ -184,6 +183,7 @@ def cmd_semantics(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    """metric and ktop: one analysis request; ktop sets k."""
     doc = _load(args.model)
     domain = builtin(args.domain)
     alpha = _alpha(doc, domain, args.attribution)
@@ -192,22 +192,6 @@ def cmd_metric(args) -> int:
         alpha,
         domain,
         algorithm=args.algorithm,
-        order=_order(doc, args.order),
-        budget=_budget(args),
-    )
-    res = analyze(req)
-    _write(args, emit_result(res, doc.tree, args.format))
-    return 0
-
-
-def cmd_ktop(args) -> int:
-    doc = _load(args.model)
-    domain = builtin(args.domain)
-    alpha = _alpha(doc, domain, args.attribution)
-    req = AnalysisRequest(
-        doc.tree,
-        alpha,
-        domain,
         k=args.k,
         order=_order(doc, args.order),
         budget=_budget(args),
@@ -260,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=["auto", "bu", "bdd", "oracle"], default="auto")
     p.add_argument("--order", help="declared variable order to use for BDDs")
     p.add_argument("--budget", type=int, help="max BAS count for the oracle")
-    p.set_defaults(fn=cmd_metric)
+    p.set_defaults(fn=cmd_metric, k=None)
 
     p = sub.add_parser("ktop", help="rank the k best attacks")
     common(p)
@@ -269,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", help="declared variable order to use")
     p.add_argument("--budget", type=int, help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_ktop)
+    p.set_defaults(fn=cmd_metric, algorithm="auto")
 
     p = sub.add_parser("dump", help="emit DOT (or the canonical model text)")
     common(p, fmt=False)

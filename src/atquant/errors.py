@@ -123,6 +123,10 @@ class IncompatibleDomain(AtError):
     pass
 
 
+class InvalidRequest(AtError, ValueError):
+    """An analysis request names an unknown algorithm or an impossible k."""
+
+
 class OrderMismatch(AtError):
     pass
 

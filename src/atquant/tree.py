@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -88,6 +89,43 @@ class AttackTree:
     def label_of(self, node_id: int) -> str:
         return self.node(node_id).label
 
+    # structural facts: computed on first use, then kept on the frozen instance
+
+    @cached_property
+    def postorder(self) -> tuple[int, ...]:
+        return postorder(self, self.root)
+
+    @cached_property
+    def kind(self) -> StructureKind:
+        seen: set[int] = set()
+        shape = Shape.TREE
+        dynamics = Dynamics.STATIC
+        for n in self.nodes:
+            if n.type is NodeType.SAND:
+                dynamics = Dynamics.DYNAMIC
+            for c in n.children:
+                if c in seen:
+                    shape = Shape.DAG
+                seen.add(c)
+        return StructureKind(shape, dynamics)
+
+    @cached_property
+    def bas(self) -> tuple[int, ...]:
+        out: list[int] = []
+        seen: set[int] = set()
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            node = self.nodes[v]
+            if node.type is NodeType.BAS:
+                out.append(v)
+            else:
+                stack.extend(reversed(node.children))
+        return tuple(out)
+
 
 def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) -> AttackTree:
     """Validate and freeze a node store from (label, type, child labels) triples.
@@ -136,12 +174,12 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
     if not parentless or parentless[0] != root:
         raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
 
-    reach = _reachable(nodes, root)
-    if len(reach) != len(nodes):
+    t = AttackTree(tuple(nodes), root)
+    if len(t.postorder) != len(nodes):
+        reach = set(t.postorder)
         missing = next(n.label for n in nodes if n.id not in reach)
         raise DisconnectedNode(f"node {missing!r} is not reachable from the root")
-
-    return AttackTree(tuple(nodes), root)
+    return t
 
 
 def _check_acyclic(nodes: list[Node]) -> None:
@@ -174,52 +212,35 @@ def _check_acyclic(nodes: list[Node]) -> None:
     raise CyclicStructure(f"cycle in child relation: {names}", cycle=cycle)
 
 
-def _reachable(nodes: Sequence[Node], root: int) -> set[int]:
-    seen = {root}
-    stack = [root]
+def postorder(t: AttackTree, start: int) -> tuple[int, ...]:
+    """Node ids reachable from start, each after all of its children. BDD
+    node ids follow this order, so it must not change."""
+    done: set[int] = set()
+    out: list[int] = []
+    stack = [start]
     while stack:
         v = stack.pop()
-        for c in nodes[v].children:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return seen
+        if v in done:
+            continue
+        pending = [c for c in t.nodes[v].children if c not in done]
+        if pending:
+            stack.append(v)
+            stack.extend(pending)
+            continue
+        done.add(v)
+        out.append(v)
+    return tuple(out)
 
 
 def classify(t: AttackTree) -> StructureKind:
     """Tree vs DAG (any node referenced twice, same-gate repeats included)
     and static vs dynamic (any SAND present)."""
-    refs = 0
-    seen: set[int] = set()
-    shape = Shape.TREE
-    dynamics = Dynamics.STATIC
-    for n in t.nodes:
-        if n.type is NodeType.SAND:
-            dynamics = Dynamics.DYNAMIC
-        for c in n.children:
-            if c in seen:
-                shape = Shape.DAG
-            seen.add(c)
-            refs += 1
-    return StructureKind(shape, dynamics)
+    return t.kind
 
 
 def bas_of(t: AttackTree) -> tuple[int, ...]:
     """BAS ids in depth-first leftmost order, first occurrence only."""
-    out: list[int] = []
-    seen: set[int] = set()
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        node = t.nodes[v]
-        if node.type is NodeType.BAS:
-            out.append(v)
-        else:
-            stack.extend(reversed(node.children))
-    return tuple(out)
+    return t.bas
 
 
 def descendants(t: AttackTree, node_id: int) -> frozenset[int]:

@@ -156,6 +156,7 @@ def suites():
             rep.dynamic_dag_samples.append(t)
     for _ in range(N_TREE_DAT):
         t = rand_tree_dat(rng)
+        assert is_well_formed(t)[0]  # proper dynamic trees never cycle; bu_dat relies on it
         rep.dat_trees.append(t)
         for d in dat_domains:
             a = rand_alpha(rng, t, d)

@@ -13,6 +13,7 @@ from atquant import (
     bu_dat,
     bu_sat,
     builtin,
+    classify,
     k_top,
     naive_bottom_up,
     oracle_metric_dynamic,
@@ -20,10 +21,11 @@ from atquant import (
     structure_function,
     total_probability_tree,
 )
-from atquant.analysis import bu_bdd_detailed, validate_attribution
+from atquant.analysis import auto_route, bu_bdd_detailed, validate_attribution
 from atquant.bdd import VarOrder
-from atquant.domains import AttributeDomain, ValueKind, nat_add, nat_min
+from atquant.domains import BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, nat_min
 from atquant.errors import (
+    AtError,
     BadAttributeValue,
     DagRejected,
     DynamicTreeRejected,
@@ -39,6 +41,7 @@ from helpers import (
     alpha,
     overlap,
     labels,
+    rand_alpha,
     rand_tree,
     sand_over_and,
     chains,
@@ -345,3 +348,35 @@ def test_analyze_ktop_and_stats():
     assert res.stats["nodes"] == len(f)
     assert res.stats["bdd_nodes"] == 3
     assert isinstance(res.stats["millis"], int) and res.stats["millis"] >= 0
+
+
+def test_auto_route_and_engine_guards_agree():
+    # a fast path is routed to exactly when its engine accepts the domain
+    rng = random.Random(12)
+    engines = [(bu_sat, treasure()), (bu_bdd, overlap()), (bu_dat, sand_over_and())]
+    for name in BUILTIN_NAMES:
+        d = builtin(name)
+        for engine, t in engines:
+            a = rand_alpha(rng, t, d)
+            algorithm, warning = auto_route(classify(t), d)
+            if warning is None:
+                assert algorithm in ("bu", "bdd")
+                engine(t, a, d)
+            else:
+                assert algorithm == "oracle"
+                with pytest.raises(AtError):
+                    engine(t, a, d)
+    algorithm, warning = auto_route(classify(exploit()), builtin("min-cost"))
+    assert algorithm == "oracle" and "shared subtrees" in warning
+
+
+def test_invalid_requests_are_reported_as_at_errors():
+    f = overlap()
+    a = alpha(f, {"a": 3, "b": 1, "c": 4})
+    for req in (
+        AnalysisRequest(f, a, builtin("min-cost"), algorithm="quantum"),
+        AnalysisRequest(f, a, builtin("min-cost"), k=0),
+    ):
+        with pytest.raises(AtError) as caught:
+            analyze(req)
+        assert isinstance(caught.value, ValueError)

@@ -186,6 +186,15 @@ def test_ktop_golden(capsys):
     assert code == 1 and "prob" in err
 
 
+def test_ktop_rejects_k_below_one(capsys):
+    code, out, err = run(
+        capsys, "ktop", f"{MODELS}/overlap.at", "--domain", "min-cost",
+        "--attribution", "cost", "--k", "0",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: k must be at least 1\n"
+
+
 def test_budget_env_and_flag(capsys, tmp_path, monkeypatch):
     wide = tmp_path / "wide.at"
     leaves = [f'"b{i}"' for i in range(21)]

@@ -14,7 +14,7 @@ from atquant.errors import (
     NoRoot,
     UnknownNode,
 )
-from atquant.tree import Dynamics, NodeType, Shape, descendants
+from atquant.tree import Dynamics, NodeType, Shape, descendants, postorder
 
 from helpers import overlap, labels, rand_dag, rand_tree, exploit, treasure, tt
 
@@ -162,3 +162,23 @@ def test_tuple_tree_builder_shares_repeated_leaves():
     t = tt(("and", ("or", "a", "b"), ("or", "b", "c")))
     assert classify(t).shape is Shape.DAG
     assert len([n for n in t.nodes if n.type is B]) == 3
+
+
+def test_postorder_finishes_children_first_once_each():
+    rng = random.Random(11)
+    for t in [overlap(), exploit()] + [rand_dag(rng) for _ in range(30)]:
+        order = t.postorder
+        assert sorted(order) == list(range(len(t))) and order[-1] == t.root
+        pos = {v: i for i, v in enumerate(order)}
+        for n in t.nodes:
+            assert all(pos[c] < pos[n.id] for c in n.children)
+            below = postorder(t, n.id)
+            assert below[-1] == n.id
+            assert {v for v in below if t.nodes[v].type is B} == descendants(t, n.id)
+
+
+def test_structural_facts_are_computed_once():
+    t = overlap()
+    assert t.postorder is t.postorder
+    assert classify(t) is classify(t) and bas_of(t) is bas_of(t)
+    assert t == tt(("and", ("or", "a", "b"), ("or", "b", "c")))
