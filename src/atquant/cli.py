@@ -27,8 +27,12 @@ from .tree import Dynamics, Shape, bas_of, classify
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise AtError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+    return parse_model(text)
 
 
 def _write(args, text: str) -> None:

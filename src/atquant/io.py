@@ -14,11 +14,17 @@ attribution blocks (BAS label -> value) and named variable orders:
 
 Values are exact: integers, ratios p/q, decimals (read as exact rationals),
 or inf. Emission is canonical, so emit(parse(emit(doc))) == emit(doc).
+
+Tokens: keywords are ASCII words (`toplevel`, `bas`, `inf`, ...), numbers
+are ASCII digits with dots, punctuation is one of `;{}=<>/(),`, and a quoted
+label may hold any character but `"` and newline. Spaces, tabs, CR, LF and
+`//` comments separate tokens; any other character is an error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -39,7 +45,19 @@ from .errors import (
 from .tree import AttackTree, NodeType, bas_of, build
 
 _KINDS = {"bas": NodeType.BAS, "or": NodeType.OR, "and": NodeType.AND, "sand": NodeType.SAND}
-_PUNCT = set(";{}=<>/(),")
+
+# Unnamed alternatives (whitespace, comments) are skipped; BAD is any
+# character that starts no token.
+_TOKEN = re.compile(
+    r'[ \t\r\n]+|//[^\n]*'
+    r'|"(?P<STR>[^"\n]*)"'
+    r"|(?P<NUM>[0-9][0-9.]*)"
+    r"|(?P<WORD>[A-Za-z_][\w-]*)"
+    r"|(?P<PUNCT>[;{}=<>/(),])"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
+_Tok = tuple[str, str, int]  # (kind, text, offset), kind STR NUM WORD PUNCT or EOF
 
 
 @dataclass(frozen=True)
@@ -49,234 +67,195 @@ class ModelDocument:
     orders: dict = field(default_factory=dict)  # name -> tuple of bas ids
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # STR WORD NUM PUNCT EOF
-    text: str
-    line: int
-    col: int
+def _where(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _scan(text: str) -> list[_Token]:
+def _scan(text: str) -> list[_Tok]:
+    """All tokens, then EOF at the end of the text. A string's text excludes
+    its quotes; its offset is the opening quote's."""
     out = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ModelSyntaxError("unterminated string", line, col)
-            out.append(_Token("STR", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-        elif c.isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            out.append(_Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            out.append(_Token("WORD", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c in _PUNCT:
-            out.append(_Token("PUNCT", c, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ModelSyntaxError(f"unexpected character {c!r}", line, col)
-    out.append(_Token("EOF", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            c = m[kind]
+            msg = "unterminated string" if c == '"' else f"unexpected character {c!r}"
+            raise ModelSyntaxError(msg, *_where(text, m.start()))
+        if kind:
+            out.append((kind, m[kind], m.start()))
+    out.append(("EOF", "", len(text)))
     return out
 
 
-def _locate(e: TreeBuildError, tok: _Token) -> TreeBuildError:
+def _locate(e: TreeBuildError, text: str, offset: int) -> TreeBuildError:
     """Rebuild a structural error so its message names the source position."""
-    msg = f"{e} at line {tok.line}, col {tok.col}"
+    line, col = _where(text, offset)
+    msg = f"{e} at line {line}, col {col}"
     out = CyclicStructure(msg, cycle=e.cycle) if isinstance(e, CyclicStructure) else type(e)(msg)
-    out.line, out.col = tok.line, tok.col
+    out.line, out.col = line, col
     return out
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _scan(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def error(self, msg: str, offset: int, cls=ModelSyntaxError) -> ModelSyntaxError:
+        return cls(msg, *_where(self.text, offset))
+
+    def peek(self) -> _Tok:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> _Tok:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
+    def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            raise ModelSyntaxError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected {want!r}, found {tok[1]!r}", tok[2])
         return tok
 
     def value(self):
-        tok = self.next()
-        if tok.kind == "WORD" and tok.text == "inf":
+        kind, num, at = self.next()
+        if kind == "WORD" and num == "inf":
             return INF
-        if tok.kind != "NUM":
-            raise ModelSyntaxError(f"expected a value, found {tok.text!r}", tok.line, tok.col)
-        if self.peek().kind == "PUNCT" and self.peek().text == "/":
+        if kind != "NUM":
+            raise self.error(f"expected a value, found {num!r}", at)
+        if self.peek()[:2] == ("PUNCT", "/"):
             self.next()
-            den = self.expect("NUM")
-            if "." in tok.text or "." in den.text:
-                raise ModelSyntaxError("ratio parts must be integers", tok.line, tok.col)
-            if int(den.text) == 0:
-                raise ModelSyntaxError("zero denominator", den.line, den.col)
-            return Fraction(int(tok.text), int(den.text))
-        if "." in tok.text:
-            if tok.text.count(".") > 1 or tok.text.endswith("."):
-                raise ModelSyntaxError(f"bad number {tok.text!r}", tok.line, tok.col)
-            return Fraction(tok.text)  # exact decimal
-        return int(tok.text)
+            _, den, den_at = self.expect("NUM")
+            if "." in num or "." in den:
+                raise self.error("ratio parts must be integers", at)
+            if int(den) == 0:
+                raise self.error("zero denominator", den_at)
+            return Fraction(int(num), int(den))
+        if "." in num:
+            if num.count(".") > 1 or num.endswith("."):
+                raise self.error(f"bad number {num!r}", at)
+            return Fraction(num)  # exact decimal
+        return int(num)
 
 
 def parse_model(text: str) -> ModelDocument:
     p = _Parser(text)
-    toplevel: Optional[_Token] = None
-    defs: list[tuple[str, NodeType, list[_Token]]] = []
-    def_lines: dict[str, _Token] = {}
-    raw_attr: list[tuple[str, _Token, list[tuple[_Token, object]]]] = []
-    raw_orders: list[tuple[str, _Token, list[_Token]]] = []
+    toplevel: Optional[_Tok] = None
+    defs: list[tuple[str, NodeType, list[_Tok]]] = []
+    def_at: dict[str, int] = {}  # label -> offset of its definition
+    raw_attr: list[tuple[str, int, list]] = []  # (name, offset, [(label token, value)])
+    raw_orders: list[tuple[str, int, list]] = []  # (name, offset, [label token])
 
-    while p.peek().kind != "EOF":
-        tok = p.next()
-        if tok.kind == "WORD" and tok.text == "toplevel":
+    while p.peek()[0] != "EOF":
+        kind, word, at = p.next()
+        if kind == "WORD" and word == "toplevel":
             name = p.expect("STR")
             p.expect("PUNCT", ";")
             if toplevel is not None:
-                raise DuplicateDefinition("second toplevel declaration", name.line, name.col)
+                raise p.error("second toplevel declaration", name[2], DuplicateDefinition)
             toplevel = name
-        elif tok.kind == "WORD" and tok.text == "attribution":
-            name = p.expect("STR")
-            if any(name.text == n for n, _, _ in raw_attr):
-                raise DuplicateDefinition(f"attribution {name.text!r} defined twice", name.line, name.col)
+        elif kind == "WORD" and word == "attribution":
+            _, name, name_at = p.expect("STR")
+            if any(name == n for n, _, _ in raw_attr):
+                raise p.error(f"attribution {name!r} defined twice", name_at, DuplicateDefinition)
             p.expect("PUNCT", "{")
-            bindings: list[tuple[_Token, object]] = []
-            while not (p.peek().kind == "PUNCT" and p.peek().text == "}"):
+            bindings = []
+            while p.peek()[:2] != ("PUNCT", "}"):
                 label = p.expect("STR")
                 p.expect("PUNCT", "=")
                 v = p.value()
                 p.expect("PUNCT", ";")
                 bindings.append((label, v))
             p.next()  # the closing brace
-            raw_attr.append((name.text, name, bindings))
-        elif tok.kind == "WORD" and tok.text == "order":
-            name = p.expect("STR")
-            if any(name.text == n for n, _, _ in raw_orders):
-                raise DuplicateDefinition(f"order {name.text!r} defined twice", name.line, name.col)
+            raw_attr.append((name, name_at, bindings))
+        elif kind == "WORD" and word == "order":
+            _, name, name_at = p.expect("STR")
+            if any(name == n for n, _, _ in raw_orders):
+                raise p.error(f"order {name!r} defined twice", name_at, DuplicateDefinition)
             p.expect("PUNCT", "=")
             labels = [p.expect("STR")]
-            while p.peek().kind == "PUNCT" and p.peek().text == "<":
+            while p.peek()[:2] == ("PUNCT", "<"):
                 p.next()
                 labels.append(p.expect("STR"))
             p.expect("PUNCT", ";")
-            raw_orders.append((name.text, name, labels))
-        elif tok.kind == "STR":
-            kind_tok = p.expect("WORD")
-            if kind_tok.text not in _KINDS:
-                raise ModelSyntaxError(
-                    f"expected one of bas/or/and/sand, found {kind_tok.text!r}",
-                    kind_tok.line, kind_tok.col,
-                )
+            raw_orders.append((name, name_at, labels))
+        elif kind == "STR":
+            _, gate, gate_at = p.expect("WORD")
+            if gate not in _KINDS:
+                raise p.error(f"expected one of bas/or/and/sand, found {gate!r}", gate_at)
             children = []
-            while p.peek().kind == "STR":
+            while p.peek()[0] == "STR":
                 children.append(p.next())
             p.expect("PUNCT", ";")
-            if tok.text in def_lines:
-                raise DuplicateDefinition(f"node {tok.text!r} defined twice", tok.line, tok.col)
-            def_lines[tok.text] = tok
-            kind = _KINDS[kind_tok.text]
-            if kind is NodeType.BAS and children:
-                raise _locate(BasWithChildren(f"basic action {tok.text!r} lists children"), tok)
-            if kind is not NodeType.BAS and not children:
-                raise _locate(GateWithoutChildren(f"gate {tok.text!r} has no children"), tok)
-            defs.append((tok.text, kind, children))
+            if word in def_at:
+                raise p.error(f"node {word!r} defined twice", at, DuplicateDefinition)
+            def_at[word] = at
+            node_type = _KINDS[gate]
+            if node_type is NodeType.BAS and children:
+                raise _locate(BasWithChildren(f"basic action {word!r} lists children"), text, at)
+            if node_type is not NodeType.BAS and not children:
+                raise _locate(GateWithoutChildren(f"gate {word!r} has no children"), text, at)
+            defs.append((word, node_type, children))
         else:
-            raise ModelSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            raise p.error(f"unexpected token {word!r}", at)
 
     if toplevel is None:
-        raise ModelSyntaxError("missing toplevel declaration", 1, 1)
-    if toplevel.text not in def_lines:
-        raise ModelSyntaxError(
-            f"toplevel {toplevel.text!r} is never defined", toplevel.line, toplevel.col
-        )
+        raise p.error("missing toplevel declaration", 0)
+    _, root, root_at = toplevel
+    if root not in def_at:
+        raise p.error(f"toplevel {root!r} is never defined", root_at)
     for label, _, children in defs:
-        for c in children:
-            if c.text not in def_lines:
+        for _, child, at in children:
+            if child not in def_at:
                 raise _locate(
-                    DanglingReference(f"node {label!r} references undefined node {c.text!r}"), c
+                    DanglingReference(f"node {label!r} references undefined node {child!r}"),
+                    text, at,
                 )
     try:
-        tree = build([(l, k, [c.text for c in cs]) for l, k, cs in defs], toplevel.text)
+        tree = build([(l, k, [c[1] for c in cs]) for l, k, cs in defs], root)
     except CyclicStructure as e:
-        raise _locate(e, def_lines[defs[e.cycle[0]][0]] if e.cycle else toplevel) from None
+        raise _locate(e, text, def_at[defs[e.cycle[0]][0]] if e.cycle else root_at) from None
     except TreeBuildError as e:
-        raise _locate(e, toplevel) from None
+        raise _locate(e, text, root_at) from None
 
     bas_ids = bas_of(tree)
     bas_labels = {tree.label_of(b): b for b in bas_ids}
     attributions: dict[str, dict[int, object]] = {}
-    for name, name_tok, bindings in raw_attr:
+    for name, name_at, bindings in raw_attr:
         table: dict[int, object] = {}
-        for label, v in bindings:
-            if label.text not in bas_labels:
-                raise ModelSyntaxError(
-                    f"attribution {name!r} names {label.text!r}, which is not a basic action",
-                    label.line, label.col,
+        for (_, label, at), v in bindings:
+            if label not in bas_labels:
+                raise p.error(
+                    f"attribution {name!r} names {label!r}, which is not a basic action", at
                 )
-            if bas_labels[label.text] in table:
-                raise DuplicateDefinition(
-                    f"attribution {name!r} binds {label.text!r} twice", label.line, label.col
+            if bas_labels[label] in table:
+                raise p.error(
+                    f"attribution {name!r} binds {label!r} twice", at, DuplicateDefinition
                 )
-            table[bas_labels[label.text]] = v
+            table[bas_labels[label]] = v
         missing = [tree.label_of(b) for b in bas_ids if b not in table]
         if missing:
-            raise ModelSyntaxError(
+            raise p.error(
                 f"attribution {name!r} misses basic actions: {', '.join(sorted(missing))}",
-                name_tok.line, name_tok.col,
+                name_at,
             )
         attributions[name] = table
 
     orders: dict[str, tuple[int, ...]] = {}
-    for name, name_tok, labels in raw_orders:
+    for name, name_at, labels in raw_orders:
         ids = []
-        for label in labels:
-            if label.text not in bas_labels:
-                raise ModelSyntaxError(
-                    f"order {name!r} names {label.text!r}, which is not a basic action",
-                    label.line, label.col,
+        for _, label, at in labels:
+            if label not in bas_labels:
+                raise p.error(
+                    f"order {name!r} names {label!r}, which is not a basic action", at
                 )
-            ids.append(bas_labels[label.text])
+            ids.append(bas_labels[label])
         if len(set(ids)) != len(ids) or set(ids) != set(bas_ids):
-            raise ModelSyntaxError(
-                f"order {name!r} is not a permutation of the basic actions",
-                name_tok.line, name_tok.col,
-            )
+            raise p.error(f"order {name!r} is not a permutation of the basic actions", name_at)
         orders[name] = tuple(ids)
 
     return ModelDocument(tree, attributions, orders)

@@ -169,8 +169,9 @@ def ordering_graph(t: AttackTree) -> OrderingGraph:
         if node.type is not NodeType.SAND:
             continue
         for left, right in zip(node.children, node.children[1:]):
+            later = descendants(t, right)
             for a in descendants(t, left):
-                for b in descendants(t, right):
+                for b in later:
                     edges.add((a, b))
                     inserted += 1
     return OrderingGraph(bas, frozenset(edges), inserted)

@@ -60,6 +60,17 @@ def test_check_rejects_broken_model(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_non_utf8_model_is_reported_with_its_byte_offset(tmp_path, capsys):
+    latin = tmp_path / "latin.at"
+    latin.write_bytes('toplevel "r";\n"r" bas; // café\n'.encode("latin-1"))
+    where = f"{latin}: not UTF-8 text (byte 29"
+    code, out, err = run(capsys, "check", str(latin))
+    assert code == 1 and out == "" and err.startswith(f"invalid: {where}")
+    code, out, err = run(capsys, "metric", str(latin), "--domain", "min-cost",
+                         "--attribution", "c")
+    assert code == 1 and out == "" and err.startswith(f"error: {where}")
+
+
 def test_semantics_text_golden(capsys):
     code, out, _ = run(capsys, "semantics", f"{MODELS}/treasure.at")
     assert code == 0 and out == "{n}\n{t, p}\n"

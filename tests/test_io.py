@@ -86,37 +86,48 @@ def test_comments_and_whitespace_are_ignored():
     assert len(doc.tree) == 1
 
 
-@pytest.mark.parametrize(
-    "text,exc,line",
-    [
-        ('toplevel "r";\n"r" bas\n', ModelSyntaxError, 3),  # missing semicolon hits EOF
-        ('toplevel "r";\n"r" xor "a";\n"a" bas;\n', ModelSyntaxError, 2),
-        ('toplevel "r";\n"r" bas;\n"r" bas;\n', DuplicateDefinition, 3),
-        ('toplevel "r";\ntoplevel "r";\n"r" bas;\n', DuplicateDefinition, 2),
-        ('"r" bas;\n', ModelSyntaxError, 1),  # no toplevel
-        ('toplevel "ghost";\n"r" bas;\n', ModelSyntaxError, 1),
-        ('toplevel "r";\n"r" or "a";\n"a" bas;\nattribution "c" { "a" = 1; }\n'
-         'attribution "c" { "a" = 2; }\n', DuplicateDefinition, 5),
-        ('toplevel "r";\n"r" bas;\nattribution "c" { "zz" = 1; }\n', ModelSyntaxError, 3),
-        ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = 1; "r" = 2; }\n',
-         DuplicateDefinition, 3),
-        ('toplevel "r";\n"r" or "a" "b";\n"a" bas;\n"b" bas;\n'
-         'attribution "c" { "a" = 1; }\n', ModelSyntaxError, 5),  # not total
-        ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = 1/0; }\n', ModelSyntaxError, 3),
-        ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = 1.2.3; }\n', ModelSyntaxError, 3),
-        ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = oops; }\n', ModelSyntaxError, 3),
-        ('toplevel "r";\n"r" or "a" "b";\n"a" bas;\n"b" bas;\n'
-         'order "o" = "a" < "a";\n', ModelSyntaxError, 5),  # not a permutation
-        ('toplevel "r";\n"r" bas;\norder "o" = "zz";\n', ModelSyntaxError, 3),
-        ('toplevel "r";\n"r" bas;\n"x" bas\n"y" bas;\n', ModelSyntaxError, 4),
-        ('toplevel "r";\n"r bas;\n', ModelSyntaxError, 2),  # unterminated string
-        ('toplevel "r";\n"r" bas; $\n', ModelSyntaxError, 2),
-    ],
-)
-def test_syntax_errors_carry_locations(text, exc, line):
+SYNTAX_ERRORS = [
+    ('toplevel "r";\n"r" bas\n', ModelSyntaxError, 3, 1),  # missing semicolon hits EOF
+    ('toplevel "r";\n"r" xor "a";\n"a" bas;\n', ModelSyntaxError, 2, 5),
+    ('toplevel "r";\n"r" bas;\n"r" bas;\n', DuplicateDefinition, 3, 1),
+    ('toplevel "r";\ntoplevel "r";\n"r" bas;\n', DuplicateDefinition, 2, 10),
+    ('"r" bas;\n', ModelSyntaxError, 1, 1),  # no toplevel
+    ('toplevel "ghost";\n"r" bas;\n', ModelSyntaxError, 1, 10),
+    ('toplevel "r";\n"r" or "a";\n"a" bas;\nattribution "c" { "a" = 1; }\n'
+     'attribution "c" { "a" = 2; }\n', DuplicateDefinition, 5, 13),
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "zz" = 1; }\n', ModelSyntaxError, 3, 19),
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = 1; "r" = 2; }\n',
+     DuplicateDefinition, 3, 28),
+    ('toplevel "r";\n"r" or "a" "b";\n"a" bas;\n"b" bas;\n'
+     'attribution "c" { "a" = 1; }\n', ModelSyntaxError, 5, 13),  # not total
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = 1/0; }\n', ModelSyntaxError, 3, 27),
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = 1.2.3; }\n', ModelSyntaxError, 3, 25),
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = oops; }\n', ModelSyntaxError, 3, 25),
+    ('toplevel "r";\n"r" or "a" "b";\n"a" bas;\n"b" bas;\n'
+     'order "o" = "a" < "a";\n', ModelSyntaxError, 5, 7),  # not a permutation
+    ('toplevel "r";\n"r" bas;\norder "o" = "zz";\n', ModelSyntaxError, 3, 13),
+    ('toplevel "r";\n"r" bas;\n"x" bas\n"y" bas;\n', ModelSyntaxError, 4, 5),
+    ('toplevel "r";\n"r bas;\n', ModelSyntaxError, 2, 1),  # unterminated string
+    ('toplevel "r";\n"r" bas; $\n', ModelSyntaxError, 2, 10),
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = ²; }\n', ModelSyntaxError, 3, 25),
+    ('toplevel "r";\n\t"r"\tbas\t$;\n', ModelSyntaxError, 2, 10),  # a tab is one column
+    ('toplevel "r";\r\n"r" bas;\r\n"r" bas;\r\n', DuplicateDefinition, 3, 1),
+    ('toplevel "r";\r\n"r" xor;\r\n', ModelSyntaxError, 2, 5),
+    ('toplevel "r";\n"r" bas // x', ModelSyntaxError, 2, 13),  # EOF after a comment
+]
+
+
+def _case_id(case) -> str:
+    """Text, error class and line: a case's name does not depend on its column."""
+    text, exc, line, _ = case
+    return f"{text}-{exc.__name__}-{line}"
+
+
+@pytest.mark.parametrize("text,exc,line,col", SYNTAX_ERRORS, ids=map(_case_id, SYNTAX_ERRORS))
+def test_syntax_errors_carry_locations(text, exc, line, col):
     with pytest.raises(exc) as ei:
         parse_model(text)
-    assert ei.value.line == line, str(ei.value)
+    assert (ei.value.line, ei.value.col) == (line, col), str(ei.value)
 
 
 def test_build_errors_surface_with_locations():
