@@ -31,7 +31,6 @@ from .errors import (
     AtError,
     DagRejected,
     DynamicTreeRejected,
-    IncompatibleDomain,
     InvalidRequest,
     MissingAttribution,
     MissingNeutrals,
@@ -46,7 +45,7 @@ from .semantics import (
     oracle_metric_dynamic,
     oracle_metric_static,
 )
-from .tree import AttackTree, Dynamics, NodeType, Shape, StructureKind, bas_of, classify, postorder
+from .tree import AttackTree, Dynamics, Node, NodeType, Shape, StructureKind, bas_of, classify, fold
 
 
 def _refusal(engine: str, d: AttributeDomain) -> Optional[AtError]:
@@ -78,31 +77,25 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
         domain.validate_value(alpha[b])
 
 
+def _value(alpha: dict, n: Node):
+    try:
+        return alpha[n.id]
+    except KeyError:
+        raise MissingAttribution(f"no value for basic action {n.label!r}") from None
+
+
 def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int]):
     """Memoized bottom-up fold; the memoization is what makes it naive on
-    DAGs (a shared node contributes one value to every parent)."""
+    DAGs (a shared node contributes one value to every parent). Callers
+    ensure a SAND gate only meets a domain with a sequential operator."""
     ops = {
         NodeType.OR: domain.or_op,
         NodeType.AND: domain.and_op,
         NodeType.SAND: domain.seq_op,
     }
-    order = t.postorder if node is None else postorder(t, node)
-    vals: dict[int, object] = {}
-    for v in order:
-        n = t.nodes[v]
-        if n.type is NodeType.BAS:
-            try:
-                vals[v] = alpha[v]
-            except KeyError:
-                raise MissingAttribution(f"no value for basic action {n.label!r}") from None
-            continue
-        op = ops[n.type]
-        if op is None:
-            raise IncompatibleDomain(
-                f"domain {domain.name} has no sequential operator for SAND gate {n.label!r}"
-            )
-        vals[v] = functools.reduce(op, [vals[c] for c in n.children])
-    return vals[order[-1]]
+    return fold(
+        t, functools.partial(_value, alpha), lambda n, kids: functools.reduce(ops[n.type], kids), node
+    )
 
 
 def naive_bottom_up(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int] = None):
@@ -137,19 +130,10 @@ def bu_bdd_detailed(
     m = minimise(from_structure_function(t, order))
     store = m.store
     vals: dict[int, object] = {FALSE: domain.or_neutral, TRUE: domain.and_neutral}
-    stack = [m.root]
-    while stack:
-        v = stack.pop()
-        if v in vals:
-            continue
-        low, high = store.lows[v], store.highs[v]
-        if low not in vals or high not in vals:
-            stack.extend((v, low, high))
-            continue
-        var = m.var_at(v)
-        if var not in alpha:
-            raise MissingAttribution(f"no value for basic action {t.label_of(var)!r}")
-        vals[v] = domain.or_op(vals[low], domain.and_op(vals[high], alpha[var]))
+    for v in m.postorder:
+        if v >= 2:
+            a = _value(alpha, t.nodes[m.var_at(v)])
+            vals[v] = domain.or_op(vals[store.lows[v]], domain.and_op(vals[store.highs[v]], a))
     return BuBddRun(vals[m.root], m, len(vals))
 
 
@@ -168,7 +152,7 @@ def k_top(
     """The k best (metric, attack) pairs, best first.
 
     High edges carry the signed attribute of their variable, low edges are
-    free, and k-shortest root-to-TRUE paths in rank (topological) order give
+    free, and k-shortest root-to-TRUE paths in topological order give
     the k best attacks; the sign flips max domains into min problems. Ties
     break on the lexicographically least decision sequence. Returns fewer
     than k pairs exactly when fewer minimal attacks exist.
@@ -195,20 +179,18 @@ def k_top_detailed(
     store = m.store
 
     def weight(v: int):
-        var = m.var_at(v)
-        if var not in alpha:
-            raise MissingAttribution(f"no value for basic action {t.label_of(var)!r}")
-        a = alpha[var]
+        a = _value(alpha, t.nodes[m.var_at(v)])
         if a is INF:
             return math.inf if sgn == 1 else -math.inf
         return sgn * a
 
-    interior = sorted((v for v in m.reachable() if v >= 2), key=lambda v: store.ranks[v])
     best: dict[int, list] = {m.root: [(0, ())]} if m.root >= 2 else {}
     done: list = []
     if m.root == TRUE:
         done = [(0, ())]
-    for v in interior:
+    # parents before children; a bucket keeps its k least entries whatever
+    # order they arrive in, so any topological order gives the same result
+    for v in reversed(m.postorder):
         for w, dec in best.pop(v, []):
             for child, step, dw in ((store.lows[v], 0, 0), (store.highs[v], 1, weight(v))):
                 entry = (w + dw, dec + ((store.ranks[v], step),))
@@ -256,24 +238,19 @@ def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
         raise DagRejected("shared subtrees break the independence argument")
     if kind.dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("total probability is defined for static trees")
-    vals: dict[int, Fraction] = {}
-    for v in t.postorder:
-        node = t.nodes[v]
-        if node.type is NodeType.BAS:
-            try:
-                p = alpha[v]
-            except KeyError:
-                raise MissingAttribution(f"no value for basic action {node.label!r}") from None
-            if isinstance(p, bool) or not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
-                raise NotProbability(f"value {p!r} for {node.label!r} is not a probability")
-            vals[v] = Fraction(p)
-            continue
-        kids = [vals[c] for c in node.children]
-        if node.type is NodeType.AND:
-            vals[v] = math.prod(kids, start=Fraction(1))
-        else:
-            vals[v] = 1 - math.prod((1 - p for p in kids), start=Fraction(1))
-    return vals[t.root]
+
+    def leaf(n: Node) -> Fraction:
+        p = _value(alpha, n)
+        if isinstance(p, bool) or not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
+            raise NotProbability(f"value {p!r} for {n.label!r} is not a probability")
+        return Fraction(p)
+
+    def gate(n: Node, kids: list) -> Fraction:
+        if n.type is NodeType.AND:
+            return math.prod(kids, start=Fraction(1))
+        return 1 - math.prod((1 - p for p in kids), start=Fraction(1))
+
+    return fold(t, leaf, gate)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ instead of merging equal children.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial, reduce
 from typing import Iterable, Optional
 
 from .errors import DynamicTreeRejected, InvalidBdd, OrderMismatch
-from .tree import AttackTree, Dynamics, NodeType, bas_of, classify
+from .tree import AttackTree, Dynamics, NodeType, bas_of, classify, fold, postorder
 
 FALSE = 0
 TRUE = 1
@@ -123,25 +124,16 @@ class Bdd:
         """BAS id labelling a nonterminal node."""
         return self.order.bas_at(self.store.ranks[node_id])
 
-    def reachable(self) -> list[int]:
-        """Reachable node ids, terminals included, depth-first from the root."""
-        seen: set[int] = set()
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            out.append(v)
-            if v >= 2:
-                stack.append(self.store.highs[v])
-                stack.append(self.store.lows[v])
-        return out
+    @cached_property
+    def postorder(self) -> tuple[int, ...]:
+        """Reachable node ids, terminals included, each after both of its
+        children; the low side is walked first."""
+        lows, highs = self.store.lows, self.store.highs
+        return postorder(self.root, lambda v: (highs[v], lows[v]) if v >= 2 else ())
 
     def node_count(self) -> int:
         """Nonterminal nodes reachable from the root."""
-        return sum(1 for v in self.reachable() if v >= 2)
+        return sum(1 for v in self.postorder if v >= 2)
 
     def evaluate(self, attack: Iterable[int]) -> bool:
         chosen = set(attack)
@@ -152,19 +144,14 @@ class Bdd:
 
     def canonical(self) -> tuple:
         """Store-independent serialization for cross-store comparison."""
+        s = self.store
         index: dict[int, int] = {FALSE: 0, TRUE: 1}
         triples: list[tuple[int, int, int]] = []
-
-        def walk(v: int) -> int:
-            if v in index:
-                return index[v]
-            lo = walk(self.store.lows[v])
-            hi = walk(self.store.highs[v])
-            index[v] = len(triples) + 2
-            triples.append((self.store.ranks[v], lo, hi))
-            return index[v]
-
-        return (walk(self.root), tuple(triples))
+        for v in self.postorder:
+            if v >= 2:
+                index[v] = len(triples) + 2
+                triples.append((s.ranks[v], index[s.lows[v]], index[s.highs[v]]))
+        return (index[self.root], tuple(triples))
 
 
 def default_order(t: AttackTree) -> VarOrder:
@@ -181,18 +168,13 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     if set(order.bas) != set(bas_of(t)):
         raise OrderMismatch("order must cover exactly the model's basic actions")
     store = _Store(order)
-    vals: dict[int, int] = {}
-    for v in t.postorder:
-        node = t.nodes[v]
-        if node.type is NodeType.BAS:
-            vals[v] = store.node(order.rank_of(v), FALSE, TRUE)
-            continue
-        op = "or" if node.type is NodeType.OR else "and"
-        acc = vals[node.children[0]]
-        for c in node.children[1:]:
-            acc = store.apply(op, acc, vals[c])
-        vals[v] = acc
-    return Bdd(store, order, vals[t.root])
+    ops = {NodeType.OR: partial(store.apply, "or"), NodeType.AND: partial(store.apply, "and")}
+    root = fold(
+        t,
+        lambda n: store.node(order.rank_of(n.id), FALSE, TRUE),
+        lambda n, kids: reduce(ops[n.type], kids),
+    )
+    return Bdd(store, order, root)
 
 
 def minimise(b: Bdd) -> Bdd:
@@ -209,7 +191,6 @@ def minimise(b: Bdd) -> Bdd:
     TRUE (f0 = TRUE would force f1 = f0 and the node away).
     """
     store = b.store
-    minsol_memo: dict[int, int] = {}
     without_memo: dict[tuple[int, int], int] = {}
 
     def mk_path(rank: int, low: int, high: int) -> int:
@@ -218,16 +199,6 @@ def minimise(b: Bdd) -> Bdd:
         if low == TRUE or low == high:
             raise InvalidBdd("minimise input was not monotone")
         return store.node(rank, low, high)
-
-    def minsol(f: int) -> int:
-        if f < 2:
-            return f
-        out = minsol_memo.get(f)
-        if out is None:
-            f0, f1 = store.lows[f], store.highs[f]
-            out = mk_path(store.ranks[f], minsol(f0), without(minsol(f1), f0))
-            minsol_memo[f] = out
-        return out
 
     def without(m: int, g: int) -> int:
         """Drop the TRUE-paths of m whose positive set satisfies g."""
@@ -263,7 +234,14 @@ def minimise(b: Bdd) -> Bdd:
         without_memo[key] = out
         return out
 
-    return Bdd(store, b.order, minsol(b.root))
+    # minimal solutions of each node, children before parents and the low
+    # side first; this order fixes the ids of the nodes it creates
+    minsol: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+    for f in b.postorder:
+        if f >= 2:
+            f0, f1 = store.lows[f], store.highs[f]
+            minsol[f] = mk_path(store.ranks[f], minsol[f0], without(minsol[f1], f0))
+    return Bdd(store, b.order, minsol[b.root])
 
 
 def top_paths(b: Bdd) -> frozenset:
@@ -272,22 +250,16 @@ def top_paths(b: Bdd) -> frozenset:
     On a minimised diagram this is exactly the suite of minimal attacks.
     Exponential in the worst case, like the suite itself.
     """
-    memo: dict[int, frozenset] = {
+    paths: dict[int, frozenset] = {
         FALSE: frozenset(),
         TRUE: frozenset({frozenset()}),
     }
-
-    def paths(v: int) -> frozenset:
-        out = memo.get(v)
-        if out is None:
+    for v in b.postorder:
+        if v >= 2:
             var = b.var_at(v)
-            low = paths(b.store.lows[v])
-            high = frozenset(p | {var} for p in paths(b.store.highs[v]))
-            out = low | high
-            memo[v] = out
-        return out
-
-    return paths(b.root)
+            high = frozenset(p | {var} for p in paths[b.store.highs[v]])
+            paths[v] = paths[b.store.lows[v]] | high
+    return paths[b.root]
 
 
 def validate(b: Bdd) -> None:
@@ -296,7 +268,7 @@ def validate(b: Bdd) -> None:
     two fixed terminals. Raises InvalidBdd on the first violation."""
     seen_triples: set[tuple[int, int, int]] = set()
     n = len(b.order)
-    for v in b.reachable():
+    for v in b.postorder:
         if v < 2:
             continue
         rank, low, high = b.store.ranks[v], b.store.lows[v], b.store.highs[v]
@@ -319,7 +291,7 @@ def validate(b: Bdd) -> None:
 def check_minimised_shape(b: Bdd) -> None:
     """Post-minimise structural property: TRUE never hangs on a low edge and
     FALSE never hangs on a high edge."""
-    for v in b.reachable():
+    for v in b.postorder:
         if v < 2:
             continue
         if b.store.lows[v] == TRUE:

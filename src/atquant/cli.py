@@ -256,8 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attribution", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", help="declared variable order to use")
-    p.add_argument("--budget", type=int, help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_metric, algorithm="auto")
+    p.set_defaults(fn=cmd_metric, algorithm="auto", budget=None)
 
     p = sub.add_parser("dump", help="emit DOT (or the canonical model text)")
     common(p, fmt=False)

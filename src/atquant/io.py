@@ -138,7 +138,8 @@ class _Parser:
         if "." in num:
             if num.count(".") > 1 or num.endswith("."):
                 raise self.error(f"bad number {num!r}", at)
-            return Fraction(num)  # exact decimal
+            whole, frac = num.split(".")
+            return Fraction(int(whole + frac), 10 ** len(frac))  # exact decimal
         return int(num)
 
 
@@ -346,9 +347,6 @@ def emit_result(res: AnalysisResult, t: AttackTree, fmt: str = "json") -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-_SHAPES = {NodeType.BAS: "box", NodeType.OR: "ellipse", NodeType.AND: "ellipse", NodeType.SAND: "ellipse"}
-
-
 def emit_dot(t: AttackTree) -> str:
     """The model as a GraphViz digraph; SAND edges are numbered since their
     child order is semantic."""
@@ -374,8 +372,8 @@ def emit_dot_bdd(b: Bdd, t: AttackTree) -> str:
     """Decision diagram as a digraph: dashed low edges, solid high edges,
     boxed terminals."""
     lines = ["digraph bdd {", "  rankdir=TB;"]
-    reachable = b.reachable()
-    for v in sorted(reachable):
+    reachable = sorted(b.postorder)
+    for v in reachable:
         if v == FALSE:
             lines.append('  n0 [shape=box, label="0"];')
         elif v == TRUE:
@@ -386,7 +384,7 @@ def emit_dot_bdd(b: Bdd, t: AttackTree) -> str:
             except UnknownNode:
                 label = str(b.var_at(v))
             lines.append(f'  n{v} [shape=circle, label="{label}"];')
-    for v in sorted(reachable):
+    for v in reachable:
         if v >= 2:
             lines.append(f"  n{v} -> n{b.store.lows[v]} [style=dashed];")
             lines.append(f"  n{v} -> n{b.store.highs[v]} [style=solid];")

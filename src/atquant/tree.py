@@ -3,7 +3,9 @@
 Nodes live in a contiguous integer-id store; children are id tuples, so the
 same structure type covers proper trees and DAGs with shared subtrees. All
 traversals are iterative: models with 10^5 nodes (or degenerate chains) must
-not hit the interpreter recursion limit.
+not hit the interpreter recursion limit. `postorder` is the one walk behind
+every bottom-up evaluation: tree folds go through `fold`, and the decision
+diagrams of `bdd` walk their nodes with the same function.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BasWithChildren,
@@ -93,7 +95,8 @@ class AttackTree:
 
     @cached_property
     def postorder(self) -> tuple[int, ...]:
-        return postorder(self, self.root)
+        nodes = self.nodes
+        return postorder(self.root, lambda v: nodes[v].children)
 
     @cached_property
     def kind(self) -> StructureKind:
@@ -212,9 +215,11 @@ def _check_acyclic(nodes: list[Node]) -> None:
     raise CyclicStructure(f"cycle in child relation: {names}", cycle=cycle)
 
 
-def postorder(t: AttackTree, start: int) -> tuple[int, ...]:
-    """Node ids reachable from start, each after all of its children. BDD
-    node ids follow this order, so it must not change."""
+def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int, ...]:
+    """Ids reachable from start through children(v), each after all of its
+    children; the last child listed is walked first, and the graph must be
+    acyclic. Tree folds and BDD node ids follow this order, so it must not
+    change."""
     done: set[int] = set()
     out: list[int] = []
     stack = [start]
@@ -222,7 +227,7 @@ def postorder(t: AttackTree, start: int) -> tuple[int, ...]:
         v = stack.pop()
         if v in done:
             continue
-        pending = [c for c in t.nodes[v].children if c not in done]
+        pending = [c for c in children(v) if c not in done]
         if pending:
             stack.append(v)
             stack.extend(pending)
@@ -230,6 +235,23 @@ def postorder(t: AttackTree, start: int) -> tuple[int, ...]:
         done.add(v)
         out.append(v)
     return tuple(out)
+
+
+def fold(
+    t: AttackTree,
+    leaf: Callable[[Node], Any],
+    gate: Callable[[Node, list], Any],
+    start: Optional[int] = None,
+):
+    """Bottom-up evaluation at start (default: the root): leaf(node) gives a
+    BAS its value, gate(node, child values) combines a gate's. A shared node
+    is evaluated once and its value reused by every parent."""
+    order = t.postorder if start is None else postorder(start, lambda v: t.nodes[v].children)
+    vals: dict[int, Any] = {}
+    for v in order:
+        n = t.nodes[v]
+        vals[v] = leaf(n) if n.type is NodeType.BAS else gate(n, [vals[c] for c in n.children])
+    return vals[order[-1]]
 
 
 def classify(t: AttackTree) -> StructureKind:

@@ -403,7 +403,7 @@ def test_criterion_10_scalability_smoke(suites):
     visited = 0
     for s in suites.static_dag_samples[:25]:
         run = bu_bdd_detailed(s, {b: 1 for b in bas_of(s)}, builtin("min-cost"))
-        assert run.visits == len(run.diagram.reachable())
+        assert run.visits == len(run.diagram.postorder)
         visited += run.visits
     print(
         f"criterion 10 PASS: {len(t)}-node fold in {dt * 1000:.0f}ms; "

@@ -115,7 +115,7 @@ def test_bu_bdd_visits_every_diagram_node_once():
         t = rand_dag(rng, 7)
         a = {b: rng.randint(0, 9) for b in bas_of(t)}
         run = bu_bdd_detailed(t, a, builtin("min-cost"))
-        assert run.visits == len(run.diagram.reachable())
+        assert run.visits == len(run.diagram.postorder)
         assert run.visits == run.diagram.node_count() + 2
 
 

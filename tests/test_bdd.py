@@ -73,11 +73,17 @@ def test_apply_hash_consing_never_duplicates():
     f = overlap()
     b = from_structure_function(f)
     triples = set()
-    for v in b.reachable():
+    for v in b.postorder:
         if v >= 2:
             triple = (b.store.ranks[v], b.store.lows[v], b.store.highs[v])
             assert triple not in triples
             triples.add(triple)
+    # the post-order lists each reachable id once, both children first
+    assert len(set(b.postorder)) == len(b.postorder) and b.postorder[-1] == b.root
+    pos = {v: i for i, v in enumerate(b.postorder)}
+    for v in b.postorder:
+        if v >= 2:
+            assert pos[b.store.lows[v]] < pos[v] and pos[b.store.highs[v]] < pos[v]
 
 
 def test_store_node_rejects_rank_inversions():
@@ -130,6 +136,26 @@ def test_minimise_keeps_already_minimal_functions():
     b = from_structure_function(t)
     m = minimise(b)
     assert top_paths(m) == {frozenset({v}) for v in bas_of(t)}
+
+
+def test_deep_diagrams_are_walked_without_recursion():
+    # 2,000-level chains are deeper than the interpreter's recursion limit
+    n = 2000
+    order = VarOrder(tuple(range(n)))
+    store = _Store(order)
+    conj, disj = TRUE, FALSE
+    for rank in reversed(range(n)):
+        conj = store.node(rank, FALSE, conj)  # x0 and x1 and ...
+        disj = store.node(rank, disj, TRUE)  # x0 or x1 or ...
+    both, any_one = Bdd(store, order, conj), Bdd(store, order, disj)
+    for b in (both, any_one):
+        assert b.node_count() == n
+        canon = b.canonical()
+        assert len(canon[1]) == n and canon[0] == n + 1
+        m = minimise(b)
+        assert m.canonical() == canon
+    assert top_paths(both) == {frozenset(range(n))}
+    assert top_paths(any_one) == {frozenset({v}) for v in range(n)}
 
 
 def test_top_paths_on_terminals():

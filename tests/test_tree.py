@@ -172,7 +172,7 @@ def test_postorder_finishes_children_first_once_each():
         pos = {v: i for i, v in enumerate(order)}
         for n in t.nodes:
             assert all(pos[c] < pos[n.id] for c in n.children)
-            below = postorder(t, n.id)
+            below = postorder(n.id, lambda v: t.nodes[v].children)
             assert below[-1] == n.id
             assert {v for v in below if t.nodes[v].type is B} == descendants(t, n.id)
 
