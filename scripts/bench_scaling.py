@@ -6,9 +6,12 @@ node counts; the column should grow linearly.
 
 Experiment 2: the shared-structure diagram fold on ladder DAGs
 AND(OR(b1,b2), OR(b2,b3), ...) where every inner action is shared by two
-gates, against the exponential subset oracle while it still fits.
+gates, doubling from 4 to 2048 rungs, against the exponential subset oracle
+while it still fits. Next to the reachable node count of the minimised
+diagram it prints the size of the unique table those nodes live in, which
+counts every node ever made while compiling and minimising.
 
-    python3 scripts/bench_scaling.py [--max-power 17] [--oracle-cutoff 14]
+    python3 scripts/bench_scaling.py [--max-power 17] [--oracle-cutoff 14] [--ladder-max 2048]
 """
 
 import argparse
@@ -28,7 +31,7 @@ from atquant.tree import NodeType
 class BenchConfig:
     max_power: int = 17  # balanced trees up to 2^max_power - 1 nodes
     oracle_cutoff: int = 14  # largest BAS count the subset oracle attempts
-    ladder_max: int = 60
+    ladder_max: int = 2048  # largest ladder, in rungs
 
 
 def balanced_tree(leaf_power: int):
@@ -80,7 +83,7 @@ def bench_fold(cfg: BenchConfig) -> None:
 
 def bench_ladder(cfg: BenchConfig) -> None:
     print("ladder DAGs, min-cost: diagram fold vs subset oracle")
-    print(f"{'BAS':>5} {'bdd nodes':>10} {'bdd ms':>8} {'oracle ms':>10} {'agree':>6}")
+    print(f"{'BAS':>5} {'bdd nodes':>10} {'unique':>8} {'bdd ms':>8} {'oracle ms':>10} {'agree':>6}")
     dom = builtin("min-cost")
     rungs = 4
     while rungs <= cfg.ladder_max:
@@ -95,8 +98,8 @@ def bench_ladder(cfg: BenchConfig) -> None:
         else:
             agree = "-"
             oracle_col = f"{'skipped':>10}"
-        print(f"{n:>5} {run.diagram.node_count():>10} {dt_bdd * 1000:>8.1f} "
-              f"{oracle_col} {agree:>6}")
+        print(f"{n:>5} {run.diagram.node_count():>10} {len(run.diagram.store.unique):>8} "
+              f"{dt_bdd * 1000:>8.1f} {oracle_col} {agree:>6}")
         rungs *= 2
     print()
 
@@ -105,7 +108,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-power", type=int, default=17)
     ap.add_argument("--oracle-cutoff", type=int, default=14)
-    ap.add_argument("--ladder-max", type=int, default=60)
+    ap.add_argument("--ladder-max", type=int, default=2048)
     ns = ap.parse_args()
     cfg = BenchConfig(ns.max_power, ns.oracle_cutoff, ns.ladder_max)
     bench_fold(cfg)

@@ -2,7 +2,14 @@
 
 A store hash-conses nodes as (rank, low, high) triples with two fixed
 terminals, FALSE=0 and TRUE=1; ranks follow a variable order over the BAS.
-Structure functions compile bottom-up with a memoized apply. On top of the
+Structure functions compile bottom-up with a memoized apply. A gate's
+children are combined pairwise, [k0 op k1, k2 op k3, ...] with an odd last
+child carried over, round after round until one is left: operands stay of
+similar size, where a left fold would apply a growing accumulator to each
+child of a wide gate in turn. `apply` and `minimise`'s `without`
+run on explicit work stacks, in the style of Brace, Rudell and Bryant
+(DAC 1990), and no function here calls itself, so a diagram's depth is not
+bounded by the interpreter's recursion limit. On top of the
 plain ROBDD sits the minimal-solutions transform: a second diagram whose
 TRUE-paths (read as the set of variables taken on a high edge) are exactly
 the subset-minimal successful attacks. That diagram is meaningful under
@@ -14,14 +21,19 @@ instead of merging equal children.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import DynamicTreeRejected, InvalidBdd, OrderMismatch
-from .tree import AttackTree, Dynamics, NodeType, bas_of, classify, fold, postorder
+from .tree import AttackTree, Dynamics, Node, bas_of, classify, fold, postorder
 
 FALSE = 0
 TRUE = 1
+# Rank slot markers on the work stacks of `apply` and `minimise`: _EXPAND is
+# a pair still to be solved, _ALIAS files the result just computed under one
+# more memo key, and a real rank makes that node once both halves are done.
+_EXPAND = -1
+_ALIAS = -2
 
 
 @dataclass(frozen=True)
@@ -83,35 +95,43 @@ class _Store:
         return self.node(rank, low, high)
 
     def apply(self, op: str, f: int, g: int) -> int:
-        if f > g:
-            f, g = g, f  # both ops commute
-        if op == "or":
-            if f == TRUE or g == TRUE:
-                return TRUE
-            if f == FALSE:
-                return g
-        else:
-            if f == FALSE or g == FALSE:
-                return FALSE
-            if f == TRUE:
-                return g
-        if f == g:
-            return f
-        key = (op, f, g)
-        found = self.apply_memo.get(key)
-        if found is not None:
-            return found
-        rf = self.ranks[f] if f >= 2 else None
-        rg = self.ranks[g] if g >= 2 else None
-        if rg is None or (rf is not None and rf < rg):
-            top, f0, f1, g0, g1 = rf, self.lows[f], self.highs[f], g, g
-        elif rf is None or rg < rf:
-            top, f0, f1, g0, g1 = rg, f, f, self.lows[g], self.highs[g]
-        else:
-            top, f0, f1, g0, g1 = rf, self.lows[f], self.highs[f], self.lows[g], self.highs[g]
-        out = self.mk(top, self.apply(op, f0, g0), self.apply(op, f1, g1))
-        self.apply_memo[key] = out
-        return out
+        """f op g for op "or" or "and", by Shannon expansion on the top
+        variable; runs on an explicit stack, the low side first, so nodes
+        are made in the order a recursive apply would make them."""
+        ranks, lows, highs, memo = self.ranks, self.lows, self.highs, self.apply_memo
+        absorbing, neutral = (TRUE, FALSE) if op == "or" else (FALSE, TRUE)
+        out: list[int] = []
+        stack = [(f, g, _EXPAND)]
+        while stack:
+            f, g, top = stack.pop()
+            if top != _EXPAND:
+                high = out.pop()
+                r = self.mk(top, out.pop(), high)
+                memo[(op, f, g)] = r
+                out.append(r)
+                continue
+            if f > g:
+                f, g = g, f  # both ops commute
+            if f == absorbing or g == absorbing:
+                out.append(absorbing)
+                continue
+            if f == neutral or f == g:
+                out.append(g)
+                continue
+            found = memo.get((op, f, g))
+            if found is not None:
+                out.append(found)
+                continue
+            # past the shortcuts, f and g are distinct nonterminals
+            rf, rg = ranks[f], ranks[g]
+            if rf < rg:
+                top, f0, f1, g0, g1 = rf, lows[f], highs[f], g, g
+            elif rg < rf:
+                top, f0, f1, g0, g1 = rg, f, f, lows[g], highs[g]
+            else:
+                top, f0, f1, g0, g1 = rf, lows[f], highs[f], lows[g], highs[g]
+            stack += ((f, g, top), (f1, g1, _EXPAND), (f0, g0, _EXPAND))
+        return out[0]
 
 
 @dataclass(frozen=True)
@@ -168,12 +188,15 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     if set(order.bas) != set(bas_of(t)):
         raise OrderMismatch("order must cover exactly the model's basic actions")
     store = _Store(order)
-    ops = {NodeType.OR: partial(store.apply, "or"), NodeType.AND: partial(store.apply, "and")}
-    root = fold(
-        t,
-        lambda n: store.node(order.rank_of(n.id), FALSE, TRUE),
-        lambda n, kids: reduce(ops[n.type], kids),
-    )
+
+    def gate(n: Node, kids: list) -> int:
+        op = n.type.value  # "or" or "and": a static model has no SAND
+        while len(kids) > 1:
+            paired = [store.apply(op, kids[i], kids[i + 1]) for i in range(0, len(kids) - 1, 2)]
+            kids = paired + kids[len(paired) * 2:]
+        return kids[0]
+
+    root = fold(t, lambda n: store.node(order.rank_of(n.id), FALSE, TRUE), gate)
     return Bdd(store, order, root)
 
 
@@ -191,6 +214,7 @@ def minimise(b: Bdd) -> Bdd:
     TRUE (f0 = TRUE would force f1 = f0 and the node away).
     """
     store = b.store
+    ranks, lows, highs = store.ranks, store.lows, store.highs
     without_memo: dict[tuple[int, int], int] = {}
 
     def mk_path(rank: int, low: int, high: int) -> int:
@@ -201,46 +225,58 @@ def minimise(b: Bdd) -> Bdd:
         return store.node(rank, low, high)
 
     def without(m: int, g: int) -> int:
-        """Drop the TRUE-paths of m whose positive set satisfies g."""
-        if m == FALSE or g == TRUE:
-            return FALSE
-        if g == FALSE:
-            return m
-        if m == TRUE:
-            # the empty path survives iff g(all-false) is FALSE, which holds
-            # for every monotone g not identical to TRUE
-            v = g
-            while v >= 2:
-                v = store.lows[v]
-            if v == TRUE:
-                raise InvalidBdd("minimise input was not monotone")
-            return TRUE
-        key = (m, g)
-        out = without_memo.get(key)
-        if out is not None:
-            return out
-        rm, rg = store.ranks[m], store.ranks[g]
-        if rg < rm:
-            # g branches on a variable no path of m mentions: it reads false
-            out = without(m, store.lows[g])
-        elif rm < rg:
-            out = mk_path(rm, without(store.lows[m], g), without(store.highs[m], g))
-        else:
-            out = mk_path(
-                rm,
-                without(store.lows[m], store.lows[g]),
-                without(store.highs[m], store.highs[g]),
-            )
-        without_memo[key] = out
-        return out
+        """Drop the TRUE-paths of m whose positive set satisfies g; runs on
+        an explicit stack, low side first, like `_Store.apply`."""
+        out: list[int] = []
+        stack = [(m, g, _EXPAND)]
+        while stack:
+            m, g, rank = stack.pop()
+            if rank == _ALIAS:
+                without_memo[(m, g)] = out[-1]
+                continue
+            if rank != _EXPAND:
+                high = out.pop()
+                r = mk_path(rank, out.pop(), high)
+                without_memo[(m, g)] = r
+                out.append(r)
+                continue
+            if m == FALSE or g == TRUE:
+                out.append(FALSE)
+                continue
+            if g == FALSE:
+                out.append(m)
+                continue
+            if m == TRUE:
+                # the empty path survives iff g(all-false) is FALSE, which
+                # holds for every monotone g not identical to TRUE
+                v = g
+                while v >= 2:
+                    v = lows[v]
+                if v == TRUE:
+                    raise InvalidBdd("minimise input was not monotone")
+                out.append(TRUE)
+                continue
+            found = without_memo.get((m, g))
+            if found is not None:
+                out.append(found)
+                continue
+            rm, rg = ranks[m], ranks[g]
+            if rg < rm:
+                # g branches on a variable no path of m mentions: it reads false
+                stack += ((m, g, _ALIAS), (m, lows[g], _EXPAND))
+            elif rm < rg:
+                stack += ((m, g, rm), (highs[m], g, _EXPAND), (lows[m], g, _EXPAND))
+            else:
+                stack += ((m, g, rm), (highs[m], highs[g], _EXPAND), (lows[m], lows[g], _EXPAND))
+        return out[0]
 
     # minimal solutions of each node, children before parents and the low
     # side first; this order fixes the ids of the nodes it creates
     minsol: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
     for f in b.postorder:
         if f >= 2:
-            f0, f1 = store.lows[f], store.highs[f]
-            minsol[f] = mk_path(store.ranks[f], minsol[f0], without(minsol[f1], f0))
+            f0, f1 = lows[f], highs[f]
+            minsol[f] = mk_path(ranks[f], minsol[f0], without(minsol[f1], f0))
     return Bdd(store, b.order, minsol[b.root])
 
 

@@ -40,6 +40,7 @@ from atquant import (
 )
 from atquant.analysis import bu_bdd_detailed
 from atquant.bdd import check_minimised_shape, validate
+from atquant.cli import main
 from atquant.domains import BUILTIN_NAMES
 from atquant.errors import InvalidBdd
 from atquant.tree import NodeType
@@ -392,7 +393,23 @@ def _balanced_tree(leaf_power: int):
     return build(defs, layer[0])
 
 
-def test_criterion_10_scalability_smoke(suites):
+def _ladder_text(rungs: int) -> tuple[str, int]:
+    """AND(OR(b0,b1), OR(b1,b2), ...) with costs 1-5, and its min-cost: a
+    cheapest set of actions touching every adjacent pair, by a DP along the
+    chain (take[i], skip[i]: cheapest cover of the first i rungs with b_i
+    taken or not)."""
+    cost = [1 + (7 * i) % 5 for i in range(rungs + 1)]
+    lines = ['toplevel "root";', '"root" and ' + " ".join(f'"o{i}"' for i in range(rungs)) + ";"]
+    lines += [f'"o{i}" or "b{i}" "b{i + 1}";' for i in range(rungs)]
+    lines += [f'"b{i}" bas;' for i in range(rungs + 1)]
+    lines += ['attribution "cost" {', *(f'  "b{i}" = {c};' for i, c in enumerate(cost)), "}"]
+    take, skip = cost[0], 0
+    for c in cost[1:]:
+        take, skip = c + min(take, skip), take
+    return "\n".join(lines) + "\n", min(take, skip)
+
+
+def test_criterion_10_scalability_smoke(suites, tmp_path, capsys):
     t = _balanced_tree(16)
     assert len(t) >= 100_000
     a = {b: 1 for b in bas_of(t)}
@@ -405,7 +422,18 @@ def test_criterion_10_scalability_smoke(suites):
         run = bu_bdd_detailed(s, {b: 1 for b in bas_of(s)}, builtin("min-cost"))
         assert run.visits == len(run.diagram.postorder)
         visited += run.visits
+
+    # a 2,000-rung ladder through the CLI: 2,001 variables deep, past the
+    # interpreter's recursion limit, and one 2,000-child gate over shared actions
+    text, best = _ladder_text(2000)
+    path = tmp_path / "ladder.at"
+    path.write_text(text)
+    code, ladder_dt = timed(main, ["metric", str(path), "--domain", "min-cost", "--attribution", "cost"])
+    out = capsys.readouterr().out
+    assert code == 0 and out == f"metric: min-cost\nvalue: {best}\nalgorithm: bdd\n"
+    assert ladder_dt < 1.0, f"2000-rung ladder took {ladder_dt:.3f}s"
     print(
         f"criterion 10 PASS: {len(t)}-node fold in {dt * 1000:.0f}ms; "
-        f"diagram fold visited exactly the {visited} reachable nodes"
+        f"diagram fold visited exactly the {visited} reachable nodes; "
+        f"2000-rung ladder metric in {ladder_dt * 1000:.0f}ms"
     )

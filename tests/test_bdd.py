@@ -1,12 +1,23 @@
+import ast
+import gc
+import inspect
 import random
+import weakref
+from functools import partial, reduce
 from itertools import chain, combinations
 
 import pytest
 
 from atquant import (
+    analysis,
     bas_of,
+    bdd,
+    bu_bdd,
+    build,
+    builtin,
     default_order,
     from_structure_function,
+    k_top,
     minimal_attacks_static,
     minimise,
     structure_function,
@@ -14,8 +25,9 @@ from atquant import (
 )
 from atquant.bdd import FALSE, TRUE, Bdd, VarOrder, _Store, check_minimised_shape, validate
 from atquant.errors import DynamicTreeRejected, InvalidBdd, OrderMismatch
+from atquant.tree import NodeType, fold
 
-from helpers import overlap, rand_dag, rand_tree, suite_labels, exploit, treasure, tt
+from helpers import overlap, rand_alpha, rand_dag, rand_tree, suite_labels, exploit, treasure, tt
 
 
 def powerset(xs):
@@ -195,3 +207,85 @@ def test_root_is_never_terminal_for_built_models():
         assert b.root >= 2
         # full set succeeds, empty set fails: the function is not constant
         assert b.evaluate(bas_of(t)) and not b.evaluate(())
+
+
+def left_fold_compile(t, order=None):
+    """Reference compile: each gate's children folded left to right, the
+    accumulator applied to one child at a time."""
+    order = order or default_order(t)
+    store = _Store(order)
+    ops = {NodeType.OR: partial(store.apply, "or"), NodeType.AND: partial(store.apply, "and")}
+    root = fold(
+        t,
+        lambda n: store.node(order.rank_of(n.id), FALSE, TRUE),
+        lambda n, kids: reduce(ops[n.type], kids),
+    )
+    return Bdd(store, order, root)
+
+
+def test_balanced_compile_matches_left_fold(monkeypatch):
+    rng = random.Random(11)
+    dom = builtin("min-cost")
+    wide = 0
+    for _ in range(300):
+        t = rand_dag(rng, 8)
+        wide += any(len(n.children) >= 4 for n in t.nodes)
+        a = rand_alpha(rng, t, dom)
+        for order in (default_order(t), shuffled_order(rng, t)):
+            new = from_structure_function(t, order)
+            assert new.canonical() == left_fold_compile(t, order).canonical()
+            got = bu_bdd(t, a, dom, order), k_top(t, a, dom, 3, order)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "from_structure_function", left_fold_compile)
+                assert got == (bu_bdd(t, a, dom, order), k_top(t, a, dom, 3, order))
+    assert wide > 0  # gates of four or more children pair up differently
+
+
+def test_minimise_deep_chains_without_recursion():
+    # OR(AND(x0..x1500), AND(x1..x1501)): `without` subtracts one 1,500-level
+    # chain from the other, deeper than the interpreter's recursion limit
+    n = 1502
+    defs = [(f"x{i}", NodeType.BAS, []) for i in range(n)]
+    defs += [
+        ("left", NodeType.AND, [f"x{i}" for i in range(n - 1)]),
+        ("right", NodeType.AND, [f"x{i}" for i in range(1, n)]),
+        ("root", NodeType.OR, ["left", "right"]),
+    ]
+    t = build(defs, "root")
+    m = minimise(from_structure_function(t))
+    validate(m)
+    check_minimised_shape(m)
+    ids = [t.id_of(f"x{i}") for i in range(n)]
+    assert top_paths(m) == {frozenset(ids[:-1]), frozenset(ids[1:])}
+
+
+def test_minimised_store_is_freed_without_cycle_collection():
+    t = overlap()
+    gc.disable()
+    try:
+        m = minimise(from_structure_function(t))
+        store = weakref.ref(m.store)
+        del m
+        assert store() is None
+    finally:
+        gc.enable()
+
+
+def test_no_function_in_bdd_calls_itself():
+    # a recursive helper would bound diagram depth by the recursion limit
+    module = ast.parse(inspect.getsource(bdd))
+    methods = {
+        f for c in ast.walk(module) if isinstance(c, ast.ClassDef)
+        for f in c.body if isinstance(f, ast.FunctionDef)
+    }
+    for fn in ast.walk(module):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for call in ast.walk(fn):
+            f = getattr(call, "func", None)
+            if fn in methods:  # self.name(...)
+                hit = isinstance(f, ast.Attribute) and f.attr == fn.name \
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"
+            else:  # name(...)
+                hit = isinstance(f, ast.Name) and f.id == fn.name
+            assert not hit, f"{fn.name} calls itself"
