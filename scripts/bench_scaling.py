@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Timing smoke for the two complexity claims worth watching.
+"""Timing smoke for the three complexity claims worth watching.
 
 Experiment 1: the plain bottom-up fold over balanced static trees, doubling
 node counts; the column should grow linearly.
@@ -10,6 +10,10 @@ gates, doubling from 4 to 2048 rungs, against the exponential subset oracle
 while it still fits. Next to the reachable node count of the minimised
 diagram it prints the size of the unique table those nodes live in, which
 counts every node ever made while compiling and minimising.
+
+Experiment 3: the well-formedness check over balanced trees whose gate
+layers cycle SAND, OR, AND, doubling node counts up to 2^max-power - 1; the
+column should grow linearly.
 
     python3 scripts/bench_scaling.py [--max-power 17] [--oracle-cutoff 14] [--ladder-max 2048]
 """
@@ -22,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from atquant import bas_of, bu_bdd, bu_sat, build, builtin, oracle_metric_static
+from atquant import bas_of, bu_bdd, bu_sat, build, builtin, is_well_formed, oracle_metric_static
 from atquant.analysis import bu_bdd_detailed
 from atquant.tree import NodeType
 
@@ -34,13 +38,15 @@ class BenchConfig:
     ladder_max: int = 2048  # largest ladder, in rungs
 
 
-def balanced_tree(leaf_power: int):
+def balanced_tree(leaf_power: int, gates=(NodeType.AND, NodeType.OR)):
+    """Binary tree over 2^leaf_power actions; gate layers cycle through
+    gates from the bottom up."""
     defs = [(f"b{i}", NodeType.BAS, []) for i in range(2 ** leaf_power)]
     layer = [d[0] for d in defs]
     gi = 0
     depth = 0
     while len(layer) > 1:
-        gate = NodeType.AND if depth % 2 == 0 else NodeType.OR
+        gate = gates[depth % len(gates)]
         nxt = []
         for j in range(0, len(layer), 2):
             lbl = f"g{gi}"
@@ -104,6 +110,19 @@ def bench_ladder(cfg: BenchConfig) -> None:
     print()
 
 
+def bench_well_formed(cfg: BenchConfig) -> None:
+    print("balanced SAND/OR/AND trees, well-formedness check")
+    print(f"{'nodes':>9} {'check ms':>9}")
+    power = 10
+    while power <= cfg.max_power:
+        t = balanced_tree(power - 1, (NodeType.SAND, NodeType.OR, NodeType.AND))
+        (ok, _), dt = clock(is_well_formed, t)
+        assert ok, "a proper tree is always well-formed"
+        print(f"{len(t):>9} {dt * 1000:>9.1f}")
+        power += 1
+    print()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-power", type=int, default=17)
@@ -113,6 +132,7 @@ def main() -> int:
     cfg = BenchConfig(ns.max_power, ns.oracle_cutoff, ns.ladder_max)
     bench_fold(cfg)
     bench_ladder(cfg)
+    bench_well_formed(cfg)
     return 0
 
 

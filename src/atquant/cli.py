@@ -9,6 +9,7 @@ millis field is the single exception.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -219,6 +220,7 @@ def cmd_dump(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="atquant", description="Quantitative attack-tree analysis."

@@ -5,12 +5,18 @@ enumerating the full truth table of the structure function; metrics come
 from folding the domain operators over that enumeration exactly as the
 definitions state. The efficient algorithms in analysis.py are tested
 against these functions, never the other way around.
+
+`ordering_graph` remains the definition of the precedence that SAND gates
+impose, materialised pair by pair. `is_well_formed` alone does not build it:
+it decides the graph's acyclicity in linear time on a port graph whose
+paths between basic actions are exactly the ordering graph's paths, and the
+tests compare it with a search over `ordering_graph`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Optional
 
@@ -37,7 +43,6 @@ class OrderingGraph:
 
     vertices: tuple[int, ...]
     edges: frozenset  # of (earlier id, later id)
-    pair_insertions: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,6 @@ def ordering_graph(t: AttackTree) -> OrderingGraph:
     child before all basic actions under the next."""
     bas = bas_of(t)
     edges = set()
-    inserted = 0
     for node in t.nodes:
         if node.type is not NodeType.SAND:
             continue
@@ -173,44 +177,66 @@ def ordering_graph(t: AttackTree) -> OrderingGraph:
             for a in descendants(t, left):
                 for b in later:
                     edges.add((a, b))
-                    inserted += 1
-    return OrderingGraph(bas, frozenset(edges), inserted)
+    return OrderingGraph(bas, frozenset(edges))
 
 
 def is_well_formed(t: AttackTree) -> tuple[bool, Optional[list[int]]]:
     """A dynamic model is well-formed iff its ordering graph is acyclic.
 
-    Returns (True, None) or (False, witness) where the witness is a node id
-    cycle with first == last (a self-loop shows up as [b, b]).
+    Returns (True, None) or (False, witness) where the witness is a BAS id
+    cycle of the ordering graph with first == last (a self-loop shows up as
+    [b, b]).
+
+    The ordering graph can be quadratic in the model, so this decides its
+    acyclicity on a port graph of linear size instead. Every node v has an
+    in-port (id v) and an out-port (id n + v); a BAS's two ports are one
+    vertex, its id. A gate's in-port has an edge to each child's in-port,
+    each child's out-port to its gate's out-port, and under a SAND the
+    out-port of child i to the in-port of child i + 1. In-port edges lead
+    down and out-port edges up, so a port path from a BAS a that meets no
+    other BAS climbs out-ports to some child l of a SAND, crosses to the
+    next child r, and descends in-ports to a BAS b: a lies under l and b
+    under r, which is exactly the ordering edge (a, b), and every ordering
+    edge is such a path. Port paths between BAS are thus ordering-graph
+    paths, and every port cycle passes through a BAS, as only a BAS joins
+    an in-port to an out-port. One iterative depth-first search from the
+    root's in-port, which reaches every BAS, meets a port on its own stack
+    exactly when the ordering graph has a cycle; the BAS on that port
+    cycle, in order, are the witness.
     """
-    og = ordering_graph(t)
-    succs: dict[int, list[int]] = {v: [] for v in og.vertices}
-    for a, b in sorted(og.edges):
-        succs[a].append(b)
-    color: dict[int, int] = {}  # 1 on stack, 2 done
-    for start in og.vertices:
-        if color.get(start):
-            continue
-        stack = [(start, iter(succs[start]))]
-        color[start] = 1
-        path = [start]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color.get(w) == 1:
-                    cycle = path[path.index(w):] + [w]
-                    return False, cycle
-                if not color.get(w):
-                    color[w] = 1
-                    path.append(w)
-                    stack.append((w, iter(succs[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                path.pop()
-                stack.pop()
+    nodes = t.nodes
+    n = len(nodes)
+    out = [v if node.type is NodeType.BAS else n + v for v, node in enumerate(nodes)]
+    # a gate's in-port leads to its children; a BAS port and every out-port
+    # collect their successors below
+    succ = [node.children or [] for node in nodes]
+    succ += [[] for _ in range(n)]
+    for g, node in enumerate(nodes):
+        kids = node.children
+        sand = node.type is NodeType.SAND
+        for i, c in enumerate(kids):
+            up = succ[out[c]]
+            up.append(n + g)
+            if sand and i + 1 < len(kids):
+                up.append(kids[i + 1])
+    state = bytearray(2 * n)  # 0 unseen, 1 on the stack, 2 finished
+    state[t.root] = 1
+    path = [t.root]
+    pending = [iter(succ[t.root])]
+    while pending:
+        for w in pending[-1]:
+            if state[w] == 1:
+                ports = path[path.index(w):]
+                cycle = [p for p in ports if p < n and out[p] == p]
+                return False, cycle + cycle[:1]
+            if state[w] == 0:
+                state[w] = 1
+                path.append(w)
+                pending.append(iter(succ[w]))
+                break
+        else:
+            state[path.pop()] = 2
+            pending.pop()
     return True, None
 
 

@@ -409,6 +409,34 @@ def _ladder_text(rungs: int) -> tuple[str, int]:
     return "\n".join(lines) + "\n", min(take, skip)
 
 
+def _balanced_dynamic_text(leaf_power: int) -> str:
+    """A balanced binary tree over 2^leaf_power actions whose gate layers
+    cycle SAND, OR, AND from the bottom up."""
+    kinds = ("sand", "or", "and")
+    layer = [f"b{i}" for i in range(2 ** leaf_power)]
+    lines = [f'"{b}" bas;' for b in layer]
+    gi = depth = 0
+    while len(layer) > 1:
+        nxt = []
+        for j in range(0, len(layer), 2):
+            lines.append(f'"g{gi}" {kinds[depth % 3]} "{layer[j]}" "{layer[j + 1]}";')
+            nxt.append(f"g{gi}")
+            gi += 1
+        layer = nxt
+        depth += 1
+    return f'toplevel "{layer[0]}";\n' + "\n".join(lines) + "\n"
+
+
+def _sand_chain_text(levels: int) -> str:
+    """s0 = SAND(b0, s1), s1 = SAND(b1, s2), ...: one SAND per level, so
+    both the tree and its ordering graph are levels deep."""
+    lines = ['toplevel "s0";']
+    lines += [f'"s{i}" sand "b{i}" "s{i + 1}";' for i in range(levels - 1)]
+    lines.append(f'"s{levels - 1}" sand "b{levels - 1}" "b{levels}";')
+    lines += [f'"b{i}" bas;' for i in range(levels + 1)]
+    return "\n".join(lines) + "\n"
+
+
 def test_criterion_10_scalability_smoke(suites, tmp_path, capsys):
     t = _balanced_tree(16)
     assert len(t) >= 100_000
@@ -432,8 +460,22 @@ def test_criterion_10_scalability_smoke(suites, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0 and out == f"metric: min-cost\nvalue: {best}\nalgorithm: bdd\n"
     assert ladder_dt < 1.0, f"2000-rung ladder took {ladder_dt:.3f}s"
+
+    # well-formedness through the CLI on a 2^17 - 1 node dynamic tree and a
+    # SAND chain 10^5 levels deep; the bounds mostly pay for parsing, while a
+    # check quadratic in the model would not finish within them
+    checks = []
+    for name, text in (("balanced", _balanced_dynamic_text(16)), ("chain", _sand_chain_text(100_000))):
+        path = tmp_path / f"{name}.at"
+        path.write_text(text)
+        code, check_dt = timed(main, ["check", str(path)])
+        assert code == 0 and capsys.readouterr().out == "tree, dynamic, well-formed\n"
+        assert check_dt < 30.0, f"check on the {name} model took {check_dt:.3f}s"
+        checks.append(check_dt)
     print(
         f"criterion 10 PASS: {len(t)}-node fold in {dt * 1000:.0f}ms; "
         f"diagram fold visited exactly the {visited} reachable nodes; "
-        f"2000-rung ladder metric in {ladder_dt * 1000:.0f}ms"
+        f"2000-rung ladder metric in {ladder_dt * 1000:.0f}ms; "
+        f"check on the {2 ** 17 - 1}-node tree in {checks[0]:.1f}s "
+        f"and the 10^5-level SAND chain in {checks[1]:.1f}s"
     )

@@ -282,3 +282,17 @@ def test_output_is_deterministic(capsys):
         _, out, _ = run(capsys, "semantics", f"{MODELS}/exploit.at")
         texts.add(out)
     assert len(texts) == 1
+
+
+def test_calls_in_one_process_share_no_argument_state(capsys):
+    # main keeps one parser for the process, so a usage error or another
+    # subcommand's defaults must not leak into the next call
+    ktop = ("ktop", f"{MODELS}/overlap.at", "--domain", "min-cost", "--attribution", "cost", "--k", "2")
+    first = run(capsys, *ktop)
+    with pytest.raises(SystemExit) as ei:
+        main(["metric", f"{MODELS}/overlap.at", "--domain", "min-cost"])
+    assert ei.value.code == 2
+    assert "--attribution" in capsys.readouterr().err
+    code, out, _ = run(capsys, "metric", f"{MODELS}/overlap.at", "--domain", "min-cost", "--attribution", "cost")
+    assert code == 0 and out == "metric: min-cost\nvalue: 1\nalgorithm: bdd\n"
+    assert run(capsys, *ktop) == first == (0, "1 {b}\n7 {a,c}\n", "")
