@@ -47,10 +47,6 @@ class NoRoot(TreeBuildError):
     pass
 
 
-class DisconnectedNode(TreeBuildError):
-    pass
-
-
 class UnknownNode(AtError):
     pass
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -42,7 +44,7 @@ from .errors import (
     TreeBuildError,
     UnknownNode,
 )
-from .tree import AttackTree, NodeType, bas_of, build
+from .tree import AttackTree, Node, NodeType, bas_of, freeze
 
 _KINDS = {"bas": NodeType.BAS, "or": NodeType.OR, "and": NodeType.AND, "sand": NodeType.SAND}
 
@@ -132,22 +134,29 @@ class _Parser:
             _, den, den_at = self.expect("NUM")
             if "." in num or "." in den:
                 raise self.error("ratio parts must be integers", at)
-            if int(den) == 0:
+            if not den.strip("0"):
                 raise self.error("zero denominator", den_at)
-            return Fraction(int(num), int(den))
+            return Fraction(self.integer(num, at), self.integer(den, den_at))
         if "." in num:
             if num.count(".") > 1 or num.endswith("."):
                 raise self.error(f"bad number {num!r}", at)
             whole, frac = num.split(".")
-            return Fraction(int(whole + frac), 10 ** len(frac))  # exact decimal
-        return int(num)
+            return Fraction(self.integer(whole + frac, at), 10 ** len(frac))  # exact decimal
+        return self.integer(num, at)
+
+    def integer(self, digits: str, at: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # digits are ASCII, so only their number can be refused
+            limit = f"the interpreter's limit of {sys.get_int_max_str_digits()}"
+            raise self.error(f"numeral of {len(digits)} digits exceeds {limit}", at) from None
 
 
 def parse_model(text: str) -> ModelDocument:
     p = _Parser(text)
     toplevel: Optional[_Tok] = None
-    defs: list[tuple[str, NodeType, list[_Tok]]] = []
-    def_at: dict[str, int] = {}  # label -> offset of its definition
+    defs: list[tuple[str, NodeType, list[_Tok], int]] = []  # (label, type, children, offset)
+    ids: dict[str, int] = {}  # label -> node id, the index of its definition
     raw_attr: list[tuple[str, int, list]] = []  # (name, offset, [(label token, value)])
     raw_orders: list[tuple[str, int, list]] = []  # (name, offset, [label token])
 
@@ -192,54 +201,60 @@ def parse_model(text: str) -> ModelDocument:
             while p.peek()[0] == "STR":
                 children.append(p.next())
             p.expect("PUNCT", ";")
-            if word in def_at:
+            if word in ids:
                 raise p.error(f"node {word!r} defined twice", at, DuplicateDefinition)
-            def_at[word] = at
+            ids[word] = len(defs)
             node_type = _KINDS[gate]
             if node_type is NodeType.BAS and children:
                 raise _locate(BasWithChildren(f"basic action {word!r} lists children"), text, at)
             if node_type is not NodeType.BAS and not children:
                 raise _locate(GateWithoutChildren(f"gate {word!r} has no children"), text, at)
-            defs.append((word, node_type, children))
+            defs.append((word, node_type, children, at))
         else:
             raise p.error(f"unexpected token {word!r}", at)
 
     if toplevel is None:
         raise p.error("missing toplevel declaration", 0)
     _, root, root_at = toplevel
-    if root not in def_at:
+    if root not in ids:
         raise p.error(f"toplevel {root!r} is never defined", root_at)
-    for label, _, children in defs:
+    nodes = []
+    for i, (label, node_type, children, _) in enumerate(defs):
         for _, child, at in children:
-            if child not in def_at:
+            if child not in ids:
                 raise _locate(
                     DanglingReference(f"node {label!r} references undefined node {child!r}"),
                     text, at,
                 )
+        nodes.append(Node(i, label, node_type, tuple([ids[c] for _, c, _ in children])))
     try:
-        tree = build([(l, k, [c[1] for c in cs]) for l, k, cs in defs], root)
+        tree = freeze(nodes, root, ids[root])
     except CyclicStructure as e:
-        raise _locate(e, text, def_at[defs[e.cycle[0]][0]] if e.cycle else root_at) from None
+        raise _locate(e, text, defs[e.cycle[0]][3]) from None
     except TreeBuildError as e:
         raise _locate(e, text, root_at) from None
 
-    bas_ids = bas_of(tree)
-    bas_labels = {tree.label_of(b): b for b in bas_ids}
+    # freeze leaves no node unreachable, so the BAS are the nodes of that type
+    def bas_id(block: str, name: str, tok: _Tok) -> int:
+        _, label, at = tok
+        b = ids.get(label)
+        if b is None or nodes[b].type is not NodeType.BAS:
+            raise p.error(f"{block} {name!r} names {label!r}, which is not a basic action", at)
+        return b
+
+    n_bas = sum(n.type is NodeType.BAS for n in nodes)
     attributions: dict[str, dict[int, object]] = {}
     for name, name_at, bindings in raw_attr:
         table: dict[int, object] = {}
-        for (_, label, at), v in bindings:
-            if label not in bas_labels:
+        for tok, v in bindings:
+            b = bas_id("attribution", name, tok)
+            if b in table:
                 raise p.error(
-                    f"attribution {name!r} names {label!r}, which is not a basic action", at
+                    f"attribution {name!r} binds {tok[1]!r} twice", tok[2], DuplicateDefinition
                 )
-            if bas_labels[label] in table:
-                raise p.error(
-                    f"attribution {name!r} binds {label!r} twice", at, DuplicateDefinition
-                )
-            table[bas_labels[label]] = v
-        missing = [tree.label_of(b) for b in bas_ids if b not in table]
-        if missing:
+            table[b] = v
+        if len(table) != n_bas:
+            missing = [n.label for n in nodes if n.type is NodeType.BAS and n.id not in table]
             raise p.error(
                 f"attribution {name!r} misses basic actions: {', '.join(sorted(missing))}",
                 name_at,
@@ -248,28 +263,22 @@ def parse_model(text: str) -> ModelDocument:
 
     orders: dict[str, tuple[int, ...]] = {}
     for name, name_at, labels in raw_orders:
-        ids = []
-        for _, label, at in labels:
-            if label not in bas_labels:
-                raise p.error(
-                    f"order {name!r} names {label!r}, which is not a basic action", at
-                )
-            ids.append(bas_labels[label])
-        if len(set(ids)) != len(ids) or set(ids) != set(bas_ids):
+        seq = [bas_id("order", name, tok) for tok in labels]
+        if len(seq) != n_bas or len(set(seq)) != n_bas:
             raise p.error(f"order {name!r} is not a permutation of the basic actions", name_at)
-        orders[name] = tuple(ids)
+        orders[name] = tuple(seq)
 
     return ModelDocument(tree, attributions, orders)
 
 
 def render_value(v) -> object:
-    """Exact, canonical rendering: inf, integer, p/q, or a sorted front."""
+    """Exact, canonical rendering: inf, integer, p/q, or a sorted front. Integers
+    go through Decimal, as str() refuses more than sys.get_int_max_str_digits()."""
     if v is INF:
         return "inf"
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return str(v)
+    if isinstance(v, (int, Fraction)):
+        num = str(Decimal(v.numerator))
+        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
     if isinstance(v, frozenset):
         return sorted([render_value(x) for x in vec] for vec in v)
     raise ValueError(f"unrenderable value {v!r}")

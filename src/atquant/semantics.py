@@ -29,7 +29,8 @@ from .errors import (
     MissingAttribution,
 )
 from .domains import AttributeDomain
-from .tree import AttackTree, Dynamics, NodeType, bas_of, classify, descendants, static_projection
+from .tree import (AttackTree, Dynamics, NodeType, bas_of, classify, descendants, find_cycle,
+                   static_projection)
 
 DEFAULT_BUDGET = 20
 
@@ -219,25 +220,11 @@ def is_well_formed(t: AttackTree) -> tuple[bool, Optional[list[int]]]:
             up.append(n + g)
             if sand and i + 1 < len(kids):
                 up.append(kids[i + 1])
-    state = bytearray(2 * n)  # 0 unseen, 1 on the stack, 2 finished
-    state[t.root] = 1
-    path = [t.root]
-    pending = [iter(succ[t.root])]
-    while pending:
-        for w in pending[-1]:
-            if state[w] == 1:
-                ports = path[path.index(w):]
-                cycle = [p for p in ports if p < n and out[p] == p]
-                return False, cycle + cycle[:1]
-            if state[w] == 0:
-                state[w] = 1
-                path.append(w)
-                pending.append(iter(succ[w]))
-                break
-        else:
-            state[path.pop()] = 2
-            pending.pop()
-    return True, None
+    ports = find_cycle(t.root, succ)
+    if ports is None:
+        return True, None
+    cycle = [p for p in ports if p < n and out[p] == p]
+    return False, cycle + cycle[:1]
 
 
 # -- tiny relation utilities ---------------------------------------------------
@@ -301,8 +288,8 @@ def minimal_attacks_dynamic(t: AttackTree, budget: int = DEFAULT_BUDGET) -> froz
     if not ok:
         labels = " -> ".join(t.label_of(v) for v in cycle)
         raise IllFormed(f"ordering graph has a cycle: {labels}", cycle=cycle)
+    suite = minimal_attacks_static(static_projection(t), budget)  # budget check before og
     og = ordering_graph(t)
-    suite = minimal_attacks_static(static_projection(t), budget)
     out = []
     for attack in suite:
         restricted = [(a, b) for a, b in og.edges if a in attack and b in attack]

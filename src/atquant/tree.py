@@ -10,7 +10,7 @@ diagrams of `bdd` walk their nodes with the same function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -19,7 +19,6 @@ from .errors import (
     BasWithChildren,
     CyclicStructure,
     DanglingReference,
-    DisconnectedNode,
     DuplicateLabel,
     GateWithoutChildren,
     MultipleRoots,
@@ -69,10 +68,6 @@ class Node:
 class AttackTree:
     nodes: tuple[Node, ...]  # index == node id
     root: int
-    _by_label: dict = field(compare=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._by_label.update({n.label: n.id for n in self.nodes})
 
     def __len__(self):
         return len(self.nodes)
@@ -92,6 +87,10 @@ class AttackTree:
         return self.node(node_id).label
 
     # structural facts: computed on first use, then kept on the frozen instance
+
+    @cached_property
+    def _by_label(self) -> dict[str, int]:
+        return {n.label: n.id for n in self.nodes}
 
     @cached_property
     def postorder(self) -> tuple[int, ...]:
@@ -134,10 +133,13 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
     """Validate and freeze a node store from (label, type, child labels) triples.
 
     Ids are assigned in definition order. Rejects, in this order: duplicate
-    labels, dangling child references, BAS with children / gates without,
-    cycles (with a concrete witness), root problems, unreachable nodes.
-    Repeated children inside one gate are accepted here; they make the model
-    a DAG and the dynamic well-formedness pass deals with the consequences.
+    labels; dangling child references and BAS with children / gates without,
+    node by node; cycles (with a concrete witness); an undefined root; more
+    than one parentless node; a root that is not the parentless node. No
+    node can then be unreachable: in an acyclic graph every node lies below
+    a parentless node, and the root is the only one. Repeated children
+    inside one gate are accepted; they make the model a DAG and the dynamic
+    well-formedness pass deals with the consequences.
     """
     defs = list(defs)
     by_label: dict[str, int] = {}
@@ -158,61 +160,66 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
         if ntype is not NodeType.BAS and not kids:
             raise GateWithoutChildren(f"gate {label!r} has no children")
         nodes.append(Node(i, label, ntype, tuple(kids)))
-
-    _check_acyclic(nodes)
-
-    if root_label not in by_label:
-        raise DanglingReference(f"declared root {root_label!r} is not defined")
-    root = by_label[root_label]
-
-    has_parent = [False] * len(nodes)
-    for n in nodes:
-        for c in n.children:
-            if c != n.id:
-                has_parent[c] = True
-    parentless = [n.id for n in nodes if not has_parent[n.id]]
-    if len(parentless) > 1:
-        names = ", ".join(repr(nodes[i].label) for i in parentless)
-        raise MultipleRoots(f"more than one root candidate: {names}")
-    if not parentless or parentless[0] != root:
-        raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
-
-    t = AttackTree(tuple(nodes), root)
-    if len(t.postorder) != len(nodes):
-        reach = set(t.postorder)
-        missing = next(n.label for n in nodes if n.id not in reach)
-        raise DisconnectedNode(f"node {missing!r} is not reachable from the root")
-    return t
+    return freeze(nodes, root_label, by_label.get(root_label))
 
 
-def _check_acyclic(nodes: list[Node]) -> None:
-    # Kahn's algorithm; whatever survives lies on or feeds a cycle.
+def freeze(nodes: Sequence[Node], root_label: str, root: Optional[int]) -> AttackTree:
+    """`build`'s checks from cycles on, for nodes whose labels are resolved:
+    node i has id i and children in range; root is root_label's id, None if
+    no node has it. One run of Kahn's algorithm finds the cycles and, as its
+    initial queue, the parentless nodes."""
     indeg = [0] * len(nodes)
     for n in nodes:
         for c in n.children:
             indeg[c] += 1
-    queue = [n.id for n in nodes if indeg[n.id] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+    order = [n.id for n in nodes if indeg[n.id] == 0]
+    parentless = len(order)
+    for v in order:  # Kahn's queue, read while it grows
         for c in nodes[v].children:
             indeg[c] -= 1
             if indeg[c] == 0:
-                queue.append(c)
-    if seen == len(nodes):
-        return
-    # Extract a concrete cycle: walk child edges inside the leftover set.
-    leftover = {n.id for n in nodes if indeg[n.id] > 0}
-    v = min(leftover)
-    trail, pos = [], {}
-    while v not in pos:
-        pos[v] = len(trail)
-        trail.append(v)
-        v = next(c for c in nodes[v].children if c in leftover)
-    cycle = trail[pos[v]:] + [v]
-    names = " -> ".join(repr(nodes[i].label) for i in cycle)
-    raise CyclicStructure(f"cycle in child relation: {names}", cycle=cycle)
+                order.append(c)
+    if len(order) != len(nodes):
+        # Kahn leaves the nodes on a cycle or below one; a search from each
+        # of them in turn, least first, inside that set finds a cycle.
+        left = [v for v in range(len(nodes)) if indeg[v] > 0]
+        succ = [[c for c in n.children if indeg[c] > 0] for n in nodes] + [left]
+        cycle = find_cycle(len(nodes), succ)
+        cycle.append(cycle[0])
+        names = " -> ".join(repr(nodes[i].label) for i in cycle)
+        raise CyclicStructure(f"cycle in child relation: {names}", cycle=cycle)
+
+    if root is None:
+        raise DanglingReference(f"declared root {root_label!r} is not defined")
+    if parentless > 1:
+        names = ", ".join(repr(nodes[i].label) for i in order[:parentless])
+        raise MultipleRoots(f"more than one root candidate: {names}")
+    if order[0] != root:
+        raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
+    return AttackTree(tuple(nodes), root)
+
+
+def find_cycle(start: int, succ: Sequence[Iterable[int]]) -> Optional[list[int]]:
+    """The nodes of a cycle reachable from start, in order, or None; node v has
+    the successors succ[v]. The search is depth first, successors in order, and
+    the first edge back to a node on the search path closes the cycle."""
+    state = bytearray(len(succ))  # 0 unseen, 1 on the path, 2 finished
+    state[start] = 1
+    path = [start]
+    pending = [iter(succ[start])]
+    while pending:
+        for w in pending[-1]:
+            if state[w] == 1:
+                return path[path.index(w):]
+            if state[w] == 0:
+                state[w] = 1
+                path.append(w)
+                pending.append(iter(succ[w]))
+                break
+        else:
+            state[path.pop()] = 2
+            pending.pop()
+    return None
 
 
 def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int, ...]:

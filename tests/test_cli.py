@@ -1,5 +1,6 @@
 import json
 import re
+from decimal import Decimal
 
 import pytest
 
@@ -106,6 +107,32 @@ def test_metric_text_and_json(capsys):
     doc = json.loads(out)
     assert doc["value"] == "1" and doc["algorithm"] == "bdd"
     assert doc["stats"]["bdd_nodes"] == 3
+
+
+def test_numbers_past_the_int_digit_limit(tmp_path, capsys):
+    # Python refuses int <-> str conversions of more than 4,300 digits by default.
+    n = 10_000
+    model = tmp_path / "wide.at"
+    model.write_text(
+        'toplevel "r";\n"r" and ' + " ".join(f'"b{i}"' for i in range(n)) + ";\n"
+        + "".join(f'"b{i}" bas;\n' for i in range(n))
+        + 'attribution "p" {\n' + "".join(f'  "b{i}" = 1/3;\n' for i in range(n)) + "}\n"
+    )
+    code, out, _ = run(capsys, "metric", str(model), "--domain", "prob-max",
+                       "--attribution", "p")
+    assert code == 0
+    assert out.startswith("metric: prob-max\nvalue: 1/")
+    den = out.split("\n")[1].removeprefix("value: 1/")
+    assert Decimal(den) == 3**n
+    code, out, _ = run(capsys, "metric", str(model), "--domain", "prob-max",
+                       "--attribution", "p", "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == f"1/{den}"
+
+    model.write_text('toplevel "r";\n"r" bas;\nattribution "p" { "r" = 1' + "0" * 5000 + "; }\n")
+    for argv in (["check", str(model)],
+                 ["metric", str(model), "--domain", "min-cost", "--attribution", "p"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "numeral of 5001 digits" in err
 
 
 def test_metric_dynamic_goldens(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from atquant import (
     INF,
     AnalysisRequest,
+    ModelDocument,
     analyze,
     bas_of,
     builtin,
@@ -24,11 +26,12 @@ from atquant.errors import (
     GateWithoutChildren,
     ModelSyntaxError,
     MultipleRoots,
+    NoRoot,
 )
 from atquant.io import emit_dot_bdd, render_value
 from atquant.tree import NodeType
 
-from helpers import alpha
+from helpers import alpha, rand_dag, rand_tree
 
 MODELS = Path(__file__).parent.parent / "models"
 CORPUS = sorted(MODELS.glob("*.at"))
@@ -114,12 +117,22 @@ SYNTAX_ERRORS = [
     ('toplevel "r";\r\n"r" bas;\r\n"r" bas;\r\n', DuplicateDefinition, 3, 1),
     ('toplevel "r";\r\n"r" xor;\r\n', ModelSyntaxError, 2, 5),
     ('toplevel "r";\n"r" bas // x', ModelSyntaxError, 2, 13),  # EOF after a comment
+    # numerals longer than the interpreter's int conversion limit (4,300 digits)
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = ' + "9" * 5000 + '; }\n',
+     ModelSyntaxError, 3, 25),
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = 0.' + "3" * 5000 + '; }\n',
+     ModelSyntaxError, 3, 25),
+    ('toplevel "r";\n"r" bas;\nattribution "c" { "r" = 1/' + "7" * 5000 + '; }\n',
+     ModelSyntaxError, 3, 27),
 ]
 
 
 def _case_id(case) -> str:
-    """Text, error class and line: a case's name does not depend on its column."""
+    """Text, error class and line: a case's name does not depend on its column.
+    Long texts are cut to their head and length."""
     text, exc, line, _ = case
+    if len(text) > 200:
+        text = f"{text[:60]}...({len(text)} chars)"
     return f"{text}-{exc.__name__}-{line}"
 
 
@@ -139,6 +152,9 @@ def test_build_errors_surface_with_locations():
         parse_model('toplevel "g";\n"g" or "a";\n"a" or "g";\n')
     assert "line 2" in str(ei.value)
     assert ei.value.cycle
+    with pytest.raises(CyclicStructure) as ei:
+        parse_model('toplevel "g";\n"g" sand "a" "g";\n"a" bas;\n')
+    assert (ei.value.line, ei.value.col, ei.value.cycle) == (2, 1, [0, 0])
 
     with pytest.raises(BasWithChildren):
         parse_model('toplevel "g";\n"g" bas "a";\n"a" bas;\n')
@@ -147,6 +163,12 @@ def test_build_errors_surface_with_locations():
     with pytest.raises(MultipleRoots) as ei:
         parse_model('toplevel "g";\n"g" or "a";\n"a" bas;\n"h" or "a";\n')
     assert "line 1" in str(ei.value)
+    with pytest.raises(NoRoot) as ei:
+        parse_model('toplevel "a";\n"g" or "a";\n"a" bas;\n')
+    assert (ei.value.line, ei.value.col) == (1, 10)
+    assert str(ei.value) == (
+        "declared root 'a' is not the unique parentless node at line 1, col 10"
+    )
 
 
 def test_roundtrip_is_structural_and_byte_stable():
@@ -160,6 +182,16 @@ def test_roundtrip_is_structural_and_byte_stable():
         assert emit_model(again) == text
 
 
+def test_random_models_round_trip_through_the_text_format():
+    rng = random.Random(5)
+    models = [rand_tree(rng, 10, dynamic=True) for _ in range(40)]
+    models += [rand_dag(rng, 10, dynamic=True) for _ in range(40)]
+    for t in models:
+        again = parse_model(emit_model(ModelDocument(t))).tree
+        assert again == t
+        assert all(again.id_of(n.label) == n.id for n in t.nodes)
+
+
 def test_render_value_forms():
     assert render_value(INF) == "inf"
     assert render_value(7) == "7"
@@ -169,6 +201,9 @@ def test_render_value_forms():
         ["0", "3"],
         ["1", "1/2"],
     ]
+    # exact past the interpreter's int-to-str limit of 4,300 digits
+    assert render_value(10**5000) == "1" + "0" * 5000
+    assert render_value(Fraction(1, 10**5000)) == "1/1" + "0" * 5000
     with pytest.raises(ValueError):
         render_value(object())
 

@@ -19,6 +19,7 @@ from atquant import (
     static_projection,
     structure_function,
 )
+from atquant import semantics
 from atquant.errors import BudgetExceeded, DynamicTreeRejected, IllFormed, IncompatibleDomain
 from atquant.semantics import (
     PosetAttack,
@@ -97,6 +98,16 @@ def test_budget_guard():
     narrow = tt(tuple(["or"] + [f"x{i}" for i in range(9)]))
     with pytest.raises(BudgetExceeded):
         minimal_attacks_static(narrow, budget=8)
+
+
+def test_dynamic_budget_is_checked_before_the_ordering_graph(monkeypatch):
+    def refuse(_):
+        raise AssertionError("ordering graph built for a model over budget")
+
+    monkeypatch.setattr(semantics, "ordering_graph", refuse)
+    wide = tt(("sand", ("or", "a", "b"), ("and", "c", "d", "e")))
+    with pytest.raises(BudgetExceeded):
+        minimal_attacks_dynamic(wide, budget=4)
 
 
 def test_minimality_against_full_subset_filter():

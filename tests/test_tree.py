@@ -7,7 +7,6 @@ from atquant.errors import (
     BasWithChildren,
     CyclicStructure,
     DanglingReference,
-    DisconnectedNode,
     DuplicateLabel,
     GateWithoutChildren,
     MultipleRoots,
@@ -61,6 +60,15 @@ def test_build_rejects_cycle_with_witness():
     assert "'a' -> 'b' -> 'a'" in str(ei.value) or "'b' -> 'a' -> 'b'" in str(ei.value)
     assert len(ei.value.cycle) == 3
     assert ei.value.cycle[0] == ei.value.cycle[-1]
+
+
+def test_cycle_witness_skips_nodes_below_the_cycle():
+    # a and the chain b -> c hang below the self-loop on r and reach no cycle
+    defs = [("r", O, ["a", "b", "r"]), ("a", B, []), ("b", O, ["c"]), ("c", B, [])]
+    with pytest.raises(CyclicStructure) as ei:
+        build(defs, "r")
+    assert ei.value.cycle == [0, 0]
+    assert "'r' -> 'r'" in str(ei.value)
 
 
 def test_build_rejects_multiple_roots():
@@ -138,12 +146,20 @@ def test_unknown_node_lookups_raise():
         t.id_of("zzz")
 
 
-def test_disconnected_node_error_exists():
-    # build()'s pipeline catches disconnection as MultipleRoots first in the
-    # common case; an extra parentless island is the observable variant.
+def test_build_rejects_parentless_island():
+    # An acyclic store whose root is its only parentless node reaches every
+    # node, so a node the root misses shows up as a second parentless node.
     defs = [("r", O, ["a"]), ("a", B, []), ("x", O, ["y"]), ("y", B, [])]
-    with pytest.raises((MultipleRoots, DisconnectedNode)):
+    with pytest.raises(MultipleRoots, match="'r', 'x'"):
         build(defs, "r")
+
+
+def test_build_reports_cycles_before_root_problems():
+    cyclic = [("a", O, ["b"]), ("b", O, ["a"]), ("r", O, ["c"]), ("c", B, [])]
+    with pytest.raises(CyclicStructure):
+        build(cyclic, "nope")  # undefined root
+    with pytest.raises(CyclicStructure):
+        build(cyclic + [("s", O, ["c"])], "r")  # two parentless nodes
 
 
 def test_random_trees_are_trees_and_dags_are_dags():
