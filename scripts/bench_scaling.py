@@ -7,9 +7,11 @@ node counts; the column should grow linearly.
 Experiment 2: the shared-structure diagram fold on ladder DAGs
 AND(OR(b1,b2), OR(b2,b3), ...) where every inner action is shared by two
 gates, doubling from 4 to 2048 rungs, against the exponential subset oracle
-while it still fits. Next to the reachable node count of the minimised
-diagram it prints the size of the unique table those nodes live in, which
-counts every node ever made while compiling and minimising.
+while it still fits, with the five cheapest attacks (k-top, k = 5) beside
+it; both timings include compiling and minimising the diagram. Next to the
+reachable node count of the minimised diagram it prints the size of the
+unique table those nodes live in, which counts every node ever made while
+compiling and minimising.
 
 Experiment 3: the well-formedness check over balanced trees whose gate
 layers cycle SAND, OR, AND, doubling node counts up to 2^max-power - 1; the
@@ -26,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from atquant import bas_of, bu_bdd, bu_sat, build, builtin, is_well_formed, oracle_metric_static
+from atquant import bas_of, bu_sat, build, builtin, is_well_formed, k_top, oracle_metric_static
 from atquant.analysis import bu_bdd_detailed
 from atquant.tree import NodeType
 
@@ -88,8 +90,9 @@ def bench_fold(cfg: BenchConfig) -> None:
 
 
 def bench_ladder(cfg: BenchConfig) -> None:
-    print("ladder DAGs, min-cost: diagram fold vs subset oracle")
-    print(f"{'BAS':>5} {'bdd nodes':>10} {'unique':>8} {'bdd ms':>8} {'oracle ms':>10} {'agree':>6}")
+    print("ladder DAGs, min-cost: diagram fold and k-top vs subset oracle")
+    print(f"{'BAS':>5} {'bdd nodes':>10} {'unique':>8} {'bdd ms':>8} {'ktop ms':>8} "
+          f"{'oracle ms':>10} {'agree':>6}")
     dom = builtin("min-cost")
     rungs = 4
     while rungs <= cfg.ladder_max:
@@ -97,6 +100,8 @@ def bench_ladder(cfg: BenchConfig) -> None:
         n = len(bas_of(t))
         a = {b: 1 + (b % 3) for b in bas_of(t)}
         run, dt_bdd = clock(bu_bdd_detailed, t, a, dom)
+        top, dt_ktop = clock(k_top, t, a, dom, 5)
+        assert top[0][0] == run.value, "the cheapest attack costs the metric"
         if n <= cfg.oracle_cutoff:
             want, dt_oracle = clock(oracle_metric_static, t, a, dom)
             agree = "yes" if want == run.value else "NO"
@@ -105,7 +110,7 @@ def bench_ladder(cfg: BenchConfig) -> None:
             agree = "-"
             oracle_col = f"{'skipped':>10}"
         print(f"{n:>5} {run.diagram.node_count():>10} {len(run.diagram.store.unique):>8} "
-              f"{dt_bdd * 1000:>8.1f} {oracle_col} {agree:>6}")
+              f"{dt_bdd * 1000:>8.1f} {dt_ktop * 1000:>8.1f} {oracle_col} {agree:>6}")
         rungs *= 2
     print()
 

@@ -5,8 +5,8 @@ Four computation routes, each with hard preconditions enforced here:
 - bu_sat: single bottom-up pass over a STATIC proper TREE (semiring domain).
 - bu_bdd: fold over the minimal-solutions BDD; handles shared subtrees
   (static DAGs), needs both neutral elements.
-- k_top: the k best attacks from shortest paths in the weighted BDD; only
-  for domains whose conjunctive operator is numeric addition.
+- k_top: the k best attacks as k shortest paths, one bottom-up pass over the
+  weighted BDD; only for domains whose conjunctive operator is addition.
 - bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
   SAND to the domain's three operators.
 
@@ -20,9 +20,10 @@ from __future__ import annotations
 import functools
 import math
 import time
-from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .bdd import FALSE, TRUE, Bdd, VarOrder, from_structure_function, minimise
@@ -152,10 +153,13 @@ def k_top(
     """The k best (metric, attack) pairs, best first.
 
     High edges carry the signed attribute of their variable, low edges are
-    free, and k-shortest root-to-TRUE paths in topological order give
-    the k best attacks; the sign flips max domains into min problems. Ties
-    break on the lexicographically least decision sequence. Returns fewer
-    than k pairs exactly when fewer minimal attacks exist.
+    free, and the k shortest root-to-TRUE paths of the minimal-solutions
+    diagram, found in one bottom-up pass, are the k best attacks; the sign
+    flips max domains into min problems. Ties break on the least decision
+    sequence, low edge before high, so k=1 is the first pair of any larger
+    k; as an infinite weight ties every path through its high edge, each
+    node keeps its k lexicographically least paths beside its k shortest.
+    Returns fewer than k pairs exactly when fewer minimal attacks exist.
     """
     pairs, _ = k_top_detailed(t, alpha, domain, k, order)
     return pairs
@@ -176,37 +180,35 @@ def k_top_detailed(
         )
     sgn = 1 if domain.ktop_mode is KTopMode.MIN_ADDITIVE else -1
     m = minimise(from_structure_function(t, order))
-    store = m.store
-
-    def weight(v: int):
-        a = _value(alpha, t.nodes[m.var_at(v)])
-        if a is INF:
-            return math.inf if sgn == 1 else -math.inf
-        return sgn * a
-
-    best: dict[int, list] = {m.root: [(0, ())]} if m.root >= 2 else {}
-    done: list = []
-    if m.root == TRUE:
-        done = [(0, ())]
-    # parents before children; a bucket keeps its k least entries whatever
-    # order they arrive in, so any topological order gives the same result
-    for v in reversed(m.postorder):
-        for w, dec in best.pop(v, []):
-            for child, step, dw in ((store.lows[v], 0, 0), (store.highs[v], 1, weight(v))):
-                entry = (w + dw, dec + ((store.ranks[v], step),))
-                if child == TRUE:
-                    insort(done, entry)
-                    del done[k:]
-                elif child != FALSE:
-                    bucket = best.setdefault(child, [])
-                    insort(bucket, entry)
-                    del bucket[k:]
+    lows, highs = m.store.lows, m.store.highs
+    # a path is (weight, attack), an attack nested (bas, rest) pairs; a
+    # node's lists are dropped once its last parent has read them
+    best: dict[int, list] = {FALSE: [], TRUE: [(0, ())]}
+    lex: dict[int, list] = {FALSE: [], TRUE: [()]}
+    parents = Counter(c for v in m.postorder if v >= 2 for c in (lows[v], highs[v]))
+    for v in m.postorder:
+        if v >= 2:
+            lo, hi, bas = lows[v], highs[v], m.var_at(v)
+            a = _value(alpha, t.nodes[bas])
+            if a is INF:
+                up = [(sgn * math.inf, (bas, rest)) for rest in lex[hi]]
+            else:
+                up = [(w + sgn * a, (bas, rest)) for w, rest in best[hi]]
+            best[v] = sorted(best[lo] + up, key=itemgetter(0))[:k]
+            lex[v] = (lex[lo] + [(bas, rest) for rest in lex[hi]])[:k]
+            for c in (lo, hi):
+                parents[c] -= 1
+                if not parents[c]:
+                    del best[c], lex[c]
 
     out = []
-    for w, dec in done[:k]:
-        attack = frozenset(m.order.bas_at(rank) for rank, step in dec if step == 1)
+    for w, attack in best[m.root]:
+        taken = []
+        while attack:
+            b, attack = attack
+            taken.append(b)
         metric = INF if isinstance(w, float) and math.isinf(w) else sgn * w
-        out.append((metric, attack))
+        out.append((metric, frozenset(taken)))
     return out, m
 
 
@@ -316,6 +318,8 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
     stats: dict = {"nodes": len(t)}
 
     if req.k is not None:
+        if req.algorithm != "auto":
+            raise InvalidRequest(f"k-top has no algorithm choice, got {req.algorithm!r}")
         pairs, diagram = k_top_detailed(t, alpha, domain, req.k, req.order)
         value: object = tuple(pairs)
         witnesses = tuple(pairs)

@@ -356,16 +356,23 @@ def emit_result(res: AnalysisResult, t: AttackTree, fmt: str = "json") -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def _dot_escape(label: str) -> str:
+    """A model label inside a DOT string: labels hold no `"` or newline, so
+    only the backslash needs escaping."""
+    return label.replace("\\", "\\\\")
+
+
 def emit_dot(t: AttackTree) -> str:
     """The model as a GraphViz digraph; SAND edges are numbered since their
     child order is semantic."""
     lines = ["digraph attack_tree {", "  rankdir=TB;"]
     for node in t.nodes:
+        label = _dot_escape(node.label)
         if node.type is NodeType.BAS:
-            lines.append(f'  n{node.id} [shape=box, label="{node.label}"];')
+            lines.append(f'  n{node.id} [shape=box, label="{label}"];')
         else:
             lines.append(
-                f'  n{node.id} [shape=ellipse, label="{node.label}\\n[{node.type.value.upper()}]"];'
+                f'  n{node.id} [shape=ellipse, label="{label}\\n[{node.type.value.upper()}]"];'
             )
     for node in t.nodes:
         for pos, c in enumerate(node.children):
@@ -392,7 +399,7 @@ def emit_dot_bdd(b: Bdd, t: AttackTree) -> str:
                 label = t.label_of(b.var_at(v))
             except UnknownNode:
                 label = str(b.var_at(v))
-            lines.append(f'  n{v} [shape=circle, label="{label}"];')
+            lines.append(f'  n{v} [shape=circle, label="{_dot_escape(label)}"];')
     for v in reachable:
         if v >= 2:
             lines.append(f"  n{v} -> n{b.store.lows[v]} [style=dashed];")

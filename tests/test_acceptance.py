@@ -461,6 +461,15 @@ def test_criterion_10_scalability_smoke(suites, tmp_path, capsys):
     assert code == 0 and out == f"metric: min-cost\nvalue: {best}\nalgorithm: bdd\n"
     assert ladder_dt < 1.0, f"2000-rung ladder took {ladder_dt:.3f}s"
 
+    # the five cheapest attacks on the same ladder, one bottom-up pass
+    argv = ["ktop", str(path), "--domain", "min-cost", "--attribution", "cost", "--k", "5"]
+    code, ktop_dt = timed(main, argv)
+    rows = capsys.readouterr().out.splitlines()
+    costs = [int(row.split(" ", 1)[0]) for row in rows]
+    assert code == 0 and len(set(rows)) == len(rows) == 5
+    assert costs[0] == best and costs == sorted(costs)
+    assert ktop_dt < 1.0, f"k-top on the 2000-rung ladder took {ktop_dt:.3f}s"
+
     # well-formedness through the CLI on a 2^17 - 1 node dynamic tree and a
     # SAND chain 10^5 levels deep; the bounds mostly pay for parsing, while a
     # check quadratic in the model would not finish within them
@@ -475,7 +484,8 @@ def test_criterion_10_scalability_smoke(suites, tmp_path, capsys):
     print(
         f"criterion 10 PASS: {len(t)}-node fold in {dt * 1000:.0f}ms; "
         f"diagram fold visited exactly the {visited} reachable nodes; "
-        f"2000-rung ladder metric in {ladder_dt * 1000:.0f}ms; "
+        f"2000-rung ladder metric in {ladder_dt * 1000:.0f}ms "
+        f"and k-top in {ktop_dt * 1000:.0f}ms; "
         f"check on the {2 ** 17 - 1}-node tree in {checks[0]:.1f}s "
         f"and the 10^5-level SAND chain in {checks[1]:.1f}s"
     )

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import chain, combinations
@@ -22,13 +23,14 @@ from atquant import (
     total_probability_tree,
 )
 from atquant.analysis import auto_route, bu_bdd_detailed, validate_attribution
-from atquant.bdd import VarOrder
+from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise
 from atquant.domains import BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, nat_min
 from atquant.errors import (
     AtError,
     BadAttributeValue,
     DagRejected,
     DynamicTreeRejected,
+    InvalidRequest,
     MissingAttribution,
     MissingNeutrals,
     NotProbability,
@@ -42,6 +44,7 @@ from helpers import (
     overlap,
     labels,
     rand_alpha,
+    rand_dag,
     rand_tree,
     sand_over_and,
     chains,
@@ -109,8 +112,6 @@ def test_bu_bdd_preconditions():
 
 def test_bu_bdd_visits_every_diagram_node_once():
     rng = random.Random(31)
-    from helpers import rand_dag
-
     for _ in range(40):
         t = rand_dag(rng, 7)
         a = {b: rng.randint(0, 9) for b in bas_of(t)}
@@ -183,6 +184,57 @@ def test_k_top_breaks_ties_deterministically():
     pairs = k_top(t, a, builtin("min-cost"), k=3)
     assert [v for v, _ in pairs] == [5, 5, 5]
     assert pairs == k_top(t, a, builtin("min-cost"), k=3)
+
+
+def _ranked_paths(t, a, d) -> list:
+    """Every root-to-TRUE path of the minimal-solutions diagram as
+    (metric, attack), sorted best first by (weight, decision sequence): the
+    brute-force reading of k_top's contract."""
+    m = minimise(from_structure_function(t))
+    s = m.store
+    flip = -1 if d.sense == "max" else 1
+    paths = []
+    stack = [(m.root, 0, (), frozenset())]
+    while stack:
+        v, w, dec, attack = stack.pop()
+        if v == TRUE:
+            paths.append((w, dec, attack))
+        elif v != FALSE:
+            x = a[m.var_at(v)]
+            w1 = INF if w is INF or x is INF else w + x
+            stack.append((s.lows[v], w, dec + ((s.ranks[v], 0),), attack))
+            stack.append((s.highs[v], w1, dec + ((s.ranks[v], 1),), attack | {m.var_at(v)}))
+    paths.sort(key=lambda p: (flip * (math.inf if p[0] is INF else p[0]), p[1]))
+    return [(w, attack) for w, _, attack in paths]
+
+
+def test_k_top_matches_brute_force_path_sort():
+    rng = random.Random(2105)
+    cases = 0
+    for _ in range(300):
+        for gen in (rand_tree, rand_dag):
+            t = gen(rng, 8)
+            for name in ("min-cost", "max-damage"):
+                d = builtin(name)
+                a = rand_alpha(rng, t, d)
+                ranked = _ranked_paths(t, a, d)
+                for k in (1, 3, 8):
+                    assert k_top(t, a, d, k) == ranked[:k], (t, a, name, k)
+                    cases += 1
+    assert cases == 3600
+
+
+def test_k_top_breaks_infinite_ties_on_decisions():
+    # order b0 < b2 < b1: {b1, b2} leaves b0 low, so it precedes {b0, b1},
+    # although b0's finite cost makes the prefix to b1 look dearer
+    t = tt(("and", ("or", "b0", "b2"), "b1"))
+    a = alpha(t, {"b0": 3, "b1": INF, "b2": INF})
+    first = (INF, frozenset({t.id_of("b1"), t.id_of("b2")}))
+    assert k_top(t, a, builtin("min-cost"), k=1) == [first]
+    assert k_top(t, a, builtin("min-cost"), k=2) == [
+        first,
+        (INF, frozenset({t.id_of("b0"), t.id_of("b1")})),
+    ]
 
 
 def test_bu_dat_goldens():
@@ -336,6 +388,16 @@ def test_analyze_honors_and_rejects_explicit_choices():
         analyze(AnalysisRequest(f, a, mc, algorithm="bu"))
     with pytest.raises(ValueError):
         analyze(AnalysisRequest(f, a, mc, algorithm="quantum"))
+
+
+def test_analyze_rejects_an_algorithm_choice_with_k():
+    f = overlap()
+    a = alpha(f, {"a": 3, "b": 1, "c": 4})
+    mc = builtin("min-cost")
+    for algorithm in ("nonsense", "bdd", "bu", "oracle"):
+        with pytest.raises(InvalidRequest, match=repr(algorithm)):
+            analyze(AnalysisRequest(f, a, mc, algorithm=algorithm, k=2))
+    assert analyze(AnalysisRequest(f, a, mc, k=2)).algorithm == "ktop"
 
 
 def test_analyze_ktop_and_stats():

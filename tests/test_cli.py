@@ -283,6 +283,19 @@ def test_dump_dot_variants(capsys):
     assert code == 1 and "static" in err
 
 
+def test_dump_dot_escapes_backslashes(capsys, tmp_path):
+    # a quoted label may end in a backslash; DOT needs it doubled, or the
+    # closing quote would be escaped and the string left open
+    model = tmp_path / "slash.at"
+    model.write_text('toplevel "r\\";\n"r\\" or "x\\" "y";\n"x\\" bas;\n"y" bas;\n')
+    code, out, _ = run(capsys, "dump", str(model), "--what", "at")
+    assert code == 0 and '  n1 [shape=box, label="x\\\\"];\n' in out
+    assert '  n0 [shape=ellipse, label="r\\\\\\n[OR]"];\n' in out
+    code, out, _ = run(capsys, "dump", str(model), "--what", "bdd")
+    assert code == 0 and '[shape=circle, label="x\\\\"];\n' in out
+    assert '[shape=circle, label="y"];\n' in out
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.txt"
     code, out, _ = run(
