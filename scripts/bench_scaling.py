@@ -7,8 +7,8 @@ node counts; the column should grow linearly.
 Experiment 2: the shared-structure diagram fold on ladder DAGs
 AND(OR(b1,b2), OR(b2,b3), ...) where every inner action is shared by two
 gates, doubling from 4 to 2048 rungs, against the exponential subset oracle
-while it still fits, with the five cheapest attacks (k-top, k = 5) beside
-it; both timings include compiling and minimising the diagram. Next to the
+up to its default BAS budget, with the five cheapest attacks (k-top, k = 5)
+beside it; both timings include compiling and minimising the diagram. Next to the
 reachable node count of the minimised diagram it prints the size of the
 unique table those nodes live in, which counts every node ever made while
 compiling and minimising.
@@ -17,7 +17,7 @@ Experiment 3: the well-formedness check over balanced trees whose gate
 layers cycle SAND, OR, AND, doubling node counts up to 2^max-power - 1; the
 column should grow linearly.
 
-    python3 scripts/bench_scaling.py [--max-power 17] [--oracle-cutoff 14] [--ladder-max 2048]
+    python3 scripts/bench_scaling.py [--max-power 17] [--ladder-max 2048]
 """
 
 import argparse
@@ -30,13 +30,13 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from atquant import bas_of, bu_sat, build, builtin, is_well_formed, k_top, oracle_metric_static
 from atquant.analysis import bu_bdd_detailed
+from atquant.semantics import DEFAULT_BUDGET
 from atquant.tree import NodeType
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     max_power: int = 17  # balanced trees up to 2^max_power - 1 nodes
-    oracle_cutoff: int = 14  # largest BAS count the subset oracle attempts
     ladder_max: int = 2048  # largest ladder, in rungs
 
 
@@ -102,7 +102,7 @@ def bench_ladder(cfg: BenchConfig) -> None:
         run, dt_bdd = clock(bu_bdd_detailed, t, a, dom)
         top, dt_ktop = clock(k_top, t, a, dom, 5)
         assert top[0][0] == run.value, "the cheapest attack costs the metric"
-        if n <= cfg.oracle_cutoff:
+        if n <= DEFAULT_BUDGET:
             want, dt_oracle = clock(oracle_metric_static, t, a, dom)
             agree = "yes" if want == run.value else "NO"
             oracle_col = f"{dt_oracle * 1000:>10.1f}"
@@ -131,10 +131,9 @@ def bench_well_formed(cfg: BenchConfig) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-power", type=int, default=17)
-    ap.add_argument("--oracle-cutoff", type=int, default=14)
     ap.add_argument("--ladder-max", type=int, default=2048)
     ns = ap.parse_args()
-    cfg = BenchConfig(ns.max_power, ns.oracle_cutoff, ns.ladder_max)
+    cfg = BenchConfig(ns.max_power, ns.ladder_max)
     bench_fold(cfg)
     bench_ladder(cfg)
     bench_well_formed(cfg)

@@ -85,7 +85,7 @@ def _value(alpha: dict, n: Node):
         raise MissingAttribution(f"no value for basic action {n.label!r}") from None
 
 
-def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int]):
+def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Memoized bottom-up fold; the memoization is what makes it naive on
     DAGs (a shared node contributes one value to every parent). Callers
     ensure a SAND gate only meets a domain with a sequential operator."""
@@ -94,19 +94,18 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[in
         NodeType.AND: domain.and_op,
         NodeType.SAND: domain.seq_op,
     }
-    return fold(
-        t, functools.partial(_value, alpha), lambda n, kids: functools.reduce(ops[n.type], kids), node
-    )
+    return fold(t, functools.partial(_value, alpha),
+                lambda n, kids: functools.reduce(ops[n.type], kids))
 
 
-def naive_bottom_up(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int] = None):
+def naive_bottom_up(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """The tree fold applied without checking for sharing. Wrong on DAGs."""
     if classify(t).dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("naive_bottom_up evaluates OR/AND models only")
-    return _fold(t, alpha, domain, node)
+    return _fold(t, alpha, domain)
 
 
-def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int] = None):
+def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Bottom-up metric on a static proper tree (exact for semirings)."""
     kind = classify(t)
     if kind.shape is Shape.DAG:
@@ -114,7 +113,7 @@ def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[i
     if kind.dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("bu_sat handles static models; use bu_dat")
     _require("bu_sat", domain)
-    return _fold(t, alpha, domain, node)
+    return _fold(t, alpha, domain)
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ def k_top_detailed(
     return out, m
 
 
-def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[int] = None):
+def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Bottom-up metric on a well-formed dynamic proper tree.
 
     Sound when the domain is a dynamic semiring, and also when its
@@ -225,7 +224,7 @@ def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain, node: Optional[i
     _require("bu_dat", domain)
     # no well-formedness check: the children of a SAND gate in a proper
     # tree have disjoint BAS sets, so the ordering graph cannot cycle
-    return _fold(t, alpha, domain, node)
+    return _fold(t, alpha, domain)
 
 
 def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:

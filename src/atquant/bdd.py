@@ -29,11 +29,10 @@ from .tree import AttackTree, Dynamics, Node, bas_of, classify, fold, postorder
 
 FALSE = 0
 TRUE = 1
-# Rank slot markers on the work stacks of `apply` and `minimise`: _EXPAND is
-# a pair still to be solved, _ALIAS files the result just computed under one
-# more memo key, and a real rank makes that node once both halves are done.
+# Rank slot marker on the work stacks of `apply` and `minimise`: _EXPAND is
+# a pair still to be solved, and a real rank makes that node once both halves
+# are done.
 _EXPAND = -1
-_ALIAS = -2
 
 
 @dataclass(frozen=True)
@@ -197,6 +196,7 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
         return kids[0]
 
     root = fold(t, lambda n: store.node(order.rank_of(n.id), FALSE, TRUE), gate)
+    store.apply_memo.clear()  # nothing reads it once the diagram is built
     return Bdd(store, order, root)
 
 
@@ -231,15 +231,15 @@ def minimise(b: Bdd) -> Bdd:
         stack = [(m, g, _EXPAND)]
         while stack:
             m, g, rank = stack.pop()
-            if rank == _ALIAS:
-                without_memo[(m, g)] = out[-1]
-                continue
             if rank != _EXPAND:
                 high = out.pop()
                 r = mk_path(rank, out.pop(), high)
                 without_memo[(m, g)] = r
                 out.append(r)
                 continue
+            # g branches on a variable no path of m mentions: it reads false
+            while m >= 2 and g >= 2 and ranks[g] < ranks[m]:
+                g = lows[g]
             if m == FALSE or g == TRUE:
                 out.append(FALSE)
                 continue
@@ -261,10 +261,7 @@ def minimise(b: Bdd) -> Bdd:
                 out.append(found)
                 continue
             rm, rg = ranks[m], ranks[g]
-            if rg < rm:
-                # g branches on a variable no path of m mentions: it reads false
-                stack += ((m, g, _ALIAS), (m, lows[g], _EXPAND))
-            elif rm < rg:
+            if rm < rg:
                 stack += ((m, g, rm), (highs[m], g, _EXPAND), (lows[m], g, _EXPAND))
             else:
                 stack += ((m, g, rm), (highs[m], highs[g], _EXPAND), (lows[m], lows[g], _EXPAND))

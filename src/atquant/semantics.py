@@ -1,10 +1,12 @@
 """Definitional semantics: the exhaustive oracle.
 
 Everything here is deliberately brute force. Minimal attacks come from
-enumerating the full truth table of the structure function; metrics come
-from folding the domain operators over that enumeration exactly as the
-definitions state. The efficient algorithms in analysis.py are tested
-against these functions, never the other way around.
+the full truth table of the structure function, one big int with a bit per
+row: every row goes through the single-removal test, a whole-table mask
+operation per basic action, and the set bits left are the minimal attacks.
+Metrics come from folding the domain operators over that enumeration
+exactly as the definitions state. The efficient algorithms in analysis.py
+are tested against these functions, never the other way around.
 
 `ordering_graph` remains the definition of the precedence that SAND gates
 impose, materialised pair by pair. `is_well_formed` alone does not build it:
@@ -92,31 +94,27 @@ def structure_function(t: AttackTree, attack: Iterable[int]) -> bool:
     return vals[t.root]
 
 
-def _truth_table(t: AttackTree, bas: tuple[int, ...]) -> int:
-    """Bit m of the result is the structure function at the assignment whose
-    bit j selects bas[j]. One big int per node keeps this exact and fast."""
-    n = len(bas)
-    rows = 1 << n
-    columns: dict[int, int] = {}
-    for j, b in enumerate(bas):
+def _truth_table(t: AttackTree, bas: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The truth table of the structure function and its BAS columns, each
+    one big int: bit m of a table is its value at the assignment whose bit j
+    selects bas[j], and columns[j] is the table of bas[j] alone."""
+    rows = 1 << len(bas)
+    columns = []
+    for j in range(len(bas)):
         period = 1 << j
         block = ((1 << period) - 1) << period  # one low run, one high run
         width = period * 2
         while width < rows:
             block |= block << width
             width *= 2
-        columns[b] = block
-    full = (1 << rows) - 1
-    vals: dict[int, int] = {}
+        columns.append(block)
+    vals = dict(zip(bas, columns))
     stack = [t.root]
     while stack:
         v = stack.pop()
         if v in vals:
             continue
         node = t.nodes[v]
-        if node.type is NodeType.BAS:
-            vals[v] = columns[v]
-            continue
         pending = [c for c in node.children if c not in vals]
         if pending:
             stack.append(v)
@@ -125,16 +123,21 @@ def _truth_table(t: AttackTree, bas: tuple[int, ...]) -> int:
         acc = vals[node.children[0]]
         for c in node.children[1:]:
             acc = (acc | vals[c]) if node.type is NodeType.OR else (acc & vals[c])
-        vals[v] = acc & full
-    return vals[t.root]
+        vals[v] = acc
+    return vals[t.root], columns
 
 
 def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> AttackSuite:
     """All subset-minimal successful attacks, by exhaustive enumeration.
 
-    Minimality is tested by single-element removal, which coincides with
+    A row of the truth table is minimal when it succeeds and dropping any
+    one BAS it takes makes it fail; single-element removal coincides with
     subset-minimality because structure functions are monotone (a property
-    test cross-checks this against the literal all-subsets filter).
+    test cross-checks this against the literal all-subsets filter). The
+    test runs on the whole table at once: (table & ~columns[j]) << 2**j
+    marks every row taking bas[j] that still succeeds without it, and the
+    minimal rows are the table less the union of these n masks, read in
+    ascending order.
     """
     if classify(t).dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("minimal_attacks_static needs a static model; project first")
@@ -142,26 +145,16 @@ def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> Attac
     n = len(bas)
     if n > budget:
         raise BudgetExceeded(f"{n} basic actions exceed the oracle budget of {budget}")
-    table = _truth_table(t, bas)
-    buf = table.to_bytes(((1 << n) + 7) // 8, "little")
-
-    def hit(m: int) -> bool:
-        return (buf[m >> 3] >> (m & 7)) & 1 == 1
-
+    table, columns = _truth_table(t, bas)
+    redundant = 0
+    for j, column in enumerate(columns):
+        redundant |= (table & ~column) << (1 << j)
+    bits = bin(table & ~redundant)[:1:-1]  # bits[m] is row m
     out = []
-    for m in range(1 << n):
-        if not hit(m):
-            continue
-        sub = m
-        minimal = True
-        while sub:
-            low = sub & -sub
-            if hit(m ^ low):
-                minimal = False
-                break
-            sub ^= low
-        if minimal:
-            out.append(frozenset(bas[j] for j in range(n) if (m >> j) & 1))
+    m = bits.find("1")
+    while m >= 0:
+        out.append(frozenset(bas[j] for j in range(n) if (m >> j) & 1))
+        m = bits.find("1", m + 1)
     return frozenset(out)
 
 
@@ -339,7 +332,7 @@ def oracle_metric_dynamic(
     per_attack = []
     for p in sorted(suite, key=lambda p: sorted(p.nodes)):
         parts = []
-        for comp in hasse(p).components:
+        for comp in _components(p.nodes, p.order):
             values = [_attr(alpha, v) for v in sorted(comp)]
             if len(values) > 1 and domain.seq_op is None:
                 raise IncompatibleDomain(

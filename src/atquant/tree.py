@@ -34,9 +34,6 @@ class NodeType(Enum):
     SAND = "sand"
 
 
-GATES = (NodeType.OR, NodeType.AND, NodeType.SAND)
-
-
 class Shape(Enum):
     TREE = "tree"
     DAG = "dag"
@@ -244,21 +241,15 @@ def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int
     return tuple(out)
 
 
-def fold(
-    t: AttackTree,
-    leaf: Callable[[Node], Any],
-    gate: Callable[[Node, list], Any],
-    start: Optional[int] = None,
-):
-    """Bottom-up evaluation at start (default: the root): leaf(node) gives a
-    BAS its value, gate(node, child values) combines a gate's. A shared node
-    is evaluated once and its value reused by every parent."""
-    order = t.postorder if start is None else postorder(start, lambda v: t.nodes[v].children)
+def fold(t: AttackTree, leaf: Callable[[Node], Any], gate: Callable[[Node, list], Any]):
+    """Bottom-up evaluation at the root: leaf(node) gives a BAS its value,
+    gate(node, child values) combines a gate's. A shared node is evaluated
+    once and its value reused by every parent."""
     vals: dict[int, Any] = {}
-    for v in order:
+    for v in t.postorder:
         n = t.nodes[v]
         vals[v] = leaf(n) if n.type is NodeType.BAS else gate(n, [vals[c] for c in n.children])
-    return vals[order[-1]]
+    return vals[t.root]
 
 
 def classify(t: AttackTree) -> StructureKind:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -95,6 +95,15 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         minimal_attacks_static(wide)
     assert len(minimal_attacks_static(wide, budget=21)) == 21
+    # at the default budget: columns up to j = 19, and many rows set
+    flat = tt(tuple(["or"] + [f"x{i}" for i in range(20)]))
+    assert suite_labels(flat, minimal_attacks_static(flat)) == {
+        frozenset({f"x{i}"}) for i in range(20)
+    }
+    pairs = tt(tuple(["and"] + [("or", f"a{i}", f"b{i}") for i in range(10)]))
+    assert suite_labels(pairs, minimal_attacks_static(pairs)) == {
+        frozenset(pick) for pick in product(*[(f"a{i}", f"b{i}") for i in range(10)])
+    }
     narrow = tt(tuple(["or"] + [f"x{i}" for i in range(9)]))
     with pytest.raises(BudgetExceeded):
         minimal_attacks_static(narrow, budget=8)
@@ -113,8 +122,17 @@ def test_dynamic_budget_is_checked_before_the_ordering_graph(monkeypatch):
 def test_minimality_against_full_subset_filter():
     # independent definition: successful sets none of whose proper subsets succeed
     rng = random.Random(42)
-    for i in range(120):
-        t = rand_tree(rng, 6) if i % 2 else rand_dag(rng, 6)
+
+    def sized(n, dag):
+        # random models over exactly n BAS; a DAG needs two
+        while True:
+            t = rand_dag(rng, n) if dag and n > 1 else rand_tree(rng, n)
+            if len(bas_of(t)) == n:
+                return t
+
+    models = [tt("a"), tt(("or", ("and", "a", "a"), ("and", "b", ("or", "c", "a", "c"))))]
+    models += [sized(1 + i % 10, i // 10 % 2) for i in range(160)]
+    for t in models:
         succ = [
             frozenset(s) for s in powerset(bas_of(t)) if structure_function(t, frozenset(s))
         ]
