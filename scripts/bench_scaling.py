@@ -17,18 +17,36 @@ Experiment 3: the well-formedness check over balanced trees whose gate
 layers cycle SAND, OR, AND, doubling node counts up to 2^max-power - 1; the
 column should grow linearly.
 
+Experiment 4: parse_model over the model files of balanced static trees with
+two attributions, integer and ratio costs and ratio probabilities, doubling
+node counts up to 2^max-power - 1 (131,071 nodes, 5.3 MB at the default);
+it prints the best of three parses and the megabytes read per second.
+
     python3 scripts/bench_scaling.py [--max-power 17] [--ladder-max 2048]
 """
 
 import argparse
+import random
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from atquant import bas_of, bu_sat, build, builtin, is_well_formed, k_top, oracle_metric_static
+from atquant import (
+    ModelDocument,
+    bas_of,
+    bu_sat,
+    build,
+    builtin,
+    emit_model,
+    is_well_formed,
+    k_top,
+    oracle_metric_static,
+    parse_model,
+)
 from atquant.analysis import bu_bdd_detailed
 from atquant.semantics import DEFAULT_BUDGET
 from atquant.tree import NodeType
@@ -128,6 +146,26 @@ def bench_well_formed(cfg: BenchConfig) -> None:
     print()
 
 
+def bench_parse(cfg: BenchConfig) -> None:
+    print("balanced static trees with two attributions, parse_model")
+    print(f"{'nodes':>9} {'MB':>6} {'parse ms':>9} {'MB/s':>6}")
+    rng = random.Random(1)
+    power = 10
+    while power <= cfg.max_power:
+        t = balanced_tree(power - 1)
+        cost = {b: rng.choice((rng.randint(1, 20), Fraction(rng.randint(1, 40), rng.randint(2, 9))))
+                for b in bas_of(t)}
+        prob = {b: Fraction(rng.randint(1, 10), 10) for b in bas_of(t)}
+        text = emit_model(ModelDocument(t, {"cost": cost, "prob": prob}))
+        runs = [clock(parse_model, text) for _ in range(3)]
+        assert runs[0][0].tree == t, "a model file reads back as the tree it was written from"
+        dt = min(took for _, took in runs)
+        mb = len(text.encode()) / 1e6
+        print(f"{len(t):>9} {mb:>6.2f} {dt * 1000:>9.1f} {mb / dt:>6.1f}")
+        power += 1
+    print()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-power", type=int, default=17)
@@ -137,6 +175,7 @@ def main() -> int:
     bench_fold(cfg)
     bench_ladder(cfg)
     bench_well_formed(cfg)
+    bench_parse(cfg)
     return 0
 
 

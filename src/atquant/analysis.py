@@ -30,6 +30,7 @@ from .bdd import FALSE, TRUE, Bdd, VarOrder, from_structure_function, minimise
 from .domains import INF, AttributeDomain, KTopMode, ValueKind
 from .errors import (
     AtError,
+    BadAttributeValue,
     DagRejected,
     DynamicTreeRejected,
     InvalidRequest,
@@ -75,7 +76,10 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
     for b in bas_of(t):
         if b not in alpha:
             raise MissingAttribution(f"no value for basic action {t.label_of(b)!r}")
-        domain.validate_value(alpha[b])
+        try:
+            domain.validate_value(alpha[b])
+        except BadAttributeValue as e:
+            raise BadAttributeValue(f"{e} for basic action {t.label_of(b)!r}") from None
 
 
 def _value(alpha: dict, n: Node):

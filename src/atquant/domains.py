@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from random import Random
@@ -60,6 +61,19 @@ class _Infinity:
 
 
 INF = _Infinity()
+
+
+def render_value(v) -> object:
+    """Exact, canonical rendering: inf, integer, p/q, or a sorted front. Integers
+    go through Decimal, as str() refuses more than sys.get_int_max_str_digits()."""
+    if v is INF:
+        return "inf"
+    if isinstance(v, (int, Fraction)):
+        num = str(Decimal(v.numerator))
+        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
+    if isinstance(v, frozenset):
+        return sorted([render_value(x) for x in vec] for vec in v)
+    raise ValueError(f"unrenderable value {v!r}")
 
 
 def nat_min(x, y):
@@ -134,12 +148,14 @@ class AttributeDomain:
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise BadAttributeValue(f"{self.name}: expected a number or inf, got {v!r}")
             if v < 0:
-                raise BadAttributeValue(f"{self.name}: negative value {v!r}")
+                raise BadAttributeValue(f"{self.name}: negative value {render_value(v)}")
         elif self.kind is ValueKind.PROBABILITY:
             if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise BadAttributeValue(f"{self.name}: expected an exact rational, got {v!r}")
             if not 0 <= v <= 1:
-                raise BadAttributeValue(f"{self.name}: probability {v!r} outside [0, 1]")
+                raise BadAttributeValue(
+                    f"{self.name}: probability {render_value(v)} outside [0, 1]"
+                )
         else:
             if not isinstance(v, frozenset):
                 raise BadAttributeValue(f"{self.name}: expected a pareto front, got {v!r}")

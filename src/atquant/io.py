@@ -19,6 +19,20 @@ Tokens: keywords are ASCII words (`toplevel`, `bas`, `inf`, ...), numbers
 are ASCII digits with dots, punctuation is one of `;{}=<>/(),`, and a quoted
 label may hold any character but `"` and newline. Spaces, tabs, CR, LF and
 `//` comments separate tokens; any other character is an error.
+
+Two front ends read a file into the same statements. The statement matcher
+reads a whole statement with one compiled pattern per kind: a run of node
+definitions, a `toplevel`, an attribution block, an `order`. One `findall`
+reads the definitions of a run, one the bindings of a block. It accepts
+whitespace only inside a statement and comments only between statements,
+and it declines a basic action with children, a gate without, and a name
+declared twice. The token parser reads one token at a time and is the only
+source of syntax diagnostics. It reads the whole text again when the
+matcher declines any of it or when the matched statements break a rule
+below, so every error, with its line and column, is the token parser's.
+Both front ends convert numerals with `_number` and hand their statements
+to `_assemble`, which resolves labels, rejects dangling children, freezes
+the tree and checks that attributions and orders cover the basic actions.
 """
 
 from __future__ import annotations
@@ -27,14 +41,14 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
 from .analysis import AnalysisResult
 from .bdd import FALSE, TRUE, Bdd
-from .domains import INF
+from .domains import INF, render_value
 from .errors import (
+    AtError,
     BasWithChildren,
     CyclicStructure,
     DanglingReference,
@@ -61,12 +75,66 @@ _TOKEN = re.compile(
 )
 _Tok = tuple[str, str, int]  # (kind, text, offset), kind STR NUM WORD PUNCT or EOF
 
+# The statement grammar: the token grammar with whitespace only inside a
+# statement, so a comment cannot hide a quote from the findall patterns. A
+# keyword, inf or a numeral ends where the token grammar's word would: `basé`
+# and `1x` are not `bas` and `1`. Repeats are possessive (`*+`, `++`): what
+# follows a repeat never starts like what it repeats, so handing characters
+# back could not help a match. A greedy repeat keeps a place to hand back to
+# for every definition or binding it reads: on a 32k-node file, 26 MB of
+# matcher stack for the node run, 42 MB for one attribution block, and a
+# parse 40% slower.
+_W = r"[ \t\r\n]*+"
+_END = r"(?![\w-])"
+_LABEL = r'"[^"\n]*+"'
+_NUM = rf"[0-9][0-9.]*+{_END}"
+# groups: label, kind, the children's text
+_NODE = re.compile(rf'"([^"\n]*+)"{_W}(bas|or|and|sand){_END}((?:{_W}{_LABEL})*+){_W};')
+# groups: label, numerator, denominator; both numeral groups are empty for inf
+_BINDING = re.compile(
+    rf'"([^"\n]*+)"{_W}={_W}(?:inf{_END}|({_NUM})(?:{_W}/{_W}({_NUM}))?+){_W};'
+)
+# what separates statements
+_GAP = re.compile(r"(?:[ \t\r\n]++|//[^\n]*+)*+")
+_STATEMENT = re.compile(
+    # a run of node definitions, each basic action without children and
+    # each gate with some
+    rf"(?:(?P<nodes>(?:{_LABEL}{_W}"
+    rf"(?:bas{_END}|(?:or|and|sand){_END}(?:{_W}{_LABEL})++){_W};{_W})++)"
+    rf'|toplevel{_END}{_W}"(?P<toplevel>[^"\n]*+)"{_W};'
+    rf'|attribution{_END}{_W}"(?P<attribution>[^"\n]*+)"{_W}'
+    rf"\{{(?P<bindings>(?:{_W}{_BINDING.pattern})*+){_W}\}}"
+    rf'|order{_END}{_W}"(?P<order>[^"\n]*+)"{_W}='
+    rf"(?P<chain>{_W}{_LABEL}(?:{_W}<{_W}{_LABEL})*+){_W};)"
+    + _GAP.pattern
+)
+
 
 @dataclass(frozen=True)
 class ModelDocument:
     tree: AttackTree
     attributions: dict = field(default_factory=dict)  # name -> {bas id -> value}
     orders: dict = field(default_factory=dict)  # name -> tuple of bas ids
+
+
+class _Draft:
+    """A model's statements as a front end read them, labels unresolved.
+
+    `at` maps what an error can cite to its offset in the text: "toplevel",
+    ("node", i), ("child", i, j), ("attribution", k), ("binding", k, j),
+    ("order", k) and ("link", k, j). Only the token parser fills it; the
+    statement matcher hands every error to the token parser.
+    """
+
+    def __init__(self):
+        self.root: Optional[str] = None
+        self.labels: list[str] = []  # node labels, in definition order
+        self.types: list[NodeType] = []
+        self.children: list[list[str]] = []  # child labels per node
+        self.ids: dict[str, int] = {}  # label -> index; labels are distinct
+        self.attributions: list[tuple[str, list[str], list]] = []  # (name, labels, values)
+        self.orders: list[tuple[str, list[str]]] = []  # (name, labels)
+        self.at: dict = {}
 
 
 def _where(text: str, offset: int) -> tuple[int, int]:
@@ -99,6 +167,35 @@ def _locate(e: TreeBuildError, text: str, offset: int) -> TreeBuildError:
     return out
 
 
+def _number(num: str, den: str, text: str = "", at: int = 0, den_at: int = 0):
+    """The exact value of the numeral num, or of the ratio num/den when den
+    is not empty. Errors cite offset at, or den_at for the denominator, in
+    text; the statement matcher gives no positions, as the token parser
+    reports its errors."""
+    if den:
+        if "." in num or "." in den:
+            raise ModelSyntaxError("ratio parts must be integers", *_where(text, at))
+        if not den.strip("0"):
+            raise ModelSyntaxError("zero denominator", *_where(text, den_at))
+        return Fraction(_integer(num, text, at), _integer(den, text, den_at))
+    if "." in num:
+        if num.count(".") > 1 or num.endswith("."):
+            raise ModelSyntaxError(f"bad number {num!r}", *_where(text, at))
+        whole, frac = num.split(".")
+        return Fraction(_integer(whole + frac, text, at), 10 ** len(frac))  # exact decimal
+    return _integer(num, text, at)
+
+
+def _integer(digits: str, text: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # digits are ASCII, so only their number can be refused
+        limit = f"the interpreter's limit of {sys.get_int_max_str_digits()}"
+        raise ModelSyntaxError(
+            f"numeral of {len(digits)} digits exceeds {limit}", *_where(text, at)
+        ) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -129,70 +226,110 @@ class _Parser:
             return INF
         if kind != "NUM":
             raise self.error(f"expected a value, found {num!r}", at)
+        den, den_at = "", at
         if self.peek()[:2] == ("PUNCT", "/"):
             self.next()
             _, den, den_at = self.expect("NUM")
-            if "." in num or "." in den:
-                raise self.error("ratio parts must be integers", at)
-            if not den.strip("0"):
-                raise self.error("zero denominator", den_at)
-            return Fraction(self.integer(num, at), self.integer(den, den_at))
-        if "." in num:
-            if num.count(".") > 1 or num.endswith("."):
-                raise self.error(f"bad number {num!r}", at)
-            whole, frac = num.split(".")
-            return Fraction(self.integer(whole + frac, at), 10 ** len(frac))  # exact decimal
-        return self.integer(num, at)
-
-    def integer(self, digits: str, at: int) -> int:
-        try:
-            return int(digits)
-        except ValueError:  # digits are ASCII, so only their number can be refused
-            limit = f"the interpreter's limit of {sys.get_int_max_str_digits()}"
-            raise self.error(f"numeral of {len(digits)} digits exceeds {limit}", at) from None
+        return _number(num, den, self.text, at, den_at)
 
 
 def parse_model(text: str) -> ModelDocument:
-    p = _Parser(text)
-    toplevel: Optional[_Tok] = None
-    defs: list[tuple[str, NodeType, list[_Tok], int]] = []  # (label, type, children, offset)
-    ids: dict[str, int] = {}  # label -> node id, the index of its definition
-    raw_attr: list[tuple[str, int, list]] = []  # (name, offset, [(label token, value)])
-    raw_orders: list[tuple[str, int, list]] = []  # (name, offset, [label token])
+    """The document a model file holds. The statement matcher reads it where
+    it can; the token parser reads it otherwise and raises every error."""
+    try:
+        d = _match(text)
+        if d is not None:
+            return _assemble(d, text)
+    except AtError:
+        pass  # the token parser raises it again, with its position
+    return _parse_tokens(text)
 
+
+def _match(text: str) -> Optional[_Draft]:
+    """The statements of text, or None if the statement matcher declines
+    some of it. Raises where a numeral breaks a rule."""
+    d = _Draft()
+    defs: list[tuple[str, str, str]] = []  # (label, kind, children's text)
+    pos = _GAP.match(text).end()
+    while pos < len(text):
+        m = _STATEMENT.match(text, pos)
+        if m is None:
+            return None
+        if m["nodes"] is not None:
+            defs += _NODE.findall(text, pos, m.end("nodes"))
+        elif m["toplevel"] is not None:
+            if d.root is not None:
+                return None
+            d.root = m["toplevel"]
+        elif m["attribution"] is not None:
+            name = m["attribution"]
+            if any(name == n for n, _, _ in d.attributions):
+                return None
+            found = _BINDING.findall(text, *m.span("bindings"))
+            numerals = [(num, den) for _, num, den in found]
+            # one value per distinct numeral; inf leaves both groups empty
+            value = {key: _number(*key) if key[0] else INF for key in set(numerals)}
+            d.attributions.append((name, [b[0] for b in found], [value[k] for k in numerals]))
+        else:
+            name = m["order"]
+            if any(name == n for n, _ in d.orders):
+                return None
+            d.orders.append((name, m["chain"].split('"')[1::2]))  # labels hold no quote
+        pos = m.end()
+    # labels hold no quote, so the children's text splits on quotes
+    d.labels = [label for label, _, _ in defs]
+    d.types = [_KINDS[kind] for _, kind, _ in defs]
+    d.children = [kids.split('"')[1::2] for _, _, kids in defs]
+    d.ids = dict(zip(d.labels, range(len(defs))))
+    return d if len(d.ids) == len(defs) else None
+
+
+def _parse_tokens(text: str) -> ModelDocument:
+    """The token parser: statement syntax, the names declared twice and the
+    node shapes, checked in document order, then `_assemble`."""
+    p = _Parser(text)
+    d = _Draft()
     while p.peek()[0] != "EOF":
         kind, word, at = p.next()
         if kind == "WORD" and word == "toplevel":
-            name = p.expect("STR")
+            _, name, name_at = p.expect("STR")
             p.expect("PUNCT", ";")
-            if toplevel is not None:
-                raise p.error("second toplevel declaration", name[2], DuplicateDefinition)
-            toplevel = name
+            if d.root is not None:
+                raise p.error("second toplevel declaration", name_at, DuplicateDefinition)
+            d.root = name
+            d.at["toplevel"] = name_at
         elif kind == "WORD" and word == "attribution":
             _, name, name_at = p.expect("STR")
-            if any(name == n for n, _, _ in raw_attr):
+            if any(name == n for n, _, _ in d.attributions):
                 raise p.error(f"attribution {name!r} defined twice", name_at, DuplicateDefinition)
             p.expect("PUNCT", "{")
-            bindings = []
+            k = len(d.attributions)
+            d.at["attribution", k] = name_at
+            labels, values = [], []
             while p.peek()[:2] != ("PUNCT", "}"):
-                label = p.expect("STR")
+                _, label, label_at = p.expect("STR")
                 p.expect("PUNCT", "=")
-                v = p.value()
+                values.append(p.value())
                 p.expect("PUNCT", ";")
-                bindings.append((label, v))
+                d.at["binding", k, len(labels)] = label_at
+                labels.append(label)
             p.next()  # the closing brace
-            raw_attr.append((name, name_at, bindings))
+            d.attributions.append((name, labels, values))
         elif kind == "WORD" and word == "order":
             _, name, name_at = p.expect("STR")
-            if any(name == n for n, _, _ in raw_orders):
+            if any(name == n for n, _ in d.orders):
                 raise p.error(f"order {name!r} defined twice", name_at, DuplicateDefinition)
             p.expect("PUNCT", "=")
+            k = len(d.orders)
+            d.at["order", k] = name_at
             labels = [p.expect("STR")]
             while p.peek()[:2] == ("PUNCT", "<"):
                 p.next()
                 labels.append(p.expect("STR"))
             p.expect("PUNCT", ";")
-            raw_orders.append((name, name_at, labels))
+            for j, (_, _, label_at) in enumerate(labels):
+                d.at["link", k, j] = label_at
+            d.orders.append((name, [label for _, label, _ in labels]))
         elif kind == "STR":
             _, gate, gate_at = p.expect("WORD")
             if gate not in _KINDS:
@@ -201,108 +338,123 @@ def parse_model(text: str) -> ModelDocument:
             while p.peek()[0] == "STR":
                 children.append(p.next())
             p.expect("PUNCT", ";")
-            if word in ids:
+            if word in d.ids:
                 raise p.error(f"node {word!r} defined twice", at, DuplicateDefinition)
-            ids[word] = len(defs)
             node_type = _KINDS[gate]
             if node_type is NodeType.BAS and children:
                 raise _locate(BasWithChildren(f"basic action {word!r} lists children"), text, at)
             if node_type is not NodeType.BAS and not children:
                 raise _locate(GateWithoutChildren(f"gate {word!r} has no children"), text, at)
-            defs.append((word, node_type, children, at))
+            i = d.ids[word] = len(d.labels)
+            d.at["node", i] = at
+            for j, (_, _, child_at) in enumerate(children):
+                d.at["child", i, j] = child_at
+            d.labels.append(word)
+            d.types.append(node_type)
+            d.children.append([child for _, child, _ in children])
         else:
             raise p.error(f"unexpected token {word!r}", at)
+    return _assemble(d, text)
 
-    if toplevel is None:
-        raise p.error("missing toplevel declaration", 0)
-    _, root, root_at = toplevel
-    if root not in ids:
-        raise p.error(f"toplevel {root!r} is never defined", root_at)
-    nodes = []
-    for i, (label, node_type, children, _) in enumerate(defs):
-        for _, child, at in children:
-            if child not in ids:
-                raise _locate(
-                    DanglingReference(f"node {label!r} references undefined node {child!r}"),
-                    text, at,
-                )
-        nodes.append(Node(i, label, node_type, tuple([ids[c] for _, c, _ in children])))
+
+def _assemble(d: _Draft, text: str) -> ModelDocument:
+    """The document of a draft, checked by the rules both front ends share:
+    the root, dangling children, the tree's structure (`freeze`), then each
+    attribution and each order against the basic actions. Within a rule the
+    first offence in document order is raised."""
+
+    def where(key) -> int:
+        return d.at.get(key, 0)
+
+    def error(msg: str, key=None, cls=ModelSyntaxError) -> ModelSyntaxError:
+        return cls(msg, *_where(text, where(key)))
+
+    ids = d.ids
+    if d.root is None:
+        raise error("missing toplevel declaration")
+    if d.root not in ids:
+        raise error(f"toplevel {d.root!r} is never defined", "toplevel")
     try:
-        tree = freeze(nodes, root, ids[root])
+        nodes = [
+            Node(i, label, node_type, tuple([ids[c] for c in children]))
+            for i, (label, node_type, children) in enumerate(zip(d.labels, d.types, d.children))
+        ]
+    except KeyError:
+        for i, children in enumerate(d.children):
+            for j, child in enumerate(children):
+                if child not in ids:
+                    msg = f"node {d.labels[i]!r} references undefined node {child!r}"
+                    raise _locate(DanglingReference(msg), text, where(("child", i, j))) from None
+        raise
+    try:
+        tree = freeze(nodes, d.root, ids[d.root])
     except CyclicStructure as e:
-        raise _locate(e, text, defs[e.cycle[0]][3]) from None
+        raise _locate(e, text, where(("node", e.cycle[0]))) from None
     except TreeBuildError as e:
-        raise _locate(e, text, root_at) from None
+        raise _locate(e, text, where("toplevel")) from None
 
     # freeze leaves no node unreachable, so the BAS are the nodes of that type
-    def bas_id(block: str, name: str, tok: _Tok) -> int:
-        _, label, at = tok
-        b = ids.get(label)
-        if b is None or nodes[b].type is not NodeType.BAS:
-            raise p.error(f"{block} {name!r} names {label!r}, which is not a basic action", at)
-        return b
+    bas = {n.label: n.id for n in nodes if n.type is NodeType.BAS}
 
-    n_bas = sum(n.type is NodeType.BAS for n in nodes)
+    def not_bas(block: str, name: str, label: str, key) -> ModelSyntaxError:
+        return error(f"{block} {name!r} names {label!r}, which is not a basic action", key)
+
     attributions: dict[str, dict[int, object]] = {}
-    for name, name_at, bindings in raw_attr:
-        table: dict[int, object] = {}
-        for tok, v in bindings:
-            b = bas_id("attribution", name, tok)
-            if b in table:
-                raise p.error(
-                    f"attribution {name!r} binds {tok[1]!r} twice", tok[2], DuplicateDefinition
-                )
-            table[b] = v
-        if len(table) != n_bas:
-            missing = [n.label for n in nodes if n.type is NodeType.BAS and n.id not in table]
-            raise p.error(
-                f"attribution {name!r} misses basic actions: {', '.join(sorted(missing))}",
-                name_at,
-            )
+    for k, (name, labels, values) in enumerate(d.attributions):
+        seq = [bas.get(label) for label in labels]
+        table = dict(zip(seq, values))
+        if None in table or len(table) != len(seq):
+            seen = set()
+            for j, b in enumerate(seq):
+                if b is None:
+                    raise not_bas("attribution", name, labels[j], ("binding", k, j))
+                if b in seen:
+                    raise error(f"attribution {name!r} binds {labels[j]!r} twice",
+                                ("binding", k, j), DuplicateDefinition)
+                seen.add(b)
+        if len(table) != len(bas):
+            missing = sorted(label for label, b in bas.items() if b not in table)
+            raise error(f"attribution {name!r} misses basic actions: {', '.join(missing)}",
+                        ("attribution", k))
         attributions[name] = table
 
     orders: dict[str, tuple[int, ...]] = {}
-    for name, name_at, labels in raw_orders:
-        seq = [bas_id("order", name, tok) for tok in labels]
-        if len(seq) != n_bas or len(set(seq)) != n_bas:
-            raise p.error(f"order {name!r} is not a permutation of the basic actions", name_at)
-        orders[name] = tuple(seq)
+    for k, (name, labels) in enumerate(d.orders):
+        seq = tuple([bas.get(label) for label in labels])
+        if None in seq:
+            j = seq.index(None)
+            raise not_bas("order", name, labels[j], ("link", k, j))
+        if len(seq) != len(bas) or len(set(seq)) != len(bas):
+            raise error(f"order {name!r} is not a permutation of the basic actions", ("order", k))
+        orders[name] = seq
 
     return ModelDocument(tree, attributions, orders)
 
 
-def render_value(v) -> object:
-    """Exact, canonical rendering: inf, integer, p/q, or a sorted front. Integers
-    go through Decimal, as str() refuses more than sys.get_int_max_str_digits()."""
-    if v is INF:
-        return "inf"
-    if isinstance(v, (int, Fraction)):
-        num = str(Decimal(v.numerator))
-        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
-    if isinstance(v, frozenset):
-        return sorted([render_value(x) for x in vec] for vec in v)
-    raise ValueError(f"unrenderable value {v!r}")
-
-
 def emit_model(doc: ModelDocument) -> str:
     t = doc.tree
-    lines = [f'toplevel "{t.label_of(t.root)}";']
+    quoted = [f'"{n.label}"' for n in t.nodes]
+    lines = [f"toplevel {quoted[t.root]};"]
     for node in t.nodes:
         if node.type is NodeType.BAS:
-            lines.append(f'"{node.label}" bas;')
+            lines.append(f"{quoted[node.id]} bas;")
         else:
-            kids = " ".join(f'"{t.label_of(c)}"' for c in node.children)
-            lines.append(f'"{node.label}" {node.type.value} {kids};')
+            kids = " ".join([quoted[c] for c in node.children])
+            lines.append(f"{quoted[node.id]} {node.type.value} {kids};")
     for name in sorted(doc.attributions):
         lines.append("")
         lines.append(f'attribution "{name}" {{')
         table = doc.attributions[name]
-        for b in bas_of(t):
-            lines.append(f'  "{t.label_of(b)}" = {_value_text(table[b])};')
+        values = [table[b] for b in bas_of(t)]
+        # rendered once per value object: a parsed block holds one object per
+        # distinct numeral, and hashing a Fraction costs more than id()
+        distinct = {id(v): v for v in values}
+        text = {key: _value_text(v) for key, v in distinct.items()}
+        lines += [f"  {quoted[b]} = {text[id(v)]};" for b, v in zip(bas_of(t), values)]
         lines.append("}")
     for name in sorted(doc.orders):
         lines.append("")
-        chain = " < ".join(f'"{t.label_of(b)}"' for b in doc.orders[name])
+        chain = " < ".join([quoted[b] for b in doc.orders[name]])
         lines.append(f'order "{name}" = {chain};')
     return "\n".join(lines) + "\n"
 

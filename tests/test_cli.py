@@ -210,6 +210,23 @@ def test_metric_error_reporting(capsys):
     assert code == 1 and err.startswith("error: ")
 
 
+def test_bad_values_name_their_basic_action(tmp_path, capsys):
+    model = tmp_path / "bad.at"
+    model.write_text(
+        'toplevel "r";\n"r" or "a" "b";\n"a" bas;\n"b" bas;\n'
+        'attribution "p" { "a" = 1/2; "b" = 3/2; }\n'
+        'attribution "q" { "a" = inf; "b" = 1; }\n'
+    )
+    code, _, err = run(capsys, "metric", str(model), "--domain", "prob-max", "--attribution", "p")
+    assert (code, err) == (
+        1, "error: prob-max: probability 3/2 outside [0, 1] for basic action 'b'\n"
+    )
+    code, _, err = run(capsys, "metric", str(model), "--domain", "prob-max", "--attribution", "q")
+    assert (code, err) == (
+        1, "error: prob-max: expected an exact rational, got inf for basic action 'a'\n"
+    )
+
+
 def test_ktop_golden(capsys):
     code, out, _ = run(
         capsys, "ktop", f"{MODELS}/overlap.at", "--domain", "min-cost",

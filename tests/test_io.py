@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from atquant import (
 )
 from atquant.bdd import from_structure_function, minimise
 from atquant.errors import (
+    AtError,
     BasWithChildren,
     CyclicStructure,
     DanglingReference,
@@ -28,7 +30,7 @@ from atquant.errors import (
     MultipleRoots,
     NoRoot,
 )
-from atquant.io import emit_dot_bdd, render_value
+from atquant.io import _match, _parse_tokens, emit_dot_bdd, render_value
 from atquant.tree import NodeType
 
 from helpers import alpha, rand_dag, rand_tree
@@ -190,6 +192,123 @@ def test_random_models_round_trip_through_the_text_format():
         again = parse_model(emit_model(ModelDocument(t))).tree
         assert again == t
         assert all(again.id_of(n.label) == n.id for n in t.nodes)
+
+
+def outcome(parse, text: str):
+    """What parse makes of text: the document with the order and type of every
+    value, or the error's class, message, position and cycle witness."""
+    try:
+        doc = parse(text)
+    except AtError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None), \
+            getattr(e, "cycle", None)
+    tables = [(name, list(table.items()), [type(v) for v in table.values()])
+              for name, table in doc.attributions.items()]
+    return doc.tree, tables, list(doc.orders.items())
+
+
+def emitted_models(rng: random.Random, count: int) -> list[str]:
+    """`emit_model` texts of random trees and DAGs with two attributions and
+    an order."""
+    texts = []
+    for i in range(count):
+        t = (rand_tree if i % 2 else rand_dag)(rng, 8, dynamic=i % 3 == 0)
+        bas = list(bas_of(t))
+        attributions = {
+            name: {b: builtin(domain).random_value(rng) for b in bas}
+            for name, domain in (("cost", "min-cost"), ("prob", "prob-max"))
+        }
+        orders = {"o": tuple(rng.sample(bas, len(bas)))}
+        texts.append(emit_model(ModelDocument(t, attributions, orders)))
+    return texts
+
+
+def _outside_labels(text: str, edit) -> str:
+    """text with edit applied to every stretch between quoted labels."""
+    parts = re.split(r'("[^"\n]*")', text)
+    parts[::2] = [edit(part) for part in parts[::2]]
+    return "".join(parts)
+
+
+# Layouts of an emitted model (which has no comments) that the statement
+# matcher reads itself.
+MATCHED_LAYOUTS = {
+    "canonical": lambda text: text,
+    "no spaces": lambda text: _outside_labels(text, lambda s: re.sub(r"[ \n]+", "", s)),
+    "tabs": lambda text: _outside_labels(text, lambda s: re.sub(r"[ \n]+", "\t", s)),
+    "CRLF": lambda text: text.replace("\n", "\r\n"),
+    # a comment line before every statement, quotes and all
+    "comments between statements": lambda text: re.sub(
+        r'^(?=["ao])', '// "x" bas; "y" = 1; }\n', text, flags=re.M),
+}
+
+
+def _comment_inside(text: str) -> str:
+    """A comment inside the first gate and the first binding, naming a label
+    of the model: read as a child, it would change the tree."""
+    text = re.sub(r'^("[^"]*" (?:or|and|sand) ("[^"]*"))', r'\1 // \2\n', text, count=1,
+                  flags=re.M)
+    return re.sub(r"^(  \S+ =)", "\\1 // 1;\n", text, count=1, flags=re.M)
+
+
+# Beside SYNTAX_ERRORS: texts that break one rule the statement matcher
+# enforces itself, and values on the edge of what it converts.
+_R = 'toplevel "r";\n"r" or "a";\n"a" bas;\n'
+MATCHER_EDGES = [
+    'toplevel "g";\n"g" bas "a";\n"a" bas;\n',  # a basic action with children
+    'toplevel "g";\n"g" or;\n',  # a gate without
+    _R + '"a" bas;\n',
+    _R + 'toplevel "a";\n',
+    _R + 'order "o" = "a";\norder "o" = "a";\n',
+    _R + 'attribution "c" { "a" = 1; }\nattribution "c" { "a" = 1; }\n',
+    # whitespace to Python but not to the token grammar
+    _R.replace(" bas", "\fbas"), _R.replace(" bas", "\vbas"), _R.replace(" bas", "\x1cbas"),
+    _R.replace(" bas", "\u00a0bas"), _R.replace(" or", "\u2003or"),
+    # a keyword, inf or numeral running into a word
+    _R.replace("bas", "basé"), _R.replace("bas", "bas_"), _R.replace("or ", "or-x "),
+    _R.replace("toplevel", "toplevelé"), _R + 'order_ "o" = "a";\n',
+    *(_R + f'attribution "c" {{ "a" = {v}; }}\n' for v in (
+        "infé", "inf2", "inf_", "inf/2", "2é", "2_", "1/2x", "1.5é", "1 / 2", "1.5/2", "1.",
+        "1..2", "0/0", "007", "1/007", "\t3\r\n/\n4 ",
+    )),
+    _R + 'attribution "c" { "a" = 1; // 2;\n}\n',  # a comment inside a statement
+    _R + 'order "o" = "a" // < "r"\n;\n',
+]
+
+
+def test_statement_matcher_agrees_with_the_token_parser():
+    """The token parser is the reference: parse_model must give its document,
+    or its error with the same message, line, column and cycle, on every text."""
+    rng = random.Random(10)
+    emitted = emitted_models(rng, 60)
+    for text in emitted:
+        for name, layout in MATCHED_LAYOUTS.items():
+            laid_out = layout(text)
+            assert _match(laid_out) is not None, name
+            assert outcome(parse_model, laid_out) == outcome(_parse_tokens, laid_out), name
+        inside = _comment_inside(text)
+        assert _match(inside) is None
+        assert outcome(parse_model, inside) == outcome(_parse_tokens, inside)
+    sources = [path.read_text() for path in CORPUS] + emitted[:20]
+    for text in sources[: len(CORPUS)] + [case[0] for case in SYNTAX_ERRORS] + MATCHER_EDGES:
+        assert outcome(parse_model, text) == outcome(_parse_tokens, text)
+
+    # one to three characters inserted, deleted or replaced, from an alphabet
+    # of the grammar's characters and some it refuses
+    alphabet = ' \t\r\n"/;{}=<>.0123456789abdefilnoprst_-é²$'
+    for _ in range(3000):
+        chars = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(chars):
+                del chars[i]
+            elif op == 1 or i == len(chars):
+                chars.insert(i, rng.choice(alphabet))
+            else:
+                chars[i] = rng.choice(alphabet)
+        text = "".join(chars)
+        assert outcome(parse_model, text) == outcome(_parse_tokens, text), repr(text)
 
 
 def test_render_value_forms():
