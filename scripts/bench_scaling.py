@@ -20,7 +20,13 @@ column should grow linearly.
 Experiment 4: parse_model over the model files of balanced static trees with
 two attributions, integer and ratio costs and ratio probabilities, doubling
 node counts up to 2^max-power - 1 (131,071 nodes, 5.3 MB at the default);
-it prints the best of three parses and the megabytes read per second.
+it prints the best of three parses and the megabytes read per second. Beside
+them come the stages a metric request runs next, each timed (best of three)
+on a freshly parsed tree so that no structural fact is cached yet: classify,
+bas_of, validate_attribution of the costs for min-cost, and the min-cost
+fold (bu_sat). A fresh tree has computed neither order, so validation pays
+for the walk behind bas_of and the fold for the one behind the bottom-up
+order; on a proper tree that is the same single walk.
 
     python3 scripts/bench_scaling.py [--max-power 17] [--ladder-max 2048]
 """
@@ -41,13 +47,14 @@ from atquant import (
     bu_sat,
     build,
     builtin,
+    classify,
     emit_model,
     is_well_formed,
     k_top,
     oracle_metric_static,
     parse_model,
 )
-from atquant.analysis import bu_bdd_detailed
+from atquant.analysis import bu_bdd_detailed, validate_attribution
 from atquant.semantics import DEFAULT_BUDGET
 from atquant.tree import NodeType
 
@@ -146,10 +153,24 @@ def bench_well_formed(cfg: BenchConfig) -> None:
     print()
 
 
+def fresh_stage(text: str, stage) -> float:
+    """Best of three timings of stage(doc), each on a newly parsed document."""
+    return min(clock(stage, parse_model(text))[1] for _ in range(3))
+
+
 def bench_parse(cfg: BenchConfig) -> None:
-    print("balanced static trees with two attributions, parse_model")
-    print(f"{'nodes':>9} {'MB':>6} {'parse ms':>9} {'MB/s':>6}")
+    print("balanced static trees with two attributions, parse_model, then the")
+    print("stages of a min-cost request, each on a freshly parsed tree")
+    print(f"{'nodes':>9} {'MB':>6} {'parse ms':>9} {'MB/s':>6} {'classify':>9} {'bas_of':>7} "
+          f"{'validate':>9} {'fold ms':>8}")
     rng = random.Random(1)
+    dom = builtin("min-cost")
+    stages = (
+        lambda doc: classify(doc.tree),
+        lambda doc: bas_of(doc.tree),
+        lambda doc: validate_attribution(doc.tree, doc.attributions["cost"], dom),
+        lambda doc: bu_sat(doc.tree, doc.attributions["cost"], dom),
+    )
     power = 10
     while power <= cfg.max_power:
         t = balanced_tree(power - 1)
@@ -161,7 +182,9 @@ def bench_parse(cfg: BenchConfig) -> None:
         assert runs[0][0].tree == t, "a model file reads back as the tree it was written from"
         dt = min(took for _, took in runs)
         mb = len(text.encode()) / 1e6
-        print(f"{len(t):>9} {mb:>6.2f} {dt * 1000:>9.1f} {mb / dt:>6.1f}")
+        ms = [fresh_stage(text, stage) * 1000 for stage in stages]
+        print(f"{len(t):>9} {mb:>6.2f} {dt * 1000:>9.1f} {mb / dt:>6.1f} {ms[0]:>9.2f} "
+              f"{ms[1]:>7.1f} {ms[2]:>9.1f} {ms[3]:>8.1f}")
         power += 1
     print()
 

@@ -72,8 +72,19 @@ def _require(engine: str, domain: AttributeDomain) -> None:
 
 
 def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) -> None:
-    """Attributions must cover every BAS with a value the domain accepts."""
-    for b in bas_of(t):
+    """Attributions must cover every BAS with a value the domain accepts;
+    the first offence in `bas_of` order is named. Each distinct value object
+    is checked once (a parsed block holds one per numeral), and the BAS are
+    gone through one at a time only to name an offence."""
+    bas = bas_of(t)
+    try:
+        distinct = {id(v): v for v in map(alpha.__getitem__, bas)}
+        for v in distinct.values():
+            domain.validate_value(v)
+        return
+    except (KeyError, BadAttributeValue):
+        pass
+    for b in bas:
         if b not in alpha:
             raise MissingAttribution(f"no value for basic action {t.label_of(b)!r}")
         try:

@@ -375,10 +375,7 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
     if d.root not in ids:
         raise error(f"toplevel {d.root!r} is never defined", "toplevel")
     try:
-        nodes = [
-            Node(i, label, node_type, tuple([ids[c] for c in children]))
-            for i, (label, node_type, children) in enumerate(zip(d.labels, d.types, d.children))
-        ]
+        kids = [tuple(map(ids.__getitem__, children)) for children in d.children]
     except KeyError:
         for i, children in enumerate(d.children):
             for j, child in enumerate(children):
@@ -386,6 +383,7 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
                     msg = f"node {d.labels[i]!r} references undefined node {child!r}"
                     raise _locate(DanglingReference(msg), text, where(("child", i, j))) from None
         raise
+    nodes = list(map(Node, range(len(kids)), d.labels, d.types, kids))
     try:
         tree = freeze(nodes, d.root, ids[d.root])
     except CyclicStructure as e:

@@ -3,17 +3,27 @@
 Nodes live in a contiguous integer-id store; children are id tuples, so the
 same structure type covers proper trees and DAGs with shared subtrees. All
 traversals are iterative: models with 10^5 nodes (or degenerate chains) must
-not hit the interpreter recursion limit. `postorder` is the one walk behind
-every bottom-up evaluation: tree folds go through `fold`, and the decision
-diagrams of `bdd` walk their nodes with the same function.
+not hit the interpreter recursion limit.
+
+An `AttackTree` records its structure kind when it is made: `freeze` reads
+it off the in-degrees and node types it checks anyway, and
+`static_projection` derives it from the kind of its input. On a proper tree
+one walk, its left-to-right preorder, gives both the bottom-up order
+(`AttackTree.postorder`, the preorder read backwards) and the BAS order
+(`AttackTree.bas`, its BAS in turn). A DAG keeps two walks with seen-sets:
+the `postorder` function and a depth-first first-occurrence search; on a
+tree they would give the same two orders. `postorder` is the one order
+behind every bottom-up evaluation: tree folds go through `fold`, and the
+decision diagrams of `bdd` walk their nodes with the `postorder` function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable, Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BasWithChildren,
@@ -53,8 +63,11 @@ class StructureKind:
         return f"({self.shape.value}, {self.dynamics.value})"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
+    """A named tuple, not a frozen dataclass: as immutable, compared by value
+    too, and less than half as costly to build, which counts at 10^5 nodes.
+    Like any tuple it also equals a plain tuple of its four fields."""
+
     id: int
     label: str
     type: NodeType
@@ -63,8 +76,12 @@ class Node:
 
 @dataclass(frozen=True)
 class AttackTree:
+    """Made by `build` and `io.parse_model`, both through `freeze`, or by
+    `static_projection`; each passes the structure kind on as `kind`."""
+
     nodes: tuple[Node, ...]  # index == node id
     root: int
+    kind: StructureKind = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.nodes)
@@ -91,25 +108,15 @@ class AttackTree:
 
     @cached_property
     def postorder(self) -> tuple[int, ...]:
+        if self.kind.shape is Shape.TREE:
+            return self._tree_orders[0]
         nodes = self.nodes
         return postorder(self.root, lambda v: nodes[v].children)
 
     @cached_property
-    def kind(self) -> StructureKind:
-        seen: set[int] = set()
-        shape = Shape.TREE
-        dynamics = Dynamics.STATIC
-        for n in self.nodes:
-            if n.type is NodeType.SAND:
-                dynamics = Dynamics.DYNAMIC
-            for c in n.children:
-                if c in seen:
-                    shape = Shape.DAG
-                seen.add(c)
-        return StructureKind(shape, dynamics)
-
-    @cached_property
     def bas(self) -> tuple[int, ...]:
+        if self.kind.shape is Shape.TREE:
+            return self._tree_orders[1]
         out: list[int] = []
         seen: set[int] = set()
         stack = [self.root]
@@ -124,6 +131,25 @@ class AttackTree:
             else:
                 stack.extend(reversed(node.children))
         return tuple(out)
+
+    @cached_property
+    def _tree_orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(postorder, bas) of a proper tree from its left-to-right preorder:
+        read backwards, it finishes the last child first as the seen-set walk
+        does, and its BAS come in depth-first leftmost order."""
+        nodes = self.nodes
+        pre: list[int] = []
+        bas: list[int] = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            pre.append(v)
+            n = nodes[v]
+            if n.type is NodeType.BAS:
+                bas.append(v)
+            else:
+                stack.extend(reversed(n.children))
+        return tuple(reversed(pre)), tuple(bas)
 
 
 def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) -> AttackTree:
@@ -164,11 +190,16 @@ def freeze(nodes: Sequence[Node], root_label: str, root: Optional[int]) -> Attac
     """`build`'s checks from cycles on, for nodes whose labels are resolved:
     node i has id i and children in range; root is root_label's id, None if
     no node has it. One run of Kahn's algorithm finds the cycles and, as its
-    initial queue, the parentless nodes."""
+    initial queue, the parentless nodes. The in-degrees and the node types
+    also give the structure kind the tree records."""
     indeg = [0] * len(nodes)
     for n in nodes:
         for c in n.children:
             indeg[c] += 1
+    kind = StructureKind(
+        Shape.DAG if max(indeg, default=0) > 1 else Shape.TREE,
+        Dynamics.DYNAMIC if NodeType.SAND in map(attrgetter("type"), nodes) else Dynamics.STATIC,
+    )
     order = [n.id for n in nodes if indeg[n.id] == 0]
     parentless = len(order)
     for v in order:  # Kahn's queue, read while it grows
@@ -193,7 +224,7 @@ def freeze(nodes: Sequence[Node], root_label: str, root: Optional[int]) -> Attac
         raise MultipleRoots(f"more than one root candidate: {names}")
     if order[0] != root:
         raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
-    return AttackTree(tuple(nodes), root)
+    return AttackTree(tuple(nodes), root, kind)
 
 
 def find_cycle(start: int, succ: Sequence[Iterable[int]]) -> Optional[list[int]]:
@@ -245,16 +276,17 @@ def fold(t: AttackTree, leaf: Callable[[Node], Any], gate: Callable[[Node, list]
     """Bottom-up evaluation at the root: leaf(node) gives a BAS its value,
     gate(node, child values) combines a gate's. A shared node is evaluated
     once and its value reused by every parent."""
-    vals: dict[int, Any] = {}
+    nodes = t.nodes
+    vals: list[Any] = [None] * len(nodes)
     for v in t.postorder:
-        n = t.nodes[v]
+        n = nodes[v]
         vals[v] = leaf(n) if n.type is NodeType.BAS else gate(n, [vals[c] for c in n.children])
     return vals[t.root]
 
 
 def classify(t: AttackTree) -> StructureKind:
     """Tree vs DAG (any node referenced twice, same-gate repeats included)
-    and static vs dynamic (any SAND present)."""
+    and static vs dynamic (any SAND present), as `freeze` recorded them."""
     return t.kind
 
 
@@ -287,10 +319,10 @@ def static_projection(t: AttackTree) -> AttackTree:
 
     Idempotent, and the identity on static models (same object back).
     """
-    if all(n.type is not NodeType.SAND for n in t.nodes):
+    if t.kind.dynamics is Dynamics.STATIC:
         return t
     nodes = tuple(
         Node(n.id, n.label, NodeType.AND, n.children) if n.type is NodeType.SAND else n
         for n in t.nodes
     )
-    return AttackTree(nodes, t.root)
+    return AttackTree(nodes, t.root, StructureKind(t.kind.shape, Dynamics.STATIC))

@@ -324,6 +324,68 @@ def test_validate_attribution():
         validate_attribution(t, {b: -5 for b in bas_of(t)}, mc)
 
 
+def _first_offence(t, a, domain):
+    """(class, message) of the first offence met checking BAS by BAS."""
+    for b in bas_of(t):
+        if b not in a:
+            return MissingAttribution, f"no value for basic action {t.label_of(b)!r}"
+        try:
+            domain.validate_value(a[b])
+        except BadAttributeValue as e:
+            return BadAttributeValue, f"{e} for basic action {t.label_of(b)!r}"
+    return None
+
+
+def _assert_names_first_offence(t, a, domain):
+    want = _first_offence(t, a, domain)
+    assert want is not None
+    for check in (lambda: validate_attribution(t, a, domain),
+                  lambda: analyze(AnalysisRequest(t, a, domain))):
+        with pytest.raises(want[0]) as ei:
+            check()
+        assert str(ei.value) == want[1]
+
+
+def test_validation_names_the_first_offence_in_bas_order():
+    t = tt(("or", "n", ("and", "t", "p"), ("and", "q", "r")))  # BAS n, t, p, q, r
+    mc, pm = builtin("min-cost"), builtin("prob-max")
+    bad, good = Fraction(-1, 2), Fraction(1, 2)
+    # several BAS share one bad value object; the first of them is named
+    shared = alpha(t, {"n": good, "t": good, "p": bad, "q": good, "r": bad})
+    _assert_names_first_offence(t, shared, mc)
+    _assert_names_first_offence(t, alpha(t, {"n": 2, "t": 2, "p": good, "q": 2, "r": 2}), pm)
+    # a missing BAS after a bad value, then a bad value after a missing BAS
+    _assert_names_first_offence(t, alpha(t, {"n": 1, "t": bad, "q": 1, "r": 1}), mc)
+    _assert_names_first_offence(t, alpha(t, {"n": 1, "p": bad, "q": 1, "r": 1}), mc)
+    # pareto fronts: every BAS holds its own front object
+    par = builtin("pareto(min-cost,min-skill)")
+    fronts = {b: frozenset({(1, 2)}) for b in bas_of(t)}
+    fronts[t.id_of("q")] = frozenset({(1, -2)})
+    fronts[t.id_of("r")] = frozenset({(1, 2, 3)})
+    _assert_names_first_offence(t, fronts, par)
+    del fronts[t.id_of("p")]
+    _assert_names_first_offence(t, fronts, par)
+
+
+def test_validation_agrees_with_a_per_bas_loop_on_random_attributions():
+    rng = random.Random(17)
+    mc = builtin("min-cost")
+    bad = [-1, Fraction(-3, 2), "x", True, 1.5]
+    for _ in range(300):
+        t = (rand_tree if rng.random() < 0.5 else rand_dag)(rng, 8)
+        bas = bas_of(t)
+        a = {b: rng.choice((1, 2, Fraction(1, 3), INF)) for b in bas}
+        for b in rng.sample(bas, rng.randint(0, min(2, len(bas)))):
+            if rng.random() < 0.5:
+                del a[b]
+            else:
+                a[b] = rng.choice(bad)
+        if _first_offence(t, a, mc) is None:
+            validate_attribution(t, a, mc)
+        else:
+            _assert_names_first_offence(t, a, mc)
+
+
 def test_analyze_routing_matrix():
     mc = builtin("min-cost")
     ctd = builtin("cost-to-defend")

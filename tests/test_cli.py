@@ -300,6 +300,53 @@ def test_dump_dot_variants(capsys):
     assert code == 1 and "static" in err
 
 
+# Diagram node ids follow the tree's bottom-up order; a new order would
+# renumber them. Pinned on a static tree and on a static DAG.
+BDD_DUMPS = {
+    "treasure.at": (
+        'digraph bdd {\n'
+        '  rankdir=TB;\n'
+        '  n0 [shape=box, label="0"];\n'
+        '  n1 [shape=box, label="1"];\n'
+        '  n2 [shape=circle, label="p"];\n'
+        '  n4 [shape=circle, label="t"];\n'
+        '  n6 [shape=circle, label="n"];\n'
+        '  n2 -> n0 [style=dashed];\n'
+        '  n2 -> n1 [style=solid];\n'
+        '  n4 -> n0 [style=dashed];\n'
+        '  n4 -> n2 [style=solid];\n'
+        '  n6 -> n4 [style=dashed];\n'
+        '  n6 -> n1 [style=solid];\n'
+        '}\n'
+    ),
+    "overlap.at": (
+        'digraph bdd {\n'
+        '  rankdir=TB;\n'
+        '  n0 [shape=box, label="0"];\n'
+        '  n1 [shape=box, label="1"];\n'
+        '  n2 [shape=circle, label="c"];\n'
+        '  n3 [shape=circle, label="b"];\n'
+        '  n4 [shape=circle, label="b"];\n'
+        '  n7 [shape=circle, label="a"];\n'
+        '  n2 -> n0 [style=dashed];\n'
+        '  n2 -> n1 [style=solid];\n'
+        '  n3 -> n0 [style=dashed];\n'
+        '  n3 -> n1 [style=solid];\n'
+        '  n4 -> n2 [style=dashed];\n'
+        '  n4 -> n1 [style=solid];\n'
+        '  n7 -> n3 [style=dashed];\n'
+        '  n7 -> n4 [style=solid];\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(BDD_DUMPS))
+def test_dump_bdd_node_ids_golden(capsys, model):
+    code, out, _ = run(capsys, "dump", f"{MODELS}/{model}", "--what", "bdd")
+    assert code == 0 and out == BDD_DUMPS[model]
+
+
 def test_dump_dot_escapes_backslashes(capsys, tmp_path):
     # a quoted label may end in a backslash; DOT needs it doubled, or the
     # closing quote would be escaped and the string left open

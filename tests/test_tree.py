@@ -1,8 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from atquant import bas_of, build, classify, static_projection, structure_function
+from atquant import bas_of, build, classify, parse_model, static_projection, structure_function
 from atquant.errors import (
     BasWithChildren,
     CyclicStructure,
@@ -13,7 +14,7 @@ from atquant.errors import (
     NoRoot,
     UnknownNode,
 )
-from atquant.tree import Dynamics, NodeType, Shape, descendants, postorder
+from atquant.tree import Dynamics, NodeType, Shape, StructureKind, descendants, postorder
 
 from helpers import overlap, labels, rand_dag, rand_tree, exploit, treasure, tt
 
@@ -198,3 +199,62 @@ def test_structural_facts_are_computed_once():
     assert t.postorder is t.postorder
     assert classify(t) is classify(t) and bas_of(t) is bas_of(t)
     assert t == tt(("and", ("or", "a", "b"), ("or", "b", "c")))
+
+
+def _reference_kind(t) -> StructureKind:
+    """Shape by a seen-set over every child reference, dynamics by any SAND."""
+    seen: set[int] = set()
+    shape = Shape.TREE
+    for n in t.nodes:
+        for c in n.children:
+            if c in seen:
+                shape = Shape.DAG
+            seen.add(c)
+    sand = any(n.type is S for n in t.nodes)
+    return StructureKind(shape, Dynamics.DYNAMIC if sand else Dynamics.STATIC)
+
+
+def _reference_bas(t) -> tuple[int, ...]:
+    """BAS in depth-first leftmost order, first occurrence only."""
+    out: list[int] = []
+    seen: set[int] = set()
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        if t.nodes[v].type is B:
+            out.append(v)
+        else:
+            stack.extend(reversed(t.nodes[v].children))
+    return tuple(out)
+
+
+def _facts_models():
+    rng = random.Random(23)
+    models = [build([("r", A, ["a", "a"]), ("a", B, [])], "r"),
+              build([("r", O, ["g", "b"]), ("g", S, ["a", "b", "a"]), ("a", B, []),
+                     ("b", B, [])], "r")]
+    for _ in range(150):
+        models += [rand_tree(rng, 12), rand_tree(rng, 12, dynamic=True),
+                   rand_dag(rng, 9), rand_dag(rng, 9, dynamic=True)]
+    models += [parse_model(p.read_text()).tree
+               for p in sorted((Path(__file__).parent.parent / "models").glob("*.at"))]
+    return models + [static_projection(t) for t in models]
+
+
+def test_recorded_facts_match_brute_force_walks():
+    for t in _facts_models():
+        assert classify(t) == _reference_kind(t)
+        assert t.postorder == postorder(t.root, lambda v: t.nodes[v].children)
+        assert bas_of(t) == _reference_bas(t)
+    repeat = build([("r", A, ["a", "a"]), ("a", B, [])], "r")
+    assert classify(repeat).shape is Shape.DAG
+    assert classify(static_projection(exploit())) == StructureKind(Shape.DAG, Dynamics.STATIC)
+
+
+def test_node_is_a_named_tuple():
+    n = treasure().node(0)
+    assert n._fields == ("id", "label", "type", "children")
+    assert n == (n.id, n.label, n.type, n.children)
