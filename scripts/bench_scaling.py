@@ -8,7 +8,11 @@ Experiment 2: the shared-structure diagram fold on ladder DAGs
 AND(OR(b1,b2), OR(b2,b3), ...) where every inner action is shared by two
 gates, doubling from 4 to 2048 rungs, against the exponential subset oracle
 up to its default BAS budget, with the five cheapest attacks (k-top, k = 5)
-beside it; both timings include compiling and minimising the diagram. Next to the
+beside it; both timings include compiling and minimising the diagram. A
+second k-top column costs the i-th action 1/p_i for the i-th prime p_i: k-top
+sums path weights as integers over the common denominator of the costs,
+and pairwise coprime denominators make that the product of all of them,
+its worst case (about 3,500 digits at 1,024 rungs). Next to the
 reachable node count of the minimised diagram it prints the size of the
 unique table those nodes live in, which counts every node ever made while
 compiling and minimising.
@@ -94,6 +98,17 @@ def ladder_dag(rungs: int):
     return build(defs, "root")
 
 
+def primes(n: int) -> list[int]:
+    """The first n primes, by trial division against the smaller ones."""
+    out: list[int] = []
+    c = 2
+    while len(out) < n:
+        if all(c % p for p in out if p * p <= c):
+            out.append(c)
+        c += 1
+    return out
+
+
 def clock(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
@@ -117,7 +132,7 @@ def bench_fold(cfg: BenchConfig) -> None:
 def bench_ladder(cfg: BenchConfig) -> None:
     print("ladder DAGs, min-cost: diagram fold and k-top vs subset oracle")
     print(f"{'BAS':>5} {'bdd nodes':>10} {'unique':>8} {'bdd ms':>8} {'ktop ms':>8} "
-          f"{'oracle ms':>10} {'agree':>6}")
+          f"{'ktop 1/p':>9} {'oracle ms':>10} {'agree':>6}")
     dom = builtin("min-cost")
     rungs = 4
     while rungs <= cfg.ladder_max:
@@ -127,6 +142,8 @@ def bench_ladder(cfg: BenchConfig) -> None:
         run, dt_bdd = clock(bu_bdd_detailed, t, a, dom)
         top, dt_ktop = clock(k_top, t, a, dom, 5)
         assert top[0][0] == run.value, "the cheapest attack costs the metric"
+        coprime = {b: Fraction(1, p) for b, p in zip(bas_of(t), primes(n))}
+        _, dt_coprime = clock(k_top, t, coprime, dom, 5)
         if n <= DEFAULT_BUDGET:
             want, dt_oracle = clock(oracle_metric_static, t, a, dom)
             agree = "yes" if want == run.value else "NO"
@@ -135,7 +152,8 @@ def bench_ladder(cfg: BenchConfig) -> None:
             agree = "-"
             oracle_col = f"{'skipped':>10}"
         print(f"{n:>5} {run.diagram.node_count():>10} {len(run.diagram.store.unique):>8} "
-              f"{dt_bdd * 1000:>8.1f} {dt_ktop * 1000:>8.1f} {oracle_col} {agree:>6}")
+              f"{dt_bdd * 1000:>8.1f} {dt_ktop * 1000:>8.1f} {dt_coprime * 1000:>9.1f} "
+              f"{oracle_col} {agree:>6}")
         rungs *= 2
     print()
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -138,17 +137,29 @@ class BuBddRun:
     visits: int
 
 
+def _rank_values(t: AttackTree, alpha: dict, m: Bdd) -> list:
+    """The attribute of each variable rank the diagram branches on, None at
+    the others. Looked up in the diagram's postorder, so a missing value is
+    reported where a fold would meet it, and only if the diagram has it."""
+    ranks, bas_at, nodes = m.store.ranks, m.order.bas, t.nodes
+    at_rank: list = [None] * len(bas_at)
+    for r in dict.fromkeys(ranks[v] for v in m.postorder if v >= 2):
+        at_rank[r] = _value(alpha, nodes[bas_at[r]])
+    return at_rank
+
+
 def bu_bdd_detailed(
     t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None
 ) -> BuBddRun:
     _require("bu_bdd", domain)
     m = minimise(from_structure_function(t, order))
-    store = m.store
+    ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
+    or_op, and_op = domain.or_op, domain.and_op
+    at_rank = _rank_values(t, alpha, m)
     vals: dict[int, object] = {FALSE: domain.or_neutral, TRUE: domain.and_neutral}
     for v in m.postorder:
         if v >= 2:
-            a = _value(alpha, t.nodes[m.var_at(v)])
-            vals[v] = domain.or_op(vals[store.lows[v]], domain.and_op(vals[store.highs[v]], a))
+            vals[v] = or_op(vals[lows[v]], and_op(vals[highs[v]], at_rank[ranks[v]]))
     return BuBddRun(vals[m.root], m, len(vals))
 
 
@@ -174,6 +185,10 @@ def k_top(
     k; as an infinite weight ties every path through its high edge, each
     node keeps its k lexicographically least paths beside its k shortest.
     Returns fewer than k pairs exactly when fewer minimal attacks exist.
+    Finite weights are summed as integers over one common denominator, the
+    least common multiple of the attributes' denominators; scaling by it
+    keeps every sum, comparison and tie, so the metrics (divided back,
+    exactly) and the attacks are those of rational arithmetic.
     """
     pairs, _ = k_top_detailed(t, alpha, domain, k, order)
     return pairs
@@ -194,20 +209,34 @@ def k_top_detailed(
         )
     sgn = 1 if domain.ktop_mode is KTopMode.MIN_ADDITIVE else -1
     m = minimise(from_structure_function(t, order))
-    lows, highs = m.store.lows, m.store.highs
+    ranks, lows, highs, bas_at = m.store.ranks, m.store.lows, m.store.highs, m.order.bas
+    # signed edge weights, finite ones as integers over one common
+    # denominator: scaling by scale > 0 keeps every sum, comparison and tie
+    at_rank = _rank_values(t, alpha, m)
+    scale = math.lcm(*{a.denominator for a in at_rank if a is not None and a is not INF})
+    weight = [None if a is None else sgn * math.inf if a is INF
+              else sgn * a.numerator * (scale // a.denominator) for a in at_rank]
     # a path is (weight, attack), an attack nested (bas, rest) pairs; a
     # node's lists are dropped once its last parent has read them
     best: dict[int, list] = {FALSE: [], TRUE: [(0, ())]}
     lex: dict[int, list] = {FALSE: [], TRUE: [()]}
-    parents = Counter(c for v in m.postorder if v >= 2 for c in (lows[v], highs[v]))
+    parents = [0] * len(lows)
     for v in m.postorder:
         if v >= 2:
-            lo, hi, bas = lows[v], highs[v], m.var_at(v)
-            a = _value(alpha, t.nodes[bas])
-            if a is INF:
-                up = [(sgn * math.inf, (bas, rest)) for rest in lex[hi]]
+            parents[lows[v]] += 1
+            parents[highs[v]] += 1
+    for v in m.postorder:
+        if v >= 2:
+            lo, hi, r = lows[v], highs[v], ranks[v]
+            bas, a = bas_at[r], weight[r]
+            if at_rank[r] is INF:
+                up = [(a, (bas, rest)) for rest in lex[hi]]
             else:
-                up = [(w + sgn * a, (bas, rest)) for w, rest in best[hi]]
+                try:
+                    up = [(w + a, (bas, rest)) for w, rest in best[hi]]
+                except OverflowError:  # inf + an int past the float range
+                    up = [(w if isinstance(w, float) else w + a, (bas, rest))
+                          for w, rest in best[hi]]
             best[v] = sorted(best[lo] + up, key=itemgetter(0))[:k]
             lex[v] = (lex[lo] + [(bas, rest) for rest in lex[hi]])[:k]
             for c in (lo, hi):
@@ -221,7 +250,10 @@ def k_top_detailed(
         while attack:
             b, attack = attack
             taken.append(b)
-        metric = INF if isinstance(w, float) and math.isinf(w) else sgn * w
+        if isinstance(w, float):
+            metric = INF
+        else:
+            metric = sgn * w if scale == 1 else Fraction(sgn * w, scale)
         out.append((metric, frozenset(taken)))
     return out, m
 

@@ -6,16 +6,19 @@ Structure functions compile bottom-up with a memoized apply. A gate's
 children are combined pairwise, [k0 op k1, k2 op k3, ...] with an odd last
 child carried over, round after round until one is left: operands stay of
 similar size, where a left fold would apply a growing accumulator to each
-child of a wide gate in turn. `apply` and `minimise`'s `without`
-run on explicit work stacks, in the style of Brace, Rudell and Bryant
-(DAC 1990), and no function here calls itself, so a diagram's depth is not
-bounded by the interpreter's recursion limit. On top of the
-plain ROBDD sits the minimal-solutions transform: a second diagram whose
-TRUE-paths (read as the set of variables taken on a high edge) are exactly
-the subset-minimal successful attacks. That diagram is meaningful under
-path semantics, not boolean semantics, so it is built with its own node
-constructor whose reduction rule drops nodes with a FALSE high child
-instead of merging equal children.
+child of a wide gate in turn. `apply` and `minimise`'s `without` run on
+explicit work stacks, in the style of Brace, Rudell and Bryant (DAC 1990),
+and no function here calls itself, so a diagram's depth is not bounded by
+the interpreter's recursion limit. `apply` and `minimise` make their nodes
+inline, with the hash-consing of `_Store.node`, and `Bdd.postorder` has a
+walk of its own over the store's child arrays: each runs once per node,
+where a call or a generic walk would cost more than the work itself. On
+top of the plain ROBDD sits the minimal-solutions transform: a second
+diagram whose TRUE-paths (read as the set of variables taken on a high
+edge) are exactly the subset-minimal successful attacks. That diagram is
+meaningful under path semantics, not boolean semantics, so it is built with
+its own node constructor whose reduction rule drops nodes with a FALSE high
+child instead of merging equal children.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import DynamicTreeRejected, InvalidBdd, OrderMismatch
-from .tree import AttackTree, Dynamics, Node, bas_of, classify, fold, postorder
+from .tree import AttackTree, Dynamics, Node, bas_of, classify, fold
 
 FALSE = 0
 TRUE = 1
@@ -88,16 +91,14 @@ class _Store:
         self.unique[key] = nid
         return nid
 
-    def mk(self, rank: int, low: int, high: int) -> int:
-        if low == high:
-            return low
-        return self.node(rank, low, high)
-
     def apply(self, op: str, f: int, g: int) -> int:
         """f op g for op "or" or "and", by Shannon expansion on the top
         variable; runs on an explicit stack, the low side first, so nodes
-        are made in the order a recursive apply would make them."""
-        ranks, lows, highs, memo = self.ranks, self.lows, self.highs, self.apply_memo
+        are made in the order a recursive apply would make them. Equal
+        children reduce to one; other nodes are hash-consed inline, as
+        `node` does, since a call per node would cost more than its work."""
+        ranks, lows, highs = self.ranks, self.lows, self.highs
+        unique, memo = self.unique, self.apply_memo
         absorbing, neutral = (TRUE, FALSE) if op == "or" else (FALSE, TRUE)
         out: list[int] = []
         stack = [(f, g, _EXPAND)]
@@ -105,7 +106,19 @@ class _Store:
             f, g, top = stack.pop()
             if top != _EXPAND:
                 high = out.pop()
-                r = self.mk(top, out.pop(), high)
+                low = out.pop()
+                if low == high:
+                    r = low
+                else:
+                    key = (top, low, high)
+                    r = unique.get(key)
+                    if r is None:
+                        if (low >= 2 and ranks[low] <= top) or (high >= 2 and ranks[high] <= top):
+                            raise InvalidBdd("child rank must exceed parent rank")
+                        r = unique[key] = len(ranks)
+                        ranks.append(top)
+                        lows.append(low)
+                        highs.append(high)
                 memo[(op, f, g)] = r
                 out.append(r)
                 continue
@@ -146,9 +159,29 @@ class Bdd:
     @cached_property
     def postorder(self) -> tuple[int, ...]:
         """Reachable node ids, terminals included, each after both of its
-        children; the low side is walked first."""
+        children; the low side is walked first. `minimise` numbers its
+        nodes in this order, which must stay that of `tree.postorder(root,
+        lambda v: (highs[v], lows[v]) if v >= 2 else ())`; the stack holds
+        only the path to the current node."""
         lows, highs = self.store.lows, self.store.highs
-        return postorder(self.root, lambda v: (highs[v], lows[v]) if v >= 2 else ())
+        done = bytearray(len(lows))
+        out: list[int] = []
+        path = [self.root]
+        while path:
+            v = path[-1]
+            if v >= 2:
+                low = lows[v]
+                if not done[low]:
+                    path.append(low)
+                    continue
+                high = highs[v]
+                if not done[high]:
+                    path.append(high)
+                    continue
+            path.pop()
+            done[v] = 1
+            out.append(v)
+        return tuple(out)
 
     def node_count(self) -> int:
         """Nonterminal nodes reachable from the root."""
@@ -214,15 +247,25 @@ def minimise(b: Bdd) -> Bdd:
     TRUE (f0 = TRUE would force f1 = f0 and the node away).
     """
     store = b.store
-    ranks, lows, highs = store.ranks, store.lows, store.highs
+    ranks, lows, highs, unique = store.ranks, store.lows, store.highs, store.unique
     without_memo: dict[tuple[int, int], int] = {}
 
     def mk_path(rank: int, low: int, high: int) -> int:
+        """`_Store.node` under the path rule, inline like `_Store.apply`'s."""
         if high == FALSE:
             return low  # a node whose high side died adds no paths
         if low == TRUE or low == high:
             raise InvalidBdd("minimise input was not monotone")
-        return store.node(rank, low, high)
+        key = (rank, low, high)
+        nid = unique.get(key)
+        if nid is None:
+            if (low >= 2 and ranks[low] <= rank) or (high >= 2 and ranks[high] <= rank):
+                raise InvalidBdd("child rank must exceed parent rank")
+            nid = unique[key] = len(ranks)
+            ranks.append(rank)
+            lows.append(low)
+            highs.append(high)
+        return nid
 
     def without(m: int, g: int) -> int:
         """Drop the TRUE-paths of m whose positive set satisfies g; runs on

@@ -103,9 +103,11 @@ def cmd_check(args) -> int:
             print(f"invalid: {e}", file=sys.stderr)
         return 1
     kind = classify(doc.tree)
-    if kind.dynamics is Dynamics.DYNAMIC:
+    if kind.dynamics is Dynamics.DYNAMIC and kind.shape is Shape.DAG:
         well, cycle = is_well_formed(doc.tree)
     else:
+        # a static model has no ordering edges, and in a proper tree every
+        # ordering edge runs left to right in leaf order, so none can cycle
         well, cycle = True, None
     cycle_labels = [doc.tree.label_of(v) for v in cycle] if cycle else None
     if args.format == "json":

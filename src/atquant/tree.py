@@ -14,7 +14,8 @@ one walk, its left-to-right preorder, gives both the bottom-up order
 the `postorder` function and a depth-first first-occurrence search; on a
 tree they would give the same two orders. `postorder` is the one order
 behind every bottom-up evaluation: tree folds go through `fold`, and the
-decision diagrams of `bdd` walk their nodes with the `postorder` function.
+decision diagrams of `bdd` walk their nodes in the order the `postorder`
+function gives, with a walk of their own.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from atquant.bdd import check_minimised_shape, validate
 from atquant.cli import main
 from atquant.domains import BUILTIN_NAMES
 from atquant.errors import InvalidBdd
-from atquant.tree import NodeType
+from atquant.tree import NodeType, find_cycle
 
 from helpers import (
     DAT_DOMAINS,
@@ -158,6 +158,7 @@ def suites():
     for _ in range(N_TREE_DAT):
         t = rand_tree_dat(rng)
         assert is_well_formed(t)[0]  # proper dynamic trees never cycle; bu_dat relies on it
+        assert _ordering_cycle(t) is None  # the relation itself agrees; `check` skips the search
         rep.dat_trees.append(t)
         for d in dat_domains:
             a = rand_alpha(rng, t, d)
@@ -167,6 +168,16 @@ def suites():
         rep.dats += 1
     rep.elapsed = time.perf_counter() - t0
     return rep
+
+
+def _ordering_cycle(t):
+    """A cycle of the ordering graph itself, or None: one search from an
+    extra vertex with an edge to every BAS."""
+    og = ordering_graph(t)
+    succ = [[] for _ in range(len(t))] + [list(og.vertices)]
+    for a, b in sorted(og.edges):
+        succ[a].append(b)
+    return find_cycle(len(t), succ)
 
 
 # -- the criteria ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -24,7 +25,9 @@ from atquant import (
 )
 from atquant.analysis import auto_route, bu_bdd_detailed, validate_attribution
 from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise
-from atquant.domains import BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, nat_min
+from atquant.domains import (
+    BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, nat_min, render_value,
+)
 from atquant.errors import (
     AtError,
     BadAttributeValue,
@@ -222,6 +225,57 @@ def test_k_top_matches_brute_force_path_sort():
                     assert k_top(t, a, d, k) == ranked[:k], (t, a, name, k)
                     cases += 1
     assert cases == 3600
+
+
+# value pools for the exact-rational k-top differential, one model each
+_RATIONAL_POOLS = {
+    "integers": lambda rng: rng.randint(0, 20),
+    "small denominators": lambda rng: Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6))),
+    "coprime denominators":
+        lambda rng: Fraction(rng.randint(1, 40), rng.choice((2, 3, 5, 7, 11, 13))),
+    "decimals": lambda rng: Fraction(Decimal(f"{rng.randint(0, 9)}.{rng.randint(0, 99):02d}")),
+    "ties": lambda rng: rng.choice((0, Fraction(1, 2), 1, Fraction(3, 2), 2)),
+    "mixed": lambda rng: rng.choice((rng.randint(0, 5), Fraction(rng.randint(0, 9), 7),
+                                     Fraction(Decimal("0.25")), INF)),
+}
+
+
+def test_k_top_with_exact_rationals_matches_brute_force_path_sort():
+    # path weights are integers over one common denominator inside k_top;
+    # the ranking, the ties and the printed values must be those of the
+    # exact rational sums
+    rng = random.Random(1207)
+    cases = 0
+    for _ in range(40):
+        for gen in (rand_tree, rand_dag):
+            for pool_name, draw in _RATIONAL_POOLS.items():
+                t = gen(rng, 8)
+                a = {b: INF if rng.random() < 0.1 else draw(rng) for b in bas_of(t)}
+                for name in ("min-cost", "min-time-seq", "max-damage"):
+                    d = builtin(name)
+                    ranked = _ranked_paths(t, a, d)
+                    for k in (1, 3, 8):
+                        got = k_top(t, a, d, k)
+                        assert got == ranked[:k], (t, a, name, k, pool_name)
+                        assert [render_value(v) for v, _ in got] == \
+                            [render_value(v) for v, _ in ranked[:k]]
+                        cases += 1
+    assert cases == 40 * 2 * len(_RATIONAL_POOLS) * 3 * 3
+
+
+def test_k_top_common_denominator_past_float_range():
+    # a denominator of 2**1100 scales the cost 1 past the largest float, and
+    # {c, x} adds that integer to x's infinite weight
+    t = tt(("or", ("and", "c", "x"), "d"))
+    tiny = Fraction(1, 2**1100)
+    a = alpha(t, {"c": 1, "x": INF, "d": tiny})
+    for name in ("min-cost", "max-damage"):
+        d = builtin(name)
+        assert k_top(t, a, d, 2) == _ranked_paths(t, a, d)
+    assert k_top(t, a, builtin("min-cost"), 2) == [
+        (tiny, frozenset({t.id_of("d")})),
+        (INF, frozenset({t.id_of("c"), t.id_of("x")})),
+    ]
 
 
 def test_k_top_breaks_infinite_ties_on_decisions():

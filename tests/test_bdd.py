@@ -24,8 +24,8 @@ from atquant import (
     top_paths,
 )
 from atquant.bdd import FALSE, TRUE, Bdd, VarOrder, _Store, check_minimised_shape, validate
-from atquant.errors import DynamicTreeRejected, InvalidBdd, OrderMismatch
-from atquant.tree import NodeType, fold
+from atquant.errors import DynamicTreeRejected, InvalidBdd, MissingAttribution, OrderMismatch
+from atquant.tree import NodeType, fold, postorder
 
 from helpers import overlap, rand_alpha, rand_dag, rand_tree, suite_labels, exploit, treasure, tt
 
@@ -96,6 +96,36 @@ def test_apply_hash_consing_never_duplicates():
     for v in b.postorder:
         if v >= 2:
             assert pos[b.store.lows[v]] < pos[v] and pos[b.store.highs[v]] < pos[v]
+
+
+def test_postorder_is_the_generic_walk_on_random_diagrams():
+    # `minimise` numbers the nodes it makes in this order, so the dedicated
+    # walk must give exactly the generic one, shared nodes included
+    rng = random.Random(1212)
+    for _ in range(150):
+        t = rand_dag(rng, 8)
+        for order in [default_order(t)] + [shuffled_order(rng, t) for _ in range(3)]:
+            b = from_structure_function(t, order)
+            for d in (b, minimise(b)):
+                s = d.store
+                walk = postorder(d.root, lambda v: (s.highs[v], s.lows[v]) if v >= 2 else ())
+                assert d.postorder == walk
+    for root in (FALSE, TRUE):
+        assert Bdd(_Store(VarOrder(())), VarOrder(()), root).postorder == (root,)
+
+
+def test_folds_look_up_only_the_basic_actions_the_diagram_reaches():
+    # b is absorbed: a OR (a AND b) is a, so no node branches on b
+    t = tt(("or", "a", ("and", "a", "b")))
+    a = {t.id_of("a"): 3}
+    assert bu_bdd(t, a, builtin("min-cost")) == 3
+    assert k_top(t, a, builtin("min-cost"), 2) == [(3, frozenset({t.id_of("a")}))]
+    assert k_top(t, a, builtin("max-damage"), 1) == [(3, frozenset({t.id_of("a")}))]
+    # a BAS the diagram does reach is still required
+    for fold_call in (partial(bu_bdd, t, {}, builtin("min-cost")),
+                      partial(k_top, t, {}, builtin("min-cost"), 1)):
+        with pytest.raises(MissingAttribution, match="'a'"):
+            fold_call()
 
 
 def test_store_node_rejects_rank_inversions():

@@ -37,6 +37,25 @@ def test_check_exit_codes_and_text(capsys):
     assert code == 2 and "cycle: b -> b" in out
 
 
+def test_check_searches_for_ordering_cycles_on_dynamic_dags_only(tmp_path, capsys, monkeypatch):
+    # a proper dynamic tree cannot cycle, so check answers without the search
+    from atquant import cli, semantics
+
+    searched = []
+    monkeypatch.setattr(cli, "is_well_formed",
+                        lambda t: searched.append(t) or semantics.is_well_formed(t))
+    tree = tmp_path / "tree.at"
+    tree.write_text('toplevel "r";\n"r" sand "a" "b";\n"a" bas;\n"b" bas;\n')
+    code, out, _ = run(capsys, "check", str(tree))
+    assert code == 0 and out == "tree, dynamic, well-formed\n"
+    code, out, _ = run(capsys, "check", str(tree), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["well_formed"] is True and doc["cycle"] is None
+    assert not searched
+    code, out, _ = run(capsys, "check", f"{MODELS}/exploit.at")
+    assert code == 0 and out == "DAG, dynamic, well-formed\n" and len(searched) == 1
+
+
 def test_check_json(capsys):
     code, out, _ = run(capsys, "check", f"{MODELS}/illformed_cross.at", "--format", "json")
     assert code == 2
