@@ -26,11 +26,12 @@ two attributions, integer and ratio costs and ratio probabilities, doubling
 node counts up to 2^max-power - 1 (131,071 nodes, 5.3 MB at the default);
 it prints the best of three parses and the megabytes read per second. Beside
 them come the stages a metric request runs next, each timed (best of three)
-on a freshly parsed tree so that no structural fact is cached yet: classify,
-bas_of, validate_attribution of the costs for min-cost, and the min-cost
-fold (bu_sat). A fresh tree has computed neither order, so validation pays
-for the walk behind bas_of and the fold for the one behind the bottom-up
-order; on a proper tree that is the same single walk.
+on a freshly parsed tree so that no cached fact is shared between them:
+classify, bas_of, validate_attribution of the costs for min-cost, and the
+min-cost fold (bu_sat). parse_model already orders a fresh proper tree, as
+its check of the structure records the preorder, so the bas_of and fold
+columns pay for no walk: bas_of picks the BAS out of that preorder, and the
+fold reads it backwards.
 
     python3 scripts/bench_scaling.py [--max-power 17] [--ladder-max 2048]
 """

@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Compare what two source trees print for a fixed battery of CLI requests.
+
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [MODEL|DIR ...]
+
+Each side runs in a child process of its own with its source directory
+first on sys.path, and calls `atquant.cli.main(argv)` in-process for every
+request, recording the exit code, stdout and stderr; the JSON "millis"
+value, the one field that differs from run to run, is blanked. A directory
+stands for its *.at files; the default is models/*.at. The battery, per
+model, with the domains, attributions and orders the model declares:
+
+- check and semantics, text and JSON;
+- dump of all four kinds, and bdd/bdd-min under each declared order;
+- metric for every builtin domain x every attribution x every --algorithm,
+  text and JSON;
+- ktop with k 1 and 3 for min-cost, min-time-seq and max-damage, every
+  attribution, under the default and each declared order, text and JSON.
+
+It prints the number of requests and each request whose outputs differ,
+and exits 1 if any does.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ("text", "json")
+ALGORITHMS = ("auto", "bu", "bdd", "oracle")
+KTOP_DOMAINS = ("min-cost", "min-time-seq", "max-damage")
+MILLIS = re.compile(r'"millis": [-+.\deE]+')
+
+
+def battery(model: str, attributions, orders, domains) -> list[list[str]]:
+    out = [[cmd, model, "--format", fmt] for cmd in ("check", "semantics") for fmt in FORMATS]
+    out += [["dump", model, "--what", what] for what in ("at", "model", "bdd", "bdd-min")]
+    out += [["dump", model, "--what", what, "--order", order]
+            for what in ("bdd", "bdd-min") for order in orders]
+    out += [["metric", model, "--domain", domain, "--attribution", name,
+             "--algorithm", algorithm, "--format", fmt]
+            for domain in domains for name in attributions
+            for algorithm in ALGORITHMS for fmt in FORMATS]
+    out += [["ktop", model, "--domain", domain, "--attribution", name, "--k", k,
+             "--format", fmt, *order]
+            for domain in KTOP_DOMAINS for name in attributions for k in ("1", "3")
+            for order in [[]] + [["--order", o] for o in orders] for fmt in FORMATS]
+    return out
+
+
+def call(main, argv: list[str]) -> list:
+    """[exit code, stdout digest, stderr digest] of one in-process request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejected the request
+            code = e.code
+        except Exception as e:  # a traceback the user would see
+            code = f"raised {type(e).__name__}: {e}"
+    digest = [hashlib.sha256(MILLIS.sub('"millis": 0', s.getvalue()).encode()).hexdigest()
+              for s in (out, err)]
+    return [code, *digest]
+
+
+def side(src: str, models: list[str]) -> dict:
+    """Run the battery against the package under src: argv as JSON -> record."""
+    sys.path.insert(0, src)
+    from atquant.cli import main
+    from atquant.domains import BUILTIN_NAMES
+    from atquant.errors import AtError
+    from atquant.io import parse_model
+
+    records = {}
+    for model in models:
+        try:
+            doc = parse_model(Path(model).read_text(encoding="utf-8"))
+            attributions, orders = sorted(doc.attributions), sorted(doc.orders)
+        except (AtError, OSError, UnicodeDecodeError):
+            attributions, orders = [], []
+        for argv in battery(model, attributions, orders, BUILTIN_NAMES):
+            records[json.dumps(argv)] = call(main, argv)
+    return records
+
+
+def model_paths(args: list[str]) -> list[str]:
+    paths = []
+    for arg in args or [str(ROOT / "models")]:
+        p = Path(arg)
+        paths += sorted(str(m) for m in p.glob("*.at")) if p.is_dir() else [arg]
+    return paths
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--side"]:
+        json.dump(side(argv[1], argv[2:]), sys.stdout)
+        return 0
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old_src, new_src, models = argv[0], argv[1], model_paths(argv[2:])
+    children = [subprocess.Popen([sys.executable, __file__, "--side", src, *models],
+                                 stdout=subprocess.PIPE, text=True)
+                for src in (old_src, new_src)]
+    replies = [child.communicate()[0] for child in children]
+    if any(child.returncode for child in children):
+        print("a side failed to run", file=sys.stderr)
+        return 1
+    old, new = map(json.loads, replies)
+    differing = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    print(f"{len(old.keys() | new.keys())} requests on {len(models)} models, "
+          f"{len(differing)} differ")
+    for key in differing:
+        print("differs:", " ".join(json.loads(key)))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -50,7 +50,7 @@ def digest(path: Path) -> None:
     t = doc.tree
     kind = classify(t)
     dynamic = kind.dynamics is Dynamics.DYNAMIC
-    ok, cycle = is_well_formed(t) if dynamic else (True, None)
+    ok, cycle = is_well_formed(t)
 
     print(f"== {path.name}: {kind} ==")
     if not ok:

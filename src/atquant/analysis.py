@@ -269,8 +269,8 @@ def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain):
     if classify(t).shape is Shape.DAG:
         raise DagRejected("bu_dat is only sound on proper trees")
     _require("bu_dat", domain)
-    # no well-formedness check: the children of a SAND gate in a proper
-    # tree have disjoint BAS sets, so the ordering graph cannot cycle
+    # no well-formedness check: `is_well_formed` answers True on every
+    # proper tree, whose ordering edges all run left to right in leaf order
     return _fold(t, alpha, domain)
 
 

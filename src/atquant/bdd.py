@@ -217,7 +217,7 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
         raise DynamicTreeRejected("BDD construction needs a static model; project first")
     if order is None:
         order = default_order(t)
-    if set(order.bas) != set(bas_of(t)):
+    elif set(order.bas) != set(bas_of(t)):
         raise OrderMismatch("order must cover exactly the model's basic actions")
     store = _Store(order)
 

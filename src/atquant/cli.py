@@ -86,7 +86,7 @@ def _alpha(doc, domain, name: str) -> dict:
     if name not in doc.attributions:
         known = ", ".join(sorted(doc.attributions)) or "(none declared)"
         raise AtError(f"model declares no attribution {name!r}; declared: {known}")
-    return dict(doc.attributions[name])
+    return doc.attributions[name]
 
 
 def _shape_text(kind) -> str:
@@ -103,12 +103,7 @@ def cmd_check(args) -> int:
             print(f"invalid: {e}", file=sys.stderr)
         return 1
     kind = classify(doc.tree)
-    if kind.dynamics is Dynamics.DYNAMIC and kind.shape is Shape.DAG:
-        well, cycle = is_well_formed(doc.tree)
-    else:
-        # a static model has no ordering edges, and in a proper tree every
-        # ordering edge runs left to right in leaf order, so none can cycle
-        well, cycle = True, None
+    well, cycle = is_well_formed(doc.tree)
     cycle_labels = [doc.tree.label_of(v) for v in cycle] if cycle else None
     if args.format == "json":
         payload = {

@@ -31,8 +31,8 @@ from .errors import (
     MissingAttribution,
 )
 from .domains import AttributeDomain
-from .tree import (AttackTree, Dynamics, NodeType, bas_of, classify, descendants, find_cycle,
-                   static_projection)
+from .tree import (AttackTree, Dynamics, NodeType, Shape, bas_of, classify, descendants,
+                   find_cycle, static_projection)
 
 DEFAULT_BUDGET = 20
 
@@ -177,6 +177,10 @@ def ordering_graph(t: AttackTree) -> OrderingGraph:
 def is_well_formed(t: AttackTree) -> tuple[bool, Optional[list[int]]]:
     """A dynamic model is well-formed iff its ordering graph is acyclic.
 
+    A static model and a proper tree are well-formed without a search: the
+    first has no ordering edges, and in the second every ordering edge runs
+    left to right in leaf order.
+
     Returns (True, None) or (False, witness) where the witness is a BAS id
     cycle of the ordering graph with first == last (a self-loop shows up as
     [b, b]).
@@ -198,6 +202,9 @@ def is_well_formed(t: AttackTree) -> tuple[bool, Optional[list[int]]]:
     exactly when the ordering graph has a cycle; the BAS on that port
     cycle, in order, are the witness.
     """
+    kind = classify(t)
+    if kind.dynamics is Dynamics.STATIC or kind.shape is Shape.TREE:
+        return True, None
     nodes = t.nodes
     n = len(nodes)
     out = [v if node.type is NodeType.BAS else n + v for v, node in enumerate(nodes)]

@@ -7,15 +7,18 @@ not hit the interpreter recursion limit.
 
 An `AttackTree` records its structure kind when it is made: `freeze` reads
 it off the in-degrees and node types it checks anyway, and
-`static_projection` derives it from the kind of its input. On a proper tree
-one walk, its left-to-right preorder, gives both the bottom-up order
-(`AttackTree.postorder`, the preorder read backwards) and the BAS order
-(`AttackTree.bas`, its BAS in turn). A DAG keeps two walks with seen-sets:
-the `postorder` function and a depth-first first-occurrence search; on a
-tree they would give the same two orders. `postorder` is the one order
-behind every bottom-up evaluation: tree folds go through `fold`, and the
-decision diagrams of `bdd` walk their nodes in the order the `postorder`
-function gives, with a walk of their own.
+`static_projection` derives it from the kind of its input. Four walks
+answer every structural question. `freeze` runs Kahn's algorithm, and on a
+proper tree its pop order is the left-to-right preorder, which the tree
+records: the bottom-up order (`AttackTree.postorder`, the preorder read
+backwards) and the BAS order (`AttackTree.bas`, its BAS in turn) then cost
+no further walk. On a DAG the generic `postorder` function and the
+depth-first first-occurrence BAS walk give them; the BAS walk also answers
+`descendants`. `find_cycle` names the cycles of `freeze` and of the
+well-formedness check. `postorder` is the one order behind every
+bottom-up evaluation: tree folds go through `fold`, and the decision
+diagrams of `bdd` walk their nodes in the order the `postorder` function
+gives, with a walk of their own.
 """
 
 from __future__ import annotations
@@ -78,11 +81,14 @@ class Node(NamedTuple):
 @dataclass(frozen=True)
 class AttackTree:
     """Made by `build` and `io.parse_model`, both through `freeze`, or by
-    `static_projection`; each passes the structure kind on as `kind`."""
+    `static_projection`; each passes the structure kind on as `kind`, and
+    on a proper tree its left-to-right preorder as `preorder` (None on a
+    DAG)."""
 
     nodes: tuple[Node, ...]  # index == node id
     root: int
     kind: StructureKind = field(compare=False, repr=False)
+    preorder: Optional[tuple[int, ...]] = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.nodes)
@@ -109,48 +115,17 @@ class AttackTree:
 
     @cached_property
     def postorder(self) -> tuple[int, ...]:
-        if self.kind.shape is Shape.TREE:
-            return self._tree_orders[0]
+        if self.preorder is not None:
+            return self.preorder[::-1]
         nodes = self.nodes
         return postorder(self.root, lambda v: nodes[v].children)
 
     @cached_property
     def bas(self) -> tuple[int, ...]:
-        if self.kind.shape is Shape.TREE:
-            return self._tree_orders[1]
-        out: list[int] = []
-        seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            node = self.nodes[v]
-            if node.type is NodeType.BAS:
-                out.append(v)
-            else:
-                stack.extend(reversed(node.children))
-        return tuple(out)
-
-    @cached_property
-    def _tree_orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(postorder, bas) of a proper tree from its left-to-right preorder:
-        read backwards, it finishes the last child first as the seen-set walk
-        does, and its BAS come in depth-first leftmost order."""
-        nodes = self.nodes
-        pre: list[int] = []
-        bas: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            pre.append(v)
-            n = nodes[v]
-            if n.type is NodeType.BAS:
-                bas.append(v)
-            else:
-                stack.extend(reversed(n.children))
-        return tuple(reversed(pre)), tuple(bas)
+        if self.preorder is not None:
+            nodes, bas = self.nodes, NodeType.BAS
+            return tuple([v for v in self.preorder if nodes[v].type is bas])
+        return tuple(_bas_below(self.nodes, self.root))
 
 
 def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) -> AttackTree:
@@ -191,8 +166,11 @@ def freeze(nodes: Sequence[Node], root_label: str, root: Optional[int]) -> Attac
     """`build`'s checks from cycles on, for nodes whose labels are resolved:
     node i has id i and children in range; root is root_label's id, None if
     no node has it. One run of Kahn's algorithm finds the cycles and, as its
-    initial queue, the parentless nodes. The in-degrees and the node types
-    also give the structure kind the tree records."""
+    initial stack, the parentless nodes. The in-degrees and the node types
+    also give the structure kind the tree records. The stack pops the least
+    parentless id first and pushes a node's freed children last to first,
+    so on a proper tree it pops the left-to-right preorder, which the tree
+    records."""
     indeg = [0] * len(nodes)
     for n in nodes:
         for c in n.children:
@@ -201,13 +179,16 @@ def freeze(nodes: Sequence[Node], root_label: str, root: Optional[int]) -> Attac
         Shape.DAG if max(indeg, default=0) > 1 else Shape.TREE,
         Dynamics.DYNAMIC if NodeType.SAND in map(attrgetter("type"), nodes) else Dynamics.STATIC,
     )
-    order = [n.id for n in nodes if indeg[n.id] == 0]
-    parentless = len(order)
-    for v in order:  # Kahn's queue, read while it grows
-        for c in nodes[v].children:
+    parentless = [n.id for n in nodes if indeg[n.id] == 0]
+    stack = parentless[::-1]
+    order = []
+    while stack:  # any discipline leaves the same nodes and in-degrees behind
+        v = stack.pop()
+        order.append(v)
+        for c in reversed(nodes[v].children):
             indeg[c] -= 1
             if indeg[c] == 0:
-                order.append(c)
+                stack.append(c)
     if len(order) != len(nodes):
         # Kahn leaves the nodes on a cycle or below one; a search from each
         # of them in turn, least first, inside that set finds a cycle.
@@ -220,12 +201,13 @@ def freeze(nodes: Sequence[Node], root_label: str, root: Optional[int]) -> Attac
 
     if root is None:
         raise DanglingReference(f"declared root {root_label!r} is not defined")
-    if parentless > 1:
-        names = ", ".join(repr(nodes[i].label) for i in order[:parentless])
+    if len(parentless) > 1:
+        names = ", ".join(repr(nodes[i].label) for i in parentless)
         raise MultipleRoots(f"more than one root candidate: {names}")
-    if order[0] != root:
+    if parentless[0] != root:
         raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
-    return AttackTree(tuple(nodes), root, kind)
+    preorder = tuple(order) if kind.shape is Shape.TREE else None
+    return AttackTree(tuple(nodes), root, kind, preorder)
 
 
 def find_cycle(start: int, succ: Sequence[Iterable[int]]) -> Optional[list[int]]:
@@ -299,20 +281,26 @@ def bas_of(t: AttackTree) -> tuple[int, ...]:
 def descendants(t: AttackTree, node_id: int) -> frozenset[int]:
     """BAS ids reachable at or below the given node."""
     t.node(node_id)  # raises UnknownNode
-    found: set[int] = set()
+    return frozenset(_bas_below(t.nodes, node_id))
+
+
+def _bas_below(nodes: Sequence[Node], start: int) -> list[int]:
+    """BAS ids at or below start in depth-first leftmost order, first
+    occurrence only."""
+    out: list[int] = []
     seen: set[int] = set()
-    stack = [node_id]
+    stack = [start]
     while stack:
         v = stack.pop()
         if v in seen:
             continue
         seen.add(v)
-        node = t.nodes[v]
+        node = nodes[v]
         if node.type is NodeType.BAS:
-            found.add(v)
+            out.append(v)
         else:
-            stack.extend(node.children)
-    return frozenset(found)
+            stack.extend(reversed(node.children))
+    return out
 
 
 def static_projection(t: AttackTree) -> AttackTree:
@@ -326,4 +314,4 @@ def static_projection(t: AttackTree) -> AttackTree:
         Node(n.id, n.label, NodeType.AND, n.children) if n.type is NodeType.SAND else n
         for n in t.nodes
     )
-    return AttackTree(nodes, t.root, StructureKind(t.kind.shape, Dynamics.STATIC))
+    return AttackTree(nodes, t.root, StructureKind(t.kind.shape, Dynamics.STATIC), t.preorder)

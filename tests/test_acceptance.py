@@ -158,7 +158,7 @@ def suites():
     for _ in range(N_TREE_DAT):
         t = rand_tree_dat(rng)
         assert is_well_formed(t)[0]  # proper dynamic trees never cycle; bu_dat relies on it
-        assert _ordering_cycle(t) is None  # the relation itself agrees; `check` skips the search
+        assert _ordering_cycle(t) is None  # the relation agrees; is_well_formed skips the search
         rep.dat_trees.append(t)
         for d in dat_domains:
             a = rand_alpha(rng, t, d)

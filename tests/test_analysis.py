@@ -83,6 +83,9 @@ def test_naive_fold_overcounts_shared_leaves():
     # b is priced twice along the two OR branches: min(3,1) + min(1,4) = 2
     assert naive_bottom_up(f, a, builtin("min-cost")) == 2
     assert oracle_metric_static(f, a, builtin("min-cost")) == 1
+    d = exploit_tree()
+    with pytest.raises(DynamicTreeRejected):
+        naive_bottom_up(d, dict.fromkeys(bas_of(d), 1), builtin("min-cost"))
 
 
 def test_bu_bdd_goldens():

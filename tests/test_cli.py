@@ -39,11 +39,12 @@ def test_check_exit_codes_and_text(capsys):
 
 def test_check_searches_for_ordering_cycles_on_dynamic_dags_only(tmp_path, capsys, monkeypatch):
     # a proper dynamic tree cannot cycle, so check answers without the search
-    from atquant import cli, semantics
+    from atquant import semantics
 
     searched = []
-    monkeypatch.setattr(cli, "is_well_formed",
-                        lambda t: searched.append(t) or semantics.is_well_formed(t))
+    search = semantics.find_cycle
+    monkeypatch.setattr(semantics, "find_cycle",
+                        lambda start, succ: searched.append(start) or search(start, succ))
     tree = tmp_path / "tree.at"
     tree.write_text('toplevel "r";\n"r" sand "a" "b";\n"a" bas;\n"b" bas;\n')
     code, out, _ = run(capsys, "check", str(tree))
@@ -108,6 +109,14 @@ def test_semantics_json(capsys):
     assert doc["kind"] == "DAG, dynamic"
     assert {"bas": ["w", "cc"], "order": [["w", "cc"]]} in doc["attacks"]
     assert {"bas": ["ff", "w"], "order": []} in doc["attacks"]
+
+    code, out, _ = run(capsys, "semantics", f"{MODELS}/treasure.at", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{\n  "kind": "tree, static",\n  "attacks": [\n'
+        '    {\n      "bas": [\n        "n"\n      ]\n    },\n'
+        '    {\n      "bas": [\n        "t",\n        "p"\n      ]\n    }\n  ]\n}\n'
+    )
 
 
 def test_metric_text_and_json(capsys):
@@ -180,6 +189,19 @@ def test_metric_pareto_vector_attribution(capsys):
     doc = json.loads(out)
     # {b} costs 1 at probability 1/20; {a,c} costs 7 at 3/50; neither dominates
     assert doc["value"] == [["1", "1/20"], ["7", "3/50"]]
+
+    for domain, names, err in (
+        ("pareto(min-cost,prob-max)", "cost",
+         "error: pareto(min-cost,prob-max) needs 2 comma-joined attribution names, got 1\n"),
+        ("pareto(min-cost,prob-max)", "cost, prob,cost",
+         "error: pareto(min-cost,prob-max) needs 2 comma-joined attribution names, got 3\n"),
+        ("pareto(min-cost,prob-max)", "cost,nope", "error: model declares no attribution 'nope'\n"),
+        ("pareto(cost-to-defend)", "cost",
+         "error: component without an optimisation sense; pass directions\n"),
+    ):
+        code, out, stderr = run(capsys, "metric", f"{MODELS}/overlap.at",
+                                "--domain", domain, "--attribution", names)
+        assert (code, out, stderr) == (1, "", err)
 
 
 def test_metric_explicit_algorithm_and_order(capsys):

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from atquant import bas_of, build, classify, parse_model, static_projection, structure_function
+from atquant import (ModelDocument, bas_of, build, classify, emit_model, parse_model,
+                     static_projection, structure_function)
 from atquant.errors import (
     BasWithChildren,
     CyclicStructure,
@@ -244,14 +245,47 @@ def _facts_models():
     return models + [static_projection(t) for t in models]
 
 
+def _reference_descendants(t, order) -> list[frozenset]:
+    """Each node's BAS at or below it, unioned over a bottom-up order."""
+    below: list = [None] * len(t)
+    for v in order:
+        n = t.nodes[v]
+        below[v] = frozenset({v}) if n.type is B else frozenset().union(
+            *(below[c] for c in n.children))
+    return below
+
+
 def test_recorded_facts_match_brute_force_walks():
     for t in _facts_models():
         assert classify(t) == _reference_kind(t)
-        assert t.postorder == postorder(t.root, lambda v: t.nodes[v].children)
+        order = postorder(t.root, lambda v: t.nodes[v].children)
+        assert t.postorder == order
         assert bas_of(t) == _reference_bas(t)
+        below = _reference_descendants(t, order)
+        assert all(descendants(t, v) == below[v] for v in range(len(t)))
     repeat = build([("r", A, ["a", "a"]), ("a", B, [])], "r")
     assert classify(repeat).shape is Shape.DAG
     assert classify(static_projection(exploit())) == StructureKind(Shape.DAG, Dynamics.STATIC)
+
+
+def test_proper_trees_take_their_orders_from_freeze(monkeypatch):
+    from atquant import tree
+
+    rng = random.Random(31)
+    static = [rand_tree(rng, 12) for _ in range(40)]
+    dynamic = [rand_tree(rng, 12, dynamic=True) for _ in range(40)]
+    trees = static + [parse_model(emit_model(ModelDocument(t))).tree for t in static + dynamic]
+    trees += [static_projection(t) for t in dynamic if classify(t).dynamics is Dynamics.DYNAMIC]
+    assert all(classify(t).shape is Shape.TREE for t in trees)
+    expected = [(postorder(t.root, lambda v: t.nodes[v].children), _reference_bas(t))
+                for t in trees]
+
+    def walked(*args):
+        raise AssertionError("a proper tree walked again after freeze")
+
+    monkeypatch.setattr(tree, "postorder", walked)
+    monkeypatch.setattr(tree, "_bas_below", walked)
+    assert [(t.postorder, bas_of(t)) for t in trees] == expected
 
 
 def test_node_is_a_named_tuple():
