@@ -15,7 +15,14 @@ and pairwise coprime denominators make that the product of all of them,
 its worst case (about 3,500 digits at 1,024 rungs). Next to the
 reachable node count of the minimised diagram it prints the size of the
 unique table those nodes live in, which counts every node ever made while
-compiling and minimising.
+compiling and minimising. A second table compiles three more families,
+doubling their size from 256 to 8 times the largest ladder: a left-deep
+AND chain AND(AND(AND(b0, b1), b2), ...), a nested interval DAG (a
+balanced binary tree of ANDs over ORs of 2 to 4 consecutive actions) and
+AND(OR(b1, c), OR(b2, c), ...) under an order that ranks c last. For each
+it prints the reachable nodes of the compiled diagram, the unique-table
+size and the compile time: a compile that copies intermediate diagrams
+shows as a unique column growing faster than the reachable one.
 
 Experiment 3: the well-formedness check over balanced trees whose gate
 layers cycle SAND, OR, AND, doubling node counts up to 2^max-power - 1; the
@@ -48,12 +55,14 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from atquant import (
     ModelDocument,
+    VarOrder,
     bas_of,
     bu_sat,
     build,
     builtin,
     classify,
     emit_model,
+    from_structure_function,
     is_well_formed,
     k_top,
     oracle_metric_static,
@@ -97,6 +106,42 @@ def ladder_dag(rungs: int):
         defs.append((f"o{i}", NodeType.OR, [f"b{i}", f"b{i + 1}"]))
     defs.append(("root", NodeType.AND, [f"o{i}" for i in range(rungs)]))
     return build(defs, "root")
+
+
+def and_chain(gates: int):
+    """Left-deep AND chain: g1 = AND(b0, b1), g_i = AND(g_i-1, b_i)."""
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(gates + 1)]
+    defs.append(("g1", NodeType.AND, ["b0", "b1"]))
+    defs += [(f"g{i}", NodeType.AND, [f"g{i - 1}", f"b{i}"]) for i in range(2, gates + 1)]
+    return build(defs, f"g{gates}"), None
+
+
+def nested_interval_dag(n_bas: int):
+    """A balanced binary tree of ANDs over ORs of 2-4 consecutive actions,
+    each window starting 1 or 2 past the previous one."""
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n_bas)]
+    layer, lo = [], 0
+    while lo < n_bas - 1:
+        hi = min(lo + 1 + len(layer) % 3, n_bas - 1)
+        layer.append(f"o{len(layer)}")
+        defs.append((layer[-1], NodeType.OR, [f"b{b}" for b in range(lo, hi + 1)]))
+        lo += 1 + len(layer) % 2
+    while len(layer) > 1:
+        nxt = []
+        for j in range(0, len(layer) - 1, 2):
+            nxt.append(f"a{len(defs)}")
+            defs.append((nxt[-1], NodeType.AND, layer[j:j + 2]))
+        layer = nxt + layer[len(nxt) * 2:]
+    return build(defs, layer[0]), None
+
+
+def and_of_or_c(n: int):
+    """AND(OR(b1, c), ..., OR(bn, c)) with c ranked after every b_i."""
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n)] + [("c", NodeType.BAS, [])]
+    defs += [(f"o{i}", NodeType.OR, [f"b{i}", "c"]) for i in range(n)]
+    defs.append(("root", NodeType.AND, [f"o{i}" for i in range(n)]))
+    t = build(defs, "root")
+    return t, VarOrder(tuple(t.id_of(f"b{i}") for i in range(n)) + (t.id_of("c"),))
 
 
 def primes(n: int) -> list[int]:
@@ -156,6 +201,20 @@ def bench_ladder(cfg: BenchConfig) -> None:
               f"{dt_bdd * 1000:>8.1f} {dt_ktop * 1000:>8.1f} {dt_coprime * 1000:>9.1f} "
               f"{oracle_col} {agree:>6}")
         rungs *= 2
+    print()
+    families = (("AND chain", and_chain), ("nested interval", nested_interval_dag),
+                ("AND of OR(b_i, c)", and_of_or_c))
+    print("compile only: reachable nodes, unique-table size and compile time")
+    print(f"{'n':>6}" + "".join(f" | {name:^26}" for name, _ in families))
+    print(f"{'':>6}" + f" | {'reach':>8} {'unique':>8} {'ms':>8}" * len(families))
+    n = 256
+    while n <= cfg.ladder_max * 8:
+        row = f"{n:>6}"
+        for _, make in families:
+            b, dt = clock(from_structure_function, *make(n))
+            row += f" | {b.node_count():>8} {len(b.store.unique):>8} {dt * 1000:>8.1f}"
+        print(row)
+        n *= 2
     print()
 
 

@@ -2,23 +2,28 @@
 
 A store hash-conses nodes as (rank, low, high) triples with two fixed
 terminals, FALSE=0 and TRUE=1; ranks follow a variable order over the BAS.
-Structure functions compile bottom-up with a memoized apply. A gate's
-children are combined pairwise, [k0 op k1, k2 op k3, ...] with an odd last
-child carried over, round after round until one is left: operands stay of
-similar size, where a left fold would apply a growing accumulator to each
-child of a wide gate in turn. `apply` and `minimise`'s `without` run on
-explicit work stacks, in the style of Brace, Rudell and Bryant (DAC 1990),
-and no function here calls itself, so a diagram's depth is not bounded by
-the interpreter's recursion limit. `apply` and `minimise` make their nodes
-inline, with the hash-consing of `_Store.node`, and `Bdd.postorder` has a
-walk of its own over the store's child arrays: each runs once per node,
-where a call or a generic walk would cost more than the work itself. On
-top of the plain ROBDD sits the minimal-solutions transform: a second
-diagram whose TRUE-paths (read as the set of variables taken on a high
-edge) are exactly the subset-minimal successful attacks. That diagram is
-meaningful under path semantics, not boolean semantics, so it is built with
-its own node constructor whose reduction rule drops nodes with a FALSE high
-child instead of merging equal children.
+Structure functions compile bottom-up with a memoized apply. A gate with
+one parent, of its own type, hands its operands up to that parent, so a
+chain of same-type gates compiles as one gate. A gate folds its distinct
+operands from the deepest root rank up, `acc = f op acc`. By Bryant (IEEE
+TC 1986) f op g costs O(|f|) when every variable of f precedes those of g,
+so where operands overlap little each is walked about once; pairing the
+children, or a left fold, applies a growing diagram again at every step,
+which made a left-deep chain of n binary gates cost n^2/2 nodes.
+
+`apply` and `minimise`'s `without` run on explicit work stacks, in the
+style of Brace, Rudell and Bryant (DAC 1990), and no function here calls
+itself, so a diagram's depth is not bounded by the interpreter's recursion
+limit. `apply` and `minimise` make their nodes inline, with the
+hash-consing of `_Store.node`, and `Bdd.postorder` has a walk of its own
+over the store's child arrays: each runs once per node, where a call or a
+generic walk would cost more than the work itself. On top of the plain
+ROBDD sits the minimal-solutions transform: a second diagram whose
+TRUE-paths (read as the set of variables taken on a high edge) are exactly
+the subset-minimal successful attacks. That diagram is meaningful under
+path semantics, not boolean semantics, so it is built with its own node
+constructor whose reduction rule drops nodes with a FALSE high child
+instead of merging equal children.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import DynamicTreeRejected, InvalidBdd, OrderMismatch
-from .tree import AttackTree, Dynamics, Node, bas_of, classify, fold
+from .tree import AttackTree, Dynamics, NodeType, bas_of, classify
 
 FALSE = 0
 TRUE = 1
@@ -212,7 +217,22 @@ def default_order(t: AttackTree) -> VarOrder:
 
 
 def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> Bdd:
-    """Compile a static model's structure function to a canonical ROBDD."""
+    """Compile a static model's structure function to a canonical ROBDD.
+
+    One pass over the nodes counts each node's parents and notes the type
+    of a parent. A gate with exactly one parent, of its own type, is not
+    compiled: it hands its operand list up, so a chain of same-type gates
+    becomes one list. A gate with two or more parents (a repeat inside one
+    gate counts twice) is compiled once for all of them. Lists merge small
+    into large: the longest list a child hands up is extended, never
+    copied. A compiled gate sorts its distinct operands by the rank of
+    their roots and folds `acc = f op acc` from the deepest one up, so f's
+    root is never below acc's; when all of f's variables precede acc's in
+    the order, apply copies f once, with acc below it. The apply memo lives
+    for the whole compile, so a tail of late-ranked actions that several
+    operands share is combined with the accumulator once. A left-deep chain
+    of n binary AND gates makes 2n+1 nodes, where pairing the children made
+    about n^2/2."""
     if classify(t).dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("BDD construction needs a static model; project first")
     if order is None:
@@ -220,17 +240,48 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     elif set(order.bas) != set(bas_of(t)):
         raise OrderMismatch("order must cover exactly the model's basic actions")
     store = _Store(order)
-
-    def gate(n: Node, kids: list) -> int:
+    ranks, apply = store.ranks, store.apply
+    nodes = t.nodes
+    # a gate with one parent, of its own type, hands its operands up to it
+    parents = [0] * len(nodes)
+    parent_type = [None] * len(nodes)
+    for n in nodes:
+        for c in n.children:
+            parents[c] += 1
+            parent_type[c] = n.type
+    up = [p == 1 and pt is n.type for p, pt, n in zip(parents, parent_type, nodes)]
+    # vals[v]: the diagram of v, or the operand list a handed-up gate keeps
+    vals: list = [None] * len(nodes)
+    for v in t.postorder:
+        n = nodes[v]
+        if n.type is NodeType.BAS:
+            vals[v] = store.node(order.rank_of(v), FALSE, TRUE)
+            continue
+        lists = [c for c in n.children if up[c]]
+        if lists:
+            # small into large: the longest list is extended, not copied
+            big = max(lists, key=lambda c: len(vals[c]))
+            ops = vals[big]
+            for c in n.children:
+                if not up[c]:
+                    ops.append(vals[c])
+                elif c != big:
+                    ops.extend(vals[c])
+        else:
+            ops = [vals[c] for c in n.children]
+        if up[v]:
+            vals[v] = ops
+            continue
+        # deepest root first, repeats dropped: each operand then sits above
+        # the accumulator
+        ops = sorted(dict.fromkeys(ops), key=ranks.__getitem__, reverse=True)
         op = n.type.value  # "or" or "and": a static model has no SAND
-        while len(kids) > 1:
-            paired = [store.apply(op, kids[i], kids[i + 1]) for i in range(0, len(kids) - 1, 2)]
-            kids = paired + kids[len(paired) * 2:]
-        return kids[0]
-
-    root = fold(t, lambda n: store.node(order.rank_of(n.id), FALSE, TRUE), gate)
+        acc = ops[0]
+        for f in ops[1:]:
+            acc = apply(op, f, acc)
+        vals[v] = acc
     store.apply_memo.clear()  # nothing reads it once the diagram is built
-    return Bdd(store, order, root)
+    return Bdd(store, order, vals[t.root])
 
 
 def minimise(b: Bdd) -> Bdd:

@@ -12,13 +12,14 @@ answer every structural question. `freeze` runs Kahn's algorithm, and on a
 proper tree its pop order is the left-to-right preorder, which the tree
 records: the bottom-up order (`AttackTree.postorder`, the preorder read
 backwards) and the BAS order (`AttackTree.bas`, its BAS in turn) then cost
-no further walk. On a DAG the generic `postorder` function and the
-depth-first first-occurrence BAS walk give them; the BAS walk also answers
-`descendants`. `find_cycle` names the cycles of `freeze` and of the
-well-formedness check. `postorder` is the one order behind every
-bottom-up evaluation: tree folds go through `fold`, and the decision
-diagrams of `bdd` walk their nodes in the order the `postorder` function
-gives, with a walk of their own.
+no further walk. On a DAG, `AttackTree.postorder` walks the children
+tuples itself, in the order the generic `postorder` function gives, and
+the depth-first first-occurrence BAS walk gives the BAS order; the BAS
+walk also answers `descendants`. `find_cycle` names the cycles of `freeze`
+and of the well-formedness check. The generic `postorder` function is the
+reference for the one order behind every bottom-up evaluation: tree folds
+go through `fold`, and the decision diagrams of `bdd` walk their nodes in
+the order it gives, each with a walk of its own.
 """
 
 from __future__ import annotations
@@ -115,10 +116,34 @@ class AttackTree:
 
     @cached_property
     def postorder(self) -> tuple[int, ...]:
+        """Every node after all of its children: the proper tree's preorder
+        read backwards, or on a DAG the order of `postorder(root, lambda v:
+        nodes[v].children)` from a walk of its own. The path holds each
+        gate on it with an iterator over its children, last first; a BAS
+        is finished as soon as it is met."""
         if self.preorder is not None:
             return self.preorder[::-1]
         nodes = self.nodes
-        return postorder(self.root, lambda v: nodes[v].children)
+        done = bytearray(len(nodes))
+        out: list[int] = []
+        path = [self.root]
+        pending = [reversed(nodes[self.root].children)]
+        while pending:
+            for c in pending[-1]:
+                if not done[c]:
+                    kids = nodes[c].children
+                    if kids:
+                        path.append(c)
+                        pending.append(reversed(kids))
+                        break
+                    done[c] = 1
+                    out.append(c)
+            else:
+                v = path.pop()
+                pending.pop()
+                done[v] = 1
+                out.append(v)
+        return tuple(out)
 
     @cached_property
     def bas(self) -> tuple[int, ...]:

@@ -20,10 +20,12 @@ from atquant import (
     k_top,
     minimal_attacks_static,
     minimise,
+    parse_model,
     structure_function,
     top_paths,
 )
 from atquant.bdd import FALSE, TRUE, Bdd, VarOrder, _Store, check_minimised_shape, validate
+from atquant.cli import main
 from atquant.errors import DynamicTreeRejected, InvalidBdd, MissingAttribution, OrderMismatch
 from atquant.tree import NodeType, fold, postorder
 
@@ -253,22 +255,173 @@ def left_fold_compile(t, order=None):
     return Bdd(store, order, root)
 
 
-def test_balanced_compile_matches_left_fold(monkeypatch):
+def handed_up_and_shared_same_type(t):
+    """Gates with one parent, of their own type (compiled as part of that
+    parent), and gates of a parent's type with two or more parents
+    (compiled once, on their own)."""
+    parents = [[] for _ in t.nodes]
+    for n in t.nodes:
+        for c in n.children:
+            parents[c].append(n.type)
+    same = [n.type is not NodeType.BAS and n.type in parents[n.id] for n in t.nodes]
+    handed = sum(s and len(parents[v]) == 1 for v, s in enumerate(same))
+    return handed, sum(s and len(parents[v]) > 1 for v, s in enumerate(same))
+
+
+def rand_nested(rng, max_bas=8):
+    """Random static DAG whose gates often take a gate of their own type,
+    once or from several parents."""
+    n = rng.randint(2, max_bas)
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n)]
+    pool = [f"b{i}" for i in range(n)]
+    for gi in range(rng.randint(2, 6)):
+        kids = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        kind = rng.choice((NodeType.AND, NodeType.OR))
+        defs.append((f"g{gi}", kind, kids))
+        pool.append(f"g{gi}")
+    has_parent = {c for _, _, cs in defs for c in cs}
+    orphans = [lbl for lbl, _, _ in defs if lbl not in has_parent]
+    if len(orphans) > 1:
+        defs.append(("root", rng.choice((NodeType.AND, NodeType.OR)), orphans))
+    return build(defs, defs[-1][0] if len(orphans) > 1 else orphans[0])
+
+
+def test_deepest_first_compile_matches_left_fold(monkeypatch):
     rng = random.Random(11)
     dom = builtin("min-cost")
-    wide = 0
-    for _ in range(300):
-        t = rand_dag(rng, 8)
+    wide = handed = shared = 0
+    models = [rand_dag(rng, 8) for _ in range(150)] + [rand_tree(rng, 8) for _ in range(50)]
+    models += [rand_nested(rng) for _ in range(150)]
+    for t in models:
         wide += any(len(n.children) >= 4 for n in t.nodes)
+        h, s = handed_up_and_shared_same_type(t)
+        handed, shared = handed + h, shared + s
         a = rand_alpha(rng, t, dom)
-        for order in (default_order(t), shuffled_order(rng, t)):
+        orders = (default_order(t), VarOrder(bas_of(t)[::-1]), shuffled_order(rng, t))
+        for order in orders:
             new = from_structure_function(t, order)
             assert new.canonical() == left_fold_compile(t, order).canonical()
             got = bu_bdd(t, a, dom, order), k_top(t, a, dom, 3, order)
             with monkeypatch.context() as m:
                 m.setattr(analysis, "from_structure_function", left_fold_compile)
                 assert got == (bu_bdd(t, a, dom, order), k_top(t, a, dom, 3, order))
-    assert wide > 0  # gates of four or more children pair up differently
+    # gates of four or more children, nested same-type gates handed up to
+    # their parent, and same-type gates shared by two parents all came up
+    assert wide > 0 and handed > 0 and shared > 0
+
+
+def ladder(rungs):
+    """AND of rungs ORs, OR(b_i, b_i+1): each inner action is in two ORs."""
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(rungs + 1)]
+    defs += [(f"o{i}", NodeType.OR, [f"b{i}", f"b{i + 1}"]) for i in range(rungs)]
+    defs.append(("root", NodeType.AND, [f"o{i}" for i in range(rungs)]))
+    return build(defs, "root")
+
+
+def interval_dag(windows, nested):
+    """AND of one OR per window of consecutive actions: flat, as one AND of
+    every OR, or nested, as a balanced binary tree of ANDs over them."""
+    n_bas = max(hi for _, hi in windows) + 1
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n_bas)]
+    defs += [(f"o{i}", NodeType.OR, [f"b{b}" for b in range(lo, hi + 1)])
+             for i, (lo, hi) in enumerate(windows)]
+    layer = [f"o{i}" for i in range(len(windows))]
+    if not nested:
+        defs.append(("a", NodeType.AND, layer))
+        return build(defs, "a")
+    while len(layer) > 1:
+        pairs = [layer[i:i + 2] for i in range(0, len(layer), 2)]
+        layer = [p[0] if len(p) == 1 else f"a{len(defs) + i}" for i, p in enumerate(pairs)]
+        defs += [(lbl, NodeType.AND, p) for lbl, p in zip(layer, pairs) if len(p) == 2]
+    return build(defs, layer[0])
+
+
+def test_compile_makes_few_nodes_beyond_the_diagram():
+    # node counts are deterministic: a compile that copies its operands
+    # more than a bounded number of times shows here, not in a timing
+    for rungs in (256, 1024, 4096):
+        t = ladder(rungs)
+        b = from_structure_function(t)
+        assert len(b.store.unique) <= 2 * b.node_count() + len(bas_of(t))
+    # one function, two shapes: the nested ANDs are flattened into one
+    rng = random.Random(8)
+    windows, lo = [], 0
+    while lo < 300:
+        windows.append((lo, lo + rng.randint(1, 3)))
+        lo += rng.randint(1, 2)
+    flat, nested = (from_structure_function(interval_dag(windows, nest)) for nest in (False, True))
+    assert flat.canonical() == nested.canonical()
+    assert len(flat.store.unique) == len(nested.store.unique)
+    # a left-deep chain, AND(AND(AND(b0, b1), b2), b3)...: linear, not quadratic
+    n = 20000
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n + 1)]
+    defs.append(("g1", NodeType.AND, ["b0", "b1"]))
+    defs += [(f"g{i}", NodeType.AND, [f"g{i - 1}", f"b{i}"]) for i in range(2, n + 1)]
+    chain = from_structure_function(build(defs, f"g{n}"))
+    assert chain.node_count() == n + 1
+    assert len(chain.store.unique) <= 2 * (n + 1)
+
+
+NESTED_MODEL = """toplevel "r";
+"r" and "s" "c" "t";
+"s" and "a" "u";
+"u" or "b" "d";
+"t" or "e" "f" "v";
+"v" or "d" "g";
+"a" bas;
+"b" bas;
+"c" bas;
+"d" bas;
+"e" bas;
+"f" bas;
+"g" bas;
+"""
+# node ids follow the order compiling makes nodes: the nested AND "s" and OR
+# "v" join the operands of their parents, three-operand gates fold deepest
+# first
+NESTED_BDD_DUMP = (
+    'digraph bdd {\n'
+    '  rankdir=TB;\n'
+    '  n0 [shape=box, label="0"];\n'
+    '  n1 [shape=box, label="1"];\n'
+    '  n2 [shape=circle, label="g"];\n'
+    '  n6 [shape=circle, label="f"];\n'
+    '  n7 [shape=circle, label="e"];\n'
+    '  n9 [shape=circle, label="c"];\n'
+    '  n13 [shape=circle, label="c"];\n'
+    '  n14 [shape=circle, label="d"];\n'
+    '  n15 [shape=circle, label="d"];\n'
+    '  n16 [shape=circle, label="b"];\n'
+    '  n17 [shape=circle, label="a"];\n'
+    '  n2 -> n0 [style=dashed];\n'
+    '  n2 -> n1 [style=solid];\n'
+    '  n6 -> n2 [style=dashed];\n'
+    '  n6 -> n1 [style=solid];\n'
+    '  n7 -> n6 [style=dashed];\n'
+    '  n7 -> n1 [style=solid];\n'
+    '  n9 -> n0 [style=dashed];\n'
+    '  n9 -> n1 [style=solid];\n'
+    '  n13 -> n0 [style=dashed];\n'
+    '  n13 -> n7 [style=solid];\n'
+    '  n14 -> n13 [style=dashed];\n'
+    '  n14 -> n9 [style=solid];\n'
+    '  n15 -> n0 [style=dashed];\n'
+    '  n15 -> n9 [style=solid];\n'
+    '  n16 -> n15 [style=dashed];\n'
+    '  n16 -> n14 [style=solid];\n'
+    '  n17 -> n0 [style=dashed];\n'
+    '  n17 -> n16 [style=solid];\n'
+    '}\n'
+)
+
+
+def test_dump_bdd_golden_for_nested_same_type_gates(capsys, tmp_path):
+    model = tmp_path / "nested.at"
+    model.write_text(NESTED_MODEL)
+    assert main(["dump", str(model), "--what", "bdd"]) == 0
+    assert capsys.readouterr().out == NESTED_BDD_DUMP
+    t = parse_model(NESTED_MODEL).tree
+    assert from_structure_function(t).canonical() == left_fold_compile(t).canonical()
 
 
 def test_minimise_deep_chains_without_recursion():

@@ -288,6 +288,28 @@ def test_proper_trees_take_their_orders_from_freeze(monkeypatch):
     assert [(t.postorder, bas_of(t)) for t in trees] == expected
 
 
+def test_dag_postorder_is_the_generic_walk(monkeypatch):
+    # a DAG walks its children tuples with a walk of its own, which must
+    # give exactly the generic order: folds and diagram ids follow it
+    from atquant import tree
+
+    rng = random.Random(41)
+    dags = [rand_dag(rng, 10) for _ in range(300)] + [rand_dag(rng, 8, True) for _ in range(100)]
+    # g_i = OR(g_i-1, b_i) down 3,000 levels, b0 shared by the root too
+    n = 3000
+    defs = [(f"b{i}", B, []) for i in range(n)] + [("g0", O, ["b0", "b1"])]
+    defs += [(f"g{i}", O if i % 2 else A, [f"g{i - 1}", f"b{i}"]) for i in range(1, n)]
+    dags += [build(defs + [("r", A, ["b0", f"g{n - 1}", "b0"])], "r")]
+    assert all(classify(t).shape is Shape.DAG for t in dags)
+    expected = [postorder(t.root, lambda v: t.nodes[v].children) for t in dags]
+
+    def walked(*args):
+        raise AssertionError("a DAG walked by the generic function")
+
+    monkeypatch.setattr(tree, "postorder", walked)
+    assert [t.postorder for t in dags] == expected
+
+
 def test_node_is_a_named_tuple():
     n = treasure().node(0)
     assert n._fields == ("id", "label", "type", "children")
