@@ -31,7 +31,9 @@ column should grow linearly.
 Experiment 4: parse_model over the model files of balanced static trees with
 two attributions, integer and ratio costs and ratio probabilities, doubling
 node counts up to 2^max-power - 1 (131,071 nodes, 5.3 MB at the default);
-it prints the best of three parses and the megabytes read per second. Beside
+it prints the best of three parses, the megabytes read per second and the
+number of cyclic-collector passes that start during the three parses:
+parse_model pauses the collector, so it should read 0. Beside
 them come the stages a metric request runs next, each timed (best of three)
 on a freshly parsed tree so that no cached fact is shared between them:
 classify, bas_of, validate_attribution of the costs for min-cost, and the
@@ -44,6 +46,7 @@ fold reads it backwards.
 """
 
 import argparse
+import gc
 import random
 import sys
 import time
@@ -236,11 +239,36 @@ def fresh_stage(text: str, stage) -> float:
     return min(clock(stage, parse_model(text))[1] for _ in range(3))
 
 
+def collector_passes(fn, *args) -> tuple[list, int]:
+    """Three calls of fn(*args), each with its result and time, and the
+    number of cyclic-collector passes that started inside them; a pass that
+    the first allocation after a call starts is not counted."""
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    runs, passes = [], 0
+    gc.callbacks.append(note)
+    try:
+        for _ in range(3):
+            before = len(started)
+            t0 = time.perf_counter()
+            out = fn(*args)
+            took = time.perf_counter() - t0
+            passes += len(started) - before
+            runs.append((out, took))
+    finally:
+        gc.callbacks.remove(note)
+    return runs, passes
+
+
 def bench_parse(cfg: BenchConfig) -> None:
     print("balanced static trees with two attributions, parse_model, then the")
     print("stages of a min-cost request, each on a freshly parsed tree")
-    print(f"{'nodes':>9} {'MB':>6} {'parse ms':>9} {'MB/s':>6} {'classify':>9} {'bas_of':>7} "
-          f"{'validate':>9} {'fold ms':>8}")
+    print(f"{'nodes':>9} {'MB':>6} {'parse ms':>9} {'MB/s':>6} {'gc':>3} {'classify':>9} "
+          f"{'bas_of':>7} {'validate':>9} {'fold ms':>8}")
     rng = random.Random(1)
     dom = builtin("min-cost")
     stages = (
@@ -256,13 +284,13 @@ def bench_parse(cfg: BenchConfig) -> None:
                 for b in bas_of(t)}
         prob = {b: Fraction(rng.randint(1, 10), 10) for b in bas_of(t)}
         text = emit_model(ModelDocument(t, {"cost": cost, "prob": prob}))
-        runs = [clock(parse_model, text) for _ in range(3)]
+        runs, passes = collector_passes(parse_model, text)
         assert runs[0][0].tree == t, "a model file reads back as the tree it was written from"
         dt = min(took for _, took in runs)
         mb = len(text.encode()) / 1e6
         ms = [fresh_stage(text, stage) * 1000 for stage in stages]
-        print(f"{len(t):>9} {mb:>6.2f} {dt * 1000:>9.1f} {mb / dt:>6.1f} {ms[0]:>9.2f} "
-              f"{ms[1]:>7.1f} {ms[2]:>9.1f} {ms[3]:>8.1f}")
+        print(f"{len(t):>9} {mb:>6.2f} {dt * 1000:>9.1f} {mb / dt:>6.1f} {passes:>3} "
+              f"{ms[0]:>9.2f} {ms[1]:>7.1f} {ms[2]:>9.1f} {ms[3]:>8.1f}")
         power += 1
     print()
 

@@ -17,8 +17,13 @@ model, with the domains, attributions and orders the model declares:
 - ktop with k 1 and 3 for min-cost, min-time-seq and max-damage, every
   attribution, under the default and each declared order, text and JSON.
 
-It prints the number of requests and each request whose outputs differ,
-and exits 1 if any does.
+A decision diagram printed by `dump --what bdd` or `bdd-min` is also
+recorded with its nodes renamed in a low-first post-order from its roots.
+A request whose outputs differ only there is a renumbering, not a
+difference: the two diagrams have the same shape and labels, and only
+their node ids moved. It prints the number of requests, of renumberings
+and of differences, then each renumbered and each differing request, and
+exits 1 if any request differs.
 """
 
 import contextlib
@@ -35,6 +40,8 @@ FORMATS = ("text", "json")
 ALGORITHMS = ("auto", "bu", "bdd", "oracle")
 KTOP_DOMAINS = ("min-cost", "min-time-seq", "max-damage")
 MILLIS = re.compile(r'"millis": [-+.\deE]+')
+DOT_NODE = re.compile(r'  n(\d+) \[shape=(\w+), label="(.*)"\];')
+DOT_EDGE = re.compile(r"  n(\d+) -> n(\d+) \[style=(dashed|solid)\];")
 
 
 def battery(model: str, attributions, orders, domains) -> list[list[str]]:
@@ -53,8 +60,50 @@ def battery(model: str, attributions, orders, domains) -> list[list[str]]:
     return out
 
 
+def renumbered(dot: str):
+    """A decision diagram's DOT text with its nodes renamed in a low-first
+    post-order from its roots (the nodes no edge enters, in the order
+    listed): line i holds node i's shape, label and new low and high ids.
+    None if the text is not a diagram `emit_dot_bdd` prints."""
+    lines = dot.splitlines()
+    if lines[:2] != ["digraph bdd {", "  rankdir=TB;"] or lines[-1:] != ["}"]:
+        return None
+    nodes, edges = {}, {}
+    for line in lines[2:-1]:
+        if m := DOT_NODE.fullmatch(line):
+            nodes[m[1]] = f"{m[2]} {m[3]}"
+        elif m := DOT_EDGE.fullmatch(line):
+            edges.setdefault(m[1], {})[m[3]] = m[2]
+        else:
+            return None
+    kids = {v: [e[style] for style in ("dashed", "solid") if style in e] for v, e in edges.items()}
+    entered = {w for ws in kids.values() for w in ws}
+    order: list[str] = []
+    seen: set[str] = set()
+    for root in nodes:
+        if root in entered:
+            continue
+        seen.add(root)
+        stack = [(root, iter(kids.get(root, ())))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(kids.get(w, ()))))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    if set(order) != nodes.keys():  # an edge to a node not listed
+        return None
+    new = {v: str(i) for i, v in enumerate(order)}
+    return "\n".join(" ".join([nodes[v], *map(new.get, kids.get(v, ()))]) for v in order)
+
+
 def call(main, argv: list[str]) -> list:
-    """[exit code, stdout digest, stderr digest] of one in-process request."""
+    """[exit code, stdout digest, stderr digest, renumbered stdout digest] of
+    one in-process request; the last is None unless stdout is a diagram."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -63,9 +112,9 @@ def call(main, argv: list[str]) -> list:
             code = e.code
         except Exception as e:  # a traceback the user would see
             code = f"raised {type(e).__name__}: {e}"
-    digest = [hashlib.sha256(MILLIS.sub('"millis": 0', s.getvalue()).encode()).hexdigest()
-              for s in (out, err)]
-    return [code, *digest]
+    texts = [MILLIS.sub('"millis": 0', s.getvalue()) for s in (out, err)]
+    texts.append(renumbered(texts[0]))
+    return [code, *(t if t is None else hashlib.sha256(t.encode()).hexdigest() for t in texts)]
 
 
 def side(src: str, models: list[str]) -> dict:
@@ -112,9 +161,17 @@ def main(argv: list[str]) -> int:
         print("a side failed to run", file=sys.stderr)
         return 1
     old, new = map(json.loads, replies)
-    differing = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
-    print(f"{len(old.keys() | new.keys())} requests on {len(models)} models, "
-          f"{len(differing)} differ")
+    keys = sorted(old.keys() | new.keys())
+    changed = [key for key in keys if old.get(key) != new.get(key)]
+    # the same exit code, stderr and diagram once its nodes are renamed
+    renumbering = [key for key in changed if key in old and key in new
+                   and old[key][3] is not None and old[key][::2] == new[key][::2]
+                   and old[key][3] == new[key][3]]
+    differing = [key for key in changed if key not in renumbering]
+    print(f"{len(keys)} requests on {len(models)} models, "
+          f"{len(renumbering)} renumbered, {len(differing)} differ")
+    for key in renumbering:
+        print("renumbered:", " ".join(json.loads(key)))
     for key in differing:
         print("differs:", " ".join(json.loads(key)))
     return 1 if differing else 0

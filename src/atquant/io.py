@@ -20,28 +20,36 @@ are ASCII digits with dots, punctuation is one of `;{}=<>/(),`, and a quoted
 label may hold any character but `"` and newline. Spaces, tabs, CR, LF and
 `//` comments separate tokens; any other character is an error.
 
-Two front ends read a file into the same statements. The statement matcher
-reads a whole statement with one compiled pattern per kind: a run of node
-definitions, a `toplevel`, an attribution block, an `order`. One `findall`
-reads the definitions of a run, one the bindings of a block. It accepts
+Two front ends read a file into the same draft: the node labels and types
+in definition order, every node's child labels in one flat list, and each
+node's count of children. The statement matcher reads a whole statement
+with one compiled pattern per kind: a run of node definitions, a
+`toplevel`, an attribution block, an `order`. One `findall` reads the
+definitions of a run, one the bindings of a block, and the draft's columns
+come from the found columns, with no per-node list of labels. It accepts
 whitespace only inside a statement and comments only between statements,
 and it declines a basic action with children, a gate without, and a name
 declared twice. The token parser reads one token at a time and is the only
 source of syntax diagnostics. It reads the whole text again when the
 matcher declines any of it or when the matched statements break a rule
 below, so every error, with its line and column, is the token parser's.
-Both front ends convert numerals with `_number` and hand their statements
-to `_assemble`, which resolves labels, rejects dangling children, freezes
-the tree and checks that attributions and orders cover the basic actions.
+Both front ends convert numerals with `_number` and hand their draft to
+`_assemble`, which resolves all child labels with one lookup pass, rejects
+dangling children, freezes the tree and checks that attributions and
+orders cover the basic actions. `parse_model` pauses the cyclic collector
+while it reads: the store it builds holds no reference cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, compress, repeat
+from operator import is_, rshift
 from typing import Optional
 
 from .analysis import AnalysisResult
@@ -130,7 +138,8 @@ class _Draft:
         self.root: Optional[str] = None
         self.labels: list[str] = []  # node labels, in definition order
         self.types: list[NodeType] = []
-        self.children: list[list[str]] = []  # child labels per node
+        self.flat: list[str] = []  # every node's child labels, node after node
+        self.counts: list[int] = []  # each node's number of children
         self.ids: dict[str, int] = {}  # label -> index; labels are distinct
         self.attributions: list[tuple[str, list[str], list]] = []  # (name, labels, values)
         self.orders: list[tuple[str, list[str]]] = []  # (name, labels)
@@ -235,14 +244,27 @@ class _Parser:
 
 def parse_model(text: str) -> ModelDocument:
     """The document a model file holds. The statement matcher reads it where
-    it can; the token parser reads it otherwise and raises every error."""
+    it can; the token parser reads it otherwise and raises every error.
+
+    The cyclic collector is paused while the document is built, if it was
+    on, and is left as it was found. A document holds strings, numbers,
+    tuples, `Node`s and dicts that refer to one another without cycles, so a
+    collection during the build could free nothing and would only rescan
+    the growing store; what an error path leaves behind is collected once
+    the collector runs again."""
+    paused = gc.isenabled()
+    gc.disable()
     try:
-        d = _match(text)
-        if d is not None:
-            return _assemble(d, text)
-    except AtError:
-        pass  # the token parser raises it again, with its position
-    return _parse_tokens(text)
+        try:
+            d = _match(text)
+            if d is not None:
+                return _assemble(d, text)
+        except AtError:
+            pass  # the token parser raises it again, with its position
+        return _parse_tokens(text)
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _match(text: str) -> Optional[_Draft]:
@@ -266,21 +288,25 @@ def _match(text: str) -> Optional[_Draft]:
             if any(name == n for n, _, _ in d.attributions):
                 return None
             found = _BINDING.findall(text, *m.span("bindings"))
-            numerals = [(num, den) for _, num, den in found]
+            labels, nums, dens = zip(*found) if found else ((), (), ())
+            numerals = list(zip(nums, dens))
             # one value per distinct numeral; inf leaves both groups empty
             value = {key: _number(*key) if key[0] else INF for key in set(numerals)}
-            d.attributions.append((name, [b[0] for b in found], [value[k] for k in numerals]))
+            d.attributions.append((name, list(labels), list(map(value.__getitem__, numerals))))
         else:
             name = m["order"]
             if any(name == n for n, _ in d.orders):
                 return None
             d.orders.append((name, m["chain"].split('"')[1::2]))  # labels hold no quote
         pos = m.end()
-    # labels hold no quote, so the children's text splits on quotes
-    d.labels = [label for label, _, _ in defs]
-    d.types = [_KINDS[kind] for _, kind, _ in defs]
-    d.children = [kids.split('"')[1::2] for _, _, kids in defs]
-    d.ids = dict(zip(d.labels, range(len(defs))))
+    labels, kinds, kids = zip(*defs) if defs else ((), (), ())
+    d.labels = list(labels)
+    d.types = list(map(_KINDS.__getitem__, kinds))
+    # labels hold no quote, so the children's texts split on quotes, and a
+    # node's children are half the quotes in its text
+    d.flat = "".join(kids).split('"')[1::2]
+    d.counts = list(map(rshift, map(str.count, kids, repeat('"')), repeat(1)))
+    d.ids = dict(zip(labels, range(len(defs))))
     return d if len(d.ids) == len(defs) else None
 
 
@@ -351,7 +377,8 @@ def _parse_tokens(text: str) -> ModelDocument:
                 d.at["child", i, j] = child_at
             d.labels.append(word)
             d.types.append(node_type)
-            d.children.append([child for _, child, _ in children])
+            d.flat += [child for _, child, _ in children]
+            d.counts.append(len(children))
         else:
             raise p.error(f"unexpected token {word!r}", at)
     return _assemble(d, text)
@@ -375,15 +402,20 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
     if d.root not in ids:
         raise error(f"toplevel {d.root!r} is never defined", "toplevel")
     try:
-        kids = [tuple(map(ids.__getitem__, children)) for children in d.children]
+        flat = tuple(map(ids.__getitem__, d.flat))
     except KeyError:
-        for i, children in enumerate(d.children):
-            for j, child in enumerate(children):
-                if child not in ids:
-                    msg = f"node {d.labels[i]!r} references undefined node {child!r}"
-                    raise _locate(DanglingReference(msg), text, where(("child", i, j))) from None
-        raise
-    nodes = list(map(Node, range(len(kids)), d.labels, d.types, kids))
+        # the first undefined child in document order, as node i's child j
+        k = next(k for k, child in enumerate(d.flat) if child not in ids)
+        i, j = 0, k
+        while j >= d.counts[i]:
+            j -= d.counts[i]
+            i += 1
+        msg = f"node {d.labels[i]!r} references undefined node {d.flat[k]!r}"
+        raise _locate(DanglingReference(msg), text, where(("child", i, j))) from None
+    ends = list(accumulate(d.counts))
+    kids = map(flat.__getitem__, map(slice, chain((0,), ends), ends))  # slices of a tuple are tuples
+    # tuple.__new__ builds each Node as Node(...) would, without its Python-level __new__
+    nodes = list(map(tuple.__new__, repeat(Node), zip(range(len(ends)), d.labels, d.types, kids)))
     try:
         tree = freeze(nodes, d.root, ids[d.root])
     except CyclicStructure as e:
@@ -392,14 +424,14 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
         raise _locate(e, text, where("toplevel")) from None
 
     # freeze leaves no node unreachable, so the BAS are the nodes of that type
-    bas = {n.label: n.id for n in nodes if n.type is NodeType.BAS}
+    bas = dict(compress(zip(d.labels, range(len(nodes))), map(is_, d.types, repeat(NodeType.BAS))))
 
     def not_bas(block: str, name: str, label: str, key) -> ModelSyntaxError:
         return error(f"{block} {name!r} names {label!r}, which is not a basic action", key)
 
     attributions: dict[str, dict[int, object]] = {}
     for k, (name, labels, values) in enumerate(d.attributions):
-        seq = [bas.get(label) for label in labels]
+        seq = list(map(bas.get, labels))
         table = dict(zip(seq, values))
         if None in table or len(table) != len(seq):
             seen = set()
@@ -418,7 +450,7 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
 
     orders: dict[str, tuple[int, ...]] = {}
     for k, (name, labels) in enumerate(d.orders):
-        seq = tuple([bas.get(label) for label in labels])
+        seq = tuple(map(bas.get, labels))
         if None in seq:
             j = seq.index(None)
             raise not_bas("order", name, labels[j], ("link", k, j))

@@ -311,17 +311,19 @@ def descendants(t: AttackTree, node_id: int) -> frozenset[int]:
 
 def _bas_below(nodes: Sequence[Node], start: int) -> list[int]:
     """BAS ids at or below start in depth-first leftmost order, first
-    occurrence only."""
+    occurrence only: a node is marked seen when it is popped. `NodeType.BAS`
+    is read once, as looking up an enum member costs about ten global reads."""
     out: list[int] = []
-    seen: set[int] = set()
+    seen = bytearray(len(nodes))
     stack = [start]
+    bas = NodeType.BAS
     while stack:
         v = stack.pop()
-        if v in seen:
+        if seen[v]:
             continue
-        seen.add(v)
+        seen[v] = 1
         node = nodes[v]
-        if node.type is NodeType.BAS:
+        if node.type is bas:
             out.append(v)
         else:
             stack.extend(reversed(node.children))

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from atquant import (
     ModelDocument,
     analyze,
     bas_of,
+    build,
     builtin,
     classify,
     emit_dot,
@@ -171,6 +173,77 @@ def test_build_errors_surface_with_locations():
     assert str(ei.value) == (
         "declared root 'a' is not the unique parentless node at line 1, col 10"
     )
+
+
+# The first undefined child in document order is the one cited, however
+# many there are and wherever its node definition stands.
+DANGLING = [
+    # two gates each naming an undefined child
+    ('toplevel "r";\n"r" or "g" "x";\n"g" and "a" "y";\n"a" bas;\n', "r", "x", 2, 12),
+    # one gate naming the same undefined child twice
+    ('toplevel "r";\n"r" or "a" "z" "z";\n"a" bas;\n', "r", "z", 2, 12),
+    # a node run after an attribution block
+    ('toplevel "r";\n"a" bas;\n"g" or "a" "b";\nattribution "c" { "a" = 1; "b" = 2; }\n'
+     '"r" and "g" "b" "q";\n"b" bas;\n"s" or "w";\n', "r", "q", 5, 17),
+]
+
+
+@pytest.mark.parametrize("parse", [parse_model, _parse_tokens])
+@pytest.mark.parametrize("text,node,child,line,col", DANGLING)
+def test_the_first_dangling_child_is_cited(parse, text, node, child, line, col):
+    with pytest.raises(DanglingReference) as ei:
+        parse(text)
+    assert (ei.value.line, ei.value.col) == (line, col)
+    assert str(ei.value) == (
+        f"node {node!r} references undefined node {child!r} at line {line}, col {col}"
+    )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_model_leaves_the_collector_as_found(enabled):
+    parsed = 'toplevel "r";\n"r" or "a";\n"a" bas;\n'
+    declined = parsed + 'attribution "c" { "a" = 1; // 2;\n}\n'
+    rejected = parsed + '"b" bas\n'
+    assert _match(parsed) is not None and _match(declined) is None
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        parse_model(parsed)
+        assert gc.isenabled() is enabled
+        parse_model(declined)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ModelSyntaxError):
+            parse_model(rejected)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_large_model_reads_back_without_a_collection():
+    # a balanced static tree of 2^17 - 1 nodes, node i over nodes 2i+1, 2i+2
+    n = 2**17 - 1
+    defs = [(f"n{i}", NodeType.BAS, []) if 2 * i + 1 >= n else
+            (f"n{i}", NodeType.AND if i % 2 else NodeType.OR, [f"n{2 * i + 1}", f"n{2 * i + 2}"])
+            for i in range(n)]
+    t = build(defs, "n0")
+    cost = {b: b % 7 for b in bas_of(t)}
+    text = emit_model(ModelDocument(t, {"cost": cost}))
+    collections = []
+
+    def note(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(note)
+    try:
+        doc = parse_model(text)
+    finally:
+        gc.callbacks.remove(note)
+        (gc.enable if was else gc.disable)()
+    assert collections == []
+    assert doc.tree == t and doc.attributions == {"cost": cost}
 
 
 def test_roundtrip_is_structural_and_byte_stable():

@@ -215,21 +215,27 @@ def _reference_kind(t) -> StructureKind:
     return StructureKind(shape, Dynamics.DYNAMIC if sand else Dynamics.STATIC)
 
 
-def _reference_bas(t) -> tuple[int, ...]:
-    """BAS in depth-first leftmost order, first occurrence only."""
+def _reference_bas_below(nodes, start) -> list[int]:
+    """BAS at or below start in depth-first leftmost order, first occurrence
+    only, by a walk with a seen-set."""
     out: list[int] = []
     seen: set[int] = set()
-    stack = [t.root]
+    stack = [start]
     while stack:
         v = stack.pop()
         if v in seen:
             continue
         seen.add(v)
-        if t.nodes[v].type is B:
+        if nodes[v].type is B:
             out.append(v)
         else:
-            stack.extend(reversed(t.nodes[v].children))
-    return tuple(out)
+            stack.extend(reversed(nodes[v].children))
+    return out
+
+
+def _reference_bas(t) -> tuple[int, ...]:
+    """BAS in depth-first leftmost order, first occurrence only."""
+    return tuple(_reference_bas_below(t.nodes, t.root))
 
 
 def _facts_models():
@@ -288,11 +294,8 @@ def test_proper_trees_take_their_orders_from_freeze(monkeypatch):
     assert [(t.postorder, bas_of(t)) for t in trees] == expected
 
 
-def test_dag_postorder_is_the_generic_walk(monkeypatch):
-    # a DAG walks its children tuples with a walk of its own, which must
-    # give exactly the generic order: folds and diagram ids follow it
-    from atquant import tree
-
+def _walked_dags() -> list:
+    """400 random DAGs and one 3,000 levels deep."""
     rng = random.Random(41)
     dags = [rand_dag(rng, 10) for _ in range(300)] + [rand_dag(rng, 8, True) for _ in range(100)]
     # g_i = OR(g_i-1, b_i) down 3,000 levels, b0 shared by the root too
@@ -301,6 +304,15 @@ def test_dag_postorder_is_the_generic_walk(monkeypatch):
     defs += [(f"g{i}", O if i % 2 else A, [f"g{i - 1}", f"b{i}"]) for i in range(1, n)]
     dags += [build(defs + [("r", A, ["b0", f"g{n - 1}", "b0"])], "r")]
     assert all(classify(t).shape is Shape.DAG for t in dags)
+    return dags
+
+
+def test_dag_postorder_is_the_generic_walk(monkeypatch):
+    # a DAG walks its children tuples with a walk of its own, which must
+    # give exactly the generic order: folds and diagram ids follow it
+    from atquant import tree
+
+    dags = _walked_dags()
     expected = [postorder(t.root, lambda v: t.nodes[v].children) for t in dags]
 
     def walked(*args):
@@ -308,6 +320,20 @@ def test_dag_postorder_is_the_generic_walk(monkeypatch):
 
     monkeypatch.setattr(tree, "postorder", walked)
     assert [t.postorder for t in dags] == expected
+
+
+def test_dag_bas_walk_matches_the_seen_set_walk():
+    # the BAS order of a DAG, and descendants, come from one walk with a
+    # bytearray of seen marks; a seen-set walk is the reference
+    from atquant.tree import _bas_below
+
+    for t in _walked_dags():
+        starts = range(len(t)) if len(t) < 100 else [t.root, *range(0, len(t), 97)]
+        for v in starts:
+            want = _reference_bas_below(t.nodes, v)
+            assert _bas_below(t.nodes, v) == want
+            assert descendants(t, v) == frozenset(want)
+        assert bas_of(t) == tuple(_reference_bas_below(t.nodes, t.root))
 
 
 def test_node_is_a_named_tuple():
