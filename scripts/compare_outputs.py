@@ -23,7 +23,9 @@ A request whose outputs differ only there is a renumbering, not a
 difference: the two diagrams have the same shape and labels, and only
 their node ids moved. It prints the number of requests, of renumberings
 and of differences, then each renumbered and each differing request, and
-exits 1 if any request differs.
+exits 1 if any request differs. A differing request whose two outputs are
+both JSON objects is printed with the keys whose values differ: top-level
+keys, and those of the stats block as stats.<key>.
 """
 
 import contextlib
@@ -101,9 +103,31 @@ def renumbered(dot: str):
     return "\n".join(" ".join([nodes[v], *map(new.get, kids.get(v, ()))]) for v in order)
 
 
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def json_digests(text: str):
+    """A digest of each top-level value of a JSON object, and of each value
+    of its stats block under "stats.<key>"; None if text is no JSON object."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    stats = doc.pop("stats", None)
+    if isinstance(stats, dict):
+        doc.update({f"stats.{key}": value for key, value in stats.items()})
+    elif stats is not None:
+        doc["stats"] = stats
+    return {key: digest(json.dumps(value, sort_keys=True)) for key, value in doc.items()}
+
+
 def call(main, argv: list[str]) -> list:
-    """[exit code, stdout digest, stderr digest, renumbered stdout digest] of
-    one in-process request; the last is None unless stdout is a diagram."""
+    """[exit code, stdout digest, stderr digest, renumbered stdout digest,
+    JSON key digests] of one in-process request; the fourth is None unless
+    stdout is a diagram, the last None unless it is a JSON object."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -114,7 +138,7 @@ def call(main, argv: list[str]) -> list:
             code = f"raised {type(e).__name__}: {e}"
     texts = [MILLIS.sub('"millis": 0', s.getvalue()) for s in (out, err)]
     texts.append(renumbered(texts[0]))
-    return [code, *(t if t is None else hashlib.sha256(t.encode()).hexdigest() for t in texts)]
+    return [code, *(t if t is None else digest(t) for t in texts), json_digests(texts[0])]
 
 
 def side(src: str, models: list[str]) -> dict:
@@ -165,15 +189,21 @@ def main(argv: list[str]) -> int:
     changed = [key for key in keys if old.get(key) != new.get(key)]
     # the same exit code, stderr and diagram once its nodes are renamed
     renumbering = [key for key in changed if key in old and key in new
-                   and old[key][3] is not None and old[key][::2] == new[key][::2]
-                   and old[key][3] == new[key][3]]
+                   and old[key][3] is not None and old[key][3] == new[key][3]
+                   and old[key][0] == new[key][0] and old[key][2] == new[key][2]]
     differing = [key for key in changed if key not in renumbering]
     print(f"{len(keys)} requests on {len(models)} models, "
           f"{len(renumbering)} renumbered, {len(differing)} differ")
     for key in renumbering:
         print("renumbered:", " ".join(json.loads(key)))
     for key in differing:
-        print("differs:", " ".join(json.loads(key)))
+        line = "differs: " + " ".join(json.loads(key))
+        parts = [side[key][4] if key in side else None for side in (old, new)]
+        if None not in parts:
+            keys = sorted(k for k in parts[0].keys() | parts[1].keys()
+                          if parts[0].get(k) != parts[1].get(k))
+            line += f" (JSON keys: {', '.join(keys)})"
+        print(line)
     return 1 if differing else 0
 
 

@@ -4,7 +4,17 @@ Four computation routes, each with hard preconditions enforced here:
 
 - bu_sat: single bottom-up pass over a STATIC proper TREE (semiring domain).
 - bu_bdd: fold over the minimal-solutions BDD; handles shared subtrees
-  (static DAGs), needs both neutral elements.
+  (static DAGs), needs both neutral elements. A min-additive domain (or is
+  min, and is + over non-negative values) skips the minimal-solutions
+  transform and takes the shortest root-to-TRUE path of the compiled
+  diagram, high edges weighing their variable's value: the high set of a
+  TRUE-path satisfies the structure function, so it contains a minimal
+  attack, which costs no more; and a minimal attack, read as an
+  assignment, follows a TRUE-path whose high set it contains, which costs
+  no more than the attack. By absorption, min(x, x + y) = x, the extra
+  paths of the plain diagram never win. Max-damage and max-challenge are
+  not absorbing, so they, and k_top, which needs distinct minimal attacks,
+  keep the minimal-solutions diagram.
 - k_top: the k best attacks as k shortest paths, one bottom-up pass over the
   weighted BDD; only for domains whose conjunctive operator is addition.
 - bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
@@ -148,11 +158,33 @@ def _rank_values(t: AttackTree, alpha: dict, m: Bdd) -> list:
     return at_rank
 
 
+def _scaled_weights(at_rank: list, sgn: int) -> tuple[int, list]:
+    """(scale, weight): the signed edge weight of each rank, a finite one as
+    an integer over the common denominator scale, INF as sgn * math.inf and
+    an unreached rank as None. Scaling by scale > 0 keeps every sum,
+    comparison and tie."""
+    scale = math.lcm(*{a.denominator for a in at_rank if a is not None and a is not INF})
+    return scale, [None if a is None else sgn * math.inf if a is INF
+                   else sgn * a.numerator * (scale // a.denominator) for a in at_rank]
+
+
+def _unscaled(w, sgn: int, scale: int):
+    """The metric of a path of scaled weight w, exactly."""
+    if isinstance(w, float):
+        return INF
+    return sgn * w if scale == 1 else Fraction(sgn * w, scale)
+
+
 def bu_bdd_detailed(
     t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None
 ) -> BuBddRun:
     _require("bu_bdd", domain)
-    m = minimise(from_structure_function(t, order))
+    b = from_structure_function(t, order)
+    if domain.ktop_mode is KTopMode.MIN_ADDITIVE:
+        scale, weight = _scaled_weights(_rank_values(t, alpha, b), 1)
+        if not any(w < 0 for w in weight if w is not None):
+            return _shortest_path(b, weight, scale)
+    m = minimise(b)
     ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
     or_op, and_op = domain.or_op, domain.and_op
     at_rank = _rank_values(t, alpha, m)
@@ -163,8 +195,28 @@ def bu_bdd_detailed(
     return BuBddRun(vals[m.root], m, len(vals))
 
 
+def _shortest_path(b: Bdd, weight: list, scale: int) -> BuBddRun:
+    """The least weight of a root-to-TRUE path of the compiled diagram,
+    high edges weighing their rank's weight; exact for min-additive domains
+    (see the module docstring)."""
+    ranks, lows, highs = b.store.ranks, b.store.lows, b.store.highs
+    dist = [math.inf, 0] + [None] * (len(ranks) - 2)
+    for v in b.postorder:
+        if v >= 2:
+            lo = dist[lows[v]]
+            try:
+                hi = dist[highs[v]] + weight[ranks[v]]
+            except OverflowError:  # inf + an int past the float range
+                hi = math.inf
+            dist[v] = lo if lo <= hi else hi
+    return BuBddRun(_unscaled(dist[b.root], 1, scale), b, len(b.postorder))
+
+
 def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None):
-    """Metric through the minimal-solutions BDD; exact on shared structures."""
+    """Metric through a decision diagram of the structure function, the
+    compiled one for a min-additive domain whose values are all
+    non-negative, else the minimal-solutions one; exact on shared
+    structures."""
     return bu_bdd_detailed(t, alpha, domain, order).value
 
 
@@ -213,13 +265,14 @@ def k_top_detailed(
     # signed edge weights, finite ones as integers over one common
     # denominator: scaling by scale > 0 keeps every sum, comparison and tie
     at_rank = _rank_values(t, alpha, m)
-    scale = math.lcm(*{a.denominator for a in at_rank if a is not None and a is not INF})
-    weight = [None if a is None else sgn * math.inf if a is INF
-              else sgn * a.numerator * (scale // a.denominator) for a in at_rank]
+    scale, weight = _scaled_weights(at_rank, sgn)
     # a path is (weight, attack), an attack nested (bas, rest) pairs; a
-    # node's lists are dropped once its last parent has read them
+    # node's lists are dropped once its last parent has read them. The lex
+    # lists are read only under an infinite weight, so kept only if one is.
     best: dict[int, list] = {FALSE: [], TRUE: [(0, ())]}
-    lex: dict[int, list] = {FALSE: [], TRUE: [()]}
+    lex: Optional[dict[int, list]] = None
+    if any(a is INF for a in at_rank):
+        lex = {FALSE: [], TRUE: [()]}
     parents = [0] * len(lows)
     for v in m.postorder:
         if v >= 2:
@@ -238,11 +291,14 @@ def k_top_detailed(
                     up = [(w if isinstance(w, float) else w + a, (bas, rest))
                           for w, rest in best[hi]]
             best[v] = sorted(best[lo] + up, key=itemgetter(0))[:k]
-            lex[v] = (lex[lo] + [(bas, rest) for rest in lex[hi]])[:k]
+            if lex is not None:
+                lex[v] = (lex[lo] + [(bas, rest) for rest in lex[hi]])[:k]
             for c in (lo, hi):
                 parents[c] -= 1
                 if not parents[c]:
-                    del best[c], lex[c]
+                    del best[c]
+                    if lex is not None:
+                        del lex[c]
 
     out = []
     for w, attack in best[m.root]:
@@ -250,11 +306,7 @@ def k_top_detailed(
         while attack:
             b, attack = attack
             taken.append(b)
-        if isinstance(w, float):
-            metric = INF
-        else:
-            metric = sgn * w if scale == 1 else Fraction(sgn * w, scale)
-        out.append((metric, frozenset(taken)))
+        out.append((_unscaled(w, sgn, scale), frozenset(taken)))
     return out, m
 
 

@@ -9,7 +9,10 @@ operands from the deepest root rank up, `acc = f op acc`. By Bryant (IEEE
 TC 1986) f op g costs O(|f|) when every variable of f precedes those of g,
 so where operands overlap little each is walked about once; pairing the
 children, or a left fold, applies a growing diagram again at every step,
-which made a left-deep chain of n binary gates cost n^2/2 nodes.
+which made a left-deep chain of n binary gates cost n^2/2 nodes. An
+operand that is one variable ranked above the accumulator needs no apply:
+f op acc is then a single node, (x, FALSE, acc) for AND and (x, acc, TRUE)
+for OR, made inline, so a gate over basic actions is built as its chain.
 
 `apply` and `minimise`'s `without` run on explicit work stacks, in the
 style of Brace, Rudell and Bryant (DAC 1990), and no function here calls
@@ -23,7 +26,8 @@ TRUE-paths (read as the set of variables taken on a high edge) are exactly
 the subset-minimal successful attacks. That diagram is meaningful under
 path semantics, not boolean semantics, so it is built with its own node
 constructor whose reduction rule drops nodes with a FALSE high child
-instead of merging equal children.
+instead of merging equal children. Only the folds that need distinct
+minimal attacks, or a non-absorbing domain, build it (see `analysis`).
 """
 
 from __future__ import annotations
@@ -230,9 +234,13 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     root is never below acc's; when all of f's variables precede acc's in
     the order, apply copies f once, with acc below it. The apply memo lives
     for the whole compile, so a tail of late-ranked actions that several
-    operands share is combined with the accumulator once. A left-deep chain
-    of n binary AND gates makes 2n+1 nodes, where pairing the children made
-    about n^2/2."""
+    operands share is combined with the accumulator once. An operand that
+    is a single variable ranked above acc's root is not applied: the one
+    node apply would make for it is hash-consed inline, so a gate over
+    basic actions is built as its chain, from the deepest rank up, with
+    the nodes and node ids apply would give. A left-deep chain of n binary
+    AND gates makes 2n+1 nodes, where pairing the children made about
+    n^2/2."""
     if classify(t).dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("BDD construction needs a static model; project first")
     if order is None:
@@ -240,8 +248,10 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     elif set(order.bas) != set(bas_of(t)):
         raise OrderMismatch("order must cover exactly the model's basic actions")
     store = _Store(order)
-    ranks, apply = store.ranks, store.apply
+    ranks, lows, highs, unique = store.ranks, store.lows, store.highs, store.unique
+    apply = store.apply
     nodes = t.nodes
+    bas_type, and_type = NodeType.BAS, NodeType.AND
     # a gate with one parent, of its own type, hands its operands up to it
     parents = [0] * len(nodes)
     parent_type = [None] * len(nodes)
@@ -254,7 +264,7 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     vals: list = [None] * len(nodes)
     for v in t.postorder:
         n = nodes[v]
-        if n.type is NodeType.BAS:
+        if n.type is bas_type:
             vals[v] = store.node(order.rank_of(v), FALSE, TRUE)
             continue
         lists = [c for c in n.children if up[c]]
@@ -275,10 +285,23 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
         # deepest root first, repeats dropped: each operand then sits above
         # the accumulator
         ops = sorted(dict.fromkeys(ops), key=ranks.__getitem__, reverse=True)
-        op = n.type.value  # "or" or "and": a static model has no SAND
+        conj = n.type is and_type  # else OR: a static model has no SAND
         acc = ops[0]
         for f in ops[1:]:
-            acc = apply(op, f, acc)
+            r = ranks[f]
+            if r < ranks[acc] and lows[f] == FALSE and highs[f] == TRUE:
+                # f is one variable above acc: f op acc is the single node
+                # apply would make, hash-consed here; its ranks increase
+                key = (r, FALSE, acc) if conj else (r, acc, TRUE)
+                found = unique.get(key)
+                if found is None:
+                    found = unique[key] = len(ranks)
+                    ranks.append(r)
+                    lows.append(key[1])
+                    highs.append(key[2])
+                acc = found
+            else:
+                acc = apply("and" if conj else "or", f, acc)
         vals[v] = acc
     store.apply_memo.clear()  # nothing reads it once the diagram is built
     return Bdd(store, order, vals[t.root])

@@ -147,12 +147,14 @@ class AttributeDomain:
                 return
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise BadAttributeValue(f"{self.name}: expected a number or inf, got {v!r}")
-            if v < 0:
+            # signs and bounds on numerator and denominator (always positive):
+            # comparing a Fraction runs Fraction._richcmp in Python
+            if v.numerator < 0:
                 raise BadAttributeValue(f"{self.name}: negative value {render_value(v)}")
         elif self.kind is ValueKind.PROBABILITY:
             if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise BadAttributeValue(f"{self.name}: expected an exact rational, got {v!r}")
-            if not 0 <= v <= 1:
+            if not 0 <= v.numerator <= v.denominator:
                 raise BadAttributeValue(
                     f"{self.name}: probability {render_value(v)} outside [0, 1]"
                 )

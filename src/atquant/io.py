@@ -465,12 +465,13 @@ def emit_model(doc: ModelDocument) -> str:
     t = doc.tree
     quoted = [f'"{n.label}"' for n in t.nodes]
     lines = [f"toplevel {quoted[t.root]};"]
+    bas, keyword = NodeType.BAS, {k: k.value for k in NodeType}
     for node in t.nodes:
-        if node.type is NodeType.BAS:
+        if node.type is bas:
             lines.append(f"{quoted[node.id]} bas;")
         else:
             kids = " ".join([quoted[c] for c in node.children])
-            lines.append(f"{quoted[node.id]} {node.type.value} {kids};")
+            lines.append(f"{quoted[node.id]} {keyword[node.type]} {kids};")
     for name in sorted(doc.attributions):
         lines.append("")
         lines.append(f'attribution "{name}" {{')
@@ -548,17 +549,16 @@ def emit_dot(t: AttackTree) -> str:
     """The model as a GraphViz digraph; SAND edges are numbered since their
     child order is semantic."""
     lines = ["digraph attack_tree {", "  rankdir=TB;"]
+    bas, sand, tag = NodeType.BAS, NodeType.SAND, {k: k.value.upper() for k in NodeType}
     for node in t.nodes:
         label = _dot_escape(node.label)
-        if node.type is NodeType.BAS:
+        if node.type is bas:
             lines.append(f'  n{node.id} [shape=box, label="{label}"];')
         else:
-            lines.append(
-                f'  n{node.id} [shape=ellipse, label="{label}\\n[{node.type.value.upper()}]"];'
-            )
+            lines.append(f'  n{node.id} [shape=ellipse, label="{label}\\n[{tag[node.type]}]"];')
     for node in t.nodes:
         for pos, c in enumerate(node.children):
-            if node.type is NodeType.SAND:
+            if node.type is sand:
                 lines.append(f'  n{node.id} -> n{c} [label="{pos + 1}"];')
             else:
                 lines.append(f"  n{node.id} -> n{c};")

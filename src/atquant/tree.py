@@ -284,11 +284,11 @@ def fold(t: AttackTree, leaf: Callable[[Node], Any], gate: Callable[[Node, list]
     """Bottom-up evaluation at the root: leaf(node) gives a BAS its value,
     gate(node, child values) combines a gate's. A shared node is evaluated
     once and its value reused by every parent."""
-    nodes = t.nodes
+    nodes, bas = t.nodes, NodeType.BAS
     vals: list[Any] = [None] * len(nodes)
     for v in t.postorder:
         n = nodes[v]
-        vals[v] = leaf(n) if n.type is NodeType.BAS else gate(n, [vals[c] for c in n.children])
+        vals[v] = leaf(n) if n.type is bas else gate(n, [vals[c] for c in n.children])
     return vals[t.root]
 
 

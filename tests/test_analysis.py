@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from decimal import Decimal
@@ -24,9 +25,9 @@ from atquant import (
     total_probability_tree,
 )
 from atquant.analysis import auto_route, bu_bdd_detailed, validate_attribution
-from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise
+from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise, top_paths
 from atquant.domains import (
-    BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, nat_min, render_value,
+    BUILTIN_NAMES, AttributeDomain, KTopMode, ValueKind, nat_add, nat_min, render_value,
 )
 from atquant.errors import (
     AtError,
@@ -124,6 +125,62 @@ def test_bu_bdd_visits_every_diagram_node_once():
         run = bu_bdd_detailed(t, a, builtin("min-cost"))
         assert run.visits == len(run.diagram.postorder)
         assert run.visits == run.diagram.node_count() + 2
+
+
+def _min_additive_value(rng):
+    x = rng.random()
+    if x < 0.15:
+        return INF
+    if x < 0.3:
+        return 0
+    if x < 0.65:
+        return Fraction(rng.randint(1, 300), rng.choice((1, 2, 3, 7, 10, 97)))
+    return rng.randint(1, 40)
+
+
+def test_min_additive_shortest_path_agrees_with_minimise_and_the_oracle():
+    # the compiled diagram's shortest path, the fold over the minimal-solutions
+    # diagram (the same domain, flagged not min-additive) and the oracle
+    rng = random.Random(1717)
+    cases = 0
+    for name in ("min-cost", "min-time-seq"):
+        d = builtin(name)
+        minimising = dataclasses.replace(d, ktop_mode=KTopMode.UNSUPPORTED)
+        for i in range(1000):
+            t = (rand_dag if i % 2 else rand_tree)(rng, 9)
+            bas = bas_of(t)
+            huge = [2**1100 + rng.randint(0, 10**6) for _ in bas]
+            draws = [
+                {b: _min_additive_value(rng) for b in bas},
+                {b: INF for b in bas},
+                # past the float range beside infinite weights
+                {b: INF if rng.random() < 0.4 else h for b, h in zip(bas, huge)},
+            ]
+            for a in draws:
+                got = bu_bdd(t, a, d)
+                for want in (bu_bdd(t, a, minimising), oracle_metric_static(t, a, d)):
+                    assert got == want and render_value(got) == render_value(want)
+                cases += 1
+    assert cases == 6000
+
+
+def test_only_min_additive_domains_fold_the_compiled_diagram():
+    # order a < b < c: the compiled diagram of (a AND b) OR c also has the
+    # non-minimal path {a, c}, which only absorption makes harmless
+    t = tt(("or", ("and", "a", "b"), "c"))
+    a = alpha(t, {"a": 10, "b": 1, "c": 5})
+    compiled = from_structure_function(t)
+    minimal = {frozenset(map(t.id_of, "ab")), frozenset({t.id_of("c")})}
+    assert frozenset(map(t.id_of, "ac")) in top_paths(compiled)
+    run = bu_bdd_detailed(t, a, builtin("min-cost"))
+    assert run.value == 5 and run.diagram.canonical() == compiled.canonical()
+    # max is not absorbing over +: {a, c} would read 15
+    run = bu_bdd_detailed(t, a, builtin("max-damage"))
+    assert run.value == 11 and top_paths(run.diagram) == minimal
+    # nor is min over a negative value, which only a direct call can pass:
+    # {a, c} would read -5
+    run = bu_bdd_detailed(t, alpha(t, {"a": -10, "b": 20, "c": 5}), builtin("min-cost"))
+    assert run.value == 5 and top_paths(run.diagram) == minimal
 
 
 def test_k_top_overlap_golden():

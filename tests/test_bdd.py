@@ -3,6 +3,7 @@ import gc
 import inspect
 import random
 import weakref
+from pathlib import Path
 from functools import partial, reduce
 from itertools import chain, combinations
 
@@ -27,7 +28,7 @@ from atquant import (
 from atquant.bdd import FALSE, TRUE, Bdd, VarOrder, _Store, check_minimised_shape, validate
 from atquant.cli import main
 from atquant.errors import DynamicTreeRejected, InvalidBdd, MissingAttribution, OrderMismatch
-from atquant.tree import NodeType, fold, postorder
+from atquant.tree import NodeType, fold, postorder, static_projection
 
 from helpers import overlap, rand_alpha, rand_dag, rand_tree, suite_labels, exploit, treasure, tt
 
@@ -360,6 +361,84 @@ def test_compile_makes_few_nodes_beyond_the_diagram():
     chain = from_structure_function(build(defs, f"g{n}"))
     assert chain.node_count() == n + 1
     assert len(chain.store.unique) <= 2 * (n + 1)
+
+
+def test_min_cost_fold_makes_no_node_beyond_the_compile():
+    # counted, not timed: the min-additive fold walks the compiled diagram
+    # and builds nothing; k-top still builds the minimal-solutions diagram
+    for rungs in (256, 1024):
+        t = ladder(rungs)
+        a = {b: 1 + b % 5 for b in bas_of(t)}
+        compiled = len(from_structure_function(t).store.unique)
+        run = analysis.bu_bdd_detailed(t, a, builtin("min-cost"))
+        assert len(run.diagram.store.unique) == compiled
+        _, m = analysis.k_top_detailed(t, a, builtin("min-cost"), 5)
+        assert len(m.store.unique) > compiled
+
+
+def apply_fold_compile(t, order=None):
+    """Reference compile: `from_structure_function` with every operand
+    folded in by apply, a single variable too."""
+    order = order or default_order(t)
+    store = _Store(order)
+    nodes = t.nodes
+    parents = [0] * len(nodes)
+    parent_type = [None] * len(nodes)
+    for n in nodes:
+        for c in n.children:
+            parents[c] += 1
+            parent_type[c] = n.type
+    up = [p == 1 and pt is n.type for p, pt, n in zip(parents, parent_type, nodes)]
+    vals = [None] * len(nodes)
+    for v in t.postorder:
+        n = nodes[v]
+        if n.type is NodeType.BAS:
+            vals[v] = store.node(order.rank_of(v), FALSE, TRUE)
+            continue
+        lists = [c for c in n.children if up[c]]
+        ops = []
+        if lists:
+            big = max(lists, key=lambda c: len(vals[c]))
+            ops = vals[big]
+            for c in n.children:
+                if not up[c]:
+                    ops.append(vals[c])
+                elif c != big:
+                    ops.extend(vals[c])
+        else:
+            ops = [vals[c] for c in n.children]
+        if up[v]:
+            vals[v] = ops
+            continue
+        ops = sorted(dict.fromkeys(ops), key=store.ranks.__getitem__, reverse=True)
+        vals[v] = reduce(lambda acc, f: store.apply(n.type.value, f, acc), ops[1:], ops[0])
+    return Bdd(store, order, vals[t.root])
+
+
+def test_single_variable_operands_make_the_nodes_apply_makes(monkeypatch):
+    # node ids, and so every dump, must not change: the whole store, in
+    # creation order, equals the one a compile applying every operand makes
+    rng = random.Random(23)
+    models = [rand_tree(rng, 9) for _ in range(100)] + [rand_dag(rng, 9) for _ in range(100)]
+    models += [rand_nested(rng) for _ in range(50)]
+    models += [static_projection(parse_model(p.read_text(encoding="utf-8")).tree)
+               for p in sorted((Path(__file__).parent.parent / "models").glob("*.at"))]
+    runs = [(t, (default_order(t), shuffled_order(rng, t))) for t in models]
+    # a ladder's diagram is exponential under a random order, linear reversed
+    runs += [(t, (default_order(t), VarOrder(bas_of(t)[::-1]))) for t in (ladder(300),)]
+    for t, orders in runs:
+        for order in orders:
+            got, want = from_structure_function(t, order), apply_fold_compile(t, order)
+            assert got.root == want.root
+            assert got.store.ranks == want.store.ranks
+            assert (got.store.lows, got.store.highs) == (want.store.lows, want.store.highs)
+            assert got.store.unique == want.store.unique
+    # a gate over basic actions calls apply for none of them
+    calls = []
+    monkeypatch.setattr(_Store, "apply", lambda self, *args: calls.append(args))
+    for kind in ("and", "or"):
+        b = from_structure_function(tt((kind, "a", "b", "c", "d")))
+        assert calls == [] and b.node_count() == 4
 
 
 NESTED_MODEL = """toplevel "r";

@@ -134,7 +134,8 @@ def test_metric_text_and_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["value"] == "1" and doc["algorithm"] == "bdd"
-    assert doc["stats"]["bdd_nodes"] == 3
+    # the compiled diagram the min-additive fold walks, (a or b) and (b or c)
+    assert doc["stats"]["bdd_nodes"] == 4
 
 
 def test_numbers_past_the_int_digit_limit(tmp_path, capsys):

@@ -409,7 +409,7 @@ def test_emit_result_json_golden():
     assert '"metric": "min-cost"' in out
     assert '"value": "1"' in out
     assert '"algorithm": "bdd"' in out
-    assert '"bdd_nodes": 3' in out
+    assert '"bdd_nodes": 4' in out
     assert out.index('"metric"') < out.index('"value"') < out.index('"algorithm"')
 
 

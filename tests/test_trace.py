@@ -28,6 +28,8 @@ def test_tracer_installs_spans_and_uninstalls(capsys):
         tracer.install()
         assert main(["metric", "models/overlap.at", "--domain", "min-cost",
                      "--attribution", "cost"]) == 0
+        assert main(["ktop", "models/overlap.at", "--domain", "min-cost",
+                     "--attribution", "cost", "--k", "2"]) == 0
         assert main(["check", "models/exploit.at"]) == 0
         tracer.settle()
     finally:
@@ -39,5 +41,5 @@ def test_tracer_installs_spans_and_uninstalls(capsys):
     names = {span[1] for span in tracer.spans}
     assert {"io.parse", "io.emit", "tree.classify", "analysis.validate", "analysis.analyze",
             "bdd.compile", "bdd.minimise", "semantics.well_formed"} <= names
-    assert tracer.counts["analysis.route.bdd"] == 1
+    assert tracer.counts["analysis.route.bdd"] == tracer.counts["analysis.route.ktop"] == 1
     assert tracer.counts["bdd.reachable_nodes"] > 0
