@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Timing smoke for the three complexity claims worth watching.
 
-Experiment 1: the plain bottom-up fold over balanced static trees, doubling
-node counts; the column should grow linearly.
+Experiment 1: the min-cost bottom-up fold over balanced static trees,
+doubling node counts, once with every cost 1 and once with ratio costs
+p/q, q from 1 to 9, which the fold sums as integers over their common
+denominator; both columns should grow linearly.
 
 Experiment 2: the shared-structure diagram fold on ladder DAGs
 AND(OR(b1,b2), OR(b2,b3), ...) where every inner action is shared by two
@@ -36,8 +38,10 @@ number of cyclic-collector passes that start during the three parses:
 parse_model pauses the collector, so it should read 0. Beside
 them come the stages a metric request runs next, each timed (best of three)
 on a freshly parsed tree so that no cached fact is shared between them:
-classify, bas_of, validate_attribution of the costs for min-cost, and the
-min-cost fold (bu_sat). parse_model already orders a fresh proper tree, as
+classify, bas_of, validate_attribution of the costs for min-cost, the
+min-cost fold (bu_sat), the prob-max fold over the probabilities, and the
+canonical model text (emit_model, what `dump --what model` writes).
+parse_model already orders a fresh proper tree, as
 its check of the structure records the preorder, so the bas_of and fold
 columns pay for no walk: bas_of picks the BAS out of that preorder, and the
 fold reads it backwards.
@@ -165,15 +169,18 @@ def clock(fn, *args):
 
 
 def bench_fold(cfg: BenchConfig) -> None:
-    print("balanced static trees, min-cost fold")
-    print(f"{'nodes':>9} {'fold ms':>9}")
+    print("balanced static trees, min-cost fold of unit and of ratio costs")
+    print(f"{'nodes':>9} {'unit ms':>9} {'ratio ms':>9}")
+    rng = random.Random(1)
     dom = builtin("min-cost")
     power = 10
     while power <= cfg.max_power:
         t = balanced_tree(power - 1)  # 2^power - 1 nodes total
-        a = {b: 1 for b in bas_of(t)}
-        _, dt = clock(bu_sat, t, a, dom)
-        print(f"{len(t):>9} {dt * 1000:>9.1f}")
+        unit = {b: 1 for b in bas_of(t)}
+        ratio = {b: Fraction(rng.randint(1, 40), rng.randint(1, 9)) for b in bas_of(t)}
+        _, dt = clock(bu_sat, t, unit, dom)
+        _, dt_ratio = clock(bu_sat, t, ratio, dom)
+        print(f"{len(t):>9} {dt * 1000:>9.1f} {dt_ratio * 1000:>9.1f}")
         power += 1
     print()
 
@@ -266,16 +273,18 @@ def collector_passes(fn, *args) -> tuple[list, int]:
 
 def bench_parse(cfg: BenchConfig) -> None:
     print("balanced static trees with two attributions, parse_model, then the")
-    print("stages of a min-cost request, each on a freshly parsed tree")
+    print("stages of metric and dump requests, each on a freshly parsed tree")
     print(f"{'nodes':>9} {'MB':>6} {'parse ms':>9} {'MB/s':>6} {'gc':>3} {'classify':>9} "
-          f"{'bas_of':>7} {'validate':>9} {'fold ms':>8}")
+          f"{'bas_of':>7} {'validate':>9} {'fold ms':>8} {'prob ms':>8} {'dump ms':>8}")
     rng = random.Random(1)
-    dom = builtin("min-cost")
+    dom, prob_max = builtin("min-cost"), builtin("prob-max")
     stages = (
         lambda doc: classify(doc.tree),
         lambda doc: bas_of(doc.tree),
         lambda doc: validate_attribution(doc.tree, doc.attributions["cost"], dom),
         lambda doc: bu_sat(doc.tree, doc.attributions["cost"], dom),
+        lambda doc: bu_sat(doc.tree, doc.attributions["prob"], prob_max),
+        emit_model,
     )
     power = 10
     while power <= cfg.max_power:
@@ -290,7 +299,8 @@ def bench_parse(cfg: BenchConfig) -> None:
         mb = len(text.encode()) / 1e6
         ms = [fresh_stage(text, stage) * 1000 for stage in stages]
         print(f"{len(t):>9} {mb:>6.2f} {dt * 1000:>9.1f} {mb / dt:>6.1f} {passes:>3} "
-              f"{ms[0]:>9.2f} {ms[1]:>7.1f} {ms[2]:>9.1f} {ms[3]:>8.1f}")
+              f"{ms[0]:>9.2f} {ms[1]:>7.1f} {ms[2]:>9.1f} {ms[3]:>8.1f} {ms[4]:>8.1f} "
+              f"{ms[5]:>8.1f}")
         power += 1
     print()
 

@@ -3,6 +3,10 @@
 Four computation routes, each with hard preconditions enforced here:
 
 - bu_sat: single bottom-up pass over a STATIC proper TREE (semiring domain).
+  A min-additive domain (or is min, and is +) folds exact integers: each
+  distinct value scaled once over the common denominator, each gate one
+  builtin `min` or `sum`. Negative values, and INF beside an int past the
+  float range, take the operator fold.
 - bu_bdd: fold over the minimal-solutions BDD; handles shared subtrees
   (static DAGs), needs both neutral elements. A min-additive domain (or is
   min, and is + over non-negative values) skips the minimal-solutions
@@ -18,7 +22,8 @@ Four computation routes, each with hard preconditions enforced here:
 - k_top: the k best attacks as k shortest paths, one bottom-up pass over the
   weighted BDD; only for domains whose conjunctive operator is addition.
 - bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
-  SAND to the domain's three operators.
+  SAND to the domain's three operators; a min-additive domain whose
+  sequential operator is its conjunctive one folds integers as bu_sat does.
 
 The module also exposes naive_bottom_up without the shape guard. It exists
 so tests (and the curious) can watch the tree fold double-count shared
@@ -56,7 +61,7 @@ from .semantics import (
     oracle_metric_dynamic,
     oracle_metric_static,
 )
-from .tree import AttackTree, Dynamics, Node, NodeType, Shape, StructureKind, bas_of, classify, fold
+from .tree import AttackTree, Dynamics, NodeType, Shape, StructureKind, bas_of, classify, fold
 
 
 def _refusal(engine: str, d: AttributeDomain) -> Optional[AtError]:
@@ -102,24 +107,49 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
             raise BadAttributeValue(f"{e} for basic action {t.label_of(b)!r}") from None
 
 
-def _value(alpha: dict, n: Node):
+def _value(alpha: dict, t: AttackTree, v: int):
     try:
-        return alpha[n.id]
+        return alpha[v]
     except KeyError:
-        raise MissingAttribution(f"no value for basic action {n.label!r}") from None
+        raise MissingAttribution(f"no value for basic action {t.labels[v]!r}") from None
 
 
 def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Memoized bottom-up fold; the memoization is what makes it naive on
     DAGs (a shared node contributes one value to every parent). Callers
     ensure a SAND gate only meets a domain with a sequential operator."""
-    ops = {
-        NodeType.OR: domain.or_op,
-        NodeType.AND: domain.and_op,
-        NodeType.SAND: domain.seq_op,
-    }
-    return fold(t, functools.partial(_value, alpha),
-                lambda n, kids: functools.reduce(ops[n.type], kids))
+    try:
+        leaves = list(map(alpha.__getitem__, t.bas))
+    except KeyError:  # name the first missing value in the bottom-up order
+        for v in t.postorder:
+            if t.types[v] is NodeType.BAS:
+                _value(alpha, t, v)
+        raise
+    if domain.ktop_mode is KTopMode.MIN_ADDITIVE and (
+            domain.seq_equals_and or t.kind.dynamics is Dynamics.STATIC):
+        value = _min_additive_fold(t, leaves)
+        if value is not None:
+            return value
+    ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op, NodeType.SAND: domain.seq_op}
+    return fold(t, leaves, {k: functools.partial(functools.reduce, op) for k, op in ops.items()})
+
+
+def _min_additive_fold(t: AttackTree, leaves: list):
+    """`_fold` for or = min and and = seq = + in exact integers (see the
+    module docstring), or None if the operator fold must answer."""
+    distinct = {id(a): a for a in leaves}
+    if not all(a is INF or type(a) is int or type(a) is Fraction for a in distinct.values()):
+        return None
+    scale, weight = _scaled_weights(list(distinct.values()), 1)
+    if any(w < 0 for w in weight):
+        return None
+    scaled = dict(zip(distinct, weight))
+    try:
+        w = fold(t, [scaled[id(a)] for a in leaves],
+                 {NodeType.OR: min, NodeType.AND: sum, NodeType.SAND: sum})
+    except OverflowError:  # sum([10**400, math.inf])
+        return None
+    return _unscaled(w, 1, scale)
 
 
 def naive_bottom_up(t: AttackTree, alpha: dict, domain: AttributeDomain):
@@ -151,10 +181,10 @@ def _rank_values(t: AttackTree, alpha: dict, m: Bdd) -> list:
     """The attribute of each variable rank the diagram branches on, None at
     the others. Looked up in the diagram's postorder, so a missing value is
     reported where a fold would meet it, and only if the diagram has it."""
-    ranks, bas_at, nodes = m.store.ranks, m.order.bas, t.nodes
+    ranks, bas_at = m.store.ranks, m.order.bas
     at_rank: list = [None] * len(bas_at)
     for r in dict.fromkeys(ranks[v] for v in m.postorder if v >= 2):
-        at_rank[r] = _value(alpha, nodes[bas_at[r]])
+        at_rank[r] = _value(alpha, t, bas_at[r])
     return at_rank
 
 
@@ -339,18 +369,18 @@ def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
     if kind.dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("total probability is defined for static trees")
 
-    def leaf(n: Node) -> Fraction:
-        p = _value(alpha, n)
+    def leaf(b: int) -> Fraction:
+        p = _value(alpha, t, b)
         if isinstance(p, bool) or not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
-            raise NotProbability(f"value {p!r} for {n.label!r} is not a probability")
+            raise NotProbability(f"value {p!r} for {t.labels[b]!r} is not a probability")
         return Fraction(p)
 
-    def gate(n: Node, kids: list) -> Fraction:
-        if n.type is NodeType.AND:
-            return math.prod(kids, start=Fraction(1))
-        return 1 - math.prod((1 - p for p in kids), start=Fraction(1))
-
-    return fold(t, leaf, gate)
+    # checked in the bottom-up order, a proper tree's BAS order read backwards
+    leaves = [leaf(b) for b in reversed(t.bas)][::-1]
+    return fold(t, leaves, {
+        NodeType.AND: lambda ps: math.prod(ps, start=Fraction(1)),
+        NodeType.OR: lambda ps: 1 - math.prod((1 - p for p in ps), start=Fraction(1)),
+    })
 
 
 @dataclass(frozen=True)

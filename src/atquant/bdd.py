@@ -17,8 +17,8 @@ for OR, made inline, so a gate over basic actions is built as its chain.
 `apply` and `minimise`'s `without` run on explicit work stacks, in the
 style of Brace, Rudell and Bryant (DAC 1990), and no function here calls
 itself, so a diagram's depth is not bounded by the interpreter's recursion
-limit. `apply` and `minimise` make their nodes inline, with the
-hash-consing of `_Store.node`, and `Bdd.postorder` has a walk of its own
+limit. `apply`, `minimise` and the compile make their nodes inline, with
+the hash-consing of `_Store.node`, and `Bdd.postorder` has a walk of its own
 over the store's child arrays: each runs once per node, where a call or a
 generic walk would cost more than the work itself. On top of the plain
 ROBDD sits the minimal-solutions transform: a second diagram whose
@@ -249,43 +249,52 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
         raise OrderMismatch("order must cover exactly the model's basic actions")
     store = _Store(order)
     ranks, lows, highs, unique = store.ranks, store.lows, store.highs, store.unique
-    apply = store.apply
-    nodes = t.nodes
-    bas_type, and_type = NodeType.BAS, NodeType.AND
+    apply, rank_of = store.apply, order._rank
+    types, children = t.types, t.children
+    and_type = NodeType.AND
     # a gate with one parent, of its own type, hands its operands up to it
-    parents = [0] * len(nodes)
-    parent_type = [None] * len(nodes)
-    for n in nodes:
-        for c in n.children:
+    parents = [0] * len(types)
+    parent_type = [None] * len(types)
+    for ty, kids in zip(types, children):
+        for c in kids:
             parents[c] += 1
-            parent_type[c] = n.type
-    up = [p == 1 and pt is n.type for p, pt, n in zip(parents, parent_type, nodes)]
+            parent_type[c] = ty
+    up = [p == 1 and pt is ty for p, pt, ty in zip(parents, parent_type, types)]
     # vals[v]: the diagram of v, or the operand list a handed-up gate keeps
-    vals: list = [None] * len(nodes)
+    vals: list = [None] * len(types)
     for v in t.postorder:
-        n = nodes[v]
-        if n.type is bas_type:
-            vals[v] = store.node(order.rank_of(v), FALSE, TRUE)
+        kids = children[v]
+        if not kids:
+            # a basic action: its variable's node, hash-consed as
+            # `_Store.node` would; the order covers every basic action
+            key = (rank_of[v], FALSE, TRUE)
+            found = unique.get(key)
+            if found is None:
+                found = unique[key] = len(ranks)
+                ranks.append(key[0])
+                lows.append(FALSE)
+                highs.append(TRUE)
+            vals[v] = found
             continue
-        lists = [c for c in n.children if up[c]]
+        lists = [c for c in kids if up[c]]
         if lists:
             # small into large: the longest list is extended, not copied
             big = max(lists, key=lambda c: len(vals[c]))
             ops = vals[big]
-            for c in n.children:
+            for c in kids:
                 if not up[c]:
                     ops.append(vals[c])
                 elif c != big:
                     ops.extend(vals[c])
         else:
-            ops = [vals[c] for c in n.children]
+            ops = [vals[c] for c in kids]
         if up[v]:
             vals[v] = ops
             continue
         # deepest root first, repeats dropped: each operand then sits above
         # the accumulator
         ops = sorted(dict.fromkeys(ops), key=ranks.__getitem__, reverse=True)
-        conj = n.type is and_type  # else OR: a static model has no SAND
+        conj = types[v] is and_type  # else OR: a static model has no SAND
         acc = ops[0]
         for f in ops[1:]:
             r = ranks[f]

@@ -33,10 +33,12 @@ declared twice. The token parser reads one token at a time and is the only
 source of syntax diagnostics. It reads the whole text again when the
 matcher declines any of it or when the matched statements break a rule
 below, so every error, with its line and column, is the token parser's.
-Both front ends convert numerals with `_number` and hand their draft to
-`_assemble`, which resolves all child labels with one lookup pass, rejects
-dangling children, freezes the tree and checks that attributions and
-orders cover the basic actions. `parse_model` pauses the cyclic collector
+Both front ends convert numerals with `_number`, the matcher once per
+distinct value text of a block, and hand their draft to `_assemble`, which
+resolves all child labels with one lookup pass, rejects dangling children,
+hands the draft's columns to `freeze` as the tree's columns, with no
+object per node, and checks that attributions and orders cover the basic
+actions. `parse_model` pauses the cyclic collector
 while it reads: the store it builds holds no reference cycles.
 """
 
@@ -66,7 +68,7 @@ from .errors import (
     TreeBuildError,
     UnknownNode,
 )
-from .tree import AttackTree, Node, NodeType, bas_of, freeze
+from .tree import AttackTree, NodeType, bas_of, freeze
 
 _KINDS = {"bas": NodeType.BAS, "or": NodeType.OR, "and": NodeType.AND, "sand": NodeType.SAND}
 
@@ -98,9 +100,9 @@ _LABEL = r'"[^"\n]*+"'
 _NUM = rf"[0-9][0-9.]*+{_END}"
 # groups: label, kind, the children's text
 _NODE = re.compile(rf'"([^"\n]*+)"{_W}(bas|or|and|sand){_END}((?:{_W}{_LABEL})*+){_W};')
-# groups: label, numerator, denominator; both numeral groups are empty for inf
+# groups: label, value (inf, a numeral or a ratio, as written)
 _BINDING = re.compile(
-    rf'"([^"\n]*+)"{_W}={_W}(?:inf{_END}|({_NUM})(?:{_W}/{_W}({_NUM}))?+){_W};'
+    rf'"([^"\n]*+)"{_W}={_W}(inf{_END}|{_NUM}(?:{_W}/{_W}{_NUM})?+){_W};'
 )
 # what separates statements
 _GAP = re.compile(r"(?:[ \t\r\n]++|//[^\n]*+)*+")
@@ -195,6 +197,15 @@ def _number(num: str, den: str, text: str = "", at: int = 0, den_at: int = 0):
     return _integer(num, text, at)
 
 
+def _value_of(written: str):
+    """The value of a binding's value as the statement matcher found it:
+    inf, a numeral, or a ratio with whitespace around its slash."""
+    if written == "inf":
+        return INF
+    num, _, den = written.partition("/")
+    return _number(num.rstrip(), den.lstrip())
+
+
 def _integer(digits: str, text: str, at: int) -> int:
     try:
         return int(digits)
@@ -248,7 +259,7 @@ def parse_model(text: str) -> ModelDocument:
 
     The cyclic collector is paused while the document is built, if it was
     on, and is left as it was found. A document holds strings, numbers,
-    tuples, `Node`s and dicts that refer to one another without cycles, so a
+    tuples and dicts that refer to one another without cycles, so a
     collection during the build could free nothing and would only rescan
     the growing store; what an error path leaves behind is collected once
     the collector runs again."""
@@ -288,11 +299,9 @@ def _match(text: str) -> Optional[_Draft]:
             if any(name == n for n, _, _ in d.attributions):
                 return None
             found = _BINDING.findall(text, *m.span("bindings"))
-            labels, nums, dens = zip(*found) if found else ((), (), ())
-            numerals = list(zip(nums, dens))
-            # one value per distinct numeral; inf leaves both groups empty
-            value = {key: _number(*key) if key[0] else INF for key in set(numerals)}
-            d.attributions.append((name, list(labels), list(map(value.__getitem__, numerals))))
+            labels, written = zip(*found) if found else ((), ())
+            value = {w: _value_of(w) for w in set(written)}  # one per distinct text
+            d.attributions.append((name, list(labels), list(map(value.__getitem__, written))))
         else:
             name = m["order"]
             if any(name == n for n, _ in d.orders):
@@ -413,18 +422,17 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
         msg = f"node {d.labels[i]!r} references undefined node {d.flat[k]!r}"
         raise _locate(DanglingReference(msg), text, where(("child", i, j))) from None
     ends = list(accumulate(d.counts))
-    kids = map(flat.__getitem__, map(slice, chain((0,), ends), ends))  # slices of a tuple are tuples
-    # tuple.__new__ builds each Node as Node(...) would, without its Python-level __new__
-    nodes = list(map(tuple.__new__, repeat(Node), zip(range(len(ends)), d.labels, d.types, kids)))
+    # node i's children: a slice of the flat tuple, and slices of a tuple are tuples
+    kids = tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
     try:
-        tree = freeze(nodes, d.root, ids[d.root])
+        tree = freeze(d.labels, d.types, kids, d.root, ids[d.root])
     except CyclicStructure as e:
         raise _locate(e, text, where(("node", e.cycle[0]))) from None
     except TreeBuildError as e:
         raise _locate(e, text, where("toplevel")) from None
 
     # freeze leaves no node unreachable, so the BAS are the nodes of that type
-    bas = dict(compress(zip(d.labels, range(len(nodes))), map(is_, d.types, repeat(NodeType.BAS))))
+    bas = dict(compress(zip(d.labels, range(len(ends))), map(is_, d.types, repeat(NodeType.BAS))))
 
     def not_bas(block: str, name: str, label: str, key) -> ModelSyntaxError:
         return error(f"{block} {name!r} names {label!r}, which is not a basic action", key)
@@ -463,15 +471,11 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
 
 def emit_model(doc: ModelDocument) -> str:
     t = doc.tree
-    quoted = [f'"{n.label}"' for n in t.nodes]
+    quoted = [f'"{label}"' for label in t.labels]
     lines = [f"toplevel {quoted[t.root]};"]
-    bas, keyword = NodeType.BAS, {k: k.value for k in NodeType}
-    for node in t.nodes:
-        if node.type is bas:
-            lines.append(f"{quoted[node.id]} bas;")
-        else:
-            kids = " ".join([quoted[c] for c in node.children])
-            lines.append(f"{quoted[node.id]} {keyword[node.type]} {kids};")
+    bas, keyword, quote = NodeType.BAS, {k: k.value for k in NodeType}, quoted.__getitem__
+    lines += [f"{q} bas;" if ty is bas else f"{q} {keyword[ty]} {' '.join(map(quote, kids))};"
+              for q, ty, kids in zip(quoted, t.types, t.children)]
     for name in sorted(doc.attributions):
         lines.append("")
         lines.append(f'attribution "{name}" {{')
@@ -550,18 +554,18 @@ def emit_dot(t: AttackTree) -> str:
     child order is semantic."""
     lines = ["digraph attack_tree {", "  rankdir=TB;"]
     bas, sand, tag = NodeType.BAS, NodeType.SAND, {k: k.value.upper() for k in NodeType}
-    for node in t.nodes:
-        label = _dot_escape(node.label)
-        if node.type is bas:
-            lines.append(f'  n{node.id} [shape=box, label="{label}"];')
+    for v, (label, ty) in enumerate(zip(t.labels, t.types)):
+        label = _dot_escape(label)
+        if ty is bas:
+            lines.append(f'  n{v} [shape=box, label="{label}"];')
         else:
-            lines.append(f'  n{node.id} [shape=ellipse, label="{label}\\n[{tag[node.type]}]"];')
-    for node in t.nodes:
-        for pos, c in enumerate(node.children):
-            if node.type is sand:
-                lines.append(f'  n{node.id} -> n{c} [label="{pos + 1}"];')
+            lines.append(f'  n{v} [shape=ellipse, label="{label}\\n[{tag[ty]}]"];')
+    for v, (ty, kids) in enumerate(zip(t.types, t.children)):
+        for pos, c in enumerate(kids):
+            if ty is sand:
+                lines.append(f'  n{v} -> n{c} [label="{pos + 1}"];')
             else:
-                lines.append(f"  n{node.id} -> n{c};")
+                lines.append(f"  n{v} -> n{c};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -205,16 +205,15 @@ def is_well_formed(t: AttackTree) -> tuple[bool, Optional[list[int]]]:
     kind = classify(t)
     if kind.dynamics is Dynamics.STATIC or kind.shape is Shape.TREE:
         return True, None
-    nodes = t.nodes
-    n = len(nodes)
-    out = [v if node.type is NodeType.BAS else n + v for v, node in enumerate(nodes)]
+    types, children = t.types, t.children
+    n = len(types)
+    out = [v if ty is NodeType.BAS else n + v for v, ty in enumerate(types)]
     # a gate's in-port leads to its children; a BAS port and every out-port
     # collect their successors below
-    succ = [node.children or [] for node in nodes]
+    succ = [kids or [] for kids in children]
     succ += [[] for _ in range(n)]
-    for g, node in enumerate(nodes):
-        kids = node.children
-        sand = node.type is NodeType.SAND
+    for g, (ty, kids) in enumerate(zip(types, children)):
+        sand = ty is NodeType.SAND
         for i, c in enumerate(kids):
             up = succ[out[c]]
             up.append(n + g)

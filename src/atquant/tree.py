@@ -1,12 +1,13 @@
 """Attack tree core model.
 
-Nodes live in a contiguous integer-id store; children are id tuples, so the
-same structure type covers proper trees and DAGs with shared subtrees. All
-traversals are iterative: models with 10^5 nodes (or degenerate chains) must
-not hit the interpreter recursion limit.
+Nodes live in a contiguous integer-id column store of labels, types and
+child-id tuples, so the same structure type covers proper trees and DAGs
+with shared subtrees, and no object is built per node unless the lazy
+`nodes` view is read. All traversals are iterative: models with 10^5
+nodes (or degenerate chains) must not hit the interpreter recursion limit.
 
 An `AttackTree` records its structure kind when it is made: `freeze` reads
-it off the in-degrees and node types it checks anyway, and
+it off the flat child list and the node types it checks anyway, and
 `static_projection` derives it from the kind of its input. Four walks
 answer every structural question. `freeze` runs Kahn's algorithm, and on a
 proper tree its pop order is the left-to-right preorder, which the tree
@@ -27,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BasWithChildren,
@@ -69,9 +70,9 @@ class StructureKind:
 
 
 class Node(NamedTuple):
-    """A named tuple, not a frozen dataclass: as immutable, compared by value
-    too, and less than half as costly to build, which counts at 10^5 nodes.
-    Like any tuple it also equals a plain tuple of its four fields."""
+    """One node of `AttackTree.nodes`, the store's lazy per-node view. A
+    named tuple: immutable, compared by value, and like any tuple equal to
+    a plain tuple of its four fields."""
 
     id: int
     label: str
@@ -81,22 +82,24 @@ class Node(NamedTuple):
 
 @dataclass(frozen=True)
 class AttackTree:
-    """Made by `build` and `io.parse_model`, both through `freeze`, or by
-    `static_projection`; each passes the structure kind on as `kind`, and
-    on a proper tree its left-to-right preorder as `preorder` (None on a
-    DAG)."""
+    """Node i has label labels[i], type types[i] and child ids
+    children[i]. Made by `build` and `io.parse_model`, both through
+    `freeze`, or by `static_projection`; each passes the structure kind on
+    as `kind`, and on a proper tree its left-to-right preorder as
+    `preorder` (None on a DAG)."""
 
-    nodes: tuple[Node, ...]  # index == node id
+    labels: tuple[str, ...]
+    types: tuple[NodeType, ...]
+    children: tuple[tuple[int, ...], ...]
     root: int
     kind: StructureKind = field(compare=False, repr=False)
     preorder: Optional[tuple[int, ...]] = field(compare=False, repr=False)
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.labels)
 
     def node(self, node_id: int) -> Node:
-        if not 0 <= node_id < len(self.nodes):
-            raise UnknownNode(f"no node with id {node_id}")
+        self.label_of(node_id)  # raises UnknownNode
         return self.nodes[node_id]
 
     def id_of(self, label: str) -> int:
@@ -106,32 +109,40 @@ class AttackTree:
             raise UnknownNode(f"no node labelled {label!r}") from None
 
     def label_of(self, node_id: int) -> str:
-        return self.node(node_id).label
+        if not 0 <= node_id < len(self.labels):
+            raise UnknownNode(f"no node with id {node_id}")
+        return self.labels[node_id]
 
     # structural facts: computed on first use, then kept on the frozen instance
 
     @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        """One `Node` per id, built on first use; of the package, only
+        `node` and the oracles of `semantics` read it."""
+        return tuple(map(Node, range(len(self.labels)), self.labels, self.types, self.children))
+
+    @cached_property
     def _by_label(self) -> dict[str, int]:
-        return {n.label: n.id for n in self.nodes}
+        return dict(zip(self.labels, range(len(self.labels))))
 
     @cached_property
     def postorder(self) -> tuple[int, ...]:
         """Every node after all of its children: the proper tree's preorder
         read backwards, or on a DAG the order of `postorder(root, lambda v:
-        nodes[v].children)` from a walk of its own. The path holds each
-        gate on it with an iterator over its children, last first; a BAS
-        is finished as soon as it is met."""
+        children[v])` from a walk of its own. The path holds each gate on
+        it with an iterator over its children, last first; a BAS is
+        finished as soon as it is met."""
         if self.preorder is not None:
             return self.preorder[::-1]
-        nodes = self.nodes
-        done = bytearray(len(nodes))
+        children = self.children
+        done = bytearray(len(children))
         out: list[int] = []
         path = [self.root]
-        pending = [reversed(nodes[self.root].children)]
+        pending = [reversed(children[self.root])]
         while pending:
             for c in pending[-1]:
                 if not done[c]:
-                    kids = nodes[c].children
+                    kids = children[c]
                     if kids:
                         path.append(c)
                         pending.append(reversed(kids))
@@ -148,9 +159,9 @@ class AttackTree:
     @cached_property
     def bas(self) -> tuple[int, ...]:
         if self.preorder is not None:
-            nodes, bas = self.nodes, NodeType.BAS
-            return tuple([v for v in self.preorder if nodes[v].type is bas])
-        return tuple(_bas_below(self.nodes, self.root))
+            types, bas = self.types, NodeType.BAS
+            return tuple([v for v in self.preorder if types[v] is bas])
+        return tuple(_bas_below(self.types, self.children, self.root))
 
 
 def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) -> AttackTree:
@@ -172,8 +183,8 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
             raise DuplicateLabel(f"node {label!r} defined twice")
         by_label[label] = i
 
-    nodes = []
-    for i, (label, ntype, child_labels) in enumerate(defs):
+    children = []
+    for label, ntype, child_labels in defs:
         kids = []
         for c in child_labels:
             if c not in by_label:
@@ -183,56 +194,77 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
             raise BasWithChildren(f"basic action {label!r} has children")
         if ntype is not NodeType.BAS and not kids:
             raise GateWithoutChildren(f"gate {label!r} has no children")
-        nodes.append(Node(i, label, ntype, tuple(kids)))
-    return freeze(nodes, root_label, by_label.get(root_label))
+        children.append(tuple(kids))
+    labels = [label for label, _, _ in defs]
+    types = [ntype for _, ntype, _ in defs]
+    return freeze(labels, types, children, root_label, by_label.get(root_label))
 
 
-def freeze(nodes: Sequence[Node], root_label: str, root: Optional[int]) -> AttackTree:
-    """`build`'s checks from cycles on, for nodes whose labels are resolved:
-    node i has id i and children in range; root is root_label's id, None if
-    no node has it. One run of Kahn's algorithm finds the cycles and, as its
-    initial stack, the parentless nodes. The in-degrees and the node types
-    also give the structure kind the tree records. The stack pops the least
-    parentless id first and pushes a node's freed children last to first,
-    so on a proper tree it pops the left-to-right preorder, which the tree
-    records."""
-    indeg = [0] * len(nodes)
-    for n in nodes:
-        for c in n.children:
-            indeg[c] += 1
+def freeze(labels: Sequence[str], types: Sequence[NodeType],
+           children: Sequence[tuple[int, ...]], root_label: str,
+           root: Optional[int]) -> AttackTree:
+    """`build`'s checks from cycles on, for a store whose labels are
+    resolved: node i has label labels[i], type types[i] and the child ids
+    children[i], all in range; root is root_label's id, None if no node has
+    it. One run of Kahn's algorithm finds the cycles and, as its initial
+    stack, the parentless nodes. The flat child list and the types give the
+    structure kind the tree records. The stack pops the least parentless id
+    first and pushes a node's freed children last to first, so on a proper
+    tree it pops the left-to-right preorder, which the tree records. When
+    no child is listed twice, popping a node frees all of its children,
+    so they are pushed without counting in-degrees."""
+    labels, types, children = tuple(labels), tuple(types), tuple(children)
+    n = len(labels)
+    flat = list(chain.from_iterable(children))
+    listed = set(flat)
+    tree = len(listed) == len(flat)
     kind = StructureKind(
-        Shape.DAG if max(indeg, default=0) > 1 else Shape.TREE,
-        Dynamics.DYNAMIC if NodeType.SAND in map(attrgetter("type"), nodes) else Dynamics.STATIC,
+        Shape.TREE if tree else Shape.DAG,
+        Dynamics.DYNAMIC if NodeType.SAND in types else Dynamics.STATIC,
     )
-    parentless = [n.id for n in nodes if indeg[n.id] == 0]
-    stack = parentless[::-1]
     order = []
-    while stack:  # any discipline leaves the same nodes and in-degrees behind
-        v = stack.pop()
-        order.append(v)
-        for c in reversed(nodes[v].children):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                stack.append(c)
-    if len(order) != len(nodes):
-        # Kahn leaves the nodes on a cycle or below one; a search from each
-        # of them in turn, least first, inside that set finds a cycle.
-        left = [v for v in range(len(nodes)) if indeg[v] > 0]
-        succ = [[c for c in n.children if indeg[c] > 0] for n in nodes] + [left]
-        cycle = find_cycle(len(nodes), succ)
+    if tree:
+        if n - len(flat) == 1:  # the one unlisted id
+            parentless = [n * (n - 1) // 2 - sum(flat)]
+        else:
+            parentless = sorted(set(range(n)).difference(listed))
+        stack = parentless[::-1]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack += children[v][::-1]
+    else:
+        indeg = [0] * n
+        for c in flat:
+            indeg[c] += 1
+        parentless = [v for v in range(n) if not indeg[v]]
+        stack = parentless[::-1]
+        while stack:  # any discipline leaves the same nodes and in-degrees behind
+            v = stack.pop()
+            order.append(v)
+            for c in reversed(children[v]):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    stack.append(c)
+    if len(order) != n:
+        # Kahn never pops the nodes on a cycle or below one; a search from
+        # each of them in turn, least first, inside that set finds a cycle.
+        popped = set(order)
+        left = [v for v in range(n) if v not in popped]
+        succ = [[c for c in kids if c not in popped] for kids in children] + [left]
+        cycle = find_cycle(n, succ)
         cycle.append(cycle[0])
-        names = " -> ".join(repr(nodes[i].label) for i in cycle)
+        names = " -> ".join(repr(labels[i]) for i in cycle)
         raise CyclicStructure(f"cycle in child relation: {names}", cycle=cycle)
 
     if root is None:
         raise DanglingReference(f"declared root {root_label!r} is not defined")
     if len(parentless) > 1:
-        names = ", ".join(repr(nodes[i].label) for i in parentless)
+        names = ", ".join(repr(labels[i]) for i in parentless)
         raise MultipleRoots(f"more than one root candidate: {names}")
     if parentless[0] != root:
         raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
-    preorder = tuple(order) if kind.shape is Shape.TREE else None
-    return AttackTree(tuple(nodes), root, kind, preorder)
+    return AttackTree(labels, types, children, root, kind, tuple(order) if tree else None)
 
 
 def find_cycle(start: int, succ: Sequence[Iterable[int]]) -> Optional[list[int]]:
@@ -280,15 +312,20 @@ def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int
     return tuple(out)
 
 
-def fold(t: AttackTree, leaf: Callable[[Node], Any], gate: Callable[[Node, list], Any]):
-    """Bottom-up evaluation at the root: leaf(node) gives a BAS its value,
-    gate(node, child values) combines a gate's. A shared node is evaluated
-    once and its value reused by every parent."""
-    nodes, bas = t.nodes, NodeType.BAS
-    vals: list[Any] = [None] * len(nodes)
+def fold(t: AttackTree, leaves: Sequence, ops: dict):
+    """Bottom-up evaluation at the root: leaves[i] is the value of the i-th
+    BAS in `bas_of` order, and ops[type] combines the iterable of a gate's
+    children's values. A shared node is evaluated once and its value
+    reused by every parent."""
+    types, children = t.types, t.children
+    vals: list = [None] * len(t)
+    for b, a in zip(t.bas, leaves):
+        vals[b] = a
+    get = vals.__getitem__
     for v in t.postorder:
-        n = nodes[v]
-        vals[v] = leaf(n) if n.type is bas else gate(n, [vals[c] for c in n.children])
+        kids = children[v]
+        if kids:
+            vals[v] = ops[types[v]](map(get, kids))
     return vals[t.root]
 
 
@@ -305,16 +342,17 @@ def bas_of(t: AttackTree) -> tuple[int, ...]:
 
 def descendants(t: AttackTree, node_id: int) -> frozenset[int]:
     """BAS ids reachable at or below the given node."""
-    t.node(node_id)  # raises UnknownNode
-    return frozenset(_bas_below(t.nodes, node_id))
+    t.label_of(node_id)  # raises UnknownNode
+    return frozenset(_bas_below(t.types, t.children, node_id))
 
 
-def _bas_below(nodes: Sequence[Node], start: int) -> list[int]:
+def _bas_below(types: Sequence[NodeType], children: Sequence[Sequence[int]],
+               start: int) -> list[int]:
     """BAS ids at or below start in depth-first leftmost order, first
     occurrence only: a node is marked seen when it is popped. `NodeType.BAS`
     is read once, as looking up an enum member costs about ten global reads."""
     out: list[int] = []
-    seen = bytearray(len(nodes))
+    seen = bytearray(len(types))
     stack = [start]
     bas = NodeType.BAS
     while stack:
@@ -322,11 +360,10 @@ def _bas_below(nodes: Sequence[Node], start: int) -> list[int]:
         if seen[v]:
             continue
         seen[v] = 1
-        node = nodes[v]
-        if node.type is bas:
+        if types[v] is bas:
             out.append(v)
         else:
-            stack.extend(reversed(node.children))
+            stack.extend(reversed(children[v]))
     return out
 
 
@@ -337,8 +374,7 @@ def static_projection(t: AttackTree) -> AttackTree:
     """
     if t.kind.dynamics is Dynamics.STATIC:
         return t
-    nodes = tuple(
-        Node(n.id, n.label, NodeType.AND, n.children) if n.type is NodeType.SAND else n
-        for n in t.nodes
-    )
-    return AttackTree(nodes, t.root, StructureKind(t.kind.shape, Dynamics.STATIC), t.preorder)
+    sand, conj = NodeType.SAND, NodeType.AND
+    types = tuple([conj if ty is sand else ty for ty in t.types])
+    return AttackTree(t.labels, types, t.children, t.root,
+                      StructureKind(t.kind.shape, Dynamics.STATIC), t.preorder)

@@ -247,12 +247,8 @@ def left_fold_compile(t, order=None):
     accumulator applied to one child at a time."""
     order = order or default_order(t)
     store = _Store(order)
-    ops = {NodeType.OR: partial(store.apply, "or"), NodeType.AND: partial(store.apply, "and")}
-    root = fold(
-        t,
-        lambda n: store.node(order.rank_of(n.id), FALSE, TRUE),
-        lambda n, kids: reduce(ops[n.type], kids),
-    )
+    ops = {k: partial(reduce, partial(store.apply, k.value)) for k in (NodeType.OR, NodeType.AND)}
+    root = fold(t, [store.node(order.rank_of(b), FALSE, TRUE) for b in bas_of(t)], ops)
     return Bdd(store, order, root)
 
 

@@ -452,3 +452,22 @@ def test_emit_dot_bdd_styles():
     assert dot.count("style=solid") == 3
     assert 'n0 [shape=box, label="0"]' in dot
     assert 'n1 [shape=box, label="1"]' in dot
+
+
+def test_reading_analysing_and_emitting_build_no_per_node_view():
+    # the column store's `nodes` view is built on first use; reading a tree
+    # or a DAG, the two metrics and every emitter must not ask for it
+    rng = random.Random(61)
+    for t in (rand_tree(rng, 12), rand_dag(rng, 9)):
+        costs = {b: rng.choice((rng.randint(0, 9), Fraction(rng.randint(1, 9), 4), INF))
+                 for b in bas_of(t)}
+        probs = {b: Fraction(rng.randint(0, 10), 10) for b in bas_of(t)}
+        doc = parse_model(emit_model(ModelDocument(t, {"cost": costs, "prob": probs})))
+        for domain, name in (("min-cost", "cost"), ("prob-max", "prob")):
+            res = analyze(AnalysisRequest(doc.tree, doc.attributions[name], builtin(domain)))
+            emit_result(res, doc.tree)
+            emit_result(res, doc.tree, "text")
+        emit_model(doc)
+        emit_dot(doc.tree)
+        assert "nodes" not in doc.tree.__dict__
+        assert doc.tree.nodes == t.nodes and "nodes" in doc.tree.__dict__

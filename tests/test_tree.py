@@ -15,7 +15,8 @@ from atquant.errors import (
     NoRoot,
     UnknownNode,
 )
-from atquant.tree import Dynamics, NodeType, Shape, StructureKind, descendants, postorder
+from atquant.tree import (Dynamics, Node, NodeType, Shape, StructureKind, descendants,
+                          find_cycle, freeze, postorder)
 
 from helpers import overlap, labels, rand_dag, rand_tree, exploit, treasure, tt
 
@@ -331,7 +332,7 @@ def test_dag_bas_walk_matches_the_seen_set_walk():
         starts = range(len(t)) if len(t) < 100 else [t.root, *range(0, len(t), 97)]
         for v in starts:
             want = _reference_bas_below(t.nodes, v)
-            assert _bas_below(t.nodes, v) == want
+            assert _bas_below(t.types, t.children, v) == want
             assert descendants(t, v) == frozenset(want)
         assert bas_of(t) == tuple(_reference_bas_below(t.nodes, t.root))
 
@@ -340,3 +341,130 @@ def test_node_is_a_named_tuple():
     n = treasure().node(0)
     assert n._fields == ("id", "label", "type", "children")
     assert n == (n.id, n.label, n.type, n.children)
+
+
+def _reference_freeze(nodes, root_label, root):
+    """`freeze` over a list of `Node`s, as the store was before it held
+    columns: in-degrees counted edge by edge, the kind read off them, and
+    Kahn's algorithm decrementing every child. Returns (kind, preorder or
+    None) or raises what `freeze` raises."""
+    indeg = [0] * len(nodes)
+    for n in nodes:
+        for c in n.children:
+            indeg[c] += 1
+    kind = StructureKind(
+        Shape.DAG if max(indeg, default=0) > 1 else Shape.TREE,
+        Dynamics.DYNAMIC if any(n.type is S for n in nodes) else Dynamics.STATIC,
+    )
+    parentless = [n.id for n in nodes if indeg[n.id] == 0]
+    stack = parentless[::-1]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for c in reversed(nodes[v].children):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                stack.append(c)
+    if len(order) != len(nodes):
+        left = [v for v in range(len(nodes)) if indeg[v] > 0]
+        succ = [[c for c in n.children if indeg[c] > 0] for n in nodes] + [left]
+        cycle = find_cycle(len(nodes), succ)
+        cycle.append(cycle[0])
+        names = " -> ".join(repr(nodes[i].label) for i in cycle)
+        raise CyclicStructure(f"cycle in child relation: {names}", cycle=cycle)
+    if root is None:
+        raise DanglingReference(f"declared root {root_label!r} is not defined")
+    if len(parentless) > 1:
+        names = ", ".join(repr(nodes[i].label) for i in parentless)
+        raise MultipleRoots(f"more than one root candidate: {names}")
+    if parentless[0] != root:
+        raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
+    return kind, tuple(order) if kind.shape is Shape.TREE else None
+
+
+def _random_store(rng):
+    """(labels, types, children, case): a store of one of eight cases, its
+    child ids in range; BAS get no children, gates at least one."""
+    case = rng.choice(("tree", "dag", "repeat", "cycle-below", "cycle-island",
+                       "self-loop", "parentless", "any"))
+    n = rng.randint(1, 10)
+    if case in ("tree", "parentless"):
+        # node i > 0 hangs below a random earlier node; "parentless" cuts
+        # some of them loose
+        kids = [[] for _ in range(n)]
+        for v in range(1, n):
+            if case == "tree" or rng.random() < 0.7:
+                kids[rng.randrange(v)].append(v)
+        kids = [rng.sample(k, len(k)) for k in kids]
+    elif case == "any":
+        kids = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+    else:
+        # children only among later ids: acyclic, and shared at random
+        kids = [rng.sample(range(v + 1, n), min(n - v - 1, rng.randint(0, 3)))
+                for v in range(n)]
+        if case in ("dag", "repeat"):
+            listed = {c for k in kids for c in k}
+            for v in range(1, n):
+                if v not in listed and rng.random() < 0.9:
+                    kids[rng.randrange(v)].append(v)  # mostly one parentless node
+        gates = [v for v in range(n) if kids[v]]
+        if case == "repeat" and gates:
+            g = rng.choice(gates)
+            kids[g].insert(rng.randint(0, len(kids[g])), rng.choice(kids[g]))
+        if case.startswith("cycle") and n > 2:
+            # u -> v -> u; "below" hangs the cycle under node 0, "island"
+            # leaves it no parent outside itself
+            u, v = sorted(rng.sample(range(1, n), 2))
+            kids[u].append(v)
+            kids[v].append(u)
+            if case == "cycle-below":
+                kids[0].append(u)
+            else:
+                kids = [k if w in (u, v) else [c for c in k if c not in (u, v)]
+                        for w, k in enumerate(kids)]
+        if case == "self-loop":
+            v = rng.randrange(n)
+            kids[v].insert(rng.randint(0, len(kids[v])), v)
+    types = [rng.choice((O, A, S)) if k else B for k in kids]
+    labels = [f"n{v}" for v in range(n)]
+    return labels, types, [tuple(k) for k in kids], case
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except CyclicStructure as e:
+        return None, (CyclicStructure, str(e), e.cycle)
+    except (DanglingReference, MultipleRoots, NoRoot) as e:
+        return None, (type(e), str(e), None)
+
+
+def test_column_freeze_matches_the_node_list_kahn():
+    rng = random.Random(53)
+    seen_errors, seen_kinds = set(), set()
+    for _ in range(3000):
+        labels, types, children, case = _random_store(rng)
+        nodes = [Node(v, *fields) for v, fields in enumerate(zip(labels, types, children))]
+        pick = rng.random()
+        if pick < 0.1:
+            root_label, root = "ghost", None  # an undefined root
+        else:
+            root = rng.randrange(len(labels)) if pick < 0.4 else 0
+            root_label = labels[root]
+        got, got_error = _outcome(lambda: freeze(labels, types, children, root_label, root))
+        want, want_error = _outcome(lambda: _reference_freeze(nodes, root_label, root))
+        assert got_error == want_error, (case, labels, types, children, root)
+        if want_error is not None:
+            seen_errors.add(want_error[0])
+            continue
+        kind, preorder = want
+        t = got
+        assert (t.kind, t.preorder, t.root) == (kind, preorder, root)
+        assert t.nodes == tuple(nodes)
+        assert t.postorder == postorder(root, lambda v: children[v])
+        assert t.bas == tuple(_reference_bas_below(nodes, root))
+        seen_kinds.add((case, kind))
+    assert seen_errors == {CyclicStructure, DanglingReference, MultipleRoots, NoRoot}
+    assert {case for case, k in seen_kinds if k.shape is Shape.TREE} >= {"tree", "parentless"}
+    assert {case for case, k in seen_kinds if k.shape is Shape.DAG} >= {"dag", "repeat"}
