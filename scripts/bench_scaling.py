@@ -3,8 +3,7 @@
 
 Experiment 1: the min-cost bottom-up fold over balanced static trees,
 doubling node counts, once with every cost 1 and once with ratio costs
-p/q, q from 1 to 9, which the fold sums as integers over their common
-denominator; both columns should grow linearly.
+p/q, q from 1 to 9; both columns should grow linearly.
 
 Experiment 2: the shared-structure diagram fold on ladder DAGs
 AND(OR(b1,b2), OR(b2,b3), ...) where every inner action is shared by two

@@ -3,10 +3,6 @@
 Four computation routes, each with hard preconditions enforced here:
 
 - bu_sat: single bottom-up pass over a STATIC proper TREE (semiring domain).
-  A min-additive domain (or is min, and is +) folds exact integers: each
-  distinct value scaled once over the common denominator, each gate one
-  builtin `min` or `sum`. Negative values, and INF beside an int past the
-  float range, take the operator fold.
 - bu_bdd: fold over the minimal-solutions BDD; handles shared subtrees
   (static DAGs), needs both neutral elements. A min-additive domain (or is
   min, and is + over non-negative values) skips the minimal-solutions
@@ -22,8 +18,7 @@ Four computation routes, each with hard preconditions enforced here:
 - k_top: the k best attacks as k shortest paths, one bottom-up pass over the
   weighted BDD; only for domains whose conjunctive operator is addition.
 - bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
-  SAND to the domain's three operators; a min-additive domain whose
-  sequential operator is its conjunctive one folds integers as bu_sat does.
+  SAND to the domain's three operators.
 
 The module also exposes naive_bottom_up without the shape guard. It exists
 so tests (and the curious) can watch the tree fold double-count shared
@@ -120,36 +115,10 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
     ensure a SAND gate only meets a domain with a sequential operator."""
     try:
         leaves = list(map(alpha.__getitem__, t.bas))
-    except KeyError:  # name the first missing value in the bottom-up order
-        for v in t.postorder:
-            if t.types[v] is NodeType.BAS:
-                _value(alpha, t, v)
-        raise
-    if domain.ktop_mode is KTopMode.MIN_ADDITIVE and (
-            domain.seq_equals_and or t.kind.dynamics is Dynamics.STATIC):
-        value = _min_additive_fold(t, leaves)
-        if value is not None:
-            return value
+    except KeyError as e:  # the first missing one in `bas_of` order
+        raise MissingAttribution(f"no value for basic action {t.labels[e.args[0]]!r}") from None
     ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op, NodeType.SAND: domain.seq_op}
     return fold(t, leaves, {k: functools.partial(functools.reduce, op) for k, op in ops.items()})
-
-
-def _min_additive_fold(t: AttackTree, leaves: list):
-    """`_fold` for or = min and and = seq = + in exact integers (see the
-    module docstring), or None if the operator fold must answer."""
-    distinct = {id(a): a for a in leaves}
-    if not all(a is INF or type(a) is int or type(a) is Fraction for a in distinct.values()):
-        return None
-    scale, weight = _scaled_weights(list(distinct.values()), 1)
-    if any(w < 0 for w in weight):
-        return None
-    scaled = dict(zip(distinct, weight))
-    try:
-        w = fold(t, [scaled[id(a)] for a in leaves],
-                 {NodeType.OR: min, NodeType.AND: sum, NodeType.SAND: sum})
-    except OverflowError:  # sum([10**400, math.inf])
-        return None
-    return _unscaled(w, 1, scale)
 
 
 def naive_bottom_up(t: AttackTree, alpha: dict, domain: AttributeDomain):
@@ -375,9 +344,7 @@ def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
             raise NotProbability(f"value {p!r} for {t.labels[b]!r} is not a probability")
         return Fraction(p)
 
-    # checked in the bottom-up order, a proper tree's BAS order read backwards
-    leaves = [leaf(b) for b in reversed(t.bas)][::-1]
-    return fold(t, leaves, {
+    return fold(t, [leaf(b) for b in t.bas], {
         NodeType.AND: lambda ps: math.prod(ps, start=Fraction(1)),
         NodeType.OR: lambda ps: 1 - math.prod((1 - p for p in ps), start=Fraction(1)),
     })

@@ -17,8 +17,8 @@ for OR, made inline, so a gate over basic actions is built as its chain.
 `apply` and `minimise`'s `without` run on explicit work stacks, in the
 style of Brace, Rudell and Bryant (DAC 1990), and no function here calls
 itself, so a diagram's depth is not bounded by the interpreter's recursion
-limit. `apply`, `minimise` and the compile make their nodes inline, with
-the hash-consing of `_Store.node`, and `Bdd.postorder` has a walk of its own
+limit. `apply` and `minimise` make their nodes inline, with the
+hash-consing of `_Store.node`, and `Bdd.postorder` has a walk of its own
 over the store's child arrays: each runs once per node, where a call or a
 generic walk would cost more than the work itself. On top of the plain
 ROBDD sits the minimal-solutions transform: a second diagram whose
@@ -235,12 +235,10 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     the order, apply copies f once, with acc below it. The apply memo lives
     for the whole compile, so a tail of late-ranked actions that several
     operands share is combined with the accumulator once. An operand that
-    is a single variable ranked above acc's root is not applied: the one
-    node apply would make for it is hash-consed inline, so a gate over
-    basic actions is built as its chain, from the deepest rank up, with
-    the nodes and node ids apply would give. A left-deep chain of n binary
-    AND gates makes 2n+1 nodes, where pairing the children made about
-    n^2/2."""
+    is a single variable ranked above acc's root is not applied: the node
+    apply would make is hash-consed inline, as is each basic action's. A
+    left-deep chain of n binary AND gates makes 2n+1 nodes, where pairing
+    the children made about n^2/2."""
     if classify(t).dynamics is Dynamics.DYNAMIC:
         raise DynamicTreeRejected("BDD construction needs a static model; project first")
     if order is None:
@@ -264,17 +262,14 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     vals: list = [None] * len(types)
     for v in t.postorder:
         kids = children[v]
-        if not kids:
-            # a basic action: its variable's node, hash-consed as
-            # `_Store.node` would; the order covers every basic action
+        if not kids:  # a basic action: its variable's node, made inline
             key = (rank_of[v], FALSE, TRUE)
-            found = unique.get(key)
-            if found is None:
-                found = unique[key] = len(ranks)
+            if key not in unique:
+                unique[key] = len(ranks)
                 ranks.append(key[0])
                 lows.append(FALSE)
                 highs.append(TRUE)
-            vals[v] = found
+            vals[v] = unique[key]
             continue
         lists = [c for c in kids if up[c]]
         if lists:

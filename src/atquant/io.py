@@ -26,19 +26,17 @@ node's count of children. The statement matcher reads a whole statement
 with one compiled pattern per kind: a run of node definitions, a
 `toplevel`, an attribution block, an `order`. One `findall` reads the
 definitions of a run, one the bindings of a block, and the draft's columns
-come from the found columns, with no per-node list of labels. It accepts
+come from the found columns. It accepts
 whitespace only inside a statement and comments only between statements,
 and it declines a basic action with children, a gate without, and a name
 declared twice. The token parser reads one token at a time and is the only
 source of syntax diagnostics. It reads the whole text again when the
 matcher declines any of it or when the matched statements break a rule
 below, so every error, with its line and column, is the token parser's.
-Both front ends convert numerals with `_number`, the matcher once per
-distinct value text of a block, and hand their draft to `_assemble`, which
-resolves all child labels with one lookup pass, rejects dangling children,
-hands the draft's columns to `freeze` as the tree's columns, with no
-object per node, and checks that attributions and orders cover the basic
-actions. `parse_model` pauses the cyclic collector
+Both front ends convert numerals with `_number` and hand their draft to
+`_assemble`, which resolves all child labels with one lookup pass, rejects
+dangling children, freezes the draft's columns and checks that attributions
+and orders cover the basic actions. `parse_model` pauses the cyclic collector
 while it reads: the store it builds holds no reference cycles.
 """
 
@@ -198,8 +196,7 @@ def _number(num: str, den: str, text: str = "", at: int = 0, den_at: int = 0):
 
 
 def _value_of(written: str):
-    """The value of a binding's value as the statement matcher found it:
-    inf, a numeral, or a ratio with whitespace around its slash."""
+    """A binding's value as the matcher found it: inf, a numeral or a ratio."""
     if written == "inf":
         return INF
     num, _, den = written.partition("/")
@@ -300,7 +297,7 @@ def _match(text: str) -> Optional[_Draft]:
                 return None
             found = _BINDING.findall(text, *m.span("bindings"))
             labels, written = zip(*found) if found else ((), ())
-            value = {w: _value_of(w) for w in set(written)}  # one per distinct text
+            value = {w: _value_of(w) for w in set(written)}
             d.attributions.append((name, list(labels), list(map(value.__getitem__, written))))
         else:
             name = m["order"]
@@ -422,7 +419,7 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
         msg = f"node {d.labels[i]!r} references undefined node {d.flat[k]!r}"
         raise _locate(DanglingReference(msg), text, where(("child", i, j))) from None
     ends = list(accumulate(d.counts))
-    # node i's children: a slice of the flat tuple, and slices of a tuple are tuples
+    # slices of a tuple are tuples
     kids = tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
     try:
         tree = freeze(d.labels, d.types, kids, d.root, ids[d.root])

@@ -1,26 +1,21 @@
 """Attack tree core model.
 
-Nodes live in a contiguous integer-id column store of labels, types and
-child-id tuples, so the same structure type covers proper trees and DAGs
-with shared subtrees, and no object is built per node unless the lazy
-`nodes` view is read. All traversals are iterative: models with 10^5
-nodes (or degenerate chains) must not hit the interpreter recursion limit.
+Nodes live in integer-id columns of labels, types and child-id tuples, so
+the same structure type covers proper trees and DAGs with shared subtrees.
+All traversals are iterative: models with 10^5 nodes (or degenerate chains)
+must not hit the interpreter recursion limit.
 
-An `AttackTree` records its structure kind when it is made: `freeze` reads
-it off the flat child list and the node types it checks anyway, and
-`static_projection` derives it from the kind of its input. Four walks
-answer every structural question. `freeze` runs Kahn's algorithm, and on a
-proper tree its pop order is the left-to-right preorder, which the tree
-records: the bottom-up order (`AttackTree.postorder`, the preorder read
-backwards) and the BAS order (`AttackTree.bas`, its BAS in turn) then cost
-no further walk. On a DAG, `AttackTree.postorder` walks the children
-tuples itself, in the order the generic `postorder` function gives, and
-the depth-first first-occurrence BAS walk gives the BAS order; the BAS
-walk also answers `descendants`. `find_cycle` names the cycles of `freeze`
-and of the well-formedness check. The generic `postorder` function is the
-reference for the one order behind every bottom-up evaluation: tree folds
-go through `fold`, and the decision diagrams of `bdd` walk their nodes in
-the order it gives, each with a walk of its own.
+`freeze` checks a store with one run of Kahn's algorithm and records its
+structure kind; on a proper tree the pop order is the left-to-right
+preorder, which the tree records, so the bottom-up order
+(`AttackTree.postorder`, the preorder read backwards) and the BAS order
+(`AttackTree.bas`) cost no further walk. On a DAG, `AttackTree.postorder`
+walks the children itself, in the order the generic `postorder` function
+gives, and a depth-first first-occurrence walk gives the BAS order and
+`descendants`. `find_cycle` names the cycles of `freeze` and of the
+well-formedness check. Every bottom-up evaluation follows the order of the
+generic `postorder`: tree folds go through `fold`, and `bdd` walks its
+diagrams in that order.
 """
 
 from __future__ import annotations
@@ -70,9 +65,8 @@ class StructureKind:
 
 
 class Node(NamedTuple):
-    """One node of `AttackTree.nodes`, the store's lazy per-node view. A
-    named tuple: immutable, compared by value, and like any tuple equal to
-    a plain tuple of its four fields."""
+    """One entry of the lazy `AttackTree.nodes` view; equal to a plain
+    tuple of its four fields."""
 
     id: int
     label: str
@@ -82,11 +76,9 @@ class Node(NamedTuple):
 
 @dataclass(frozen=True)
 class AttackTree:
-    """Node i has label labels[i], type types[i] and child ids
-    children[i]. Made by `build` and `io.parse_model`, both through
-    `freeze`, or by `static_projection`; each passes the structure kind on
-    as `kind`, and on a proper tree its left-to-right preorder as
-    `preorder` (None on a DAG)."""
+    """Columns indexed by node id. Made by `freeze` or `static_projection`,
+    which pass the structure kind and, on a proper tree, the left-to-right
+    preorder (None on a DAG)."""
 
     labels: tuple[str, ...]
     types: tuple[NodeType, ...]
@@ -117,8 +109,7 @@ class AttackTree:
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
-        """One `Node` per id, built on first use; of the package, only
-        `node` and the oracles of `semantics` read it."""
+        """One `Node` per id, built only when read."""
         return tuple(map(Node, range(len(self.labels)), self.labels, self.types, self.children))
 
     @cached_property
@@ -203,49 +194,32 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
 def freeze(labels: Sequence[str], types: Sequence[NodeType],
            children: Sequence[tuple[int, ...]], root_label: str,
            root: Optional[int]) -> AttackTree:
-    """`build`'s checks from cycles on, for a store whose labels are
-    resolved: node i has label labels[i], type types[i] and the child ids
-    children[i], all in range; root is root_label's id, None if no node has
-    it. One run of Kahn's algorithm finds the cycles and, as its initial
-    stack, the parentless nodes. The flat child list and the types give the
-    structure kind the tree records. The stack pops the least parentless id
-    first and pushes a node's freed children last to first, so on a proper
-    tree it pops the left-to-right preorder, which the tree records. When
-    no child is listed twice, popping a node frees all of its children,
-    so they are pushed without counting in-degrees."""
+    """`build`'s checks from cycles on, for columns with resolved child
+    ids; root is root_label's id, None if no node has it. One run of Kahn's
+    algorithm finds the cycles and the parentless nodes. It pops the least
+    parentless id first and pushes freed children last to first, so on a
+    proper tree it pops the left-to-right preorder, which the tree records."""
     labels, types, children = tuple(labels), tuple(types), tuple(children)
     n = len(labels)
     flat = list(chain.from_iterable(children))
-    listed = set(flat)
-    tree = len(listed) == len(flat)
+    tree = len(set(flat)) == len(flat)
     kind = StructureKind(
         Shape.TREE if tree else Shape.DAG,
         Dynamics.DYNAMIC if NodeType.SAND in types else Dynamics.STATIC,
     )
+    indeg = [0] * n
+    for c in flat:
+        indeg[c] += 1
+    parentless = [v for v in range(n) if not indeg[v]]
     order = []
-    if tree:
-        if n - len(flat) == 1:  # the one unlisted id
-            parentless = [n * (n - 1) // 2 - sum(flat)]
-        else:
-            parentless = sorted(set(range(n)).difference(listed))
-        stack = parentless[::-1]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack += children[v][::-1]
-    else:
-        indeg = [0] * n
-        for c in flat:
-            indeg[c] += 1
-        parentless = [v for v in range(n) if not indeg[v]]
-        stack = parentless[::-1]
-        while stack:  # any discipline leaves the same nodes and in-degrees behind
-            v = stack.pop()
-            order.append(v)
-            for c in reversed(children[v]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    stack.append(c)
+    stack = parentless[::-1]
+    while stack:  # any discipline leaves the same nodes and in-degrees behind
+        v = stack.pop()
+        order.append(v)
+        for c in reversed(children[v]):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                stack.append(c)
     if len(order) != n:
         # Kahn never pops the nodes on a cycle or below one; a search from
         # each of them in turn, least first, inside that set finds a cycle.
@@ -349,8 +323,7 @@ def descendants(t: AttackTree, node_id: int) -> frozenset[int]:
 def _bas_below(types: Sequence[NodeType], children: Sequence[Sequence[int]],
                start: int) -> list[int]:
     """BAS ids at or below start in depth-first leftmost order, first
-    occurrence only: a node is marked seen when it is popped. `NodeType.BAS`
-    is read once, as looking up an enum member costs about ten global reads."""
+    occurrence only: a node is marked seen when it is popped."""
     out: list[int] = []
     seen = bytearray(len(types))
     stack = [start]

@@ -24,8 +24,7 @@ from atquant import (
     structure_function,
     total_probability_tree,
 )
-from atquant.analysis import (_min_additive_fold, auto_route, bu_bdd_detailed,
-                              validate_attribution)
+from atquant.analysis import auto_route, bu_bdd_detailed, validate_attribution
 from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise, top_paths
 from atquant.domains import (
     BUILTIN_NAMES, AttributeDomain, KTopMode, ValueKind, nat_add, nat_min, render_value,
@@ -43,7 +42,6 @@ from atquant.errors import (
     NotSemiringDynamic,
     UnsupportedDomainForKTop,
 )
-from atquant.tree import Dynamics
 
 from helpers import (
     alpha,
@@ -183,47 +181,6 @@ def test_only_min_additive_domains_fold_the_compiled_diagram():
     # {a, c} would read -5
     run = bu_bdd_detailed(t, alpha(t, {"a": -10, "b": 20, "c": 5}), builtin("min-cost"))
     assert run.value == 5 and top_paths(run.diagram) == minimal
-
-
-def test_min_additive_tree_fold_agrees_with_the_operator_fold_and_the_oracle():
-    # exact integers, each gate one builtin min or sum, against the operator
-    # fold (the same domain, flagged not min-additive) and the oracle, on
-    # static and dynamic trees
-    rng = random.Random(1818)
-    integer = overflowed = 0
-    for name in ("min-cost", "min-time-seq"):
-        d = builtin(name)
-        generic = dataclasses.replace(d, ktop_mode=KTopMode.UNSUPPORTED)
-        for i in range(300):
-            t = rand_tree(rng, 7, dynamic=i % 2 == 1)
-            dynamic = classify(t).dynamics is Dynamics.DYNAMIC
-            engine, oracle = (bu_dat, oracle_metric_dynamic) if dynamic else (
-                bu_sat, oracle_metric_static)
-            bas = bas_of(t)
-            draws = [
-                {b: rng.randint(0, 40) for b in bas},
-                {b: _min_additive_value(rng) for b in bas},
-                {b: INF for b in bas},
-                # past the float range beside infinite values
-                {b: INF if rng.random() < 0.4 else 10**400 + rng.randint(0, 9) for b in bas},
-            ]
-            for k, a in enumerate(draws):
-                got = engine(t, a, d)
-                for want in (engine(t, a, generic), oracle(t, a, d)):
-                    assert got == want and render_value(got) == render_value(want)
-                ran = _min_additive_fold(t, [a[b] for b in bas]) is not None
-                assert ran or k == 3
-                integer += ran
-                overflowed += not ran
-    assert integer > 1800 and overflowed > 20
-
-
-def test_min_additive_tree_fold_leaves_negative_values_to_the_operator_fold():
-    t = tt(("or", ("and", "a", "b"), "c"))
-    a = alpha(t, {"a": -10, "b": 2, "c": 5})
-    assert _min_additive_fold(t, [a[b] for b in bas_of(t)]) is None
-    generic = dataclasses.replace(builtin("min-cost"), ktop_mode=KTopMode.UNSUPPORTED)
-    assert bu_sat(t, a, builtin("min-cost")) == bu_sat(t, a, generic) == -8
 
 
 def test_k_top_overlap_golden():
@@ -541,6 +498,18 @@ def test_validation_agrees_with_a_per_bas_loop_on_random_attributions():
             validate_attribution(t, a, mc)
         else:
             _assert_names_first_offence(t, a, mc)
+
+
+def test_tree_folds_name_the_first_missing_value_in_bas_order():
+    t = tt(("or", "n", ("and", "t", "p"), ("sand", "q", "r")))  # BAS n, t, p, q, r
+    a = alpha(t, {"n": 1, "p": 1, "q": 1})
+    static = tt(("or", "n", ("and", "t", "p"), ("and", "q", "r")))
+    for fold_call in (lambda: bu_dat(t, a, builtin("min-cost")),
+                      lambda: bu_sat(static, a, builtin("min-cost")),
+                      lambda: naive_bottom_up(static, a, builtin("min-cost")),
+                      lambda: total_probability_tree(static, a)):
+        with pytest.raises(MissingAttribution, match="^no value for basic action 't'$"):
+            fold_call()
 
 
 def test_analyze_routing_matrix():
