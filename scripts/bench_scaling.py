@@ -32,9 +32,12 @@ column should grow linearly.
 Experiment 4: parse_model over the model files of balanced static trees with
 two attributions, integer and ratio costs and ratio probabilities, doubling
 node counts up to 2^max-power - 1 (131,071 nodes, 5.3 MB at the default);
-it prints the best of three parses, the megabytes read per second and the
-number of cyclic-collector passes that start during the three parses:
-parse_model pauses the collector, so it should read 0. Beside
+it prints the best of three parses, the best of three runs of the statement
+matcher alone (io._match, which reads the statements into a draft; the rest
+of a parse is _assemble), with the collector paused as parse_model pauses
+it, the megabytes read per second and the number of cyclic-collector passes
+that start during the three parses: parse_model pauses the collector, so it
+should read 0. Beside
 them come the stages a metric request runs next, each timed (best of three)
 on a freshly parsed tree so that no cached fact is shared between them:
 classify, bas_of, validate_attribution of the costs for min-cost, the
@@ -75,6 +78,7 @@ from atquant import (
     parse_model,
 )
 from atquant.analysis import bu_bdd_detailed, validate_attribution
+from atquant.io import _match
 from atquant.semantics import DEFAULT_BUDGET
 from atquant.tree import NodeType
 
@@ -273,8 +277,9 @@ def collector_passes(fn, *args) -> tuple[list, int]:
 def bench_parse(cfg: BenchConfig) -> None:
     print("balanced static trees with two attributions, parse_model, then the")
     print("stages of metric and dump requests, each on a freshly parsed tree")
-    print(f"{'nodes':>9} {'MB':>6} {'parse ms':>9} {'MB/s':>6} {'gc':>3} {'classify':>9} "
-          f"{'bas_of':>7} {'validate':>9} {'fold ms':>8} {'prob ms':>8} {'dump ms':>8}")
+    print(f"{'nodes':>9} {'MB':>6} {'parse ms':>9} {'match ms':>9} {'MB/s':>6} {'gc':>3} "
+          f"{'classify':>9} {'bas_of':>7} {'validate':>9} {'fold ms':>8} {'prob ms':>8} "
+          f"{'dump ms':>8}")
     rng = random.Random(1)
     dom, prob_max = builtin("min-cost"), builtin("prob-max")
     stages = (
@@ -295,11 +300,16 @@ def bench_parse(cfg: BenchConfig) -> None:
         runs, passes = collector_passes(parse_model, text)
         assert runs[0][0].tree == t, "a model file reads back as the tree it was written from"
         dt = min(took for _, took in runs)
+        gc.disable()
+        try:
+            match = min(clock(_match, text)[1] for _ in range(3))
+        finally:
+            gc.enable()
         mb = len(text.encode()) / 1e6
         ms = [fresh_stage(text, stage) * 1000 for stage in stages]
-        print(f"{len(t):>9} {mb:>6.2f} {dt * 1000:>9.1f} {mb / dt:>6.1f} {passes:>3} "
-              f"{ms[0]:>9.2f} {ms[1]:>7.1f} {ms[2]:>9.1f} {ms[3]:>8.1f} {ms[4]:>8.1f} "
-              f"{ms[5]:>8.1f}")
+        print(f"{len(t):>9} {mb:>6.2f} {dt * 1000:>9.1f} {match * 1000:>9.1f} {mb / dt:>6.1f} "
+              f"{passes:>3} {ms[0]:>9.2f} {ms[1]:>7.1f} {ms[2]:>9.1f} {ms[3]:>8.1f} "
+              f"{ms[4]:>8.1f} {ms[5]:>8.1f}")
         power += 1
     print()
 

@@ -22,22 +22,21 @@ label may hold any character but `"` and newline. Spaces, tabs, CR, LF and
 
 Two front ends read a file into the same draft: the node labels and types
 in definition order, every node's child labels in one flat list, and each
-node's count of children. The statement matcher reads a whole statement
-with one compiled pattern per kind: a run of node definitions, a
-`toplevel`, an attribution block, an `order`. One `findall` reads the
-definitions of a run, one the bindings of a block, and the draft's columns
-come from the found columns. It accepts
-whitespace only inside a statement and comments only between statements,
-and it declines a basic action with children, a gate without, and a name
-declared twice. The token parser reads one token at a time and is the only
+node's count of children. The statement matcher checks a whole statement
+with one pattern per kind: a run of node definitions, a `toplevel`, an
+attribution block, an `order`. Labels hold no quote, so a matched statement
+split on quotes gives its labels and, between them, each node's kind and
+each binding's value. It accepts whitespace only inside a statement and
+comments only between statements, and declines a basic action with
+children, a gate without, a name declared twice and a numeral the token
+parser refuses. The token parser reads one token at a time and is the only
 source of syntax diagnostics. It reads the whole text again when the
 matcher declines any of it or when the matched statements break a rule
 below, so every error, with its line and column, is the token parser's.
-Both front ends convert numerals with `_number` and hand their draft to
+Both front ends convert numerals with `_exact` and hand their draft to
 `_assemble`, which resolves all child labels with one lookup pass, rejects
 dangling children, freezes the draft's columns and checks that attributions
-and orders cover the basic actions. `parse_model` pauses the cyclic collector
-while it reads: the store it builds holds no reference cycles.
+and orders cover the basic actions.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
-from operator import is_, rshift
+from operator import is_, not_, sub
 from typing import Optional
 
 from .analysis import AnalysisResult
@@ -84,9 +83,11 @@ _TOKEN = re.compile(
 _Tok = tuple[str, str, int]  # (kind, text, offset), kind STR NUM WORD PUNCT or EOF
 
 # The statement grammar: the token grammar with whitespace only inside a
-# statement, so a comment cannot hide a quote from the findall patterns. A
-# keyword, inf or a numeral ends where the token grammar's word would: `basé`
-# and `1x` are not `bas` and `1`. Repeats are possessive (`*+`, `++`): what
+# statement, so a comment cannot hide a quote from `_columns`. A keyword or
+# inf ends where the token grammar's word would (`basé` is not `bas`), a
+# numeral where its numeral would. A decimal has digits both sides of its
+# dot, a ratio is of integers over a nonzero one: the matcher declines each
+# numeral `_number` refuses. Repeats are possessive (`*+`, `++`): what
 # follows a repeat never starts like what it repeats, so handing characters
 # back could not help a match. A greedy repeat keeps a place to hand back to
 # for every definition or binding it reads: on a 32k-node file, 26 MB of
@@ -95,13 +96,7 @@ _Tok = tuple[str, str, int]  # (kind, text, offset), kind STR NUM WORD PUNCT or 
 _W = r"[ \t\r\n]*+"
 _END = r"(?![\w-])"
 _LABEL = r'"[^"\n]*+"'
-_NUM = rf"[0-9][0-9.]*+{_END}"
-# groups: label, kind, the children's text
-_NODE = re.compile(rf'"([^"\n]*+)"{_W}(bas|or|and|sand){_END}((?:{_W}{_LABEL})*+){_W};')
-# groups: label, value (inf, a numeral or a ratio, as written)
-_BINDING = re.compile(
-    rf'"([^"\n]*+)"{_W}={_W}(inf{_END}|{_NUM}(?:{_W}/{_W}{_NUM})?+){_W};'
-)
+_VALUE = rf"(?:inf{_END}|[0-9]++(?:\.[0-9]++|{_W}/{_W}0*+[1-9][0-9]*+)?+(?![\w.-]))"
 # what separates statements
 _GAP = re.compile(r"(?:[ \t\r\n]++|//[^\n]*+)*+")
 _STATEMENT = re.compile(
@@ -111,11 +106,12 @@ _STATEMENT = re.compile(
     rf"(?:bas{_END}|(?:or|and|sand){_END}(?:{_W}{_LABEL})++){_W};{_W})++)"
     rf'|toplevel{_END}{_W}"(?P<toplevel>[^"\n]*+)"{_W};'
     rf'|attribution{_END}{_W}"(?P<attribution>[^"\n]*+)"{_W}'
-    rf"\{{(?P<bindings>(?:{_W}{_BINDING.pattern})*+){_W}\}}"
+    rf"\{{(?P<bindings>(?:{_W}{_LABEL}{_W}={_W}{_VALUE}{_W};)*+){_W}\}}"
     rf'|order{_END}{_W}"(?P<order>[^"\n]*+)"{_W}='
     rf"(?P<chain>{_W}{_LABEL}(?:{_W}<{_W}{_LABEL})*+){_W};)"
     + _GAP.pattern
 )
+_SEPARATORS = str.maketrans("", "", " \t\r\n=;")
 
 
 @dataclass(frozen=True)
@@ -176,41 +172,35 @@ def _locate(e: TreeBuildError, text: str, offset: int) -> TreeBuildError:
     return out
 
 
-def _number(num: str, den: str, text: str = "", at: int = 0, den_at: int = 0):
-    """The exact value of the numeral num, or of the ratio num/den when den
-    is not empty. Errors cite offset at, or den_at for the denominator, in
-    text; the statement matcher gives no positions, as the token parser
-    reports its errors."""
+def _number(num: str, den: str, text: str, at: int, den_at: int):
+    """The exact value of numeral num, or of ratio num/den if den is not
+    empty. Errors cite offset at, or den_at for den, in text."""
     if den:
         if "." in num or "." in den:
             raise ModelSyntaxError("ratio parts must be integers", *_where(text, at))
         if not den.strip("0"):
             raise ModelSyntaxError("zero denominator", *_where(text, den_at))
-        return Fraction(_integer(num, text, at), _integer(den, text, den_at))
-    if "." in num:
-        if num.count(".") > 1 or num.endswith("."):
-            raise ModelSyntaxError(f"bad number {num!r}", *_where(text, at))
-        whole, frac = num.split(".")
-        return Fraction(_integer(whole + frac, text, at), 10 ** len(frac))  # exact decimal
-    return _integer(num, text, at)
-
-
-def _value_of(written: str):
-    """A binding's value as the matcher found it: inf, a numeral or a ratio."""
-    if written == "inf":
-        return INF
-    num, _, den = written.partition("/")
-    return _number(num.rstrip(), den.lstrip())
-
-
-def _integer(digits: str, text: str, at: int) -> int:
+    elif num.count(".") > 1 or num.endswith("."):
+        raise ModelSyntaxError(f"bad number {num!r}", *_where(text, at))
     try:
-        return int(digits)
+        return _exact(num, den)
     except ValueError:  # digits are ASCII, so only their number can be refused
-        limit = f"the interpreter's limit of {sys.get_int_max_str_digits()}"
-        raise ModelSyntaxError(
-            f"numeral of {len(digits)} digits exceeds {limit}", *_where(text, at)
-        ) from None
+        limit, digits = sys.get_int_max_str_digits(), num.replace(".", "")
+        if len(digits) <= limit:
+            digits, at = den, den_at
+        msg = f"numeral of {len(digits)} digits exceeds the interpreter's limit of {limit}"
+        raise ModelSyntaxError(msg, *_where(text, at)) from None
+
+
+def _exact(num: str, den: str = ""):
+    """The value of numeral num, or ratio num/den, that the grammar has
+    checked; int raises ValueError past its digit limit."""
+    if den:
+        return Fraction(int(num), int(den))
+    if "." in num:
+        whole, frac = num.split(".")
+        return Fraction(int(whole + frac), 10 ** len(frac))  # exact decimal
+    return int(num)
 
 
 class _Parser:
@@ -254,12 +244,11 @@ def parse_model(text: str) -> ModelDocument:
     """The document a model file holds. The statement matcher reads it where
     it can; the token parser reads it otherwise and raises every error.
 
-    The cyclic collector is paused while the document is built, if it was
-    on, and is left as it was found. A document holds strings, numbers,
-    tuples and dicts that refer to one another without cycles, so a
-    collection during the build could free nothing and would only rescan
-    the growing store; what an error path leaves behind is collected once
-    the collector runs again."""
+    The cyclic collector is paused while the document is built and left as
+    it was found. A document holds strings, numbers, tuples and dicts that
+    refer to one another without cycles, so a collection during the build
+    could free nothing and would only rescan the growing store; what an
+    error path leaves behind is collected once the collector runs again."""
     paused = gc.isenabled()
     gc.disable()
     try:
@@ -277,16 +266,16 @@ def parse_model(text: str) -> ModelDocument:
 
 def _match(text: str) -> Optional[_Draft]:
     """The statements of text, or None if the statement matcher declines
-    some of it. Raises where a numeral breaks a rule."""
+    some of it."""
     d = _Draft()
-    defs: list[tuple[str, str, str]] = []  # (label, kind, children's text)
+    runs = []
     pos = _GAP.match(text).end()
     while pos < len(text):
         m = _STATEMENT.match(text, pos)
         if m is None:
             return None
         if m["nodes"] is not None:
-            defs += _NODE.findall(text, pos, m.end("nodes"))
+            runs.append(m["nodes"])
         elif m["toplevel"] is not None:
             if d.root is not None:
                 return None
@@ -295,25 +284,36 @@ def _match(text: str) -> Optional[_Draft]:
             name = m["attribution"]
             if any(name == n for n, _, _ in d.attributions):
                 return None
-            found = _BINDING.findall(text, *m.span("bindings"))
-            labels, written = zip(*found) if found else ((), ())
-            value = {w: _value_of(w) for w in set(written)}
-            d.attributions.append((name, list(labels), list(map(value.__getitem__, written))))
+            labels, written = _columns(m["bindings"])
+            try:
+                value = {w: INF if w == "inf" else _exact(*w.split("/")) for w in set(written)}
+            except ValueError:  # a numeral of too many digits
+                return None
+            d.attributions.append((name, labels, list(map(value.__getitem__, written))))
         else:
             name = m["order"]
             if any(name == n for n, _ in d.orders):
                 return None
             d.orders.append((name, m["chain"].split('"')[1::2]))  # labels hold no quote
         pos = m.end()
-    labels, kinds, kids = zip(*defs) if defs else ((), (), ())
-    d.labels = list(labels)
-    d.types = list(map(_KINDS.__getitem__, kinds))
-    # labels hold no quote, so the children's texts split on quotes, and a
-    # node's children are half the quotes in its text
-    d.flat = "".join(kids).split('"')[1::2]
-    d.counts = list(map(rshift, map(str.count, kids, repeat('"')), repeat(1)))
-    d.ids = dict(zip(labels, range(len(defs))))
-    return d if len(d.ids) == len(defs) else None
+    labels, after = _columns("".join(runs))
+    # a node's label is followed by its kind, a child's by nothing
+    kinds = list(map(_KINDS.get, after))
+    d.labels = list(compress(labels, kinds))
+    d.types = list(compress(kinds, kinds))
+    d.flat = list(compress(labels, map(not_, kinds)))
+    # a node's children: the labels up to the next node's
+    at = list(compress(range(len(kinds)), kinds))
+    d.counts = list(map(sub, at[1:] + [len(kinds)], map((1).__add__, at)))
+    d.ids = dict(zip(d.labels, range(len(at))))
+    return d if len(d.ids) == len(at) else None
+
+
+def _columns(statements: str) -> tuple[list[str], list[str]]:
+    """The labels of matched statements, and after each the text up to the
+    next without blanks, `=` and `;`; no label holds a quote."""
+    parts = statements.split('"')
+    return parts[1::2], '"'.join(parts[::2]).translate(_SEPARATORS).split('"')[1:]
 
 
 def _parse_tokens(text: str) -> ModelDocument:

@@ -384,6 +384,79 @@ def test_statement_matcher_agrees_with_the_token_parser():
         assert outcome(parse_model, text) == outcome(_parse_tokens, text), repr(text)
 
 
+# Labels made of the grammar's characters: a split that read inside a label
+# would take its text for a kind, a value or a separator.
+GRAMMAR_LABELS = [";", "=", " bas;", "or", "{", "}", "<", "//x", "1/0", "", " ", "a b",
+                  "\tx\t", " and ;", "bas", "sand", "inf", "= 1;", "toplevel", "order",
+                  "attribution", "/", "< >", "1.5", "{ }", " or\t", "\\", "é"]
+
+
+def _relabelled(t, names: list[str]):
+    """t with node v named names[v]."""
+    defs = [(names[v], ty, [names[c] for c in kids])
+            for v, (ty, kids) in enumerate(zip(t.types, t.children))]
+    return build(defs, names[t.root])
+
+
+def test_labels_made_of_grammar_characters_read_back():
+    rng = random.Random(19)
+    pool = GRAMMAR_LABELS + [a + b for a in GRAMMAR_LABELS[:12] for b in GRAMMAR_LABELS[:12]]
+    pool = list(dict.fromkeys(pool))
+    hand = (
+        'toplevel "or";\n"or" or ";" "=" " bas;";\n";" and "{" "}";\n"=" bas;\n'
+        '" bas;" sand "<" "//x" "1/0" "";\n"{" bas; "}" bas; "<" bas; "//x" bas;\n'
+        '"1/0"\tbas ;\n"" bas;\n'
+        'attribution "=" { "=" = 1; "{" = 2/3; "}" = inf; "<" = 0.5; "//x" = 7;\n'
+        '  "1/0" = 1/1; "" = 0; }\n'
+        'order "<" = "" < "1/0" < "//x" < "<" < "}" < "{" < "=";\n'
+    )
+    texts = [hand]
+    for i in range(40):
+        t = (rand_tree if i % 2 else rand_dag)(rng, 9, dynamic=i % 3 == 0)
+        t = _relabelled(t, rng.sample(pool, len(t)))
+        bas = list(bas_of(t))
+        cost = {b: builtin("min-cost").random_value(rng) for b in bas}
+        doc = ModelDocument(t, {"cost": cost}, {"o": tuple(rng.sample(bas, len(bas)))})
+        text = emit_model(doc)
+        again = parse_model(text)
+        assert (again.tree, again.attributions, again.orders) == (t, doc.attributions, doc.orders)
+        texts += [layout(text) for layout in MATCHED_LAYOUTS.values()]
+    for text in texts:
+        assert _match(text) is not None, repr(text)
+        assert outcome(parse_model, text) == outcome(_parse_tokens, text), repr(text)
+    doc = parse_model(hand)
+    assert [doc.tree.label_of(c) for c in doc.tree.children[doc.tree.root]] == [";", "=", " bas;"]
+    again = parse_model(emit_model(doc))
+    assert (again.tree, again.attributions, again.orders) == (doc.tree, doc.attributions, doc.orders)
+
+
+_VALUED = _R + 'attribution "c" {{ "a" = {}; }}\n'
+
+
+@pytest.mark.parametrize("value", [
+    "1.", "1..2", "1.5/2", "2/0.5", "0/0", "1/00", ".5",
+    # past the interpreter's limit of 4,300 digits
+    pytest.param("9" * 5000, id="long integer"),
+    pytest.param("0." + "3" * 5000, id="long decimal"),
+    pytest.param("1/" + "7" * 5000, id="long denominator"),
+])
+def test_the_matcher_declines_numerals_the_token_parser_refuses(value):
+    text = _VALUED.format(value)
+    assert _match(text) is None
+    assert outcome(parse_model, text) == outcome(_parse_tokens, text)
+
+
+@pytest.mark.parametrize("value,expected", [
+    ("007", 7), ("1/007", Fraction(1, 7)), ("40/4", Fraction(10)), ("1.50", Fraction(3, 2)),
+    ("0/5", Fraction(0)), ("inf", INF), ("\t3\r\n/\n4 ", Fraction(3, 4)),
+])
+def test_the_matcher_reads_numerals_as_the_token_parser_does(value, expected):
+    text = _VALUED.format(value)
+    [(_, _, [matched])] = _match(text).attributions
+    [parsed] = _parse_tokens(text).attributions["c"].values()
+    assert (matched, type(matched)) == (parsed, type(parsed)) == (expected, type(expected))
+
+
 def test_render_value_forms():
     assert render_value(INF) == "inf"
     assert render_value(7) == "7"
