@@ -17,7 +17,6 @@ from .analysis import (
     bu_dat,
     bu_sat,
     k_top,
-    naive_bottom_up,
     total_probability_tree,
 )
 from .bdd import Bdd, VarOrder, default_order, from_structure_function, minimise, top_paths
@@ -38,7 +37,6 @@ from .semantics import (
     HasseDiagram,
     OrderingGraph,
     PosetAttack,
-    coherence_check,
     hasse,
     is_well_formed,
     minimal_attacks_dynamic,
@@ -48,7 +46,7 @@ from .semantics import (
     ordering_graph,
     structure_function,
 )
-from .tree import AttackTree, Node, NodeType, StructureKind, bas_of, build, classify, static_projection
+from .tree import AttackTree, NodeType, StructureKind, bas_of, build, classify, static_projection
 
 __version__ = "0.1.0"
 
@@ -65,7 +63,6 @@ __all__ = [
     "KTopMode",
     "LawReport",
     "ModelDocument",
-    "Node",
     "NodeType",
     "OrderingGraph",
     "PosetAttack",
@@ -81,7 +78,6 @@ __all__ = [
     "builtin",
     "check_semiring_laws",
     "classify",
-    "coherence_check",
     "default_order",
     "emit_dot",
     "emit_model",
@@ -93,7 +89,6 @@ __all__ = [
     "minimal_attacks_dynamic",
     "minimal_attacks_static",
     "minimise",
-    "naive_bottom_up",
     "oracle_metric_dynamic",
     "oracle_metric_static",
     "ordering_graph",

@@ -19,10 +19,6 @@ Four computation routes, each with hard preconditions enforced here:
   weighted BDD; only for domains whose conjunctive operator is addition.
 - bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
   SAND to the domain's three operators.
-
-The module also exposes naive_bottom_up without the shape guard. It exists
-so tests (and the curious) can watch the tree fold double-count shared
-subtrees on a DAG; nothing routes to it automatically.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .bdd import FALSE, TRUE, Bdd, VarOrder, from_structure_function, minimise
-from .domains import INF, AttributeDomain, KTopMode, ValueKind
+from .domains import INF, AttributeDomain, KTopMode
 from .errors import (
     AtError,
     BadAttributeValue,
@@ -119,13 +115,6 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
         raise MissingAttribution(f"no value for basic action {t.labels[e.args[0]]!r}") from None
     ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op, NodeType.SAND: domain.seq_op}
     return fold(t, leaves, {k: functools.partial(functools.reduce, op) for k, op in ops.items()})
-
-
-def naive_bottom_up(t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """The tree fold applied without checking for sharing. Wrong on DAGs."""
-    if classify(t).dynamics is Dynamics.DYNAMIC:
-        raise DynamicTreeRejected("naive_bottom_up evaluates OR/AND models only")
-    return _fold(t, alpha, domain)
 
 
 def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain):

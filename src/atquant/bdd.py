@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import DynamicTreeRejected, InvalidBdd, OrderMismatch
 from .tree import AttackTree, Dynamics, NodeType, bas_of, classify
@@ -195,13 +195,6 @@ class Bdd:
     def node_count(self) -> int:
         """Nonterminal nodes reachable from the root."""
         return sum(1 for v in self.postorder if v >= 2)
-
-    def evaluate(self, attack: Iterable[int]) -> bool:
-        chosen = set(attack)
-        v = self.root
-        while v >= 2:
-            v = self.store.highs[v] if self.var_at(v) in chosen else self.store.lows[v]
-        return v == TRUE
 
     def canonical(self) -> tuple:
         """Store-independent serialization for cross-store comparison."""
@@ -414,41 +407,3 @@ def top_paths(b: Bdd) -> frozenset:
             high = frozenset(p | {var} for p in paths[b.store.highs[v]])
             paths[v] = paths[b.store.lows[v]] | high
     return paths[b.root]
-
-
-def validate(b: Bdd) -> None:
-    """Walk every reachable node and assert the structural invariants:
-    strictly increasing ranks, no low==high, no duplicate triples, only the
-    two fixed terminals. Raises InvalidBdd on the first violation."""
-    seen_triples: set[tuple[int, int, int]] = set()
-    n = len(b.order)
-    for v in b.postorder:
-        if v < 2:
-            continue
-        rank, low, high = b.store.ranks[v], b.store.lows[v], b.store.highs[v]
-        if not 0 <= rank < n:
-            raise InvalidBdd(f"node {v} has rank {rank} outside the order")
-        if low == high:
-            raise InvalidBdd(f"node {v} has equal children")
-        triple = (rank, low, high)
-        if triple in seen_triples:
-            raise InvalidBdd(f"duplicate node for triple {triple}")
-        seen_triples.add(triple)
-        for child in (low, high):
-            if child >= 2:
-                if b.store.ranks[child] <= rank:
-                    raise InvalidBdd(f"rank does not increase from {v} to {child}")
-            elif child not in (FALSE, TRUE):
-                raise InvalidBdd(f"node {v} points at unknown terminal {child}")
-
-
-def check_minimised_shape(b: Bdd) -> None:
-    """Post-minimise structural property: TRUE never hangs on a low edge and
-    FALSE never hangs on a high edge."""
-    for v in b.postorder:
-        if v < 2:
-            continue
-        if b.store.lows[v] == TRUE:
-            raise InvalidBdd(f"node {v} has TRUE as low child")
-        if b.store.highs[v] == FALSE:
-            raise InvalidBdd(f"node {v} has FALSE as high child")

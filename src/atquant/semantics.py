@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from random import Random
 from typing import Iterable, Optional
 
 from .errors import (
@@ -74,23 +73,13 @@ def structure_function(t: AttackTree, attack: Iterable[int]) -> bool:
     matters for which posets count as attacks, not for set-level success.
     """
     chosen = set(attack)
-    vals: dict[int, bool] = {}
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v in vals:
-            continue
-        node = t.nodes[v]
-        if node.type is NodeType.BAS:
-            vals[v] = v in chosen
-            continue
-        pending = [c for c in node.children if c not in vals]
-        if pending:
-            stack.append(v)
-            stack.extend(pending)
-            continue
-        kids = [vals[c] for c in node.children]
-        vals[v] = any(kids) if node.type is NodeType.OR else all(kids)
+    types, children = t.types, t.children
+    vals = [v in chosen for v in range(len(types))]  # gates are overwritten
+    for v in t.postorder:
+        kids = children[v]
+        if kids:
+            got = [vals[c] for c in kids]
+            vals[v] = any(got) if types[v] is NodeType.OR else all(got)
     return vals[t.root]
 
 
@@ -108,22 +97,17 @@ def _truth_table(t: AttackTree, bas: tuple[int, ...]) -> tuple[int, list[int]]:
             block |= block << width
             width *= 2
         columns.append(block)
-    vals = dict(zip(bas, columns))
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v in vals:
-            continue
-        node = t.nodes[v]
-        pending = [c for c in node.children if c not in vals]
-        if pending:
-            stack.append(v)
-            stack.extend(pending)
-            continue
-        acc = vals[node.children[0]]
-        for c in node.children[1:]:
-            acc = (acc | vals[c]) if node.type is NodeType.OR else (acc & vals[c])
-        vals[v] = acc
+    types, children = t.types, t.children
+    vals = [0] * len(types)
+    for b, column in zip(bas, columns):
+        vals[b] = column
+    for v in t.postorder:
+        kids = children[v]
+        if kids:
+            acc = vals[kids[0]]
+            for c in kids[1:]:
+                acc = (acc | vals[c]) if types[v] is NodeType.OR else (acc & vals[c])
+            vals[v] = acc
     return vals[t.root], columns
 
 
@@ -163,10 +147,10 @@ def ordering_graph(t: AttackTree) -> OrderingGraph:
     child before all basic actions under the next."""
     bas = bas_of(t)
     edges = set()
-    for node in t.nodes:
-        if node.type is not NodeType.SAND:
+    for ty, kids in zip(t.types, t.children):
+        if ty is not NodeType.SAND:
             continue
-        for left, right in zip(node.children, node.children[1:]):
+        for left, right in zip(kids, kids[1:]):
             later = descendants(t, right)
             for a in descendants(t, left):
                 for b in later:
@@ -303,11 +287,11 @@ def hasse(p: PosetAttack) -> HasseDiagram:
 
 # -- definitional metrics ------------------------------------------------------
 
-def _attr(alpha: dict, v: int):
+def _attr(alpha: dict, t: AttackTree, v: int):
     try:
         return alpha[v]
     except KeyError:
-        raise MissingAttribution(f"no attribute value for basic action id {v}") from None
+        raise MissingAttribution(f"no value for basic action {t.labels[v]!r}") from None
 
 
 def oracle_metric_static(
@@ -320,7 +304,7 @@ def oracle_metric_static(
     if not suite:
         raise EmptySuite("model has no successful attack")  # impossible for built models
     per_attack = [
-        functools.reduce(domain.and_op, [_attr(alpha, v) for v in sorted(attack)])
+        functools.reduce(domain.and_op, [_attr(alpha, t, v) for v in sorted(attack)])
         for attack in sorted(suite, key=lambda a: sorted(a))
     ]
     return functools.reduce(domain.or_op, per_attack)
@@ -339,7 +323,7 @@ def oracle_metric_dynamic(
     for p in sorted(suite, key=lambda p: sorted(p.nodes)):
         parts = []
         for comp in _components(p.nodes, p.order):
-            values = [_attr(alpha, v) for v in sorted(comp)]
+            values = [_attr(alpha, t, v) for v in sorted(comp)]
             if len(values) > 1 and domain.seq_op is None:
                 raise IncompatibleDomain(
                     f"domain {domain.name} has no sequential operator for a chained component"
@@ -347,62 +331,3 @@ def oracle_metric_dynamic(
             parts.append(values[0] if len(values) == 1 else functools.reduce(domain.seq_op, values))
         per_attack.append(functools.reduce(domain.and_op, parts))
     return functools.reduce(domain.or_op, per_attack)
-
-
-def coherence_check(
-    t: AttackTree,
-    trials: int = 100,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-    restrict_order: bool = True,
-) -> list:
-    """Sample successful attacks and random supersets; report violations.
-
-    With restrict_order (the actual semantics: a superset attack takes the
-    ordering-graph restriction as its order) the result must be empty.
-    With restrict_order=False the superset keeps only the original order
-    plus random orientations for the new elements, reproducing the known
-    failure of coherence for order-carrying attacks.
-    """
-    rng = Random(seed)
-    proj = static_projection(t)
-    dynamic = classify(t).dynamics is Dynamics.DYNAMIC
-    suite = sorted(minimal_attacks_static(proj, budget), key=lambda a: sorted(a))
-    bas = bas_of(t)
-    og = ordering_graph(t) if dynamic else None
-    violations = []
-    for _ in range(trials):
-        attack = set(rng.choice(suite))
-        extra = [b for b in bas if b not in attack and rng.random() < 0.5]
-        sup = frozenset(attack | set(extra))
-        if restrict_order or not dynamic:
-            ok = structure_function(proj, sup)
-            order = frozenset((a, b) for a, b in og.edges if a in sup and b in sup) if dynamic else frozenset()
-        else:
-            base = {(a, b) for a, b in og.edges if a in attack and b in attack}
-            for x in extra:
-                others = sorted(sup - {x})
-                y = rng.choice(others)
-                pair = (x, y) if rng.random() < 0.5 else (y, x)
-                trial = base | {pair}
-                if all((b, a) not in transitive_closure(sup, trial) for a, b in trial):
-                    base = trial
-            order = frozenset(base)
-            ok = successful_poset(t, sup, order, budget=budget)
-        if not ok:
-            violations.append((frozenset(attack), sup, order))
-    return violations
-
-
-def successful_poset(
-    t: AttackTree, nodes: frozenset, order: Iterable[tuple[int, int]], budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Is (nodes, order) a successful attack: the set succeeds statically and
-    the declared order implies every ordering-graph constraint inside it."""
-    if not structure_function(static_projection(t), nodes):
-        return False
-    og = ordering_graph(t)
-    closure = transitive_closure(nodes, order)
-    return all(
-        (a, b) in closure for a, b in og.edges if a in nodes and b in nodes
-    )

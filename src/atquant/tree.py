@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BasWithChildren,
@@ -64,16 +64,6 @@ class StructureKind:
         return f"({self.shape.value}, {self.dynamics.value})"
 
 
-class Node(NamedTuple):
-    """One entry of the lazy `AttackTree.nodes` view; equal to a plain
-    tuple of its four fields."""
-
-    id: int
-    label: str
-    type: NodeType
-    children: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class AttackTree:
     """Columns indexed by node id. Made by `freeze` or `static_projection`,
@@ -90,10 +80,6 @@ class AttackTree:
     def __len__(self):
         return len(self.labels)
 
-    def node(self, node_id: int) -> Node:
-        self.label_of(node_id)  # raises UnknownNode
-        return self.nodes[node_id]
-
     def id_of(self, label: str) -> int:
         try:
             return self._by_label[label]
@@ -106,11 +92,6 @@ class AttackTree:
         return self.labels[node_id]
 
     # structural facts: computed on first use, then kept on the frozen instance
-
-    @cached_property
-    def nodes(self) -> tuple[Node, ...]:
-        """One `Node` per id, built only when read."""
-        return tuple(map(Node, range(len(self.labels)), self.labels, self.types, self.children))
 
     @cached_property
     def _by_label(self) -> dict[str, int]:

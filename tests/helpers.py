@@ -1,11 +1,18 @@
 """Shared test machinery: tuple-tree construction, golden models, random
-model generators for the differential suites."""
+model generators for the differential suites, and the checkers those
+suites run on the package's results."""
 
+from functools import partial, reduce
 from itertools import count
 from random import Random
+from typing import Iterable
 
-from atquant import bas_of, build, classify
-from atquant.tree import AttackTree, NodeType, Shape
+from atquant import (bas_of, build, classify, minimal_attacks_static, ordering_graph,
+                     static_projection, structure_function)
+from atquant.bdd import FALSE, TRUE, Bdd
+from atquant.errors import InvalidBdd
+from atquant.semantics import DEFAULT_BUDGET, transitive_closure
+from atquant.tree import AttackTree, Dynamics, NodeType, Shape, fold
 
 GATE = {"or": NodeType.OR, "and": NodeType.AND, "sand": NodeType.SAND}
 
@@ -103,7 +110,7 @@ def rand_tree_dat(rng: Random, max_bas: int = 8) -> AttackTree:
     are always acyclic, so no well-formedness rejection loop is needed."""
     while True:
         t = rand_tree(rng, max_bas, dynamic=True)
-        if any(node.type is NodeType.SAND for node in t.nodes):
+        if NodeType.SAND in t.types:
             return t
 
 
@@ -168,3 +175,120 @@ DAT_DOMAINS = (
     "max-damage",
     "prob-max",
 )
+
+
+# -- checkers -------------------------------------------------------------------
+
+
+def naive_bottom_up(t: AttackTree, alpha: dict, domain):
+    """The tree fold applied without checking for sharing, over OR/AND
+    models: the negative control, wrong on DAGs, where a shared node's
+    value reaches every parent."""
+    ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op}
+    return fold(t, [alpha[b] for b in bas_of(t)], {k: partial(reduce, op) for k, op in ops.items()})
+
+
+def evaluate(b: Bdd, attack) -> bool:
+    """The diagram's value when exactly the given BAS are performed."""
+    chosen = set(attack)
+    v = b.root
+    while v >= 2:
+        v = b.store.highs[v] if b.var_at(v) in chosen else b.store.lows[v]
+    return v == TRUE
+
+
+def validate(b: Bdd) -> None:
+    """Walk every reachable node and assert the structural invariants:
+    strictly increasing ranks, no low==high, no duplicate triples, only the
+    two fixed terminals. Raises InvalidBdd on the first violation."""
+    seen_triples: set[tuple[int, int, int]] = set()
+    n = len(b.order)
+    for v in b.postorder:
+        if v < 2:
+            continue
+        rank, low, high = b.store.ranks[v], b.store.lows[v], b.store.highs[v]
+        if not 0 <= rank < n:
+            raise InvalidBdd(f"node {v} has rank {rank} outside the order")
+        if low == high:
+            raise InvalidBdd(f"node {v} has equal children")
+        triple = (rank, low, high)
+        if triple in seen_triples:
+            raise InvalidBdd(f"duplicate node for triple {triple}")
+        seen_triples.add(triple)
+        for child in (low, high):
+            if child >= 2:
+                if b.store.ranks[child] <= rank:
+                    raise InvalidBdd(f"rank does not increase from {v} to {child}")
+            elif child not in (FALSE, TRUE):
+                raise InvalidBdd(f"node {v} points at unknown terminal {child}")
+
+
+def check_minimised_shape(b: Bdd) -> None:
+    """Post-minimise structural property: TRUE never hangs on a low edge and
+    FALSE never hangs on a high edge."""
+    for v in b.postorder:
+        if v < 2:
+            continue
+        if b.store.lows[v] == TRUE:
+            raise InvalidBdd(f"node {v} has TRUE as low child")
+        if b.store.highs[v] == FALSE:
+            raise InvalidBdd(f"node {v} has FALSE as high child")
+
+
+def successful_poset(
+    t: AttackTree, nodes: frozenset, order: Iterable[tuple[int, int]], budget: int = DEFAULT_BUDGET
+) -> bool:
+    """Is (nodes, order) a successful attack: the set succeeds statically and
+    the declared order implies every ordering-graph constraint inside it."""
+    if not structure_function(static_projection(t), nodes):
+        return False
+    og = ordering_graph(t)
+    closure = transitive_closure(nodes, order)
+    return all(
+        (a, b) in closure for a, b in og.edges if a in nodes and b in nodes
+    )
+
+
+def coherence_check(
+    t: AttackTree,
+    trials: int = 100,
+    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+    restrict_order: bool = True,
+) -> list:
+    """Sample successful attacks and random supersets; report violations.
+
+    With restrict_order (the actual semantics: a superset attack takes the
+    ordering-graph restriction as its order) the result must be empty.
+    With restrict_order=False the superset keeps only the original order
+    plus random orientations for the new elements, reproducing the known
+    failure of coherence for order-carrying attacks.
+    """
+    rng = Random(seed)
+    proj = static_projection(t)
+    dynamic = classify(t).dynamics is Dynamics.DYNAMIC
+    suite = sorted(minimal_attacks_static(proj, budget), key=lambda a: sorted(a))
+    bas = bas_of(t)
+    og = ordering_graph(t) if dynamic else None
+    violations = []
+    for _ in range(trials):
+        attack = set(rng.choice(suite))
+        extra = [b for b in bas if b not in attack and rng.random() < 0.5]
+        sup = frozenset(attack | set(extra))
+        if restrict_order or not dynamic:
+            ok = structure_function(proj, sup)
+            order = frozenset((a, b) for a, b in og.edges if a in sup and b in sup) if dynamic else frozenset()
+        else:
+            base = {(a, b) for a, b in og.edges if a in attack and b in attack}
+            for x in extra:
+                others = sorted(sup - {x})
+                y = rng.choice(others)
+                pair = (x, y) if rng.random() < 0.5 else (y, x)
+                trial = base | {pair}
+                if all((b, a) not in transitive_closure(sup, trial) for a, b in trial):
+                    base = trial
+            order = frozenset(base)
+            ok = successful_poset(t, sup, order, budget=budget)
+        if not ok:
+            violations.append((frozenset(attack), sup, order))
+    return violations

@@ -23,14 +23,12 @@ from atquant import (
     build,
     builtin,
     check_semiring_laws,
-    coherence_check,
     from_structure_function,
     is_well_formed,
     k_top,
     minimal_attacks_dynamic,
     minimal_attacks_static,
     minimise,
-    naive_bottom_up,
     oracle_metric_dynamic,
     oracle_metric_static,
     ordering_graph,
@@ -39,7 +37,6 @@ from atquant import (
     total_probability_tree,
 )
 from atquant.analysis import bu_bdd_detailed
-from atquant.bdd import check_minimised_shape, validate
 from atquant.cli import main
 from atquant.domains import BUILTIN_NAMES
 from atquant.errors import InvalidBdd
@@ -59,8 +56,12 @@ from helpers import (
     rand_tree_dat,
     suite_labels,
     chains,
+    check_minimised_shape,
+    coherence_check,
     exploit,
+    naive_bottom_up,
     treasure,
+    validate,
 )
 
 N_TREE_SAT = 500

@@ -3,7 +3,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +18,6 @@ from atquant import (
     builtin,
     classify,
     k_top,
-    naive_bottom_up,
     oracle_metric_dynamic,
     oracle_metric_static,
     structure_function,
@@ -54,6 +53,7 @@ from helpers import (
     chains,
     exploit,
     exploit_tree,
+    naive_bottom_up,
     treasure,
     tt,
 )
@@ -84,9 +84,6 @@ def test_naive_fold_overcounts_shared_leaves():
     # b is priced twice along the two OR branches: min(3,1) + min(1,4) = 2
     assert naive_bottom_up(f, a, builtin("min-cost")) == 2
     assert oracle_metric_static(f, a, builtin("min-cost")) == 1
-    d = exploit_tree()
-    with pytest.raises(DynamicTreeRejected):
-        naive_bottom_up(d, dict.fromkeys(bas_of(d), 1), builtin("min-cost"))
 
 
 def test_bu_bdd_goldens():
@@ -506,7 +503,6 @@ def test_tree_folds_name_the_first_missing_value_in_bas_order():
     static = tt(("or", "n", ("and", "t", "p"), ("and", "q", "r")))
     for fold_call in (lambda: bu_dat(t, a, builtin("min-cost")),
                       lambda: bu_sat(static, a, builtin("min-cost")),
-                      lambda: naive_bottom_up(static, a, builtin("min-cost")),
                       lambda: total_probability_tree(static, a)):
         with pytest.raises(MissingAttribution, match="^no value for basic action 't'$"):
             fold_call()

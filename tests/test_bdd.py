@@ -25,12 +25,13 @@ from atquant import (
     structure_function,
     top_paths,
 )
-from atquant.bdd import FALSE, TRUE, Bdd, VarOrder, _Store, check_minimised_shape, validate
+from atquant.bdd import FALSE, TRUE, Bdd, VarOrder, _Store
 from atquant.cli import main
 from atquant.errors import DynamicTreeRejected, InvalidBdd, MissingAttribution, OrderMismatch
 from atquant.tree import NodeType, fold, postorder, static_projection
 
-from helpers import overlap, rand_alpha, rand_dag, rand_tree, suite_labels, exploit, treasure, tt
+from helpers import (check_minimised_shape, evaluate, overlap, rand_alpha, rand_dag, rand_tree,
+                     suite_labels, exploit, treasure, tt, validate)
 
 
 def powerset(xs):
@@ -71,7 +72,7 @@ def test_bdd_agrees_with_structure_function_everywhere():
             b = from_structure_function(t, order)
             validate(b)
             for s in powerset(bas_of(t)):
-                assert b.evaluate(s) == structure_function(t, frozenset(s))
+                assert evaluate(b, s) == structure_function(t, frozenset(s))
 
 
 def test_canonicity_across_stores():
@@ -239,7 +240,7 @@ def test_root_is_never_terminal_for_built_models():
         b = from_structure_function(t)
         assert b.root >= 2
         # full set succeeds, empty set fails: the function is not constant
-        assert b.evaluate(bas_of(t)) and not b.evaluate(())
+        assert evaluate(b, bas_of(t)) and not evaluate(b, ())
 
 
 def left_fold_compile(t, order=None):
@@ -256,11 +257,11 @@ def handed_up_and_shared_same_type(t):
     """Gates with one parent, of their own type (compiled as part of that
     parent), and gates of a parent's type with two or more parents
     (compiled once, on their own)."""
-    parents = [[] for _ in t.nodes]
-    for n in t.nodes:
-        for c in n.children:
-            parents[c].append(n.type)
-    same = [n.type is not NodeType.BAS and n.type in parents[n.id] for n in t.nodes]
+    parents = [[] for _ in t.types]
+    for ty, kids in zip(t.types, t.children):
+        for c in kids:
+            parents[c].append(ty)
+    same = [ty is not NodeType.BAS and ty in parents[v] for v, ty in enumerate(t.types)]
     handed = sum(s and len(parents[v]) == 1 for v, s in enumerate(same))
     return handed, sum(s and len(parents[v]) > 1 for v, s in enumerate(same))
 
@@ -290,7 +291,7 @@ def test_deepest_first_compile_matches_left_fold(monkeypatch):
     models = [rand_dag(rng, 8) for _ in range(150)] + [rand_tree(rng, 8) for _ in range(50)]
     models += [rand_nested(rng) for _ in range(150)]
     for t in models:
-        wide += any(len(n.children) >= 4 for n in t.nodes)
+        wide += any(len(kids) >= 4 for kids in t.children)
         h, s = handed_up_and_shared_same_type(t)
         handed, shared = handed + h, shared + s
         a = rand_alpha(rng, t, dom)
@@ -377,37 +378,37 @@ def apply_fold_compile(t, order=None):
     folded in by apply, a single variable too."""
     order = order or default_order(t)
     store = _Store(order)
-    nodes = t.nodes
-    parents = [0] * len(nodes)
-    parent_type = [None] * len(nodes)
-    for n in nodes:
-        for c in n.children:
+    types, children = t.types, t.children
+    parents = [0] * len(types)
+    parent_type = [None] * len(types)
+    for ty, kids in zip(types, children):
+        for c in kids:
             parents[c] += 1
-            parent_type[c] = n.type
-    up = [p == 1 and pt is n.type for p, pt, n in zip(parents, parent_type, nodes)]
-    vals = [None] * len(nodes)
+            parent_type[c] = ty
+    up = [p == 1 and pt is ty for p, pt, ty in zip(parents, parent_type, types)]
+    vals = [None] * len(types)
     for v in t.postorder:
-        n = nodes[v]
-        if n.type is NodeType.BAS:
+        ty, kids = types[v], children[v]
+        if ty is NodeType.BAS:
             vals[v] = store.node(order.rank_of(v), FALSE, TRUE)
             continue
-        lists = [c for c in n.children if up[c]]
+        lists = [c for c in kids if up[c]]
         ops = []
         if lists:
             big = max(lists, key=lambda c: len(vals[c]))
             ops = vals[big]
-            for c in n.children:
+            for c in kids:
                 if not up[c]:
                     ops.append(vals[c])
                 elif c != big:
                     ops.extend(vals[c])
         else:
-            ops = [vals[c] for c in n.children]
+            ops = [vals[c] for c in kids]
         if up[v]:
             vals[v] = ops
             continue
         ops = sorted(dict.fromkeys(ops), key=store.ranks.__getitem__, reverse=True)
-        vals[v] = reduce(lambda acc, f: store.apply(n.type.value, f, acc), ops[1:], ops[0])
+        vals[v] = reduce(lambda acc, f: store.apply(ty.value, f, acc), ops[1:], ops[0])
     return Bdd(store, order, vals[t.root])
 
 

@@ -14,7 +14,6 @@ from atquant import (
     bas_of,
     build,
     builtin,
-    classify,
     emit_dot,
     emit_model,
     emit_result,
@@ -35,7 +34,7 @@ from atquant.errors import (
 from atquant.io import _match, _parse_tokens, emit_dot_bdd, render_value
 from atquant.tree import NodeType
 
-from helpers import alpha, rand_dag, rand_tree
+from helpers import rand_dag, rand_tree
 
 MODELS = Path(__file__).parent.parent / "models"
 CORPUS = sorted(MODELS.glob("*.at"))
@@ -63,7 +62,7 @@ def test_parse_ts_document():
     t = doc.tree
     assert t.label_of(t.root) == "root"
     assert [t.label_of(b) for b in bas_of(t)] == ["n", "t", "p"]
-    assert t.node(t.id_of("crypto")).type is NodeType.AND
+    assert t.types[t.id_of("crypto")] is NodeType.AND
 
     time = doc.attributions["time"]
     assert time[t.id_of("n")] == 1 and time[t.id_of("p")] == 0
@@ -264,7 +263,7 @@ def test_random_models_round_trip_through_the_text_format():
     for t in models:
         again = parse_model(emit_model(ModelDocument(t))).tree
         assert again == t
-        assert all(again.id_of(n.label) == n.id for n in t.nodes)
+        assert all(again.id_of(label) == v for v, label in enumerate(t.labels))
 
 
 def outcome(parse, text: str):
@@ -528,8 +527,8 @@ def test_emit_dot_bdd_styles():
 
 
 def test_reading_analysing_and_emitting_build_no_per_node_view():
-    # the column store's `nodes` view is built on first use; reading a tree
-    # or a DAG, the two metrics and every emitter must not ask for it
+    # a tree is its columns alone: reading a tree or a DAG, the two metrics
+    # and every emitter leave no per-node object view on it
     rng = random.Random(61)
     for t in (rand_tree(rng, 12), rand_dag(rng, 9)):
         costs = {b: rng.choice((rng.randint(0, 9), Fraction(rng.randint(1, 9), 4), INF))
@@ -542,5 +541,5 @@ def test_reading_analysing_and_emitting_build_no_per_node_view():
             emit_result(res, doc.tree, "text")
         emit_model(doc)
         emit_dot(doc.tree)
-        assert "nodes" not in doc.tree.__dict__
-        assert doc.tree.nodes == t.nodes and "nodes" in doc.tree.__dict__
+        assert not hasattr(doc.tree, "nodes")
+        assert doc.tree == t

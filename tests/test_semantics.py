@@ -6,7 +6,6 @@ import pytest
 
 from atquant import (
     bas_of,
-    build,
     builtin,
     hasse,
     is_well_formed,
@@ -15,15 +14,13 @@ from atquant import (
     oracle_metric_dynamic,
     oracle_metric_static,
     ordering_graph,
-    coherence_check,
-    static_projection,
     structure_function,
 )
 from atquant import semantics
-from atquant.errors import BudgetExceeded, DynamicTreeRejected, IllFormed, IncompatibleDomain
+from atquant.errors import (BudgetExceeded, DynamicTreeRejected, IllFormed, IncompatibleDomain,
+                            MissingAttribution)
 from atquant.semantics import (
     PosetAttack,
-    successful_poset,
     transitive_closure,
     transitive_reduction,
 )
@@ -40,7 +37,9 @@ from helpers import (
     rand_tree_dat,
     suite_labels,
     chains,
+    coherence_check,
     exploit,
+    successful_poset,
     treasure,
     tt,
 )
@@ -243,7 +242,7 @@ def test_well_formedness_matches_ordering_graph_search():
             continue
         ill += 1
         edges = ordering_graph(t).edges
-        assert all(t.nodes[v].type is NodeType.BAS for v in cycle)
+        assert all(t.types[v] is NodeType.BAS for v in cycle)
         assert len(cycle) >= 2 and cycle[0] == cycle[-1]
         assert all(pair in edges for pair in zip(cycle, cycle[1:]))
     assert ill >= 500  # the corpus exercises the witness, not only the verdict
@@ -336,6 +335,14 @@ def test_oracle_dynamic_on_static_tree_matches_static():
     a = alpha(t, {"n": 10, "t": 2, "p": 3})
     mc = builtin("min-cost")
     assert oracle_metric_dynamic(t, a, mc) == oracle_metric_static(t, a, mc)
+
+
+def test_oracles_name_a_missing_value_by_label():
+    t = treasure()
+    a = alpha(t, {"n": 1, "p": 1})
+    for oracle in (oracle_metric_static, oracle_metric_dynamic):
+        with pytest.raises(MissingAttribution, match="^no value for basic action 't'$"):
+            oracle(t, a, builtin("min-cost"))
 
 
 def test_oracle_dynamic_needs_seq_for_chains():

@@ -15,7 +15,7 @@ from atquant.errors import (
     NoRoot,
     UnknownNode,
 )
-from atquant.tree import (Dynamics, Node, NodeType, Shape, StructureKind, descendants,
+from atquant.tree import (Dynamics, NodeType, Shape, StructureKind, descendants,
                           find_cycle, freeze, postorder)
 
 from helpers import overlap, labels, rand_dag, rand_tree, exploit, treasure, tt
@@ -25,9 +25,10 @@ B, O, A, S = NodeType.BAS, NodeType.OR, NodeType.AND, NodeType.SAND
 
 def test_build_assigns_ids_in_definition_order():
     t = build([("r", O, ["x", "y"]), ("x", B, []), ("y", B, [])], "r")
-    assert [n.label for n in t.nodes] == ["r", "x", "y"]
+    assert t.labels == ("r", "x", "y")
+    assert t.types == (O, B, B)
+    assert t.children == ((1, 2), (), ())
     assert t.root == 0
-    assert t.node(1).label == "x"
     assert t.id_of("y") == 2
     assert t.label_of(0) == "r"
 
@@ -118,8 +119,8 @@ def test_bas_of_is_leftmost_first_occurrence():
 
 def test_descendants_collects_bas_only():
     d = exploit()
-    seq = next(n for n in d.nodes if n.type is S)
-    assert labels(d, descendants(d, seq.id)) == {"w", "cc"}
+    seq = d.types.index(S)
+    assert labels(d, descendants(d, seq)) == {"w", "cc"}
     assert labels(d, descendants(d, d.root)) == {"ff", "w", "cc"}
     assert descendants(d, d.id_of("cc")) == frozenset({d.id_of("cc")})
 
@@ -128,10 +129,10 @@ def test_static_projection_retypes_sand_only():
     d = exploit()
     p = static_projection(d)
     assert classify(p).dynamics is Dynamics.STATIC
-    assert [n.label for n in p.nodes] == [n.label for n in d.nodes]
-    assert all(n.children == m.children for n, m in zip(p.nodes, d.nodes))
-    kinds = {n.label: n.type for n in p.nodes}
-    assert kinds[d.node(d.id_of("cc")).label] is B
+    assert p.labels == d.labels
+    assert p.children == d.children
+    assert p.types == tuple(A if ty is S else ty for ty in d.types)
+    assert p.types[d.id_of("cc")] is B
 
 
 def test_static_projection_is_identity_on_static_trees():
@@ -141,10 +142,25 @@ def test_static_projection_is_identity_on_static_trees():
     assert static_projection(p) is p
 
 
+def test_exports_resolve_and_leave_out_the_removed_names():
+    import atquant
+    from atquant import analysis, bdd, semantics, tree
+
+    assert all(hasattr(atquant, name) for name in atquant.__all__)
+    removed = {tree: ("Node",), analysis: ("naive_bottom_up",),
+               semantics: ("coherence_check", "successful_poset"),
+               bdd: ("validate", "check_minimised_shape")}
+    for module, names in removed.items():
+        assert not set(names) & set(atquant.__all__)
+        assert not any(hasattr(module, name) for name in names)
+    assert not any(hasattr(tree.AttackTree, name) for name in ("nodes", "node"))
+    assert not hasattr(bdd.Bdd, "evaluate")
+
+
 def test_unknown_node_lookups_raise():
     t = treasure()
     with pytest.raises(UnknownNode):
-        t.node(99)
+        t.label_of(99)
     with pytest.raises(UnknownNode):
         t.id_of("zzz")
 
@@ -170,7 +186,7 @@ def test_random_trees_are_trees_and_dags_are_dags():
     for _ in range(50):
         t = rand_tree(rng, 8)
         assert classify(t).shape is Shape.TREE
-        refs = [c for n in t.nodes for c in n.children]
+        refs = [c for kids in t.children for c in kids]
         assert len(refs) == len(set(refs))
     for _ in range(50):
         g = rand_dag(rng, 8)
@@ -180,7 +196,7 @@ def test_random_trees_are_trees_and_dags_are_dags():
 def test_tuple_tree_builder_shares_repeated_leaves():
     t = tt(("and", ("or", "a", "b"), ("or", "b", "c")))
     assert classify(t).shape is Shape.DAG
-    assert len([n for n in t.nodes if n.type is B]) == 3
+    assert t.types.count(B) == 3
 
 
 def test_postorder_finishes_children_first_once_each():
@@ -189,11 +205,11 @@ def test_postorder_finishes_children_first_once_each():
         order = t.postorder
         assert sorted(order) == list(range(len(t))) and order[-1] == t.root
         pos = {v: i for i, v in enumerate(order)}
-        for n in t.nodes:
-            assert all(pos[c] < pos[n.id] for c in n.children)
-            below = postorder(n.id, lambda v: t.nodes[v].children)
-            assert below[-1] == n.id
-            assert {v for v in below if t.nodes[v].type is B} == descendants(t, n.id)
+        for v, kids in enumerate(t.children):
+            assert all(pos[c] < pos[v] for c in kids)
+            below = postorder(v, t.children.__getitem__)
+            assert below[-1] == v
+            assert {w for w in below if t.types[w] is B} == descendants(t, v)
 
 
 def test_structural_facts_are_computed_once():
@@ -207,16 +223,16 @@ def _reference_kind(t) -> StructureKind:
     """Shape by a seen-set over every child reference, dynamics by any SAND."""
     seen: set[int] = set()
     shape = Shape.TREE
-    for n in t.nodes:
-        for c in n.children:
+    for kids in t.children:
+        for c in kids:
             if c in seen:
                 shape = Shape.DAG
             seen.add(c)
-    sand = any(n.type is S for n in t.nodes)
+    sand = any(ty is S for ty in t.types)
     return StructureKind(shape, Dynamics.DYNAMIC if sand else Dynamics.STATIC)
 
 
-def _reference_bas_below(nodes, start) -> list[int]:
+def _reference_bas_below(types, children, start) -> list[int]:
     """BAS at or below start in depth-first leftmost order, first occurrence
     only, by a walk with a seen-set."""
     out: list[int] = []
@@ -227,16 +243,16 @@ def _reference_bas_below(nodes, start) -> list[int]:
         if v in seen:
             continue
         seen.add(v)
-        if nodes[v].type is B:
+        if types[v] is B:
             out.append(v)
         else:
-            stack.extend(reversed(nodes[v].children))
+            stack.extend(reversed(children[v]))
     return out
 
 
 def _reference_bas(t) -> tuple[int, ...]:
     """BAS in depth-first leftmost order, first occurrence only."""
-    return tuple(_reference_bas_below(t.nodes, t.root))
+    return tuple(_reference_bas_below(t.types, t.children, t.root))
 
 
 def _facts_models():
@@ -256,16 +272,15 @@ def _reference_descendants(t, order) -> list[frozenset]:
     """Each node's BAS at or below it, unioned over a bottom-up order."""
     below: list = [None] * len(t)
     for v in order:
-        n = t.nodes[v]
-        below[v] = frozenset({v}) if n.type is B else frozenset().union(
-            *(below[c] for c in n.children))
+        below[v] = frozenset({v}) if t.types[v] is B else frozenset().union(
+            *(below[c] for c in t.children[v]))
     return below
 
 
 def test_recorded_facts_match_brute_force_walks():
     for t in _facts_models():
         assert classify(t) == _reference_kind(t)
-        order = postorder(t.root, lambda v: t.nodes[v].children)
+        order = postorder(t.root, t.children.__getitem__)
         assert t.postorder == order
         assert bas_of(t) == _reference_bas(t)
         below = _reference_descendants(t, order)
@@ -284,7 +299,7 @@ def test_proper_trees_take_their_orders_from_freeze(monkeypatch):
     trees = static + [parse_model(emit_model(ModelDocument(t))).tree for t in static + dynamic]
     trees += [static_projection(t) for t in dynamic if classify(t).dynamics is Dynamics.DYNAMIC]
     assert all(classify(t).shape is Shape.TREE for t in trees)
-    expected = [(postorder(t.root, lambda v: t.nodes[v].children), _reference_bas(t))
+    expected = [(postorder(t.root, t.children.__getitem__), _reference_bas(t))
                 for t in trees]
 
     def walked(*args):
@@ -314,7 +329,7 @@ def test_dag_postorder_is_the_generic_walk(monkeypatch):
     from atquant import tree
 
     dags = _walked_dags()
-    expected = [postorder(t.root, lambda v: t.nodes[v].children) for t in dags]
+    expected = [postorder(t.root, t.children.__getitem__) for t in dags]
 
     def walked(*args):
         raise AssertionError("a DAG walked by the generic function")
@@ -331,52 +346,46 @@ def test_dag_bas_walk_matches_the_seen_set_walk():
     for t in _walked_dags():
         starts = range(len(t)) if len(t) < 100 else [t.root, *range(0, len(t), 97)]
         for v in starts:
-            want = _reference_bas_below(t.nodes, v)
+            want = _reference_bas_below(t.types, t.children, v)
             assert _bas_below(t.types, t.children, v) == want
             assert descendants(t, v) == frozenset(want)
-        assert bas_of(t) == tuple(_reference_bas_below(t.nodes, t.root))
+        assert bas_of(t) == tuple(_reference_bas_below(t.types, t.children, t.root))
 
 
-def test_node_is_a_named_tuple():
-    n = treasure().node(0)
-    assert n._fields == ("id", "label", "type", "children")
-    assert n == (n.id, n.label, n.type, n.children)
-
-
-def _reference_freeze(nodes, root_label, root):
-    """`freeze` over a list of `Node`s, as the store was before it held
-    columns: in-degrees counted edge by edge, the kind read off them, and
-    Kahn's algorithm decrementing every child. Returns (kind, preorder or
-    None) or raises what `freeze` raises."""
-    indeg = [0] * len(nodes)
-    for n in nodes:
-        for c in n.children:
+def _reference_freeze(labels, types, children, root_label, root):
+    """`freeze` node by node: in-degrees counted edge by edge, the kind read
+    off them, and Kahn's algorithm decrementing every child. Returns (kind,
+    preorder or None) or raises what `freeze` raises."""
+    n = len(labels)
+    indeg = [0] * n
+    for kids in children:
+        for c in kids:
             indeg[c] += 1
     kind = StructureKind(
         Shape.DAG if max(indeg, default=0) > 1 else Shape.TREE,
-        Dynamics.DYNAMIC if any(n.type is S for n in nodes) else Dynamics.STATIC,
+        Dynamics.DYNAMIC if any(ty is S for ty in types) else Dynamics.STATIC,
     )
-    parentless = [n.id for n in nodes if indeg[n.id] == 0]
+    parentless = [v for v in range(n) if indeg[v] == 0]
     stack = parentless[::-1]
     order = []
     while stack:
         v = stack.pop()
         order.append(v)
-        for c in reversed(nodes[v].children):
+        for c in reversed(children[v]):
             indeg[c] -= 1
             if indeg[c] == 0:
                 stack.append(c)
-    if len(order) != len(nodes):
-        left = [v for v in range(len(nodes)) if indeg[v] > 0]
-        succ = [[c for c in n.children if indeg[c] > 0] for n in nodes] + [left]
-        cycle = find_cycle(len(nodes), succ)
+    if len(order) != n:
+        left = [v for v in range(n) if indeg[v] > 0]
+        succ = [[c for c in kids if indeg[c] > 0] for kids in children] + [left]
+        cycle = find_cycle(n, succ)
         cycle.append(cycle[0])
-        names = " -> ".join(repr(nodes[i].label) for i in cycle)
+        names = " -> ".join(repr(labels[i]) for i in cycle)
         raise CyclicStructure(f"cycle in child relation: {names}", cycle=cycle)
     if root is None:
         raise DanglingReference(f"declared root {root_label!r} is not defined")
     if len(parentless) > 1:
-        names = ", ".join(repr(nodes[i].label) for i in parentless)
+        names = ", ".join(repr(labels[i]) for i in parentless)
         raise MultipleRoots(f"more than one root candidate: {names}")
     if parentless[0] != root:
         raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
@@ -445,7 +454,6 @@ def test_column_freeze_matches_the_node_list_kahn():
     seen_errors, seen_kinds = set(), set()
     for _ in range(3000):
         labels, types, children, case = _random_store(rng)
-        nodes = [Node(v, *fields) for v, fields in enumerate(zip(labels, types, children))]
         pick = rng.random()
         if pick < 0.1:
             root_label, root = "ghost", None  # an undefined root
@@ -453,7 +461,7 @@ def test_column_freeze_matches_the_node_list_kahn():
             root = rng.randrange(len(labels)) if pick < 0.4 else 0
             root_label = labels[root]
         got, got_error = _outcome(lambda: freeze(labels, types, children, root_label, root))
-        want, want_error = _outcome(lambda: _reference_freeze(nodes, root_label, root))
+        want, want_error = _outcome(lambda: _reference_freeze(labels, types, children, root_label, root))
         assert got_error == want_error, (case, labels, types, children, root)
         if want_error is not None:
             seen_errors.add(want_error[0])
@@ -461,9 +469,9 @@ def test_column_freeze_matches_the_node_list_kahn():
         kind, preorder = want
         t = got
         assert (t.kind, t.preorder, t.root) == (kind, preorder, root)
-        assert t.nodes == tuple(nodes)
+        assert (t.labels, t.types, t.children) == (tuple(labels), tuple(types), tuple(children))
         assert t.postorder == postorder(root, lambda v: children[v])
-        assert t.bas == tuple(_reference_bas_below(nodes, root))
+        assert t.bas == tuple(_reference_bas_below(types, children, root))
         seen_kinds.add((case, kind))
     assert seen_errors == {CyclicStructure, DanglingReference, MultipleRoots, NoRoot}
     assert {case for case, k in seen_kinds if k.shape is Shape.TREE} >= {"tree", "parentless"}
