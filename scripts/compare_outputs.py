@@ -14,6 +14,9 @@ model, with the domains, attributions and orders the model declares:
 - dump of all four kinds, and bdd/bdd-min under each declared order;
 - metric for every builtin domain x every attribution x every --algorithm,
   text and JSON;
+- metric in pareto(min-cost,max-damage) over the first two attributions in
+  sorted order, comma-joined, for every --algorithm, text and JSON, if the
+  model declares two or more;
 - ktop with k 1 and 3 for min-cost, min-time-seq and max-damage, every
   attribution, under the default and each declared order, text and JSON.
 
@@ -41,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("text", "json")
 ALGORITHMS = ("auto", "bu", "bdd", "oracle")
 KTOP_DOMAINS = ("min-cost", "min-time-seq", "max-damage")
+PARETO = "pareto(min-cost,max-damage)"
 MILLIS = re.compile(r'"millis": [-+.\deE]+')
 DOT_NODE = re.compile(r'  n(\d+) \[shape=(\w+), label="(.*)"\];')
 DOT_EDGE = re.compile(r"  n(\d+) -> n(\d+) \[style=(dashed|solid)\];")
@@ -55,6 +59,10 @@ def battery(model: str, attributions, orders, domains) -> list[list[str]]:
              "--algorithm", algorithm, "--format", fmt]
             for domain in domains for name in attributions
             for algorithm in ALGORITHMS for fmt in FORMATS]
+    if len(attributions) >= 2:
+        out += [["metric", model, "--domain", PARETO, "--attribution", ",".join(attributions[:2]),
+                 "--algorithm", algorithm, "--format", fmt]
+                for algorithm in ALGORITHMS for fmt in FORMATS]
     out += [["ktop", model, "--domain", domain, "--attribution", name, "--k", k,
              "--format", fmt, *order]
             for domain in KTOP_DOMAINS for name in attributions for k in ("1", "3")

@@ -34,10 +34,7 @@ from .domains import (
 from .errors import AtError
 from .io import ModelDocument, emit_dot, emit_model, emit_result, parse_model
 from .semantics import (
-    HasseDiagram,
-    OrderingGraph,
     PosetAttack,
-    hasse,
     is_well_formed,
     minimal_attacks_dynamic,
     minimal_attacks_static,
@@ -58,13 +55,11 @@ __all__ = [
     "AttributeDomain",
     "Bdd",
     "BUILTIN_NAMES",
-    "HasseDiagram",
     "INF",
     "KTopMode",
     "LawReport",
     "ModelDocument",
     "NodeType",
-    "OrderingGraph",
     "PosetAttack",
     "StructureKind",
     "ValueKind",
@@ -83,7 +78,6 @@ __all__ = [
     "emit_model",
     "emit_result",
     "from_structure_function",
-    "hasse",
     "is_well_formed",
     "k_top",
     "minimal_attacks_dynamic",

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .semantics import (
     DEFAULT_BUDGET,
+    _attr,
     is_well_formed,  # read only by perfbench's per-layer tracer
     oracle_metric_dynamic,
     oracle_metric_static,
@@ -98,13 +99,6 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
             raise BadAttributeValue(f"{e} for basic action {t.label_of(b)!r}") from None
 
 
-def _value(alpha: dict, t: AttackTree, v: int):
-    try:
-        return alpha[v]
-    except KeyError:
-        raise MissingAttribution(f"no value for basic action {t.labels[v]!r}") from None
-
-
 def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Memoized bottom-up fold; the memoization is what makes it naive on
     DAGs (a shared node contributes one value to every parent). Callers
@@ -142,7 +136,7 @@ def _rank_values(t: AttackTree, alpha: dict, m: Bdd) -> list:
     ranks, bas_at = m.store.ranks, m.order.bas
     at_rank: list = [None] * len(bas_at)
     for r in dict.fromkeys(ranks[v] for v in m.postorder if v >= 2):
-        at_rank[r] = _value(alpha, t, bas_at[r])
+        at_rank[r] = _attr(alpha, t, bas_at[r])
     return at_rank
 
 
@@ -328,7 +322,7 @@ def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
         raise DynamicTreeRejected("total probability is defined for static trees")
 
     def leaf(b: int) -> Fraction:
-        p = _value(alpha, t, b)
+        p = _attr(alpha, t, b)
         if isinstance(p, bool) or not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
             raise NotProbability(f"value {p!r} for {t.labels[b]!r} is not a probability")
         return Fraction(p)

@@ -125,62 +125,36 @@ def cmd_check(args) -> int:
     return 0 if well else 2
 
 
-def _attack_key(pos: dict, attack):
-    return (len(attack), tuple(sorted(pos[b] for b in attack)))
-
-
-def _attack_labels(t, pos: dict, attack) -> list[str]:
-    return [t.label_of(b) for b in sorted(attack, key=pos.__getitem__)]
-
-
 def cmd_semantics(args) -> int:
+    """The minimal attacks, fewest BAS first, then by their BAS positions;
+    a dynamic model's attacks with their order, a static model's without."""
     doc = _load(args.model)
     t = doc.tree
     kind = classify(t)
     budget = _budget(args)
     pos = {b: i for i, b in enumerate(bas_of(t))}  # BAS id -> leftmost position
     if kind.dynamics is Dynamics.STATIC:
-        suite = sorted(minimal_attacks_static(t, budget), key=lambda a: _attack_key(pos, a))
-        if args.format == "json":
-            payload = {
-                "kind": f"{_shape_text(kind)}, {kind.dynamics.value}",
-                "attacks": [{"bas": _attack_labels(t, pos, a)} for a in suite],
-            }
-            _write(args, json.dumps(payload, indent=2) + "\n")
-        else:
-            lines = ["{" + ", ".join(_attack_labels(t, pos, a)) + "}" for a in suite]
-            _write(args, "\n".join(lines) + "\n")
+        suite = [(a, None) for a in minimal_attacks_static(t, budget)]
     else:
-        suite = sorted(
-            minimal_attacks_dynamic(t, budget),
-            key=lambda p: (_attack_key(pos, p.nodes), sorted(p.order)),
-        )
-        if args.format == "json":
-            payload = {
-                "kind": f"{_shape_text(kind)}, {kind.dynamics.value}",
-                "attacks": [
-                    {
-                        "bas": _attack_labels(t, pos, p.nodes),
-                        "order": [
-                            [t.label_of(a), t.label_of(b)] for a, b in sorted(p.order)
-                        ],
-                    }
-                    for p in suite
-                ],
-            }
-            _write(args, json.dumps(payload, indent=2) + "\n")
-        else:
-            lines = []
-            for p in suite:
-                bas = "{" + ", ".join(_attack_labels(t, pos, p.nodes)) + "}"
-                if p.order:
-                    chain = ", ".join(
-                        f"{t.label_of(a)} < {t.label_of(b)}" for a, b in sorted(p.order)
-                    )
-                    lines.append(f"{bas} : {chain}")
-                else:
-                    lines.append(f"{bas} : -")
-            _write(args, "\n".join(lines) + "\n")
+        suite = [(p.nodes, p.order) for p in minimal_attacks_dynamic(t, budget)]
+    suite.sort(key=lambda pair: (len(pair[0]), sorted(pos[b] for b in pair[0])))
+    rows = []
+    for attack, order in suite:
+        row = {"bas": [t.label_of(b) for b in sorted(attack, key=pos.__getitem__)]}
+        if order is not None:
+            row["order"] = [[t.label_of(a), t.label_of(b)] for a, b in sorted(order)]
+        rows.append(row)
+    if args.format == "json":
+        payload = {"kind": f"{_shape_text(kind)}, {kind.dynamics.value}", "attacks": rows}
+        _write(args, json.dumps(payload, indent=2) + "\n")
+        return 0
+    lines = []
+    for row in rows:
+        line = "{" + ", ".join(row["bas"]) + "}"
+        if "order" in row:
+            line += " : " + (", ".join(f"{a} < {b}" for a, b in row["order"]) or "-")
+        lines.append(line)
+    _write(args, "\n".join(lines) + "\n")
     return 0
 
 

@@ -95,10 +95,6 @@ class BudgetExceeded(AtError):
     pass
 
 
-class EmptySuite(AtError):
-    pass
-
-
 class NotSemiring(AtError):
     pass
 

@@ -8,11 +8,15 @@ Metrics come from folding the domain operators over that enumeration
 exactly as the definitions state. The efficient algorithms in analysis.py
 are tested against these functions, never the other way around.
 
-`ordering_graph` remains the definition of the precedence that SAND gates
-impose, materialised pair by pair. `is_well_formed` alone does not build it:
-it decides the graph's acyclicity in linear time on a port graph whose
-paths between basic actions are exactly the ordering graph's paths, and the
-tests compare it with a search over `ordering_graph`.
+A static attack is a frozenset of BAS ids. A dynamic one is a
+`PosetAttack`: its BAS ids and its execution order, transitively reduced,
+so `_components` of that order are the chains the sequential operator
+folds. `ordering_graph` remains the definition of the precedence that SAND
+gates impose: the frozenset of (earlier, later) BAS pairs, materialised
+pair by pair. `is_well_formed` alone does not build it: it decides the
+graph's acyclicity in linear time on a port graph whose paths between
+basic actions are exactly the ordering graph's paths, and the tests
+compare it with a search over `ordering_graph`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Iterable, Optional
 from .errors import (
     BudgetExceeded,
     DynamicTreeRejected,
-    EmptySuite,
     IllFormed,
     IncompatibleDomain,
     MissingAttribution,
@@ -34,18 +37,6 @@ from .tree import (AttackTree, Dynamics, NodeType, Shape, bas_of, classify, desc
                    find_cycle, static_projection)
 
 DEFAULT_BUDGET = 20
-
-Attack = frozenset  # of BAS node ids
-AttackSuite = frozenset  # of Attack
-
-
-@dataclass(frozen=True)
-class OrderingGraph:
-    """Precedence constraints between BAS induced by SAND gates."""
-
-    vertices: tuple[int, ...]
-    edges: frozenset  # of (earlier id, later id)
-
 
 @dataclass(frozen=True)
 class PosetAttack:
@@ -57,13 +48,6 @@ class PosetAttack:
 
     nodes: frozenset
     order: frozenset  # of (id, id), transitively reduced
-
-
-@dataclass(frozen=True)
-class HasseDiagram:
-    nodes: frozenset
-    edges: frozenset
-    components: tuple[frozenset, ...]  # sorted by smallest member id
 
 
 def structure_function(t: AttackTree, attack: Iterable[int]) -> bool:
@@ -111,7 +95,7 @@ def _truth_table(t: AttackTree, bas: tuple[int, ...]) -> tuple[int, list[int]]:
     return vals[t.root], columns
 
 
-def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> AttackSuite:
+def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> frozenset:
     """All subset-minimal successful attacks, by exhaustive enumeration.
 
     A row of the truth table is minimal when it succeeds and dropping any
@@ -142,10 +126,9 @@ def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> Attac
     return frozenset(out)
 
 
-def ordering_graph(t: AttackTree) -> OrderingGraph:
-    """BAS precedence: each SAND gate orders all basic actions under one
-    child before all basic actions under the next."""
-    bas = bas_of(t)
+def ordering_graph(t: AttackTree) -> frozenset:
+    """BAS precedence as (earlier, later) pairs: each SAND gate orders all
+    basic actions under one child before all basic actions under the next."""
     edges = set()
     for ty, kids in zip(t.types, t.children):
         if ty is not NodeType.SAND:
@@ -155,7 +138,7 @@ def ordering_graph(t: AttackTree) -> OrderingGraph:
             for a in descendants(t, left):
                 for b in later:
                     edges.add((a, b))
-    return OrderingGraph(bas, frozenset(edges))
+    return frozenset(edges)
 
 
 def is_well_formed(t: AttackTree) -> tuple[bool, Optional[list[int]]]:
@@ -275,14 +258,9 @@ def minimal_attacks_dynamic(t: AttackTree, budget: int = DEFAULT_BUDGET) -> froz
     og = ordering_graph(t)
     out = []
     for attack in suite:
-        restricted = [(a, b) for a, b in og.edges if a in attack and b in attack]
+        restricted = [(a, b) for a, b in og if a in attack and b in attack]
         out.append(PosetAttack(attack, transitive_reduction(attack, restricted)))
     return frozenset(out)
-
-
-def hasse(p: PosetAttack) -> HasseDiagram:
-    reduced = transitive_reduction(p.nodes, p.order)
-    return HasseDiagram(p.nodes, reduced, _components(p.nodes, reduced))
 
 
 # -- definitional metrics ------------------------------------------------------
@@ -301,8 +279,6 @@ def oracle_metric_static(
     attribute values. Works for any commutative/associative pair of
     operators; the domain does not have to be a semiring."""
     suite = minimal_attacks_static(t, budget)
-    if not suite:
-        raise EmptySuite("model has no successful attack")  # impossible for built models
     per_attack = [
         functools.reduce(domain.and_op, [_attr(alpha, t, v) for v in sorted(attack)])
         for attack in sorted(suite, key=lambda a: sorted(a))
@@ -317,8 +293,6 @@ def oracle_metric_dynamic(
     Hasse diagram (in id order), conjunctive across components, disjunctive
     across poset attacks. Static models degenerate to the static fold."""
     suite = minimal_attacks_dynamic(t, budget)
-    if not suite:
-        raise EmptySuite("model has no successful attack")
     per_attack = []
     for p in sorted(suite, key=lambda p: sorted(p.nodes)):
         parts = []

@@ -183,15 +183,15 @@ def freeze(labels: Sequence[str], types: Sequence[NodeType],
     labels, types, children = tuple(labels), tuple(types), tuple(children)
     n = len(labels)
     flat = list(chain.from_iterable(children))
-    tree = len(set(flat)) == len(flat)
-    kind = StructureKind(
-        Shape.TREE if tree else Shape.DAG,
-        Dynamics.DYNAMIC if NodeType.SAND in types else Dynamics.STATIC,
-    )
     indeg = [0] * n
     for c in flat:
         indeg[c] += 1
     parentless = [v for v in range(n) if not indeg[v]]
+    tree = len(flat) == n - len(parentless)  # no node has two parent edges
+    kind = StructureKind(
+        Shape.TREE if tree else Shape.DAG,
+        Dynamics.DYNAMIC if NodeType.SAND in types else Dynamics.STATIC,
+    )
     order = []
     stack = parentless[::-1]
     while stack:  # any discipline leaves the same nodes and in-degrees behind

@@ -245,7 +245,7 @@ def successful_poset(
     og = ordering_graph(t)
     closure = transitive_closure(nodes, order)
     return all(
-        (a, b) in closure for a, b in og.edges if a in nodes and b in nodes
+        (a, b) in closure for a, b in og if a in nodes and b in nodes
     )
 
 
@@ -277,9 +277,9 @@ def coherence_check(
         sup = frozenset(attack | set(extra))
         if restrict_order or not dynamic:
             ok = structure_function(proj, sup)
-            order = frozenset((a, b) for a, b in og.edges if a in sup and b in sup) if dynamic else frozenset()
+            order = frozenset((a, b) for a, b in og if a in sup and b in sup) if dynamic else frozenset()
         else:
-            base = {(a, b) for a, b in og.edges if a in attack and b in attack}
+            base = {(a, b) for a, b in og if a in attack and b in attack}
             for x in extra:
                 others = sorted(sup - {x})
                 y = rng.choice(others)

@@ -144,11 +144,13 @@ def test_static_projection_is_identity_on_static_trees():
 
 def test_exports_resolve_and_leave_out_the_removed_names():
     import atquant
-    from atquant import analysis, bdd, semantics, tree
+    from atquant import analysis, bdd, errors, semantics, tree
 
     assert all(hasattr(atquant, name) for name in atquant.__all__)
     removed = {tree: ("Node",), analysis: ("naive_bottom_up",),
-               semantics: ("coherence_check", "successful_poset"),
+               semantics: ("coherence_check", "successful_poset", "HasseDiagram",
+                           "OrderingGraph", "hasse", "Attack", "AttackSuite"),
+               errors: ("EmptySuite",),
                bdd: ("validate", "check_minimised_shape")}
     for module, names in removed.items():
         assert not set(names) & set(atquant.__all__)
