@@ -198,19 +198,19 @@ def bench_ladder(cfg: BenchConfig) -> None:
         t = ladder_dag(rungs)
         n = len(bas_of(t))
         a = {b: 1 + (b % 3) for b in bas_of(t)}
-        run, dt_bdd = clock(bu_bdd_detailed, t, a, dom)
+        (value, diagram), dt_bdd = clock(bu_bdd_detailed, t, a, dom)
         top, dt_ktop = clock(k_top, t, a, dom, 5)
-        assert top[0][0] == run.value, "the cheapest attack costs the metric"
+        assert top[0][0] == value, "the cheapest attack costs the metric"
         coprime = {b: Fraction(1, p) for b, p in zip(bas_of(t), primes(n))}
         _, dt_coprime = clock(k_top, t, coprime, dom, 5)
         if n <= DEFAULT_BUDGET:
             want, dt_oracle = clock(oracle_metric_static, t, a, dom)
-            agree = "yes" if want == run.value else "NO"
+            agree = "yes" if want == value else "NO"
             oracle_col = f"{dt_oracle * 1000:>10.1f}"
         else:
             agree = "-"
             oracle_col = f"{'skipped':>10}"
-        print(f"{n:>5} {run.diagram.node_count():>10} {len(run.diagram.store.unique):>8} "
+        print(f"{n:>5} {diagram.node_count():>10} {len(diagram.store.unique):>8} "
               f"{dt_bdd * 1000:>8.1f} {dt_ktop * 1000:>8.1f} {dt_coprime * 1000:>9.1f} "
               f"{oracle_col} {agree:>6}")
         rungs *= 2

@@ -10,7 +10,7 @@ value, the one field that differs from run to run, is blanked. A directory
 stands for its *.at files; the default is models/*.at. The battery, per
 model, with the domains, attributions and orders the model declares:
 
-- check and semantics, text and JSON;
+- check and semantics, text and JSON, and semantics with --budget 1;
 - dump of all four kinds, and bdd/bdd-min under each declared order;
 - metric for every builtin domain x every attribution x every --algorithm,
   text and JSON;
@@ -18,7 +18,12 @@ model, with the domains, attributions and orders the model declares:
   sorted order, comma-joined, for every --algorithm, text and JSON, if the
   model declares two or more;
 - ktop with k 1 and 3 for min-cost, min-time-seq and max-damage, every
-  attribution, under the default and each declared order, text and JSON.
+  attribution, under the default and each declared order, text and JSON;
+- metric in min-cost over the first attribution in sorted order by the
+  oracle with --budget 1, if the model declares one.
+
+The two --budget 1 requests refuse every model of two or more basic
+actions, so the budget error and its hint are compared too.
 
 A decision diagram printed by `dump --what bdd` or `bdd-min` is also
 recorded with its nodes renamed in a low-first post-order from its roots.
@@ -52,6 +57,7 @@ DOT_EDGE = re.compile(r"  n(\d+) -> n(\d+) \[style=(dashed|solid)\];")
 
 def battery(model: str, attributions, orders, domains) -> list[list[str]]:
     out = [[cmd, model, "--format", fmt] for cmd in ("check", "semantics") for fmt in FORMATS]
+    out.append(["semantics", model, "--budget", "1"])
     out += [["dump", model, "--what", what] for what in ("at", "model", "bdd", "bdd-min")]
     out += [["dump", model, "--what", what, "--order", order]
             for what in ("bdd", "bdd-min") for order in orders]
@@ -67,6 +73,8 @@ def battery(model: str, attributions, orders, domains) -> list[list[str]]:
              "--format", fmt, *order]
             for domain in KTOP_DOMAINS for name in attributions for k in ("1", "3")
             for order in [[]] + [["--order", o] for o in orders] for fmt in FORMATS]
+    out += [["metric", model, "--domain", "min-cost", "--attribution", name,
+             "--algorithm", "oracle", "--budget", "1"] for name in attributions[:1]]
     return out
 
 

@@ -19,7 +19,7 @@ from .analysis import (
     k_top,
     total_probability_tree,
 )
-from .bdd import Bdd, VarOrder, default_order, from_structure_function, minimise, top_paths
+from .bdd import Bdd, VarOrder, default_order, from_structure_function, minimise
 from .domains import (
     INF,
     BUILTIN_NAMES,
@@ -89,6 +89,5 @@ __all__ = [
     "parse_model",
     "static_projection",
     "structure_function",
-    "top_paths",
     "total_probability_tree",
 ]

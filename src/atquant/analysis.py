@@ -39,7 +39,6 @@ from .errors import (
     DagRejected,
     DynamicTreeRejected,
     InvalidRequest,
-    MissingAttribution,
     MissingNeutrals,
     NotProbability,
     NotSemiring,
@@ -91,10 +90,9 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
     except (KeyError, BadAttributeValue):
         pass
     for b in bas:
-        if b not in alpha:
-            raise MissingAttribution(f"no value for basic action {t.label_of(b)!r}")
+        value = _attr(alpha, t, b)
         try:
-            domain.validate_value(alpha[b])
+            domain.validate_value(value)
         except BadAttributeValue as e:
             raise BadAttributeValue(f"{e} for basic action {t.label_of(b)!r}") from None
 
@@ -105,8 +103,8 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
     ensure a SAND gate only meets a domain with a sequential operator."""
     try:
         leaves = list(map(alpha.__getitem__, t.bas))
-    except KeyError as e:  # the first missing one in `bas_of` order
-        raise MissingAttribution(f"no value for basic action {t.labels[e.args[0]]!r}") from None
+    except KeyError as e:
+        _attr(alpha, t, e.args[0])  # raises for the first missing one in `bas_of` order
     ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op, NodeType.SAND: domain.seq_op}
     return fold(t, leaves, {k: functools.partial(functools.reduce, op) for k, op in ops.items()})
 
@@ -120,13 +118,6 @@ def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain):
         raise DynamicTreeRejected("bu_sat handles static models; use bu_dat")
     _require("bu_sat", domain)
     return _fold(t, alpha, domain)
-
-
-@dataclass(frozen=True)
-class BuBddRun:
-    value: object
-    diagram: Bdd = field(repr=False)
-    visits: int
 
 
 def _rank_values(t: AttackTree, alpha: dict, m: Bdd) -> list:
@@ -159,7 +150,8 @@ def _unscaled(w, sgn: int, scale: int):
 
 def bu_bdd_detailed(
     t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None
-) -> BuBddRun:
+) -> tuple[object, Bdd]:
+    """(metric, the diagram folded): see `bu_bdd`."""
     _require("bu_bdd", domain)
     b = from_structure_function(t, order)
     if domain.ktop_mode is KTopMode.MIN_ADDITIVE:
@@ -174,10 +166,10 @@ def bu_bdd_detailed(
     for v in m.postorder:
         if v >= 2:
             vals[v] = or_op(vals[lows[v]], and_op(vals[highs[v]], at_rank[ranks[v]]))
-    return BuBddRun(vals[m.root], m, len(vals))
+    return vals[m.root], m
 
 
-def _shortest_path(b: Bdd, weight: list, scale: int) -> BuBddRun:
+def _shortest_path(b: Bdd, weight: list, scale: int) -> tuple[object, Bdd]:
     """The least weight of a root-to-TRUE path of the compiled diagram,
     high edges weighing their rank's weight; exact for min-additive domains
     (see the module docstring)."""
@@ -191,7 +183,7 @@ def _shortest_path(b: Bdd, weight: list, scale: int) -> BuBddRun:
             except OverflowError:  # inf + an int past the float range
                 hi = math.inf
             dist[v] = lo if lo <= hi else hi
-    return BuBddRun(_unscaled(dist[b.root], 1, scale), b, len(b.postorder))
+    return _unscaled(dist[b.root], 1, scale), b
 
 
 def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None):
@@ -199,7 +191,7 @@ def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[
     compiled one for a min-additive domain whose values are all
     non-negative, else the minimal-solutions one; exact on shared
     structures."""
-    return bu_bdd_detailed(t, alpha, domain, order).value
+    return bu_bdd_detailed(t, alpha, domain, order)[0]
 
 
 def k_top(
@@ -347,7 +339,7 @@ class AnalysisRequest:
 @dataclass(frozen=True)
 class AnalysisResult:
     metric: str
-    value: object  # scalar metric, or tuple of (metric, attack) pairs for k_top
+    value: object  # the metric; for k_top, that of the best attack
     algorithm: str
     warnings: tuple[str, ...]
     witnesses: Optional[tuple] = None  # (metric, frozenset of BAS ids) pairs
@@ -399,7 +391,7 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
         if req.algorithm != "auto":
             raise InvalidRequest(f"k-top has no algorithm choice, got {req.algorithm!r}")
         pairs, diagram = k_top_detailed(t, alpha, domain, req.k, req.order)
-        value: object = tuple(pairs)
+        value: object = pairs[0][0]  # every model has a successful attack
         witnesses = tuple(pairs)
         algorithm = "ktop"
         stats["bdd_nodes"] = diagram.node_count()
@@ -411,9 +403,8 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
         if algorithm == "bu":
             value = (bu_dat if dynamic else bu_sat)(t, alpha, domain)
         elif algorithm == "bdd":
-            run = bu_bdd_detailed(t, alpha, domain, req.order)
-            value = run.value
-            stats["bdd_nodes"] = run.diagram.node_count()
+            value, diagram = bu_bdd_detailed(t, alpha, domain, req.order)
+            stats["bdd_nodes"] = diagram.node_count()
         elif algorithm == "oracle":
             oracle = oracle_metric_dynamic if dynamic else oracle_metric_static
             value = oracle(t, alpha, domain, req.budget)

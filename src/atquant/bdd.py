@@ -17,10 +17,11 @@ for OR, made inline, so a gate over basic actions is built as its chain.
 `apply` and `minimise`'s `without` run on explicit work stacks, in the
 style of Brace, Rudell and Bryant (DAC 1990), and no function here calls
 itself, so a diagram's depth is not bounded by the interpreter's recursion
-limit. `apply` and `minimise` make their nodes inline, with the
-hash-consing of `_Store.node`, and `Bdd.postorder` has a walk of its own
-over the store's child arrays: each runs once per node, where a call or a
-generic walk would cost more than the work itself. On top of the plain
+limit. Every node is hash-consed inline where it is made: a (rank, low,
+high) triple already in the unique table is reused, and a new one takes
+the next id. `Bdd.postorder` walks the store's child arrays itself. Each
+runs once per node, where a call or a generic walk would cost more than
+the work itself. On top of the plain
 ROBDD sits the minimal-solutions transform: a second diagram whose
 TRUE-paths (read as the set of variables taken on a high edge) are exactly
 the subset-minimal successful attacks. That diagram is meaningful under
@@ -62,15 +63,6 @@ class VarOrder:
     def __len__(self):
         return len(self.bas)
 
-    def rank_of(self, bas_id: int) -> int:
-        try:
-            return self._rank[bas_id]
-        except KeyError:
-            raise OrderMismatch(f"basic action id {bas_id} not in the order") from None
-
-    def bas_at(self, rank: int) -> int:
-        return self.bas[rank]
-
 
 class _Store:
     """Unique table shared by every diagram built from one model/order."""
@@ -84,28 +76,11 @@ class _Store:
         self.unique: dict[tuple[int, int, int], int] = {}
         self.apply_memo: dict[tuple[str, int, int], int] = {}
 
-    def node(self, rank: int, low: int, high: int) -> int:
-        """Hash-cons a raw node; callers enforce their own reduction rule."""
-        key = (rank, low, high)
-        found = self.unique.get(key)
-        if found is not None:
-            return found
-        for child in (low, high):
-            if child >= 2 and self.ranks[child] <= rank:
-                raise InvalidBdd("child rank must exceed parent rank")
-        nid = len(self.ranks)
-        self.ranks.append(rank)
-        self.lows.append(low)
-        self.highs.append(high)
-        self.unique[key] = nid
-        return nid
-
     def apply(self, op: str, f: int, g: int) -> int:
         """f op g for op "or" or "and", by Shannon expansion on the top
         variable; runs on an explicit stack, the low side first, so nodes
         are made in the order a recursive apply would make them. Equal
-        children reduce to one; other nodes are hash-consed inline, as
-        `node` does, since a call per node would cost more than its work."""
+        children reduce to one; other nodes are hash-consed inline."""
         ranks, lows, highs = self.ranks, self.lows, self.highs
         unique, memo = self.unique, self.apply_memo
         absorbing, neutral = (TRUE, FALSE) if op == "or" else (FALSE, TRUE)
@@ -163,15 +138,15 @@ class Bdd:
 
     def var_at(self, node_id: int) -> int:
         """BAS id labelling a nonterminal node."""
-        return self.order.bas_at(self.store.ranks[node_id])
+        return self.order.bas[self.store.ranks[node_id]]
 
     @cached_property
     def postorder(self) -> tuple[int, ...]:
         """Reachable node ids, terminals included, each after both of its
-        children; the low side is walked first. `minimise` numbers its
-        nodes in this order, which must stay that of `tree.postorder(root,
-        lambda v: (highs[v], lows[v]) if v >= 2 else ())`; the stack holds
-        only the path to the current node."""
+        children: a depth-first walk from the root, the low side first,
+        that finishes each node once. `minimise` numbers its nodes in this
+        order, so it must not change; the stack holds only the path to the
+        current node."""
         lows, highs = self.store.lows, self.store.highs
         done = bytearray(len(lows))
         out: list[int] = []
@@ -195,17 +170,6 @@ class Bdd:
     def node_count(self) -> int:
         """Nonterminal nodes reachable from the root."""
         return sum(1 for v in self.postorder if v >= 2)
-
-    def canonical(self) -> tuple:
-        """Store-independent serialization for cross-store comparison."""
-        s = self.store
-        index: dict[int, int] = {FALSE: 0, TRUE: 1}
-        triples: list[tuple[int, int, int]] = []
-        for v in self.postorder:
-            if v >= 2:
-                index[v] = len(triples) + 2
-                triples.append((s.ranks[v], index[s.lows[v]], index[s.highs[v]]))
-        return (index[self.root], tuple(triples))
 
 
 def default_order(t: AttackTree) -> VarOrder:
@@ -322,7 +286,7 @@ def minimise(b: Bdd) -> Bdd:
     without_memo: dict[tuple[int, int], int] = {}
 
     def mk_path(rank: int, low: int, high: int) -> int:
-        """`_Store.node` under the path rule, inline like `_Store.apply`'s."""
+        """Hash-cons a node under the path rule, inline like `_Store.apply`."""
         if high == FALSE:
             return low  # a node whose high side died adds no paths
         if low == TRUE or low == high:
@@ -389,21 +353,3 @@ def minimise(b: Bdd) -> Bdd:
             f0, f1 = lows[f], highs[f]
             minsol[f] = mk_path(ranks[f], minsol[f0], without(minsol[f1], f0))
     return Bdd(store, b.order, minsol[b.root])
-
-
-def top_paths(b: Bdd) -> frozenset:
-    """TRUE-paths as frozensets of the BAS taken on high edges.
-
-    On a minimised diagram this is exactly the suite of minimal attacks.
-    Exponential in the worst case, like the suite itself.
-    """
-    paths: dict[int, frozenset] = {
-        FALSE: frozenset(),
-        TRUE: frozenset({frozenset()}),
-    }
-    for v in b.postorder:
-        if v >= 2:
-            var = b.var_at(v)
-            high = frozenset(p | {var} for p in paths[b.store.highs[v]])
-            paths[v] = paths[b.store.lows[v]] | high
-    return paths[b.root]

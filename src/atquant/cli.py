@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .analysis import DEFAULT_BUDGET, AnalysisRequest, analyze
@@ -42,18 +41,6 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("ATQUANT_BUDGET")
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise AtError(f"ATQUANT_BUDGET is not an integer: {env!r}") from None
 
 
 def _order(doc, name):
@@ -131,12 +118,11 @@ def cmd_semantics(args) -> int:
     doc = _load(args.model)
     t = doc.tree
     kind = classify(t)
-    budget = _budget(args)
     pos = {b: i for i, b in enumerate(bas_of(t))}  # BAS id -> leftmost position
     if kind.dynamics is Dynamics.STATIC:
-        suite = [(a, None) for a in minimal_attacks_static(t, budget)]
+        suite = [(a, None) for a in minimal_attacks_static(t, args.budget)]
     else:
-        suite = [(p.nodes, p.order) for p in minimal_attacks_dynamic(t, budget)]
+        suite = [(p.nodes, p.order) for p in minimal_attacks_dynamic(t, args.budget)]
     suite.sort(key=lambda pair: (len(pair[0]), sorted(pos[b] for b in pair[0])))
     rows = []
     for attack, order in suite:
@@ -170,7 +156,7 @@ def cmd_metric(args) -> int:
         algorithm=args.algorithm,
         k=args.k,
         order=_order(doc, args.order),
-        budget=_budget(args),
+        budget=args.budget,
     )
     res = analyze(req)
     _write(args, emit_result(res, doc.tree, args.format))
@@ -210,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semantics", help="enumerate the minimal attacks")
     common(p)
-    p.add_argument("--budget", type=int, help="max BAS count for enumeration")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max BAS count for enumeration")
     p.set_defaults(fn=cmd_semantics)
 
     p = sub.add_parser("metric", help="compute a metric value")
@@ -220,7 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="attribution name; comma-joined names for pareto products")
     p.add_argument("--algorithm", choices=["auto", "bu", "bdd", "oracle"], default="auto")
     p.add_argument("--order", help="declared variable order to use for BDDs")
-    p.add_argument("--budget", type=int, help="max BAS count for the oracle")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max BAS count for the oracle")
     p.set_defaults(fn=cmd_metric, k=None)
 
     p = sub.add_parser("ktop", help="rank the k best attacks")
@@ -229,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attribution", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--order", help="declared variable order to use")
-    p.set_defaults(fn=cmd_metric, algorithm="auto", budget=None)
+    p.set_defaults(fn=cmd_metric, algorithm="auto", budget=DEFAULT_BUDGET)
 
     p = sub.add_parser("dump", help="emit DOT (or the canonical model text)")
     common(p, fmt=False)
@@ -244,11 +232,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except BudgetExceeded as e:
-        print(
-            f"error: {e}; pass --budget (or set ATQUANT_BUDGET) to acknowledge "
-            "the exponential cost",
-            file=sys.stderr,
-        )
+        print(f"error: {e}; pass --budget to acknowledge the exponential cost",
+              file=sys.stderr)
         return 1
     except AtError as e:
         print(f"error: {e}", file=sys.stderr)

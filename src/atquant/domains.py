@@ -215,14 +215,13 @@ def builtin(name: str) -> AttributeDomain:
         raise UnknownDomain(f"unknown domain {name!r}; builtins: {known}, pareto(...)") from None
 
 
-def pareto_product(
-    components: Sequence[AttributeDomain], directions: Optional[Sequence[str]] = None
-) -> AttributeDomain:
+def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
     """Product domain over vectors of the component values.
 
     Disjunction is union-then-prune of fronts; conjunction combines fronts
-    pairwise with the componentwise conjunctive ops, then prunes. Sequential
-    composition is left undefined (open problem for the dynamic case).
+    pairwise with the componentwise conjunctive ops, then prunes; each
+    component's `sense` says which way it optimises. Sequential composition
+    is left undefined (open problem for the dynamic case).
     """
     components = tuple(components)
     if not components:
@@ -230,14 +229,9 @@ def pareto_product(
     for c in components:
         if c.kind is ValueKind.PARETO:
             raise EmptyProduct("pareto products do not nest")
-    if directions is None:
-        directions = tuple(c.sense for c in components)
-        if any(d is None for d in directions):
-            raise EmptyProduct("component without an optimisation sense; pass directions")
-    else:
-        directions = tuple(directions)
-        if len(directions) != len(components) or any(d not in ("min", "max") for d in directions):
-            raise EmptyProduct(f"bad directions {directions!r}")
+    directions = tuple(c.sense for c in components)
+    if None in directions:
+        raise EmptyProduct("component without an optimisation sense")
 
     def or_op(f, g):
         return pareto_prune(f | g, directions)

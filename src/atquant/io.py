@@ -63,7 +63,6 @@ from .errors import (
     GateWithoutChildren,
     ModelSyntaxError,
     TreeBuildError,
-    UnknownNode,
 )
 from .tree import AttackTree, NodeType, bas_of, freeze
 
@@ -505,14 +504,11 @@ def emit_result(res: AnalysisResult, t: AttackTree, fmt: str = "json") -> str:
     become sorted label lists. Text drops the stats block (and with it the
     only nondeterministic field, millis), so text output is byte-stable.
     """
-    if res.algorithm == "ktop":
-        value = render_value(res.value[0][0]) if res.value else None
-    else:
-        value = render_value(res.value)
+    value = render_value(res.value)
     if fmt == "text":
         lines = []
         if res.algorithm == "ktop":
-            for v, attack in res.witnesses or ():
+            for v, attack in res.witnesses:
                 labels = ",".join(sorted(t.label_of(b) for b in attack))
                 lines.append(f"{render_value(v)} {{{labels}}}")
         else:
@@ -578,11 +574,8 @@ def emit_dot_bdd(b: Bdd, t: AttackTree) -> str:
         elif v == TRUE:
             lines.append('  n1 [shape=box, label="1"];')
         else:
-            try:
-                label = t.label_of(b.var_at(v))
-            except UnknownNode:
-                label = str(b.var_at(v))
-            lines.append(f'  n{v} [shape=circle, label="{_dot_escape(label)}"];')
+            label = _dot_escape(t.label_of(b.var_at(v)))
+            lines.append(f'  n{v} [shape=circle, label="{label}"];')
     for v in reachable:
         if v >= 2:
             lines.append(f"  n{v} -> n{b.store.lows[v]} [style=dashed];")

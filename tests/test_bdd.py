@@ -23,15 +23,15 @@ from atquant import (
     minimise,
     parse_model,
     structure_function,
-    top_paths,
 )
 from atquant.bdd import FALSE, TRUE, Bdd, VarOrder, _Store
 from atquant.cli import main
 from atquant.errors import DynamicTreeRejected, InvalidBdd, MissingAttribution, OrderMismatch
-from atquant.tree import NodeType, fold, postorder, static_projection
+from atquant.tree import NodeType, fold, static_projection
 
-from helpers import (check_minimised_shape, evaluate, overlap, rand_alpha, rand_dag, rand_tree,
-                     suite_labels, exploit, treasure, tt, validate)
+from helpers import (canonical, check_minimised_shape, evaluate, node, overlap, postorder,
+                     rand_alpha, rand_dag, rand_tree, suite_labels, exploit, top_paths, treasure,
+                     tt, validate)
 
 
 def powerset(xs):
@@ -49,9 +49,7 @@ def test_var_order_rejects_repeats_and_unknowns():
     with pytest.raises(OrderMismatch):
         VarOrder((1, 2, 1))
     order = VarOrder((3, 1))
-    assert order.rank_of(3) == 0 and order.bas_at(1) == 1
-    with pytest.raises(OrderMismatch):
-        order.rank_of(7)
+    assert order.bas == (3, 1)
     assert len(order) == 2
 
 
@@ -79,9 +77,9 @@ def test_canonicity_across_stores():
     b1 = from_structure_function(overlap())
     b2 = from_structure_function(overlap())
     assert b1.store is not b2.store
-    assert b1.canonical() == b2.canonical()
+    assert canonical(b1) == canonical(b2)
     # a different formula gives a different canonical form
-    assert b1.canonical() != from_structure_function(treasure()).canonical()
+    assert canonical(b1) != canonical(from_structure_function(treasure()))
 
 
 def test_apply_hash_consing_never_duplicates():
@@ -135,19 +133,19 @@ def test_folds_look_up_only_the_basic_actions_the_diagram_reaches():
 def test_store_node_rejects_rank_inversions():
     order = VarOrder((0, 1))
     store = _Store(order)
-    deep = store.node(1, FALSE, TRUE)
-    store.node(0, FALSE, deep)  # increasing rank is fine
+    deep = node(store, 1, FALSE, TRUE)
+    node(store, 0, FALSE, deep)  # increasing rank is fine
     with pytest.raises(InvalidBdd):
-        store.node(1, FALSE, deep)  # equal rank child
-    shallow = store.node(0, FALSE, TRUE)
+        node(store, 1, FALSE, deep)  # equal rank child
+    shallow = node(store, 0, FALSE, TRUE)
     with pytest.raises(InvalidBdd):
-        store.node(1, shallow, TRUE)  # decreasing rank child
+        node(store, 1, shallow, TRUE)  # decreasing rank child
 
 
 def test_validate_catches_equal_children():
     order = VarOrder((0,))
     store = _Store(order)
-    broken = store.node(0, TRUE, TRUE)
+    broken = node(store, 0, TRUE, TRUE)
     with pytest.raises(InvalidBdd):
         validate(Bdd(store, order, broken))
 
@@ -191,15 +189,15 @@ def test_deep_diagrams_are_walked_without_recursion():
     store = _Store(order)
     conj, disj = TRUE, FALSE
     for rank in reversed(range(n)):
-        conj = store.node(rank, FALSE, conj)  # x0 and x1 and ...
-        disj = store.node(rank, disj, TRUE)  # x0 or x1 or ...
+        conj = node(store, rank, FALSE, conj)  # x0 and x1 and ...
+        disj = node(store, rank, disj, TRUE)  # x0 or x1 or ...
     both, any_one = Bdd(store, order, conj), Bdd(store, order, disj)
     for b in (both, any_one):
         assert b.node_count() == n
-        canon = b.canonical()
+        canon = canonical(b)
         assert len(canon[1]) == n and canon[0] == n + 1
         m = minimise(b)
-        assert m.canonical() == canon
+        assert canonical(m) == canon
     assert top_paths(both) == {frozenset(range(n))}
     assert top_paths(any_one) == {frozenset({v}) for v in range(n)}
 
@@ -249,7 +247,8 @@ def left_fold_compile(t, order=None):
     order = order or default_order(t)
     store = _Store(order)
     ops = {k: partial(reduce, partial(store.apply, k.value)) for k in (NodeType.OR, NodeType.AND)}
-    root = fold(t, [store.node(order.rank_of(b), FALSE, TRUE) for b in bas_of(t)], ops)
+    rank = {b: r for r, b in enumerate(order.bas)}
+    root = fold(t, [node(store, rank[b], FALSE, TRUE) for b in bas_of(t)], ops)
     return Bdd(store, order, root)
 
 
@@ -298,7 +297,7 @@ def test_deepest_first_compile_matches_left_fold(monkeypatch):
         orders = (default_order(t), VarOrder(bas_of(t)[::-1]), shuffled_order(rng, t))
         for order in orders:
             new = from_structure_function(t, order)
-            assert new.canonical() == left_fold_compile(t, order).canonical()
+            assert canonical(new) == canonical(left_fold_compile(t, order))
             got = bu_bdd(t, a, dom, order), k_top(t, a, dom, 3, order)
             with monkeypatch.context() as m:
                 m.setattr(analysis, "from_structure_function", left_fold_compile)
@@ -348,7 +347,7 @@ def test_compile_makes_few_nodes_beyond_the_diagram():
         windows.append((lo, lo + rng.randint(1, 3)))
         lo += rng.randint(1, 2)
     flat, nested = (from_structure_function(interval_dag(windows, nest)) for nest in (False, True))
-    assert flat.canonical() == nested.canonical()
+    assert canonical(flat) == canonical(nested)
     assert len(flat.store.unique) == len(nested.store.unique)
     # a left-deep chain, AND(AND(AND(b0, b1), b2), b3)...: linear, not quadratic
     n = 20000
@@ -367,8 +366,8 @@ def test_min_cost_fold_makes_no_node_beyond_the_compile():
         t = ladder(rungs)
         a = {b: 1 + b % 5 for b in bas_of(t)}
         compiled = len(from_structure_function(t).store.unique)
-        run = analysis.bu_bdd_detailed(t, a, builtin("min-cost"))
-        assert len(run.diagram.store.unique) == compiled
+        _, diagram = analysis.bu_bdd_detailed(t, a, builtin("min-cost"))
+        assert len(diagram.store.unique) == compiled
         _, m = analysis.k_top_detailed(t, a, builtin("min-cost"), 5)
         assert len(m.store.unique) > compiled
 
@@ -378,6 +377,7 @@ def apply_fold_compile(t, order=None):
     folded in by apply, a single variable too."""
     order = order or default_order(t)
     store = _Store(order)
+    rank = {b: r for r, b in enumerate(order.bas)}
     types, children = t.types, t.children
     parents = [0] * len(types)
     parent_type = [None] * len(types)
@@ -390,7 +390,7 @@ def apply_fold_compile(t, order=None):
     for v in t.postorder:
         ty, kids = types[v], children[v]
         if ty is NodeType.BAS:
-            vals[v] = store.node(order.rank_of(v), FALSE, TRUE)
+            vals[v] = node(store, rank[v], FALSE, TRUE)
             continue
         lists = [c for c in kids if up[c]]
         ops = []
@@ -497,7 +497,7 @@ def test_dump_bdd_golden_for_nested_same_type_gates(capsys, tmp_path):
     assert main(["dump", str(model), "--what", "bdd"]) == 0
     assert capsys.readouterr().out == NESTED_BDD_DUMP
     t = parse_model(NESTED_MODEL).tree
-    assert from_structure_function(t).canonical() == left_fold_compile(t).canonical()
+    assert canonical(from_structure_function(t)) == canonical(left_fold_compile(t))
 
 
 def test_minimise_deep_chains_without_recursion():

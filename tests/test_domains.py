@@ -135,8 +135,8 @@ def test_pareto_product_construction():
         pareto_product([])
     with pytest.raises(EmptyProduct):
         pareto_product([d, builtin("min-cost")])  # no nesting
-    with pytest.raises(EmptyProduct):
-        pareto_product([builtin("min-cost")], directions=("up",))
+    with pytest.raises(EmptyProduct, match="^component without an optimisation sense$"):
+        pareto_product([builtin("min-cost"), builtin("cost-to-defend")])
 
 
 def test_pareto_ops_golden():
