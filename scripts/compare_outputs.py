@@ -17,8 +17,9 @@ model, with the domains, attributions and orders the model declares:
 - metric in pareto(min-cost,max-damage) over the first two attributions in
   sorted order, comma-joined, for every --algorithm, text and JSON, if the
   model declares two or more;
-- ktop with k 1 and 3 for min-cost, min-time-seq and max-damage, every
-  attribution, under the default and each declared order, text and JSON;
+- ktop with k 1 and 3 for every builtin domain x every attribution, under
+  the default and each declared order, text and JSON, so the refusals of
+  the domains k-top does not take are compared too;
 - metric in min-cost over the first attribution in sorted order by the
   oracle with --budget 1, if the model declares one.
 
@@ -48,7 +49,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("text", "json")
 ALGORITHMS = ("auto", "bu", "bdd", "oracle")
-KTOP_DOMAINS = ("min-cost", "min-time-seq", "max-damage")
 PARETO = "pareto(min-cost,max-damage)"
 MILLIS = re.compile(r'"millis": [-+.\deE]+')
 DOT_NODE = re.compile(r'  n(\d+) \[shape=(\w+), label="(.*)"\];')
@@ -71,7 +71,7 @@ def battery(model: str, attributions, orders, domains) -> list[list[str]]:
                 for algorithm in ALGORITHMS for fmt in FORMATS]
     out += [["ktop", model, "--domain", domain, "--attribution", name, "--k", k,
              "--format", fmt, *order]
-            for domain in KTOP_DOMAINS for name in attributions for k in ("1", "3")
+            for domain in domains for name in attributions for k in ("1", "3")
             for order in [[]] + [["--order", o] for o in orders] for fmt in FORMATS]
     out += [["metric", model, "--domain", "min-cost", "--attribution", name,
              "--algorithm", "oracle", "--budget", "1"] for name in attributions[:1]]

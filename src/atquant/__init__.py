@@ -24,7 +24,6 @@ from .domains import (
     INF,
     BUILTIN_NAMES,
     AttributeDomain,
-    KTopMode,
     LawReport,
     ValueKind,
     builtin,
@@ -56,7 +55,6 @@ __all__ = [
     "Bdd",
     "BUILTIN_NAMES",
     "INF",
-    "KTopMode",
     "LawReport",
     "ModelDocument",
     "NodeType",

@@ -1,24 +1,30 @@
 """Metric computation: efficient algorithms plus the dispatcher.
 
-Four computation routes, each with hard preconditions enforced here:
+Four computation routes. Each is exact only for a domain that declares
+every law of one of the law sets the table _EXACT gives for it (the laws
+are those of domains.LAWS); the auto route, the engine guards, the k-top
+engine and the shortest-path shortcut of bu_bdd all read that table:
 
-- bu_sat: single bottom-up pass over a STATIC proper TREE (semiring domain).
+- bu_sat: single bottom-up pass over a STATIC proper TREE; needs
+  and-over-or (a semiring).
 - bu_bdd: fold over the minimal-solutions BDD; handles shared subtrees
-  (static DAGs), needs both neutral elements. A min-additive domain (or is
-  min, and is + over non-negative values) skips the minimal-solutions
-  transform and takes the shortest root-to-TRUE path of the compiled
-  diagram, high edges weighing their variable's value: the high set of a
-  TRUE-path satisfies the structure function, so it contains a minimal
-  attack, which costs no more; and a minimal attack, read as an
-  assignment, follows a TRUE-path whose high set it contains, which costs
-  no more than the attack. By absorption, min(x, x + y) = x, the extra
-  paths of the plain diagram never win. Max-damage and max-challenge are
-  not absorbing, so they, and k_top, which needs distinct minimal attacks,
-  keep the minimal-solutions diagram.
+  (static DAGs), needs and-over-or and both neutral elements. A domain
+  that k-top takes with sense min (or is min, and is + over non-negative
+  values) skips the minimal-solutions transform and takes the shortest
+  root-to-TRUE path of the compiled diagram, high edges weighing their
+  variable's value: the high set of a TRUE-path satisfies the structure
+  function, so it contains a minimal attack, which costs no more; and a
+  minimal attack, read as an assignment, follows a TRUE-path whose high
+  set it contains, which costs no more than the attack. By absorption,
+  min(x, x + y) = x, the extra paths of the plain diagram never win.
+  Max-damage and max-challenge are not absorbing, so they, and k_top,
+  which needs distinct minimal attacks, keep the minimal-solutions
+  diagram.
 - k_top: the k best attacks as k shortest paths, one bottom-up pass over the
-  weighted BDD; only for domains whose conjunctive operator is addition.
+  weighted BDD; needs and-is-plus, and ranks by the domain's sense.
 - bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
-  SAND to the domain's three operators.
+  SAND to the domain's three operators; needs a dynamic semiring
+  (and-over-or, seq-over-and, seq-over-or) or and-over-or with seq-is-and.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .bdd import FALSE, TRUE, Bdd, VarOrder, from_structure_function, minimise
-from .domains import INF, AttributeDomain, KTopMode
+from .domains import INF, AttributeDomain
 from .errors import (
     AtError,
     BadAttributeValue,
@@ -55,17 +61,29 @@ from .semantics import (
 from .tree import AttackTree, Dynamics, NodeType, Shape, StructureKind, bas_of, classify, fold
 
 
+# engine -> (the law sets that make it exact, the refusal of a domain that
+# declares every law of none of them); nothing else decides eligibility
+_EXACT = {
+    "bu_sat": (({"and-over-or"},), NotSemiring, "is not a semiring"),
+    "bu_bdd": (({"and-over-or"},), NotSemiring, "is not a semiring"),
+    "bu_dat": (({"and-over-or", "seq-over-and", "seq-over-or"}, {"and-over-or", "seq-is-and"}),
+               NotSemiringDynamic, "does not support bottom-up dynamic evaluation"),
+    "ktop": (({"and-is-plus"},), UnsupportedDomainForKTop,
+             "does not reduce to additive shortest paths"),
+}
+
+
+def _exact(engine: str, d: AttributeDomain) -> bool:
+    return any(laws <= d.laws for laws in _EXACT[engine][0])
+
+
 def _refusal(engine: str, d: AttributeDomain) -> Optional[AtError]:
     """Why the engine is not exact for the domain, or None. The auto route
     and the engine guards all ask this one question."""
-    if engine == "bu_dat":
-        if d.seq_op is None or not (d.is_semiring_dynamic or (d.seq_equals_and and d.is_semiring)):
-            return NotSemiringDynamic(
-                f"domain {d.name} does not support bottom-up dynamic evaluation"
-            )
-    elif not d.is_semiring:
-        return NotSemiring(f"domain {d.name} is not a semiring")
-    elif engine == "bu_bdd" and not d.has_neutrals:
+    if not _exact(engine, d):
+        _, error, reason = _EXACT[engine]
+        return error(f"domain {d.name} {reason}")
+    if engine == "bu_bdd" and not d.has_neutrals:
         return MissingNeutrals(f"domain {d.name} lacks neutral elements for the BDD fold")
     return None
 
@@ -154,7 +172,7 @@ def bu_bdd_detailed(
     """(metric, the diagram folded): see `bu_bdd`."""
     _require("bu_bdd", domain)
     b = from_structure_function(t, order)
-    if domain.ktop_mode is KTopMode.MIN_ADDITIVE:
+    if domain.sense == "min" and _exact("ktop", domain):
         scale, weight = _scaled_weights(_rank_values(t, alpha, b), 1)
         if not any(w < 0 for w in weight if w is not None):
             return _shortest_path(b, weight, scale)
@@ -229,11 +247,8 @@ def k_top_detailed(
 ) -> tuple[list, Bdd]:
     if k < 1:
         raise InvalidRequest("k must be at least 1")
-    if domain.ktop_mode is KTopMode.UNSUPPORTED:
-        raise UnsupportedDomainForKTop(
-            f"domain {domain.name} does not reduce to additive shortest paths"
-        )
-    sgn = 1 if domain.ktop_mode is KTopMode.MIN_ADDITIVE else -1
+    _require("ktop", domain)
+    sgn = 1 if domain.sense == "min" else -1
     m = minimise(from_structure_function(t, order))
     ranks, lows, highs, bas_at = m.store.ranks, m.store.lows, m.store.highs, m.order.bas
     # signed edge weights, finite ones as integers over one common
@@ -288,9 +303,10 @@ def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Bottom-up metric on a well-formed dynamic proper tree.
 
     Sound when the domain is a dynamic semiring, and also when its
-    sequential operator IS its conjunctive operator (then this computes the
-    static fold of the projection, which matches the definitional triple
-    fold because both degenerate to one flat fold over each attack).
+    sequential operator gives its conjunctive one's values (then this
+    computes the static fold of the projection, which matches the
+    definitional triple fold because both degenerate to one flat fold over
+    each attack).
     """
     if classify(t).shape is Shape.DAG:
         raise DagRejected("bu_dat is only sound on proper trees")

@@ -6,12 +6,15 @@ for dynamic models, a sequential operator. Scalar values are exact: python
 ints / fractions.Fraction plus a saturating infinity singleton. Pareto fronts
 are frozensets of component tuples.
 
-The algebra flags are honest: is_semiring_dynamic is only set when all three
-distributivity laws of a dynamic semiring actually hold. Integer addition
-does not distribute over itself, so e.g. the cost domain, whose sequential
-operator equals its conjunctive one, is NOT flagged dynamic-semiring; the
-bottom-up dynamic algorithm accepts it anyway through the seq-equals-and
-escape hatch (see analysis.bu_dat), which is exact for a different reason.
+A domain declares, in `laws`, which laws of the vocabulary LAWS its
+operators satisfy: and-over-or (and_op distributes over or_op: a
+semiring), seq-over-and and seq-over-or (seq_op distributes over each),
+seq-is-and (seq_op gives and_op's values) and and-is-plus (and_op is
+addition). The engine table of analysis reads them, and nothing else says
+which engine is exact. The declarations are honest: integer addition does
+not distribute over itself, so min-cost, whose sequential operator is its
+conjunctive one, declares seq-is-and and not seq-over-and.
+check_semiring_laws probes what a domain declares.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .errors import BadAttributeValue, EmptyProduct, UnknownDomain
+from .errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
 
 
 class _Infinity:
@@ -104,10 +108,19 @@ class ValueKind(Enum):
     PARETO = "pareto"  # frozenset of component tuples
 
 
-class KTopMode(Enum):
-    MIN_ADDITIVE = "min-additive"
-    MAX_ADDITIVE = "max-additive"
-    UNSUPPORTED = "unsupported"
+def _distributes(outer, inner, x, y, z) -> bool:
+    return outer(x, inner(y, z)) == inner(outer(x, y), outer(x, z))
+
+
+# law -> whether it holds of the triple x, y, z in domain d
+_LAW_PROBES = {
+    "and-over-or": lambda d, x, y, z: _distributes(d.and_op, d.or_op, x, y, z),
+    "seq-over-and": lambda d, x, y, z: _distributes(d.seq_op, d.and_op, x, y, z),
+    "seq-over-or": lambda d, x, y, z: _distributes(d.seq_op, d.or_op, x, y, z),
+    "seq-is-and": lambda d, x, y, z: d.seq_op(x, y) == d.and_op(x, y),
+    "and-is-plus": lambda d, x, y, z: d.and_op(x, y) == nat_add(x, y),
+}
+LAWS = frozenset(_LAW_PROBES)
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,10 @@ class AttributeDomain:
 
     or_op is the fold across alternative attacks, and_op the fold within an
     attack, seq_op the fold along a sequential chain (dynamic models only;
-    None when sequential composition is undefined for this domain).
+    None when sequential composition is undefined for this domain). laws,
+    any iterable, is kept as the frozenset of the laws of LAWS that the
+    operators satisfy; a seq-* law needs a seq_op, and and-is-plus a sense,
+    by which k-top ranks attacks.
     """
 
     name: str
@@ -126,20 +142,24 @@ class AttributeDomain:
     seq_op: Optional[Callable] = None
     or_neutral: object = None
     and_neutral: object = None
-    is_semiring: bool = False
-    is_semiring_dynamic: bool = False
-    ktop_mode: KTopMode = KTopMode.UNSUPPORTED
+    laws: frozenset[str] = frozenset()
     sense: Optional[str] = None  # "min" | "max": what or_op optimises
     components: Optional[tuple["AttributeDomain", ...]] = None  # pareto only
-    directions: Optional[tuple[str, ...]] = None  # pareto only
+
+    def __post_init__(self):
+        object.__setattr__(self, "laws", frozenset(self.laws))
+        for law in sorted(self.laws):
+            if law not in LAWS:
+                known = ", ".join(sorted(LAWS))
+                raise InvalidDomain(f"{self.name}: unknown law {law!r}; laws: {known}")
+            if law.startswith("seq-") and self.seq_op is None:
+                raise InvalidDomain(f"{self.name}: law {law!r} needs a sequential operator")
+        if "and-is-plus" in self.laws and self.sense is None:
+            raise InvalidDomain(f"{self.name}: law 'and-is-plus' needs a sense")
 
     @property
     def has_neutrals(self) -> bool:
         return self.or_neutral is not None and self.and_neutral is not None
-
-    @property
-    def seq_equals_and(self) -> bool:
-        return self.seq_op is not None and self.seq_op is self.and_op
 
     def validate_value(self, v) -> None:
         if self.kind is ValueKind.NATURAL:
@@ -179,7 +199,7 @@ class AttributeDomain:
         vecs = []
         for _ in range(rng.randint(1, 3)):
             vecs.append(tuple(c.random_value(rng) for c in self.components))
-        return pareto_prune(frozenset(vecs), self.directions)
+        return pareto_prune(frozenset(vecs), tuple(c.sense for c in self.components))
 
 
 def _dominates(u: tuple, w: tuple, directions: Sequence[str]) -> bool:
@@ -209,7 +229,7 @@ def builtin(name: str) -> AttributeDomain:
         parts = [p.strip() for p in m.group(1).split(",") if p.strip()]
         return pareto_product([builtin(p) for p in parts])
     try:
-        return _BUILTINS[name.strip()]()
+        return _BUILTINS[name.strip()]
     except KeyError:
         known = ", ".join(sorted(_BUILTINS))
         raise UnknownDomain(f"unknown domain {name!r}; builtins: {known}, pareto(...)") from None
@@ -252,94 +272,44 @@ def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
         seq_op=None,
         or_neutral=frozenset(),
         and_neutral=frozenset({tuple(c.and_neutral for c in components)}) if neutrals_ok else None,
-        is_semiring=all(c.is_semiring for c in components),
-        is_semiring_dynamic=False,
-        ktop_mode=KTopMode.UNSUPPORTED,
+        laws={"and-over-or"} if all("and-over-or" in c.laws for c in components) else (),
         components=components,
-        directions=directions,
     )
 
 
-def _nat(name, or_op, and_op, seq_op, or_neutral, and_neutral, *, dyn, ktop, sense):
-    return AttributeDomain(
-        name=name,
-        kind=ValueKind.NATURAL,
-        or_op=or_op,
-        and_op=and_op,
-        seq_op=seq_op,
-        or_neutral=or_neutral,
-        and_neutral=and_neutral,
-        is_semiring=True,
-        is_semiring_dynamic=dyn,
-        ktop_mode=ktop,
-        sense=sense,
-    )
+def _nat(name, or_op, and_op, seq_op, or_neutral, laws, sense) -> AttributeDomain:
+    return AttributeDomain(name, ValueKind.NATURAL, or_op, and_op, seq_op, or_neutral, 0,
+                           laws, sense)
 
 
-_BUILTINS: dict[str, Callable[[], AttributeDomain]] = {
+# addition within an attack, sequential or not; a dynamic semiring
+_ADDITIVE = {"and-over-or", "seq-is-and", "and-is-plus"}
+_DYNAMIC = {"and-over-or", "seq-over-and", "seq-over-or"}
+
+# built once: a domain is frozen, so every lookup shares it
+_BUILTINS: dict[str, AttributeDomain] = {d.name: d for d in (
     # (N∞, min, +), seq +: cheapest attack; + over + is not distributive,
     # so not a dynamic semiring even though seq composition is well defined.
-    "min-cost": lambda: _nat(
-        "min-cost", nat_min, nat_add, nat_add, INF, 0,
-        dyn=False, ktop=KTopMode.MIN_ADDITIVE, sense="min",
-    ),
+    _nat("min-cost", nat_min, nat_add, nat_add, INF, _ADDITIVE, "min"),
     # (N∞, min, +), seq +: shortest one-at-a-time schedule.
-    "min-time-seq": lambda: _nat(
-        "min-time-seq", nat_min, nat_add, nat_add, INF, 0,
-        dyn=False, ktop=KTopMode.MIN_ADDITIVE, sense="min",
-    ),
+    _nat("min-time-seq", nat_min, nat_add, nat_add, INF, _ADDITIVE, "min"),
     # (N∞, min, max), seq +: shortest schedule with unbounded parallelism;
     # + distributes over max and min, so this IS a dynamic semiring.
-    "min-time-par": lambda: _nat(
-        "min-time-par", nat_min, nat_max, nat_add, INF, 0,
-        dyn=True, ktop=KTopMode.UNSUPPORTED, sense="min",
-    ),
+    _nat("min-time-par", nat_min, nat_max, nat_add, INF, _DYNAMIC, "min"),
     # (N∞, min, max), seq max: weakest adversary that still gets through.
-    "min-skill": lambda: _nat(
-        "min-skill", nat_min, nat_max, nat_max, INF, 0,
-        dyn=True, ktop=KTopMode.UNSUPPORTED, sense="min",
-    ),
+    _nat("min-skill", nat_min, nat_max, nat_max, INF, _DYNAMIC | {"seq-is-and"}, "min"),
     # (N∞, max, max), seq max: hardest single obstacle on the best path.
-    "max-challenge": lambda: _nat(
-        "max-challenge", nat_max, nat_max, nat_max, 0, 0,
-        dyn=True, ktop=KTopMode.UNSUPPORTED, sense="max",
-    ),
+    _nat("max-challenge", nat_max, nat_max, nat_max, 0, _DYNAMIC | {"seq-is-and"}, "max"),
     # (N∞, max, +), seq +: worst-case cumulative damage.
-    "max-damage": lambda: _nat(
-        "max-damage", nat_max, nat_add, nat_add, 0, 0,
-        dyn=False, ktop=KTopMode.MAX_ADDITIVE, sense="max",
-    ),
+    _nat("max-damage", nat_max, nat_add, nat_add, 0, _ADDITIVE, "max"),
     # ([0,1], max, *), seq *: probability of the most likely attack.
-    "prob-max": lambda: AttributeDomain(
-        name="prob-max",
-        kind=ValueKind.PROBABILITY,
-        or_op=prob_max,
-        and_op=prob_mul,
-        seq_op=prob_mul,
-        or_neutral=Fraction(0),
-        and_neutral=Fraction(1),
-        is_semiring=True,
-        is_semiring_dynamic=False,
-        ktop_mode=KTopMode.UNSUPPORTED,
-        sense="max",
-    ),
+    AttributeDomain("prob-max", ValueKind.PROBABILITY, prob_max, prob_mul, prob_mul,
+                    Fraction(0), Fraction(1), {"and-over-or", "seq-is-and"}, "max"),
     # (N∞, +, min): cost to defend against every attack. min does NOT
     # distribute over +; kept as the stock non-semiring example, usable
     # only through the definitional oracle.
-    "cost-to-defend": lambda: AttributeDomain(
-        name="cost-to-defend",
-        kind=ValueKind.NATURAL,
-        or_op=nat_add,
-        and_op=nat_min,
-        seq_op=None,
-        or_neutral=0,
-        and_neutral=INF,
-        is_semiring=False,
-        is_semiring_dynamic=False,
-        ktop_mode=KTopMode.UNSUPPORTED,
-        sense=None,
-    ),
-}
+    AttributeDomain("cost-to-defend", ValueKind.NATURAL, nat_add, nat_min, None, 0, INF),
+)}
 
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
@@ -380,10 +350,10 @@ def check_semiring_laws(
     """Probe the declared algebra laws on concrete value triples.
 
     Checks associativity/commutativity of every present operator and neutral
-    laws unconditionally, and each distributivity law the domain's flags
-    claim (and_op over or_op when is_semiring; additionally seq_op over both
-    when is_semiring_dynamic). Reports one pass/fail per law with the first
-    counterexample found.
+    laws unconditionally, and each law of LAWS the domain declares;
+    and-over-or, the law every route but the oracle needs, is probed even
+    when undeclared, so a non-semiring's failure is visible. Reports one
+    pass/fail per law with the first counterexample found.
     """
     if triples is None:
         rng = Random(seed)
@@ -405,21 +375,9 @@ def check_semiring_laws(
     if domain.and_neutral is not None:
         results.append(_probe("and-neutral", triples,
                               lambda x, y, z: domain.and_op(x, domain.and_neutral) == x))
-
-    claimed = []
-    if domain.is_semiring:
-        claimed.append(("and-over-or", domain.and_op, domain.or_op))
-    if domain.is_semiring_dynamic:
-        claimed.append(("seq-over-and", domain.seq_op, domain.and_op))
-        claimed.append(("seq-over-or", domain.seq_op, domain.or_op))
-    for lawname, outer, inner in claimed:
-        results.append(_probe(lawname, triples,
-                              lambda x, y, z, o=outer, i=inner: o(x, i(y, z)) == i(o(x, y), o(x, z))))
-    if not domain.is_semiring:
-        # Still probe the defining law so the failure is visible, not silent.
-        results.append(_probe("and-over-or", triples,
-                              lambda x, y, z: domain.and_op(x, domain.or_op(y, z))
-                              == domain.or_op(domain.and_op(x, y), domain.and_op(x, z))))
+    for law, holds in _LAW_PROBES.items():
+        if law in domain.laws or law == "and-over-or":
+            results.append(_probe(law, triples, partial(holds, domain)))
     return LawReport(domain.name, tuple(results))
 
 

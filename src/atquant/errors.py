@@ -61,6 +61,10 @@ class EmptyProduct(AtError):
     pass
 
 
+class InvalidDomain(AtError):
+    """A domain declares a law it does not know or cannot have."""
+
+
 class BadAttributeValue(AtError):
     pass
 

@@ -6,6 +6,7 @@ fixture and shared by the criteria that quantify over them (5, 6 and 9).
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -37,7 +38,7 @@ from atquant import (
 )
 from atquant.analysis import bu_bdd_detailed
 from atquant.cli import main
-from atquant.domains import BUILTIN_NAMES
+from atquant.domains import BUILTIN_NAMES, LAWS, nat_add
 from atquant.errors import InvalidBdd
 from atquant.tree import NodeType, find_cycle
 
@@ -334,8 +335,10 @@ def test_criterion_07_algebra_suite():
     for name in BUILTIN_NAMES:
         d = builtin(name)
         report = check_semiring_laws(d, n_triples=1000, seed=7)
+        # every declared law is probed, so all_hold covers each of them
+        assert d.laws <= {r.law for r in report.results}
         if name == "cost-to-defend":
-            assert not d.is_semiring
+            assert "and-over-or" not in d.laws
             assert not report.result("and-over-or").holds
             # the classic witness: 1 min (2+3) = 1 but (1 min 2) + (1 min 3) = 2
             targeted = check_semiring_laws(d, triples=[(1, 2, 3)])
@@ -348,9 +351,24 @@ def test_criterion_07_algebra_suite():
     assert flagged
     pareto = builtin("pareto(min-cost,prob-max)")
     assert check_semiring_laws(pareto, n_triples=1000, seed=7).all_hold
+    # each law declared falsely is caught with a counterexample
+    ctd, mc = builtin("cost-to-defend"), builtin("min-cost")
+    par, skill = builtin("min-time-par"), builtin("min-skill")
+    false_claims = {
+        "and-over-or": replace(ctd, laws=frozenset({"and-over-or"})),  # min over +
+        "seq-over-and": replace(mc, laws=frozenset({"seq-over-and"})),  # + over +
+        "seq-over-or": replace(ctd, seq_op=nat_add, laws=frozenset({"seq-over-or"})),  # + over +
+        "seq-is-and": replace(par, laws=par.laws | {"seq-is-and"}),  # + is not max
+        "and-is-plus": replace(skill, laws=skill.laws | {"and-is-plus"}),  # max is not +
+    }
+    assert false_claims.keys() == LAWS
+    for law, d in false_claims.items():
+        caught = check_semiring_laws(d, n_triples=1000, seed=7).result(law)
+        assert not caught.holds and len(caught.counterexample) == 3, law
     print(
-        "criterion 7 PASS: 1000-triple law checks hold for every semiring "
-        "builtin; cost-to-defend flagged with counterexample (1, 2, 3)"
+        "criterion 7 PASS: 1000-triple law checks hold for every law a builtin "
+        "declares; cost-to-defend flagged with counterexample (1, 2, 3); each of "
+        f"the {len(LAWS)} laws declared falsely is caught"
     )
 
 

@@ -26,7 +26,7 @@ from atquant import (
 from atquant.analysis import auto_route, bu_bdd_detailed, validate_attribution
 from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise
 from atquant.domains import (
-    BUILTIN_NAMES, AttributeDomain, KTopMode, ValueKind, nat_add, nat_min, render_value,
+    BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, nat_min, render_value,
 )
 from atquant.errors import (
     AtError,
@@ -50,6 +50,7 @@ from helpers import (
     rand_alpha,
     rand_dag,
     rand_tree,
+    rand_tree_dat,
     sand_over_and,
     chains,
     exploit,
@@ -109,7 +110,9 @@ def test_bu_bdd_preconditions():
     a = alpha(t, {"n": 1, "t": 2, "p": 3})
     with pytest.raises(NotSemiring):
         bu_bdd(t, a, builtin("cost-to-defend"))
-    bare = AttributeDomain("bare-min-cost", ValueKind.NATURAL, nat_min, nat_add, is_semiring=True)
+    bare = AttributeDomain(
+        "bare-min-cost", ValueKind.NATURAL, nat_min, nat_add, laws=frozenset({"and-over-or"})
+    )
     with pytest.raises(MissingNeutrals):
         bu_bdd(t, a, bare)
     with pytest.raises(MissingAttribution):
@@ -138,12 +141,12 @@ def _min_additive_value(rng):
 
 def test_min_additive_shortest_path_agrees_with_minimise_and_the_oracle():
     # the compiled diagram's shortest path, the fold over the minimal-solutions
-    # diagram (the same domain, flagged not min-additive) and the oracle
+    # diagram (the same domain, declaring no and-is-plus) and the oracle
     rng = random.Random(1717)
     cases = 0
     for name in ("min-cost", "min-time-seq"):
         d = builtin(name)
-        minimising = dataclasses.replace(d, ktop_mode=KTopMode.UNSUPPORTED)
+        minimising = dataclasses.replace(d, laws=d.laws - {"and-is-plus"})
         for i in range(1000):
             t = (rand_dag if i % 2 else rand_tree)(rng, 9)
             bas = bas_of(t)
@@ -378,6 +381,22 @@ def test_bu_dat_accepts_seq_equals_and_domains():
     assert oracle_metric_dynamic(s, a, builtin("min-cost")) == 3
 
 
+def test_a_declared_seq_is_and_routes_bu_without_the_same_function():
+    # the sequential operator is a function of its own with and_op's values;
+    # the declared law, not the identity of the functions, routes bu
+    d = AttributeDomain(
+        "min-cost-own-seq", ValueKind.NATURAL, nat_min, nat_add, lambda x, y: nat_add(x, y),
+        INF, 0, laws=frozenset({"and-over-or", "seq-is-and"}), sense="min",
+    )
+    assert d.seq_op is not d.and_op
+    rng = random.Random(26)
+    for t in [sand_over_and(), exploit_tree()] + [rand_tree_dat(rng, 7) for _ in range(40)]:
+        a = rand_alpha(rng, t, d)
+        res = analyze(AnalysisRequest(t, a, d))
+        assert res.algorithm == "bu" and res.warnings == ()
+        assert res.value == oracle_metric_dynamic(t, a, d)
+
+
 def test_parallel_time_diverges_from_flat_fold_on_mixed_components():
     # SAND over AND merges parallel work into one sequential chain. The
     # flat definitional fold then serializes a and b (1 + 2 + 4 = 7) while
@@ -559,7 +578,7 @@ def test_analyze_never_runs_the_tree_fold_on_dags():
         }
         res = analyze(AnalysisRequest(f, a, d))
         assert res.algorithm != "bu"
-        if d.is_semiring:
+        if "and-over-or" in d.laws:
             assert res.value == oracle_metric_static(f, a, d)
 
 

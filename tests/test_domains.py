@@ -1,19 +1,22 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atquant import BUILTIN_NAMES, INF, builtin, check_semiring_laws, pareto_product
+from atquant import (
+    BUILTIN_NAMES, INF, AttributeDomain, builtin, check_semiring_laws, pareto_product,
+)
 from atquant.domains import (
-    KTopMode,
+    LAWS,
     ValueKind,
     nat_add,
     nat_max,
     nat_min,
     pareto_prune,
 )
-from atquant.errors import BadAttributeValue, EmptyProduct, UnknownDomain
+from atquant.errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
 
 nat = st.one_of(st.integers(min_value=0, max_value=50), st.just(INF))
 
@@ -46,23 +49,64 @@ def test_builtin_names_and_lookup():
         builtin("min-price")
 
 
+def test_builtins_are_shared_and_pareto_products_are_not():
+    for name in BUILTIN_NAMES:
+        assert builtin(name) is builtin(name) is builtin(f" {name} ")
+    name = "pareto(min-cost,max-damage)"
+    assert builtin(name) is not builtin(name)
+    assert builtin(name).components[0] is builtin("min-cost")
+
+
 def test_builtin_flags_match_their_algebra():
     flags = {name: builtin(name) for name in BUILTIN_NAMES}
-    assert all(flags[n].is_semiring for n in BUILTIN_NAMES if n != "cost-to-defend")
-    assert not flags["cost-to-defend"].is_semiring
+    semirings = [n for n in BUILTIN_NAMES if n != "cost-to-defend"]
+    assert all("and-over-or" in flags[n].laws for n in semirings)
+    assert "and-over-or" not in flags["cost-to-defend"].laws
     # seq distributing over both and/or singles out these three
-    assert {n for n in BUILTIN_NAMES if flags[n].is_semiring_dynamic} == {
+    assert {n for n in BUILTIN_NAMES if {"seq-over-and", "seq-over-or"} <= flags[n].laws} == {
         "min-time-par",
         "min-skill",
         "max-challenge",
     }
-    assert flags["min-cost"].seq_equals_and
-    assert flags["min-skill"].seq_equals_and
-    assert not flags["min-time-par"].seq_equals_and
+    assert "seq-is-and" in flags["min-cost"].laws
+    assert "seq-is-and" in flags["min-skill"].laws
+    assert "seq-is-and" not in flags["min-time-par"].laws
     assert flags["cost-to-defend"].seq_op is None
-    assert flags["min-cost"].ktop_mode is KTopMode.MIN_ADDITIVE
-    assert flags["max-damage"].ktop_mode is KTopMode.MAX_ADDITIVE
-    assert flags["prob-max"].ktop_mode is KTopMode.UNSUPPORTED
+    assert "and-is-plus" in flags["min-cost"].laws
+    assert flags["min-cost"].sense == "min"
+    assert "and-is-plus" in flags["max-damage"].laws
+    assert flags["max-damage"].sense == "max"
+    assert "and-is-plus" not in flags["prob-max"].laws
+    additive = {"and-over-or", "seq-is-and", "and-is-plus"}
+    dynamic = {"and-over-or", "seq-over-and", "seq-over-or"}
+    assert {n: flags[n].laws for n in BUILTIN_NAMES} == {
+        "min-cost": additive,
+        "min-time-seq": additive,
+        "max-damage": additive,
+        "min-time-par": dynamic,
+        "min-skill": dynamic | {"seq-is-and"},
+        "max-challenge": dynamic | {"seq-is-and"},
+        "prob-max": {"and-over-or", "seq-is-and"},
+        "cost-to-defend": set(),
+    }
+
+
+def test_a_domain_refuses_laws_it_cannot_declare():
+    mc = builtin("min-cost")
+    with pytest.raises(InvalidDomain, match="^min-cost: unknown law 'and-over-0r'; laws: "):
+        dataclasses.replace(mc, laws=frozenset({"and-over-or", "and-over-0r"}))
+    for law in ("seq-over-and", "seq-over-or", "seq-is-and"):
+        needs_seq = f"^min-cost: law '{law}' needs a sequential operator$"
+        with pytest.raises(InvalidDomain, match=needs_seq):
+            dataclasses.replace(mc, seq_op=None, laws=frozenset({law}))
+    # k-top ranks by the sense, so addition alone is not enough to go on
+    with pytest.raises(InvalidDomain, match="^plus: law 'and-is-plus' needs a sense$"):
+        AttributeDomain("plus", ValueKind.NATURAL, nat_add, nat_add, laws={"and-is-plus"})
+    # any iterable of law names is kept as a frozenset
+    sensed = AttributeDomain("plus", ValueKind.NATURAL, nat_add, nat_add, laws=["and-is-plus"],
+                             sense="min")
+    assert type(sensed.laws) is frozenset and sensed.laws == {"and-is-plus"}
+    assert LAWS == {"and-over-or", "seq-over-and", "seq-over-or", "seq-is-and", "and-is-plus"}
 
 
 def test_validate_value_accepts_and_rejects():
@@ -127,10 +171,15 @@ def test_pareto_product_construction():
     d = pareto_product([builtin("min-cost"), builtin("min-skill")])
     assert d.name == "pareto(min-cost,min-skill)"
     assert d.kind is ValueKind.PARETO
-    assert d.directions == ("min", "min")
-    assert d.is_semiring and not d.is_semiring_dynamic
+    assert tuple(c.sense for c in d.components) == ("min", "min")
+    assert "and-over-or" in d.laws and not {"seq-over-and", "seq-over-or"} <= d.laws
     assert d.seq_op is None
-    assert builtin("pareto(min-cost, prob-max)").directions == ("min", "max")
+    mixed = builtin("pareto(min-cost, prob-max)")
+    assert tuple(c.sense for c in mixed.components) == ("min", "max")
+    # a product is a semiring only when every component is one
+    assert d.laws == {"and-over-or"}
+    plain = dataclasses.replace(builtin("min-skill"), laws=frozenset())
+    assert pareto_product([builtin("min-cost"), plain]).laws == frozenset()
     with pytest.raises(EmptyProduct):
         pareto_product([])
     with pytest.raises(EmptyProduct):

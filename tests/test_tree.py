@@ -144,13 +144,14 @@ def test_static_projection_is_identity_on_static_trees():
 
 def test_exports_resolve_and_leave_out_the_removed_names():
     import atquant
-    from atquant import analysis, bdd, errors, semantics, tree
+    from atquant import analysis, bdd, domains, errors, semantics, tree
 
     assert all(hasattr(atquant, name) for name in atquant.__all__)
     removed = {tree: ("Node", "postorder"), analysis: ("naive_bottom_up", "BuBddRun"),
                semantics: ("coherence_check", "successful_poset", "HasseDiagram",
                            "OrderingGraph", "hasse", "Attack", "AttackSuite"),
                errors: ("EmptySuite",),
+               domains: ("KTopMode",),
                bdd: ("validate", "check_minimised_shape", "top_paths")}
     for module, names in removed.items():
         assert not set(names) & set(atquant.__all__)
@@ -159,6 +160,8 @@ def test_exports_resolve_and_leave_out_the_removed_names():
     assert not any(hasattr(bdd.Bdd, name) for name in ("evaluate", "canonical"))
     assert not hasattr(bdd._Store, "node")
     assert not any(hasattr(bdd.VarOrder, name) for name in ("rank_of", "bas_at"))
+    flags = ("is_semiring", "is_semiring_dynamic", "ktop_mode", "directions", "seq_equals_and")
+    assert not any(hasattr(atquant.builtin("min-cost"), name) for name in flags)
 
 
 def test_unknown_node_lookups_raise():
