@@ -26,7 +26,7 @@ from atquant import (
     static_projection,
 )
 from atquant.errors import AtError
-from atquant.io import render_value
+from atquant.domains import render_value
 from atquant.tree import Dynamics
 
 # Attribution names in the corpus map onto domains by convention; the pair

@@ -67,8 +67,7 @@ class VarOrder:
 class _Store:
     """Unique table shared by every diagram built from one model/order."""
 
-    def __init__(self, order: VarOrder):
-        self.order = order
+    def __init__(self):
         # parallel arrays indexed by node id; slots 0/1 are terminal padding
         self.ranks = [-1, -1]
         self.lows = [FALSE, FALSE]
@@ -202,7 +201,7 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
         order = default_order(t)
     elif set(order.bas) != set(bas_of(t)):
         raise OrderMismatch("order must cover exactly the model's basic actions")
-    store = _Store(order)
+    store = _Store()
     ranks, lows, highs, unique = store.ranks, store.lows, store.highs, store.unique
     apply, rank_of = store.apply, order._rank
     types, children = t.types, t.children

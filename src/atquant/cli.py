@@ -235,10 +235,7 @@ def main(argv=None) -> int:
         print(f"error: {e}; pass --budget to acknowledge the exponential cost",
               file=sys.stderr)
         return 1
-    except AtError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (AtError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,9 @@
 A domain bundles a value kind with a disjunctive operator (folded across
 alternative attacks), a conjunctive operator (folded within one attack) and,
 for dynamic models, a sequential operator. Scalar values are exact: python
-ints / fractions.Fraction plus a saturating infinity singleton. Pareto fronts
-are frozensets of component tuples.
+ints and fractions.Fraction, plus math.inf as INF, which orders above every
+one of them; only addition needs a guard (nat_add) to saturate at INF.
+Pareto fronts are frozensets of component tuples.
 
 A domain declares, in `laws`, which laws of the vocabulary LAWS its
 operators satisfy: and-over-or (and_op distributes over or_op: a
@@ -19,52 +20,21 @@ check_semiring_laws probes what a domain declares.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter, mul
 from random import Random
 from typing import Callable, Optional, Sequence
 
 from .errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
 
 
-class _Infinity:
-    """Top element of the extended naturals. One instance, totally ordered
-    above every finite number, saturating under addition."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("atquant-inf")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-
-INF = _Infinity()
+INF = math.inf  # the one infinity a value holds; compared by identity
 
 
 def render_value(v) -> object:
@@ -80,26 +50,12 @@ def render_value(v) -> object:
     raise ValueError(f"unrenderable value {v!r}")
 
 
-def nat_min(x, y):
-    return x if x <= y else y
-
-
-def nat_max(x, y):
-    return y if x <= y else x
-
-
 def nat_add(x, y):
+    """x + y saturating at INF: an int or Fraction plus a float would make a
+    new float, or overflow past the float range."""
     if x is INF or y is INF:
         return INF
     return x + y
-
-
-def prob_max(x, y):
-    return x if x >= y else y
-
-
-def prob_mul(x, y):
-    return x * y
 
 
 class ValueKind(Enum):
@@ -218,7 +174,19 @@ def _dominates(u: tuple, w: tuple, directions: Sequence[str]) -> bool:
 
 
 def pareto_prune(front: frozenset, directions: Sequence[str]) -> frozenset:
-    kept = [u for u in front if not any(_dominates(w, u, directions) for w in front if w != u)]
+    """The points of front that no other point dominates. One stable sort
+    per component, last component first, orders the points
+    lexicographically, better first, so a point that dominates another
+    comes before it; and a dominated point is dominated by a kept one, as
+    dominance is transitive. Each point is tested against the kept points
+    only, newest first."""
+    points = list(front)
+    for i in reversed(range(len(directions))):
+        points.sort(key=itemgetter(i), reverse=directions[i] == "max")
+    kept: list[tuple] = []
+    for u in points:
+        if not any(_dominates(w, u, directions) for w in reversed(kept)):
+            kept.append(u)
     return frozenset(kept)
 
 
@@ -290,25 +258,25 @@ _DYNAMIC = {"and-over-or", "seq-over-and", "seq-over-or"}
 _BUILTINS: dict[str, AttributeDomain] = {d.name: d for d in (
     # (N∞, min, +), seq +: cheapest attack; + over + is not distributive,
     # so not a dynamic semiring even though seq composition is well defined.
-    _nat("min-cost", nat_min, nat_add, nat_add, INF, _ADDITIVE, "min"),
+    _nat("min-cost", min, nat_add, nat_add, INF, _ADDITIVE, "min"),
     # (N∞, min, +), seq +: shortest one-at-a-time schedule.
-    _nat("min-time-seq", nat_min, nat_add, nat_add, INF, _ADDITIVE, "min"),
+    _nat("min-time-seq", min, nat_add, nat_add, INF, _ADDITIVE, "min"),
     # (N∞, min, max), seq +: shortest schedule with unbounded parallelism;
     # + distributes over max and min, so this IS a dynamic semiring.
-    _nat("min-time-par", nat_min, nat_max, nat_add, INF, _DYNAMIC, "min"),
+    _nat("min-time-par", min, max, nat_add, INF, _DYNAMIC, "min"),
     # (N∞, min, max), seq max: weakest adversary that still gets through.
-    _nat("min-skill", nat_min, nat_max, nat_max, INF, _DYNAMIC | {"seq-is-and"}, "min"),
+    _nat("min-skill", min, max, max, INF, _DYNAMIC | {"seq-is-and"}, "min"),
     # (N∞, max, max), seq max: hardest single obstacle on the best path.
-    _nat("max-challenge", nat_max, nat_max, nat_max, 0, _DYNAMIC | {"seq-is-and"}, "max"),
+    _nat("max-challenge", max, max, max, 0, _DYNAMIC | {"seq-is-and"}, "max"),
     # (N∞, max, +), seq +: worst-case cumulative damage.
-    _nat("max-damage", nat_max, nat_add, nat_add, 0, _ADDITIVE, "max"),
+    _nat("max-damage", max, nat_add, nat_add, 0, _ADDITIVE, "max"),
     # ([0,1], max, *), seq *: probability of the most likely attack.
-    AttributeDomain("prob-max", ValueKind.PROBABILITY, prob_max, prob_mul, prob_mul,
+    AttributeDomain("prob-max", ValueKind.PROBABILITY, max, mul, mul,
                     Fraction(0), Fraction(1), {"and-over-or", "seq-is-and"}, "max"),
     # (N∞, +, min): cost to defend against every attack. min does NOT
     # distribute over +; kept as the stock non-semiring example, usable
     # only through the definitional oracle.
-    AttributeDomain("cost-to-defend", ValueKind.NATURAL, nat_add, nat_min, None, 0, INF),
+    AttributeDomain("cost-to-defend", ValueKind.NATURAL, nat_add, min, None, 0, INF),
 )}
 
 

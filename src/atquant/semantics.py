@@ -22,6 +22,7 @@ compare it with a search over `ordering_graph`.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .domains import AttributeDomain
 from .tree import (AttackTree, Dynamics, NodeType, Shape, bas_of, classify, descendants,
-                   find_cycle, static_projection)
+                   find_cycle, fold, static_projection)
 
 DEFAULT_BUDGET = 20
 
@@ -57,23 +58,17 @@ def structure_function(t: AttackTree, attack: Iterable[int]) -> bool:
     matters for which posets count as attacks, not for set-level success.
     """
     chosen = set(attack)
-    types, children = t.types, t.children
-    vals = [v in chosen for v in range(len(types))]  # gates are overwritten
-    for v in t.postorder:
-        kids = children[v]
-        if kids:
-            got = [vals[c] for c in kids]
-            vals[v] = any(got) if types[v] is NodeType.OR else all(got)
-    return vals[t.root]
+    return fold(t, [b in chosen for b in t.bas],
+                {NodeType.OR: any, NodeType.AND: all, NodeType.SAND: all})
 
 
-def _truth_table(t: AttackTree, bas: tuple[int, ...]) -> tuple[int, list[int]]:
+def _truth_table(t: AttackTree) -> tuple[int, list[int]]:
     """The truth table of the structure function and its BAS columns, each
     one big int: bit m of a table is its value at the assignment whose bit j
-    selects bas[j], and columns[j] is the table of bas[j] alone."""
-    rows = 1 << len(bas)
+    selects t.bas[j], and columns[j] is the table of t.bas[j] alone."""
+    rows = 1 << len(t.bas)
     columns = []
-    for j in range(len(bas)):
+    for j in range(len(t.bas)):
         period = 1 << j
         block = ((1 << period) - 1) << period  # one low run, one high run
         width = period * 2
@@ -81,18 +76,11 @@ def _truth_table(t: AttackTree, bas: tuple[int, ...]) -> tuple[int, list[int]]:
             block |= block << width
             width *= 2
         columns.append(block)
-    types, children = t.types, t.children
-    vals = [0] * len(types)
-    for b, column in zip(bas, columns):
-        vals[b] = column
-    for v in t.postorder:
-        kids = children[v]
-        if kids:
-            acc = vals[kids[0]]
-            for c in kids[1:]:
-                acc = (acc | vals[c]) if types[v] is NodeType.OR else (acc & vals[c])
-            vals[v] = acc
-    return vals[t.root], columns
+    # SAND is AND here, as in structure_function
+    conj = functools.partial(functools.reduce, operator.and_)
+    ops = {NodeType.OR: functools.partial(functools.reduce, operator.or_),
+           NodeType.AND: conj, NodeType.SAND: conj}
+    return fold(t, columns, ops), columns
 
 
 def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> frozenset:
@@ -113,7 +101,7 @@ def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> froze
     n = len(bas)
     if n > budget:
         raise BudgetExceeded(f"{n} basic actions exceed the oracle budget of {budget}")
-    table, columns = _truth_table(t, bas)
+    table, columns = _truth_table(t)
     redundant = 0
     for j, column in enumerate(columns):
         redundant |= (table & ~column) << (1 << j)

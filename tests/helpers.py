@@ -11,6 +11,7 @@ from typing import Callable, Iterable, Sequence
 from atquant import (bas_of, build, classify, minimal_attacks_static, ordering_graph,
                      static_projection, structure_function)
 from atquant.bdd import FALSE, TRUE, Bdd, _Store
+from atquant.domains import _dominates
 from atquant.errors import InvalidBdd
 from atquant.semantics import DEFAULT_BUDGET, transitive_closure
 from atquant.tree import AttackTree, Dynamics, NodeType, Shape, fold
@@ -200,6 +201,13 @@ def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int
         done.add(v)
         out.append(v)
     return tuple(out)
+
+
+def pairwise_prune(front: frozenset, directions: Sequence[str]) -> frozenset:
+    """The points of front that no other point dominates, each point tested
+    against every other; `domains.pareto_prune` must give this front."""
+    return frozenset(u for u in front
+                     if not any(_dominates(w, u, directions) for w in front if w != u))
 
 
 def node(store: _Store, rank: int, low: int, high: int) -> int:

@@ -113,7 +113,7 @@ def test_postorder_is_the_generic_walk_on_random_diagrams():
                 walk = postorder(d.root, lambda v: (s.highs[v], s.lows[v]) if v >= 2 else ())
                 assert d.postorder == walk
     for root in (FALSE, TRUE):
-        assert Bdd(_Store(VarOrder(())), VarOrder(()), root).postorder == (root,)
+        assert Bdd(_Store(), VarOrder(()), root).postorder == (root,)
 
 
 def test_folds_look_up_only_the_basic_actions_the_diagram_reaches():
@@ -131,8 +131,7 @@ def test_folds_look_up_only_the_basic_actions_the_diagram_reaches():
 
 
 def test_store_node_rejects_rank_inversions():
-    order = VarOrder((0, 1))
-    store = _Store(order)
+    store = _Store()
     deep = node(store, 1, FALSE, TRUE)
     node(store, 0, FALSE, deep)  # increasing rank is fine
     with pytest.raises(InvalidBdd):
@@ -144,7 +143,7 @@ def test_store_node_rejects_rank_inversions():
 
 def test_validate_catches_equal_children():
     order = VarOrder((0,))
-    store = _Store(order)
+    store = _Store()
     broken = node(store, 0, TRUE, TRUE)
     with pytest.raises(InvalidBdd):
         validate(Bdd(store, order, broken))
@@ -186,7 +185,7 @@ def test_deep_diagrams_are_walked_without_recursion():
     # 2,000-level chains are deeper than the interpreter's recursion limit
     n = 2000
     order = VarOrder(tuple(range(n)))
-    store = _Store(order)
+    store = _Store()
     conj, disj = TRUE, FALSE
     for rank in reversed(range(n)):
         conj = node(store, rank, FALSE, conj)  # x0 and x1 and ...
@@ -204,7 +203,7 @@ def test_deep_diagrams_are_walked_without_recursion():
 
 def test_top_paths_on_terminals():
     order = VarOrder((0,))
-    store = _Store(order)
+    store = _Store()
     assert top_paths(Bdd(store, order, FALSE)) == frozenset()
     assert top_paths(Bdd(store, order, TRUE)) == frozenset({frozenset()})
 
@@ -245,7 +244,7 @@ def left_fold_compile(t, order=None):
     """Reference compile: each gate's children folded left to right, the
     accumulator applied to one child at a time."""
     order = order or default_order(t)
-    store = _Store(order)
+    store = _Store()
     ops = {k: partial(reduce, partial(store.apply, k.value)) for k in (NodeType.OR, NodeType.AND)}
     rank = {b: r for r, b in enumerate(order.bas)}
     root = fold(t, [node(store, rank[b], FALSE, TRUE) for b in bas_of(t)], ops)
@@ -376,7 +375,7 @@ def apply_fold_compile(t, order=None):
     """Reference compile: `from_structure_function` with every operand
     folded in by apply, a single variable too."""
     order = order or default_order(t)
-    store = _Store(order)
+    store = _Store()
     rank = {b: r for r, b in enumerate(order.bas)}
     types, children = t.types, t.children
     parents = [0] * len(types)

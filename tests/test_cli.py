@@ -164,6 +164,21 @@ def test_numbers_past_the_int_digit_limit(tmp_path, capsys):
         assert code == 1 and "numeral of 5001 digits" in err
 
 
+def test_huge_costs_beside_inf_print_exactly(tmp_path, capsys):
+    big = 10**399 + 7  # past the float range, which ends near 1.8e308
+    model = tmp_path / "huge.at"
+    model.write_text(
+        'toplevel "r";\n"r" or "g" "h";\n"g" and "a" "b";\n"h" and "c" "d";\n'
+        '"a" bas;\n"b" bas;\n"c" bas;\n"d" bas;\n'
+        f'attribution "cost" {{ "a" = {big}; "b" = 1; "c" = {big}; "d" = inf; }}\n'
+    )
+    for algorithm in ("bu", "bdd"):
+        code, out, _ = run(capsys, "metric", str(model), "--domain", "min-cost",
+                           "--attribution", "cost", "--algorithm", algorithm)
+        assert code == 0
+        assert out == f"metric: min-cost\nvalue: {big + 1}\nalgorithm: {algorithm}\n"
+
+
 def test_metric_dynamic_goldens(capsys):
     for domain, attribution, want in [
         ("min-time-par", "time", "15"),

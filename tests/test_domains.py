@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,11 @@ from atquant.domains import (
     LAWS,
     ValueKind,
     nat_add,
-    nat_max,
-    nat_min,
     pareto_prune,
 )
 from atquant.errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
+
+from helpers import pairwise_prune
 
 nat = st.one_of(st.integers(min_value=0, max_value=50), st.just(INF))
 
@@ -26,8 +27,8 @@ def test_infinity_is_a_saturating_top_element():
     assert 5 < INF and INF > 5 and not (INF <= 5)
     assert Fraction(1, 2) < INF
     assert nat_add(INF, 3) is INF and nat_add(3, INF) is INF
-    assert nat_min(5, INF) == 5 and nat_min(INF, 5) == 5
-    assert nat_max(5, INF) is INF
+    assert min(5, INF) == 5 and min(INF, 5) == 5
+    assert max(5, INF) is INF
     assert repr(INF) == "inf"
     assert len({INF, INF}) == 1
 
@@ -129,6 +130,13 @@ def test_validate_value_accepts_and_rejects():
     with pytest.raises(BadAttributeValue):
         pm.validate_value(INF)
 
+    pp = builtin("pareto(min-cost,prob-max)")
+    pp.validate_value(frozenset({(INF, Fraction(1, 2))}))
+    # a set that is not frozen, and elements of the wrong type or length
+    for bad in ({(1, 1)}, frozenset({"ab"}), frozenset({(1,)}), frozenset({(1, 1, 1)})):
+        with pytest.raises(BadAttributeValue):
+            pp.validate_value(bad)
+
 
 def test_all_semiring_builtins_pass_their_laws():
     for name in BUILTIN_NAMES:
@@ -165,6 +173,17 @@ def test_pareto_dominance_and_prune():
     assert pruned == frozenset({(1, 5), (2, 2)})
     # a maximising coordinate flips the comparison
     assert pareto_prune(frozenset({(1, 5), (2, 2)}), ("min", "max")) == frozenset({(1, 5)})
+
+
+def test_prune_matches_the_pairwise_reference():
+    # fronts of 1-3 components in either direction, with INF, ratios and ties
+    rng = random.Random(27)
+    draws = (0, 1, 2, 3, Fraction(1, 2), Fraction(5, 2), INF)
+    for _ in range(3000):
+        dirs = tuple(rng.choice(("min", "max")) for _ in range(rng.randint(1, 3)))
+        front = frozenset(tuple(rng.choice(draws) for _ in dirs)
+                          for _ in range(rng.randint(0, 12)))
+        assert pareto_prune(front, dirs) == pairwise_prune(front, dirs)
 
 
 def test_pareto_product_construction():

@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from pathlib import Path
 
@@ -151,7 +153,8 @@ def test_exports_resolve_and_leave_out_the_removed_names():
                semantics: ("coherence_check", "successful_poset", "HasseDiagram",
                            "OrderingGraph", "hasse", "Attack", "AttackSuite"),
                errors: ("EmptySuite",),
-               domains: ("KTopMode",),
+               domains: ("KTopMode", "_Infinity", "nat_min", "nat_max", "prob_max",
+                         "prob_mul"),
                bdd: ("validate", "check_minimised_shape", "top_paths")}
     for module, names in removed.items():
         assert not set(names) & set(atquant.__all__)
@@ -162,6 +165,11 @@ def test_exports_resolve_and_leave_out_the_removed_names():
     assert not any(hasattr(bdd.VarOrder, name) for name in ("rank_of", "bas_at"))
     flags = ("is_semiring", "is_semiring_dynamic", "ktop_mode", "directions", "seq_equals_and")
     assert not any(hasattr(atquant.builtin("min-cost"), name) for name in flags)
+    assert atquant.INF is math.inf
+    for name in atquant.BUILTIN_NAMES:
+        d = atquant.builtin(name)
+        for op in (d.or_op, d.and_op, d.seq_op):
+            assert op in (None, min, max, operator.mul, domains.nat_add), (name, op)
 
 
 def test_unknown_node_lookups_raise():
