@@ -43,10 +43,11 @@ on a freshly parsed tree so that no cached fact is shared between them:
 classify, bas_of, validate_attribution of the costs for min-cost, the
 min-cost fold (bu_sat), the prob-max fold over the probabilities, and the
 canonical model text (emit_model, what `dump --what model` writes).
-parse_model already orders a fresh proper tree, as
-its check of the structure records the preorder, so the bas_of and fold
-columns pay for no walk: bas_of picks the BAS out of that preorder, and the
-fold reads it backwards.
+parse_model already orders a fresh tree, as its
+check of the structure records the order in which Kahn's algorithm takes
+the nodes (`AttackTree.topological`), so the bas_of and fold columns pay
+for no walk on a proper tree: bas_of picks the BAS out of that order, which
+there is the left-to-right preorder, and the fold reads it backwards.
 
     python3 scripts/bench_scaling.py [--max-power 17] [--ladder-max 2048]
 """

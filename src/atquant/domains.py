@@ -122,7 +122,8 @@ class AttributeDomain:
             if v is INF:
                 return
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise BadAttributeValue(f"{self.name}: expected a number or inf, got {v!r}")
+                raise BadAttributeValue(f"{self.name}: got {type(v).__name__} {v!r}; values "
+                                        "are ints, Fractions and atquant.INF")
             # signs and bounds on numerator and denominator (always positive):
             # comparing a Fraction runs Fraction._richcmp in Python
             if v.numerator < 0:
@@ -217,9 +218,9 @@ def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
     for c in components:
         if c.kind is ValueKind.PARETO:
             raise EmptyProduct("pareto products do not nest")
+        if c.sense is None:
+            raise EmptyProduct(f"pareto component {c.name} has no optimisation sense")
     directions = tuple(c.sense for c in components)
-    if None in directions:
-        raise EmptyProduct("component without an optimisation sense")
 
     def or_op(f, g):
         return pareto_prune(f | g, directions)
@@ -311,9 +312,6 @@ class LawReport:
 def check_semiring_laws(
     domain: AttributeDomain,
     triples: Optional[Sequence[tuple]] = None,
-    *,
-    n_triples: int = 1000,
-    seed: int = 0,
 ) -> LawReport:
     """Probe the declared algebra laws on concrete value triples.
 
@@ -321,11 +319,12 @@ def check_semiring_laws(
     laws unconditionally, and each law of LAWS the domain declares;
     and-over-or, the law every route but the oracle needs, is probed even
     when undeclared, so a non-semiring's failure is visible. Reports one
-    pass/fail per law with the first counterexample found.
+    pass/fail per law with the first counterexample found. The default
+    triples are 1,000 drawn by `random_value` from Random(0).
     """
     if triples is None:
-        rng = Random(seed)
-        triples = [tuple(domain.random_value(rng) for _ in range(3)) for _ in range(n_triples)]
+        rng = Random(0)
+        triples = [tuple(domain.random_value(rng) for _ in range(3)) for _ in range(1000)]
 
     ops = [("or", domain.or_op), ("and", domain.and_op)]
     if domain.seq_op is not None:

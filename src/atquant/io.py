@@ -537,8 +537,9 @@ def emit_result(res: AnalysisResult, t: AttackTree, fmt: str = "json") -> str:
 
 
 def _dot_escape(label: str) -> str:
-    """A model label inside a DOT string: labels hold no `"` or newline, so
-    only the backslash needs escaping."""
+    """A model label inside a DOT string: neither the model format nor
+    `build` lets a label hold a `"` or a newline, so only the backslash
+    needs escaping."""
     return label.replace("\\", "\\\\")
 
 

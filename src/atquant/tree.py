@@ -6,16 +6,16 @@ All traversals are iterative: models with 10^5 nodes (or degenerate chains)
 must not hit the interpreter recursion limit.
 
 `freeze` checks a store with one run of Kahn's algorithm and records its
-structure kind; on a proper tree the pop order is the left-to-right
-preorder, which the tree records, so the bottom-up order
-(`AttackTree.postorder`, the preorder read backwards) and the BAS order
-(`AttackTree.bas`) cost no further walk. On a DAG, `AttackTree.postorder`
-is a depth-first walk from the root that enters a gate's children last to
-first and finishes each node once, after all of its children, and a
-depth-first first-occurrence walk gives the BAS order and `descendants`.
-`find_cycle` names the cycles of `freeze` and of the well-formedness
-check. Every bottom-up evaluation follows `AttackTree.postorder`: tree
-folds go through `fold`, and `bdd` compiles in that order.
+structure kind and its pop order, `AttackTree.topological`: the root
+first, every node after all of its parents, and on a proper tree the
+left-to-right preorder. Read backwards it is the bottom-up order
+(`AttackTree.postorder`) of trees and DAGs alike, so no further walk is
+needed; on a proper tree the BAS order (`AttackTree.bas`) is picked out of
+it too, and on a DAG a depth-first first-occurrence walk gives the BAS
+order and `descendants`. `find_cycle` names the cycles of `freeze` and of
+the well-formedness check. Every bottom-up evaluation follows
+`AttackTree.postorder`: tree folds go through `fold`, and `bdd` compiles
+in that order.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
     GateWithoutChildren,
     MultipleRoots,
     NoRoot,
+    TreeBuildError,
     UnknownNode,
 )
 
@@ -67,15 +68,16 @@ class StructureKind:
 @dataclass(frozen=True)
 class AttackTree:
     """Columns indexed by node id. Made by `freeze` or `static_projection`,
-    which pass the structure kind and, on a proper tree, the left-to-right
-    preorder (None on a DAG)."""
+    which pass the structure kind and `topological`, the order in which
+    `freeze` popped the nodes: the root first and every node after all of
+    its parents, on a proper tree the left-to-right preorder."""
 
     labels: tuple[str, ...]
     types: tuple[NodeType, ...]
     children: tuple[tuple[int, ...], ...]
     root: int
     kind: StructureKind = field(compare=False, repr=False)
-    preorder: Optional[tuple[int, ...]] = field(compare=False, repr=False)
+    topological: tuple[int, ...] = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.labels)
@@ -99,59 +101,36 @@ class AttackTree:
 
     @cached_property
     def postorder(self) -> tuple[int, ...]:
-        """Every node after all of its children: the proper tree's preorder
-        read backwards, or on a DAG a depth-first walk from the root that
-        enters each gate's unfinished children last to first. The path
-        holds each gate on it with an iterator over its children, last
-        first; a BAS is finished as soon as it is met. Tree folds and
-        diagram node ids follow this order, so it must not change."""
-        if self.preorder is not None:
-            return self.preorder[::-1]
-        children = self.children
-        done = bytearray(len(children))
-        out: list[int] = []
-        path = [self.root]
-        pending = [reversed(children[self.root])]
-        while pending:
-            for c in pending[-1]:
-                if not done[c]:
-                    kids = children[c]
-                    if kids:
-                        path.append(c)
-                        pending.append(reversed(kids))
-                        break
-                    done[c] = 1
-                    out.append(c)
-            else:
-                v = path.pop()
-                pending.pop()
-                done[v] = 1
-                out.append(v)
-        return tuple(out)
+        """Every node after all of its children: `topological` read
+        backwards. Tree folds and diagram node ids follow this order."""
+        return self.topological[::-1]
 
     @cached_property
     def bas(self) -> tuple[int, ...]:
-        if self.preorder is not None:
+        if self.kind.shape is Shape.TREE:
             types, bas = self.types, NodeType.BAS
-            return tuple([v for v in self.preorder if types[v] is bas])
+            return tuple([v for v in self.topological if types[v] is bas])
         return tuple(_bas_below(self.types, self.children, self.root))
 
 
 def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) -> AttackTree:
     """Validate and freeze a node store from (label, type, child labels) triples.
 
-    Ids are assigned in definition order. Rejects, in this order: duplicate
-    labels; dangling child references and BAS with children / gates without,
-    node by node; cycles (with a concrete witness); an undefined root; more
-    than one parentless node; a root that is not the parentless node. No
-    node can then be unreachable: in an acyclic graph every node lies below
-    a parentless node, and the root is the only one. Repeated children
-    inside one gate are accepted; they make the model a DAG and the dynamic
-    well-formedness pass deals with the consequences.
+    Ids are assigned in definition order. Rejects, in this order: labels
+    holding a `"` or a newline, which a model file cannot hold; duplicate
+    labels; dangling child references and BAS with children / gates
+    without, node by node; cycles (with a concrete witness); an undefined
+    root; more than one parentless node; a root that is not the parentless
+    node. No node can then be unreachable: in an acyclic graph every node
+    lies below a parentless node, and the root is the only one. Repeated
+    children inside one gate are accepted; they make the model a DAG and
+    the dynamic well-formedness pass deals with the consequences.
     """
     defs = list(defs)
     by_label: dict[str, int] = {}
     for i, (label, _, _) in enumerate(defs):
+        if '"' in label or "\n" in label:
+            raise TreeBuildError(f"label {label!r} holds a quote or a newline")
         if label in by_label:
             raise DuplicateLabel(f"node {label!r} defined twice")
         by_label[label] = i
@@ -180,7 +159,8 @@ def freeze(labels: Sequence[str], types: Sequence[NodeType],
     ids; root is root_label's id, None if no node has it. One run of Kahn's
     algorithm finds the cycles and the parentless nodes. It pops the least
     parentless id first and pushes freed children last to first, so on a
-    proper tree it pops the left-to-right preorder, which the tree records."""
+    proper tree it pops the left-to-right preorder; the tree records the
+    pop order of every model as `topological`."""
     labels, types, children = tuple(labels), tuple(types), tuple(children)
     n = len(labels)
     flat = list(chain.from_iterable(children))
@@ -220,7 +200,7 @@ def freeze(labels: Sequence[str], types: Sequence[NodeType],
         raise MultipleRoots(f"more than one root candidate: {names}")
     if parentless[0] != root:
         raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
-    return AttackTree(labels, types, children, root, kind, tuple(order) if tree else None)
+    return AttackTree(labels, types, children, root, kind, tuple(order))
 
 
 def find_cycle(start: int, succ: Sequence[Iterable[int]]) -> Optional[list[int]]:
@@ -310,4 +290,4 @@ def static_projection(t: AttackTree) -> AttackTree:
     sand, conj = NodeType.SAND, NodeType.AND
     types = tuple([conj if ty is sand else ty for ty in t.types])
     return AttackTree(t.labels, types, t.children, t.root,
-                      StructureKind(t.kind.shape, Dynamics.STATIC), t.preorder)
+                      StructureKind(t.kind.shape, Dynamics.STATIC), t.topological)

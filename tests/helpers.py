@@ -203,6 +203,13 @@ def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int
     return tuple(out)
 
 
+def law_triples(domain, n: int, seed: int) -> list[tuple]:
+    """n triples of `domain.random_value` draws from Random(seed), the
+    generator `check_semiring_laws` uses for its default triples."""
+    rng = Random(seed)
+    return [tuple(domain.random_value(rng) for _ in range(3)) for _ in range(n)]
+
+
 def pairwise_prune(front: frozenset, directions: Sequence[str]) -> frozenset:
     """The points of front that no other point dominates, each point tested
     against every other; `domains.pareto_prune` must give this front."""

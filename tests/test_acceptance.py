@@ -50,6 +50,7 @@ from helpers import (
     ill_cross,
     ill_repeat,
     labels,
+    law_triples,
     rand_alpha,
     rand_dag,
     rand_tree,
@@ -334,7 +335,7 @@ def test_criterion_07_algebra_suite():
     flagged = None
     for name in BUILTIN_NAMES:
         d = builtin(name)
-        report = check_semiring_laws(d, n_triples=1000, seed=7)
+        report = check_semiring_laws(d, law_triples(d, 1000, 7))
         # every declared law is probed, so all_hold covers each of them
         assert d.laws <= {r.law for r in report.results}
         if name == "cost-to-defend":
@@ -350,7 +351,7 @@ def test_criterion_07_algebra_suite():
             assert report.all_hold, f"{name}: {[r.law for r in report.results if not r.holds]}"
     assert flagged
     pareto = builtin("pareto(min-cost,prob-max)")
-    assert check_semiring_laws(pareto, n_triples=1000, seed=7).all_hold
+    assert check_semiring_laws(pareto, law_triples(pareto, 1000, 7)).all_hold
     # each law declared falsely is caught with a counterexample
     ctd, mc = builtin("cost-to-defend"), builtin("min-cost")
     par, skill = builtin("min-time-par"), builtin("min-skill")
@@ -363,7 +364,7 @@ def test_criterion_07_algebra_suite():
     }
     assert false_claims.keys() == LAWS
     for law, d in false_claims.items():
-        caught = check_semiring_laws(d, n_triples=1000, seed=7).result(law)
+        caught = check_semiring_laws(d, law_triples(d, 1000, 7)).result(law)
         assert not caught.holds and len(caught.counterexample) == 3, law
     print(
         "criterion 7 PASS: 1000-triple law checks hold for every law a builtin "

@@ -213,7 +213,7 @@ def test_metric_pareto_vector_attribution(capsys):
          "error: pareto(min-cost,prob-max) needs 2 comma-joined attribution names, got 3\n"),
         ("pareto(min-cost,prob-max)", "cost,nope", "error: model declares no attribution 'nope'\n"),
         ("pareto(cost-to-defend)", "cost",
-         "error: component without an optimisation sense\n"),
+         "error: pareto component cost-to-defend has no optimisation sense\n"),
     ):
         code, out, stderr = run(capsys, "metric", f"{MODELS}/overlap.at",
                                 "--domain", domain, "--attribution", names)
@@ -448,3 +448,32 @@ def test_calls_in_one_process_share_no_argument_state(capsys):
     code, out, _ = run(capsys, "metric", f"{MODELS}/overlap.at", "--domain", "min-cost", "--attribution", "cost")
     assert code == 0 and out == "metric: min-cost\nvalue: 1\nalgorithm: bdd\n"
     assert run(capsys, *ktop) == first == (0, "1 {b}\n7 {a,c}\n", "")
+
+
+def test_a_static_dag_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # g_i = OR(AND(b_i, b_i+1), g_i+1) down 10,000 levels, each level sharing
+    # b_i+1 with the one below: the minimal attacks are the pairs
+    # {b_i, b_i+1}, and over the order b_0 < b_1 < ... the minimised diagram
+    # of their union has one node at each end and two per variable between
+    n, m = 10_000, 5_000
+    cost = [3 * abs(i - m) + (i > m) for i in range(n + 1)]
+    lines = ['toplevel "g0";']
+    for i in range(n - 1):
+        lines += [f'"g{i}" or "a{i}" "g{i + 1}";', f'"a{i}" and "b{i}" "b{i + 1}";']
+    lines += [f'"g{n - 1}" and "b{n - 1}" "b{n}";', *(f'"b{i}" bas;' for i in range(n + 1))]
+    lines += ['attribution "cost" {', *(f'"b{i}" = {c};' for i, c in enumerate(cost)), "}"]
+    model = tmp_path / "deep.at"
+    model.write_text("\n".join(lines) + "\n")
+    pairs = sorted((cost[i] + cost[i + 1], i) for i in range(n))
+    assert pairs[:3] == [(3, m - 1), (4, m), (9, m - 2)]  # no ties among the first three
+
+    code, out, _ = run(capsys, "metric", str(model), "--domain", "min-cost",
+                       "--attribution", "cost", "--algorithm", "bdd")
+    assert (code, out) == (0, f"metric: min-cost\nvalue: {pairs[0][0]}\nalgorithm: bdd\n")
+    code, out, _ = run(capsys, "ktop", str(model), "--domain", "min-cost",
+                       "--attribution", "cost", "--k", "3")
+    assert (code, out) == (0, "".join(f"{v} {{b{i},b{i + 1}}}\n" for v, i in pairs[:3]))
+    code, out, _ = run(capsys, "dump", str(model), "--what", "bdd-min")
+    decisions = re.findall(r'\[shape=circle, label="b(\d+)"\]', out)
+    assert code == 0 and len(decisions) == 2 * n
+    assert sorted(map(int, decisions)) == [0] + sorted(2 * list(range(1, n))) + [n]

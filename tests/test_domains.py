@@ -17,7 +17,7 @@ from atquant.domains import (
 )
 from atquant.errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
 
-from helpers import pairwise_prune
+from helpers import law_triples, pairwise_prune
 
 nat = st.one_of(st.integers(min_value=0, max_value=50), st.just(INF))
 
@@ -121,6 +121,13 @@ def test_validate_value_accepts_and_rejects():
         mc.validate_value(True)
     with pytest.raises(BadAttributeValue):
         mc.validate_value(0.5)
+    # a float is refused by its type, even where its value is one that
+    # INF or an int would have: the message names what is accepted
+    for bad in (float("inf"), 1.5):
+        with pytest.raises(BadAttributeValue) as e:
+            mc.validate_value(bad)
+        assert str(e.value) == (f"min-cost: got float {bad!r}; values are ints, "
+                                "Fractions and atquant.INF")
 
     pm = builtin("prob-max")
     pm.validate_value(Fraction(1, 2))
@@ -141,7 +148,7 @@ def test_validate_value_accepts_and_rejects():
 def test_all_semiring_builtins_pass_their_laws():
     for name in BUILTIN_NAMES:
         d = builtin(name)
-        report = check_semiring_laws(d, n_triples=300, seed=11)
+        report = check_semiring_laws(d, law_triples(d, 300, 11))
         if name == "cost-to-defend":
             assert not report.all_hold
         else:
@@ -158,10 +165,15 @@ def test_cost_to_defend_counterexample_is_the_classic_one():
     failed = report.result("and-over-or")
     assert not failed.holds
     assert failed.counterexample == (x, y, z)
+    # a law the checker did not probe has no result: it is not reported held
+    assert "seq-over-and" not in {r.law for r in report.results}
+    with pytest.raises(KeyError):
+        report.result("seq-over-and")
 
 
 def test_dynamic_semiring_laws_cover_seq():
-    report = check_semiring_laws(builtin("min-time-par"), n_triples=300, seed=3)
+    d = builtin("min-time-par")
+    report = check_semiring_laws(d, law_triples(d, 300, 3))
     for law in ("seq-over-and", "seq-over-or", "and-over-or"):
         assert report.result(law).holds
 
@@ -203,8 +215,12 @@ def test_pareto_product_construction():
         pareto_product([])
     with pytest.raises(EmptyProduct):
         pareto_product([d, builtin("min-cost")])  # no nesting
-    with pytest.raises(EmptyProduct, match="^component without an optimisation sense$"):
+    with pytest.raises(EmptyProduct,
+                       match=r"^pareto component cost-to-defend has no optimisation sense$"):
         pareto_product([builtin("min-cost"), builtin("cost-to-defend")])
+    with pytest.raises(EmptyProduct,
+                       match=r"^pareto component cost-to-defend has no optimisation sense$"):
+        builtin("pareto(cost-to-defend,min-cost)")
 
 
 def test_pareto_ops_golden():
@@ -220,7 +236,7 @@ def test_pareto_ops_golden():
 
 def test_pareto_product_is_a_semiring_on_random_fronts():
     d = pareto_product([builtin("min-cost"), builtin("min-skill")])
-    report = check_semiring_laws(d, n_triples=300, seed=5)
+    report = check_semiring_laws(d, law_triples(d, 300, 5))
     assert report.all_hold, [r for r in report.results if not r.holds]
 
 

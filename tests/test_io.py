@@ -256,6 +256,13 @@ def test_roundtrip_is_structural_and_byte_stable():
         assert emit_model(again) == text
 
 
+def test_model_files_hold_no_pareto_fronts():
+    doc = parse_model((MODELS / "treasure.at").read_text())
+    fronts = {b: frozenset({(v, 1)}) for b, v in doc.attributions["time"].items()}
+    with pytest.raises(ValueError, match="^model files hold scalar values only$"):
+        emit_model(ModelDocument(doc.tree, {"time": fronts}))
+
+
 def test_random_models_round_trip_through_the_text_format():
     rng = random.Random(5)
     models = [rand_tree(rng, 10, dynamic=True) for _ in range(40)]

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from atquant.errors import (
     GateWithoutChildren,
     MultipleRoots,
     NoRoot,
+    TreeBuildError,
     UnknownNode,
 )
 from atquant.tree import (Dynamics, NodeType, Shape, StructureKind, descendants,
@@ -38,6 +40,18 @@ def test_build_assigns_ids_in_definition_order():
 def test_build_rejects_duplicate_labels():
     with pytest.raises(DuplicateLabel):
         build([("r", O, ["a"]), ("a", B, []), ("a", B, [])], "r")
+
+
+def test_build_rejects_labels_a_model_file_cannot_hold():
+    # emit_model writes a label between quotes, one definition a line
+    for bad in ('a"b', "c\nd"):
+        with pytest.raises(TreeBuildError, match=re.escape(repr(bad))):
+            build([("r", O, [bad, "x"]), (bad, B, []), ("x", B, [])], "r")
+    # comment marks, backslashes, spaces and non-ASCII letters read back
+    odd = ["a//b", "// c", "d\\", "\\e", "two  words", " ", "naïve", "日本"]
+    t = build([("r//", A, odd), *((label, B, []) for label in odd)], "r//")
+    again = parse_model(emit_model(ModelDocument(t))).tree
+    assert again == t and again.labels == ("r//", *odd)
 
 
 def test_build_rejects_dangling_child():
@@ -295,8 +309,10 @@ def _reference_descendants(t, order) -> list[frozenset]:
 def test_recorded_facts_match_brute_force_walks():
     for t in _facts_models():
         assert classify(t) == _reference_kind(t)
-        order = postorder(t.root, t.children.__getitem__)
+        order = _reference_kahn(t)[::-1]
         assert t.postorder == order
+        if classify(t).shape is Shape.TREE:
+            assert order == postorder(t.root, t.children.__getitem__)
         assert bas_of(t) == _reference_bas(t)
         below = _reference_descendants(t, order)
         assert all(descendants(t, v) == below[v] for v in range(len(t)))
@@ -337,12 +353,11 @@ def _walked_dags() -> list:
     return dags
 
 
-def test_dag_postorder_is_the_generic_walk():
-    # a DAG walks its children tuples with a walk of its own, which must
-    # give exactly the generic order: folds and diagram ids follow it
+def test_dag_postorder_is_the_kahn_order_reversed():
+    # a DAG's bottom-up order is freeze's pop order read backwards, as a
+    # proper tree's is: folds and diagram ids follow it
     dags = _walked_dags()
-    expected = [postorder(t.root, t.children.__getitem__) for t in dags]
-    assert [t.postorder for t in dags] == expected
+    assert [t.postorder for t in dags] == [_reference_kahn(t)[::-1] for t in dags]
 
 
 def test_dag_bas_walk_matches_the_seen_set_walk():
@@ -362,7 +377,7 @@ def test_dag_bas_walk_matches_the_seen_set_walk():
 def _reference_freeze(labels, types, children, root_label, root):
     """`freeze` node by node: in-degrees counted edge by edge, the kind read
     off them, and Kahn's algorithm decrementing every child. Returns (kind,
-    preorder or None) or raises what `freeze` raises."""
+    pop order) or raises what `freeze` raises."""
     n = len(labels)
     indeg = [0] * n
     for kids in children:
@@ -396,7 +411,12 @@ def _reference_freeze(labels, types, children, root_label, root):
         raise MultipleRoots(f"more than one root candidate: {names}")
     if parentless[0] != root:
         raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
-    return kind, tuple(order) if kind.shape is Shape.TREE else None
+    return kind, tuple(order)
+
+
+def _reference_kahn(t) -> tuple[int, ...]:
+    """The order in which `_reference_freeze` pops the nodes of t."""
+    return _reference_freeze(t.labels, t.types, t.children, t.labels[t.root], t.root)[1]
 
 
 def _random_store(rng):
@@ -473,11 +493,13 @@ def test_column_freeze_matches_the_node_list_kahn():
         if want_error is not None:
             seen_errors.add(want_error[0])
             continue
-        kind, preorder = want
+        kind, order = want
         t = got
-        assert (t.kind, t.preorder, t.root) == (kind, preorder, root)
+        assert (t.kind, t.topological, t.root) == (kind, order, root)
         assert (t.labels, t.types, t.children) == (tuple(labels), tuple(types), tuple(children))
-        assert t.postorder == postorder(root, lambda v: children[v])
+        assert t.postorder == order[::-1]
+        if kind.shape is Shape.TREE:
+            assert t.postorder == postorder(root, lambda v: children[v])
         assert t.bas == tuple(_reference_bas_below(types, children, root))
         seen_kinds.add((case, kind))
     assert seen_errors == {CyclicStructure, DanglingReference, MultipleRoots, NoRoot}
