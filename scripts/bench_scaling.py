@@ -16,14 +16,18 @@ and pairwise coprime denominators make that the product of all of them,
 its worst case (about 3,500 digits at 1,024 rungs). Next to the
 reachable node count of the minimised diagram it prints the size of the
 unique table those nodes live in, which counts every node ever made while
-compiling and minimising. A second table compiles three more families,
-doubling their size from 256 to 8 times the largest ladder: a left-deep
-AND chain AND(AND(AND(b0, b1), b2), ...), a nested interval DAG (a
-balanced binary tree of ANDs over ORs of 2 to 4 consecutive actions) and
-AND(OR(b1, c), OR(b2, c), ...) under an order that ranks c last. For each
-it prints the reachable nodes of the compiled diagram, the unique-table
-size and the compile time: a compile that copies intermediate diagrams
-shows as a unique column growing faster than the reachable one.
+compiling and minimising. A second table compiles and minimises four
+more families, doubling their size from 256 (or the largest ladder, if
+that is smaller) to 8 times the largest ladder: a left-deep AND chain
+AND(AND(AND(b0, b1), b2), ...), a nested interval DAG (a balanced binary
+tree of ANDs over ORs of 2 to 4 consecutive actions), AND(OR(b1, c),
+OR(b2, c), ...) under an order that ranks c last, and the deep chain
+g_i = OR(AND(b_i, b_i+1), g_i+1), whose n levels nest deeper than the
+interpreter's recursion limit at the default sizes. For each it prints the
+reachable nodes of the compiled diagram, the unique-table size after
+compiling, the compile time and the minimise time: a compile that copies
+intermediate diagrams shows as a unique column growing faster than the
+reachable one, and every minimise column should grow linearly.
 
 Experiment 3: the well-formedness check over balanced trees whose gate
 layers cycle SAND, OR, AND, doubling node counts up to 2^max-power - 1; the
@@ -75,6 +79,7 @@ from atquant import (
     from_structure_function,
     is_well_formed,
     k_top,
+    minimise,
     oracle_metric_static,
     parse_model,
 )
@@ -155,6 +160,17 @@ def and_of_or_c(n: int):
     return t, VarOrder(tuple(t.id_of(f"b{i}") for i in range(n)) + (t.id_of("c"),))
 
 
+def deep_chain(n: int):
+    """g_i = OR(AND(b_i, b_i+1), g_i+1) down n levels, g_n-1 = AND(b_n-1, b_n):
+    each level shares b_i+1 with the one below."""
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n + 1)]
+    for i in range(n - 1):
+        defs += [(f"g{i}", NodeType.OR, [f"a{i}", f"g{i + 1}"]),
+                 (f"a{i}", NodeType.AND, [f"b{i}", f"b{i + 1}"])]
+    defs.append((f"g{n - 1}", NodeType.AND, [f"b{n - 1}", f"b{n}"]))
+    return build(defs, "g0"), None
+
+
 def primes(n: int) -> list[int]:
     """The first n primes, by trial division against the smaller ones."""
     out: list[int] = []
@@ -217,16 +233,19 @@ def bench_ladder(cfg: BenchConfig) -> None:
         rungs *= 2
     print()
     families = (("AND chain", and_chain), ("nested interval", nested_interval_dag),
-                ("AND of OR(b_i, c)", and_of_or_c))
-    print("compile only: reachable nodes, unique-table size and compile time")
-    print(f"{'n':>6}" + "".join(f" | {name:^26}" for name, _ in families))
-    print(f"{'':>6}" + f" | {'reach':>8} {'unique':>8} {'ms':>8}" * len(families))
-    n = 256
+                ("AND of OR(b_i, c)", and_of_or_c), ("deep chain", deep_chain))
+    print("compile and minimise: reachable nodes, unique-table size, compile and")
+    print("minimise time")
+    print(f"{'n':>6}" + "".join(f" | {name:^32}" for name, _ in families))
+    print(f"{'':>6}" + f" | {'reach':>8} {'unique':>8} {'ms':>6} {'min ms':>6}" * len(families))
+    n = min(256, cfg.ladder_max)
     while n <= cfg.ladder_max * 8:
         row = f"{n:>6}"
         for _, make in families:
             b, dt = clock(from_structure_function, *make(n))
-            row += f" | {b.node_count():>8} {len(b.store.unique):>8} {dt * 1000:>8.1f}"
+            reach, unique = b.node_count(), len(b.store.unique)
+            _, dt_min = clock(minimise, b)
+            row += f" | {reach:>8} {unique:>8} {dt * 1000:>6.1f} {dt_min * 1000:>6.1f}"
         print(row)
         n *= 2
     print()

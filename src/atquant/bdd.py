@@ -96,8 +96,6 @@ class _Store:
                     key = (top, low, high)
                     r = unique.get(key)
                     if r is None:
-                        if (low >= 2 and ranks[low] <= top) or (high >= 2 and ranks[high] <= top):
-                            raise InvalidBdd("child rank must exceed parent rank")
                         r = unique[key] = len(ranks)
                         ranks.append(top)
                         lows.append(low)
@@ -196,7 +194,8 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     left-deep chain of n binary AND gates makes 2n+1 nodes, where pairing
     the children made about n^2/2."""
     if classify(t).dynamics is Dynamics.DYNAMIC:
-        raise DynamicTreeRejected("BDD construction needs a static model; project first")
+        raise DynamicTreeRejected(
+            "decision diagrams take static models only; this model has SAND gates")
     if order is None:
         order = default_order(t)
     elif set(order.bas) != set(bas_of(t)):
@@ -277,8 +276,11 @@ def minimise(b: Bdd) -> Bdd:
     candidate path; subtracting against the transformed low branch would
     test membership in a path family instead, which is a different (wrong)
     predicate. Node construction drops FALSE high children, so afterwards
-    no high edge reaches FALSE, and for monotone input no low edge reaches
-    TRUE (f0 = TRUE would force f1 = f0 and the node away).
+    no high edge reaches FALSE. In a monotone input no low edge reaches
+    TRUE (f0 = TRUE would force f1 = f0 and the node away), so the pass
+    refuses a node with one when it reaches it (InvalidBdd). Every g the
+    subtraction meets has been checked by then, so g reads FALSE at
+    all-false and the empty path survives it without a walk to find out.
     """
     store = b.store
     ranks, lows, highs, unique = store.ranks, store.lows, store.highs, store.unique
@@ -288,13 +290,9 @@ def minimise(b: Bdd) -> Bdd:
         """Hash-cons a node under the path rule, inline like `_Store.apply`."""
         if high == FALSE:
             return low  # a node whose high side died adds no paths
-        if low == TRUE or low == high:
-            raise InvalidBdd("minimise input was not monotone")
         key = (rank, low, high)
         nid = unique.get(key)
         if nid is None:
-            if (low >= 2 and ranks[low] <= rank) or (high >= 2 and ranks[high] <= rank):
-                raise InvalidBdd("child rank must exceed parent rank")
             nid = unique[key] = len(ranks)
             ranks.append(rank)
             lows.append(low)
@@ -314,24 +312,17 @@ def minimise(b: Bdd) -> Bdd:
                 without_memo[(m, g)] = r
                 out.append(r)
                 continue
-            # g branches on a variable no path of m mentions: it reads false
-            while m >= 2 and g >= 2 and ranks[g] < ranks[m]:
-                g = lows[g]
+            if m >= 2 and g >= 2 and ranks[g] < ranks[m]:
+                # g branches on a variable no path of m mentions: it reads false
+                stack.append((m, lows[g], _EXPAND))
+                continue
             if m == FALSE or g == TRUE:
                 out.append(FALSE)
                 continue
-            if g == FALSE:
+            if g == FALSE or m == TRUE:
+                # TRUE's one path is the empty one, and every g met here was
+                # checked, so reads FALSE at all-false
                 out.append(m)
-                continue
-            if m == TRUE:
-                # the empty path survives iff g(all-false) is FALSE, which
-                # holds for every monotone g not identical to TRUE
-                v = g
-                while v >= 2:
-                    v = lows[v]
-                if v == TRUE:
-                    raise InvalidBdd("minimise input was not monotone")
-                out.append(TRUE)
                 continue
             found = without_memo.get((m, g))
             if found is not None:
@@ -350,5 +341,8 @@ def minimise(b: Bdd) -> Bdd:
     for f in b.postorder:
         if f >= 2:
             f0, f1 = lows[f], highs[f]
+            if f0 == TRUE:
+                # f reads TRUE at all-false without being TRUE
+                raise InvalidBdd("minimise input was not monotone")
             minsol[f] = mk_path(ranks[f], minsol[f0], without(minsol[f1], f0))
     return Bdd(store, b.order, minsol[b.root])

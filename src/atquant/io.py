@@ -17,8 +17,10 @@ or inf. Emission is canonical, so emit(parse(emit(doc))) == emit(doc).
 
 Tokens: keywords are ASCII words (`toplevel`, `bas`, `inf`, ...), numbers
 are ASCII digits with dots, punctuation is one of `;{}=<>/(),`, and a quoted
-label may hold any character but `"` and newline. Spaces, tabs, CR, LF and
-`//` comments separate tokens; any other character is an error.
+label may hold any character but `"`, newline and carriage return, as a file
+read with universal newlines would turn a carriage return into a newline.
+Spaces, tabs, CR, LF and `//` comments separate tokens; any other character
+is an error.
 
 Two front ends read a file into the same draft: the node labels and types
 in definition order, every node's child labels in one flat list, and each
@@ -72,7 +74,7 @@ _KINDS = {"bas": NodeType.BAS, "or": NodeType.OR, "and": NodeType.AND, "sand": N
 # character that starts no token.
 _TOKEN = re.compile(
     r'[ \t\r\n]+|//[^\n]*'
-    r'|"(?P<STR>[^"\n]*)"'
+    r'|"(?P<STR>[^"\r\n]*)"'
     r"|(?P<NUM>[0-9][0-9.]*)"
     r"|(?P<WORD>[A-Za-z_][\w-]*)"
     r"|(?P<PUNCT>[;{}=<>/(),])"
@@ -94,7 +96,7 @@ _Tok = tuple[str, str, int]  # (kind, text, offset), kind STR NUM WORD PUNCT or 
 # parse 40% slower.
 _W = r"[ \t\r\n]*+"
 _END = r"(?![\w-])"
-_LABEL = r'"[^"\n]*+"'
+_LABEL = r'"[^"\r\n]*+"'
 _VALUE = rf"(?:inf{_END}|[0-9]++(?:\.[0-9]++|{_W}/{_W}0*+[1-9][0-9]*+)?+(?![\w.-]))"
 # what separates statements
 _GAP = re.compile(r"(?:[ \t\r\n]++|//[^\n]*+)*+")
@@ -103,10 +105,10 @@ _STATEMENT = re.compile(
     # each gate with some
     rf"(?:(?P<nodes>(?:{_LABEL}{_W}"
     rf"(?:bas{_END}|(?:or|and|sand){_END}(?:{_W}{_LABEL})++){_W};{_W})++)"
-    rf'|toplevel{_END}{_W}"(?P<toplevel>[^"\n]*+)"{_W};'
-    rf'|attribution{_END}{_W}"(?P<attribution>[^"\n]*+)"{_W}'
+    rf'|toplevel{_END}{_W}"(?P<toplevel>[^"\r\n]*+)"{_W};'
+    rf'|attribution{_END}{_W}"(?P<attribution>[^"\r\n]*+)"{_W}'
     rf"\{{(?P<bindings>(?:{_W}{_LABEL}{_W}={_W}{_VALUE}{_W};)*+){_W}\}}"
-    rf'|order{_END}{_W}"(?P<order>[^"\n]*+)"{_W}='
+    rf'|order{_END}{_W}"(?P<order>[^"\r\n]*+)"{_W}='
     rf"(?P<chain>{_W}{_LABEL}(?:{_W}<{_W}{_LABEL})*+){_W};)"
     + _GAP.pattern
 )
@@ -538,8 +540,8 @@ def emit_result(res: AnalysisResult, t: AttackTree, fmt: str = "json") -> str:
 
 def _dot_escape(label: str) -> str:
     """A model label inside a DOT string: neither the model format nor
-    `build` lets a label hold a `"` or a newline, so only the backslash
-    needs escaping."""
+    `build` lets a label hold a `"`, a newline or a carriage return, so
+    only the backslash needs escaping."""
     return label.replace("\\", "\\\\")
 
 

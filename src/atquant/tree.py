@@ -117,20 +117,22 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
     """Validate and freeze a node store from (label, type, child labels) triples.
 
     Ids are assigned in definition order. Rejects, in this order: labels
-    holding a `"` or a newline, which a model file cannot hold; duplicate
-    labels; dangling child references and BAS with children / gates
-    without, node by node; cycles (with a concrete witness); an undefined
-    root; more than one parentless node; a root that is not the parentless
-    node. No node can then be unreachable: in an acyclic graph every node
-    lies below a parentless node, and the root is the only one. Repeated
-    children inside one gate are accepted; they make the model a DAG and
-    the dynamic well-formedness pass deals with the consequences.
+    holding a `"`, a newline or a carriage return, which a model file
+    cannot hold; duplicate labels; dangling child references and BAS with
+    children / gates without, node by node; cycles (with a concrete
+    witness); an undefined root; more than one parentless node; a root
+    that is not the parentless node. No node can then be unreachable: in an
+    acyclic graph every node lies below a parentless node, and the root is
+    the only one. Repeated children inside one gate are accepted; they make
+    the model a DAG and the dynamic well-formedness pass deals with the
+    consequences.
     """
     defs = list(defs)
     by_label: dict[str, int] = {}
     for i, (label, _, _) in enumerate(defs):
-        if '"' in label or "\n" in label:
-            raise TreeBuildError(f"label {label!r} holds a quote or a newline")
+        if '"' in label or "\n" in label or "\r" in label:
+            raise TreeBuildError(
+                f"label {label!r} holds a quote, a newline or a carriage return")
         if label in by_label:
             raise DuplicateLabel(f"node {label!r} defined twice")
         by_label[label] = i

@@ -149,6 +149,20 @@ def test_validate_catches_equal_children():
         validate(Bdd(store, order, broken))
 
 
+def test_minimise_refuses_non_monotone_input():
+    # each diagram has a node that reads TRUE at all-false without being
+    # TRUE: not x = (x, TRUE, FALSE); not x or y = (x, TRUE, y); and x or
+    # not y, whose low child not y has a low edge to TRUE
+    order = VarOrder((0, 1))
+    store = _Store()
+    y = node(store, 1, FALSE, TRUE)
+    not_y = node(store, 1, TRUE, FALSE)
+    for root in (node(store, 0, TRUE, FALSE), node(store, 0, TRUE, y),
+                 node(store, 0, not_y, TRUE)):
+        with pytest.raises(InvalidBdd, match="not monotone"):
+            minimise(Bdd(store, order, root))
+
+
 def test_ts_bdd_has_three_decision_nodes():
     b = from_structure_function(treasure())
     assert b.node_count() == 3

@@ -307,6 +307,16 @@ def test_ktop_rejects_k_below_one(capsys):
     assert err == "error: k must be at least 1\n"
 
 
+def test_decision_diagram_commands_name_the_static_only_rule(capsys):
+    # a CLI user cannot project a dynamic model, so the message names the rule
+    err_text = "error: decision diagrams take static models only; this model has SAND gates\n"
+    model, time = f"{MODELS}/exploit.at", ("--domain", "min-time-seq", "--attribution", "time")
+    for argv in (("ktop", model, *time, "--k", "2"),
+                 ("metric", model, *time, "--algorithm", "bdd"),
+                 ("dump", model, "--what", "bdd"), ("dump", model, "--what", "bdd-min")):
+        assert run(capsys, *argv) == (1, "", err_text), argv
+
+
 def test_budget_flag(capsys, tmp_path):
     wide = tmp_path / "wide.at"
     leaves = [f'"b{i}"' for i in range(21)]

@@ -198,6 +198,16 @@ def test_the_first_dangling_child_is_cited(parse, text, node, child, line, col):
     )
 
 
+def test_no_label_holds_a_carriage_return():
+    # a file read with universal newlines would turn it into a newline; the
+    # CRLF line ends outside quotes still separate tokens
+    text = 'toplevel "r";\r\n"r" or "a\rb";\r\n"a\rb" bas;\r\n'
+    assert _match(text) is None
+    with pytest.raises(ModelSyntaxError, match="unterminated string") as ei:
+        parse_model(text)
+    assert (ei.value.line, ei.value.col) == (2, 8)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_parse_model_leaves_the_collector_as_found(enabled):
     parsed = 'toplevel "r";\n"r" or "a";\n"a" bas;\n'

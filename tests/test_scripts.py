@@ -80,3 +80,7 @@ def test_script_runs(name, args):
     run = script(name, *args)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+    if name == "bench_scaling.py":
+        # the compile and minimise table starts at the largest ladder, 8
+        table = run.stdout.split("compile and minimise")[1]
+        assert re.search(r"^ +8 \|", table, re.M), table

@@ -43,8 +43,9 @@ def test_build_rejects_duplicate_labels():
 
 
 def test_build_rejects_labels_a_model_file_cannot_hold():
-    # emit_model writes a label between quotes, one definition a line
-    for bad in ('a"b', "c\nd"):
+    # emit_model writes a label between quotes, one definition a line, and
+    # a file read with universal newlines turns a carriage return into one
+    for bad in ('a"b', "c\nd", "e\rf", "g\r\nh"):
         with pytest.raises(TreeBuildError, match=re.escape(repr(bad))):
             build([("r", O, [bad, "x"]), (bad, B, []), ("x", B, [])], "r")
     # comment marks, backslashes, spaces and non-ASCII letters read back
