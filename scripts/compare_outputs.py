@@ -26,15 +26,10 @@ model, with the domains, attributions and orders the model declares:
 The two --budget 1 requests refuse every model of two or more basic
 actions, so the budget error and its hint are compared too.
 
-A decision diagram printed by `dump --what bdd` or `bdd-min` is also
-recorded with its nodes renamed in a low-first post-order from its roots.
-A request whose outputs differ only there is a renumbering, not a
-difference: the two diagrams have the same shape and labels, and only
-their node ids moved. It prints the number of requests, of renumberings
-and of differences, then each renumbered and each differing request, and
-exits 1 if any request differs. A differing request whose two outputs are
-both JSON objects is printed with the keys whose values differ: top-level
-keys, and those of the stats block as stats.<key>.
+It prints the number of requests and of differences, then each differing
+request, and exits 1 if any request differs. A differing request whose
+two outputs are both JSON objects is printed with the keys whose values
+differ: top-level keys, and those of the stats block as stats.<key>.
 """
 
 import contextlib
@@ -51,8 +46,6 @@ FORMATS = ("text", "json")
 ALGORITHMS = ("auto", "bu", "bdd", "oracle")
 PARETO = "pareto(min-cost,max-damage)"
 MILLIS = re.compile(r'"millis": [-+.\deE]+')
-DOT_NODE = re.compile(r'  n(\d+) \[shape=(\w+), label="(.*)"\];')
-DOT_EDGE = re.compile(r"  n(\d+) -> n(\d+) \[style=(dashed|solid)\];")
 
 
 def battery(model: str, attributions, orders, domains) -> list[list[str]]:
@@ -78,47 +71,6 @@ def battery(model: str, attributions, orders, domains) -> list[list[str]]:
     return out
 
 
-def renumbered(dot: str):
-    """A decision diagram's DOT text with its nodes renamed in a low-first
-    post-order from its roots (the nodes no edge enters, in the order
-    listed): line i holds node i's shape, label and new low and high ids.
-    None if the text is not a diagram `emit_dot_bdd` prints."""
-    lines = dot.splitlines()
-    if lines[:2] != ["digraph bdd {", "  rankdir=TB;"] or lines[-1:] != ["}"]:
-        return None
-    nodes, edges = {}, {}
-    for line in lines[2:-1]:
-        if m := DOT_NODE.fullmatch(line):
-            nodes[m[1]] = f"{m[2]} {m[3]}"
-        elif m := DOT_EDGE.fullmatch(line):
-            edges.setdefault(m[1], {})[m[3]] = m[2]
-        else:
-            return None
-    kids = {v: [e[style] for style in ("dashed", "solid") if style in e] for v, e in edges.items()}
-    entered = {w for ws in kids.values() for w in ws}
-    order: list[str] = []
-    seen: set[str] = set()
-    for root in nodes:
-        if root in entered:
-            continue
-        seen.add(root)
-        stack = [(root, iter(kids.get(root, ())))]
-        while stack:
-            v, pending = stack[-1]
-            for w in pending:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(kids.get(w, ()))))
-                    break
-            else:
-                stack.pop()
-                order.append(v)
-    if set(order) != nodes.keys():  # an edge to a node not listed
-        return None
-    new = {v: str(i) for i, v in enumerate(order)}
-    return "\n".join(" ".join([nodes[v], *map(new.get, kids.get(v, ()))]) for v in order)
-
-
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -141,9 +93,8 @@ def json_digests(text: str):
 
 
 def call(main, argv: list[str]) -> list:
-    """[exit code, stdout digest, stderr digest, renumbered stdout digest,
-    JSON key digests] of one in-process request; the fourth is None unless
-    stdout is a diagram, the last None unless it is a JSON object."""
+    """[exit code, stdout digest, stderr digest, JSON key digests] of one
+    in-process request; the last is None unless stdout is a JSON object."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -153,8 +104,7 @@ def call(main, argv: list[str]) -> list:
         except Exception as e:  # a traceback the user would see
             code = f"raised {type(e).__name__}: {e}"
     texts = [MILLIS.sub('"millis": 0', s.getvalue()) for s in (out, err)]
-    texts.append(renumbered(texts[0]))
-    return [code, *(t if t is None else digest(t) for t in texts), json_digests(texts[0])]
+    return [code, *map(digest, texts), json_digests(texts[0])]
 
 
 def side(src: str, models: list[str]) -> dict:
@@ -168,7 +118,7 @@ def side(src: str, models: list[str]) -> dict:
     records = {}
     for model in models:
         try:
-            doc = parse_model(Path(model).read_text(encoding="utf-8"))
+            doc = parse_model(Path(model).read_text(encoding="utf-8-sig"))
             attributions, orders = sorted(doc.attributions), sorted(doc.orders)
         except (AtError, OSError, UnicodeDecodeError):
             attributions, orders = [], []
@@ -202,19 +152,11 @@ def main(argv: list[str]) -> int:
         return 1
     old, new = map(json.loads, replies)
     keys = sorted(old.keys() | new.keys())
-    changed = [key for key in keys if old.get(key) != new.get(key)]
-    # the same exit code, stderr and diagram once its nodes are renamed
-    renumbering = [key for key in changed if key in old and key in new
-                   and old[key][3] is not None and old[key][3] == new[key][3]
-                   and old[key][0] == new[key][0] and old[key][2] == new[key][2]]
-    differing = [key for key in changed if key not in renumbering]
-    print(f"{len(keys)} requests on {len(models)} models, "
-          f"{len(renumbering)} renumbered, {len(differing)} differ")
-    for key in renumbering:
-        print("renumbered:", " ".join(json.loads(key)))
+    differing = [key for key in keys if old.get(key) != new.get(key)]
+    print(f"{len(keys)} requests on {len(models)} models, {len(differing)} differ")
     for key in differing:
         line = "differs: " + " ".join(json.loads(key))
-        parts = [side[key][4] if key in side else None for side in (old, new)]
+        parts = [side[key][3] if key in side else None for side in (old, new)]
         if None not in parts:
             keys = sorted(k for k in parts[0].keys() | parts[1].keys()
                           if parts[0].get(k) != parts[1].get(k))

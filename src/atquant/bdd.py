@@ -142,8 +142,8 @@ class Bdd:
         """Reachable node ids, terminals included, each after both of its
         children: a depth-first walk from the root, the low side first,
         that finishes each node once. `minimise` numbers its nodes in this
-        order, so it must not change; the stack holds only the path to the
-        current node."""
+        order and `io.emit_dot_bdd` names them by it, so it must not
+        change; the stack holds only the path to the current node."""
         lows, highs = self.store.lows, self.store.highs
         done = bytearray(len(lows))
         out: list[int] = []

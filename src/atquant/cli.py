@@ -27,8 +27,9 @@ from .tree import Dynamics, Shape, bas_of, classify
 
 
 def _load(path: str):
+    """Parse a model file; a leading UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise AtError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None

@@ -193,8 +193,10 @@ def pareto_prune(front: frozenset, directions: Sequence[str]) -> frozenset:
 
 def builtin(name: str) -> AttributeDomain:
     """Look up a builtin domain by name; pareto(a,b,...) builds a product."""
-    m = re.fullmatch(r"pareto\(([^()]*)\)", name.strip())
+    m = re.fullmatch(r"pareto\((.*)\)", name.strip())
     if m:
+        if "pareto(" in m.group(1):
+            raise EmptyProduct("pareto products do not nest")
         parts = [p.strip() for p in m.group(1).split(",") if p.strip()]
         return pareto_product([builtin(p) for p in parts])
     try:

@@ -568,20 +568,23 @@ def emit_dot(t: AttackTree) -> str:
 
 def emit_dot_bdd(b: Bdd, t: AttackTree) -> str:
     """Decision diagram as a digraph: dashed low edges, solid high edges,
-    boxed terminals."""
+    boxed terminals. Each node is named by its position in `b.postorder`,
+    so the text depends only on the diagram and its variable order, not on
+    the ids the store gave its nodes; on a non-constant monotone diagram
+    FALSE is `n0` and TRUE is `n1`."""
     lines = ["digraph bdd {", "  rankdir=TB;"]
-    reachable = sorted(b.postorder)
-    for v in reachable:
+    name = {v: i for i, v in enumerate(b.postorder)}
+    for v, i in name.items():
         if v == FALSE:
-            lines.append('  n0 [shape=box, label="0"];')
+            lines.append(f'  n{i} [shape=box, label="0"];')
         elif v == TRUE:
-            lines.append('  n1 [shape=box, label="1"];')
+            lines.append(f'  n{i} [shape=box, label="1"];')
         else:
             label = _dot_escape(t.label_of(b.var_at(v)))
-            lines.append(f'  n{v} [shape=circle, label="{label}"];')
-    for v in reachable:
+            lines.append(f'  n{i} [shape=circle, label="{label}"];')
+    for v, i in name.items():
         if v >= 2:
-            lines.append(f"  n{v} -> n{b.store.lows[v]} [style=dashed];")
-            lines.append(f"  n{v} -> n{b.store.highs[v]} [style=solid];")
+            lines.append(f"  n{i} -> n{name[b.store.lows[v]]} [style=dashed];")
+            lines.append(f"  n{i} -> n{name[b.store.highs[v]]} [style=solid];")
     lines.append("}")
     return "\n".join(lines) + "\n"

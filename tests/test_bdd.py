@@ -27,11 +27,14 @@ from atquant import (
 from atquant.bdd import FALSE, TRUE, Bdd, VarOrder, _Store
 from atquant.cli import main
 from atquant.errors import DynamicTreeRejected, InvalidBdd, MissingAttribution, OrderMismatch
-from atquant.tree import NodeType, fold, static_projection
+from atquant.io import emit_dot_bdd
+from atquant.tree import Dynamics, NodeType, classify, fold, static_projection
 
 from helpers import (canonical, check_minimised_shape, evaluate, node, overlap, postorder,
                      rand_alpha, rand_dag, rand_tree, suite_labels, exploit, top_paths, treasure,
                      tt, validate)
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def powerset(xs):
@@ -265,6 +268,30 @@ def left_fold_compile(t, order=None):
     return Bdd(store, order, root)
 
 
+def test_a_dump_depends_only_on_the_diagram():
+    # the two compiles make the same diagrams in stores of different ids
+    rng = random.Random(29)
+    runs = []
+    for p in sorted(MODELS.glob("*.at")):
+        doc = parse_model(p.read_text(encoding="utf-8"))
+        if classify(doc.tree).dynamics is Dynamics.STATIC:
+            orders = [default_order(doc.tree)] + [VarOrder(o) for _, o in sorted(doc.orders.items())]
+            runs.append((doc.tree, orders))
+    runs += [(t, [default_order(t)]) for t in (rand_dag(rng, 8) for _ in range(200))]
+    renamed = 0
+    for t, orders in runs:
+        for order in orders:
+            new, old = from_structure_function(t, order), left_fold_compile(t, order)
+            assert canonical(new) == canonical(old)
+            renamed += new.postorder != old.postorder
+            for a, b in ((new, old), (minimise(new), minimise(old))):
+                dot = emit_dot_bdd(a, t)
+                assert dot == emit_dot_bdd(b, t)
+                assert '  n0 [shape=box, label="0"];\n  n1 [shape=box, label="1"];\n' in dot
+    # some pairs hold their nodes under different store ids
+    assert renamed > 0
+
+
 def handed_up_and_shared_same_type(t):
     """Gates with one parent, of their own type (compiled as part of that
     parent), and gates of a parent's type with two or more parents
@@ -426,13 +453,13 @@ def apply_fold_compile(t, order=None):
 
 
 def test_single_variable_operands_make_the_nodes_apply_makes(monkeypatch):
-    # node ids, and so every dump, must not change: the whole store, in
-    # creation order, equals the one a compile applying every operand makes
+    # node ids must not change: the whole store, in creation order, equals
+    # the one a compile applying every operand makes
     rng = random.Random(23)
     models = [rand_tree(rng, 9) for _ in range(100)] + [rand_dag(rng, 9) for _ in range(100)]
     models += [rand_nested(rng) for _ in range(50)]
     models += [static_projection(parse_model(p.read_text(encoding="utf-8")).tree)
-               for p in sorted((Path(__file__).parent.parent / "models").glob("*.at"))]
+               for p in sorted(MODELS.glob("*.at"))]
     runs = [(t, (default_order(t), shuffled_order(rng, t))) for t in models]
     # a ladder's diagram is exponential under a random order, linear reversed
     runs += [(t, (default_order(t), VarOrder(bas_of(t)[::-1]))) for t in (ladder(300),)]
@@ -465,41 +492,40 @@ NESTED_MODEL = """toplevel "r";
 "f" bas;
 "g" bas;
 """
-# node ids follow the order compiling makes nodes: the nested AND "s" and OR
-# "v" join the operands of their parents, three-operand gates fold deepest
-# first
+# the nested AND "s" and OR "v" join the operands of their parents, and
+# three-operand gates fold deepest first
 NESTED_BDD_DUMP = (
     'digraph bdd {\n'
     '  rankdir=TB;\n'
     '  n0 [shape=box, label="0"];\n'
     '  n1 [shape=box, label="1"];\n'
-    '  n2 [shape=circle, label="g"];\n'
-    '  n6 [shape=circle, label="f"];\n'
-    '  n7 [shape=circle, label="e"];\n'
-    '  n9 [shape=circle, label="c"];\n'
-    '  n13 [shape=circle, label="c"];\n'
-    '  n14 [shape=circle, label="d"];\n'
-    '  n15 [shape=circle, label="d"];\n'
-    '  n16 [shape=circle, label="b"];\n'
-    '  n17 [shape=circle, label="a"];\n'
+    '  n2 [shape=circle, label="c"];\n'
+    '  n3 [shape=circle, label="d"];\n'
+    '  n4 [shape=circle, label="g"];\n'
+    '  n5 [shape=circle, label="f"];\n'
+    '  n6 [shape=circle, label="e"];\n'
+    '  n7 [shape=circle, label="c"];\n'
+    '  n8 [shape=circle, label="d"];\n'
+    '  n9 [shape=circle, label="b"];\n'
+    '  n10 [shape=circle, label="a"];\n'
     '  n2 -> n0 [style=dashed];\n'
     '  n2 -> n1 [style=solid];\n'
-    '  n6 -> n2 [style=dashed];\n'
+    '  n3 -> n0 [style=dashed];\n'
+    '  n3 -> n2 [style=solid];\n'
+    '  n4 -> n0 [style=dashed];\n'
+    '  n4 -> n1 [style=solid];\n'
+    '  n5 -> n4 [style=dashed];\n'
+    '  n5 -> n1 [style=solid];\n'
+    '  n6 -> n5 [style=dashed];\n'
     '  n6 -> n1 [style=solid];\n'
-    '  n7 -> n6 [style=dashed];\n'
-    '  n7 -> n1 [style=solid];\n'
-    '  n9 -> n0 [style=dashed];\n'
-    '  n9 -> n1 [style=solid];\n'
-    '  n13 -> n0 [style=dashed];\n'
-    '  n13 -> n7 [style=solid];\n'
-    '  n14 -> n13 [style=dashed];\n'
-    '  n14 -> n9 [style=solid];\n'
-    '  n15 -> n0 [style=dashed];\n'
-    '  n15 -> n9 [style=solid];\n'
-    '  n16 -> n15 [style=dashed];\n'
-    '  n16 -> n14 [style=solid];\n'
-    '  n17 -> n0 [style=dashed];\n'
-    '  n17 -> n16 [style=solid];\n'
+    '  n7 -> n0 [style=dashed];\n'
+    '  n7 -> n6 [style=solid];\n'
+    '  n8 -> n7 [style=dashed];\n'
+    '  n8 -> n2 [style=solid];\n'
+    '  n9 -> n3 [style=dashed];\n'
+    '  n9 -> n8 [style=solid];\n'
+    '  n10 -> n0 [style=dashed];\n'
+    '  n10 -> n9 [style=solid];\n'
     '}\n'
 )
 

@@ -1,6 +1,7 @@
 import json
 import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,22 @@ def test_non_utf8_model_is_reported_with_its_byte_offset(tmp_path, capsys):
     code, out, err = run(capsys, "metric", str(latin), "--domain", "min-cost",
                          "--attribution", "c")
     assert code == 1 and out == "" and err.startswith(f"error: {where}")
+
+
+def test_a_utf8_byte_order_mark_starts_a_model_file(tmp_path, capsys):
+    plain = f"{MODELS}/treasure.at"
+    marked = tmp_path / "treasure.at"
+    marked.write_bytes("\ufeff".encode() + Path(plain).read_bytes())
+    for argv in (["check"], ["metric", "--domain", "min-cost", "--attribution", "time"],
+                 ["dump", "--what", "model"]):
+        code, out, err = run(capsys, argv[0], plain, *argv[1:])
+        assert code == 0 and out and not err
+        assert run(capsys, argv[0], str(marked), *argv[1:]) == (code, out, err)
+    # only the first character may be the mark
+    marked.write_text('\ufefftoplevel "r";\n"r" or "a" \ufeff"b";\n"a" bas;\n"b" bas;\n',
+                      encoding="utf-8")
+    code, out, err = run(capsys, "check", str(marked))
+    assert (code, out, err) == (1, "", "invalid: unexpected character '\\ufeff' at line 2, col 12\n")
 
 
 def test_semantics_text_golden(capsys):
@@ -214,6 +231,8 @@ def test_metric_pareto_vector_attribution(capsys):
         ("pareto(min-cost,prob-max)", "cost,nope", "error: model declares no attribution 'nope'\n"),
         ("pareto(cost-to-defend)", "cost",
          "error: pareto component cost-to-defend has no optimisation sense\n"),
+        ("pareto(min-cost,pareto(max-damage))", "cost,cost",
+         "error: pareto products do not nest\n"),
     ):
         code, out, stderr = run(capsys, "metric", f"{MODELS}/overlap.at",
                                 "--domain", domain, "--attribution", names)
@@ -358,8 +377,8 @@ def test_dump_dot_variants(capsys):
     assert code == 1 and "static" in err
 
 
-# Diagram node ids follow the tree's bottom-up order; a new order would
-# renumber them. Pinned on a static tree and on a static DAG.
+# Diagram nodes are named by their place in the diagram's low-first
+# postorder. Pinned on a static tree and on a static DAG.
 BDD_DUMPS = {
     "treasure.at": (
         'digraph bdd {\n'
@@ -367,14 +386,14 @@ BDD_DUMPS = {
         '  n0 [shape=box, label="0"];\n'
         '  n1 [shape=box, label="1"];\n'
         '  n2 [shape=circle, label="p"];\n'
-        '  n4 [shape=circle, label="t"];\n'
-        '  n6 [shape=circle, label="n"];\n'
+        '  n3 [shape=circle, label="t"];\n'
+        '  n4 [shape=circle, label="n"];\n'
         '  n2 -> n0 [style=dashed];\n'
         '  n2 -> n1 [style=solid];\n'
-        '  n4 -> n0 [style=dashed];\n'
-        '  n4 -> n2 [style=solid];\n'
-        '  n6 -> n4 [style=dashed];\n'
-        '  n6 -> n1 [style=solid];\n'
+        '  n3 -> n0 [style=dashed];\n'
+        '  n3 -> n2 [style=solid];\n'
+        '  n4 -> n3 [style=dashed];\n'
+        '  n4 -> n1 [style=solid];\n'
         '}\n'
     ),
     "overlap.at": (
@@ -382,27 +401,50 @@ BDD_DUMPS = {
         '  rankdir=TB;\n'
         '  n0 [shape=box, label="0"];\n'
         '  n1 [shape=box, label="1"];\n'
-        '  n2 [shape=circle, label="c"];\n'
-        '  n3 [shape=circle, label="b"];\n'
+        '  n2 [shape=circle, label="b"];\n'
+        '  n3 [shape=circle, label="c"];\n'
         '  n4 [shape=circle, label="b"];\n'
-        '  n7 [shape=circle, label="a"];\n'
+        '  n5 [shape=circle, label="a"];\n'
         '  n2 -> n0 [style=dashed];\n'
         '  n2 -> n1 [style=solid];\n'
         '  n3 -> n0 [style=dashed];\n'
         '  n3 -> n1 [style=solid];\n'
-        '  n4 -> n2 [style=dashed];\n'
+        '  n4 -> n3 [style=dashed];\n'
         '  n4 -> n1 [style=solid];\n'
-        '  n7 -> n3 [style=dashed];\n'
-        '  n7 -> n4 [style=solid];\n'
+        '  n5 -> n2 [style=dashed];\n'
+        '  n5 -> n4 [style=solid];\n'
         '}\n'
     ),
 }
+# the minimal attacks {b} and {a, c}: the compiled path through a and b,
+# which holds {b}, is gone and a's high side tests c alone
+OVERLAP_BDD_MIN_DUMP = (
+    'digraph bdd {\n'
+    '  rankdir=TB;\n'
+    '  n0 [shape=box, label="0"];\n'
+    '  n1 [shape=box, label="1"];\n'
+    '  n2 [shape=circle, label="b"];\n'
+    '  n3 [shape=circle, label="c"];\n'
+    '  n4 [shape=circle, label="a"];\n'
+    '  n2 -> n0 [style=dashed];\n'
+    '  n2 -> n1 [style=solid];\n'
+    '  n3 -> n0 [style=dashed];\n'
+    '  n3 -> n1 [style=solid];\n'
+    '  n4 -> n2 [style=dashed];\n'
+    '  n4 -> n3 [style=solid];\n'
+    '}\n'
+)
 
 
 @pytest.mark.parametrize("model", sorted(BDD_DUMPS))
 def test_dump_bdd_node_ids_golden(capsys, model):
     code, out, _ = run(capsys, "dump", f"{MODELS}/{model}", "--what", "bdd")
     assert code == 0 and out == BDD_DUMPS[model]
+
+
+def test_dump_bdd_min_golden(capsys):
+    code, out, _ = run(capsys, "dump", f"{MODELS}/overlap.at", "--what", "bdd-min")
+    assert code == 0 and out == OVERLAP_BDD_MIN_DUMP
 
 
 def test_dump_dot_escapes_backslashes(capsys, tmp_path):

@@ -213,8 +213,11 @@ def test_pareto_product_construction():
     assert pareto_product([builtin("min-cost"), plain]).laws == frozenset()
     with pytest.raises(EmptyProduct):
         pareto_product([])
-    with pytest.raises(EmptyProduct):
-        pareto_product([d, builtin("min-cost")])  # no nesting
+    for nested in (lambda: pareto_product([d, builtin("min-cost")]),
+                   lambda: builtin("pareto(min-cost,pareto(max-damage))"),
+                   lambda: builtin("pareto(pareto(min-cost,min-skill),max-damage)")):
+        with pytest.raises(EmptyProduct, match=r"^pareto products do not nest$"):
+            nested()
     with pytest.raises(EmptyProduct,
                        match=r"^pareto component cost-to-defend has no optimisation sense$"):
         pareto_product([builtin("min-cost"), builtin("cost-to-defend")])
