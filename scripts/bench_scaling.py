@@ -53,19 +53,35 @@ the nodes (`AttackTree.topological`), so the bas_of and fold columns pay
 for no walk on a proper tree: bas_of picks the BAS out of that order, which
 there is the left-to-right preorder, and the fold reads it backwards.
 
+Experiment 5: the cold start of a command, `import atquant.cli` in
+--cold-starts fresh interpreters, each run as `python -c` on a copy of the
+package that has no bytecode cache, with PYTHONDONTWRITEBYTECODE=1 so that
+none is written: every run compiles the package from source, as the first
+run of a new checkout does, while the standard library keeps its cache. It
+prints the median time of the import alone, timed inside the child, the
+median time of the whole child process, spawn to exit, and the number of
+modules the import adds to sys.modules.
+
     python3 scripts/bench_scaling.py [--max-power 17] [--ladder-max 2048]
+                                     [--cold-starts 11]
 """
 
 import argparse
 import gc
+import os
 import random
+import shutil
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
+SRC = Path(__file__).parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from atquant import (
     ModelDocument,
@@ -93,6 +109,7 @@ from atquant.tree import NodeType
 class BenchConfig:
     max_power: int = 17  # balanced trees up to 2^max_power - 1 nodes
     ladder_max: int = 2048  # largest ladder, in rungs
+    cold_starts: int = 11  # fresh interpreters that import atquant.cli
 
 
 def balanced_tree(leaf_power: int, gates=(NodeType.AND, NodeType.OR)):
@@ -334,16 +351,42 @@ def bench_parse(cfg: BenchConfig) -> None:
     print()
 
 
+def bench_cold_start(cfg: BenchConfig) -> None:
+    print("cold start: import atquant.cli in fresh interpreters, no bytecode cache")
+    print(f"{'runs':>5} {'import ms':>10} {'process ms':>11} {'modules':>8}")
+    code = ("import sys, time; before = set(sys.modules); t0 = time.perf_counter(); "
+            "import atquant.cli; took = time.perf_counter() - t0; "
+            "print(took, len(set(sys.modules) - before))")
+    imports, processes, added = [], [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(SRC / "atquant", Path(tmp) / "atquant",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
+        for _ in range(cfg.cold_starts):
+            t0 = time.perf_counter()
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            processes.append(time.perf_counter() - t0)
+            took, modules = run.stdout.split()
+            imports.append(float(took))
+            added.append(int(modules))
+    print(f"{cfg.cold_starts:>5} {statistics.median(imports) * 1000:>10.1f} "
+          f"{statistics.median(processes) * 1000:>11.1f} {max(added):>8}")
+    print()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-power", type=int, default=17)
     ap.add_argument("--ladder-max", type=int, default=2048)
+    ap.add_argument("--cold-starts", type=int, default=11)
     ns = ap.parse_args()
-    cfg = BenchConfig(ns.max_power, ns.ladder_max)
+    cfg = BenchConfig(ns.max_power, ns.ladder_max, ns.cold_starts)
     bench_fold(cfg)
     bench_ladder(cfg)
     bench_well_formed(cfg)
     bench_parse(cfg)
+    bench_cold_start(cfg)
     return 0
 
 

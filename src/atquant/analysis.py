@@ -32,10 +32,9 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bdd import FALSE, TRUE, Bdd, VarOrder, from_structure_function, minimise
 from .domains import INF, AttributeDomain
@@ -58,6 +57,7 @@ from .semantics import (
     oracle_metric_dynamic,
     oracle_metric_static,
 )
+from .record import Record
 from .tree import AttackTree, Dynamics, NodeType, Shape, StructureKind, bas_of, classify, fold
 
 
@@ -341,8 +341,7 @@ def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
     })
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
+class AnalysisRequest(NamedTuple):
     tree: AttackTree
     alpha: dict
     domain: AttributeDomain
@@ -352,14 +351,18 @@ class AnalysisRequest:
     budget: int = DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
-    metric: str
-    value: object  # the metric; for k_top, that of the best attack
-    algorithm: str
-    warnings: tuple[str, ...]
-    witnesses: Optional[tuple] = None  # (metric, frozenset of BAS ids) pairs
-    stats: dict = field(default_factory=dict)
+class AnalysisResult(Record):
+    """What `analyze` found: `value` is the metric, for k-top that of the
+    best attack, and `witnesses` k-top's (metric, frozenset of BAS ids)
+    pairs; `stats` is a fresh dict unless one is passed."""
+
+    _compared = ("metric", "value", "algorithm", "warnings", "witnesses", "stats")
+
+    def __init__(self, metric: str, value: object, algorithm: str, warnings: tuple[str, ...],
+                 witnesses: Optional[tuple] = None, stats: Optional[dict] = None):
+        self.__dict__.update(metric=metric, value=value, algorithm=algorithm,
+                             warnings=warnings, witnesses=witnesses,
+                             stats={} if stats is None else stats)
 
 
 _ORACLE_WARNING = "definitional oracle is exponential in the number of basic actions"

@@ -33,11 +33,11 @@ minimal attacks, or a non-absorbing domain, build it (see `analysis`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 from .errors import DynamicTreeRejected, InvalidBdd, OrderMismatch
+from .record import Record
 from .tree import AttackTree, Dynamics, NodeType, bas_of, classify
 
 FALSE = 0
@@ -48,17 +48,17 @@ TRUE = 1
 _EXPAND = -1
 
 
-@dataclass(frozen=True)
-class VarOrder:
-    """Bijection between BAS ids and ranks 0..n-1 (rank = position)."""
+class VarOrder(Record):
+    """Bijection between BAS ids and ranks 0..n-1 (rank = position).
+    `_rank`, BAS id -> rank, is built here from `bas` alone."""
 
-    bas: tuple[int, ...]
-    _rank: dict = field(compare=False, repr=False, default_factory=dict)
+    _compared = ("bas",)
 
-    def __post_init__(self):
-        if len(set(self.bas)) != len(self.bas):
+    def __init__(self, bas: tuple[int, ...]):
+        rank = {b: i for i, b in enumerate(bas)}
+        if len(rank) != len(bas):
             raise OrderMismatch("variable order repeats a basic action")
-        self._rank.update({b: i for i, b in enumerate(self.bas)})
+        self.__dict__.update(bas=bas, _rank=rank)
 
     def __len__(self):
         return len(self.bas)
@@ -127,11 +127,16 @@ class _Store:
         return out[0]
 
 
-@dataclass(frozen=True)
-class Bdd:
-    store: _Store = field(repr=False)
-    order: VarOrder
-    root: int
+class Bdd(Record):
+    """The diagram rooted at `root` in `store`, ranked by `order`."""
+
+    _compared = ("store", "order", "root")
+
+    def __init__(self, store: _Store, order: VarOrder, root: int):
+        self.__dict__.update(store=store, order=order, root=root)
+
+    def __repr__(self):
+        return f"Bdd(order={self.order!r}, root={self.root!r})"
 
     def var_at(self, node_id: int) -> int:
         """BAS id labelling a nonterminal node."""

@@ -22,16 +22,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter, mul
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
+from .record import Record
 
 
 INF = math.inf  # the one infinity a value holds; compared by identity
@@ -79,8 +79,7 @@ _LAW_PROBES = {
 LAWS = frozenset(_LAW_PROBES)
 
 
-@dataclass(frozen=True)
-class AttributeDomain:
+class AttributeDomain(Record):
     """(V, or_op, and_op[, seq_op]) with optional neutral elements.
 
     or_op is the fold across alternative attacks, and_op the fold within an
@@ -88,30 +87,30 @@ class AttributeDomain:
     None when sequential composition is undefined for this domain). laws,
     any iterable, is kept as the frozenset of the laws of LAWS that the
     operators satisfy; a seq-* law needs a seq_op, and and-is-plus a sense,
-    by which k-top ranks attacks.
+    by which k-top ranks attacks. Every field is compared, in the order of
+    the constructor's parameters.
     """
 
-    name: str
-    kind: ValueKind
-    or_op: Callable
-    and_op: Callable
-    seq_op: Optional[Callable] = None
-    or_neutral: object = None
-    and_neutral: object = None
-    laws: frozenset[str] = frozenset()
-    sense: Optional[str] = None  # "min" | "max": what or_op optimises
-    components: Optional[tuple["AttributeDomain", ...]] = None  # pareto only
+    _compared = ("name", "kind", "or_op", "and_op", "seq_op", "or_neutral", "and_neutral",
+                 "laws", "sense", "components")
 
-    def __post_init__(self):
-        object.__setattr__(self, "laws", frozenset(self.laws))
-        for law in sorted(self.laws):
+    def __init__(self, name: str, kind: ValueKind, or_op: Callable, and_op: Callable,
+                 seq_op: Optional[Callable] = None, or_neutral: object = None,
+                 and_neutral: object = None, laws: Iterable[str] = frozenset(),
+                 sense: Optional[str] = None,  # "min" | "max": what or_op optimises
+                 components: Optional[tuple[AttributeDomain, ...]] = None):  # pareto only
+        laws = frozenset(laws)
+        for law in sorted(laws):
             if law not in LAWS:
                 known = ", ".join(sorted(LAWS))
-                raise InvalidDomain(f"{self.name}: unknown law {law!r}; laws: {known}")
-            if law.startswith("seq-") and self.seq_op is None:
-                raise InvalidDomain(f"{self.name}: law {law!r} needs a sequential operator")
-        if "and-is-plus" in self.laws and self.sense is None:
-            raise InvalidDomain(f"{self.name}: law 'and-is-plus' needs a sense")
+                raise InvalidDomain(f"{name}: unknown law {law!r}; laws: {known}")
+            if law.startswith("seq-") and seq_op is None:
+                raise InvalidDomain(f"{name}: law {law!r} needs a sequential operator")
+        if "and-is-plus" in laws and sense is None:
+            raise InvalidDomain(f"{name}: law 'and-is-plus' needs a sense")
+        self.__dict__.update(name=name, kind=kind, or_op=or_op, and_op=and_op, seq_op=seq_op,
+                             or_neutral=or_neutral, and_neutral=and_neutral, laws=laws,
+                             sense=sense, components=components)
 
     @property
     def has_neutrals(self) -> bool:
@@ -288,15 +287,13 @@ BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 # -- law checking -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     law: str
     holds: bool
     counterexample: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     domain: str
     results: tuple[LawResult, ...]
 

@@ -47,7 +47,6 @@ import gc
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import is_, not_, sub
@@ -66,6 +65,7 @@ from .errors import (
     ModelSyntaxError,
     TreeBuildError,
 )
+from .record import Record
 from .tree import AttackTree, NodeType, bas_of, freeze
 
 _KINDS = {"bas": NodeType.BAS, "or": NodeType.OR, "and": NodeType.AND, "sand": NodeType.SAND}
@@ -115,11 +115,17 @@ _STATEMENT = re.compile(
 _SEPARATORS = str.maketrans("", "", " \t\r\n=;")
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    tree: AttackTree
-    attributions: dict = field(default_factory=dict)  # name -> {bas id -> value}
-    orders: dict = field(default_factory=dict)  # name -> tuple of bas ids
+class ModelDocument(Record):
+    """A model: its tree, its attributions (name -> {bas id -> value}) and
+    its orders (name -> tuple of bas ids); each omitted table is a fresh
+    dict."""
+
+    _compared = ("tree", "attributions", "orders")
+
+    def __init__(self, tree: AttackTree, attributions: Optional[dict] = None,
+                 orders: Optional[dict] = None):
+        self.__dict__.update(tree=tree, attributions={} if attributions is None else attributions,
+                             orders={} if orders is None else orders)
 
 
 class _Draft:

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     BudgetExceeded,
@@ -39,8 +38,7 @@ from .tree import (AttackTree, Dynamics, NodeType, Shape, bas_of, classify, desc
 
 DEFAULT_BUDGET = 20
 
-@dataclass(frozen=True)
-class PosetAttack:
+class PosetAttack(NamedTuple):
     """An attack set together with the execution order imposed on it.
 
     The order is stored as a transitive reduction, so two poset attacks are

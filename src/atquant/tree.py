@@ -20,11 +20,10 @@ in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BasWithChildren,
@@ -37,6 +36,7 @@ from .errors import (
     TreeBuildError,
     UnknownNode,
 )
+from .record import Record
 
 
 class NodeType(Enum):
@@ -56,8 +56,7 @@ class Dynamics(Enum):
     DYNAMIC = "dynamic"
 
 
-@dataclass(frozen=True)
-class StructureKind:
+class StructureKind(NamedTuple):
     shape: Shape
     dynamics: Dynamics
 
@@ -65,19 +64,20 @@ class StructureKind:
         return f"({self.shape.value}, {self.dynamics.value})"
 
 
-@dataclass(frozen=True)
-class AttackTree:
+class AttackTree(Record):
     """Columns indexed by node id. Made by `freeze` or `static_projection`,
     which pass the structure kind and `topological`, the order in which
     `freeze` popped the nodes: the root first and every node after all of
-    its parents, on a proper tree the left-to-right preorder."""
+    its parents, on a proper tree the left-to-right preorder. Both follow
+    from the columns, so equality, hash and repr leave them out."""
 
-    labels: tuple[str, ...]
-    types: tuple[NodeType, ...]
-    children: tuple[tuple[int, ...], ...]
-    root: int
-    kind: StructureKind = field(compare=False, repr=False)
-    topological: tuple[int, ...] = field(compare=False, repr=False)
+    _compared = ("labels", "types", "children", "root")
+
+    def __init__(self, labels: tuple[str, ...], types: tuple[NodeType, ...],
+                 children: tuple[tuple[int, ...], ...], root: int,
+                 kind: StructureKind, topological: tuple[int, ...]):
+        self.__dict__.update(labels=labels, types=types, children=children, root=root,
+                             kind=kind, topological=topological)
 
     def __len__(self):
         return len(self.labels)

@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 from atquant import (bas_of, build, classify, minimal_attacks_static, ordering_graph,
                      static_projection, structure_function)
 from atquant.bdd import FALSE, TRUE, Bdd, _Store
-from atquant.domains import _dominates
+from atquant.domains import AttributeDomain, _dominates
 from atquant.errors import InvalidBdd
 from atquant.semantics import DEFAULT_BUDGET, transitive_closure
 from atquant.tree import AttackTree, Dynamics, NodeType, Shape, fold
@@ -201,6 +201,14 @@ def postorder(start: int, children: Callable[[int], Sequence[int]]) -> tuple[int
         done.add(v)
         out.append(v)
     return tuple(out)
+
+
+def domain_with(domain: AttributeDomain, **changes) -> AttributeDomain:
+    """The domain with the named fields changed, rebuilt through its
+    constructor, so the InvalidDomain checks run on the result. A domain
+    compares every field, in the constructor's order."""
+    fields = {name: getattr(domain, name) for name in domain._compared}
+    return AttributeDomain(**{**fields, **changes})
 
 
 def law_triples(domain, n: int, seed: int) -> list[tuple]:

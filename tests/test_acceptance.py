@@ -6,7 +6,6 @@ fixture and shared by the criteria that quantify over them (5, 6 and 9).
 """
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -46,6 +45,7 @@ from helpers import (
     DAT_DOMAINS,
     SAT_DOMAINS,
     alpha,
+    domain_with,
     overlap,
     ill_cross,
     ill_repeat,
@@ -356,11 +356,11 @@ def test_criterion_07_algebra_suite():
     ctd, mc = builtin("cost-to-defend"), builtin("min-cost")
     par, skill = builtin("min-time-par"), builtin("min-skill")
     false_claims = {
-        "and-over-or": replace(ctd, laws=frozenset({"and-over-or"})),  # min over +
-        "seq-over-and": replace(mc, laws=frozenset({"seq-over-and"})),  # + over +
-        "seq-over-or": replace(ctd, seq_op=nat_add, laws=frozenset({"seq-over-or"})),  # + over +
-        "seq-is-and": replace(par, laws=par.laws | {"seq-is-and"}),  # + is not max
-        "and-is-plus": replace(skill, laws=skill.laws | {"and-is-plus"}),  # max is not +
+        "and-over-or": domain_with(ctd, laws=frozenset({"and-over-or"})),  # min over +
+        "seq-over-and": domain_with(mc, laws=frozenset({"seq-over-and"})),  # + over +
+        "seq-over-or": domain_with(ctd, seq_op=nat_add, laws=frozenset({"seq-over-or"})),  # + over +
+        "seq-is-and": domain_with(par, laws=par.laws | {"seq-is-and"}),  # + is not max
+        "and-is-plus": domain_with(skill, laws=skill.laws | {"and-is-plus"}),  # max is not +
     }
     assert false_claims.keys() == LAWS
     for law, d in false_claims.items():

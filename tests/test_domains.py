@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from atquant.domains import (
 )
 from atquant.errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
 
-from helpers import law_triples, pairwise_prune
+from helpers import domain_with, law_triples, pairwise_prune
 
 nat = st.one_of(st.integers(min_value=0, max_value=50), st.just(INF))
 
@@ -95,11 +94,11 @@ def test_builtin_flags_match_their_algebra():
 def test_a_domain_refuses_laws_it_cannot_declare():
     mc = builtin("min-cost")
     with pytest.raises(InvalidDomain, match="^min-cost: unknown law 'and-over-0r'; laws: "):
-        dataclasses.replace(mc, laws=frozenset({"and-over-or", "and-over-0r"}))
+        domain_with(mc, laws=frozenset({"and-over-or", "and-over-0r"}))
     for law in ("seq-over-and", "seq-over-or", "seq-is-and"):
         needs_seq = f"^min-cost: law '{law}' needs a sequential operator$"
         with pytest.raises(InvalidDomain, match=needs_seq):
-            dataclasses.replace(mc, seq_op=None, laws=frozenset({law}))
+            domain_with(mc, seq_op=None, laws=frozenset({law}))
     # k-top ranks by the sense, so addition alone is not enough to go on
     with pytest.raises(InvalidDomain, match="^plus: law 'and-is-plus' needs a sense$"):
         AttributeDomain("plus", ValueKind.NATURAL, nat_add, nat_add, laws={"and-is-plus"})
@@ -209,7 +208,7 @@ def test_pareto_product_construction():
     assert tuple(c.sense for c in mixed.components) == ("min", "max")
     # a product is a semiring only when every component is one
     assert d.laws == {"and-over-or"}
-    plain = dataclasses.replace(builtin("min-skill"), laws=frozenset())
+    plain = domain_with(builtin("min-skill"), laws=frozenset())
     assert pareto_product([builtin("min-cost"), plain]).laws == frozenset()
     with pytest.raises(EmptyProduct):
         pareto_product([])

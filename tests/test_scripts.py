@@ -28,7 +28,7 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
 
 
 @pytest.mark.parametrize("name, args", [
-    ("bench_scaling.py", ("--max-power", "11", "--ladder-max", "8")),
+    ("bench_scaling.py", ("--max-power", "11", "--ladder-max", "8", "--cold-starts", "3")),
     ("run_examples.py", ()),
 ])
 def test_script_runs(name, args):
@@ -39,3 +39,6 @@ def test_script_runs(name, args):
         # the compile and minimise table starts at the largest ladder, 8
         table = run.stdout.split("compile and minimise")[1]
         assert re.search(r"^ +8 \|", table, re.M), table
+        # the cold-start row: runs, import ms, process ms, modules added
+        cold = run.stdout.split("cold start")[1]
+        assert re.search(r"^ +3 +\d+\.\d +\d+\.\d +[1-9]\d*$", cold, re.M), cold
