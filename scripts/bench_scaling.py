@@ -54,16 +54,14 @@ for no walk on a proper tree: bas_of picks the BAS out of that order, which
 there is the left-to-right preorder, and the fold reads it backwards.
 
 Experiment 5: the cold start of a command, `import atquant.cli` in
---cold-starts fresh interpreters, each run as `python -c` on a copy of the
+COLD_STARTS fresh interpreters, each run as `python -c` on a copy of the
 package that has no bytecode cache, with PYTHONDONTWRITEBYTECODE=1 so that
 none is written: every run compiles the package from source, as the first
 run of a new checkout does, while the standard library keeps its cache. It
-prints the median time of the import alone, timed inside the child, the
-median time of the whole child process, spawn to exit, and the number of
-modules the import adds to sys.modules.
+prints the median time of the import, timed inside the child, and the
+number of modules the import adds to sys.modules.
 
     python3 scripts/bench_scaling.py [--max-power 17] [--ladder-max 2048]
-                                     [--cold-starts 11]
 """
 
 import argparse
@@ -104,12 +102,12 @@ from atquant.io import _match
 from atquant.semantics import DEFAULT_BUDGET
 from atquant.tree import NodeType
 
+COLD_STARTS = 11  # fresh interpreters that import atquant.cli
 
 @dataclass(frozen=True)
 class BenchConfig:
     max_power: int = 17  # balanced trees up to 2^max_power - 1 nodes
     ladder_max: int = 2048  # largest ladder, in rungs
-    cold_starts: int = 11  # fresh interpreters that import atquant.cli
 
 
 def balanced_tree(leaf_power: int, gates=(NodeType.AND, NodeType.OR)):
@@ -351,27 +349,24 @@ def bench_parse(cfg: BenchConfig) -> None:
     print()
 
 
-def bench_cold_start(cfg: BenchConfig) -> None:
+def bench_cold_start() -> None:
     print("cold start: import atquant.cli in fresh interpreters, no bytecode cache")
-    print(f"{'runs':>5} {'import ms':>10} {'process ms':>11} {'modules':>8}")
+    print(f"{'runs':>5} {'import ms':>10} {'modules':>8}")
     code = ("import sys, time; before = set(sys.modules); t0 = time.perf_counter(); "
             "import atquant.cli; took = time.perf_counter() - t0; "
             "print(took, len(set(sys.modules) - before))")
-    imports, processes, added = [], [], []
+    imports, added = [], []
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(SRC / "atquant", Path(tmp) / "atquant",
                         ignore=shutil.ignore_patterns("__pycache__"))
         env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
-        for _ in range(cfg.cold_starts):
-            t0 = time.perf_counter()
+        for _ in range(COLD_STARTS):
             run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                  text=True, check=True)
-            processes.append(time.perf_counter() - t0)
             took, modules = run.stdout.split()
             imports.append(float(took))
             added.append(int(modules))
-    print(f"{cfg.cold_starts:>5} {statistics.median(imports) * 1000:>10.1f} "
-          f"{statistics.median(processes) * 1000:>11.1f} {max(added):>8}")
+    print(f"{COLD_STARTS:>5} {statistics.median(imports) * 1000:>10.1f} {max(added):>8}")
     print()
 
 
@@ -379,14 +374,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-power", type=int, default=17)
     ap.add_argument("--ladder-max", type=int, default=2048)
-    ap.add_argument("--cold-starts", type=int, default=11)
     ns = ap.parse_args()
-    cfg = BenchConfig(ns.max_power, ns.ladder_max, ns.cold_starts)
+    cfg = BenchConfig(ns.max_power, ns.ladder_max)
     bench_fold(cfg)
     bench_ladder(cfg)
     bench_well_formed(cfg)
     bench_parse(cfg)
-    bench_cold_start(cfg)
+    bench_cold_start()
     return 0
 
 
