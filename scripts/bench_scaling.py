@@ -9,14 +9,18 @@ Experiment 2: the shared-structure diagram fold on ladder DAGs
 AND(OR(b1,b2), OR(b2,b3), ...) where every inner action is shared by two
 gates, doubling from 4 to 2048 rungs, against the exponential subset oracle
 up to its default BAS budget, with the five cheapest attacks (k-top, k = 5)
-beside it; both timings include compiling and minimising the diagram. A
-second k-top column costs the i-th action 1/p_i for the i-th prime p_i: k-top
+beside it. Every diagram timing includes compiling. The min-cost fold
+is the shortest path of the compiled diagram; the min-skill and prob-max
+folds (probability 1/c for cost c) walk the compiled diagram too, as both
+domains declare or-absorbs-and; max-damage, which does not, is the
+control that minimises first, and so does k-top. A second k-top column
+costs the i-th action 1/p_i for the i-th prime p_i: k-top
 sums path weights as integers over the common denominator of the costs,
 and pairwise coprime denominators make that the product of all of them,
 its worst case (about 3,500 digits at 1,024 rungs). Next to the
-reachable node count of the minimised diagram it prints the size of the
-unique table those nodes live in, which counts every node ever made while
-compiling and minimising. A second table compiles and minimises four
+reachable node count of the diagram min-cost folds it prints the size of
+the unique table those nodes live in, which counts every node made while
+compiling. A second table compiles and minimises four
 more families, doubling their size from 256 (or the largest ladder, if
 that is smaller) to 8 times the largest ladder: a left-deep AND chain
 AND(AND(AND(b0, b1), b2), ...), a nested interval DAG (a balanced binary
@@ -221,16 +225,21 @@ def bench_fold(cfg: BenchConfig) -> None:
 
 
 def bench_ladder(cfg: BenchConfig) -> None:
-    print("ladder DAGs, min-cost: diagram fold and k-top vs subset oracle")
+    print("ladder DAGs, min-cost: diagram fold and k-top vs subset oracle; the diagram")
+    print("fold (bdd ms) in min-skill, prob-max and, minimising, max-damage")
     print(f"{'BAS':>5} {'bdd nodes':>10} {'unique':>8} {'bdd ms':>8} {'ktop ms':>8} "
-          f"{'ktop 1/p':>9} {'oracle ms':>10} {'agree':>6}")
+          f"{'ktop 1/p':>9} {'oracle ms':>10} {'agree':>6} {'skill ms':>9} {'pmax ms':>9} "
+          f"{'dmg ms':>9}")
     dom = builtin("min-cost")
     rungs = 4
     while rungs <= cfg.ladder_max:
         t = ladder_dag(rungs)
         n = len(bas_of(t))
         a = {b: 1 + (b % 3) for b in bas_of(t)}
+        p = {b: Fraction(1, c) for b, c in a.items()}
         (value, diagram), dt_bdd = clock(bu_bdd_detailed, t, a, dom)
+        folds = [clock(bu_bdd_detailed, t, values, builtin(name))[1]
+                 for name, values in (("min-skill", a), ("prob-max", p), ("max-damage", a))]
         top, dt_ktop = clock(k_top, t, a, dom, 5)
         assert top[0][0] == value, "the cheapest attack costs the metric"
         coprime = {b: Fraction(1, p) for b, p in zip(bas_of(t), primes(n))}
@@ -244,7 +253,7 @@ def bench_ladder(cfg: BenchConfig) -> None:
             oracle_col = f"{'skipped':>10}"
         print(f"{n:>5} {diagram.node_count():>10} {len(diagram.store.unique):>8} "
               f"{dt_bdd * 1000:>8.1f} {dt_ktop * 1000:>8.1f} {dt_coprime * 1000:>9.1f} "
-              f"{oracle_col} {agree:>6}")
+              f"{oracle_col} {agree:>6}" + "".join(f" {dt * 1000:>9.1f}" for dt in folds))
         rungs *= 2
     print()
     families = (("AND chain", and_chain), ("nested interval", nested_interval_dag),

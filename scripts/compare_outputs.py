@@ -14,9 +14,10 @@ model, with the domains, attributions and orders the model declares:
 - dump of all four kinds, and bdd/bdd-min under each declared order;
 - metric for every builtin domain x every attribution x every --algorithm,
   text and JSON;
-- metric in pareto(min-cost,max-damage) over the first two attributions in
-  sorted order, comma-joined, for every --algorithm, text and JSON, if the
-  model declares two or more;
+- metric in pareto(min-cost,max-damage), which does not absorb, and in
+  pareto(min-cost,min-skill), which does, over the first two attributions
+  in sorted order, comma-joined, for every --algorithm, text and JSON, if
+  the model declares two or more;
 - ktop with k 1 and 3 for every builtin domain x every attribution, under
   the default and each declared order, text and JSON, so the refusals of
   the domains k-top does not take are compared too;
@@ -44,7 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("text", "json")
 ALGORITHMS = ("auto", "bu", "bdd", "oracle")
-PARETO = "pareto(min-cost,max-damage)"
+PARETOS = ("pareto(min-cost,max-damage)", "pareto(min-cost,min-skill)")
 MILLIS = re.compile(r'"millis": [-+.\deE]+')
 
 
@@ -59,9 +60,9 @@ def battery(model: str, attributions, orders, domains) -> list[list[str]]:
             for domain in domains for name in attributions
             for algorithm in ALGORITHMS for fmt in FORMATS]
     if len(attributions) >= 2:
-        out += [["metric", model, "--domain", PARETO, "--attribution", ",".join(attributions[:2]),
+        out += [["metric", model, "--domain", pareto, "--attribution", ",".join(attributions[:2]),
                  "--algorithm", algorithm, "--format", fmt]
-                for algorithm in ALGORITHMS for fmt in FORMATS]
+                for pareto in PARETOS for algorithm in ALGORITHMS for fmt in FORMATS]
     out += [["ktop", model, "--domain", domain, "--attribution", name, "--k", k,
              "--format", fmt, *order]
             for domain in domains for name in attributions for k in ("1", "3")

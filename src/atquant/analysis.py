@@ -2,24 +2,28 @@
 
 Four computation routes. Each is exact only for a domain that declares
 every law of one of the law sets the table _EXACT gives for it (the laws
-are those of domains.LAWS); the auto route, the engine guards, the k-top
-engine and the shortest-path shortcut of bu_bdd all read that table:
+are those of domains.LAWS); the auto route, the engine guards and the
+k-top engine all read that table:
 
 - bu_sat: single bottom-up pass over a STATIC proper TREE; needs
   and-over-or (a semiring).
-- bu_bdd: fold over the minimal-solutions BDD; handles shared subtrees
-  (static DAGs), needs and-over-or and both neutral elements. A domain
-  that k-top takes with sense min (or is min, and is + over non-negative
-  values) skips the minimal-solutions transform and takes the shortest
-  root-to-TRUE path of the compiled diagram, high edges weighing their
-  variable's value: the high set of a TRUE-path satisfies the structure
-  function, so it contains a minimal attack, which costs no more; and a
-  minimal attack, read as an assignment, follows a TRUE-path whose high
-  set it contains, which costs no more than the attack. By absorption,
-  min(x, x + y) = x, the extra paths of the plain diagram never win.
-  Max-damage and max-challenge are not absorbing, so they, and k_top,
-  which needs distinct minimal attacks, keep the minimal-solutions
-  diagram.
+- bu_bdd: fold over a BDD of the structure function; handles shared
+  subtrees (static DAGs), needs and-over-or and both neutral elements.
+  The law or-absorbs-and alone picks the diagram. The fold over a diagram
+  is the or_op over its root-to-TRUE paths of the and_op of the values of
+  the path's high-edge variables. The high set of a TRUE-path of the
+  compiled diagram satisfies the structure function, so it contains a
+  minimal attack; and each minimal attack, read as an assignment, follows
+  a TRUE-path whose high set it contains, so is that set. Every path is
+  thus a minimal attack or adds to one, and by absorption, x or (x and y)
+  = x, the added paths change nothing: an absorbing domain folds the
+  compiled diagram. Any other domain, such as max-damage or max-challenge,
+  whose or_op prefers the larger attack, folds the minimal-solutions
+  diagram, whose paths are exactly the minimal attacks. A domain that also
+  declares and-is-plus takes the fold as the shortest root-to-TRUE path,
+  summed over integers; min(x, x + y) = x needs y >= 0, so a negative
+  value sends it back to the minimal-solutions diagram. k_top, which needs
+  distinct minimal attacks, always minimises.
 - k_top: the k best attacks as k shortest paths, one bottom-up pass over the
   weighted BDD; needs and-is-plus, and ranks by the domain's sense.
 - bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
@@ -171,12 +175,14 @@ def bu_bdd_detailed(
 ) -> tuple[object, Bdd]:
     """(metric, the diagram folded): see `bu_bdd`."""
     _require("bu_bdd", domain)
-    b = from_structure_function(t, order)
-    if domain.sense == "min" and _exact("ktop", domain):
-        scale, weight = _scaled_weights(_rank_values(t, alpha, b), 1)
+    m = from_structure_function(t, order)
+    if "or-absorbs-and" not in domain.laws:
+        m = minimise(m)
+    elif "and-is-plus" in domain.laws:
+        scale, weight = _scaled_weights(_rank_values(t, alpha, m), 1)
         if not any(w < 0 for w in weight if w is not None):
-            return _shortest_path(b, weight, scale)
-    m = minimise(b)
+            return _shortest_path(m, weight, scale)
+        m = minimise(m)  # x + y may be less than x
     ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
     or_op, and_op = domain.or_op, domain.and_op
     at_rank = _rank_values(t, alpha, m)
@@ -189,8 +195,9 @@ def bu_bdd_detailed(
 
 def _shortest_path(b: Bdd, weight: list, scale: int) -> tuple[object, Bdd]:
     """The least weight of a root-to-TRUE path of the compiled diagram,
-    high edges weighing their rank's weight; exact for min-additive domains
-    (see the module docstring)."""
+    high edges weighing their rank's non-negative weight: the fold of a
+    domain declaring or-absorbs-and and and-is-plus (see the module
+    docstring)."""
     ranks, lows, highs = b.store.ranks, b.store.lows, b.store.highs
     dist = [math.inf, 0] + [None] * (len(ranks) - 2)
     for v in b.postorder:
@@ -205,10 +212,10 @@ def _shortest_path(b: Bdd, weight: list, scale: int) -> tuple[object, Bdd]:
 
 
 def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None):
-    """Metric through a decision diagram of the structure function, the
-    compiled one for a min-additive domain whose values are all
-    non-negative, else the minimal-solutions one; exact on shared
-    structures."""
+    """Metric through a decision diagram of the structure function, exact
+    on shared structures: the compiled one for a domain declaring
+    or-absorbs-and, else the minimal-solutions one, which an and-is-plus
+    domain handed a negative value also takes."""
     return bu_bdd_detailed(t, alpha, domain, order)[0]
 
 

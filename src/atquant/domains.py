@@ -10,12 +10,16 @@ Pareto fronts are frozensets of component tuples.
 A domain declares, in `laws`, which laws of the vocabulary LAWS its
 operators satisfy: and-over-or (and_op distributes over or_op: a
 semiring), seq-over-and and seq-over-or (seq_op distributes over each),
-seq-is-and (seq_op gives and_op's values) and and-is-plus (and_op is
-addition). The engine table of analysis reads them, and nothing else says
-which engine is exact. The declarations are honest: integer addition does
-not distribute over itself, so min-cost, whose sequential operator is its
-conjunctive one, declares seq-is-and and not seq-over-and.
-check_semiring_laws probes what a domain declares.
+seq-is-and (seq_op gives and_op's values), and-is-plus (and_op is
+addition) and or-absorbs-and (or_op(x, and_op(x, y)) is x: adding to an
+attack never makes it preferred). The engine table of analysis reads them,
+and bu_bdd reads or-absorbs-and to fold the compiled diagram; nothing else
+says which engine is exact. The declarations are honest: integer addition
+does not distribute over itself, so min-cost, whose sequential operator is
+its conjunctive one, declares seq-is-and and not seq-over-and; and
+max-damage and max-challenge, whose or_op prefers a larger attack value,
+do not declare or-absorbs-and. check_semiring_laws probes what a domain
+declares.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ _LAW_PROBES = {
     "seq-over-or": lambda d, x, y, z: _distributes(d.seq_op, d.or_op, x, y, z),
     "seq-is-and": lambda d, x, y, z: d.seq_op(x, y) == d.and_op(x, y),
     "and-is-plus": lambda d, x, y, z: d.and_op(x, y) == nat_add(x, y),
+    "or-absorbs-and": lambda d, x, y, z: d.or_op(x, d.and_op(x, y)) == x,
 }
 LAWS = frozenset(_LAW_PROBES)
 
@@ -211,7 +216,8 @@ def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
     Disjunction is union-then-prune of fronts; conjunction combines fronts
     pairwise with the componentwise conjunctive ops, then prunes; each
     component's `sense` says which way it optimises. Sequential composition
-    is left undefined (open problem for the dynamic case).
+    is left undefined (open problem for the dynamic case). The product
+    declares and-over-or, and or-absorbs-and, when every component does.
     """
     components = tuple(components)
     if not components:
@@ -242,7 +248,8 @@ def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
         seq_op=None,
         or_neutral=frozenset(),
         and_neutral=frozenset({tuple(c.and_neutral for c in components)}) if neutrals_ok else None,
-        laws={"and-over-or"} if all("and-over-or" in c.laws for c in components) else (),
+        laws={law for law in ("and-over-or", "or-absorbs-and")
+              if all(law in c.laws for c in components)},
         components=components,
     )
 
@@ -252,29 +259,34 @@ def _nat(name, or_op, and_op, seq_op, or_neutral, laws, sense) -> AttributeDomai
                            laws, sense)
 
 
-# addition within an attack, sequential or not; a dynamic semiring
+# addition within an attack, sequential or not; a dynamic semiring; and
+# absorption, declared by a domain whose or_op keeps x over x and_op y
 _ADDITIVE = {"and-over-or", "seq-is-and", "and-is-plus"}
 _DYNAMIC = {"and-over-or", "seq-over-and", "seq-over-or"}
+_ABSORBS = {"or-absorbs-and"}
 
 # built once: a domain is frozen, so every lookup shares it
 _BUILTINS: dict[str, AttributeDomain] = {d.name: d for d in (
     # (N∞, min, +), seq +: cheapest attack; + over + is not distributive,
     # so not a dynamic semiring even though seq composition is well defined.
-    _nat("min-cost", min, nat_add, nat_add, INF, _ADDITIVE, "min"),
+    _nat("min-cost", min, nat_add, nat_add, INF, _ADDITIVE | _ABSORBS, "min"),
     # (N∞, min, +), seq +: shortest one-at-a-time schedule.
-    _nat("min-time-seq", min, nat_add, nat_add, INF, _ADDITIVE, "min"),
+    _nat("min-time-seq", min, nat_add, nat_add, INF, _ADDITIVE | _ABSORBS, "min"),
     # (N∞, min, max), seq +: shortest schedule with unbounded parallelism;
     # + distributes over max and min, so this IS a dynamic semiring.
-    _nat("min-time-par", min, max, nat_add, INF, _DYNAMIC, "min"),
+    _nat("min-time-par", min, max, nat_add, INF, _DYNAMIC | _ABSORBS, "min"),
     # (N∞, min, max), seq max: weakest adversary that still gets through.
-    _nat("min-skill", min, max, max, INF, _DYNAMIC | {"seq-is-and"}, "min"),
-    # (N∞, max, max), seq max: hardest single obstacle on the best path.
+    _nat("min-skill", min, max, max, INF, _DYNAMIC | _ABSORBS | {"seq-is-and"}, "min"),
+    # (N∞, max, max), seq max: hardest single obstacle on the best path;
+    # max(x, max(x, y)) is not x once y > x, so no absorption.
     _nat("max-challenge", max, max, max, 0, _DYNAMIC | {"seq-is-and"}, "max"),
-    # (N∞, max, +), seq +: worst-case cumulative damage.
+    # (N∞, max, +), seq +: worst-case cumulative damage; max(x, x + y) is
+    # not x once y > 0, so no absorption.
     _nat("max-damage", max, nat_add, nat_add, 0, _ADDITIVE, "max"),
-    # ([0,1], max, *), seq *: probability of the most likely attack.
-    AttributeDomain("prob-max", ValueKind.PROBABILITY, max, mul, mul,
-                    Fraction(0), Fraction(1), {"and-over-or", "seq-is-and"}, "max"),
+    # ([0,1], max, *), seq *: probability of the most likely attack; a
+    # product of probabilities is at most each factor, so or absorbs and.
+    AttributeDomain("prob-max", ValueKind.PROBABILITY, max, mul, mul, Fraction(0),
+                    Fraction(1), {"and-over-or", "seq-is-and"} | _ABSORBS, "max"),
     # (N∞, +, min): cost to defend against every attack. min does NOT
     # distribute over +; kept as the stock non-semiring example, usable
     # only through the definitional oracle.

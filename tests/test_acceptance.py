@@ -354,13 +354,14 @@ def test_criterion_07_algebra_suite():
     assert check_semiring_laws(pareto, law_triples(pareto, 1000, 7)).all_hold
     # each law declared falsely is caught with a counterexample
     ctd, mc = builtin("cost-to-defend"), builtin("min-cost")
-    par, skill = builtin("min-time-par"), builtin("min-skill")
+    par, skill, dmg = builtin("min-time-par"), builtin("min-skill"), builtin("max-damage")
     false_claims = {
         "and-over-or": domain_with(ctd, laws=frozenset({"and-over-or"})),  # min over +
         "seq-over-and": domain_with(mc, laws=frozenset({"seq-over-and"})),  # + over +
         "seq-over-or": domain_with(ctd, seq_op=nat_add, laws=frozenset({"seq-over-or"})),  # + over +
         "seq-is-and": domain_with(par, laws=par.laws | {"seq-is-and"}),  # + is not max
         "and-is-plus": domain_with(skill, laws=skill.laws | {"and-is-plus"}),  # max is not +
+        "or-absorbs-and": domain_with(dmg, laws=dmg.laws | {"or-absorbs-and"}),  # max(x, x + y)
     }
     assert false_claims.keys() == LAWS
     for law, d in false_claims.items():

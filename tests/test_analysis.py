@@ -141,12 +141,13 @@ def _min_additive_value(rng):
 
 def test_min_additive_shortest_path_agrees_with_minimise_and_the_oracle():
     # the compiled diagram's shortest path, the fold over the minimal-solutions
-    # diagram (the same domain, declaring no and-is-plus) and the oracle
+    # diagram (the same domain, declaring neither and-is-plus nor
+    # or-absorbs-and) and the oracle
     rng = random.Random(1717)
     cases = 0
     for name in ("min-cost", "min-time-seq"):
         d = builtin(name)
-        minimising = domain_with(d, laws=d.laws - {"and-is-plus"})
+        minimising = domain_with(d, laws=d.laws - {"and-is-plus", "or-absorbs-and"})
         for i in range(1000):
             t = (rand_dag if i % 2 else rand_tree)(rng, 9)
             bas = bas_of(t)
@@ -165,7 +166,7 @@ def test_min_additive_shortest_path_agrees_with_minimise_and_the_oracle():
     assert cases == 6000
 
 
-def test_only_min_additive_domains_fold_the_compiled_diagram():
+def test_only_absorbing_domains_fold_the_compiled_diagram():
     # order a < b < c: the compiled diagram of (a AND b) OR c also has the
     # non-minimal path {a, c}, which only absorption makes harmless
     t = tt(("or", ("and", "a", "b"), "c"))
@@ -182,6 +183,33 @@ def test_only_min_additive_domains_fold_the_compiled_diagram():
     # {a, c} would read -5
     value, diagram = bu_bdd_detailed(t, alpha(t, {"a": -10, "b": 20, "c": 5}), builtin("min-cost"))
     assert value == 5 and top_paths(diagram) == minimal
+    # every domain declaring or-absorbs-and folds the compiled diagram, and
+    # every other one the minimal attacks
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = {
+        "min-skill": ({"a": 10, "b": 1, "c": 5}, 5),
+        "min-time-par": ({"a": 10, "b": 1, "c": 5}, 5),
+        "prob-max": ({"a": half, "b": half, "c": third}, third),
+        "pareto(min-cost,prob-max)": (
+            {"a": {(10, half)}, "b": {(1, half)}, "c": {(5, third)}}, {(5, third)}),
+        "max-challenge": ({"a": 10, "b": 1, "c": 5}, 10),
+        # {a, c} would add the point (15, 15), which neither point dominates
+        "pareto(min-cost,max-damage)": (
+            {"a": {(10, 10)}, "b": {(1, 1)}, "c": {(5, 5)}}, {(11, 11), (5, 5)}),
+    }
+    for name, (table, want) in cases.items():
+        d = builtin(name)
+        if d.kind is ValueKind.PARETO:
+            table = {k: frozenset(v) for k, v in table.items()}
+            want = frozenset(want)
+        value, diagram = bu_bdd_detailed(t, alpha(t, table), d)
+        assert value == want, name
+        if "or-absorbs-and" in d.laws:
+            assert canonical(diagram) == canonical(compiled), name
+        else:
+            assert top_paths(diagram) == minimal, name
+    assert {n for n in cases if "or-absorbs-and" in builtin(n).laws} == {
+        "min-skill", "min-time-par", "prob-max", "pareto(min-cost,prob-max)"}
 
 
 def test_k_top_overlap_golden():

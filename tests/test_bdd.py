@@ -4,6 +4,7 @@ import inspect
 import random
 import weakref
 from pathlib import Path
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, combinations
 
@@ -400,14 +401,19 @@ def test_compile_makes_few_nodes_beyond_the_diagram():
 
 
 def test_min_cost_fold_makes_no_node_beyond_the_compile():
-    # counted, not timed: the min-additive fold walks the compiled diagram
-    # and builds nothing; k-top still builds the minimal-solutions diagram
+    # counted, not timed: an absorbing domain's fold walks the compiled
+    # diagram and builds nothing; max-damage, which does not absorb, and
+    # k-top still build the minimal-solutions diagram
     for rungs in (256, 1024):
         t = ladder(rungs)
         a = {b: 1 + b % 5 for b in bas_of(t)}
+        p = {b: Fraction(1, v) for b, v in a.items()}
         compiled = len(from_structure_function(t).store.unique)
-        _, diagram = analysis.bu_bdd_detailed(t, a, builtin("min-cost"))
-        assert len(diagram.store.unique) == compiled
+        for name, values in (("min-cost", a), ("min-skill", a), ("prob-max", p)):
+            _, diagram = analysis.bu_bdd_detailed(t, values, builtin(name))
+            assert len(diagram.store.unique) == compiled, name
+        _, m = analysis.bu_bdd_detailed(t, a, builtin("max-damage"))
+        assert len(m.store.unique) > compiled
         _, m = analysis.k_top_detailed(t, a, builtin("min-cost"), 5)
         assert len(m.store.unique) > compiled
 

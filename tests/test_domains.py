@@ -79,14 +79,15 @@ def test_builtin_flags_match_their_algebra():
     assert "and-is-plus" not in flags["prob-max"].laws
     additive = {"and-over-or", "seq-is-and", "and-is-plus"}
     dynamic = {"and-over-or", "seq-over-and", "seq-over-or"}
+    absorbs = {"or-absorbs-and"}
     assert {n: flags[n].laws for n in BUILTIN_NAMES} == {
-        "min-cost": additive,
-        "min-time-seq": additive,
+        "min-cost": additive | absorbs,
+        "min-time-seq": additive | absorbs,
         "max-damage": additive,
-        "min-time-par": dynamic,
-        "min-skill": dynamic | {"seq-is-and"},
+        "min-time-par": dynamic | absorbs,
+        "min-skill": dynamic | absorbs | {"seq-is-and"},
         "max-challenge": dynamic | {"seq-is-and"},
-        "prob-max": {"and-over-or", "seq-is-and"},
+        "prob-max": {"and-over-or", "seq-is-and"} | absorbs,
         "cost-to-defend": set(),
     }
 
@@ -106,7 +107,8 @@ def test_a_domain_refuses_laws_it_cannot_declare():
     sensed = AttributeDomain("plus", ValueKind.NATURAL, nat_add, nat_add, laws=["and-is-plus"],
                              sense="min")
     assert type(sensed.laws) is frozenset and sensed.laws == {"and-is-plus"}
-    assert LAWS == {"and-over-or", "seq-over-and", "seq-over-or", "seq-is-and", "and-is-plus"}
+    assert LAWS == {"and-over-or", "seq-over-and", "seq-over-or", "seq-is-and", "and-is-plus",
+                    "or-absorbs-and"}
 
 
 def test_validate_value_accepts_and_rejects():
@@ -206,10 +208,18 @@ def test_pareto_product_construction():
     assert d.seq_op is None
     mixed = builtin("pareto(min-cost, prob-max)")
     assert tuple(c.sense for c in mixed.components) == ("min", "max")
-    # a product is a semiring only when every component is one
-    assert d.laws == {"and-over-or"}
+    # a product is a semiring, and absorbing, only when every component is
+    assert d.laws == {"and-over-or", "or-absorbs-and"}
+    assert mixed.laws == {"and-over-or", "or-absorbs-and"}
+    damage = builtin("pareto(min-cost,max-damage)")
+    assert damage.laws == {"and-over-or"}
     plain = domain_with(builtin("min-skill"), laws=frozenset())
     assert pareto_product([builtin("min-cost"), plain]).laws == frozenset()
+    # and the law checker refuses the claim where a component is not absorbing
+    for false_claim in (builtin("max-challenge"), damage):
+        claimed = domain_with(false_claim, laws=false_claim.laws | {"or-absorbs-and"})
+        caught = check_semiring_laws(claimed, law_triples(claimed, 300, 5))
+        assert not caught.result("or-absorbs-and").holds, false_claim.name
     with pytest.raises(EmptyProduct):
         pareto_product([])
     for nested in (lambda: pareto_product([d, builtin("min-cost")]),
