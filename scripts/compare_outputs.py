@@ -22,7 +22,12 @@ model, with the domains, attributions and orders the model declares:
   the default and each declared order, text and JSON, so the refusals of
   the domains k-top does not take are compared too;
 - metric in min-cost over the first attribution in sorted order by the
-  oracle with --budget 1, if the model declares one.
+  oracle with --budget 1, if the model declares one;
+- one request with every option spelled four more ways: `--flag=value`,
+  abbreviated flags, options before the model, and "--" before the model.
+  It is metric in min-cost over the first attribution, with --algorithm,
+  --format, --budget and the first declared order, or semantics for a
+  model that declares no attribution.
 
 The two --budget 1 requests refuse every model of two or more basic
 actions, so the budget error and its hint are compared too.
@@ -69,7 +74,25 @@ def battery(model: str, attributions, orders, domains) -> list[list[str]]:
             for order in [[]] + [["--order", o] for o in orders] for fmt in FORMATS]
     out += [["metric", model, "--domain", "min-cost", "--attribution", name,
              "--algorithm", "oracle", "--budget", "1"] for name in attributions[:1]]
+    if attributions:
+        options = ["--domain", "min-cost", "--attribution", attributions[0], "--algorithm",
+                   "auto", "--format", "json", "--budget", "20"]
+        options += ["--order", orders[0]] if orders else []
+        out += respelled("metric", model, options)
+    else:
+        out += respelled("semantics", model, ["--format", "json", "--budget", "20"])
     return out
+
+
+def respelled(cmd: str, model: str, options: list[str]) -> list[list[str]]:
+    """The request [cmd, model, *options] spelled four other ways."""
+    pairs = list(zip(options[::2], options[1::2]))
+    return [
+        [cmd, model, *(f"{flag}={value}" for flag, value in pairs)],
+        [cmd, model, *(part for flag, value in pairs for part in (flag[:5], value))],
+        [cmd, *options, model],
+        [cmd, *options, "--", model],
+    ]
 
 
 def digest(text: str) -> str:
@@ -100,7 +123,7 @@ def call(main, argv: list[str]) -> list:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as e:  # argparse rejected the request
+        except SystemExit as e:  # a usage error (2) or -h (0)
             code = e.code
         except Exception as e:  # a traceback the user would see
             code = f"raised {type(e).__name__}: {e}"

@@ -215,7 +215,10 @@ def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[
     """Metric through a decision diagram of the structure function, exact
     on shared structures: the compiled one for a domain declaring
     or-absorbs-and, else the minimal-solutions one, which an and-is-plus
-    domain handed a negative value also takes."""
+    domain handed a negative value also takes. The values are checked
+    first, as `analyze` does before it calls `bu_bdd_detailed`: absorption
+    only holds inside the domain's carrier."""
+    validate_attribution(t, alpha, domain)
     return bu_bdd_detailed(t, alpha, domain, order)[0]
 
 

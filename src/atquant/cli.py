@@ -2,16 +2,21 @@
 
 Results go to stdout (or --output), diagnostics to stderr. Exit codes:
 0 success, 1 parse/validation/analysis failure, 2 ill-formed dynamic
-structure (check only). Output is deterministic; the JSON stats block's
-millis field is the single exception.
+structure (check only), and 2 for a usage error. Output is deterministic;
+the JSON stats block's millis field is the single exception.
+
+The command line is read from one table, `_COMMANDS`, by one loop that
+accepts what argparse accepted and words its usage errors as argparse did.
+The calls the handlers make are looked up as module globals at call time,
+so a tracer may swap them.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .analysis import DEFAULT_BUDGET, AnalysisRequest, analyze
 from .bdd import VarOrder, from_structure_function, minimise
@@ -178,60 +183,205 @@ def cmd_dump(args) -> int:
     return 0
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="atquant", description="Quantitative attack-tree analysis."
-    )
-    sub = top.add_subparsers(dest="cmd", required=True)
+_FORMAT = ("--format", ("json", "text"), "text", False, "print text or JSON")
+_OUTPUT = ("--output", str, None, False, "write to this file instead of stdout")
+_DOMAIN = ("--domain", str, None, True,
+           "attribute domain, e.g. min-cost or pareto(min-cost,prob-max)")
 
-    def common(p, fmt=True):
-        p.add_argument("model", help="path to a .at model file")
-        if fmt:
-            p.add_argument("--format", choices=["json", "text"], default="text")
-        p.add_argument("--output", help="write to this file instead of stdout")
+# command -> (handler, help, values the command fixes, options). An option
+# is (flag, kind, default, required, help); its kind is str, int or the
+# tuple of its choices. Every command also takes the model path.
+_COMMANDS = {
+    "check": (cmd_check, "validate structure and well-formedness", {}, (_FORMAT, _OUTPUT)),
+    "semantics": (cmd_semantics, "enumerate the minimal attacks", {}, (
+        _FORMAT, _OUTPUT,
+        ("--budget", int, DEFAULT_BUDGET, False, "max BAS count for enumeration"),
+    )),
+    "metric": (cmd_metric, "compute a metric value", {"k": None}, (
+        _FORMAT, _OUTPUT, _DOMAIN,
+        ("--attribution", str, None, True,
+         "attribution name; comma-joined names for pareto products"),
+        ("--algorithm", ("auto", "bu", "bdd", "oracle"), "auto", False,
+         "engine; auto routes to the cheapest exact one"),
+        ("--order", str, None, False, "declared variable order to use for BDDs"),
+        ("--budget", int, DEFAULT_BUDGET, False, "max BAS count for the oracle"),
+    )),
+    "ktop": (cmd_metric, "rank the k best attacks",
+             {"algorithm": "auto", "budget": DEFAULT_BUDGET}, (
+        _FORMAT, _OUTPUT, _DOMAIN,
+        ("--attribution", str, None, True, "attribution name"),
+        ("--k", int, None, True, "number of attacks to rank"),
+        ("--order", str, None, False, "declared variable order to use"),
+    )),
+    "dump": (cmd_dump, "emit DOT (or the canonical model text)", {}, (
+        _OUTPUT,
+        ("--what", ("at", "bdd", "bdd-min", "model"), "at", False,
+         "the tree, its compiled or minimised diagram, or the model text"),
+        ("--order", str, None, False, "declared variable order for BDD dumps"),
+    )),
+}
+_HELP = {"-h": None, "--help": None}
+# per command: each flag, help first, -> its option (None for help), in
+# the order in which an ambiguous prefix names its matches
+_FLAGS = {cmd: _HELP | {o[0]: o for o in spec[3]} for cmd, spec in _COMMANDS.items()}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # read as a value, not as a flag
 
-    p = sub.add_parser("check", help="validate structure and well-formedness")
-    common(p)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("semantics", help="enumerate the minimal attacks")
-    common(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max BAS count for enumeration")
-    p.set_defaults(fn=cmd_semantics)
+def _metavar(flag: str, kind) -> str:
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag[2:].upper()
 
-    p = sub.add_parser("metric", help="compute a metric value")
-    common(p)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--attribution", required=True,
-                   help="attribution name; comma-joined names for pareto products")
-    p.add_argument("--algorithm", choices=["auto", "bu", "bdd", "oracle"], default="auto")
-    p.add_argument("--order", help="declared variable order to use for BDDs")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max BAS count for the oracle")
-    p.set_defaults(fn=cmd_metric, k=None)
 
-    p = sub.add_parser("ktop", help="rank the k best attacks")
-    common(p)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--attribution", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", help="declared variable order to use")
-    p.set_defaults(fn=cmd_metric, algorithm="auto", budget=DEFAULT_BUDGET)
+def _usage(cmd) -> str:
+    if cmd is None:
+        return "atquant [-h] {" + ",".join(_COMMANDS) + "} ..."
+    shown = [f"atquant {cmd} [-h]"]
+    for flag, kind, _, required, _ in _COMMANDS[cmd][3]:
+        part = f"{flag} {_metavar(flag, kind)}"
+        shown.append(part if required else f"[{part}]")
+    return " ".join(shown + ["model"])
 
-    p = sub.add_parser("dump", help="emit DOT (or the canonical model text)")
-    common(p, fmt=False)
-    p.add_argument("--what", choices=["at", "bdd", "bdd-min", "model"], default="at")
-    p.add_argument("--order", help="declared variable order for BDD dumps")
-    p.set_defaults(fn=cmd_dump)
-    return top
+
+def _row(left: str, text: str) -> str:
+    left = "  " + left
+    return f"{left:<24}{text}\n" if len(left) <= 22 else f"{left}\n{'':24}{text}\n"
+
+
+def _help_text(cmd) -> str:
+    helps = _row("-h, --help", "show this help message and exit")
+    if cmd is None:
+        commands = "".join(_row(name, spec[1]) for name, spec in _COMMANDS.items())
+        return (f"usage: {_usage(cmd)}\n\nQuantitative attack-tree analysis.\n\n"
+                f"commands:\n{commands}\noptions:\n{helps}")
+    _, text, _, options = _COMMANDS[cmd]
+    flags = "".join(_row(f"{flag} {_metavar(flag, kind)}", line)
+                    for flag, kind, _, _, line in options)
+    return (f"usage: {_usage(cmd)}\n\n{text}\n\npositional arguments:\n"
+            f"{_row('model', 'path to a .at model file')}\noptions:\n{helps}{flags}")
+
+
+def _fail(cmd, message: str):
+    """A usage error, worded as argparse worded it: exit 2."""
+    prog = "atquant" if cmd is None else f"atquant {cmd}"
+    sys.stderr.write(f"usage: {_usage(cmd)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(cmd, flag: str, value) -> None:
+    """Print the help and exit 0. As with argparse, -hh is -h twice, and
+    any other text after the flag is refused."""
+    if flag == "-h" and value:
+        value = value.lstrip("h") or None
+    if value is not None:
+        _fail(cmd, f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help_text(cmd))
+    raise SystemExit(0)
+
+
+def _flag(token: str, flags: dict, cmd):
+    """How argparse read one token: None for a value, else (flag, the text
+    after '=' or after a short flag, None without one); flag None is an
+    unknown option. A prefix of two long flags is an error."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        hits = [flag for flag in flags if flag.startswith(name)]
+        value = value if eq else None
+    else:
+        hits = [token[:2]] if token[:2] in flags else []
+        value = token[2:]
+    if len(hits) > 1:
+        _fail(cmd, f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _read(argv: list) -> tuple:
+    """(handler, args) for argv, read as argparse read it: exact flags,
+    `--flag=value` and unique prefixes, options on either side of the model,
+    the last repeat winning, and "--" ending the options. Help and usage
+    errors exit through SystemExit, with 0 and 2."""
+    extras = []  # unknown options and surplus values, in argv order
+    i = 0
+    while True:  # before the command only -h is known
+        if argv[i:] in ([], ["--"]):
+            _fail(None, "the following arguments are required: cmd")
+        hit = None if argv[i] == "--" else _flag(argv[i], _HELP, None)
+        if hit is None:
+            break
+        if hit[0] is None:
+            extras.append(argv[i])
+        else:
+            _help(None, *hit)
+        i += 1
+    cmd, rest = argv[i], argv[i + 1:]
+    if cmd not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument cmd: invalid choice: {cmd!r} (choose from {choices})")
+    handler, _, fixed, options = _COMMANDS[cmd]
+    flags = _FLAGS[cmd]
+    values = {flag[2:]: default for flag, _, default, _, _ in options} | fixed
+    # every token before "--" is read first: an ambiguous prefix fails first
+    end = rest.index("--") if "--" in rest else len(rest)
+    hits = [_flag(token, flags, cmd) for token in rest[:end]]
+    model, seen, j = None, set(), 0
+    while j < len(rest):
+        hit = hits[j] if j < end else None
+        if hit is None:  # a value, or the "--"
+            if model is not None:
+                extras.append(rest[j])
+            elif j != end:
+                model = rest[j]
+                if j + 1 == end:
+                    j += 1  # a "--" right after the model goes with it
+            elif j + 1 < len(rest):
+                j += 1  # and so does one right before it
+                model = rest[j]
+            j += 1
+            continue
+        flag, value = hit
+        if flag is None:
+            extras.append(rest[j])
+        elif flags[flag] is None:
+            _help(cmd, flag, value)
+        else:
+            kind = flags[flag][1]
+            if value is None:
+                if j + 1 >= end or hits[j + 1] is not None:
+                    _fail(cmd, f"argument {flag}: expected one argument")
+                j += 1
+                value = rest[j]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(cmd, f"argument {flag}: invalid int value: {value!r}")
+            elif kind is not str and value not in kind:
+                choices = ", ".join(map(repr, kind))
+                _fail(cmd, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+            values[flag[2:]] = value
+            seen.add(flag)
+        j += 1
+    missing = ["model"] * (model is None)
+    missing += [flag for flag, _, _, required, _ in options if required and flag not in seen]
+    if missing:
+        _fail(cmd, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return handler, SimpleNamespace(model=model, **values)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    handler, args = _read(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.fn(args)
+        return handler(args)
     except BudgetExceeded as e:
         print(f"error: {e}; pass --budget to acknowledge the exponential cost",
               file=sys.stderr)

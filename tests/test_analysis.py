@@ -119,6 +119,15 @@ def test_bu_bdd_preconditions():
         bu_bdd(t, {t.id_of("n"): 1}, builtin("min-cost"))
 
 
+def test_bu_bdd_checks_values_before_folding_the_compiled_diagram():
+    # a probability of 2 breaks absorption: the compiled diagram's
+    # non-minimal path {a, c} would read 1 where the oracle reads 1/2
+    t = tt(("or", ("and", "a", "b"), "c"))
+    a = alpha(t, {"a": 2, "b": Fraction(1, 10), "c": Fraction(1, 2)})
+    with pytest.raises(BadAttributeValue, match="basic action 'a'"):
+        bu_bdd(t, a, builtin("prob-max"))
+
+
 def test_bu_bdd_visits_every_diagram_node_once():
     rng = random.Random(31)
     for _ in range(40):

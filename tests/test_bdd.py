@@ -124,11 +124,15 @@ def test_folds_look_up_only_the_basic_actions_the_diagram_reaches():
     # b is absorbed: a OR (a AND b) is a, so no node branches on b
     t = tt(("or", "a", ("and", "a", "b")))
     a = {t.id_of("a"): 3}
-    assert bu_bdd(t, a, builtin("min-cost")) == 3
+    assert analysis.bu_bdd_detailed(t, a, builtin("min-cost"))[0] == 3
     assert k_top(t, a, builtin("min-cost"), 2) == [(3, frozenset({t.id_of("a")}))]
     assert k_top(t, a, builtin("max-damage"), 1) == [(3, frozenset({t.id_of("a")}))]
+    # the public bu_bdd checks every value first, as analyze does
+    with pytest.raises(MissingAttribution, match="'b'"):
+        bu_bdd(t, a, builtin("min-cost"))
     # a BAS the diagram does reach is still required
-    for fold_call in (partial(bu_bdd, t, {}, builtin("min-cost")),
+    for fold_call in (partial(analysis.bu_bdd_detailed, t, {}, builtin("min-cost")),
+                      partial(bu_bdd, t, {}, builtin("min-cost")),
                       partial(k_top, t, {}, builtin("min-cost"), 1)):
         with pytest.raises(MissingAttribution, match="'a'"):
             fold_call()

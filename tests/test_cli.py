@@ -489,8 +489,8 @@ def test_output_is_deterministic(capsys):
 
 
 def test_calls_in_one_process_share_no_argument_state(capsys):
-    # main keeps one parser for the process, so a usage error or another
-    # subcommand's defaults must not leak into the next call
+    # main carries nothing from one call to the next: neither a usage error
+    # nor another subcommand's defaults may leak into the next call
     ktop = ("ktop", f"{MODELS}/overlap.at", "--domain", "min-cost", "--attribution", "cost", "--k", "2")
     first = run(capsys, *ktop)
     with pytest.raises(SystemExit) as ei:
@@ -500,6 +500,80 @@ def test_calls_in_one_process_share_no_argument_state(capsys):
     code, out, _ = run(capsys, "metric", f"{MODELS}/overlap.at", "--domain", "min-cost", "--attribution", "cost")
     assert code == 0 and out == "metric: min-cost\nvalue: 1\nalgorithm: bdd\n"
     assert run(capsys, *ktop) == first == (0, "1 {b}\n7 {a,c}\n", "")
+
+
+OVERLAP = f"{MODELS}/overlap.at"
+PLAIN = ["metric", OVERLAP, "--domain", "min-cost", "--attribution", "cost"]
+CHOICES = "(choose from 'check', 'semantics', 'metric', 'ktop', 'dump')"
+
+
+@pytest.mark.parametrize("kind, argv, want", [
+    # usage errors exit 2 with argparse's wording, after a usage line
+    ("error", [], "atquant: error: the following arguments are required: cmd"),
+    ("error", ["metric", OVERLAP],
+     "atquant metric: error: the following arguments are required: --domain, --attribution"),
+    ("error", ["ktop", "--k", "2"],
+     "atquant ktop: error: the following arguments are required: model, --domain, --attribution"),
+    ("error", ["nope", OVERLAP], f"atquant: error: argument cmd: invalid choice: 'nope' {CHOICES}"),
+    ("error", ["check", OVERLAP, "--format", "xml"],
+     "atquant check: error: argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
+    ("error", ["semantics", OVERLAP, "--budget=x"],
+     "atquant semantics: error: argument --budget: invalid int value: 'x'"),
+    ("error", ["check", OVERLAP, "--bogus", "extra"],
+     "atquant: error: unrecognized arguments: --bogus extra"),
+    ("error", [*PLAIN, "--order"], "atquant metric: error: argument --order: expected one argument"),
+    # "--" goes with the model only next to it
+    ("error", [*PLAIN, "--", OVERLAP], f"atquant: error: unrecognized arguments: -- {OVERLAP}"),
+    # a value may not look like a flag
+    ("error", ["metric", OVERLAP, "--domain", "--attribution", "cost"],
+     "atquant metric: error: argument --domain: expected one argument"),
+    ("error", ["metric", OVERLAP, "--a", "cost"],
+     "atquant metric: error: ambiguous option: --a could match --attribution, --algorithm"),
+    ("error", ["dump", OVERLAP, "--o=x"],
+     "atquant dump: error: ambiguous option: --o=x could match --output, --order"),
+    ("error", ["check", OVERLAP, "--help=x"],
+     "atquant check: error: argument -h/--help: ignored explicit argument 'x'"),
+    # other spellings of PLAIN print what it prints
+    ("same", ["metric", OVERLAP, "--domain=min-cost", "--attribution=cost"], None),
+    ("same", ["metric", OVERLAP, "--dom", "min-cost", "--attr", "cost"], None),
+    ("same", ["metric", OVERLAP, "--do=min-cost", "--attr=cost", "--al", "auto"], None),
+    ("same", ["metric", "--domain", "min-cost", "--attribution", "cost", OVERLAP], None),
+    ("same", ["metric", "--domain", "min-cost", "--attribution", "cost", "--", OVERLAP], None),
+    ("same", ["metric", "--domain", "min-cost", "--attribution", "cost", OVERLAP, "--"], None),
+    ("same", ["metric", OVERLAP, "--domain", "max-damage", "--domain", "min-cost",
+              "--attribution", "cost"], None),
+    # -h lists every flag of the command and exits 0
+    ("help", ["-h"], ["check", "semantics", "metric", "ktop", "dump"]),
+    ("help", ["check", "-h"], ["--format", "--output"]),
+    ("help", ["semantics", OVERLAP, "--help"], ["--format", "--output", "--budget"]),
+    ("help", ["metric", "--he"], ["--format", "--output", "--domain", "--attribution",
+                                  "--algorithm", "--order", "--budget"]),
+    ("help", ["ktop", "-hh"], ["--format", "--output", "--domain", "--attribution", "--k",
+                               "--order"]),
+    ("help", ["dump", "-h", "--bogus"], ["--output", "--what", "--order"]),
+])
+def test_the_command_line_reader(capsys, kind, argv, want):
+    if kind == "same":
+        assert run(capsys, *argv) == run(capsys, *PLAIN) == (
+            0, "metric: min-cost\nvalue: 1\nalgorithm: bdd\n", "")
+        return
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    out = capsys.readouterr()
+    if kind == "error":
+        lines = out.err.splitlines()
+        usage, error = lines[0], lines[-1]
+        assert (ei.value.code, out.out, error) == (2, "", want)
+        assert usage.startswith("usage: " + error.split(":")[0])
+    else:
+        assert ei.value.code == 0 and out.err == ""
+        assert out.out.startswith("usage: atquant") and all(w in out.out for w in want)
+
+
+def test_a_negative_k_reaches_the_analysis(capsys):
+    code, out, err = run(capsys, "ktop", OVERLAP, "--domain", "min-cost",
+                         "--attribution", "cost", "--k", "-1")
+    assert (code, out, err) == (1, "", "error: k must be at least 1\n")
 
 
 def test_a_static_dag_deeper_than_the_recursion_limit(capsys, tmp_path):

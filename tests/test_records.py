@@ -1,8 +1,9 @@
 """The package's records: plain values are NamedTuples, and the records a
 tuple cannot carry subclass `record.Record`. These tests pin what callers
 may rely on: which fields equality, hash and repr read, that fields cannot
-be written, fresh default tables, and an import that loads neither
-`dataclasses` nor `inspect`."""
+be written, fresh default tables, and an import of the package and its
+command line that loads none of `dataclasses`, `inspect`, `argparse` and
+`gettext`."""
 
 import os
 import subprocess
@@ -22,9 +23,9 @@ from helpers import domain_with, exploit, overlap, treasure
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def test_importing_the_package_and_its_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_package_and_its_cli_loads_no_dataclasses_inspect_argparse_or_gettext():
     code = ("import sys; import atquant; import atquant.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr

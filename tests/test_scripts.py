@@ -25,7 +25,7 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
     models = [str(ROOT / "models" / name) for name in ("treasure.at", "overlap.at")]
     run = script("compare_outputs.py", SRC, SRC, *models)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "762 requests on 2 models, 0 differ\n"
+    assert run.stdout == "770 requests on 2 models, 0 differ\n"
 
 
 @pytest.mark.parametrize("name, args", [
