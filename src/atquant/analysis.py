@@ -21,14 +21,14 @@ k-top engine all read that table:
   whose or_op prefers the larger attack, folds the minimal-solutions
   diagram, whose paths are exactly the minimal attacks. A domain that also
   declares and-is-plus takes the fold as the shortest root-to-TRUE path,
-  summed over integers; min(x, x + y) = x needs y >= 0, so a negative
-  value sends it back to the minimal-solutions diagram. k_top, which needs
-  distinct minimal attacks, always minimises.
+  summed over integers. k_top, which needs distinct minimal attacks,
+  always minimises.
 - k_top: the k best attacks as k shortest paths, one bottom-up pass over the
   weighted BDD; needs and-is-plus, and ranks by the domain's sense.
 - bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
   SAND to the domain's three operators; needs a dynamic semiring
-  (and-over-or, seq-over-and, seq-over-or) or and-over-or with seq-is-and.
+  (and-over-or, seq-over-and, seq-over-or) whose and_op is idempotent, or
+  and-over-or with seq-is-and.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ from .tree import AttackTree, Dynamics, NodeType, Shape, StructureKind, bas_of, 
 _EXACT = {
     "bu_sat": (({"and-over-or"},), NotSemiring, "is not a semiring"),
     "bu_bdd": (({"and-over-or"},), NotSemiring, "is not a semiring"),
-    "bu_dat": (({"and-over-or", "seq-over-and", "seq-over-or"}, {"and-over-or", "seq-is-and"}),
+    "bu_dat": (({"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"},
+                {"and-over-or", "seq-is-and"}),
                NotSemiringDynamic, "does not support bottom-up dynamic evaluation"),
     "ktop": (({"and-is-plus"},), UnsupportedDomainForKTop,
              "does not reduce to additive shortest paths"),
@@ -180,9 +181,7 @@ def bu_bdd_detailed(
         m = minimise(m)
     elif "and-is-plus" in domain.laws:
         scale, weight = _scaled_weights(_rank_values(t, alpha, m), 1)
-        if not any(w < 0 for w in weight if w is not None):
-            return _shortest_path(m, weight, scale)
-        m = minimise(m)  # x + y may be less than x
+        return _shortest_path(m, weight, scale)
     ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
     or_op, and_op = domain.or_op, domain.and_op
     at_rank = _rank_values(t, alpha, m)
@@ -214,8 +213,7 @@ def _shortest_path(b: Bdd, weight: list, scale: int) -> tuple[object, Bdd]:
 def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None):
     """Metric through a decision diagram of the structure function, exact
     on shared structures: the compiled one for a domain declaring
-    or-absorbs-and, else the minimal-solutions one, which an and-is-plus
-    domain handed a negative value also takes. The values are checked
+    or-absorbs-and, else the minimal-solutions one. The values are checked
     first, as `analyze` does before it calls `bu_bdd_detailed`: absorption
     only holds inside the domain's carrier."""
     validate_attribution(t, alpha, domain)
@@ -312,11 +310,13 @@ def k_top_detailed(
 def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Bottom-up metric on a well-formed dynamic proper tree.
 
-    Sound when the domain is a dynamic semiring, and also when its
-    sequential operator gives its conjunctive one's values (then this
-    computes the static fold of the projection, which matches the
-    definitional triple fold because both degenerate to one flat fold over
-    each attack).
+    Sound when the domain is a dynamic semiring whose conjunctive operator
+    is idempotent: SAND(l, r) folds to seq_op(l's value, r's value), and as
+    seq_op distributes over and_op and or_op, that is the critical path the
+    oracle takes through every attack, r's part starting once all of l's
+    maximal steps are done. Sound also when the sequential operator gives
+    the conjunctive one's values: then this computes the static fold of the
+    projection, and the oracle the flat fold of each attack.
     """
     if classify(t).shape is Shape.DAG:
         raise DagRejected("bu_dat is only sound on proper trees")

@@ -11,12 +11,14 @@ A domain declares, in `laws`, which laws of the vocabulary LAWS its
 operators satisfy: and-over-or (and_op distributes over or_op: a
 semiring), seq-over-and and seq-over-or (seq_op distributes over each),
 seq-is-and (seq_op gives and_op's values), and-is-plus (and_op is
-addition) and or-absorbs-and (or_op(x, and_op(x, y)) is x: adding to an
-attack never makes it preferred). The engine table of analysis reads them,
-and bu_bdd reads or-absorbs-and to fold the compiled diagram; nothing else
-says which engine is exact. The declarations are honest: integer addition
-does not distribute over itself, so min-cost, whose sequential operator is
-its conjunctive one, declares seq-is-and and not seq-over-and; and
+addition), or-absorbs-and (or_op(x, and_op(x, y)) is x: adding to an
+attack never makes it preferred) and and-idempotent (and_op(x, x) is x).
+The engine table of analysis reads them, bu_bdd reads or-absorbs-and to
+fold the compiled diagram, and the dynamic oracle reads seq-is-and and
+and-idempotent to pick an attack's fold; nothing else says which engine
+is exact. The declarations are honest: integer addition does not
+distribute over itself, so min-cost, whose sequential operator is its
+conjunctive one, declares seq-is-and and not seq-over-and; and
 max-damage and max-challenge, whose or_op prefers a larger attack value,
 do not declare or-absorbs-and. check_semiring_laws probes what a domain
 declares.
@@ -80,6 +82,7 @@ _LAW_PROBES = {
     "seq-is-and": lambda d, x, y, z: d.seq_op(x, y) == d.and_op(x, y),
     "and-is-plus": lambda d, x, y, z: d.and_op(x, y) == nat_add(x, y),
     "or-absorbs-and": lambda d, x, y, z: d.or_op(x, d.and_op(x, y)) == x,
+    "and-idempotent": lambda d, x, y, z: d.and_op(x, x) == x,
 }
 LAWS = frozenset(_LAW_PROBES)
 
@@ -217,7 +220,9 @@ def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
     pairwise with the componentwise conjunctive ops, then prunes; each
     component's `sense` says which way it optimises. Sequential composition
     is left undefined (open problem for the dynamic case). The product
-    declares and-over-or, and or-absorbs-and, when every component does.
+    declares and-over-or, and or-absorbs-and, when every component does; it
+    never declares and-idempotent, as a front's points combine across: with
+    two max components, {(1, 2), (2, 1)} and itself make {(2, 2)}.
     """
     components = tuple(components)
     if not components:
@@ -259,10 +264,11 @@ def _nat(name, or_op, and_op, seq_op, or_neutral, laws, sense) -> AttributeDomai
                            laws, sense)
 
 
-# addition within an attack, sequential or not; a dynamic semiring; and
-# absorption, declared by a domain whose or_op keeps x over x and_op y
+# addition within an attack, sequential or not; a dynamic semiring whose
+# and_op is max; and absorption, declared by a domain whose or_op keeps x
+# over x and_op y
 _ADDITIVE = {"and-over-or", "seq-is-and", "and-is-plus"}
-_DYNAMIC = {"and-over-or", "seq-over-and", "seq-over-or"}
+_DYNAMIC = {"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"}
 _ABSORBS = {"or-absorbs-and"}
 
 # built once: a domain is frozen, so every lookup shares it
@@ -290,7 +296,8 @@ _BUILTINS: dict[str, AttributeDomain] = {d.name: d for d in (
     # (N∞, +, min): cost to defend against every attack. min does NOT
     # distribute over +; kept as the stock non-semiring example, usable
     # only through the definitional oracle.
-    AttributeDomain("cost-to-defend", ValueKind.NATURAL, nat_add, min, None, 0, INF),
+    AttributeDomain("cost-to-defend", ValueKind.NATURAL, nat_add, min, None, 0, INF,
+                    {"and-idempotent"}),
 )}
 
 

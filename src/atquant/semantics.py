@@ -10,13 +10,17 @@ are tested against these functions, never the other way around.
 
 A static attack is a frozenset of BAS ids. A dynamic one is a
 `PosetAttack`: its BAS ids and its execution order, transitively reduced,
-so `_components` of that order are the chains the sequential operator
-folds. `ordering_graph` remains the definition of the precedence that SAND
-gates impose: the frozenset of (earlier, later) BAS pairs, materialised
-pair by pair. `is_well_formed` alone does not build it: it decides the
-graph's acyclicity in linear time on a port graph whose paths between
-basic actions are exactly the ordering graph's paths, and the tests
-compare it with a search over `ordering_graph`.
+so each pair of the order is an immediate predecessor and successor.
+`attack_value` gives a poset attack's value: the flat conjunctive fold of
+its values for a domain whose sequential operator is its conjunctive one
+(seq-is-and), else the critical path, where ordered steps compose through
+the sequential operator and unordered ones meet in the idempotent
+conjunctive one. `ordering_graph` remains the definition of the
+precedence that SAND gates impose: the frozenset of (earlier, later) BAS
+pairs, materialised pair by pair. `is_well_formed` alone does not build
+it: it decides the graph's acyclicity in linear time on a port graph
+whose paths between basic actions are exactly the ordering graph's
+paths, and the tests compare it with a search over `ordering_graph`.
 """
 
 from __future__ import annotations
@@ -210,29 +214,6 @@ def transitive_reduction(nodes: Iterable[int], edges: Iterable[tuple[int, int]])
     return frozenset(kept)
 
 
-def _components(nodes: frozenset, edges: Iterable[tuple[int, int]]) -> tuple[frozenset, ...]:
-    neigh: dict[int, set[int]] = {v: set() for v in nodes}
-    for a, b in edges:
-        neigh[a].add(b)
-        neigh[b].add(a)
-    out = []
-    seen: set[int] = set()
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in neigh[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return tuple(out)
-
-
 def minimal_attacks_dynamic(t: AttackTree, budget: int = DEFAULT_BUDGET) -> frozenset:
     """Poset attacks: each minimal attack of the static projection carries
     the ordering-graph restriction as its execution order."""
@@ -272,22 +253,58 @@ def oracle_metric_static(
     return functools.reduce(domain.or_op, per_attack)
 
 
+def attack_value(domain: AttributeDomain, nodes: frozenset, order: frozenset, alpha):
+    """The value of one poset attack: `nodes`, its BAS ids, executed in
+    `order`, a transitively reduced set of (earlier, later) pairs, with
+    alpha(v) the value of BAS v.
+
+    A domain declaring seq-is-and folds and_op over the attack's values, as
+    does any domain on an unordered attack. Otherwise the attack's value is
+    its critical path (series-parallel semantics of SAND; Jhawar et al.,
+    "Attack trees with sequential conjunction", IFIP SEC 2015): a BAS with
+    no predecessor is worth alpha(v), any other v is worth seq_op(and_op
+    over its immediate predecessors' worths, alpha(v)), and the attack is
+    worth and_op over its maximal elements. Ordered steps add up through
+    seq_op and unordered ones meet in and_op, which must be idempotent, as
+    one predecessor can reach two maximal elements along two paths: a
+    domain declaring neither seq-is-and nor and-idempotent is refused.
+    """
+    if not order or "seq-is-and" in domain.laws:
+        return functools.reduce(domain.and_op, [alpha(v) for v in sorted(nodes)])
+    if domain.seq_op is None:
+        raise IncompatibleDomain(
+            f"domain {domain.name} has no sequential operator for a chained component"
+        )
+    if "and-idempotent" not in domain.laws:
+        raise IncompatibleDomain(
+            f"domain {domain.name} declares neither seq-is-and nor and-idempotent, "
+            "so an ordered attack has no critical path"
+        )
+    preds: dict[int, list[int]] = {v: [] for v in nodes}
+    for a, b in sorted(order):
+        preds[b].append(a)
+    worth: dict[int, object] = {}
+    while len(worth) < len(nodes):  # the order is acyclic: each pass settles one more
+        for v in sorted(nodes):
+            if v not in worth and all(p in worth for p in preds[v]):
+                if preds[v]:
+                    before = functools.reduce(domain.and_op, [worth[p] for p in preds[v]])
+                    worth[v] = domain.seq_op(before, alpha(v))
+                else:
+                    worth[v] = alpha(v)
+    maximal = nodes - {a for a, _ in order}
+    return functools.reduce(domain.and_op, [worth[v] for v in sorted(maximal)])
+
+
 def oracle_metric_dynamic(
     t: AttackTree, alpha: dict, domain: AttributeDomain, budget: int = DEFAULT_BUDGET
 ):
-    """Triple fold: sequential op along each connected component of the
-    Hasse diagram (in id order), conjunctive across components, disjunctive
-    across poset attacks. Static models degenerate to the static fold."""
+    """Disjunctive fold over poset attacks of `attack_value`: the flat
+    conjunctive fold of an attack's values for a domain declaring
+    seq-is-and, the critical path through its execution order for any
+    other. Static models degenerate to the static fold."""
+    value = functools.partial(_attr, alpha, t)
     suite = minimal_attacks_dynamic(t, budget)
-    per_attack = []
-    for p in sorted(suite, key=lambda p: sorted(p.nodes)):
-        parts = []
-        for comp in _components(p.nodes, p.order):
-            values = [_attr(alpha, t, v) for v in sorted(comp)]
-            if len(values) > 1 and domain.seq_op is None:
-                raise IncompatibleDomain(
-                    f"domain {domain.name} has no sequential operator for a chained component"
-                )
-            parts.append(values[0] if len(values) == 1 else functools.reduce(domain.seq_op, values))
-        per_attack.append(functools.reduce(domain.and_op, parts))
+    per_attack = [attack_value(domain, p.nodes, p.order, value)
+                  for p in sorted(suite, key=lambda p: sorted(p.nodes))]
     return functools.reduce(domain.or_op, per_attack)

@@ -155,32 +155,6 @@ def rand_alpha(rng: Random, t: AttackTree, domain) -> dict:
     return {b: domain.random_value(rng) for b in bas_of(t)}
 
 
-# Builtins usable by each algorithm in the random differential suites.
-SAT_DOMAINS = (
-    "min-cost",
-    "min-time-seq",
-    "min-time-par",
-    "min-skill",
-    "max-challenge",
-    "max-damage",
-    "prob-max",
-    "pareto(min-cost,min-skill)",
-)
-# bu_dat agrees with the flat definitional fold exactly when folding a chain
-# pairwise is the same as folding it in one go, i.e. when seq is and. The
-# min-time-par domain, whose seq (+) is not its and (max), is left out here
-# and exercised on dynamic trees by goldens and the pinned gap test instead;
-# on static models, where only (min, max) is read, it is in SAT_DOMAINS.
-DAT_DOMAINS = (
-    "min-cost",
-    "min-time-seq",
-    "min-skill",
-    "max-challenge",
-    "max-damage",
-    "prob-max",
-)
-
-
 # -- references -----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ fixture and shared by the criteria that quantify over them (5, 6 and 9).
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from atquant import (
     build,
     builtin,
     check_semiring_laws,
+    classify,
     from_structure_function,
     is_well_formed,
     k_top,
@@ -35,15 +37,13 @@ from atquant import (
     structure_function,
     total_probability_tree,
 )
-from atquant.analysis import bu_bdd_detailed
+from atquant.analysis import _EXACT, _refusal, auto_route, bu_bdd_detailed
 from atquant.cli import main
 from atquant.domains import BUILTIN_NAMES, LAWS, nat_add
-from atquant.errors import InvalidBdd
-from atquant.tree import NodeType, find_cycle
+from atquant.errors import AtError, InvalidBdd
+from atquant.tree import Dynamics, NodeType, Shape, StructureKind, find_cycle
 
 from helpers import (
-    DAT_DOMAINS,
-    SAT_DOMAINS,
     alpha,
     domain_with,
     overlap,
@@ -69,7 +69,8 @@ from helpers import (
 N_TREE_SAT = 500
 N_DAG_SAT = 500
 N_TREE_DAT = 500
-N_ORDERS = 3  # random variable orders per model, on top of the default
+N_DAG_DAT = 50
+N_ORDERS = 3  # random variable orders per static model, on top of the default
 SUITE_SECONDS_LIMIT = 300.0
 
 
@@ -79,7 +80,47 @@ def timed(fn, *args, **kwargs):
     return out, time.perf_counter() - t0
 
 
-# -- shared random corpora -----------------------------------------------------
+# -- the differential harness --------------------------------------------------
+#
+# Every random model of every structure class, in every domain, goes through
+# every engine of the table `analysis._EXACT`. An engine on a class it serves
+# must give the oracle's value where `_refusal` finds the domain exact, and
+# raise exactly that refusal elsewhere; on any other class it must raise an
+# AtError. `analyze` must take `auto_route`'s route, which is a fast path
+# exactly when the class's engine is exact for the domain, and give the
+# oracle's value, or its error where the oracle refuses.
+
+STATIC_TREE = StructureKind(Shape.TREE, Dynamics.STATIC)
+STATIC_DAG = StructureKind(Shape.DAG, Dynamics.STATIC)
+DYNAMIC_TREE = StructureKind(Shape.TREE, Dynamics.DYNAMIC)
+DYNAMIC_DAG = StructureKind(Shape.DAG, Dynamics.DYNAMIC)
+
+# every builtin, and a pareto product that absorbs and one that does not
+DOMAINS = BUILTIN_NAMES + ("pareto(min-cost,min-skill)", "pareto(min-cost,max-damage)")
+
+# engine of `_EXACT` -> (the classes it serves, whether it runs under every
+# variable order, its value under one)
+ENGINES = {
+    "bu_sat": ({STATIC_TREE}, False, lambda t, a, d, order: bu_sat(t, a, d)),
+    "bu_bdd": ({STATIC_TREE, STATIC_DAG}, True, bu_bdd),
+    "bu_dat": ({STATIC_TREE, DYNAMIC_TREE}, False, lambda t, a, d, order: bu_dat(t, a, d)),
+    "ktop": ({STATIC_TREE, STATIC_DAG}, False,
+             lambda t, a, d, order: k_top(t, a, d, 1, order)[0][0]),
+}
+
+# class -> (the algorithm the auto route names, the engine it runs); dynamic
+# DAGs always go to the oracle
+AUTO = {STATIC_TREE: ("bu", "bu_sat"), STATIC_DAG: ("bdd", "bu_bdd"),
+        DYNAMIC_TREE: ("bu", "bu_dat")}
+
+
+def _well_formed_dynamic_dag(rng: Random):
+    # a draw may hold no SAND gate, and sharing under one can cycle the
+    # ordering graph: reject both
+    while True:
+        t = rand_dag(rng, dynamic=True)
+        if NodeType.SAND in t.types and is_well_formed(t)[0]:
+            return t
 
 
 def _random_orders(rng: Random, t) -> list:
@@ -92,8 +133,23 @@ def _random_orders(rng: Random, t) -> list:
     return orders
 
 
-def _check_sat_model(t, rng, domains, rep, with_bu_sat):
-    orders = _random_orders(rng, t)
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AtError as e:
+        return e
+
+
+def _same(got, want) -> bool:
+    """Equal values, or errors of one class with one message."""
+    if isinstance(want, AtError) or isinstance(got, AtError):
+        return type(got) is type(want) and got.args == want.args
+    return got == want
+
+
+def _check_diagrams(t, orders, rep) -> None:
+    """Each order's compiled and minimised diagrams are well formed, and the
+    minimised one's paths are the minimal attacks."""
     suite = minimal_attacks_static(t)
     for order in orders:
         try:
@@ -111,26 +167,58 @@ def _check_sat_model(t, rng, domains, rep, with_bu_sat):
             rep.paths_matched += 1
         else:
             rep.bdd_failures.append(f"{len(t)} nodes: top_paths != minimal attacks")
-    for d in domains:
+
+
+def _check_cells(t, rng, domains, rep) -> None:
+    """Every cell of one model: each domain through each engine, the auto
+    route and `analyze`. `domains` holds (domain, engine -> its refusal)."""
+    kind = classify(t)
+    static = kind.dynamics is Dynamics.STATIC
+    orders = _random_orders(rng, t) if static else [None]
+    if static:
+        _check_diagrams(t, orders, rep)
+    oracle = oracle_metric_static if static else oracle_metric_dynamic
+
+    def cell(d, what, got, want):
+        rep.cells[kind] += 1
+        if not _same(got, want):
+            rep.mismatches.append(f"{kind} model of {len(t)} nodes, {d.name}, {what}: "
+                                  f"got {got!r}, want {want!r}")
+
+    for d, refusals in domains:
         a = rand_alpha(rng, t, d)
-        want = oracle_metric_static(t, a, d)
-        if with_bu_sat and bu_sat(t, a, d) != want:
-            rep.metric_mismatches.append(f"bu_sat/{d.name} on {len(t)}-node model")
-        for order in orders:
-            if bu_bdd(t, a, d, order) != want:
-                rep.metric_mismatches.append(f"bu_bdd/{d.name} on {len(t)}-node model")
-        rep.comparisons += (1 + len(orders)) if with_bu_sat else len(orders)
+        want = _outcome(oracle, t, a, d)
+        for engine, (serves, ordered, run) in ENGINES.items():
+            expected = want if refusals[engine] is None else refusals[engine]
+            for i, order in enumerate(orders if ordered else [None]):
+                got = _outcome(run, t, a, d, order)
+                what = f"{engine} under order {i}" if i else engine
+                if kind in serves:
+                    cell(d, what, got, expected)
+                else:
+                    cell(d, what, isinstance(got, AtError), True)
+        algorithm, warning = auto_route(kind, d)
+        fast = kind in AUTO and refusals[AUTO[kind][1]] is None
+        cell(d, "auto_route", (algorithm, warning is None),
+             (AUTO[kind][0] if fast else "oracle", fast))
+        res = _outcome(analyze, AnalysisRequest(t, a, d))
+        if not isinstance(res, AtError):
+            res = (res.algorithm, res.warnings, res.value)
+        if not (isinstance(want, AtError) and algorithm == "oracle"):
+            want = (algorithm, () if warning is None else (warning,), want)
+        cell(d, "analyze", res, want)
 
 
 @pytest.fixture(scope="module")
 def suites():
     rng = Random(0xA77AC)
-    sat_domains = [builtin(n) for n in SAT_DOMAINS]
-    dat_domains = [builtin(n) for n in DAT_DOMAINS]
+    assert ENGINES.keys() == _EXACT.keys()  # a new engine enters the harness here
+    domains = [(d, {engine: _refusal(engine, d) for engine in _EXACT})
+               for d in map(builtin, DOMAINS)]
     rep = SimpleNamespace(
-        metric_mismatches=[],
+        mismatches=[],
         bdd_failures=[],
-        comparisons=0,
+        cells=Counter(),
         bdds_validated=0,
         paths_matched=0,
         trees=0,
@@ -143,31 +231,24 @@ def suites():
     )
     t0 = time.perf_counter()
     for _ in range(N_TREE_SAT):
-        t = rand_tree(rng)
-        _check_sat_model(t, rng, sat_domains, rep, with_bu_sat=True)
+        _check_cells(rand_tree(rng), rng, domains, rep)
         rep.trees += 1
     for i in range(N_DAG_SAT):
         t = rand_dag(rng)
         if i < 50:
             rep.static_dag_samples.append(t)
-        _check_sat_model(t, rng, sat_domains, rep, with_bu_sat=False)
+        _check_cells(t, rng, domains, rep)
         rep.dags += 1
-    # dispatcher probes need well-formed models; sharing under a SAND can
-    # cycle the ordering graph, so reject those draws
-    while len(rep.dynamic_dag_samples) < 50:
-        t = rand_dag(rng, dynamic=True)
-        if is_well_formed(t)[0]:
-            rep.dynamic_dag_samples.append(t)
+    for _ in range(N_DAG_DAT):
+        t = _well_formed_dynamic_dag(rng)
+        rep.dynamic_dag_samples.append(t)
+        _check_cells(t, rng, domains, rep)
     for _ in range(N_TREE_DAT):
         t = rand_tree_dat(rng)
         assert is_well_formed(t)[0]  # proper dynamic trees never cycle; bu_dat relies on it
         assert _ordering_cycle(t) is None  # the relation agrees; is_well_formed skips the search
         rep.dat_trees.append(t)
-        for d in dat_domains:
-            a = rand_alpha(rng, t, d)
-            if bu_dat(t, a, d) != oracle_metric_dynamic(t, a, d):
-                rep.metric_mismatches.append(f"bu_dat/{d.name} on {len(t)}-node model")
-            rep.comparisons += 1
+        _check_cells(t, rng, domains, rep)
         rep.dats += 1
     rep.elapsed = time.perf_counter() - t0
     return rep
@@ -310,12 +391,19 @@ def test_criterion_05_oracle_equivalence_suites(suites):
     assert suites.trees == N_TREE_SAT
     assert suites.dags == N_DAG_SAT
     assert suites.dats == N_TREE_DAT
-    assert suites.metric_mismatches == []
+    assert len(suites.dynamic_dag_samples) == N_DAG_DAT
+    assert not suites.mismatches, (
+        f"{len(suites.mismatches)} cells failed; the first: {suites.mismatches[0]}")
+    # every engine runs on every class, so each class has been seen whole
+    assert suites.cells.keys() == {STATIC_TREE, STATIC_DAG, DYNAMIC_TREE, DYNAMIC_DAG}
     assert suites.elapsed < SUITE_SECONDS_LIMIT, f"suites took {suites.elapsed:.0f}s"
+    per_class = ", ".join(f"{kind} {suites.cells[kind]}"
+                          for kind in (STATIC_TREE, STATIC_DAG, DYNAMIC_TREE, DYNAMIC_DAG))
     print(
-        f"criterion 5 PASS: {suites.comparisons} model/domain comparisons over "
-        f"{suites.trees}+{suites.dags}+{suites.dats} random models matched the "
-        f"oracle exactly in {suites.elapsed:.0f}s"
+        f"criterion 5 PASS: {sum(suites.cells.values())} harness cells ({per_class}) over "
+        f"{suites.trees}+{suites.dags}+{suites.dats}+{len(suites.dynamic_dag_samples)} "
+        f"random models, {len(DOMAINS)} domains and {len(ENGINES)} engines held in "
+        f"{suites.elapsed:.0f}s"
     )
 
 
@@ -362,6 +450,7 @@ def test_criterion_07_algebra_suite():
         "seq-is-and": domain_with(par, laws=par.laws | {"seq-is-and"}),  # + is not max
         "and-is-plus": domain_with(skill, laws=skill.laws | {"and-is-plus"}),  # max is not +
         "or-absorbs-and": domain_with(dmg, laws=dmg.laws | {"or-absorbs-and"}),  # max(x, x + y)
+        "and-idempotent": domain_with(mc, laws=mc.laws | {"and-idempotent"}),  # x + x
     }
     assert false_claims.keys() == LAWS
     for law, d in false_claims.items():

@@ -15,14 +15,14 @@ from atquant import (
     bu_dat,
     bu_sat,
     builtin,
-    classify,
     k_top,
+    minimal_attacks_dynamic,
     oracle_metric_dynamic,
     oracle_metric_static,
     structure_function,
     total_probability_tree,
 )
-from atquant.analysis import auto_route, bu_bdd_detailed, validate_attribution
+from atquant.analysis import bu_bdd_detailed, validate_attribution
 from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise
 from atquant.domains import (
     BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, render_value,
@@ -32,6 +32,7 @@ from atquant.errors import (
     BadAttributeValue,
     DagRejected,
     DynamicTreeRejected,
+    IncompatibleDomain,
     InvalidRequest,
     MissingAttribution,
     MissingNeutrals,
@@ -188,10 +189,10 @@ def test_only_absorbing_domains_fold_the_compiled_diagram():
     # max is not absorbing over +: {a, c} would read 15
     value, diagram = bu_bdd_detailed(t, a, builtin("max-damage"))
     assert value == 11 and top_paths(diagram) == minimal
-    # nor is min over a negative value, which only a direct call can pass:
-    # {a, c} would read -5
-    value, diagram = bu_bdd_detailed(t, alpha(t, {"a": -10, "b": 20, "c": 5}), builtin("min-cost"))
-    assert value == 5 and top_paths(diagram) == minimal
+    # nor is min over a negative value, where {a, c} would read -5: the
+    # values are checked before any diagram is folded
+    with pytest.raises(BadAttributeValue, match="negative value -10 for basic action 'a'"):
+        bu_bdd(t, alpha(t, {"a": -10, "b": 20, "c": 5}), builtin("min-cost"))
     # every domain declaring or-absorbs-and folds the compiled diagram, and
     # every other one the minimal attacks
     half, third = Fraction(1, 2), Fraction(1, 3)
@@ -434,20 +435,55 @@ def test_a_declared_seq_is_and_routes_bu_without_the_same_function():
         assert res.value == oracle_metric_dynamic(t, a, d)
 
 
-def test_parallel_time_diverges_from_flat_fold_on_mixed_components():
-    # SAND over AND merges parallel work into one sequential chain. The
-    # flat definitional fold then serializes a and b (1 + 2 + 4 = 7) while
-    # the bottom-up pass lets them overlap (max(1, 2) + 4 = 6). Pinned so a
-    # change in either reading shows up loudly.
+def test_parallel_time_takes_the_critical_path():
+    # SAND over AND: a and b overlap, then c follows, so the oracle's
+    # critical path and the bottom-up pass both read max(1, 2) + 4 = 6,
+    # where serialising the whole chain component would read 7
     t = sand_over_and()
     a = alpha(t, {"a": 1, "b": 2, "c": 4})
     par = builtin("min-time-par")
-    assert oracle_metric_dynamic(t, a, par) == 7
+    assert oracle_metric_dynamic(t, a, par) == 6
     assert bu_dat(t, a, par) == 6
     # domains folding chains with the conjunctive operator cannot diverge
     for name in ("min-cost", "min-skill", "max-damage"):
         d = builtin(name)
         assert bu_dat(t, a, d) == oracle_metric_dynamic(t, a, d)
+    # a diamond, a before b and c, both before d: b ends at 1 + 3 = 4, c at
+    # 1 + 5 = 6, and d at max(4, 6) + 2 = 8; a counts once, by idempotence
+    diamond = tt(("sand", "a", ("and", "b", "c"), "d"))
+    a = alpha(diamond, {"a": 1, "b": 3, "c": 5, "d": 2})
+    (attack,) = minimal_attacks_dynamic(diamond)
+    assert len(attack.order) == 4
+    assert oracle_metric_dynamic(diamond, a, par) == bu_dat(diamond, a, par) == 8
+    # an N, a and b before c, b before d, which no proper tree orders (its
+    # posets are series-parallel): c ends at max(5, 1) + 2 = 7 and d at
+    # 1 + 10 = 11, so the attack takes 11; only the oracle can say
+    n = tt(("and", ("sand", "a", "c"), ("sand", "b", "c"), ("sand", "b", "d")))
+    a = alpha(n, {"a": 5, "b": 1, "c": 2, "d": 10})
+    (attack,) = minimal_attacks_dynamic(n)
+    assert {(n.label_of(x), n.label_of(y)) for x, y in attack.order} == {
+        ("a", "c"), ("b", "c"), ("b", "d")}
+    assert oracle_metric_dynamic(n, a, par) == 11
+    res = analyze(AnalysisRequest(n, a, par))
+    assert (res.algorithm, res.value) == ("oracle", 11)
+
+
+def test_an_ordered_attack_needs_seq_is_and_or_an_idempotent_and():
+    # + after max, but max declared not idempotent: the critical path could
+    # count a shared predecessor twice, so the oracle and bu_dat both refuse
+    par = builtin("min-time-par")
+    d = domain_with(par, name="min-time-par-no-idem", laws=par.laws - {"and-idempotent"})
+    t = tt(("sand", "a", "b"))
+    a = alpha(t, {"a": 1, "b": 2})
+    with pytest.raises(IncompatibleDomain, match="declares neither seq-is-and nor and-idempotent"):
+        oracle_metric_dynamic(t, a, d)
+    with pytest.raises(NotSemiringDynamic):
+        bu_dat(t, a, d)
+    with pytest.raises(IncompatibleDomain):
+        analyze(AnalysisRequest(t, a, d))
+    # an unordered attack has no critical path to take
+    lone = tt(("or", "a", ("sand", "b")))
+    assert oracle_metric_dynamic(lone, alpha(lone, {"a": 1, "b": 2}), d) == 1
 
 
 def test_total_probability_golden_and_bruteforce():
@@ -587,8 +623,6 @@ def test_analyze_routing_matrix():
     # one to complain about the chained component (bu would say non-semiring)
     par = builtin("pareto(min-cost,min-skill)")
     ap = {b: frozenset({(1, 2)}) for b in bas_of(dtree)}
-    from atquant.errors import IncompatibleDomain
-
     with pytest.raises(IncompatibleDomain):
         analyze(AnalysisRequest(dtree, ap, par))
     # with no multi-element chain the oracle route completes
@@ -601,7 +635,7 @@ def test_analyze_routing_matrix():
     ad = alpha(d, {"ff": 3, "w": 15, "cc": 1})
     res = analyze(AnalysisRequest(d, ad, builtin("min-time-par")))
     assert res.algorithm == "oracle"
-    assert any("shared" in w for w in res.warnings)
+    assert any("shared subtrees" in w for w in res.warnings)
     assert res.value == 15
 
 
@@ -651,26 +685,6 @@ def test_analyze_ktop_and_stats():
     assert res.stats["nodes"] == len(f)
     assert res.stats["bdd_nodes"] == 3
     assert isinstance(res.stats["millis"], int) and res.stats["millis"] >= 0
-
-
-def test_auto_route_and_engine_guards_agree():
-    # a fast path is routed to exactly when its engine accepts the domain
-    rng = random.Random(12)
-    engines = [(bu_sat, treasure()), (bu_bdd, overlap()), (bu_dat, sand_over_and())]
-    for name in BUILTIN_NAMES:
-        d = builtin(name)
-        for engine, t in engines:
-            a = rand_alpha(rng, t, d)
-            algorithm, warning = auto_route(classify(t), d)
-            if warning is None:
-                assert algorithm in ("bu", "bdd")
-                engine(t, a, d)
-            else:
-                assert algorithm == "oracle"
-                with pytest.raises(AtError):
-                    engine(t, a, d)
-    algorithm, warning = auto_route(classify(exploit()), builtin("min-cost"))
-    assert algorithm == "oracle" and "shared subtrees" in warning
 
 
 def test_invalid_requests_are_reported_as_at_errors():

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from atquant.cli import main
+from atquant.domains import BUILTIN_NAMES
+from atquant.io import parse_model
 
 MODELS = "models"
 
@@ -603,3 +605,24 @@ def test_a_static_dag_deeper_than_the_recursion_limit(capsys, tmp_path):
     decisions = re.findall(r'\[shape=circle, label="b(\d+)"\]', out)
     assert code == 0 and len(decisions) == 2 * n
     assert sorted(map(int, decisions)) == [0] + sorted(2 * list(range(1, n))) + [n]
+
+
+def test_every_algorithm_that_answers_gives_one_value(capsys):
+    # one question, one answer: every model, builtin domain and declared
+    # attribution, asked of each algorithm; those that refuse exit non-zero
+    requests, differ = 0, []
+    for path in sorted(Path(MODELS).glob("*.at")):
+        names = parse_model(path.read_text()).attributions
+        for domain in BUILTIN_NAMES:
+            for name in names:
+                values = {}
+                for algorithm in ("auto", "bu", "bdd", "oracle"):
+                    code, out, _ = run(capsys, "metric", str(path), "--domain", domain,
+                                       "--attribution", name, "--algorithm", algorithm,
+                                       "--format", "json")
+                    requests += 1
+                    if code == 0:
+                        values[algorithm] = json.loads(out)["value"]
+                if len(set(values.values())) > 1:
+                    differ.append((path.name, domain, name, values))
+    assert requests == 352 and differ == []

@@ -78,7 +78,7 @@ def test_builtin_flags_match_their_algebra():
     assert flags["max-damage"].sense == "max"
     assert "and-is-plus" not in flags["prob-max"].laws
     additive = {"and-over-or", "seq-is-and", "and-is-plus"}
-    dynamic = {"and-over-or", "seq-over-and", "seq-over-or"}
+    dynamic = {"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"}
     absorbs = {"or-absorbs-and"}
     assert {n: flags[n].laws for n in BUILTIN_NAMES} == {
         "min-cost": additive | absorbs,
@@ -88,7 +88,7 @@ def test_builtin_flags_match_their_algebra():
         "min-skill": dynamic | absorbs | {"seq-is-and"},
         "max-challenge": dynamic | {"seq-is-and"},
         "prob-max": {"and-over-or", "seq-is-and"} | absorbs,
-        "cost-to-defend": set(),
+        "cost-to-defend": {"and-idempotent"},
     }
 
 
@@ -108,7 +108,7 @@ def test_a_domain_refuses_laws_it_cannot_declare():
                              sense="min")
     assert type(sensed.laws) is frozenset and sensed.laws == {"and-is-plus"}
     assert LAWS == {"and-over-or", "seq-over-and", "seq-over-or", "seq-is-and", "and-is-plus",
-                    "or-absorbs-and"}
+                    "or-absorbs-and", "and-idempotent"}
 
 
 def test_validate_value_accepts_and_rejects():
@@ -220,6 +220,15 @@ def test_pareto_product_construction():
         claimed = domain_with(false_claim, laws=false_claim.laws | {"or-absorbs-and"})
         caught = check_semiring_laws(claimed, law_triples(claimed, 300, 5))
         assert not caught.result("or-absorbs-and").holds, false_claim.name
+    # no product is idempotent, not even of idempotent components: points
+    # combine across, and with two max components (2, 2) beats both
+    challenges = builtin("pareto(max-challenge,max-challenge)")
+    front = frozenset({(1, 2), (2, 1)})
+    assert challenges.and_op(front, front) == {(2, 2)}
+    assert "and-idempotent" not in challenges.laws
+    claimed = domain_with(challenges, laws=challenges.laws | {"and-idempotent"})
+    caught = check_semiring_laws(claimed, [(front, front, front)]).result("and-idempotent")
+    assert not caught.holds
     with pytest.raises(EmptyProduct):
         pareto_product([])
     for nested in (lambda: pareto_product([d, builtin("min-cost")]),

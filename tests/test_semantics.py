@@ -294,13 +294,18 @@ def test_minimal_attacks_dynamic_on_static_tree_degenerates():
     assert all(p.order == frozenset() for p in suite)
 
 
-def test_hasse_components():
+def test_attack_value_folds_flat_or_along_the_critical_path():
+    # 1 before 2, and 3 alone: the maximal elements are 2 and 3
     p = PosetAttack(frozenset({1, 2, 3}), frozenset({(1, 2)}))
-    assert semantics._components(p.nodes, p.order) == (frozenset({1, 2}), frozenset({3}))
-
-    g = chains()
-    (pa,) = minimal_attacks_dynamic(g)
-    assert semantics._components(pa.nodes, pa.order) == (pa.nodes,)
+    value = {1: 2, 2: 3, 3: 4}.__getitem__
+    # seq-is-and: one flat fold, 2 + 3 + 4
+    assert semantics.attack_value(builtin("min-cost"), p.nodes, p.order, value) == 9
+    # the critical path: 2 ends at 2 + 3 = 5, beside 3 at 4
+    assert semantics.attack_value(builtin("min-time-par"), p.nodes, p.order, value) == 5
+    # no order, no chain: and_op alone, whatever the domain
+    assert semantics.attack_value(builtin("min-time-par"), p.nodes, frozenset(), value) == 4
+    with pytest.raises(IncompatibleDomain, match="has no sequential operator for a chained component$"):
+        semantics.attack_value(builtin("cost-to-defend"), p.nodes, p.order, value)
 
 
 def test_oracle_static_goldens():
@@ -347,7 +352,8 @@ def test_oracle_dynamic_needs_seq_for_chains():
     t = tt(("sand", "a", "b"))
     par = builtin("pareto(min-cost,min-skill)")
     a = {b: par.random_value(random.Random(1)) for b in bas_of(t)}
-    with pytest.raises(IncompatibleDomain):
+    with pytest.raises(IncompatibleDomain, match="^domain pareto\\(min-cost,min-skill\\) has no "
+                       "sequential operator for a chained component$"):
         oracle_metric_dynamic(t, a, par)
 
 
