@@ -1,34 +1,25 @@
 """Metric computation: efficient algorithms plus the dispatcher.
 
-Four computation routes. Each is exact only for a domain that declares
-every law of one of the law sets the table _EXACT gives for it (the laws
-are those of domains.LAWS); the auto route, the engine guards and the
-k-top engine all read that table:
+One table, `_ROUTES`, holds the routing rule: which engine serves which
+structure class, exact for a domain that declares every law (of
+domains.LAWS) of one of its law sets. The auto route, the engine guards,
+the explicit algorithm choices of `analyze` and of the CLI, and the
+differential harness all read it, so a new route is one row.
 
-- bu_sat: single bottom-up pass over a STATIC proper TREE; needs
-  and-over-or (a semiring).
-- bu_bdd: fold over a BDD of the structure function; handles shared
-  subtrees (static DAGs), needs and-over-or and both neutral elements.
-  The law or-absorbs-and alone picks the diagram. The fold over a diagram
-  is the or_op over its root-to-TRUE paths of the and_op of the values of
-  the path's high-edge variables. The high set of a TRUE-path of the
-  compiled diagram satisfies the structure function, so it contains a
-  minimal attack; and each minimal attack, read as an assignment, follows
-  a TRUE-path whose high set it contains, so is that set. Every path is
-  thus a minimal attack or adds to one, and by absorption, x or (x and y)
-  = x, the added paths change nothing: an absorbing domain folds the
-  compiled diagram. Any other domain, such as max-damage or max-challenge,
-  whose or_op prefers the larger attack, folds the minimal-solutions
-  diagram, whose paths are exactly the minimal attacks. A domain that also
-  declares and-is-plus takes the fold as the shortest root-to-TRUE path,
-  summed over integers. k_top, which needs distinct minimal attacks,
-  always minimises.
-- k_top: the k best attacks as k shortest paths, one bottom-up pass over the
-  weighted BDD; needs and-is-plus, and ranks by the domain's sense.
-- bu_dat: bottom-up over a well-formed DYNAMIC proper tree, mapping OR/AND/
-  SAND to the domain's three operators; needs a dynamic semiring
-  (and-over-or, seq-over-and, seq-over-or) whose and_op is idempotent, or
-  and-over-or with seq-is-and.
+The fold over a decision diagram is the or_op over its root-to-TRUE paths
+of the and_op of the values of the path's high-edge variables, and the law
+or-absorbs-and alone picks the diagram `bu_bdd` folds. The high set of a
+TRUE-path of the compiled diagram satisfies the structure function, so it
+contains a minimal attack; and each minimal attack, read as an assignment,
+follows a TRUE-path whose high set it contains, so is that set. Every path
+is thus a minimal attack or adds to one, and by absorption, x or (x and y)
+= x, the added paths change nothing: an absorbing domain folds the
+compiled diagram. Any other domain, such as max-damage or max-challenge,
+whose or_op prefers the larger attack, folds the minimal-solutions
+diagram, whose paths are exactly the minimal attacks. A domain that also
+declares and-is-plus takes the fold as the shortest root-to-TRUE path,
+summed over integers. k_top, which needs distinct minimal attacks, always
+minimises.
 """
 
 from __future__ import annotations
@@ -65,35 +56,51 @@ from .record import Record
 from .tree import AttackTree, Dynamics, NodeType, Shape, StructureKind, bas_of, classify, fold
 
 
-# engine -> (the law sets that make it exact, the refusal of a domain that
-# declares every law of none of them); nothing else decides eligibility
-_EXACT = {
-    "bu_sat": (({"and-over-or"},), NotSemiring, "is not a semiring"),
-    "bu_bdd": (({"and-over-or"},), NotSemiring, "is not a semiring"),
-    "bu_dat": (({"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"},
+STATIC_TREE = StructureKind(Shape.TREE, Dynamics.STATIC)
+STATIC_DAG = StructureKind(Shape.DAG, Dynamics.STATIC)
+DYNAMIC_TREE = StructureKind(Shape.TREE, Dynamics.DYNAMIC)
+
+# engine -> (the algorithm it answers as, the structure classes it serves,
+# the law sets of which a domain must declare one for it to be exact, the
+# error and reason that refuse any other domain), cheapest first. Engines
+# are named, not held, so that a tracer may swap what they call.
+_ROUTES = {
+    "bu_sat": ("bu", {STATIC_TREE}, ({"and-over-or"},), NotSemiring, "is not a semiring"),
+    "bu_dat": ("bu", {STATIC_TREE, DYNAMIC_TREE},
+               ({"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"},
                 {"and-over-or", "seq-is-and"}),
                NotSemiringDynamic, "does not support bottom-up dynamic evaluation"),
-    "ktop": (({"and-is-plus"},), UnsupportedDomainForKTop,
-             "does not reduce to additive shortest paths"),
+    "bu_bdd": ("bdd", {STATIC_TREE, STATIC_DAG}, ({"and-over-or"},),
+               NotSemiring, "is not a semiring"),
+    "ktop": ("ktop", {STATIC_TREE, STATIC_DAG}, ({"and-is-plus"},),
+             UnsupportedDomainForKTop, "does not reduce to additive shortest paths"),
 }
 
-
-def _exact(engine: str, d: AttributeDomain) -> bool:
-    return any(laws <= d.laws for laws in _EXACT[engine][0])
+# the routes a metric request may name
+ALGORITHMS = ("auto", *dict.fromkeys(r[0] for e, r in _ROUTES.items() if e != "ktop"), "oracle")
 
 
 def _refusal(engine: str, d: AttributeDomain) -> Optional[AtError]:
-    """Why the engine is not exact for the domain, or None. The auto route
-    and the engine guards all ask this one question."""
-    if not _exact(engine, d):
-        _, error, reason = _EXACT[engine]
+    """Why the engine is not exact for the domain, or None."""
+    _, _, law_sets, error, reason = _ROUTES[engine]
+    if not any(laws <= d.laws for laws in law_sets):
         return error(f"domain {d.name} {reason}")
     if engine == "bu_bdd" and not d.has_neutrals:
         return MissingNeutrals(f"domain {d.name} lacks neutral elements for the BDD fold")
     return None
 
 
-def _require(engine: str, domain: AttributeDomain) -> None:
+def _guard(engine: str, t: AttackTree, domain: AttributeDomain) -> None:
+    """Raise why the engine cannot answer. A tree fold refuses a class it
+    does not serve before the domain; for a diagram engine on a dynamic
+    model, `from_structure_function` refuses once the domain passes."""
+    classes = _ROUTES[engine][1]
+    if all(c.shape is Shape.TREE for c in classes):
+        kind = classify(t)
+        if kind.shape is Shape.DAG:
+            raise DagRejected(f"{engine} is only sound on proper trees; shared nodes double-count")
+        if kind not in classes:
+            raise DynamicTreeRejected(f"{engine} handles static models; use bu_dat")
     refusal = _refusal(engine, domain)
     if refusal is not None:
         raise refusal
@@ -120,10 +127,11 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
             raise BadAttributeValue(f"{e} for basic action {t.label_of(b)!r}") from None
 
 
-def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """Memoized bottom-up fold; the memoization is what makes it naive on
-    DAGs (a shared node contributes one value to every parent). Callers
-    ensure a SAND gate only meets a domain with a sequential operator."""
+def _fold(engine: str, t: AttackTree, alpha: dict, domain: AttributeDomain):
+    """Memoized bottom-up fold, once the tree fold `engine`'s guard passes;
+    the memoization is what makes it naive on DAGs (a shared node
+    contributes one value to every parent)."""
+    _guard(engine, t, domain)
     try:
         leaves = list(map(alpha.__getitem__, t.bas))
     except KeyError as e:
@@ -134,13 +142,7 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
 
 def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Bottom-up metric on a static proper tree (exact for semirings)."""
-    kind = classify(t)
-    if kind.shape is Shape.DAG:
-        raise DagRejected("bu_sat is only sound on proper trees; shared nodes double-count")
-    if kind.dynamics is Dynamics.DYNAMIC:
-        raise DynamicTreeRejected("bu_sat handles static models; use bu_dat")
-    _require("bu_sat", domain)
-    return _fold(t, alpha, domain)
+    return _fold("bu_sat", t, alpha, domain)
 
 
 def _rank_values(t: AttackTree, alpha: dict, m: Bdd) -> list:
@@ -175,7 +177,7 @@ def bu_bdd_detailed(
     t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None
 ) -> tuple[object, Bdd]:
     """(metric, the diagram folded): see `bu_bdd`."""
-    _require("bu_bdd", domain)
+    _guard("bu_bdd", t, domain)
     m = from_structure_function(t, order)
     if "or-absorbs-and" not in domain.laws:
         m = minimise(m)
@@ -255,7 +257,7 @@ def k_top_detailed(
 ) -> tuple[list, Bdd]:
     if k < 1:
         raise InvalidRequest("k must be at least 1")
-    _require("ktop", domain)
+    _guard("ktop", t, domain)
     sgn = 1 if domain.sense == "min" else -1
     m = minimise(from_structure_function(t, order))
     ranks, lows, highs, bas_at = m.store.ranks, m.store.lows, m.store.highs, m.order.bas
@@ -318,12 +320,9 @@ def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain):
     the conjunctive one's values: then this computes the static fold of the
     projection, and the oracle the flat fold of each attack.
     """
-    if classify(t).shape is Shape.DAG:
-        raise DagRejected("bu_dat is only sound on proper trees")
-    _require("bu_dat", domain)
     # no well-formedness check: `is_well_formed` answers True on every
     # proper tree, whose ordering edges all run left to right in leaf order
-    return _fold(t, alpha, domain)
+    return _fold("bu_dat", t, alpha, domain)
 
 
 def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
@@ -355,7 +354,7 @@ class AnalysisRequest(NamedTuple):
     tree: AttackTree
     alpha: dict
     domain: AttributeDomain
-    algorithm: str = "auto"  # auto | bu | bdd | oracle
+    algorithm: str = "auto"  # one of ALGORITHMS
     k: Optional[int] = None
     order: Optional[VarOrder] = None
     budget: int = DEFAULT_BUDGET
@@ -376,38 +375,39 @@ class AnalysisResult(Record):
 
 
 _ORACLE_WARNING = "definitional oracle is exponential in the number of basic actions"
-
-# auto route: structure kind -> (algorithm, engine whose rules the domain
-# must meet); dynamic DAGs have no efficient exact algorithm
-_AUTO = {
-    StructureKind(Shape.TREE, Dynamics.STATIC): ("bu", "bu_sat"),
-    StructureKind(Shape.DAG, Dynamics.STATIC): ("bdd", "bu_bdd"),
-    StructureKind(Shape.TREE, Dynamics.DYNAMIC): ("bu", "bu_dat"),
-}
+_NO_ROUTE_WARNING = ("no efficient algorithm is known for dynamic models with shared "
+                     "subtrees; falling back to the exponential definitional oracle")
 
 
 def auto_route(kind: StructureKind, domain: AttributeDomain) -> tuple[str, Optional[str]]:
-    """(algorithm, warning) under the auto policy; the warning says why the
-    route fell back to the oracle and is None on a fast path."""
-    if kind not in _AUTO:
-        return "oracle", (
-            "no efficient algorithm is known for dynamic models with shared "
-            "subtrees; falling back to the exponential definitional oracle"
-        )
-    algorithm, engine = _AUTO[kind]
-    if _refusal(engine, domain) is not None:
-        return "oracle", _ORACLE_WARNING
-    return algorithm, None
+    """(algorithm, warning): the algorithm of the first row but k-top's that
+    serves the class and is exact for the domain, else the oracle with a
+    warning that says why."""
+    served = [e for e, row in _ROUTES.items() if e != "ktop" and kind in row[1]]
+    for engine in served:
+        if _refusal(engine, domain) is None:
+            return _ROUTES[engine][0], None
+    return "oracle", _ORACLE_WARNING if served else _NO_ROUTE_WARNING
+
+
+def _engine(algorithm: str, kind: StructureKind) -> str:
+    """The engine an explicit algorithm runs: the first of its rows that
+    serves the class, else the first that serves the class's dynamics,
+    whose guard then refuses the shape, else its first row."""
+    rows = [(kind not in classes, kind.dynamics not in {c.dynamics for c in classes}, i, e)
+            for i, (e, (name, classes, *_)) in enumerate(_ROUTES.items())
+            if e != "ktop" and name == algorithm]
+    if not rows:
+        raise InvalidRequest(f"unknown algorithm {algorithm!r}")
+    return min(rows)[-1]
 
 
 def analyze(req: AnalysisRequest) -> AnalysisResult:
     """Route a request to the cheapest sound algorithm and time it.
 
-    Auto policy: static trees take the bottom-up pass, static DAGs the BDD
-    fold, dynamic trees the dynamic bottom-up pass; anything else (dynamic
-    DAGs, non-semiring domains) falls back to the exhaustive oracle with a
-    warning. Explicit algorithm choices are honored or rejected, never
-    silently downgraded.
+    The auto route reads `_ROUTES` (see `auto_route`) and falls back to the
+    exhaustive oracle with a warning. Explicit algorithm choices are
+    honored or rejected, never silently downgraded.
     """
     started = time.perf_counter()
     t, domain, alpha = req.tree, req.domain, req.alpha
@@ -428,17 +428,17 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
         algorithm = req.algorithm
         if algorithm == "auto":
             algorithm, warning = auto_route(kind, domain)
-        dynamic = kind.dynamics is Dynamics.DYNAMIC
-        if algorithm == "bu":
-            value = (bu_dat if dynamic else bu_sat)(t, alpha, domain)
-        elif algorithm == "bdd":
-            value, diagram = bu_bdd_detailed(t, alpha, domain, req.order)
-            stats["bdd_nodes"] = diagram.node_count()
-        elif algorithm == "oracle":
+        if algorithm == "oracle":
+            dynamic = kind.dynamics is Dynamics.DYNAMIC
             oracle = oracle_metric_dynamic if dynamic else oracle_metric_static
             value = oracle(t, alpha, domain, req.budget)
         else:
-            raise InvalidRequest(f"unknown algorithm {req.algorithm!r}")
+            engine = _engine(algorithm, kind)
+            if engine == "bu_bdd":
+                value, diagram = bu_bdd_detailed(t, alpha, domain, req.order)
+                stats["bdd_nodes"] = diagram.node_count()
+            else:
+                value = _fold(engine, t, alpha, domain)
 
     stats["millis"] = int((time.perf_counter() - started) * 1000)
     return AnalysisResult(

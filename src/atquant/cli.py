@@ -18,7 +18,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .analysis import DEFAULT_BUDGET, AnalysisRequest, analyze
+from .analysis import ALGORITHMS, DEFAULT_BUDGET, AnalysisRequest, analyze
 from .bdd import VarOrder, from_structure_function, minimise
 from .domains import ValueKind, builtin
 from .errors import AtError, BudgetExceeded
@@ -201,7 +201,7 @@ _COMMANDS = {
         _FORMAT, _OUTPUT, _DOMAIN,
         ("--attribution", str, None, True,
          "attribution name; comma-joined names for pareto products"),
-        ("--algorithm", ("auto", "bu", "bdd", "oracle"), "auto", False,
+        ("--algorithm", ALGORITHMS, "auto", False,
          "engine; auto routes to the cheapest exact one"),
         ("--order", str, None, False, "declared variable order to use for BDDs"),
         ("--budget", int, DEFAULT_BUDGET, False, "max BAS count for the oracle"),

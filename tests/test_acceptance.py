@@ -37,7 +37,9 @@ from atquant import (
     structure_function,
     total_probability_tree,
 )
-from atquant.analysis import _EXACT, _refusal, auto_route, bu_bdd_detailed
+from atquant.analysis import (
+    DYNAMIC_TREE, STATIC_DAG, STATIC_TREE, _ROUTES, _refusal, auto_route, bu_bdd_detailed,
+)
 from atquant.cli import main
 from atquant.domains import BUILTIN_NAMES, LAWS, nat_add
 from atquant.errors import AtError, InvalidBdd
@@ -83,35 +85,27 @@ def timed(fn, *args, **kwargs):
 # -- the differential harness --------------------------------------------------
 #
 # Every random model of every structure class, in every domain, goes through
-# every engine of the table `analysis._EXACT`. An engine on a class it serves
-# must give the oracle's value where `_refusal` finds the domain exact, and
-# raise exactly that refusal elsewhere; on any other class it must raise an
-# AtError. `analyze` must take `auto_route`'s route, which is a fast path
-# exactly when the class's engine is exact for the domain, and give the
-# oracle's value, or its error where the oracle refuses.
+# every engine of the table `analysis._ROUTES`. An engine on a class its row
+# serves must give the oracle's value where `_refusal` finds the domain
+# exact, and raise exactly that refusal elsewhere; on any other class it
+# must raise an AtError. `auto_route` must name the algorithm of the first
+# row but k-top's that serves the class and is exact for the domain, and
+# `analyze` must take that route and give the oracle's value, or its error
+# where the oracle refuses.
 
-STATIC_TREE = StructureKind(Shape.TREE, Dynamics.STATIC)
-STATIC_DAG = StructureKind(Shape.DAG, Dynamics.STATIC)
-DYNAMIC_TREE = StructureKind(Shape.TREE, Dynamics.DYNAMIC)
 DYNAMIC_DAG = StructureKind(Shape.DAG, Dynamics.DYNAMIC)
 
 # every builtin, and a pareto product that absorbs and one that does not
 DOMAINS = BUILTIN_NAMES + ("pareto(min-cost,min-skill)", "pareto(min-cost,max-damage)")
 
-# engine of `_EXACT` -> (the classes it serves, whether it runs under every
-# variable order, its value under one)
+# engine of `_ROUTES` -> (whether it runs under every variable order, its
+# value under one)
 ENGINES = {
-    "bu_sat": ({STATIC_TREE}, False, lambda t, a, d, order: bu_sat(t, a, d)),
-    "bu_bdd": ({STATIC_TREE, STATIC_DAG}, True, bu_bdd),
-    "bu_dat": ({STATIC_TREE, DYNAMIC_TREE}, False, lambda t, a, d, order: bu_dat(t, a, d)),
-    "ktop": ({STATIC_TREE, STATIC_DAG}, False,
-             lambda t, a, d, order: k_top(t, a, d, 1, order)[0][0]),
+    "bu_sat": (False, lambda t, a, d, order: bu_sat(t, a, d)),
+    "bu_dat": (False, lambda t, a, d, order: bu_dat(t, a, d)),
+    "bu_bdd": (True, bu_bdd),
+    "ktop": (False, lambda t, a, d, order: k_top(t, a, d, 1, order)[0][0]),
 }
-
-# class -> (the algorithm the auto route names, the engine it runs); dynamic
-# DAGs always go to the oracle
-AUTO = {STATIC_TREE: ("bu", "bu_sat"), STATIC_DAG: ("bdd", "bu_bdd"),
-        DYNAMIC_TREE: ("bu", "bu_dat")}
 
 
 def _well_formed_dynamic_dag(rng: Random):
@@ -188,19 +182,20 @@ def _check_cells(t, rng, domains, rep) -> None:
     for d, refusals in domains:
         a = rand_alpha(rng, t, d)
         want = _outcome(oracle, t, a, d)
-        for engine, (serves, ordered, run) in ENGINES.items():
+        for engine, (ordered, run) in ENGINES.items():
             expected = want if refusals[engine] is None else refusals[engine]
             for i, order in enumerate(orders if ordered else [None]):
                 got = _outcome(run, t, a, d, order)
                 what = f"{engine} under order {i}" if i else engine
-                if kind in serves:
+                if kind in _ROUTES[engine][1]:
                     cell(d, what, got, expected)
                 else:
                     cell(d, what, isinstance(got, AtError), True)
         algorithm, warning = auto_route(kind, d)
-        fast = kind in AUTO and refusals[AUTO[kind][1]] is None
+        fast = [row[0] for engine, row in _ROUTES.items()
+                if engine != "ktop" and kind in row[1] and refusals[engine] is None]
         cell(d, "auto_route", (algorithm, warning is None),
-             (AUTO[kind][0] if fast else "oracle", fast))
+             (fast[0], True) if fast else ("oracle", False))
         res = _outcome(analyze, AnalysisRequest(t, a, d))
         if not isinstance(res, AtError):
             res = (res.algorithm, res.warnings, res.value)
@@ -212,8 +207,8 @@ def _check_cells(t, rng, domains, rep) -> None:
 @pytest.fixture(scope="module")
 def suites():
     rng = Random(0xA77AC)
-    assert ENGINES.keys() == _EXACT.keys()  # a new engine enters the harness here
-    domains = [(d, {engine: _refusal(engine, d) for engine in _EXACT})
+    assert ENGINES.keys() == _ROUTES.keys()  # a new engine enters the harness here
+    domains = [(d, {engine: _refusal(engine, d) for engine in _ROUTES})
                for d in map(builtin, DOMAINS)]
     rep = SimpleNamespace(
         mismatches=[],

@@ -338,6 +338,50 @@ def test_decision_diagram_commands_name_the_static_only_rule(capsys):
         assert run(capsys, *argv) == (1, "", err_text), argv
 
 
+_TREE_FOLD_ON_A_DAG = "error: {} is only sound on proper trees; shared nodes double-count\n"
+_NOT_A_SEMIRING = "error: domain cost-to-defend is not a semiring\n"
+_NOT_ADDITIVE = "error: domain cost-to-defend does not reduce to additive shortest paths\n"
+_STATIC_ONLY = "error: decision diagrams take static models only; this model has SAND gates\n"
+
+
+# one model per structure class, each request in a domain every engine takes
+# and in one none does: a tree fold refuses the class before the laws, the
+# diagram engines the laws before the class
+@pytest.mark.parametrize("model, attribution, domain, asked, err", [
+    ("treasure", "time", "min-cost", "bu", ""),
+    ("treasure", "time", "min-cost", "bdd", ""),
+    ("treasure", "time", "min-cost", "ktop", ""),
+    ("treasure", "time", "cost-to-defend", "bu", _NOT_A_SEMIRING),
+    ("treasure", "time", "cost-to-defend", "bdd", _NOT_A_SEMIRING),
+    ("treasure", "time", "cost-to-defend", "ktop", _NOT_ADDITIVE),
+    ("overlap", "cost", "min-cost", "bu", _TREE_FOLD_ON_A_DAG.format("bu_sat")),
+    ("overlap", "cost", "min-cost", "bdd", ""),
+    ("overlap", "cost", "min-cost", "ktop", ""),
+    ("overlap", "cost", "cost-to-defend", "bu", _TREE_FOLD_ON_A_DAG.format("bu_sat")),
+    ("overlap", "cost", "cost-to-defend", "bdd", _NOT_A_SEMIRING),
+    ("overlap", "cost", "cost-to-defend", "ktop", _NOT_ADDITIVE),
+    ("datacenter", "cost", "min-cost", "bu", ""),
+    ("datacenter", "cost", "min-cost", "bdd", _STATIC_ONLY),
+    ("datacenter", "cost", "min-cost", "ktop", _STATIC_ONLY),
+    ("datacenter", "cost", "cost-to-defend", "bu",
+     "error: domain cost-to-defend does not support bottom-up dynamic evaluation\n"),
+    ("datacenter", "cost", "cost-to-defend", "bdd", _NOT_A_SEMIRING),
+    ("datacenter", "cost", "cost-to-defend", "ktop", _NOT_ADDITIVE),
+    ("exploit", "time", "min-cost", "bu", _TREE_FOLD_ON_A_DAG.format("bu_dat")),
+    ("exploit", "time", "min-cost", "bdd", _STATIC_ONLY),
+    ("exploit", "time", "min-cost", "ktop", _STATIC_ONLY),
+    ("exploit", "time", "cost-to-defend", "bu", _TREE_FOLD_ON_A_DAG.format("bu_dat")),
+    ("exploit", "time", "cost-to-defend", "bdd", _NOT_A_SEMIRING),
+    ("exploit", "time", "cost-to-defend", "ktop", _NOT_ADDITIVE),
+])
+def test_each_engine_refuses_in_its_own_order(capsys, model, attribution, domain, asked, err):
+    argv = [f"{MODELS}/{model}.at", "--domain", domain, "--attribution", attribution]
+    argv = ["ktop", *argv, "--k", "1"] if asked == "ktop" else [
+        "metric", *argv, "--algorithm", asked]
+    code, _, got = run(capsys, *argv)
+    assert (code, got) == (1 if err else 0, err)
+
+
 def test_budget_flag(capsys, tmp_path):
     wide = tmp_path / "wide.at"
     leaves = [f'"b{i}"' for i in range(21)]

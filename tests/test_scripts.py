@@ -30,7 +30,6 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
 
 @pytest.mark.parametrize("name, args", [
     ("bench_scaling.py", ("--max-power", "11", "--ladder-max", "8")),
-    ("run_examples.py", ()),
 ])
 def test_script_runs(name, args):
     run = script(name, *args)

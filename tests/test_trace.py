@@ -31,6 +31,9 @@ def test_tracer_installs_spans_and_uninstalls(capsys):
         assert main(["ktop", "models/overlap.at", "--domain", "min-cost",
                      "--attribution", "cost", "--k", "2"]) == 0
         assert main(["check", "models/exploit.at"]) == 0
+        # a dynamic DAG goes to the oracle, which the route looks up at call time
+        assert main(["metric", "models/exploit.at", "--domain", "min-time-par",
+                     "--attribution", "time"]) == 0
         tracer.settle()
     finally:
         tracer.uninstall()
@@ -40,6 +43,7 @@ def test_tracer_installs_spans_and_uninstalls(capsys):
         assert getattr(importlib.import_module(f"atquant.{m}"), a) is fn
     names = {span[1] for span in tracer.spans}
     assert {"io.parse", "io.emit", "tree.classify", "analysis.validate", "analysis.analyze",
-            "bdd.compile", "bdd.minimise", "semantics.well_formed"} <= names
+            "bdd.compile", "bdd.minimise", "semantics.well_formed", "semantics.oracle"} <= names
     assert tracer.counts["analysis.route.bdd"] == tracer.counts["analysis.route.ktop"] == 1
+    assert tracer.counts["analysis.route.oracle"] == 1
     assert tracer.counts["bdd.reachable_nodes"] > 0
