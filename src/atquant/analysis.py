@@ -127,17 +127,38 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
             raise BadAttributeValue(f"{e} for basic action {t.label_of(b)!r}") from None
 
 
+_EXTREMA = (min, max)  # the builtins, which a fold calls on a gate's whole iterable
+_ADDS = frozenset({"and-is-plus", "seq-is-and"})  # and_op and seq_op both add
+
+
+def _plus(weights):
+    """The sum of scaled weights; inf plus an int past the float range is inf."""
+    try:
+        return sum(weights)
+    except OverflowError:
+        return math.inf
+
+
 def _fold(engine: str, t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Memoized bottom-up fold, once the tree fold `engine`'s guard passes;
     the memoization is what makes it naive on DAGs (a shared node
-    contributes one value to every parent)."""
+    contributes one value to every parent). A domain whose gates all add,
+    and whose or_op is the builtin min or max, folds integers over one
+    common denominator, as `_shortest_path` does. The builtin min or max
+    of an iterable is the first of its least or greatest values, as its
+    fold by pairs is, so either is called on a gate's children at once."""
     _guard(engine, t, domain)
     try:
         leaves = list(map(alpha.__getitem__, t.bas))
     except KeyError as e:
         _attr(alpha, t, e.args[0])  # raises for the first missing one in `bas_of` order
+    if _ADDS <= domain.laws and domain.or_op in _EXTREMA:
+        scale, weight = _scaled_weights(leaves, 1)
+        plus = {NodeType.OR: domain.or_op, NodeType.AND: _plus, NodeType.SAND: _plus}
+        return _unscaled(fold(t, weight, plus), 1, scale)
     ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op, NodeType.SAND: domain.seq_op}
-    return fold(t, leaves, {k: functools.partial(functools.reduce, op) for k, op in ops.items()})
+    return fold(t, leaves, {k: op if op in _EXTREMA else functools.partial(functools.reduce, op)
+                            for k, op in ops.items()})
 
 
 def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain):

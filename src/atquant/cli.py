@@ -60,7 +60,9 @@ def _order(doc, name):
 
 def _alpha(doc, domain, name: str) -> dict:
     """Attribution table for the domain. Pareto products take one name per
-    component, comma-joined, zipped into vector singletons."""
+    component, comma-joined, zipped into vector singletons. Only the blocks
+    named are converted; the declared names are read without converting."""
+    declared = doc._attributions
     if domain.kind is ValueKind.PARETO:
         parts = [p.strip() for p in name.split(",")]
         if len(parts) != len(domain.components):
@@ -70,16 +72,16 @@ def _alpha(doc, domain, name: str) -> dict:
             )
         tables = []
         for part in parts:
-            if part not in doc.attributions:
+            if part not in declared:
                 raise AtError(f"model declares no attribution {part!r}")
-            tables.append(doc.attributions[part])
+            tables.append(doc.attribution(part))
         return {
             b: frozenset({tuple(tab[b] for tab in tables)}) for b in bas_of(doc.tree)
         }
-    if name not in doc.attributions:
-        known = ", ".join(sorted(doc.attributions)) or "(none declared)"
+    if name not in declared:
+        known = ", ".join(sorted(declared)) or "(none declared)"
         raise AtError(f"model declares no attribution {name!r}; declared: {known}")
-    return doc.attributions[name]
+    return doc.attribution(name)
 
 
 def _shape_text(kind) -> str:

@@ -35,10 +35,13 @@ parser refuses. The token parser reads one token at a time and is the only
 source of syntax diagnostics. It reads the whole text again when the
 matcher declines any of it or when the matched statements break a rule
 below, so every error, with its line and column, is the token parser's.
-Both front ends convert numerals with `_exact` and hand their draft to
-`_assemble`, which resolves all child labels with one lookup pass, rejects
-dangling children, freezes the draft's columns and checks that attributions
-and orders cover the basic actions.
+Both front ends hand their draft to `_assemble`, which resolves all child
+labels with one lookup pass, rejects dangling children, freezes the draft's
+columns and checks that attributions and orders cover the basic actions.
+The token parser converts numerals as it reads them. The matcher keeps each
+block's split text instead: once `_assemble` has checked its bindings, the
+conversion cannot fail, so it waits until a request reads the block
+(`ModelDocument.attribution`).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import is_, not_, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analysis import AnalysisResult
 from .bdd import FALSE, TRUE, Bdd
@@ -118,14 +121,58 @@ _SEPARATORS = str.maketrans("", "", " \t\r\n=;")
 class ModelDocument(Record):
     """A model: its tree, its attributions (name -> {bas id -> value}) and
     its orders (name -> tuple of bas ids); each omitted table is a fresh
-    dict."""
+    dict.
+
+    `parse_model` checks every binding of every block when it reads a file,
+    but leaves the matched blocks' numerals as text until a request reads
+    them. `attribution(name)` converts one block, and `attributions`
+    converts every block left and returns the plain dict of all tables, in
+    declaration order; equality and repr read it, so a parsed document
+    equals one built with converted tables."""
 
     _compared = ("tree", "attributions", "orders")
 
     def __init__(self, tree: AttackTree, attributions: Optional[dict] = None,
                  orders: Optional[dict] = None):
-        self.__dict__.update(tree=tree, attributions={} if attributions is None else attributions,
+        # name -> table, or a parsed `_Block` until it is first read
+        self.__dict__.update(tree=tree,
+                             _attributions={} if attributions is None else attributions,
                              orders={} if orders is None else orders)
+
+    @property
+    def attributions(self) -> dict:
+        """Every table, name -> {bas id -> value}, in declaration order,
+        each block not yet read converted first."""
+        tables = self._attributions
+        for name, table in tables.items():
+            if type(table) is _Block:
+                tables[name] = table.table()
+        return tables
+
+    def attribution(self, name: str) -> dict:
+        """The table of the block named name, converted on its first read;
+        KeyError if the model declares no such block."""
+        table = self._attributions[name]
+        if type(table) is _Block:
+            table = self._attributions[name] = table.table()
+        return table
+
+
+class _Block(NamedTuple):
+    """An attribution block the statement matcher read and `_assemble`
+    checked: the block split on quotes, whose odd parts are its labels and
+    whose even parts hold the values between them, its labels, and the
+    basic actions' label -> id map."""
+
+    parts: list[str]
+    labels: list[str]
+    bas: dict[str, int]
+
+    def table(self) -> dict:
+        """bas id -> value, one object per distinct numeral."""
+        written = '"'.join(self.parts[::2]).translate(_SEPARATORS).split('"')[1:]
+        value = {w: INF if w == "inf" else _exact(*w.split("/")) for w in set(written)}
+        return dict(zip(map(self.bas.__getitem__, self.labels), map(value.__getitem__, written)))
 
 
 class _Draft:
@@ -144,7 +191,9 @@ class _Draft:
         self.flat: list[str] = []  # every node's child labels, node after node
         self.counts: list[int] = []  # each node's number of children
         self.ids: dict[str, int] = {}  # label -> index; labels are distinct
-        self.attributions: list[tuple[str, list[str], list]] = []  # (name, labels, values)
+        # (name, labels, values); the matcher's values are a `_Block`'s parts
+        self.attributions: list[tuple[str, list[str], list]] = []
+        self.numerals = False  # whether the values are the matcher's unconverted text
         self.orders: list[tuple[str, list[str]]] = []  # (name, labels)
         self.at: dict = {}
 
@@ -275,6 +324,7 @@ def _match(text: str) -> Optional[_Draft]:
     """The statements of text, or None if the statement matcher declines
     some of it."""
     d = _Draft()
+    d.numerals = True
     runs = []
     pos = _GAP.match(text).end()
     while pos < len(text):
@@ -291,12 +341,13 @@ def _match(text: str) -> Optional[_Draft]:
             name = m["attribution"]
             if any(name == n for n, _, _ in d.attributions):
                 return None
-            labels, written = _columns(m["bindings"])
-            try:
-                value = {w: INF if w == "inf" else _exact(*w.split("/")) for w in set(written)}
-            except ValueError:  # a numeral of too many digits
+            parts = m["bindings"].split('"')  # labels hold no quote
+            # a numeral past int's digit limit, which the token parser
+            # refuses, lies in a stretch between labels longer than that
+            limit = sys.get_int_max_str_digits()
+            if limit and max(map(len, parts[::2])) > limit:
                 return None
-            d.attributions.append((name, labels, list(map(value.__getitem__, written))))
+            d.attributions.append((name, parts[1::2], parts))
         else:
             name = m["order"]
             if any(name == n for n, _ in d.orders):
@@ -441,24 +492,23 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
     def not_bas(block: str, name: str, label: str, key) -> ModelSyntaxError:
         return error(f"{block} {name!r} names {label!r}, which is not a basic action", key)
 
-    attributions: dict[str, dict[int, object]] = {}
+    attributions: dict[str, object] = {}
     for k, (name, labels, values) in enumerate(d.attributions):
-        seq = list(map(bas.get, labels))
-        table = dict(zip(seq, values))
-        if None in table or len(table) != len(seq):
+        # every label names a basic action, none twice, and every one is named
+        if len(labels) != len(bas) or bas.keys() != set(labels):
             seen = set()
-            for j, b in enumerate(seq):
-                if b is None:
-                    raise not_bas("attribution", name, labels[j], ("binding", k, j))
-                if b in seen:
-                    raise error(f"attribution {name!r} binds {labels[j]!r} twice",
+            for j, label in enumerate(labels):
+                if label not in bas:
+                    raise not_bas("attribution", name, label, ("binding", k, j))
+                if label in seen:
+                    raise error(f"attribution {name!r} binds {label!r} twice",
                                 ("binding", k, j), DuplicateDefinition)
-                seen.add(b)
-        if len(table) != len(bas):
-            missing = sorted(label for label, b in bas.items() if b not in table)
+                seen.add(label)
+            missing = sorted(bas.keys() - seen)
             raise error(f"attribution {name!r} misses basic actions: {', '.join(missing)}",
                         ("attribution", k))
-        attributions[name] = table
+        attributions[name] = (_Block(values, labels, bas) if d.numerals
+                              else dict(zip(map(bas.__getitem__, labels), values)))
 
     orders: dict[str, tuple[int, ...]] = {}
     for k, (name, labels) in enumerate(d.orders):

@@ -162,7 +162,8 @@ def freeze(labels: Sequence[str], types: Sequence[NodeType],
     algorithm finds the cycles and the parentless nodes. It pops the least
     parentless id first and pushes freed children last to first, so on a
     proper tree it pops the left-to-right preorder; the tree records the
-    pop order of every model as `topological`."""
+    pop order of every model as `topological`. On a proper tree a node's
+    one parent frees it, so no in-degree is counted down."""
     labels, types, children = tuple(labels), tuple(types), tuple(children)
     n = len(labels)
     flat = list(chain.from_iterable(children))
@@ -177,13 +178,19 @@ def freeze(labels: Sequence[str], types: Sequence[NodeType],
     )
     order = []
     stack = parentless[::-1]
-    while stack:  # any discipline leaves the same nodes and in-degrees behind
-        v = stack.pop()
-        order.append(v)
-        for c in reversed(children[v]):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                stack.append(c)
+    if tree:  # popping a node frees all its children: it is their one parent
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack += children[v][::-1]
+    else:
+        while stack:  # any discipline leaves the same nodes and in-degrees behind
+            v = stack.pop()
+            order.append(v)
+            for c in reversed(children[v]):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    stack.append(c)
     if len(order) != n:
         # Kahn never pops the nodes on a cycle or below one; a search from
         # each of them in turn, least first, inside that set finds a cycle.

@@ -176,6 +176,32 @@ def test_min_additive_shortest_path_agrees_with_minimise_and_the_oracle():
     assert cases == 6000
 
 
+def test_additive_tree_folds_over_integers_agree_with_the_operator_fold():
+    # the integer fold of a domain whose or_op is the builtin min or max,
+    # against the same domain with a wrapped or_op, which folds the
+    # operators, and the oracle
+    rng = random.Random(2048)
+    cases = 0
+    for name in ("min-cost", "min-time-seq", "max-damage"):
+        d = builtin(name)
+        wrapped = domain_with(d, or_op=lambda x, y, op=d.or_op: op(x, y))
+        for i in range(300):
+            t = rand_tree(rng, 9, dynamic=i % 2 == 1)
+            oracle = oracle_metric_dynamic if i % 2 else oracle_metric_static
+            bas = bas_of(t)
+            draws = [
+                {b: _min_additive_value(rng) for b in bas},
+                # past the float range beside infinite values
+                {b: INF if rng.random() < 0.4 else 2**1100 + rng.randint(0, 9) for b in bas},
+            ]
+            for a in draws:
+                got = bu_dat(t, a, d)
+                for want in (bu_dat(t, a, wrapped), oracle(t, a, d)):
+                    assert got == want and render_value(got) == render_value(want)
+                cases += 1
+    assert cases == 1800
+
+
 def test_only_absorbing_domains_fold_the_compiled_diagram():
     # order a < b < c: the compiled diagram of (a AND b) OR c also has the
     # non-minimal path {a, c}, which only absorption makes harmless

@@ -84,6 +84,25 @@ def test_check_rejects_broken_model(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+_TWO_BLOCKS = ('toplevel "r";\n"r" and "a" "b";\n"a" bas;\n"b" bas;\n\n'
+               'attribution "cost" {\n  "a" = 1;\n  "b" = 2;\n}\n\nattribution "prob" {\n')
+
+
+@pytest.mark.parametrize("bindings,message", [
+    ('  "a" = 1/2;\n  "r" = 1/3;\n}\n',
+     "attribution 'prob' names 'r', which is not a basic action at line 13, col 3"),
+    ('  "b" = 1/3;\n}\n', "attribution 'prob' misses basic actions: a at line 11, col 13"),
+])
+def test_a_bad_block_fails_requests_that_do_not_read_it(tmp_path, capsys, bindings, message):
+    # bindings are checked when the file is read, not when a request reads
+    # their block
+    path = tmp_path / "model.at"
+    path.write_text(_TWO_BLOCKS + bindings)
+    assert run(capsys, "check", str(path)) == (1, "", f"invalid: {message}\n")
+    assert run(capsys, "metric", str(path), "--domain", "min-cost", "--attribution", "cost") \
+        == (1, "", f"error: {message}\n")
+
+
 def test_non_utf8_model_is_reported_with_its_byte_offset(tmp_path, capsys):
     latin = tmp_path / "latin.at"
     latin.write_bytes('toplevel "r";\n"r" bas; // café\n'.encode("latin-1"))

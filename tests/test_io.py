@@ -312,6 +312,21 @@ def emitted_models(rng: random.Random, count: int) -> list[str]:
     return texts
 
 
+def test_blocks_convert_when_read_to_the_token_parser_tables():
+    for text in emitted_models(random.Random(38), 40):
+        assert _match(text) is not None
+        eager = _parse_tokens(text)
+        for name in ("cost", "prob"):
+            want = eager.attributions[name]
+            for got in (parse_model(text).attribution(name), parse_model(text).attributions[name]):
+                assert list(got.items()) == list(want.items())
+                assert list(map(type, got.values())) == list(map(type, want.values()))
+        # a document with unconverted blocks equals its converted twin
+        pending, half_read = parse_model(text), parse_model(text)
+        half_read.attribution("cost")
+        assert pending == eager and eager == half_read and repr(pending) == repr(eager)
+
+
 def _outside_labels(text: str, edit) -> str:
     """text with edit applied to every stretch between quoted labels."""
     parts = re.split(r'("[^"\n]*")', text)
@@ -468,7 +483,8 @@ def test_the_matcher_declines_numerals_the_token_parser_refuses(value):
 ])
 def test_the_matcher_reads_numerals_as_the_token_parser_does(value, expected):
     text = _VALUED.format(value)
-    [(_, _, [matched])] = _match(text).attributions
+    assert _match(text) is not None
+    [matched] = parse_model(text).attribution("c").values()
     [parsed] = _parse_tokens(text).attributions["c"].values()
     assert (matched, type(matched)) == (parsed, type(parsed)) == (expected, type(expected))
 
