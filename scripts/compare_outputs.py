@@ -8,7 +8,8 @@ first on sys.path, and calls `atquant.cli.main(argv)` in-process for every
 request, recording the exit code, stdout and stderr; the JSON "millis"
 value, the one field that differs from run to run, is blanked. A directory
 stands for its *.at files; the default is models/*.at. The battery, per
-model, with the domains, attributions and orders the model declares:
+model, with the domains, attributions and orders the model declares and
+the algorithms (`atquant.analysis.ALGORITHMS`) each side offers:
 
 - check and semantics, text and JSON, and semantics with --budget 1;
 - dump of all four kinds, and bdd/bdd-min under each declared order;
@@ -49,12 +50,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("text", "json")
-ALGORITHMS = ("auto", "bu", "bdd", "oracle")
 PARETOS = ("pareto(min-cost,max-damage)", "pareto(min-cost,min-skill)")
 MILLIS = re.compile(r'"millis": [-+.\deE]+')
 
 
-def battery(model: str, attributions, orders, domains) -> list[list[str]]:
+def battery(model: str, attributions, orders, domains, algorithms) -> list[list[str]]:
     out = [[cmd, model, "--format", fmt] for cmd in ("check", "semantics") for fmt in FORMATS]
     out.append(["semantics", model, "--budget", "1"])
     out += [["dump", model, "--what", what] for what in ("at", "model", "bdd", "bdd-min")]
@@ -63,11 +63,11 @@ def battery(model: str, attributions, orders, domains) -> list[list[str]]:
     out += [["metric", model, "--domain", domain, "--attribution", name,
              "--algorithm", algorithm, "--format", fmt]
             for domain in domains for name in attributions
-            for algorithm in ALGORITHMS for fmt in FORMATS]
+            for algorithm in algorithms for fmt in FORMATS]
     if len(attributions) >= 2:
         out += [["metric", model, "--domain", pareto, "--attribution", ",".join(attributions[:2]),
                  "--algorithm", algorithm, "--format", fmt]
-                for pareto in PARETOS for algorithm in ALGORITHMS for fmt in FORMATS]
+                for pareto in PARETOS for algorithm in algorithms for fmt in FORMATS]
     out += [["ktop", model, "--domain", domain, "--attribution", name, "--k", k,
              "--format", fmt, *order]
             for domain in domains for name in attributions for k in ("1", "3")
@@ -134,6 +134,7 @@ def call(main, argv: list[str]) -> list:
 def side(src: str, models: list[str]) -> dict:
     """Run the battery against the package under src: argv as JSON -> record."""
     sys.path.insert(0, src)
+    from atquant.analysis import ALGORITHMS
     from atquant.cli import main
     from atquant.domains import BUILTIN_NAMES
     from atquant.errors import AtError
@@ -146,7 +147,7 @@ def side(src: str, models: list[str]) -> dict:
             attributions, orders = sorted(doc.attributions), sorted(doc.orders)
         except (AtError, OSError, UnicodeDecodeError):
             attributions, orders = [], []
-        for argv in battery(model, attributions, orders, BUILTIN_NAMES):
+        for argv in battery(model, attributions, orders, BUILTIN_NAMES, ALGORITHMS):
             records[json.dumps(argv)] = call(main, argv)
     return records
 

@@ -139,19 +139,16 @@ def _plus(weights):
         return math.inf
 
 
-def _fold(engine: str, t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """Memoized bottom-up fold, once the tree fold `engine`'s guard passes;
-    the memoization is what makes it naive on DAGs (a shared node
-    contributes one value to every parent). A domain whose gates all add,
-    and whose or_op is the builtin min or max, folds integers over one
-    common denominator, as `_shortest_path` does. The builtin min or max
-    of an iterable is the first of its least or greatest values, as its
-    fold by pairs is, so either is called on a gate's children at once."""
-    _guard(engine, t, domain)
-    try:
-        leaves = list(map(alpha.__getitem__, t.bas))
-    except KeyError as e:
-        _attr(alpha, t, e.args[0])  # raises for the first missing one in `bas_of` order
+def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
+    """Memoized bottom-up fold, once the caller has passed a tree fold's
+    guard and checked the values; the memoization is what makes it naive
+    on DAGs (a shared node contributes one value to every parent). A
+    domain whose gates all add, and whose or_op is the builtin min or max,
+    folds integers over one common denominator, as `_shortest_path` does.
+    The builtin min or max of an iterable is the first of its least or
+    greatest values, as its fold by pairs is, so either is called on a
+    gate's children at once."""
+    leaves = list(map(alpha.__getitem__, t.bas))
     if _ADDS <= domain.laws and domain.or_op in _EXTREMA:
         scale, weight = _scaled_weights(leaves, 1)
         plus = {NodeType.OR: domain.or_op, NodeType.AND: _plus, NodeType.SAND: _plus}
@@ -162,8 +159,11 @@ def _fold(engine: str, t: AttackTree, alpha: dict, domain: AttributeDomain):
 
 
 def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """Bottom-up metric on a static proper tree (exact for semirings)."""
-    return _fold("bu_sat", t, alpha, domain)
+    """Bottom-up metric on a static proper tree (exact for semirings); the
+    values are checked once the tree and domain pass."""
+    _guard("bu_sat", t, domain)
+    validate_attribution(t, alpha, domain)
+    return _fold(t, alpha, domain)
 
 
 def _rank_values(t: AttackTree, alpha: dict, m: Bdd) -> list:
@@ -263,8 +263,12 @@ def k_top(
     Finite weights are summed as integers over one common denominator, the
     least common multiple of the attributes' denominators; scaling by it
     keeps every sum, comparison and tie, so the metrics (divided back,
-    exactly) and the attacks are those of rational arithmetic.
+    exactly) and the attacks are those of rational arithmetic. The values
+    are checked once k, the model and the domain pass.
     """
+    if k >= 1:  # else k_top_detailed refuses k before the model and domain
+        _guard("ktop", t, domain)
+        validate_attribution(t, alpha, domain)
     pairs, _ = k_top_detailed(t, alpha, domain, k, order)
     return pairs
 
@@ -343,7 +347,9 @@ def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """
     # no well-formedness check: `is_well_formed` answers True on every
     # proper tree, whose ordering edges all run left to right in leaf order
-    return _fold("bu_dat", t, alpha, domain)
+    _guard("bu_dat", t, domain)
+    validate_attribution(t, alpha, domain)
+    return _fold(t, alpha, domain)
 
 
 def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
@@ -459,7 +465,8 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
                 value, diagram = bu_bdd_detailed(t, alpha, domain, req.order)
                 stats["bdd_nodes"] = diagram.node_count()
             else:
-                value = _fold(engine, t, alpha, domain)
+                _guard(engine, t, domain)
+                value = _fold(t, alpha, domain)
 
     stats["millis"] = int((time.perf_counter() - started) * 1000)
     return AnalysisResult(

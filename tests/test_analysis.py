@@ -129,6 +129,17 @@ def test_bu_bdd_checks_values_before_folding_the_compiled_diagram():
         bu_bdd(t, a, builtin("prob-max"))
 
 
+def test_tree_folds_and_k_top_check_values_once_their_guards_pass():
+    # unchecked, a float reached the integer scaling of the weights, and
+    # costs of -1 folded to -2
+    t = treasure()  # BAS n, t, p
+    for bad in (1.5, True, -1):
+        a = alpha(t, {"n": 1, "t": bad, "p": bad})
+        for fold_call in (bu_sat, bu_dat, lambda *args: k_top(*args, k=2)):
+            with pytest.raises(BadAttributeValue, match="basic action 't'"):
+                fold_call(t, a, builtin("min-cost"))
+
+
 def test_bu_bdd_visits_every_diagram_node_once():
     rng = random.Random(31)
     for _ in range(40):

@@ -125,14 +125,18 @@ def test_folds_look_up_only_the_basic_actions_the_diagram_reaches():
     t = tt(("or", "a", ("and", "a", "b")))
     a = {t.id_of("a"): 3}
     assert analysis.bu_bdd_detailed(t, a, builtin("min-cost"))[0] == 3
-    assert k_top(t, a, builtin("min-cost"), 2) == [(3, frozenset({t.id_of("a")}))]
-    assert k_top(t, a, builtin("max-damage"), 1) == [(3, frozenset({t.id_of("a")}))]
-    # the public bu_bdd checks every value first, as analyze does
-    with pytest.raises(MissingAttribution, match="'b'"):
-        bu_bdd(t, a, builtin("min-cost"))
+    for name, k in (("min-cost", 2), ("max-damage", 1)):
+        pairs, _ = analysis.k_top_detailed(t, a, builtin(name), k)
+        assert pairs == [(3, frozenset({t.id_of("a")}))]
+    # the public bu_bdd and k_top check every value first, as analyze does
+    for fold_call in (partial(bu_bdd, t, a, builtin("min-cost")),
+                      partial(k_top, t, a, builtin("min-cost"), 2)):
+        with pytest.raises(MissingAttribution, match="'b'"):
+            fold_call()
     # a BAS the diagram does reach is still required
     for fold_call in (partial(analysis.bu_bdd_detailed, t, {}, builtin("min-cost")),
                       partial(bu_bdd, t, {}, builtin("min-cost")),
+                      partial(analysis.k_top_detailed, t, {}, builtin("min-cost"), 1),
                       partial(k_top, t, {}, builtin("min-cost"), 1)):
         with pytest.raises(MissingAttribution, match="'a'"):
             fold_call()
@@ -378,6 +382,34 @@ def interval_dag(windows, nested):
     return build(defs, layer[0])
 
 
+def and_chain(gates):
+    """Left-deep AND chain, AND(AND(AND(b0, b1), b2), b3)..."""
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(gates + 1)]
+    defs.append(("g1", NodeType.AND, ["b0", "b1"]))
+    defs += [(f"g{i}", NodeType.AND, [f"g{i - 1}", f"b{i}"]) for i in range(2, gates + 1)]
+    return build(defs, f"g{gates}")
+
+
+def and_of_or_c(n):
+    """AND(OR(b0, c), ..., OR(b_n-1, c)), and the order that ranks c last."""
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n)] + [("c", NodeType.BAS, [])]
+    defs += [(f"o{i}", NodeType.OR, [f"b{i}", "c"]) for i in range(n)]
+    defs.append(("root", NodeType.AND, [f"o{i}" for i in range(n)]))
+    t = build(defs, "root")
+    return t, VarOrder(tuple(t.id_of(f"b{i}") for i in range(n)) + (t.id_of("c"),))
+
+
+def deep_chain(n):
+    """g_i = OR(AND(b_i, b_i+1), g_i+1) down n levels, g_n-1 = AND(b_n-1, b_n):
+    each level shares b_i+1 with the one below."""
+    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n + 1)]
+    for i in range(n - 1):
+        defs += [(f"g{i}", NodeType.OR, [f"a{i}", f"g{i + 1}"]),
+                 (f"a{i}", NodeType.AND, [f"b{i}", f"b{i + 1}"])]
+    defs.append((f"g{n - 1}", NodeType.AND, [f"b{n - 1}", f"b{n}"]))
+    return build(defs, "g0")
+
+
 def test_compile_makes_few_nodes_beyond_the_diagram():
     # node counts are deterministic: a compile that copies its operands
     # more than a bounded number of times shows here, not in a timing
@@ -396,12 +428,34 @@ def test_compile_makes_few_nodes_beyond_the_diagram():
     assert len(flat.store.unique) == len(nested.store.unique)
     # a left-deep chain, AND(AND(AND(b0, b1), b2), b3)...: linear, not quadratic
     n = 20000
-    defs = [(f"b{i}", NodeType.BAS, []) for i in range(n + 1)]
-    defs.append(("g1", NodeType.AND, ["b0", "b1"]))
-    defs += [(f"g{i}", NodeType.AND, [f"g{i - 1}", f"b{i}"]) for i in range(2, n + 1)]
-    chain = from_structure_function(build(defs, f"g{n}"))
+    chain = from_structure_function(and_chain(n))
     assert chain.node_count() == n + 1
     assert len(chain.store.unique) <= 2 * (n + 1)
+    # doubling a family at most doubles, plus a constant, the compiled
+    # diagram's reachable nodes, its unique-table entries and the entries
+    # minimise adds; applying a growing accumulator again at every step
+    # would make about four times as many
+    def nested_interval(n):  # windows of 2 to 4 actions, each 1 or 2 past the last
+        starts = (j + (j + 1) // 2 for j in range(n))
+        windows = [(lo, min(lo + 1 + j % 3, n - 1)) for j, lo in enumerate(starts) if lo < n - 1]
+        return interval_dag(windows, nested=True), None
+
+    families = {
+        "ladder": lambda n: (ladder(n), None),
+        "AND chain": lambda n: (and_chain(n), None),
+        "nested interval": nested_interval,
+        "AND of OR(b_i, c), c last": and_of_or_c,
+        "deep chain": lambda n: (deep_chain(n), None),
+    }
+    for name, make in families.items():
+        counts = []
+        for n in (512, 1024):
+            b = from_structure_function(*make(n))
+            reachable, compiled = b.node_count(), len(b.store.unique)
+            minimise(b)
+            counts.append((reachable, compiled, len(b.store.unique) - compiled))
+        for small, large in zip(*counts):
+            assert large <= 2 * small + 8, (name, counts)
 
 
 def test_min_cost_fold_makes_no_node_beyond_the_compile():
