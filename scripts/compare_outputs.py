@@ -36,7 +36,9 @@ actions, so the budget error and its hint are compared too.
 It prints the number of requests and of differences, then each differing
 request, and exits 1 if any request differs. A differing request whose
 two outputs are both JSON objects is printed with the keys whose values
-differ: top-level keys, and those of the stats block as stats.<key>.
+differ: top-level keys, and those of the stats block as stats.<key>. Any
+other differing request is run once more on each side, and printed with
+the first line of its stdout, then stderr, that differs: old, then new.
 """
 
 import contextlib
@@ -46,6 +48,7 @@ import json
 import re
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,9 +119,8 @@ def json_digests(text: str):
     return {key: digest(json.dumps(value, sort_keys=True)) for key, value in doc.items()}
 
 
-def call(main, argv: list[str]) -> list:
-    """[exit code, stdout digest, stderr digest, JSON key digests] of one
-    in-process request; the last is None unless stdout is a JSON object."""
+def run(main, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr) of one in-process request, millis blanked."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -127,8 +129,24 @@ def call(main, argv: list[str]) -> list:
             code = e.code
         except Exception as e:  # a traceback the user would see
             code = f"raised {type(e).__name__}: {e}"
-    texts = [MILLIS.sub('"millis": 0', s.getvalue()) for s in (out, err)]
+    return code, *(MILLIS.sub('"millis": 0', s.getvalue()) for s in (out, err))
+
+
+def call(main, argv: list[str]) -> list:
+    """[exit code, stdout digest, stderr digest, JSON key digests] of one
+    in-process request; the last is None unless stdout is a JSON object."""
+    code, *texts = run(main, argv)
     return [code, *map(digest, texts), json_digests(texts[0])]
+
+
+def lines(src: str, keys: list[str]) -> dict:
+    """The lines of stdout, then of stderr, of each request (argv as JSON)
+    run against the package under src."""
+    sys.path.insert(0, src)
+    from atquant.cli import main
+
+    return {key: [line for text in run(main, json.loads(key))[1:] for line in text.splitlines()]
+            for key in keys}
 
 
 def side(src: str, models: list[str]) -> dict:
@@ -160,32 +178,56 @@ def model_paths(args: list[str]) -> list[str]:
     return paths
 
 
+def children(mode: str, srcs: tuple, args: list[str], stdin: str = "") -> list | None:
+    """The JSON reply of one child per source tree, run in the given mode;
+    None if a child failed."""
+    procs = [subprocess.Popen([sys.executable, __file__, mode, src, *args],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for src in srcs]
+    replies = [proc.communicate(stdin)[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        print("a side failed to run", file=sys.stderr)
+        return None
+    return list(map(json.loads, replies))
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--side"]:
         json.dump(side(argv[1], argv[2:]), sys.stdout)
         return 0
+    if argv[:1] == ["--lines"]:
+        json.dump(lines(argv[1], json.load(sys.stdin)), sys.stdout)
+        return 0
     if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
-    old_src, new_src, models = argv[0], argv[1], model_paths(argv[2:])
-    children = [subprocess.Popen([sys.executable, __file__, "--side", src, *models],
-                                 stdout=subprocess.PIPE, text=True)
-                for src in (old_src, new_src)]
-    replies = [child.communicate()[0] for child in children]
-    if any(child.returncode for child in children):
-        print("a side failed to run", file=sys.stderr)
+    srcs, models = (argv[0], argv[1]), model_paths(argv[2:])
+    sides = children("--side", srcs, models)
+    if sides is None:
         return 1
-    old, new = map(json.loads, replies)
+    old, new = sides
     keys = sorted(old.keys() | new.keys())
     differing = [key for key in keys if old.get(key) != new.get(key)]
     print(f"{len(keys)} requests on {len(models)} models, {len(differing)} differ")
+    json_parts = {key: [side[key][3] if key in side else None for side in sides]
+                  for key in differing}
+    plain = [key for key in differing if None in json_parts[key]]
+    texts = children("--lines", srcs, [], json.dumps(plain)) if plain else [{}, {}]
+    if texts is None:
+        return 1
     for key in differing:
         line = "differs: " + " ".join(json.loads(key))
-        parts = [side[key][3] if key in side else None for side in (old, new)]
+        parts = json_parts[key]
         if None not in parts:
             keys = sorted(k for k in parts[0].keys() | parts[1].keys()
                           if parts[0].get(k) != parts[1].get(k))
             line += f" (JSON keys: {', '.join(keys)})"
+        else:
+            first = next(((o, n) for o, n in zip_longest(*(t[key] for t in texts), fillvalue="")
+                          if o != n), None)
+            if first is not None:
+                line += "".join(f"\n  {which}: {text}"
+                                for which, text in zip(("old", "new"), first))
         print(line)
     return 1 if differing else 0
 

@@ -13,9 +13,8 @@ from .analysis import (
     AnalysisRequest,
     AnalysisResult,
     analyze,
+    bu,
     bu_bdd,
-    bu_dat,
-    bu_sat,
     k_top,
     total_probability_tree,
 )
@@ -64,9 +63,8 @@ __all__ = [
     "VarOrder",
     "analyze",
     "bas_of",
+    "bu",
     "bu_bdd",
-    "bu_dat",
-    "bu_sat",
     "build",
     "builtin",
     "check_semiring_laws",

@@ -1,10 +1,11 @@
 """Metric computation: efficient algorithms plus the dispatcher.
 
-One table, `_ROUTES`, holds the routing rule: which engine serves which
-structure class, exact for a domain that declares every law (of
-domains.LAWS) of one of its law sets. The auto route, the engine guards,
-the explicit algorithm choices of `analyze` and of the CLI, and the
-differential harness all read it, so a new route is one row.
+One table, `_ROUTES`, holds the routing rule: which structure classes each
+algorithm serves, and for each class the law sets (of domains.LAWS) of
+which a domain must declare one for the algorithm to be exact there. The
+auto route, the one check every engine makes (`_check`), the explicit
+algorithm choices of `analyze` and of the CLI, and the differential
+harness all read it, so a new route is one entry.
 
 The fold over a decision diagram is the or_op over its root-to-TRUE paths
 of the and_op of the values of the path's high-edge variables, and the law
@@ -31,7 +32,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .bdd import FALSE, TRUE, Bdd, VarOrder, from_structure_function, minimise
+from .bdd import FALSE, STATIC_ONLY, TRUE, Bdd, VarOrder, from_structure_function, minimise
 from .domains import INF, AttributeDomain
 from .errors import (
     AtError,
@@ -60,50 +61,53 @@ STATIC_TREE = StructureKind(Shape.TREE, Dynamics.STATIC)
 STATIC_DAG = StructureKind(Shape.DAG, Dynamics.STATIC)
 DYNAMIC_TREE = StructureKind(Shape.TREE, Dynamics.DYNAMIC)
 
-# engine -> (the algorithm it answers as, the structure classes it serves,
-# the law sets of which a domain must declare one for it to be exact, the
-# error and reason that refuse any other domain), cheapest first. Engines
-# are named, not held, so that a tracer may swap what they call.
+_SEMIRING = (({"and-over-or"},), NotSemiring, "is not a semiring")
+_ADDITIVE = (({"and-is-plus"},), UnsupportedDomainForKTop,
+             "does not reduce to additive shortest paths")
+
+# algorithm -> structure class it serves -> (the law sets of which a domain
+# must declare one for it to be exact there, the error and reason that
+# refuse any other domain); algorithms cheapest first
 _ROUTES = {
-    "bu_sat": ("bu", {STATIC_TREE}, ({"and-over-or"},), NotSemiring, "is not a semiring"),
-    "bu_dat": ("bu", {STATIC_TREE, DYNAMIC_TREE},
-               ({"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"},
-                {"and-over-or", "seq-is-and"}),
-               NotSemiringDynamic, "does not support bottom-up dynamic evaluation"),
-    "bu_bdd": ("bdd", {STATIC_TREE, STATIC_DAG}, ({"and-over-or"},),
-               NotSemiring, "is not a semiring"),
-    "ktop": ("ktop", {STATIC_TREE, STATIC_DAG}, ({"and-is-plus"},),
-             UnsupportedDomainForKTop, "does not reduce to additive shortest paths"),
+    "bu": {
+        STATIC_TREE: _SEMIRING,
+        DYNAMIC_TREE: (({"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"},
+                        {"and-over-or", "seq-is-and"}),
+                       NotSemiringDynamic, "does not support bottom-up dynamic evaluation"),
+    },
+    "bdd": {STATIC_TREE: _SEMIRING, STATIC_DAG: _SEMIRING},
+    "ktop": {STATIC_TREE: _ADDITIVE, STATIC_DAG: _ADDITIVE},
 }
 
 # the routes a metric request may name
-ALGORITHMS = ("auto", *dict.fromkeys(r[0] for e, r in _ROUTES.items() if e != "ktop"), "oracle")
+ALGORITHMS = ("auto", *(a for a in _ROUTES if a != "ktop"), "oracle")
 
 
-def _refusal(engine: str, d: AttributeDomain) -> Optional[AtError]:
-    """Why the engine is not exact for the domain, or None."""
-    _, _, law_sets, error, reason = _ROUTES[engine]
+def _refusal(algorithm: str, kind: StructureKind, d: AttributeDomain) -> Optional[AtError]:
+    """Why the algorithm cannot answer for a model of the class in the
+    domain, or None: a class its row does not serve, then a domain whose
+    laws that class's law sets do not cover."""
+    row = _ROUTES[algorithm]
+    if kind not in row:
+        if kind.dynamics not in {c.dynamics for c in row}:
+            return DynamicTreeRejected(STATIC_ONLY)
+        return DagRejected(f"{algorithm} is only sound on proper trees; shared nodes double-count")
+    law_sets, error, reason = row[kind]
     if not any(laws <= d.laws for laws in law_sets):
         return error(f"domain {d.name} {reason}")
-    if engine == "bu_bdd" and not d.has_neutrals:
+    if algorithm == "bdd" and not d.has_neutrals:
         return MissingNeutrals(f"domain {d.name} lacks neutral elements for the BDD fold")
     return None
 
 
-def _guard(engine: str, t: AttackTree, domain: AttributeDomain) -> None:
-    """Raise why the engine cannot answer. A tree fold refuses a class it
-    does not serve before the domain; for a diagram engine on a dynamic
-    model, `from_structure_function` refuses once the domain passes."""
-    classes = _ROUTES[engine][1]
-    if all(c.shape is Shape.TREE for c in classes):
-        kind = classify(t)
-        if kind.shape is Shape.DAG:
-            raise DagRejected(f"{engine} is only sound on proper trees; shared nodes double-count")
-        if kind not in classes:
-            raise DynamicTreeRejected(f"{engine} handles static models; use bu_dat")
-    refusal = _refusal(engine, domain)
+def _check(algorithm: str, t: AttackTree, alpha: dict, domain: AttributeDomain) -> None:
+    """Raise why the algorithm cannot answer the request, the one check of
+    every engine: the class, then the domain (see `_refusal`), then the
+    values."""
+    refusal = _refusal(algorithm, classify(t), domain)
     if refusal is not None:
         raise refusal
+    validate_attribution(t, alpha, domain)
 
 
 def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) -> None:
@@ -140,14 +144,13 @@ def _plus(weights):
 
 
 def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """Memoized bottom-up fold, once the caller has passed a tree fold's
-    guard and checked the values; the memoization is what makes it naive
-    on DAGs (a shared node contributes one value to every parent). A
-    domain whose gates all add, and whose or_op is the builtin min or max,
-    folds integers over one common denominator, as `_shortest_path` does.
-    The builtin min or max of an iterable is the first of its least or
-    greatest values, as its fold by pairs is, so either is called on a
-    gate's children at once."""
+    """Memoized bottom-up fold, once `_check` has passed the request for
+    `bu`; the memoization is what makes it naive on DAGs (a shared node
+    contributes one value to every parent). A domain whose gates all add,
+    and whose or_op is the builtin min or max, folds integers over one
+    common denominator, as `_shortest_path` does. The builtin min or max
+    of an iterable is the first of its least or greatest values, as its
+    fold by pairs is, so either is called on a gate's children at once."""
     leaves = list(map(alpha.__getitem__, t.bas))
     if _ADDS <= domain.laws and domain.or_op in _EXTREMA:
         scale, weight = _scaled_weights(leaves, 1)
@@ -158,33 +161,31 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
                             for k, op in ops.items()})
 
 
-def bu_sat(t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """Bottom-up metric on a static proper tree (exact for semirings); the
-    values are checked once the tree and domain pass."""
-    _guard("bu_sat", t, domain)
-    validate_attribution(t, alpha, domain)
+def bu(t: AttackTree, alpha: dict, domain: AttributeDomain):
+    """Bottom-up metric on a proper tree, static or well-formed dynamic.
+
+    Exact on a static tree for a semiring. On a dynamic tree, exact when
+    the domain is a dynamic semiring whose conjunctive operator is
+    idempotent: SAND(l, r) folds to seq_op(l's value, r's value), and as
+    seq_op distributes over and_op and or_op, that is the critical path the
+    oracle takes through every attack, r's part starting once all of l's
+    maximal steps are done. Exact also when the sequential operator gives
+    the conjunctive one's values: then this computes the static fold of
+    the projection, and the oracle the flat fold of each attack.
+    """
+    # no well-formedness check: `is_well_formed` answers True on every
+    # proper tree, whose ordering edges all run left to right in leaf order
+    _check("bu", t, alpha, domain)
     return _fold(t, alpha, domain)
 
 
-def _rank_values(t: AttackTree, alpha: dict, m: Bdd) -> list:
-    """The attribute of each variable rank the diagram branches on, None at
-    the others. Looked up in the diagram's postorder, so a missing value is
-    reported where a fold would meet it, and only if the diagram has it."""
-    ranks, bas_at = m.store.ranks, m.order.bas
-    at_rank: list = [None] * len(bas_at)
-    for r in dict.fromkeys(ranks[v] for v in m.postorder if v >= 2):
-        at_rank[r] = _attr(alpha, t, bas_at[r])
-    return at_rank
-
-
-def _scaled_weights(at_rank: list, sgn: int) -> tuple[int, list]:
-    """(scale, weight): the signed edge weight of each rank, a finite one as
-    an integer over the common denominator scale, INF as sgn * math.inf and
-    an unreached rank as None. Scaling by scale > 0 keeps every sum,
-    comparison and tie."""
-    scale = math.lcm(*{a.denominator for a in at_rank if a is not None and a is not INF})
-    return scale, [None if a is None else sgn * math.inf if a is INF
-                   else sgn * a.numerator * (scale // a.denominator) for a in at_rank]
+def _scaled_weights(values: list, sgn: int) -> tuple[int, list]:
+    """(scale, weight): each value signed, a finite one as an integer over
+    the common denominator scale and INF as sgn * math.inf. Scaling by
+    scale > 0 keeps every sum, comparison and tie."""
+    scale = math.lcm(*{a.denominator for a in values if a is not INF})
+    return scale, [sgn * math.inf if a is INF else sgn * a.numerator * (scale // a.denominator)
+                   for a in values]
 
 
 def _unscaled(w, sgn: int, scale: int):
@@ -198,16 +199,16 @@ def bu_bdd_detailed(
     t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None
 ) -> tuple[object, Bdd]:
     """(metric, the diagram folded): see `bu_bdd`."""
-    _guard("bu_bdd", t, domain)
+    _check("bdd", t, alpha, domain)
     m = from_structure_function(t, order)
+    at_rank = list(map(alpha.__getitem__, m.order.bas))
     if "or-absorbs-and" not in domain.laws:
         m = minimise(m)
     elif "and-is-plus" in domain.laws:
-        scale, weight = _scaled_weights(_rank_values(t, alpha, m), 1)
+        scale, weight = _scaled_weights(at_rank, 1)
         return _shortest_path(m, weight, scale)
     ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
     or_op, and_op = domain.or_op, domain.and_op
-    at_rank = _rank_values(t, alpha, m)
     vals: dict[int, object] = {FALSE: domain.or_neutral, TRUE: domain.and_neutral}
     for v in m.postorder:
         if v >= 2:
@@ -237,9 +238,8 @@ def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[
     """Metric through a decision diagram of the structure function, exact
     on shared structures: the compiled one for a domain declaring
     or-absorbs-and, else the minimal-solutions one. The values are checked
-    first, as `analyze` does before it calls `bu_bdd_detailed`: absorption
-    only holds inside the domain's carrier."""
-    validate_attribution(t, alpha, domain)
+    once the model and the domain pass: absorption only holds inside the
+    domain's carrier."""
     return bu_bdd_detailed(t, alpha, domain, order)[0]
 
 
@@ -266,11 +266,7 @@ def k_top(
     exactly) and the attacks are those of rational arithmetic. The values
     are checked once k, the model and the domain pass.
     """
-    if k >= 1:  # else k_top_detailed refuses k before the model and domain
-        _guard("ktop", t, domain)
-        validate_attribution(t, alpha, domain)
-    pairs, _ = k_top_detailed(t, alpha, domain, k, order)
-    return pairs
+    return k_top_detailed(t, alpha, domain, k, order)[0]
 
 
 def k_top_detailed(
@@ -282,13 +278,13 @@ def k_top_detailed(
 ) -> tuple[list, Bdd]:
     if k < 1:
         raise InvalidRequest("k must be at least 1")
-    _guard("ktop", t, domain)
+    _check("ktop", t, alpha, domain)
     sgn = 1 if domain.sense == "min" else -1
     m = minimise(from_structure_function(t, order))
     ranks, lows, highs, bas_at = m.store.ranks, m.store.lows, m.store.highs, m.order.bas
     # signed edge weights, finite ones as integers over one common
     # denominator: scaling by scale > 0 keeps every sum, comparison and tie
-    at_rank = _rank_values(t, alpha, m)
+    at_rank = list(map(alpha.__getitem__, bas_at))
     scale, weight = _scaled_weights(at_rank, sgn)
     # a path is (weight, attack), an attack nested (bas, rest) pairs; a
     # node's lists are dropped once its last parent has read them. The lex
@@ -332,24 +328,6 @@ def k_top_detailed(
             taken.append(b)
         out.append((_unscaled(w, sgn, scale), frozenset(taken)))
     return out, m
-
-
-def bu_dat(t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """Bottom-up metric on a well-formed dynamic proper tree.
-
-    Sound when the domain is a dynamic semiring whose conjunctive operator
-    is idempotent: SAND(l, r) folds to seq_op(l's value, r's value), and as
-    seq_op distributes over and_op and or_op, that is the critical path the
-    oracle takes through every attack, r's part starting once all of l's
-    maximal steps are done. Sound also when the sequential operator gives
-    the conjunctive one's values: then this computes the static fold of the
-    projection, and the oracle the flat fold of each attack.
-    """
-    # no well-formedness check: `is_well_formed` answers True on every
-    # proper tree, whose ordering edges all run left to right in leaf order
-    _guard("bu_dat", t, domain)
-    validate_attribution(t, alpha, domain)
-    return _fold(t, alpha, domain)
 
 
 def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
@@ -407,26 +385,14 @@ _NO_ROUTE_WARNING = ("no efficient algorithm is known for dynamic models with sh
 
 
 def auto_route(kind: StructureKind, domain: AttributeDomain) -> tuple[str, Optional[str]]:
-    """(algorithm, warning): the algorithm of the first row but k-top's that
-    serves the class and is exact for the domain, else the oracle with a
-    warning that says why."""
-    served = [e for e, row in _ROUTES.items() if e != "ktop" and kind in row[1]]
-    for engine in served:
-        if _refusal(engine, domain) is None:
-            return _ROUTES[engine][0], None
+    """(algorithm, warning): the first algorithm but k-top that serves the
+    class and is exact for the domain, else the oracle with a warning that
+    says why."""
+    served = [a for a, row in _ROUTES.items() if a != "ktop" and kind in row]
+    for algorithm in served:
+        if _refusal(algorithm, kind, domain) is None:
+            return algorithm, None
     return "oracle", _ORACLE_WARNING if served else _NO_ROUTE_WARNING
-
-
-def _engine(algorithm: str, kind: StructureKind) -> str:
-    """The engine an explicit algorithm runs: the first of its rows that
-    serves the class, else the first that serves the class's dynamics,
-    whose guard then refuses the shape, else its first row."""
-    rows = [(kind not in classes, kind.dynamics not in {c.dynamics for c in classes}, i, e)
-            for i, (e, (name, classes, *_)) in enumerate(_ROUTES.items())
-            if e != "ktop" and name == algorithm]
-    if not rows:
-        raise InvalidRequest(f"unknown algorithm {algorithm!r}")
-    return min(rows)[-1]
 
 
 def analyze(req: AnalysisRequest) -> AnalysisResult:
@@ -434,12 +400,11 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
 
     The auto route reads `_ROUTES` (see `auto_route`) and falls back to the
     exhaustive oracle with a warning. Explicit algorithm choices are
-    honored or rejected, never silently downgraded.
+    honored or rejected, never silently downgraded. Each engine checks the
+    request itself (see `_check`); the oracle's values are checked here.
     """
     started = time.perf_counter()
     t, domain, alpha = req.tree, req.domain, req.alpha
-    validate_attribution(t, alpha, domain)
-    kind = classify(t)
     warning = witnesses = None
     stats: dict = {"nodes": len(t)}
 
@@ -454,19 +419,19 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
     else:
         algorithm = req.algorithm
         if algorithm == "auto":
-            algorithm, warning = auto_route(kind, domain)
-        if algorithm == "oracle":
-            dynamic = kind.dynamics is Dynamics.DYNAMIC
+            algorithm, warning = auto_route(classify(t), domain)
+        if algorithm == "bu":
+            value = bu(t, alpha, domain)
+        elif algorithm == "bdd":
+            value, diagram = bu_bdd_detailed(t, alpha, domain, req.order)
+            stats["bdd_nodes"] = diagram.node_count()
+        elif algorithm == "oracle":
+            validate_attribution(t, alpha, domain)
+            dynamic = classify(t).dynamics is Dynamics.DYNAMIC
             oracle = oracle_metric_dynamic if dynamic else oracle_metric_static
             value = oracle(t, alpha, domain, req.budget)
         else:
-            engine = _engine(algorithm, kind)
-            if engine == "bu_bdd":
-                value, diagram = bu_bdd_detailed(t, alpha, domain, req.order)
-                stats["bdd_nodes"] = diagram.node_count()
-            else:
-                _guard(engine, t, domain)
-                value = _fold(t, alpha, domain)
+            raise InvalidRequest(f"unknown algorithm {algorithm!r}")
 
     stats["millis"] = int((time.perf_counter() - started) * 1000)
     return AnalysisResult(

@@ -174,6 +174,10 @@ class Bdd(Record):
         return sum(1 for v in self.postorder if v >= 2)
 
 
+# the refusal of every diagram engine on a model with SAND gates
+STATIC_ONLY = "decision diagrams take static models only; this model has SAND gates"
+
+
 def default_order(t: AttackTree) -> VarOrder:
     """Depth-first leftmost first-occurrence order over the BAS."""
     return VarOrder(bas_of(t))
@@ -199,8 +203,7 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     left-deep chain of n binary AND gates makes 2n+1 nodes, where pairing
     the children made about n^2/2."""
     if classify(t).dynamics is Dynamics.DYNAMIC:
-        raise DynamicTreeRejected(
-            "decision diagrams take static models only; this model has SAND gates")
+        raise DynamicTreeRejected(STATIC_ONLY)
     if order is None:
         order = default_order(t)
     elif set(order.bas) != set(bas_of(t)):

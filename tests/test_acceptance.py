@@ -18,9 +18,8 @@ from atquant import (
     VarOrder,
     analyze,
     bas_of,
+    bu,
     bu_bdd,
-    bu_dat,
-    bu_sat,
     build,
     builtin,
     check_semiring_laws,
@@ -85,25 +84,23 @@ def timed(fn, *args, **kwargs):
 # -- the differential harness --------------------------------------------------
 #
 # Every random model of every structure class, in every domain, goes through
-# every engine of the table `analysis._ROUTES`. An engine on a class its row
-# serves must give the oracle's value where `_refusal` finds the domain
-# exact, and raise exactly that refusal elsewhere; on any other class it
-# must raise an AtError. `auto_route` must name the algorithm of the first
-# row but k-top's that serves the class and is exact for the domain, and
-# `analyze` must take that route and give the oracle's value, or its error
-# where the oracle refuses.
+# every algorithm of the table `analysis._ROUTES`. Its engine must give the
+# oracle's value where `_refusal` finds the class served and the domain
+# exact, and raise exactly that refusal elsewhere. `auto_route` must name
+# the first algorithm but k-top that serves the class and is exact for the
+# domain, and `analyze` must take that route and give the oracle's value, or
+# its error where the oracle refuses.
 
 DYNAMIC_DAG = StructureKind(Shape.DAG, Dynamics.DYNAMIC)
 
 # every builtin, and a pareto product that absorbs and one that does not
 DOMAINS = BUILTIN_NAMES + ("pareto(min-cost,min-skill)", "pareto(min-cost,max-damage)")
 
-# engine of `_ROUTES` -> (whether it runs under every variable order, its
-# value under one)
+# algorithm of `_ROUTES` -> (whether its engine runs under every variable
+# order, its value under one)
 ENGINES = {
-    "bu_sat": (False, lambda t, a, d, order: bu_sat(t, a, d)),
-    "bu_dat": (False, lambda t, a, d, order: bu_dat(t, a, d)),
-    "bu_bdd": (True, bu_bdd),
+    "bu": (False, lambda t, a, d, order: bu(t, a, d)),
+    "bdd": (True, bu_bdd),
     "ktop": (False, lambda t, a, d, order: k_top(t, a, d, 1, order)[0][0]),
 }
 
@@ -165,7 +162,7 @@ def _check_diagrams(t, orders, rep) -> None:
 
 def _check_cells(t, rng, domains, rep) -> None:
     """Every cell of one model: each domain through each engine, the auto
-    route and `analyze`. `domains` holds (domain, engine -> its refusal)."""
+    route and `analyze`."""
     kind = classify(t)
     static = kind.dynamics is Dynamics.STATIC
     orders = _random_orders(rng, t) if static else [None]
@@ -179,21 +176,17 @@ def _check_cells(t, rng, domains, rep) -> None:
             rep.mismatches.append(f"{kind} model of {len(t)} nodes, {d.name}, {what}: "
                                   f"got {got!r}, want {want!r}")
 
-    for d, refusals in domains:
+    for d in domains:
         a = rand_alpha(rng, t, d)
         want = _outcome(oracle, t, a, d)
+        refusals = {algorithm: _refusal(algorithm, kind, d) for algorithm in ENGINES}
         for engine, (ordered, run) in ENGINES.items():
             expected = want if refusals[engine] is None else refusals[engine]
             for i, order in enumerate(orders if ordered else [None]):
-                got = _outcome(run, t, a, d, order)
                 what = f"{engine} under order {i}" if i else engine
-                if kind in _ROUTES[engine][1]:
-                    cell(d, what, got, expected)
-                else:
-                    cell(d, what, isinstance(got, AtError), True)
+                cell(d, what, _outcome(run, t, a, d, order), expected)
         algorithm, warning = auto_route(kind, d)
-        fast = [row[0] for engine, row in _ROUTES.items()
-                if engine != "ktop" and kind in row[1] and refusals[engine] is None]
+        fast = [name for name in _ROUTES if name != "ktop" and refusals[name] is None]
         cell(d, "auto_route", (algorithm, warning is None),
              (fast[0], True) if fast else ("oracle", False))
         res = _outcome(analyze, AnalysisRequest(t, a, d))
@@ -207,9 +200,8 @@ def _check_cells(t, rng, domains, rep) -> None:
 @pytest.fixture(scope="module")
 def suites():
     rng = Random(0xA77AC)
-    assert ENGINES.keys() == _ROUTES.keys()  # a new engine enters the harness here
-    domains = [(d, {engine: _refusal(engine, d) for engine in _ROUTES})
-               for d in map(builtin, DOMAINS)]
+    assert ENGINES.keys() == _ROUTES.keys()  # a new algorithm enters the harness here
+    domains = list(map(builtin, DOMAINS))
     rep = SimpleNamespace(
         mismatches=[],
         bdd_failures=[],
@@ -240,7 +232,7 @@ def suites():
         _check_cells(t, rng, domains, rep)
     for _ in range(N_TREE_DAT):
         t = rand_tree_dat(rng)
-        assert is_well_formed(t)[0]  # proper dynamic trees never cycle; bu_dat relies on it
+        assert is_well_formed(t)[0]  # proper dynamic trees never cycle; bu relies on it
         assert _ordering_cycle(t) is None  # the relation agrees; is_well_formed skips the search
         rep.dat_trees.append(t)
         _check_cells(t, rng, domains, rep)
@@ -275,8 +267,8 @@ def test_criterion_01_golden_metric_values():
     t = treasure()
     a_time = alpha(t, {"n": 1, "t": 100, "p": 0})
     a_prob = alpha(t, {"n": Fraction(7, 100), "t": Fraction(19, 20), "p": Fraction(1, 100)})
-    record("treasure min-time", lambda: bu_sat(t, a_time, builtin("min-time-seq")), 1)
-    record("treasure prob", lambda: bu_sat(t, a_prob, builtin("prob-max")), Fraction(7, 100))
+    record("treasure min-time", lambda: bu(t, a_time, builtin("min-time-seq")), 1)
+    record("treasure prob", lambda: bu(t, a_prob, builtin("prob-max")), Fraction(7, 100))
 
     g = overlap()
     g_cost = alpha(g, {"a": 3, "b": 1, "c": 4})
@@ -556,7 +548,7 @@ def test_criterion_10_scalability_smoke(suites, tmp_path, capsys):
     t = _balanced_tree(16)
     assert len(t) >= 100_000
     a = {b: 1 for b in bas_of(t)}
-    value, dt = timed(bu_sat, t, a, builtin("min-cost"))
+    value, dt = timed(bu, t, a, builtin("min-cost"))
     assert value == 256  # eight AND layers double the unit cost, ORs keep it
     assert dt < 1.0, f"fold over {len(t)} nodes took {dt:.3f}s"
 

@@ -3,6 +3,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +12,12 @@ from atquant import (
     AnalysisRequest,
     analyze,
     bas_of,
+    bu,
     bu_bdd,
-    bu_dat,
-    bu_sat,
     builtin,
     k_top,
     minimal_attacks_dynamic,
+    parse_model,
     oracle_metric_dynamic,
     oracle_metric_static,
     structure_function,
@@ -63,23 +64,24 @@ from helpers import (
 )
 
 
-def test_bu_sat_goldens():
+def test_bu_static_tree_goldens():
     t = treasure()
-    assert bu_sat(t, alpha(t, {"n": 1, "t": 100, "p": 0}), builtin("min-time-seq")) == 1
+    assert bu(t, alpha(t, {"n": 1, "t": 100, "p": 0}), builtin("min-time-seq")) == 1
     a = alpha(t, {"n": Fraction(7, 100), "t": Fraction(19, 20), "p": Fraction(1, 100)})
-    assert bu_sat(t, a, builtin("prob-max")) == Fraction(7, 100)
+    assert bu(t, a, builtin("prob-max")) == Fraction(7, 100)
 
 
-def test_bu_sat_preconditions():
+def test_bu_static_tree_preconditions():
     f = overlap()
     with pytest.raises(DagRejected):
-        bu_sat(f, alpha(f, {"a": 3, "b": 1, "c": 4}), builtin("min-cost"))
+        bu(f, alpha(f, {"a": 3, "b": 1, "c": 4}), builtin("min-cost"))
+    # one fold serves dynamic trees too
     s = tt(("sand", "a", "b"))
-    with pytest.raises(DynamicTreeRejected):
-        bu_sat(s, alpha(s, {"a": 3, "b": 15}), builtin("min-cost"))
+    a = alpha(s, {"a": 3, "b": 15})
+    assert bu(s, a, builtin("min-cost")) == oracle_metric_dynamic(s, a, builtin("min-cost")) == 18
     t = treasure()
     with pytest.raises(NotSemiring):
-        bu_sat(t, alpha(t, {"n": 1, "t": 2, "p": 3}), builtin("cost-to-defend"))
+        bu(t, alpha(t, {"n": 1, "t": 2, "p": 3}), builtin("cost-to-defend"))
 
 
 def test_naive_fold_overcounts_shared_leaves():
@@ -135,7 +137,7 @@ def test_tree_folds_and_k_top_check_values_once_their_guards_pass():
     t = treasure()  # BAS n, t, p
     for bad in (1.5, True, -1):
         a = alpha(t, {"n": 1, "t": bad, "p": bad})
-        for fold_call in (bu_sat, bu_dat, lambda *args: k_top(*args, k=2)):
+        for fold_call in (bu, lambda *args: k_top(*args, k=2)):
             with pytest.raises(BadAttributeValue, match="basic action 't'"):
                 fold_call(t, a, builtin("min-cost"))
 
@@ -206,8 +208,8 @@ def test_additive_tree_folds_over_integers_agree_with_the_operator_fold():
                 {b: INF if rng.random() < 0.4 else 2**1100 + rng.randint(0, 9) for b in bas},
             ]
             for a in draws:
-                got = bu_dat(t, a, d)
-                for want in (bu_dat(t, a, wrapped), oracle(t, a, d)):
+                got = bu(t, a, d)
+                for want in (bu(t, a, wrapped), oracle(t, a, d)):
                     assert got == want and render_value(got) == render_value(want)
                 cases += 1
     assert cases == 1800
@@ -427,32 +429,32 @@ def test_k_top_breaks_infinite_ties_on_decisions():
     ]
 
 
-def test_bu_dat_goldens():
+def test_bu_dynamic_tree_goldens():
     d = exploit_tree()
     a = alpha(d, {"ff": 3, "w1": 15, "w2": 15, "cc": 1})
-    assert bu_dat(d, a, builtin("min-time-par")) == 15
+    assert bu(d, a, builtin("min-time-par")) == 15
     s = tt(("sand", "w", "cc"))
-    assert bu_dat(s, alpha(s, {"w": 15, "cc": 1}), builtin("min-time-par")) == 16
-    assert bu_dat(s, alpha(s, {"w": 15, "cc": 1}), builtin("min-skill")) == 15
+    assert bu(s, alpha(s, {"w": 15, "cc": 1}), builtin("min-time-par")) == 16
+    assert bu(s, alpha(s, {"w": 15, "cc": 1}), builtin("min-skill")) == 15
 
 
-def test_bu_dat_preconditions():
+def test_bu_dynamic_tree_preconditions():
     g = chains()
     a = alpha(g, {"a": 1, "b": 4, "c": 8})
     with pytest.raises(DagRejected):
-        bu_dat(g, a, builtin("min-cost"))
+        bu(g, a, builtin("min-cost"))
     s = tt(("sand", "a", "b"))
     with pytest.raises(NotSemiringDynamic):
-        bu_dat(s, alpha(s, {"a": 1, "b": 2}), builtin("cost-to-defend"))
+        bu(s, alpha(s, {"a": 1, "b": 2}), builtin("cost-to-defend"))
     with pytest.raises(NotSemiringDynamic):
-        bu_dat(s, alpha(s, {"a": 1, "b": 2}), builtin("pareto(min-cost,min-skill)"))
+        bu(s, alpha(s, {"a": 1, "b": 2}), builtin("pareto(min-cost,min-skill)"))
 
 
-def test_bu_dat_accepts_seq_equals_and_domains():
+def test_bu_accepts_seq_equals_and_domains():
     s = tt(("sand", "a", "b"))
     a = alpha(s, {"a": 1, "b": 2})
-    assert bu_dat(s, a, builtin("min-cost")) == 3
-    assert bu_dat(s, a, builtin("max-damage")) == 3
+    assert bu(s, a, builtin("min-cost")) == 3
+    assert bu(s, a, builtin("max-damage")) == 3
     assert oracle_metric_dynamic(s, a, builtin("min-cost")) == 3
 
 
@@ -480,18 +482,18 @@ def test_parallel_time_takes_the_critical_path():
     a = alpha(t, {"a": 1, "b": 2, "c": 4})
     par = builtin("min-time-par")
     assert oracle_metric_dynamic(t, a, par) == 6
-    assert bu_dat(t, a, par) == 6
+    assert bu(t, a, par) == 6
     # domains folding chains with the conjunctive operator cannot diverge
     for name in ("min-cost", "min-skill", "max-damage"):
         d = builtin(name)
-        assert bu_dat(t, a, d) == oracle_metric_dynamic(t, a, d)
+        assert bu(t, a, d) == oracle_metric_dynamic(t, a, d)
     # a diamond, a before b and c, both before d: b ends at 1 + 3 = 4, c at
     # 1 + 5 = 6, and d at max(4, 6) + 2 = 8; a counts once, by idempotence
     diamond = tt(("sand", "a", ("and", "b", "c"), "d"))
     a = alpha(diamond, {"a": 1, "b": 3, "c": 5, "d": 2})
     (attack,) = minimal_attacks_dynamic(diamond)
     assert len(attack.order) == 4
-    assert oracle_metric_dynamic(diamond, a, par) == bu_dat(diamond, a, par) == 8
+    assert oracle_metric_dynamic(diamond, a, par) == bu(diamond, a, par) == 8
     # an N, a and b before c, b before d, which no proper tree orders (its
     # posets are series-parallel): c ends at max(5, 1) + 2 = 7 and d at
     # 1 + 10 = 11, so the attack takes 11; only the oracle can say
@@ -507,7 +509,7 @@ def test_parallel_time_takes_the_critical_path():
 
 def test_an_ordered_attack_needs_seq_is_and_or_an_idempotent_and():
     # + after max, but max declared not idempotent: the critical path could
-    # count a shared predecessor twice, so the oracle and bu_dat both refuse
+    # count a shared predecessor twice, so the oracle and bu both refuse
     par = builtin("min-time-par")
     d = domain_with(par, name="min-time-par-no-idem", laws=par.laws - {"and-idempotent"})
     t = tt(("sand", "a", "b"))
@@ -515,7 +517,7 @@ def test_an_ordered_attack_needs_seq_is_and_or_an_idempotent_and():
     with pytest.raises(IncompatibleDomain, match="declares neither seq-is-and nor and-idempotent"):
         oracle_metric_dynamic(t, a, d)
     with pytest.raises(NotSemiringDynamic):
-        bu_dat(t, a, d)
+        bu(t, a, d)
     with pytest.raises(IncompatibleDomain):
         analyze(AnalysisRequest(t, a, d))
     # an unordered attack has no critical path to take
@@ -631,8 +633,8 @@ def test_tree_folds_name_the_first_missing_value_in_bas_order():
     t = tt(("or", "n", ("and", "t", "p"), ("sand", "q", "r")))  # BAS n, t, p, q, r
     a = alpha(t, {"n": 1, "p": 1, "q": 1})
     static = tt(("or", "n", ("and", "t", "p"), ("and", "q", "r")))
-    for fold_call in (lambda: bu_dat(t, a, builtin("min-cost")),
-                      lambda: bu_sat(static, a, builtin("min-cost")),
+    for fold_call in (lambda: bu(t, a, builtin("min-cost")),
+                      lambda: bu(static, a, builtin("min-cost")),
                       lambda: total_probability_tree(static, a)):
         with pytest.raises(MissingAttribution, match="^no value for basic action 't'$"):
             fold_call()
@@ -700,6 +702,48 @@ def test_analyze_honors_and_rejects_explicit_choices():
         analyze(AnalysisRequest(f, a, mc, algorithm="bu"))
     with pytest.raises(ValueError):
         analyze(AnalysisRequest(f, a, mc, algorithm="quantum"))
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+# algorithm -> (the public engine, the same request through analyze)
+_SAME_REQUEST = {
+    "bu": (bu, lambda t, a, d: analyze(AnalysisRequest(t, a, d, "bu")).value),
+    "bdd": (bu_bdd, lambda t, a, d: analyze(AnalysisRequest(t, a, d, "bdd")).value),
+    **{f"ktop k={k}": (lambda t, a, d, k=k: k_top(t, a, d, k),
+                       lambda t, a, d, k=k: list(analyze(AnalysisRequest(t, a, d, k=k)).witnesses))
+       for k in (1, 0)},
+}
+
+
+def _answer(call, *args):
+    """The value of a call, or the class and message of its AtError."""
+    try:
+        return call(*args)
+    except AtError as e:
+        return type(e), str(e)
+
+
+def test_engines_and_analyze_refuse_alike():
+    # every engine checks a request in one order, the class, then the
+    # domain, then the values, and analyze calls the engines, so a library
+    # caller and the CLI get one answer or one refusal
+    answers = {}
+    for path in sorted(MODELS.glob("*.at")):
+        doc = parse_model(path.read_text(encoding="utf-8-sig"))
+        for name in sorted(doc.attributions):
+            a = doc.attribution(name)
+            for d in map(builtin, ("min-cost", "cost-to-defend", "prob-max")):
+                for algorithm, (library, request) in _SAME_REQUEST.items():
+                    cell = (path.stem, name, d.name, algorithm)
+                    answers[cell] = _answer(library, doc.tree, a, d)
+                    assert _answer(request, doc.tree, a, d) == answers[cell], cell
+    assert len(answers) == 11 * 3 * 4  # eleven declared attributions
+    # prob-max reads costs and times as probabilities: the class and the
+    # domain are refused before any value
+    assert answers["treasure", "time", "prob-max", "ktop k=1"][0] is UnsupportedDomainForKTop
+    assert answers["overlap", "cost", "prob-max", "bu"][0] is DagRejected
+    assert answers["treasure", "time", "prob-max", "bdd"][0] is BadAttributeValue
 
 
 def test_analyze_rejects_an_algorithm_choice_with_k():
