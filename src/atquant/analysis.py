@@ -29,11 +29,11 @@ import functools
 import math
 import time
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple, Optional
 
 from .bdd import FALSE, STATIC_ONLY, TRUE, Bdd, VarOrder, from_structure_function, minimise
-from .domains import INF, AttributeDomain
+from .domains import INF, AttributeDomain, ValueKind
 from .errors import (
     AtError,
     BadAttributeValue,
@@ -143,19 +143,55 @@ def _plus(weights):
         return math.inf
 
 
+def _pair_product(pairs):
+    """The product of (numerator, denominator) pairs, unnormalised."""
+    num = den = 1
+    for n, d in pairs:
+        num *= n
+        den *= d
+    return num, den
+
+
+def _pair_extreme(greatest: bool):
+    """The builtin max (greatest) or min over (numerator, denominator)
+    pairs with positive denominators, compared by cross-multiplication:
+    the first of the greatest or least values wins, as with the builtin."""
+    def pick(pairs):
+        it = iter(pairs)
+        num, den = next(it)
+        for n, d in it:
+            if (n * den > num * d) if greatest else (n * den < num * d):
+                num, den = n, d
+        return num, den
+    return pick
+
+
+_PAIR_EXTREMA = {max: _pair_extreme(True), min: _pair_extreme(False)}
+
+
 def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Memoized bottom-up fold, once `_check` has passed the request for
     `bu`; the memoization is what makes it naive on DAGs (a shared node
     contributes one value to every parent). A domain whose gates all add,
     and whose or_op is the builtin min or max, folds integers over one
-    common denominator, as `_shortest_path` does. The builtin min or max
-    of an iterable is the first of its least or greatest values, as its
-    fold by pairs is, so either is called on a gate's children at once."""
+    common denominator, as `_shortest_path` does. A probability domain
+    whose gates all multiply, and whose or_op is the builtin min or max,
+    folds unnormalised (numerator, denominator) pairs and makes one
+    `Fraction` at the root: normalising a product at every gate costs a
+    gcd of ever longer integers. The builtin min or max of an iterable is
+    the first of its least or greatest values, as its fold by pairs is, so
+    either is called on a gate's children at once."""
     leaves = list(map(alpha.__getitem__, t.bas))
     if _ADDS <= domain.laws and domain.or_op in _EXTREMA:
         scale, weight = _scaled_weights(leaves, 1)
         plus = {NodeType.OR: domain.or_op, NodeType.AND: _plus, NodeType.SAND: _plus}
         return _unscaled(fold(t, weight, plus), 1, scale)
+    if (domain.and_op is mul and domain.seq_op is mul and domain.or_op in _EXTREMA
+            and domain.kind is ValueKind.PROBABILITY):  # values are ints and Fractions
+        pairs = [a.as_integer_ratio() for a in leaves]
+        times = {NodeType.OR: _PAIR_EXTREMA[domain.or_op], NodeType.AND: _pair_product,
+                 NodeType.SAND: _pair_product}
+        return Fraction(*fold(t, pairs, times))
     ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op, NodeType.SAND: domain.seq_op}
     return fold(t, leaves, {k: op if op in _EXTREMA else functools.partial(functools.reduce, op)
                             for k, op in ops.items()})

@@ -22,7 +22,7 @@ from .analysis import ALGORITHMS, DEFAULT_BUDGET, AnalysisRequest, analyze
 from .bdd import VarOrder, from_structure_function, minimise
 from .domains import ValueKind, builtin
 from .errors import AtError, BudgetExceeded
-from .io import emit_dot, emit_dot_bdd, emit_model, emit_result, parse_model
+from .io import collector_paused, emit_dot, emit_dot_bdd, emit_model, emit_result, parse_model
 from .semantics import (
     is_well_formed,
     minimal_attacks_dynamic,
@@ -381,7 +381,14 @@ def _read(argv: list) -> tuple:
 
 
 def main(argv=None) -> int:
+    """Run one command. Its handler runs with the cyclic collector paused
+    (`io.collector_paused`): a request leaves next to no garbage cycles, and
+    collections during it would only rescan the model it built."""
     handler, args = _read(sys.argv[1:] if argv is None else list(argv))
+    return collector_paused(_run, handler, args)
+
+
+def _run(handler, args) -> int:
     try:
         return handler(args)
     except BudgetExceeded as e:

@@ -23,25 +23,30 @@ Spaces, tabs, CR, LF and `//` comments separate tokens; any other character
 is an error.
 
 Two front ends read a file into the same draft: the node labels and types
-in definition order, every node's child labels in one flat list, and each
-node's count of children. The statement matcher checks a whole statement
-with one pattern per kind: a run of node definitions, a `toplevel`, an
-attribution block, an `order`. Labels hold no quote, so a matched statement
-split on quotes gives its labels and, between them, each node's kind and
-each binding's value. It accepts whitespace only inside a statement and
-comments only between statements, and declines a basic action with
-children, a gate without, a name declared twice and a numeral the token
-parser refuses. The token parser reads one token at a time and is the only
-source of syntax diagnostics. It reads the whole text again when the
-matcher declines any of it or when the matched statements break a rule
-below, so every error, with its line and column, is the token parser's.
-Both front ends hand their draft to `_assemble`, which resolves all child
-labels with one lookup pass, rejects dangling children, freezes the draft's
-columns and checks that attributions and orders cover the basic actions.
+in definition order, every node's child labels in one flat list, and where
+each node's children start in it. The statement matcher checks a whole
+statement with one pattern per kind: a run of node definitions, a
+`toplevel`, an attribution block, an `order`. Labels hold no quote, so a
+matched statement split on quotes gives its labels and, between them, each
+node's kind and each binding's value. The text after a label names the
+node's kind, or is blank or ends a definition after a child's label; a
+file has few distinct such separators, and each is classified once. The
+matcher accepts whitespace only inside a statement and comments only
+between statements, and declines a basic action with children, a gate
+without, a name declared twice and a numeral the token parser refuses. The
+token parser reads one token at a time and is the only source of syntax
+diagnostics. It reads the whole text again when the matcher declines any
+of it or when the matched statements break a rule below, so every error,
+with its line and column, is the token parser's. Both front ends hand
+their draft to `_assemble`, which resolves the child labels with one
+lookup pass, rejects dangling children, and hands the flat child ids and
+the offsets to `freeze`, which slices each node's children as its walk
+pops the node. It then resolves each attribution's and each order's labels
+to basic action ids once, and checks that they cover the basic actions.
 The token parser converts numerals as it reads them. The matcher keeps each
-block's split text instead: once `_assemble` has checked its bindings, the
-conversion cannot fail, so it waits until a request reads the block
-(`ModelDocument.attribution`).
+block's split text and ids instead: once `_assemble` has checked its
+bindings, the conversion cannot fail, so it waits until a request reads the
+block (`ModelDocument.attribution`).
 """
 
 from __future__ import annotations
@@ -50,8 +55,9 @@ import gc
 import json
 import re
 import sys
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import compress, count, repeat
 from operator import is_, not_, sub
 from typing import NamedTuple, Optional
 
@@ -87,7 +93,7 @@ _TOKEN = re.compile(
 _Tok = tuple[str, str, int]  # (kind, text, offset), kind STR NUM WORD PUNCT or EOF
 
 # The statement grammar: the token grammar with whitespace only inside a
-# statement, so a comment cannot hide a quote from `_columns`. A keyword or
+# statement, so a comment cannot hide a quote from `_match`. A keyword or
 # inf ends where the token grammar's word would (`basé` is not `bas`), a
 # numeral where its numeral would. A decimal has digits both sides of its
 # dot, a ratio is of integers over a nonzero one: the matcher declines each
@@ -161,18 +167,21 @@ class ModelDocument(Record):
 class _Block(NamedTuple):
     """An attribution block the statement matcher read and `_assemble`
     checked: the block split on quotes, whose odd parts are its labels and
-    whose even parts hold the values between them, its labels, and the
-    basic actions' label -> id map."""
+    whose even parts hold the values between them, and the ids of the
+    basic actions its labels name."""
 
     parts: list[str]
-    labels: list[str]
-    bas: dict[str, int]
+    ids: list[int]
 
     def table(self) -> dict:
-        """bas id -> value, one object per distinct numeral."""
-        written = '"'.join(self.parts[::2]).translate(_SEPARATORS).split('"')[1:]
-        value = {w: INF if w == "inf" else _exact(*w.split("/")) for w in set(written)}
-        return dict(zip(map(self.bas.__getitem__, self.labels), map(value.__getitem__, written)))
+        """bas id -> value, one object per distinct numeral. The text after
+        a label holds its binding's `=`, numeral and `;`; each distinct
+        such text is read once."""
+        after = self.parts[2::2]
+        numeral = {sep: sep.translate(_SEPARATORS) for sep in set(after)}
+        value = {w: INF if w == "inf" else _exact(*w.split("/")) for w in set(numeral.values())}
+        of = {sep: value[w] for sep, w in numeral.items()}
+        return dict(zip(self.ids, map(of.__getitem__, after)))
 
 
 class _Draft:
@@ -189,7 +198,8 @@ class _Draft:
         self.labels: list[str] = []  # node labels, in definition order
         self.types: list[NodeType] = []
         self.flat: list[str] = []  # every node's child labels, node after node
-        self.counts: list[int] = []  # each node's number of children
+        # node i's children are flat[offsets[i]:offsets[i + 1]]
+        self.offsets: list[int] = [0]
         self.ids: dict[str, int] = {}  # label -> index; labels are distinct
         # (name, labels, values); the matcher's values are a `_Block`'s parts
         self.attributions: list[tuple[str, list[str], list]] = []
@@ -296,28 +306,39 @@ class _Parser:
         return _number(num, den, self.text, at, den_at)
 
 
+def collector_paused(fn, *args):
+    """fn(*args) with the cyclic collector paused, then left on or off as it
+    was found, also when fn raises. For work that builds many objects but
+    no garbage cycles: a collection during it could free nothing and would
+    only rescan the growing heap; what an error path leaves behind is
+    collected once the collector runs again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_model(text: str) -> ModelDocument:
     """The document a model file holds. The statement matcher reads it where
     it can; the token parser reads it otherwise and raises every error.
 
-    The cyclic collector is paused while the document is built and left as
-    it was found. A document holds strings, numbers, tuples and dicts that
-    refer to one another without cycles, so a collection during the build
-    could free nothing and would only rescan the growing store; what an
-    error path leaves behind is collected once the collector runs again."""
-    paused = gc.isenabled()
-    gc.disable()
+    The cyclic collector is paused while the document is built
+    (`collector_paused`): a document holds strings, numbers, tuples and
+    dicts that refer to one another without cycles."""
+    return collector_paused(_read_model, text)
+
+
+def _read_model(text: str) -> ModelDocument:
     try:
-        try:
-            d = _match(text)
-            if d is not None:
-                return _assemble(d, text)
-        except AtError:
-            pass  # the token parser raises it again, with its position
-        return _parse_tokens(text)
-    finally:
-        if paused:
-            gc.enable()
+        d = _match(text)
+        if d is not None:
+            return _assemble(d, text)
+    except AtError:
+        pass  # the token parser raises it again, with its position
+    return _parse_tokens(text)
 
 
 def _match(text: str) -> Optional[_Draft]:
@@ -354,24 +375,22 @@ def _match(text: str) -> Optional[_Draft]:
                 return None
             d.orders.append((name, m["chain"].split('"')[1::2]))  # labels hold no quote
         pos = m.end()
-    labels, after = _columns("".join(runs))
-    # a node's label is followed by its kind, a child's by nothing
-    kinds = list(map(_KINDS.get, after))
+    # labels hold no quote: the odd parts are the labels, and each even part
+    # the separator after one, which names its kind after a node's label
+    # and is blank, or ends a definition, after a child's
+    parts = "".join(runs).split('"')
+    labels, after = parts[1::2], parts[2::2]
+    kind_of = {sep: _KINDS.get(sep.translate(_SEPARATORS)) for sep in set(after)}
+    kinds = list(map(kind_of.__getitem__, after))
     d.labels = list(compress(labels, kinds))
     d.types = list(compress(kinds, kinds))
     d.flat = list(compress(labels, map(not_, kinds)))
-    # a node's children: the labels up to the next node's
+    # a node's children are the labels up to the next node's, and the i-th
+    # node's label at[i] follows i node labels
     at = list(compress(range(len(kinds)), kinds))
-    d.counts = list(map(sub, at[1:] + [len(kinds)], map((1).__add__, at)))
+    d.offsets = [*map(sub, at, count()), len(d.flat)]
     d.ids = dict(zip(d.labels, range(len(at))))
     return d if len(d.ids) == len(at) else None
-
-
-def _columns(statements: str) -> tuple[list[str], list[str]]:
-    """The labels of matched statements, and after each the text up to the
-    next without blanks, `=` and `;`; no label holds a quote."""
-    parts = statements.split('"')
-    return parts[1::2], '"'.join(parts[::2]).translate(_SEPARATORS).split('"')[1:]
 
 
 def _parse_tokens(text: str) -> ModelDocument:
@@ -442,7 +461,7 @@ def _parse_tokens(text: str) -> ModelDocument:
             d.labels.append(word)
             d.types.append(node_type)
             d.flat += [child for _, child, _ in children]
-            d.counts.append(len(children))
+            d.offsets.append(len(d.flat))
         else:
             raise p.error(f"unexpected token {word!r}", at)
     return _assemble(d, text)
@@ -470,32 +489,30 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
     except KeyError:
         # the first undefined child in document order, as node i's child j
         k = next(k for k, child in enumerate(d.flat) if child not in ids)
-        i, j = 0, k
-        while j >= d.counts[i]:
-            j -= d.counts[i]
-            i += 1
+        i = bisect_right(d.offsets, k) - 1
         msg = f"node {d.labels[i]!r} references undefined node {d.flat[k]!r}"
-        raise _locate(DanglingReference(msg), text, where(("child", i, j))) from None
-    ends = list(accumulate(d.counts))
-    # slices of a tuple are tuples
-    kids = tuple(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
+        raise _locate(DanglingReference(msg), text, where(("child", i, k - d.offsets[i]))) from None
     try:
-        tree = freeze(d.labels, d.types, kids, d.root, ids[d.root])
+        tree = freeze(d.labels, d.types, flat, d.offsets, d.root, ids[d.root])
     except CyclicStructure as e:
         raise _locate(e, text, where(("node", e.cycle[0]))) from None
     except TreeBuildError as e:
         raise _locate(e, text, where("toplevel")) from None
 
     # freeze leaves no node unreachable, so the BAS are the nodes of that type
-    bas = dict(compress(zip(d.labels, range(len(ends))), map(is_, d.types, repeat(NodeType.BAS))))
+    bas = dict(compress(zip(d.labels, count()), map(is_, d.types, repeat(NodeType.BAS))))
 
     def not_bas(block: str, name: str, label: str, key) -> ModelSyntaxError:
         return error(f"{block} {name!r} names {label!r}, which is not a basic action", key)
 
     attributions: dict[str, object] = {}
     for k, (name, labels, values) in enumerate(d.attributions):
-        # every label names a basic action, none twice, and every one is named
-        if len(labels) != len(bas) or bas.keys() != set(labels):
+        # every label names a basic action, none twice, and every one is
+        # named; the labels are gone through in document order only to name
+        # the first offence
+        seq = list(map(bas.get, labels))
+        named = set(seq)
+        if len(seq) != len(bas) or len(named) != len(bas) or None in named:
             seen = set()
             for j, label in enumerate(labels):
                 if label not in bas:
@@ -507,8 +524,7 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
             missing = sorted(bas.keys() - seen)
             raise error(f"attribution {name!r} misses basic actions: {', '.join(missing)}",
                         ("attribution", k))
-        attributions[name] = (_Block(values, labels, bas) if d.numerals
-                              else dict(zip(map(bas.__getitem__, labels), values)))
+        attributions[name] = _Block(values, seq) if d.numerals else dict(zip(seq, values))
 
     orders: dict[str, tuple[int, ...]] = {}
     for k, (name, labels) in enumerate(d.orders):

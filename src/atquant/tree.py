@@ -5,24 +5,25 @@ the same structure type covers proper trees and DAGs with shared subtrees.
 All traversals are iterative: models with 10^5 nodes (or degenerate chains)
 must not hit the interpreter recursion limit.
 
-`freeze` checks a store with one run of Kahn's algorithm and records its
-structure kind and its pop order, `AttackTree.topological`: the root
-first, every node after all of its parents, and on a proper tree the
-left-to-right preorder. Read backwards it is the bottom-up order
-(`AttackTree.postorder`) of trees and DAGs alike, so no further walk is
-needed; on a proper tree the BAS order (`AttackTree.bas`) is picked out of
-it too, and on a DAG a depth-first first-occurrence walk gives the BAS
-order and `descendants`. `find_cycle` names the cycles of `freeze` and of
-the well-formedness check. Every bottom-up evaluation follows
-`AttackTree.postorder`: tree folds go through `fold`, and `bdd` compiles
-in that order.
+`freeze` takes every node's child ids in one flat list, with the offset
+at which each node's run starts, and checks the store with one run of
+Kahn's algorithm. It slices a node's children out of the flat list when
+it pops the node, and records the structure kind and the pop order,
+`AttackTree.topological`: the root first, every node after all of its
+parents, and on a proper tree the left-to-right preorder. Read backwards
+it is the bottom-up order (`AttackTree.postorder`) of trees and DAGs
+alike, so no further walk is needed; on a proper tree the BAS order
+(`AttackTree.bas`) is picked out of it too, and on a DAG a depth-first
+first-occurrence walk gives the BAS order and `descendants`. `find_cycle`
+names the cycles of `freeze` and of the well-formedness check. Every
+bottom-up evaluation follows `AttackTree.postorder`: tree folds go through
+`fold`, and `bdd` compiles in that order.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -137,7 +138,8 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
             raise DuplicateLabel(f"node {label!r} defined twice")
         by_label[label] = i
 
-    children = []
+    flat: list[int] = []  # every node's child ids, node after node
+    offsets = [0]
     for label, ntype, child_labels in defs:
         kids = []
         for c in child_labels:
@@ -148,55 +150,68 @@ def build(defs: Iterable[tuple[str, NodeType, Sequence[str]]], root_label: str) 
             raise BasWithChildren(f"basic action {label!r} has children")
         if ntype is not NodeType.BAS and not kids:
             raise GateWithoutChildren(f"gate {label!r} has no children")
-        children.append(tuple(kids))
+        flat += kids
+        offsets.append(len(flat))
     labels = [label for label, _, _ in defs]
     types = [ntype for _, ntype, _ in defs]
-    return freeze(labels, types, children, root_label, by_label.get(root_label))
+    return freeze(labels, types, flat, offsets, root_label, by_label.get(root_label))
 
 
-def freeze(labels: Sequence[str], types: Sequence[NodeType],
-           children: Sequence[tuple[int, ...]], root_label: str,
-           root: Optional[int]) -> AttackTree:
+def freeze(labels: Sequence[str], types: Sequence[NodeType], flat: Sequence[int],
+           offsets: Sequence[int], root_label: str, root: Optional[int]) -> AttackTree:
     """`build`'s checks from cycles on, for columns with resolved child
-    ids; root is root_label's id, None if no node has it. One run of Kahn's
-    algorithm finds the cycles and the parentless nodes. It pops the least
-    parentless id first and pushes freed children last to first, so on a
-    proper tree it pops the left-to-right preorder; the tree records the
-    pop order of every model as `topological`. On a proper tree a node's
-    one parent frees it, so no in-degree is counted down."""
-    labels, types, children = tuple(labels), tuple(types), tuple(children)
+    ids: node v's children are flat[offsets[v]:offsets[v + 1]], so offsets
+    holds one entry more than there are nodes. root is root_label's id,
+    None if no node has it. One run of Kahn's algorithm finds the cycles
+    and the parentless nodes, and slices each node's children out of flat
+    as it pops the node. It pops the least parentless id first and pushes
+    freed children last to first, so on a proper tree it pops the
+    left-to-right preorder; the tree records the pop order of every model
+    as `topological`. On a proper tree, where no id occurs twice in flat, a
+    node's one parent frees it, so no in-degree is counted."""
+    # slices of a tuple are tuples
+    labels, types, flat = tuple(labels), tuple(types), tuple(flat)
     n = len(labels)
-    flat = list(chain.from_iterable(children))
-    indeg = [0] * n
-    for c in flat:
-        indeg[c] += 1
-    parentless = [v for v in range(n) if not indeg[v]]
-    tree = len(flat) == n - len(parentless)  # no node has two parent edges
+    has_parent = set(flat)
+    parentless = [v for v in range(n) if v not in has_parent]
+    tree = len(has_parent) == len(flat)  # no node has two parent edges
     kind = StructureKind(
         Shape.TREE if tree else Shape.DAG,
         Dynamics.DYNAMIC if NodeType.SAND in types else Dynamics.STATIC,
     )
+    children: list[tuple[int, ...]] = [()] * n
+    ends = offsets[1:]
     order = []
     stack = parentless[::-1]
     if tree:  # popping a node frees all its children: it is their one parent
         while stack:
             v = stack.pop()
             order.append(v)
-            stack += children[v][::-1]
+            lo, hi = offsets[v], ends[v]
+            if lo != hi:
+                kids = children[v] = flat[lo:hi]
+                stack += kids[::-1]
     else:
+        indeg = [0] * n
+        for c in flat:
+            indeg[c] += 1
         while stack:  # any discipline leaves the same nodes and in-degrees behind
             v = stack.pop()
             order.append(v)
-            for c in reversed(children[v]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    stack.append(c)
+            lo, hi = offsets[v], ends[v]
+            if lo != hi:
+                kids = children[v] = flat[lo:hi]
+                for c in reversed(kids):
+                    indeg[c] -= 1
+                    if indeg[c] == 0:
+                        stack.append(c)
     if len(order) != n:
         # Kahn never pops the nodes on a cycle or below one; a search from
         # each of them in turn, least first, inside that set finds a cycle.
         popped = set(order)
         left = [v for v in range(n) if v not in popped]
-        succ = [[c for c in kids if c not in popped] for kids in children] + [left]
+        succ = [[c for c in flat[lo:hi] if c not in popped]
+                for lo, hi in zip(offsets, ends)] + [left]
         cycle = find_cycle(n, succ)
         cycle.append(cycle[0])
         names = " -> ".join(repr(labels[i]) for i in cycle)
@@ -209,7 +224,7 @@ def freeze(labels: Sequence[str], types: Sequence[NodeType],
         raise MultipleRoots(f"more than one root candidate: {names}")
     if parentless[0] != root:
         raise NoRoot(f"declared root {root_label!r} is not the unique parentless node")
-    return AttackTree(labels, types, children, root, kind, tuple(order))
+    return AttackTree(labels, types, tuple(children), root, kind, tuple(order))
 
 
 def find_cycle(start: int, succ: Sequence[Iterable[int]]) -> Optional[list[int]]:

@@ -90,9 +90,10 @@ def suite_labels(t: AttackTree, suite) -> set:
     return {labels(t, a) for a in suite}
 
 
-def rand_tree(rng: Random, max_bas: int = 8, dynamic: bool = False) -> AttackTree:
+def rand_tree(rng: Random, max_bas: int = 8, dynamic: bool = False,
+              min_bas: int = 1) -> AttackTree:
     """Random proper tree; every BAS referenced once."""
-    n = rng.randint(1, max_bas)
+    n = rng.randint(min_bas, max_bas)
     defs = [(f"b{i}", NodeType.BAS, []) for i in range(n)]
     avail = [f"b{i}" for i in range(n)]
     kinds = [NodeType.OR, NodeType.AND] + ([NodeType.SAND] if dynamic else [])

@@ -2,6 +2,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -10,11 +11,13 @@ import pytest
 from atquant import (
     INF,
     AnalysisRequest,
+    ModelDocument,
     analyze,
     bas_of,
     bu,
     bu_bdd,
     builtin,
+    emit_model,
     k_top,
     minimal_attacks_dynamic,
     parse_model,
@@ -42,6 +45,7 @@ from atquant.errors import (
     NotSemiringDynamic,
     UnsupportedDomainForKTop,
 )
+from atquant.tree import NodeType, fold
 
 from helpers import (
     alpha,
@@ -213,6 +217,64 @@ def test_additive_tree_folds_over_integers_agree_with_the_operator_fold():
                     assert got == want and render_value(got) == render_value(want)
                 cases += 1
     assert cases == 1800
+
+
+def _operator_fold(t, a: dict, d):
+    """The tree fold of the domain's operators, each gate reduced by pairs."""
+    ops = {NodeType.OR: d.or_op, NodeType.AND: d.and_op, NodeType.SAND: d.seq_op}
+    return fold(t, [a[b] for b in bas_of(t)], {k: partial(reduce, op) for k, op in ops.items()})
+
+
+def _probability(rng):
+    """0, 1 or a ratio in between, as an int or a Fraction."""
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice((0, 1, Fraction(0), Fraction(1)))
+    den = rng.randint(1, 12)
+    return Fraction(rng.randint(0, den), den)
+
+
+def test_product_tree_folds_over_integer_pairs_agree_with_the_operator_fold():
+    # prob-max, and a prob-min beside it, fold (numerator, denominator)
+    # pairs and make one Fraction at the root
+    rng = random.Random(4096)
+    prob_max = builtin("prob-max")
+    prob_min = domain_with(prob_max, name="prob-min", or_op=min, sense="min",
+                           laws={"and-over-or", "seq-is-and"})
+    cases = 0
+    for d in (prob_max, prob_min):
+        for i in range(300):
+            t = rand_tree(rng, 9 if i % 3 else 40, dynamic=i % 2 == 1)
+            a = {b: _probability(rng) for b in bas_of(t)}
+            got, want = bu(t, a, d), _operator_fold(t, a, d)
+            assert got == want and render_value(got) == render_value(want)
+            cases += 1
+    assert cases == 600
+
+
+def test_the_prob_max_tree_fold_makes_one_fraction(monkeypatch):
+    rng = random.Random(2000)
+    t = rand_tree(rng, 1500, min_bas=1500)
+    assert len(t) >= 2000
+    table = {b: Fraction(rng.randint(1, 9), 10) for b in bas_of(t)}
+    doc = parse_model(emit_model(ModelDocument(t, {"p": table})))
+    a, d = doc.attribution("p"), builtin("prob-max")
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    got = bu(doc.tree, a, d)
+    assert len(made) <= 1
+    # the operator fold, the control, makes one per product of two values
+    del made[:]
+    want = _operator_fold(doc.tree, a, d)
+    products = sum(len(kids) - 1 for ty, kids in zip(t.types, t.children) if ty is NodeType.AND)
+    assert len(made) >= products > 500
+    assert got == want
 
 
 def test_only_absorbing_domains_fold_the_compiled_diagram():

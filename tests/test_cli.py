@@ -1,4 +1,6 @@
+import gc
 import json
+import random
 import re
 from decimal import Decimal
 from pathlib import Path
@@ -190,7 +192,7 @@ def test_numbers_past_the_int_digit_limit(tmp_path, capsys):
     assert code == 0
     assert out.startswith("metric: prob-max\nvalue: 1/")
     den = out.split("\n")[1].removeprefix("value: 1/")
-    assert Decimal(den) == 3**n
+    assert Decimal(den) == 3**n and len(den) == 4772
     code, out, _ = run(capsys, "metric", str(model), "--domain", "prob-max",
                        "--attribution", "p", "--format", "json")
     assert code == 0 and json.loads(out)["value"] == f"1/{den}"
@@ -690,3 +692,67 @@ def test_every_algorithm_that_answers_gives_one_value(capsys):
                 if len(set(values.values())) > 1:
                     differ.append((path.name, domain, name, values))
     assert requests == 352 and differ == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_found(enabled, capsys, tmp_path):
+    wide = tmp_path / "wide.at"
+    wide.write_text('toplevel "r";\n"r" or ' + " ".join(f'"b{i}"' for i in range(21)) + ";\n"
+                    + "".join(f'"b{i}" bas;\n' for i in range(21)))
+    requests = [
+        (["check", f"{MODELS}/treasure.at"], 0),  # success
+        (["metric", f"{MODELS}/overlap.at", "--domain", "min-cost", "--attribution", "nope"],
+         1),  # an AtError
+        (["semantics", str(wide)], 1),  # BudgetExceeded
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, want in requests:
+            assert main(argv) == want
+            assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit) as usage:
+            main(["metric", f"{MODELS}/overlap.at"])
+        assert usage.value.code == 2 and gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_a_large_prob_max_request_runs_without_a_collection(capsys, tmp_path):
+    # a random static tree of 8,192 nodes, built breadth first: each gate
+    # over the next two to four nodes not yet placed
+    rng = random.Random(8192)
+    n = 8192
+    kids: list = [[] for _ in range(n)]
+    free = list(range(n - 1, 0, -1))
+    gates = [0]
+    while free:
+        g = gates.pop(0)
+        take = [free.pop() for _ in range(min(len(free), rng.randint(2, 4)))]
+        kids[g] = take
+        gates += take
+    lines = ['toplevel "n0";']
+    lines += [f'"n{v}" ' + (f"{('or', 'and')[v % 2]} " + " ".join(f'"n{c}"' for c in k)
+                            if k else "bas") + ";" for v, k in enumerate(kids)]
+    lines += ['attribution "p" {', *(f'"n{v}" = {rng.randint(1, 9)}/10;'
+                                    for v, k in enumerate(kids) if not k), "}"]
+    model = tmp_path / "large.at"
+    model.write_text("\n".join(lines) + "\n")
+    collections = []
+
+    def note(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(note)
+    try:
+        code = main(["metric", str(model), "--domain", "prob-max", "--attribution", "p"])
+    finally:
+        gc.callbacks.remove(note)
+        (gc.enable if was else gc.disable)()
+    out = capsys.readouterr().out
+    assert code == 0 and out.startswith("metric: prob-max\nvalue: ")
+    assert collections == []

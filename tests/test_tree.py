@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import re
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from atquant.errors import (
     TreeBuildError,
     UnknownNode,
 )
+from atquant.io import _match, _parse_tokens
 from atquant.tree import (Dynamics, NodeType, Shape, StructureKind, descendants,
                           find_cycle, freeze)
 
@@ -420,13 +422,30 @@ def _reference_kahn(t) -> tuple[int, ...]:
     return _reference_freeze(t.labels, t.types, t.children, t.labels[t.root], t.root)[1]
 
 
-def _random_store(rng):
-    """(labels, types, children, case): a store of one of eight cases, its
-    child ids in range; BAS get no children, gates at least one."""
-    case = rng.choice(("tree", "dag", "repeat", "cycle-below", "cycle-island",
-                       "self-loop", "parentless", "any"))
+def _random_store(rng, case=None):
+    """(labels, types, children, case): a store of one of nine cases, or of
+    the case named, its child ids in range; BAS get no children, gates at
+    least one."""
+    case = case or rng.choice(("tree", "dag", "repeat", "cycle-below", "cycle-island",
+                               "tree-island", "self-loop", "parentless", "any"))
     n = rng.randint(1, 10)
-    if case in ("tree", "parentless"):
+    if case == "tree-island":
+        # a proper tree on the nodes below m and a ring among the others,
+        # with the ring's remaining nodes hung below it: every node has at
+        # most one parent, but the ring has none outside itself
+        n = rng.randint(3, 10)
+        m = rng.randint(1, n - 2)
+        kids = [[] for _ in range(n)]
+        for v in range(1, m):
+            kids[rng.randrange(v)].append(v)
+        island = rng.sample(range(m, n), n - m)
+        ring = island[:rng.randint(2, n - m)]
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            kids[u].append(v)
+        for i in range(len(ring), len(island)):
+            kids[rng.choice(island[:i])].append(island[i])
+        kids = [rng.sample(k, len(k)) for k in kids]
+    elif case in ("tree", "parentless"):
         # node i > 0 hangs below a random earlier node; "parentless" cuts
         # some of them loose
         kids = [[] for _ in range(n)]
@@ -477,22 +496,32 @@ def _outcome(fn):
         return None, (type(e), str(e), None)
 
 
+def _flat(children) -> tuple[list[int], list[int]]:
+    """(flat, offsets) of a store's child tuples, as `freeze` takes them."""
+    return [c for kids in children for c in kids], [0, *accumulate(map(len, children))]
+
+
 def test_column_freeze_matches_the_node_list_kahn():
     rng = random.Random(53)
-    seen_errors, seen_kinds = set(), set()
+    seen_errors, seen_kinds, cyclic_cases = set(), set(), set()
     for _ in range(3000):
         labels, types, children, case = _random_store(rng)
+        flat, offsets = _flat(children)
+        if case == "tree-island":
+            assert len(set(flat)) == len(flat)  # freeze walks it as a proper tree
         pick = rng.random()
         if pick < 0.1:
             root_label, root = "ghost", None  # an undefined root
         else:
             root = rng.randrange(len(labels)) if pick < 0.4 else 0
             root_label = labels[root]
-        got, got_error = _outcome(lambda: freeze(labels, types, children, root_label, root))
+        got, got_error = _outcome(lambda: freeze(labels, types, flat, offsets, root_label, root))
         want, want_error = _outcome(lambda: _reference_freeze(labels, types, children, root_label, root))
         assert got_error == want_error, (case, labels, types, children, root)
         if want_error is not None:
             seen_errors.add(want_error[0])
+            if want_error[0] is CyclicStructure:
+                cyclic_cases.add(case)
             continue
         kind, order = want
         t = got
@@ -504,5 +533,31 @@ def test_column_freeze_matches_the_node_list_kahn():
         assert t.bas == tuple(_reference_bas_below(types, children, root))
         seen_kinds.add((case, kind))
     assert seen_errors == {CyclicStructure, DanglingReference, MultipleRoots, NoRoot}
+    assert cyclic_cases >= {"cycle-below", "cycle-island", "tree-island", "self-loop"}
     assert {case for case, k in seen_kinds if k.shape is Shape.TREE} >= {"tree", "parentless"}
     assert {case for case, k in seen_kinds if k.shape is Shape.DAG} >= {"dag", "repeat"}
+
+
+def test_a_ring_beside_a_proper_tree_is_named_by_both_readers():
+    # every in-degree is at most 1, so freeze walks the store as a proper
+    # tree; the ring it never reaches is its cycle, read from a file too
+    rng = random.Random(59)
+    for _ in range(200):
+        labels, types, children, _ = _random_store(rng, "tree-island")
+        with pytest.raises(CyclicStructure) as want:
+            _reference_freeze(labels, types, children, labels[0], 0)
+        with pytest.raises(CyclicStructure) as got:
+            freeze(labels, types, *_flat(children), labels[0], 0)
+        assert (str(got.value), got.value.cycle) == (str(want.value), want.value.cycle)
+        text = f'toplevel "{labels[0]}";\n' + "".join(
+            f'"{label}" {ty.value}' + "".join(f' "{labels[c]}"' for c in kids) + ";\n"
+            for label, ty, kids in zip(labels, types, children))
+        assert _match(text) is not None
+        errors = []
+        for parse in (parse_model, _parse_tokens):
+            with pytest.raises(CyclicStructure) as read:
+                parse(text)
+            errors.append((str(read.value), read.value.line, read.value.col, read.value.cycle))
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith(str(want.value) + " at line ")
+        assert errors[0][3] == want.value.cycle
