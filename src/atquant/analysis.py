@@ -17,10 +17,15 @@ is thus a minimal attack or adds to one, and by absorption, x or (x and y)
 = x, the added paths change nothing: an absorbing domain folds the
 compiled diagram. Any other domain, such as max-damage or max-challenge,
 whose or_op prefers the larger attack, folds the minimal-solutions
-diagram, whose paths are exactly the minimal attacks. A domain that also
-declares and-is-plus takes the fold as the shortest root-to-TRUE path,
-summed over integers. k_top, which needs distinct minimal attacks, always
-minimises.
+diagram, whose paths are exactly the minimal attacks. An absorbing
+domain that also declares and-is-plus runs the same loop with min and
+integer addition: the shortest root-to-TRUE path. k_top, which needs
+distinct minimal attacks, always minimises.
+
+Every fold that adds, of the tree (`_fold`), of the diagram and of k_top,
+folds integers only: `_scaled_weights` puts each value over one common
+denominator and holds INF as one integer cap, above the weight of every
+attack that holds no INF.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import functools
 import math
 import time
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import NamedTuple, Optional
 
 from .bdd import FALSE, STATIC_ONLY, TRUE, Bdd, VarOrder, from_structure_function, minimise
@@ -54,7 +59,7 @@ from .semantics import (
     oracle_metric_static,
 )
 from .record import Record
-from .tree import AttackTree, Dynamics, NodeType, Shape, StructureKind, bas_of, classify, fold
+from .tree import AttackTree, Dynamics, Shape, StructureKind, bas_of, classify, fold
 
 
 STATIC_TREE = StructureKind(Shape.TREE, Dynamics.STATIC)
@@ -135,14 +140,6 @@ _EXTREMA = (min, max)  # the builtins, which a fold calls on a gate's whole iter
 _ADDS = frozenset({"and-is-plus", "seq-is-and"})  # and_op and seq_op both add
 
 
-def _plus(weights):
-    """The sum of scaled weights; inf plus an int past the float range is inf."""
-    try:
-        return sum(weights)
-    except OverflowError:
-        return math.inf
-
-
 def _pair_product(pairs):
     """The product of (numerator, denominator) pairs, unnormalised."""
     num = den = 1
@@ -173,8 +170,8 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Memoized bottom-up fold, once `_check` has passed the request for
     `bu`; the memoization is what makes it naive on DAGs (a shared node
     contributes one value to every parent). A domain whose gates all add,
-    and whose or_op is the builtin min or max, folds integers over one
-    common denominator, as `_shortest_path` does. A probability domain
+    and whose or_op is the builtin min or max, folds the builtin sum over
+    integers from `_scaled_weights`, INF held as its cap. A probability domain
     whose gates all multiply, and whose or_op is the builtin min or max,
     folds unnormalised (numerator, denominator) pairs and makes one
     `Fraction` at the root: normalising a product at every gate costs a
@@ -183,18 +180,14 @@ def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
     either is called on a gate's children at once."""
     leaves = list(map(alpha.__getitem__, t.bas))
     if _ADDS <= domain.laws and domain.or_op in _EXTREMA:
-        scale, weight = _scaled_weights(leaves, 1)
-        plus = {NodeType.OR: domain.or_op, NodeType.AND: _plus, NodeType.SAND: _plus}
-        return _unscaled(fold(t, weight, plus), 1, scale)
+        scale, cap, weight = _scaled_weights(leaves, 1)
+        return _unscaled(fold(t, weight, domain.or_op, sum), 1, scale, cap)
     if (domain.and_op is mul and domain.seq_op is mul and domain.or_op in _EXTREMA
             and domain.kind is ValueKind.PROBABILITY):  # values are ints and Fractions
         pairs = [a.as_integer_ratio() for a in leaves]
-        times = {NodeType.OR: _PAIR_EXTREMA[domain.or_op], NodeType.AND: _pair_product,
-                 NodeType.SAND: _pair_product}
-        return Fraction(*fold(t, pairs, times))
-    ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op, NodeType.SAND: domain.seq_op}
-    return fold(t, leaves, {k: op if op in _EXTREMA else functools.partial(functools.reduce, op)
-                            for k, op in ops.items()})
+        return Fraction(*fold(t, pairs, _PAIR_EXTREMA[domain.or_op], _pair_product))
+    return fold(t, leaves, *(op if op in _EXTREMA else functools.partial(functools.reduce, op)
+                             for op in (domain.or_op, domain.and_op, domain.seq_op)))
 
 
 def bu(t: AttackTree, alpha: dict, domain: AttributeDomain):
@@ -215,18 +208,25 @@ def bu(t: AttackTree, alpha: dict, domain: AttributeDomain):
     return _fold(t, alpha, domain)
 
 
-def _scaled_weights(values: list, sgn: int) -> tuple[int, list]:
-    """(scale, weight): each value signed, a finite one as an integer over
-    the common denominator scale and INF as sgn * math.inf. Scaling by
-    scale > 0 keeps every sum, comparison and tie."""
+def _scaled_weights(values: list, sgn: int) -> tuple[int, int, list]:
+    """(scale, cap, weight), the one place that decides how INF looks in
+    an integer fold: each value signed by sgn, a finite one as an integer
+    over the common denominator scale and INF as cap, 1 plus the sum of
+    all finite ones. Scaling by scale > 0 keeps every sum, comparison and
+    tie. An attack holds each value at most once, as a leaf of a proper
+    tree or as a variable on a diagram path, so the unsigned sum of its
+    weights is below cap when it holds no INF and at least cap when it
+    holds one: no comparison that tells a finite attack from an infinite
+    one changes, and `_unscaled` reads a sum of cap or more as INF."""
     scale = math.lcm(*{a.denominator for a in values if a is not INF})
-    return scale, [sgn * math.inf if a is INF else sgn * a.numerator * (scale // a.denominator)
-                   for a in values]
+    scaled = [None if a is INF else a.numerator * (scale // a.denominator) for a in values]
+    cap = 1 + sum(filter(None, scaled))
+    return scale, cap, [sgn * (cap if w is None else w) for w in scaled]
 
 
-def _unscaled(w, sgn: int, scale: int):
-    """The metric of a path of scaled weight w, exactly."""
-    if isinstance(w, float):
+def _unscaled(w: int, sgn: int, scale: int, cap: int):
+    """The metric of an attack of scaled weight w, exactly."""
+    if sgn * w >= cap:
         return INF
     return sgn * w if scale == 1 else Fraction(sgn * w, scale)
 
@@ -238,44 +238,31 @@ def bu_bdd_detailed(
     _check("bdd", t, alpha, domain)
     m = from_structure_function(t, order)
     at_rank = list(map(alpha.__getitem__, m.order.bas))
-    if "or-absorbs-and" not in domain.laws:
-        m = minimise(m)
-    elif "and-is-plus" in domain.laws:
-        scale, weight = _scaled_weights(at_rank, 1)
-        return _shortest_path(m, weight, scale)
-    ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
     or_op, and_op = domain.or_op, domain.and_op
     vals: dict[int, object] = {FALSE: domain.or_neutral, TRUE: domain.and_neutral}
+    scaled = {"or-absorbs-and", "and-is-plus"} <= domain.laws
+    if "or-absorbs-and" not in domain.laws:
+        m = minimise(m)
+    elif scaled:  # the least weight of a root-to-TRUE path, summed over integers
+        scale, cap, at_rank = _scaled_weights(at_rank, 1)
+        # FALSE's math.inf is only ever compared, never added: a monotone
+        # compiled diagram has no high edge to FALSE
+        or_op, and_op, vals = min, add, {FALSE: math.inf, TRUE: 0}
+    ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
     for v in m.postorder:
         if v >= 2:
             vals[v] = or_op(vals[lows[v]], and_op(vals[highs[v]], at_rank[ranks[v]]))
-    return vals[m.root], m
-
-
-def _shortest_path(b: Bdd, weight: list, scale: int) -> tuple[object, Bdd]:
-    """The least weight of a root-to-TRUE path of the compiled diagram,
-    high edges weighing their rank's non-negative weight: the fold of a
-    domain declaring or-absorbs-and and and-is-plus (see the module
-    docstring)."""
-    ranks, lows, highs = b.store.ranks, b.store.lows, b.store.highs
-    dist = [math.inf, 0] + [None] * (len(ranks) - 2)
-    for v in b.postorder:
-        if v >= 2:
-            lo = dist[lows[v]]
-            try:
-                hi = dist[highs[v]] + weight[ranks[v]]
-            except OverflowError:  # inf + an int past the float range
-                hi = math.inf
-            dist[v] = lo if lo <= hi else hi
-    return _unscaled(dist[b.root], 1, scale), b
+    value = vals[m.root]
+    return (_unscaled(value, 1, scale, cap) if scaled else value), m
 
 
 def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None):
     """Metric through a decision diagram of the structure function, exact
     on shared structures: the compiled one for a domain declaring
-    or-absorbs-and, else the minimal-solutions one. The values are checked
-    once the model and the domain pass: absorption only holds inside the
-    domain's carrier."""
+    or-absorbs-and, else the minimal-solutions one; a domain declaring
+    or-absorbs-and and and-is-plus folds min and + over the integers of
+    `_scaled_weights`. The values are checked once the model and the
+    domain pass: absorption only holds inside the domain's carrier."""
     return bu_bdd_detailed(t, alpha, domain, order)[0]
 
 
@@ -296,11 +283,12 @@ def k_top(
     k; as an infinite weight ties every path through its high edge, each
     node keeps its k lexicographically least paths beside its k shortest.
     Returns fewer than k pairs exactly when fewer minimal attacks exist.
-    Finite weights are summed as integers over one common denominator, the
-    least common multiple of the attributes' denominators; scaling by it
-    keeps every sum, comparison and tie, so the metrics (divided back,
-    exactly) and the attacks are those of rational arithmetic. The values
-    are checked once k, the model and the domain pass.
+    Weights are the integers of `_scaled_weights`, over the least common
+    multiple of the attributes' denominators, so the metrics (divided
+    back, exactly) and the attacks are those of rational arithmetic. A
+    path through an INF weighs sgn * cap and is held there, so INF ties
+    stay ties. The values are checked once k, the model and the domain
+    pass.
     """
     return k_top_detailed(t, alpha, domain, k, order)[0]
 
@@ -318,16 +306,15 @@ def k_top_detailed(
     sgn = 1 if domain.sense == "min" else -1
     m = minimise(from_structure_function(t, order))
     ranks, lows, highs, bas_at = m.store.ranks, m.store.lows, m.store.highs, m.order.bas
-    # signed edge weights, finite ones as integers over one common
-    # denominator: scaling by scale > 0 keeps every sum, comparison and tie
-    at_rank = list(map(alpha.__getitem__, bas_at))
-    scale, weight = _scaled_weights(at_rank, sgn)
+    # signed edge weights; top is the weight of every path through an INF
+    scale, cap, weight = _scaled_weights(list(map(alpha.__getitem__, bas_at)), sgn)
+    top = sgn * cap
     # a path is (weight, attack), an attack nested (bas, rest) pairs; a
     # node's lists are dropped once its last parent has read them. The lex
     # lists are read only under an infinite weight, so kept only if one is.
     best: dict[int, list] = {FALSE: [], TRUE: [(0, ())]}
     lex: Optional[dict[int, list]] = None
-    if any(a is INF for a in at_rank):
+    if top in weight:
         lex = {FALSE: [], TRUE: [()]}
     parents = [0] * len(lows)
     for v in m.postorder:
@@ -338,14 +325,10 @@ def k_top_detailed(
         if v >= 2:
             lo, hi, r = lows[v], highs[v], ranks[v]
             bas, a = bas_at[r], weight[r]
-            if at_rank[r] is INF:
+            if a == top:
                 up = [(a, (bas, rest)) for rest in lex[hi]]
-            else:
-                try:
-                    up = [(w + a, (bas, rest)) for w, rest in best[hi]]
-                except OverflowError:  # inf + an int past the float range
-                    up = [(w if isinstance(w, float) else w + a, (bas, rest))
-                          for w, rest in best[hi]]
+            else:  # a path held at top stays there, so INF ties stay ties
+                up = [(w if w == top else w + a, (bas, rest)) for w, rest in best[hi]]
             best[v] = sorted(best[lo] + up, key=itemgetter(0))[:k]
             if lex is not None:
                 lex[v] = (lex[lo] + [(bas, rest) for rest in lex[hi]])[:k]
@@ -362,7 +345,7 @@ def k_top_detailed(
         while attack:
             b, attack = attack
             taken.append(b)
-        out.append((_unscaled(w, sgn, scale), frozenset(taken)))
+        out.append((_unscaled(w, sgn, scale, cap), frozenset(taken)))
     return out, m
 
 
@@ -385,10 +368,9 @@ def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
             raise NotProbability(f"value {p!r} for {t.labels[b]!r} is not a probability")
         return Fraction(p)
 
-    return fold(t, [leaf(b) for b in t.bas], {
-        NodeType.AND: lambda ps: math.prod(ps, start=Fraction(1)),
-        NodeType.OR: lambda ps: 1 - math.prod((1 - p for p in ps), start=Fraction(1)),
-    })
+    return fold(t, [leaf(b) for b in t.bas],
+                lambda ps: 1 - math.prod((1 - p for p in ps), start=Fraction(1)),
+                lambda ps: math.prod(ps, start=Fraction(1)))
 
 
 class AnalysisRequest(NamedTuple):

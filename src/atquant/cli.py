@@ -61,8 +61,8 @@ def _order(doc, name):
 def _alpha(doc, domain, name: str) -> dict:
     """Attribution table for the domain. Pareto products take one name per
     component, comma-joined, zipped into vector singletons. Only the blocks
-    named are converted; the declared names are read without converting."""
-    declared = doc._attributions
+    named are converted."""
+    declared = doc.attribution_names
     if domain.kind is ValueKind.PARETO:
         parts = [p.strip() for p in name.split(",")]
         if len(parts) != len(domain.components):

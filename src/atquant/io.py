@@ -131,10 +131,10 @@ class ModelDocument(Record):
 
     `parse_model` checks every binding of every block when it reads a file,
     but leaves the matched blocks' numerals as text until a request reads
-    them. `attribution(name)` converts one block, and `attributions`
-    converts every block left and returns the plain dict of all tables, in
-    declaration order; equality and repr read it, so a parsed document
-    equals one built with converted tables."""
+    them. `attribution_names` converts none, `attribution(name)` converts
+    one block, and `attributions` converts every block left and returns
+    the plain dict of all tables, in declaration order; equality and repr
+    read it, so a parsed document equals one built with converted tables."""
 
     _compared = ("tree", "attributions", "orders")
 
@@ -154,6 +154,12 @@ class ModelDocument(Record):
             if type(table) is _Block:
                 tables[name] = table.table()
         return tables
+
+    @property
+    def attribution_names(self):
+        """The declared attribution names, in declaration order, read
+        without converting a block."""
+        return self._attributions.keys()
 
     def attribution(self, name: str) -> dict:
         """The table of the block named name, converted on its first read;

@@ -60,8 +60,7 @@ def structure_function(t: AttackTree, attack: Iterable[int]) -> bool:
     matters for which posets count as attacks, not for set-level success.
     """
     chosen = set(attack)
-    return fold(t, [b in chosen for b in t.bas],
-                {NodeType.OR: any, NodeType.AND: all, NodeType.SAND: all})
+    return fold(t, [b in chosen for b in t.bas], any, all)
 
 
 def _truth_table(t: AttackTree) -> tuple[int, list[int]]:
@@ -79,10 +78,9 @@ def _truth_table(t: AttackTree) -> tuple[int, list[int]]:
             width *= 2
         columns.append(block)
     # SAND is AND here, as in structure_function
-    conj = functools.partial(functools.reduce, operator.and_)
-    ops = {NodeType.OR: functools.partial(functools.reduce, operator.or_),
-           NodeType.AND: conj, NodeType.SAND: conj}
-    return fold(t, columns, ops), columns
+    # SAND is AND here, as in structure_function
+    return fold(t, columns, functools.partial(functools.reduce, operator.or_),
+                functools.partial(functools.reduce, operator.and_)), columns
 
 
 def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> frozenset:

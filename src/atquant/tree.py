@@ -250,12 +250,17 @@ def find_cycle(start: int, succ: Sequence[Iterable[int]]) -> Optional[list[int]]
     return None
 
 
-def fold(t: AttackTree, leaves: Sequence, ops: dict):
+def fold(t: AttackTree, leaves: Sequence, or_op, and_op, seq_op=None):
     """Bottom-up evaluation at the root: leaves[i] is the value of the i-th
-    BAS in `bas_of` order, and ops[type] combines the iterable of a gate's
-    children's values. A shared node is evaluated once and its value
-    reused by every parent."""
+    BAS in `bas_of` order, and or_op, and_op and seq_op (and_op if None)
+    each combine the iterable of the values of an OR, AND and SAND gate's
+    children. A shared node is evaluated once and its value reused by
+    every parent. The gate type is told apart by identity, which costs no
+    hash of the enum member."""
     types, children = t.types, t.children
+    disj, conj = NodeType.OR, NodeType.AND
+    if seq_op is None:
+        seq_op = and_op
     vals: list = [None] * len(t)
     for b, a in zip(t.bas, leaves):
         vals[b] = a
@@ -263,7 +268,9 @@ def fold(t: AttackTree, leaves: Sequence, ops: dict):
     for v in t.postorder:
         kids = children[v]
         if kids:
-            vals[v] = ops[types[v]](map(get, kids))
+            ty = types[v]
+            op = or_op if ty is disj else and_op if ty is conj else seq_op
+            vals[v] = op(map(get, kids))
     return vals[t.root]
 
 

@@ -257,8 +257,8 @@ def naive_bottom_up(t: AttackTree, alpha: dict, domain):
     """The tree fold applied without checking for sharing, over OR/AND
     models: the negative control, wrong on DAGs, where a shared node's
     value reaches every parent."""
-    ops = {NodeType.OR: domain.or_op, NodeType.AND: domain.and_op}
-    return fold(t, [alpha[b] for b in bas_of(t)], {k: partial(reduce, op) for k, op in ops.items()})
+    return fold(t, [alpha[b] for b in bas_of(t)], partial(reduce, domain.or_op),
+                partial(reduce, domain.and_op))
 
 
 def evaluate(b: Bdd, attack) -> bool:

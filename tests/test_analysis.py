@@ -221,8 +221,8 @@ def test_additive_tree_folds_over_integers_agree_with_the_operator_fold():
 
 def _operator_fold(t, a: dict, d):
     """The tree fold of the domain's operators, each gate reduced by pairs."""
-    ops = {NodeType.OR: d.or_op, NodeType.AND: d.and_op, NodeType.SAND: d.seq_op}
-    return fold(t, [a[b] for b in bas_of(t)], {k: partial(reduce, op) for k, op in ops.items()})
+    return fold(t, [a[b] for b in bas_of(t)],
+                *(partial(reduce, op) for op in (d.or_op, d.and_op, d.seq_op)))
 
 
 def _probability(rng):
@@ -437,6 +437,8 @@ _RATIONAL_POOLS = {
     "ties": lambda rng: rng.choice((0, Fraction(1, 2), 1, Fraction(3, 2), 2)),
     "mixed": lambda rng: rng.choice((rng.randint(0, 5), Fraction(rng.randint(0, 9), 7),
                                      Fraction(Decimal("0.25")), INF)),
+    # no float holds these, so INF ties are ranked beside them exactly
+    "past the float range": lambda rng: 2**1100 + rng.randint(0, 9),
 }
 
 

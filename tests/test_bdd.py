@@ -268,9 +268,9 @@ def left_fold_compile(t, order=None):
     accumulator applied to one child at a time."""
     order = order or default_order(t)
     store = _Store()
-    ops = {k: partial(reduce, partial(store.apply, k.value)) for k in (NodeType.OR, NodeType.AND)}
     rank = {b: r for r, b in enumerate(order.bas)}
-    root = fold(t, [node(store, rank[b], FALSE, TRUE) for b in bas_of(t)], ops)
+    root = fold(t, [node(store, rank[b], FALSE, TRUE) for b in bas_of(t)],
+                *(partial(reduce, partial(store.apply, op)) for op in ("or", "and")))
     return Bdd(store, order, root)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from atquant.cli import main
 from atquant.domains import BUILTIN_NAMES
-from atquant.io import parse_model
+from atquant.io import _Block, parse_model
 
 MODELS = "models"
 
@@ -260,6 +260,20 @@ def test_metric_pareto_vector_attribution(capsys):
         code, out, stderr = run(capsys, "metric", f"{MODELS}/overlap.at",
                                 "--domain", domain, "--attribution", names)
         assert (code, out, stderr) == (1, "", err)
+
+
+def test_an_undeclared_attribution_is_named_without_converting_a_block(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(_Block, "table", lambda block: pytest.fail("a block was converted"))
+    bare = tmp_path / "bare.at"
+    bare.write_text('toplevel "r";\n"r" bas;\n')
+    for path, domain, names, err in (
+        (OVERLAP, "min-cost", "nope", "model declares no attribution 'nope'; declared: cost, prob"),
+        (str(bare), "min-cost", "cost", "model declares no attribution 'cost'; declared: (none declared)"),
+        (OVERLAP, "pareto(min-cost,prob-max)", "nope,cost", "model declares no attribution 'nope'"),
+    ):
+        assert run(capsys, "metric", path, "--domain", domain, "--attribution", names) \
+            == (1, "", f"error: {err}\n")
 
 
 def test_metric_explicit_algorithm_and_order(capsys):
@@ -589,6 +603,9 @@ CHOICES = "(choose from 'check', 'semantics', 'metric', 'ktop', 'dump')"
      "atquant semantics: error: argument --budget: invalid int value: 'x'"),
     ("error", ["check", OVERLAP, "--bogus", "extra"],
      "atquant: error: unrecognized arguments: --bogus extra"),
+    # an unknown option before the command is kept for the same error
+    ("error", ["--bogus", "check", f"{MODELS}/treasure.at"],
+     "atquant: error: unrecognized arguments: --bogus"),
     ("error", [*PLAIN, "--order"], "atquant metric: error: argument --order: expected one argument"),
     # "--" goes with the model only next to it
     ("error", [*PLAIN, "--", OVERLAP], f"atquant: error: unrecognized arguments: -- {OVERLAP}"),

@@ -156,6 +156,14 @@ def test_all_semiring_builtins_pass_their_laws():
             assert report.all_hold, (name, [r for r in report.results if not r.holds])
 
 
+def test_the_default_probe_fails_only_cost_to_defends_distributivity():
+    # the default triples: 1,000 drawn by random_value from Random(0)
+    for name in BUILTIN_NAMES:
+        report = check_semiring_laws(builtin(name))
+        failed = [r.law for r in report.results if not r.holds]
+        assert failed == (["and-over-or"] if name == "cost-to-defend" else []), name
+
+
 def test_cost_to_defend_counterexample_is_the_classic_one():
     d = builtin("cost-to-defend")
     x, y, z = 1, 2, 3
