@@ -220,7 +220,7 @@ def _scaled_weights(values: list, sgn: int) -> tuple[int, int, list]:
     one changes, and `_unscaled` reads a sum of cap or more as INF."""
     scale = math.lcm(*{a.denominator for a in values if a is not INF})
     scaled = [None if a is INF else a.numerator * (scale // a.denominator) for a in values]
-    cap = 1 + sum(filter(None, scaled))
+    cap = 1 + sum(filter(None, scaled))  # drops INF's None (and zeros)
     return scale, cap, [sgn * (cap if w is None else w) for w in scaled]
 
 
