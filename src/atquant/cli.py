@@ -60,9 +60,7 @@ def _order(doc, name):
 
 def _alpha(doc, domain, name: str) -> dict:
     """Attribution table for the domain. Pareto products take one name per
-    component, comma-joined, zipped into vector singletons. Only the blocks
-    named are converted."""
-    declared = doc.attribution_names
+    component, comma-joined, zipped into vector singletons."""
     if domain.kind is ValueKind.PARETO:
         parts = [p.strip() for p in name.split(",")]
         if len(parts) != len(domain.components):
@@ -72,16 +70,16 @@ def _alpha(doc, domain, name: str) -> dict:
             )
         tables = []
         for part in parts:
-            if part not in declared:
+            if part not in doc.attributions:
                 raise AtError(f"model declares no attribution {part!r}")
-            tables.append(doc.attribution(part))
+            tables.append(doc.attributions[part])
         return {
             b: frozenset({tuple(tab[b] for tab in tables)}) for b in bas_of(doc.tree)
         }
-    if name not in declared:
-        known = ", ".join(sorted(declared)) or "(none declared)"
+    if name not in doc.attributions:
+        known = ", ".join(sorted(doc.attributions)) or "(none declared)"
         raise AtError(f"model declares no attribution {name!r}; declared: {known}")
-    return doc.attribution(name)
+    return doc.attributions[name]
 
 
 def _shape_text(kind) -> str:

@@ -45,8 +45,8 @@ pops the node. It then resolves each attribution's and each order's labels
 to basic action ids once, and checks that they cover the basic actions.
 The token parser converts numerals as it reads them. The matcher keeps each
 block's split text and ids instead: once `_assemble` has checked its
-bindings, the conversion cannot fail, so it waits until a request reads the
-block (`ModelDocument.attribution`).
+bindings, the conversion cannot fail, so it waits until a request first
+reads the block from the document's attributions (`_Tables`).
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ import json
 import re
 import sys
 from bisect import bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import is_, not_, sub
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
-from .analysis import AnalysisResult
 from .bdd import FALSE, TRUE, Bdd
 from .domains import INF, render_value
 from .errors import (
@@ -76,6 +76,9 @@ from .errors import (
 )
 from .record import Record
 from .tree import AttackTree, NodeType, bas_of, freeze
+
+if TYPE_CHECKING:
+    from .analysis import AnalysisResult
 
 _KINDS = {"bas": NodeType.BAS, "or": NodeType.OR, "and": NodeType.AND, "sand": NodeType.SAND}
 
@@ -127,67 +130,61 @@ _SEPARATORS = str.maketrans("", "", " \t\r\n=;")
 class ModelDocument(Record):
     """A model: its tree, its attributions (name -> {bas id -> value}) and
     its orders (name -> tuple of bas ids); each omitted table is a fresh
-    dict.
-
-    `parse_model` checks every binding of every block when it reads a file,
-    but leaves the matched blocks' numerals as text until a request reads
-    them. `attribution_names` converts none, `attribution(name)` converts
-    one block, and `attributions` converts every block left and returns
-    the plain dict of all tables, in declaration order; equality and repr
-    read it, so a parsed document equals one built with converted tables."""
+    dict, and a dict a caller passes is kept as it is. A parsed model's
+    attributions are a `_Tables`, which converts each block's numerals when
+    the block is first read."""
 
     _compared = ("tree", "attributions", "orders")
 
-    def __init__(self, tree: AttackTree, attributions: Optional[dict] = None,
+    def __init__(self, tree: AttackTree, attributions: Optional[Mapping] = None,
                  orders: Optional[dict] = None):
-        # name -> table, or a parsed `_Block` until it is first read
         self.__dict__.update(tree=tree,
-                             _attributions={} if attributions is None else attributions,
+                             attributions={} if attributions is None else attributions,
                              orders={} if orders is None else orders)
 
-    @property
-    def attributions(self) -> dict:
-        """Every table, name -> {bas id -> value}, in declaration order,
-        each block not yet read converted first."""
-        tables = self._attributions
-        for name, table in tables.items():
-            if type(table) is _Block:
-                tables[name] = table.table()
-        return tables
 
-    @property
-    def attribution_names(self):
-        """The declared attribution names, in declaration order, read
-        without converting a block."""
-        return self._attributions.keys()
+class _Tables(Mapping):
+    """A parsed model's attributions, name -> {bas id -> value}, in
+    declaration order, read-only. A block the statement matcher read stays
+    a `(parts, ids)` pair until it is first read, and `_convert` makes and
+    keeps its table then. `in`, iteration and len read names only;
+    equality, repr and items() read every table, so a parsed document
+    equals one built with converted tables."""
 
-    def attribution(self, name: str) -> dict:
-        """The table of the block named name, converted on its first read;
-        KeyError if the model declares no such block."""
-        table = self._attributions[name]
-        if type(table) is _Block:
-            table = self._attributions[name] = table.table()
+    def __init__(self, entries: dict):
+        self._entries = entries  # name -> table, or a (parts, ids) pair
+
+    def __getitem__(self, name: str) -> dict:
+        table = self._entries[name]
+        if type(table) is tuple:
+            table = self._entries[name] = _convert(*table)
         return table
 
+    def __contains__(self, name) -> bool:
+        return name in self._entries
 
-class _Block(NamedTuple):
-    """An attribution block the statement matcher read and `_assemble`
-    checked: the block split on quotes, whose odd parts are its labels and
-    whose even parts hold the values between them, and the ids of the
-    basic actions its labels name."""
+    def __iter__(self):
+        return iter(self._entries)
 
-    parts: list[str]
-    ids: list[int]
+    def __len__(self) -> int:
+        return len(self._entries)
 
-    def table(self) -> dict:
-        """bas id -> value, one object per distinct numeral. The text after
-        a label holds its binding's `=`, numeral and `;`; each distinct
-        such text is read once."""
-        after = self.parts[2::2]
-        numeral = {sep: sep.translate(_SEPARATORS) for sep in set(after)}
-        value = {w: INF if w == "inf" else _exact(*w.split("/")) for w in set(numeral.values())}
-        of = {sep: value[w] for sep, w in numeral.items()}
-        return dict(zip(self.ids, map(of.__getitem__, after)))
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _convert(parts: list[str], ids: list[int]) -> dict:
+    """bas id -> value of an attribution block the statement matcher read
+    and `_assemble` checked, given the block split on quotes, whose odd
+    parts are its labels and whose even parts hold the values between them,
+    and the ids of the basic actions its labels name. One object per
+    distinct numeral: the text after a label holds its binding's `=`,
+    numeral and `;`, and each distinct such text is read once."""
+    after = parts[2::2]
+    numeral = {sep: sep.translate(_SEPARATORS) for sep in set(after)}
+    value = {w: INF if w == "inf" else _exact(*w.split("/")) for w in set(numeral.values())}
+    of = {sep: value[w] for sep, w in numeral.items()}
+    return dict(zip(ids, map(of.__getitem__, after)))
 
 
 class _Draft:
@@ -207,7 +204,7 @@ class _Draft:
         # node i's children are flat[offsets[i]:offsets[i + 1]]
         self.offsets: list[int] = [0]
         self.ids: dict[str, int] = {}  # label -> index; labels are distinct
-        # (name, labels, values); the matcher's values are a `_Block`'s parts
+        # (name, labels, values); the matcher's values are its block split on quotes
         self.attributions: list[tuple[str, list[str], list]] = []
         self.numerals = False  # whether the values are the matcher's unconverted text
         self.orders: list[tuple[str, list[str]]] = []  # (name, labels)
@@ -511,7 +508,7 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
     def not_bas(block: str, name: str, label: str, key) -> ModelSyntaxError:
         return error(f"{block} {name!r} names {label!r}, which is not a basic action", key)
 
-    attributions: dict[str, object] = {}
+    attributions: dict[str, object] = {}  # name -> table, or (parts, ids)
     for k, (name, labels, values) in enumerate(d.attributions):
         # every label names a basic action, none twice, and every one is
         # named; the labels are gone through in document order only to name
@@ -530,7 +527,7 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
             missing = sorted(bas.keys() - seen)
             raise error(f"attribution {name!r} misses basic actions: {', '.join(missing)}",
                         ("attribution", k))
-        attributions[name] = _Block(values, seq) if d.numerals else dict(zip(seq, values))
+        attributions[name] = (values, seq) if d.numerals else dict(zip(seq, values))
 
     orders: dict[str, tuple[int, ...]] = {}
     for k, (name, labels) in enumerate(d.orders):
@@ -542,7 +539,7 @@ def _assemble(d: _Draft, text: str) -> ModelDocument:
             raise error(f"order {name!r} is not a permutation of the basic actions", ("order", k))
         orders[name] = seq
 
-    return ModelDocument(tree, attributions, orders)
+    return ModelDocument(tree, _Tables(attributions), orders)
 
 
 def emit_model(doc: ModelDocument) -> str:

@@ -78,7 +78,6 @@ def _truth_table(t: AttackTree) -> tuple[int, list[int]]:
             width *= 2
         columns.append(block)
     # SAND is AND here, as in structure_function
-    # SAND is AND here, as in structure_function
     return fold(t, columns, functools.partial(functools.reduce, operator.or_),
                 functools.partial(functools.reduce, operator.and_)), columns
 

@@ -258,7 +258,7 @@ def test_the_prob_max_tree_fold_makes_one_fraction(monkeypatch):
     assert len(t) >= 2000
     table = {b: Fraction(rng.randint(1, 9), 10) for b in bas_of(t)}
     doc = parse_model(emit_model(ModelDocument(t, {"p": table})))
-    a, d = doc.attribution("p"), builtin("prob-max")
+    a, d = doc.attributions["p"], builtin("prob-max")
     made = []
     new = Fraction.__new__
 
@@ -796,7 +796,7 @@ def test_engines_and_analyze_refuse_alike():
     for path in sorted(MODELS.glob("*.at")):
         doc = parse_model(path.read_text(encoding="utf-8-sig"))
         for name in sorted(doc.attributions):
-            a = doc.attribution(name)
+            a = doc.attributions[name]
             for d in map(builtin, ("min-cost", "cost-to-defend", "prob-max")):
                 for algorithm, (library, request) in _SAME_REQUEST.items():
                     cell = (path.stem, name, d.name, algorithm)

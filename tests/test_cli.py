@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import atquant.io
 from atquant.cli import main
 from atquant.domains import BUILTIN_NAMES
-from atquant.io import _Block, parse_model
+from atquant.io import parse_model
 
 MODELS = "models"
 
@@ -264,7 +265,7 @@ def test_metric_pareto_vector_attribution(capsys):
 
 def test_an_undeclared_attribution_is_named_without_converting_a_block(
         capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(_Block, "table", lambda block: pytest.fail("a block was converted"))
+    monkeypatch.setattr(atquant.io, "_convert", lambda *block: pytest.fail("a block was converted"))
     bare = tmp_path / "bare.at"
     bare.write_text('toplevel "r";\n"r" bas;\n')
     for path, domain, names, err in (

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import atquant.io
 from atquant import (
     INF,
     AnalysisRequest,
@@ -318,13 +319,41 @@ def test_blocks_convert_when_read_to_the_token_parser_tables():
         eager = _parse_tokens(text)
         for name in ("cost", "prob"):
             want = eager.attributions[name]
-            for got in (parse_model(text).attribution(name), parse_model(text).attributions[name]):
-                assert list(got.items()) == list(want.items())
-                assert list(map(type, got.values())) == list(map(type, want.values()))
+            got = parse_model(text).attributions[name]
+            assert list(got.items()) == list(want.items())
+            assert list(map(type, got.values())) == list(map(type, want.values()))
         # a document with unconverted blocks equals its converted twin
         pending, half_read = parse_model(text), parse_model(text)
-        half_read.attribution("cost")
+        half_read.attributions["cost"]
         assert pending == eager and eager == half_read and repr(pending) == repr(eager)
+
+
+def test_only_a_table_read_converts_its_block(monkeypatch):
+    [text] = emitted_models(random.Random(45), 1)
+    converted, convert = [], atquant.io._convert
+
+    def counted(parts, ids):
+        converted.append(parts)
+        return convert(parts, ids)
+
+    monkeypatch.setattr(atquant.io, "_convert", counted)
+    doc = parse_model(text)
+    assert "cost" in doc.attributions and "time" not in doc.attributions
+    assert list(doc.attributions) == ["cost", "prob"] and len(doc.attributions) == 2
+    assert converted == []
+    assert doc.attributions["cost"] is doc.attributions["cost"]
+    assert len(converted) == 1
+    with pytest.raises(KeyError):
+        doc.attributions["time"]
+    with pytest.raises(TypeError):
+        doc.attributions["time"] = {}
+    assert doc == _parse_tokens(text)
+    assert len(converted) == 2
+    # items() and repr read every table too
+    for read in (lambda d: list(d.attributions.items()), repr):
+        converted.clear()
+        read(parse_model(text))
+        assert len(converted) == 2
 
 
 def _outside_labels(text: str, edit) -> str:
@@ -484,7 +513,7 @@ def test_the_matcher_declines_numerals_the_token_parser_refuses(value):
 def test_the_matcher_reads_numerals_as_the_token_parser_does(value, expected):
     text = _VALUED.format(value)
     assert _match(text) is not None
-    [matched] = parse_model(text).attribution("c").values()
+    [matched] = parse_model(text).attributions["c"].values()
     [parsed] = _parse_tokens(text).attributions["c"].values()
     assert (matched, type(matched)) == (parsed, type(parsed)) == (expected, type(expected))
 
