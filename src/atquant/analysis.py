@@ -17,15 +17,13 @@ is thus a minimal attack or adds to one, and by absorption, x or (x and y)
 = x, the added paths change nothing: an absorbing domain folds the
 compiled diagram. Any other domain, such as max-damage or max-challenge,
 whose or_op prefers the larger attack, folds the minimal-solutions
-diagram, whose paths are exactly the minimal attacks. An absorbing
-domain that also declares and-is-plus runs the same loop with min and
-integer addition: the shortest root-to-TRUE path. k_top, which needs
+diagram, whose paths are exactly the minimal attacks. k_top, which needs
 distinct minimal attacks, always minimises.
 
-Every fold that adds, of the tree (`_fold`), of the diagram and of k_top,
-folds integers only: `_scaled_weights` puts each value over one common
-denominator and holds INF as one integer cap, above the weight of every
-attack that holds no INF.
+The tree fold (`_fold`) and the diagram fold hold a domain's values as
+`_kernel` decides by its operators: scaled integers with INF as one
+integer cap (`_scaled_weights`, which k_top also sums), integer pairs, or
+the values themselves.
 """
 
 from __future__ import annotations
@@ -34,11 +32,11 @@ import functools
 import math
 import time
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Optional
 
 from .bdd import FALSE, STATIC_ONLY, TRUE, Bdd, VarOrder, from_structure_function, minimise
-from .domains import INF, AttributeDomain, ValueKind
+from .domains import INF, AttributeDomain, ValueKind, nat_add
 from .errors import (
     AtError,
     BadAttributeValue,
@@ -108,10 +106,13 @@ def _refusal(algorithm: str, kind: StructureKind, d: AttributeDomain) -> Optiona
 def _check(algorithm: str, t: AttackTree, alpha: dict, domain: AttributeDomain) -> None:
     """Raise why the algorithm cannot answer the request, the one check of
     every engine: the class, then the domain (see `_refusal`), then the
-    values."""
+    values, the diagram fold's neutrals first."""
     refusal = _refusal(algorithm, classify(t), domain)
     if refusal is not None:
         raise refusal
+    if algorithm == "bdd":  # the diagram fold holds the neutrals as values
+        for neutral in (domain.or_neutral, domain.and_neutral):
+            domain.validate_value(neutral)
     validate_attribution(t, alpha, domain)
 
 
@@ -134,10 +135,6 @@ def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) ->
             domain.validate_value(value)
         except BadAttributeValue as e:
             raise BadAttributeValue(f"{e} for basic action {t.label_of(b)!r}") from None
-
-
-_EXTREMA = (min, max)  # the builtins, which a fold calls on a gate's whole iterable
-_ADDS = frozenset({"and-is-plus", "seq-is-and"})  # and_op and seq_op both add
 
 
 def _pair_product(pairs):
@@ -163,31 +160,40 @@ def _pair_extreme(greatest: bool):
     return pick
 
 
-_PAIR_EXTREMA = {max: _pair_extreme(True), min: _pair_extreme(False)}
+# an operator -> its gate operator over each integer kernel's held values;
+# builtin min and max pick the first least or greatest value, as pairs do
+_SCALED = {min: min, max: max, nat_add: sum}
+_PAIRED = {min: _pair_extreme(False), max: _pair_extreme(True), mul: _pair_product}
+
+
+def _kernel(domain: AttributeDomain, values: list) -> tuple:
+    """(or, and and seq gate operators, values as held, back), the one
+    place that decides how a fold holds a domain's values, by the identity
+    of its operators. An or_op of min or max picks one attack, which holds
+    each value at most once, so when every operator is min, max or nat_add
+    the values are the integers of `_scaled_weights`, INF held as its cap;
+    in a probability domain of min, max and mul they are unnormalised
+    (numerator, denominator) pairs, and back makes one `Fraction`, as
+    normalising every product costs a gcd of ever longer integers; any
+    other domain folds its values by its operators. A gate operator
+    combines the iterable of its operands' held values."""
+    ops = (domain.or_op, domain.and_op, domain.seq_op or domain.and_op)
+    if domain.or_op in (min, max):
+        if all(op in _SCALED for op in ops):
+            scale, cap, held = _scaled_weights(values, 1)
+            return [_SCALED[op] for op in ops], held, lambda w: _unscaled(w, 1, scale, cap)
+        if domain.kind is ValueKind.PROBABILITY and all(op in _PAIRED for op in ops):
+            pairs = [a.as_integer_ratio() for a in values]  # ints and Fractions
+            return [_PAIRED[op] for op in ops], pairs, lambda p: Fraction(*p)
+    return [functools.partial(functools.reduce, op) for op in ops], values, lambda v: v
 
 
 def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """Memoized bottom-up fold, once `_check` has passed the request for
-    `bu`; the memoization is what makes it naive on DAGs (a shared node
-    contributes one value to every parent). A domain whose gates all add,
-    and whose or_op is the builtin min or max, folds the builtin sum over
-    integers from `_scaled_weights`, INF held as its cap. A probability domain
-    whose gates all multiply, and whose or_op is the builtin min or max,
-    folds unnormalised (numerator, denominator) pairs and makes one
-    `Fraction` at the root: normalising a product at every gate costs a
-    gcd of ever longer integers. The builtin min or max of an iterable is
-    the first of its least or greatest values, as its fold by pairs is, so
-    either is called on a gate's children at once."""
-    leaves = list(map(alpha.__getitem__, t.bas))
-    if _ADDS <= domain.laws and domain.or_op in _EXTREMA:
-        scale, cap, weight = _scaled_weights(leaves, 1)
-        return _unscaled(fold(t, weight, domain.or_op, sum), 1, scale, cap)
-    if (domain.and_op is mul and domain.seq_op is mul and domain.or_op in _EXTREMA
-            and domain.kind is ValueKind.PROBABILITY):  # values are ints and Fractions
-        pairs = [a.as_integer_ratio() for a in leaves]
-        return Fraction(*fold(t, pairs, _PAIR_EXTREMA[domain.or_op], _pair_product))
-    return fold(t, leaves, *(op if op in _EXTREMA else functools.partial(functools.reduce, op)
-                             for op in (domain.or_op, domain.and_op, domain.seq_op)))
+    """Memoized bottom-up fold of `_kernel`'s held values, once `_check`
+    has passed the request for `bu`; the memoization is what makes it
+    naive on DAGs (a shared node contributes one value to every parent)."""
+    ops, held, back = _kernel(domain, list(map(alpha.__getitem__, t.bas)))
+    return back(fold(t, held, *ops))
 
 
 def bu(t: AttackTree, alpha: dict, domain: AttributeDomain):
@@ -237,31 +243,25 @@ def bu_bdd_detailed(
     """(metric, the diagram folded): see `bu_bdd`."""
     _check("bdd", t, alpha, domain)
     m = from_structure_function(t, order)
-    at_rank = list(map(alpha.__getitem__, m.order.bas))
-    or_op, and_op = domain.or_op, domain.and_op
-    vals: dict[int, object] = {FALSE: domain.or_neutral, TRUE: domain.and_neutral}
-    scaled = {"or-absorbs-and", "and-is-plus"} <= domain.laws
     if "or-absorbs-and" not in domain.laws:
         m = minimise(m)
-    elif scaled:  # the least weight of a root-to-TRUE path, summed over integers
-        scale, cap, at_rank = _scaled_weights(at_rank, 1)
-        # FALSE's math.inf is only ever compared, never added: a monotone
-        # compiled diagram has no high edge to FALSE
-        or_op, and_op, vals = min, add, {FALSE: math.inf, TRUE: 0}
+    (or_, and_, _), (false, true, *at_rank), back = _kernel(
+        domain, [domain.or_neutral, domain.and_neutral, *map(alpha.__getitem__, m.order.bas)])
+    vals: dict[int, object] = {FALSE: false, TRUE: true}
     ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
     for v in m.postorder:
         if v >= 2:
-            vals[v] = or_op(vals[lows[v]], and_op(vals[highs[v]], at_rank[ranks[v]]))
-    value = vals[m.root]
-    return (_unscaled(value, 1, scale, cap) if scaled else value), m
+            vals[v] = or_((vals[lows[v]], and_((vals[highs[v]], at_rank[ranks[v]]))))
+    return back(vals[m.root]), m
 
 
 def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None):
     """Metric through a decision diagram of the structure function, exact
     on shared structures: the compiled one for a domain declaring
-    or-absorbs-and, else the minimal-solutions one; a domain declaring
-    or-absorbs-and and and-is-plus folds min and + over the integers of
-    `_scaled_weights`. The values are checked once the model and the
+    or-absorbs-and, else the minimal-solutions one, folded over the values
+    `_kernel` holds, FALSE's or_neutral and TRUE's and_neutral among them.
+    FALSE may hold the integer cap: no high edge reaches FALSE, so its
+    value is only compared. The values are checked once the model and the
     domain pass: absorption only holds inside the domain's carrier."""
     return bu_bdd_detailed(t, alpha, domain, order)[0]
 

@@ -122,6 +122,9 @@ def test_bu_bdd_preconditions():
     )
     with pytest.raises(MissingNeutrals):
         bu_bdd(t, a, bare)
+    # a neutral is folded as a value, so must be one: float("inf") is not INF
+    with pytest.raises(BadAttributeValue, match="got float inf"):
+        bu_bdd(t, a, domain_with(builtin("min-cost"), or_neutral=float("inf")))
     with pytest.raises(MissingAttribution):
         bu_bdd(t, {t.id_of("n"): 1}, builtin("min-cost"))
 
@@ -167,14 +170,17 @@ def _min_additive_value(rng):
 
 
 def test_min_additive_shortest_path_agrees_with_minimise_and_the_oracle():
-    # the compiled diagram's shortest path, the fold over the minimal-solutions
-    # diagram (the same domain, declaring neither and-is-plus nor
-    # or-absorbs-and) and the oracle
+    # the integer fold of the compiled diagram, against the same integer fold
+    # of the minimal-solutions diagram (the domain declaring neither
+    # and-is-plus nor or-absorbs-and), the compiled diagram's fold of the
+    # domain's own operators (a wrapped or_op, which takes no integer
+    # kernel) and the oracle
     rng = random.Random(1717)
     cases = 0
     for name in ("min-cost", "min-time-seq"):
         d = builtin(name)
         minimising = domain_with(d, laws=d.laws - {"and-is-plus", "or-absorbs-and"})
+        wrapped = domain_with(d, or_op=lambda x, y, op=d.or_op: op(x, y))
         for i in range(1000):
             t = (rand_dag if i % 2 else rand_tree)(rng, 9)
             bas = bas_of(t)
@@ -187,24 +193,30 @@ def test_min_additive_shortest_path_agrees_with_minimise_and_the_oracle():
             ]
             for a in draws:
                 got = bu_bdd(t, a, d)
-                for want in (bu_bdd(t, a, minimising), oracle_metric_static(t, a, d)):
+                for want in (bu_bdd(t, a, minimising), bu_bdd(t, a, wrapped),
+                             oracle_metric_static(t, a, d)):
                     assert got == want and render_value(got) == render_value(want)
                 cases += 1
     assert cases == 6000
 
 
 def test_additive_tree_folds_over_integers_agree_with_the_operator_fold():
-    # the integer fold of a domain whose or_op is the builtin min or max,
-    # against the same domain with a wrapped or_op, which folds the
-    # operators, and the oracle
+    # the integer fold of a domain whose or_op is the builtin min or max and
+    # whose operators are min, max or nat_add, on static and dynamic trees
+    # (bu) and on static DAGs (bu_bdd), against the same domain with a
+    # wrapped or_op, which folds the operators, and the oracle
     rng = random.Random(2048)
     cases = 0
-    for name in ("min-cost", "min-time-seq", "max-damage"):
+    for name in ("min-cost", "min-time-seq", "max-damage", "min-time-par", "min-skill",
+                 "max-challenge"):
         d = builtin(name)
         wrapped = domain_with(d, or_op=lambda x, y, op=d.or_op: op(x, y))
         for i in range(300):
-            t = rand_tree(rng, 9, dynamic=i % 2 == 1)
-            oracle = oracle_metric_dynamic if i % 2 else oracle_metric_static
+            if i % 3 == 2:
+                t, engine, oracle = rand_dag(rng, 9), bu_bdd, oracle_metric_static
+            else:
+                t, engine = rand_tree(rng, 9, dynamic=i % 3 == 1), bu
+                oracle = oracle_metric_dynamic if i % 3 else oracle_metric_static
             bas = bas_of(t)
             draws = [
                 {b: _min_additive_value(rng) for b in bas},
@@ -212,11 +224,11 @@ def test_additive_tree_folds_over_integers_agree_with_the_operator_fold():
                 {b: INF if rng.random() < 0.4 else 2**1100 + rng.randint(0, 9) for b in bas},
             ]
             for a in draws:
-                got = bu(t, a, d)
-                for want in (bu(t, a, wrapped), oracle(t, a, d)):
+                got = engine(t, a, d)
+                for want in (engine(t, a, wrapped), oracle(t, a, d)):
                     assert got == want and render_value(got) == render_value(want)
                 cases += 1
-    assert cases == 1800
+    assert cases == 3600
 
 
 def _operator_fold(t, a: dict, d):
@@ -236,18 +248,26 @@ def _probability(rng):
 
 def test_product_tree_folds_over_integer_pairs_agree_with_the_operator_fold():
     # prob-max, and a prob-min beside it, fold (numerator, denominator)
-    # pairs and make one Fraction at the root
+    # pairs and make one Fraction at the root, in the tree fold and in the
+    # diagram fold, which a wrapped or_op and the oracle check on DAGs;
+    # min's neutral in [0, 1] is 1
     rng = random.Random(4096)
     prob_max = builtin("prob-max")
-    prob_min = domain_with(prob_max, name="prob-min", or_op=min, sense="min",
-                           laws={"and-over-or", "seq-is-and"})
+    prob_min = domain_with(prob_max, name="prob-min", or_op=min, or_neutral=Fraction(1),
+                           sense="min", laws={"and-over-or", "seq-is-and"})
     cases = 0
     for d in (prob_max, prob_min):
+        wrapped = domain_with(d, or_op=lambda x, y, op=d.or_op: op(x, y))
         for i in range(300):
             t = rand_tree(rng, 9 if i % 3 else 40, dynamic=i % 2 == 1)
             a = {b: _probability(rng) for b in bas_of(t)}
             got, want = bu(t, a, d), _operator_fold(t, a, d)
             assert got == want and render_value(got) == render_value(want)
+            t = rand_dag(rng, 9)
+            a = {b: _probability(rng) for b in bas_of(t)}
+            got = bu_bdd(t, a, d)
+            for want in (bu_bdd(t, a, wrapped), oracle_metric_static(t, a, d)):
+                assert got == want and render_value(got) == render_value(want)
             cases += 1
     assert cases == 600
 
@@ -275,6 +295,14 @@ def test_the_prob_max_tree_fold_makes_one_fraction(monkeypatch):
     products = sum(len(kids) - 1 for ty, kids in zip(t.types, t.children) if ty is NodeType.AND)
     assert len(made) >= products > 500
     assert got == want
+    # the diagram fold of a static DAG, a ladder of ORs over shared actions
+    # under one AND, makes one too
+    dag = tt(("and", *(("or", f"x{i}", f"x{i + 1}") for i in range(60))))
+    a = {b: Fraction(rng.randint(1, 9), 10) for b in bas_of(dag)}
+    del made[:]
+    got, diagram = bu_bdd_detailed(dag, a, d)
+    assert len(made) <= 1 and diagram.node_count() > 60
+    assert got == bu_bdd(dag, a, domain_with(d, or_op=lambda x, y: max(x, y)))
 
 
 def test_only_absorbing_domains_fold_the_compiled_diagram():
