@@ -19,6 +19,8 @@ the algorithms (`atquant.analysis.ALGORITHMS`) each side offers:
   pareto(min-cost,min-skill), which does, over the first two attributions
   in sorted order, comma-joined, for every --algorithm, text and JSON, if
   the model declares two or more;
+- each of those metric requests once more by the bdd algorithm under each
+  declared order, in JSON;
 - ktop with k 1 and 3 for every builtin domain x every attribution, under
   the default and each declared order, text and JSON, so the refusals of
   the domains k-top does not take are compared too;
@@ -63,14 +65,15 @@ def battery(model: str, attributions, orders, domains, algorithms) -> list[list[
     out += [["dump", model, "--what", what] for what in ("at", "model", "bdd", "bdd-min")]
     out += [["dump", model, "--what", what, "--order", order]
             for what in ("bdd", "bdd-min") for order in orders]
+    asked = [(domain, name) for domain in domains for name in attributions]
+    if len(attributions) >= 2:
+        asked += [(pareto, ",".join(attributions[:2])) for pareto in PARETOS]
     out += [["metric", model, "--domain", domain, "--attribution", name,
              "--algorithm", algorithm, "--format", fmt]
-            for domain in domains for name in attributions
-            for algorithm in algorithms for fmt in FORMATS]
-    if len(attributions) >= 2:
-        out += [["metric", model, "--domain", pareto, "--attribution", ",".join(attributions[:2]),
-                 "--algorithm", algorithm, "--format", fmt]
-                for pareto in PARETOS for algorithm in algorithms for fmt in FORMATS]
+            for domain, name in asked for algorithm in algorithms for fmt in FORMATS]
+    out += [["metric", model, "--domain", domain, "--attribution", name,
+             "--algorithm", "bdd", "--format", "json", "--order", order]
+            for domain, name in asked for order in orders]
     out += [["ktop", model, "--domain", domain, "--attribution", name, "--k", k,
              "--format", fmt, *order]
             for domain in domains for name in attributions for k in ("1", "3")

@@ -18,7 +18,12 @@ is thus a minimal attack or adds to one, and by absorption, x or (x and y)
 compiled diagram. Any other domain, such as max-damage or max-challenge,
 whose or_op prefers the larger attack, folds the minimal-solutions
 diagram, whose paths are exactly the minimal attacks. k_top, which needs
-distinct minimal attacks, always minimises.
+distinct minimal attacks, always minimises. Neither diagram of a model
+has a high edge into FALSE or a low edge into TRUE (see `minimise`), and
+its root is a decision node, so the fold reads no terminal: a node of
+variable value x holds x when its high child is TRUE, else and_op of the
+high child's value and x, joined by or_op to its low child's value unless
+that child is FALSE. No domain needs neutral elements for it.
 
 The tree fold (`_fold`) and the diagram fold hold a domain's values as
 `_kernel` decides by its operators: scaled integers with INF as one
@@ -43,7 +48,6 @@ from .errors import (
     DagRejected,
     DynamicTreeRejected,
     InvalidRequest,
-    MissingNeutrals,
     NotProbability,
     NotSemiring,
     NotSemiringDynamic,
@@ -98,21 +102,16 @@ def _refusal(algorithm: str, kind: StructureKind, d: AttributeDomain) -> Optiona
     law_sets, error, reason = row[kind]
     if not any(laws <= d.laws for laws in law_sets):
         return error(f"domain {d.name} {reason}")
-    if algorithm == "bdd" and not d.has_neutrals:
-        return MissingNeutrals(f"domain {d.name} lacks neutral elements for the BDD fold")
     return None
 
 
 def _check(algorithm: str, t: AttackTree, alpha: dict, domain: AttributeDomain) -> None:
     """Raise why the algorithm cannot answer the request, the one check of
     every engine: the class, then the domain (see `_refusal`), then the
-    values, the diagram fold's neutrals first."""
+    values."""
     refusal = _refusal(algorithm, classify(t), domain)
     if refusal is not None:
         raise refusal
-    if algorithm == "bdd":  # the diagram fold holds the neutrals as values
-        for neutral in (domain.or_neutral, domain.and_neutral):
-            domain.validate_value(neutral)
     validate_attribution(t, alpha, domain)
 
 
@@ -245,13 +244,15 @@ def bu_bdd_detailed(
     m = from_structure_function(t, order)
     if "or-absorbs-and" not in domain.laws:
         m = minimise(m)
-    (or_, and_, _), (false, true, *at_rank), back = _kernel(
-        domain, [domain.or_neutral, domain.and_neutral, *map(alpha.__getitem__, m.order.bas)])
-    vals: dict[int, object] = {FALSE: false, TRUE: true}
+    (or_, and_, _), at_rank, back = _kernel(domain, list(map(alpha.__getitem__, m.order.bas)))
+    vals: dict[int, object] = {}
     ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
     for v in m.postorder:
         if v >= 2:
-            vals[v] = or_((vals[lows[v]], and_((vals[highs[v]], at_rank[ranks[v]]))))
+            x, lo, hi = at_rank[ranks[v]], lows[v], highs[v]
+            if hi != TRUE:
+                x = and_((vals[hi], x))
+            vals[v] = x if lo == FALSE else or_((vals[lo], x))
     return back(vals[m.root]), m
 
 
@@ -259,10 +260,10 @@ def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[
     """Metric through a decision diagram of the structure function, exact
     on shared structures: the compiled one for a domain declaring
     or-absorbs-and, else the minimal-solutions one, folded over the values
-    `_kernel` holds, FALSE's or_neutral and TRUE's and_neutral among them.
-    FALSE may hold the integer cap: no high edge reaches FALSE, so its
-    value is only compared. The values are checked once the model and the
-    domain pass: absorption only holds inside the domain's carrier."""
+    `_kernel` holds. No terminal holds a value (see the module docstring),
+    so the domain's neutral elements are never read. The values are
+    checked once the model and the domain pass: absorption only holds
+    inside the domain's carrier."""
     return bu_bdd_detailed(t, alpha, domain, order)[0]
 
 

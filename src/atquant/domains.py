@@ -95,8 +95,9 @@ class AttributeDomain(Record):
     None when sequential composition is undefined for this domain). laws,
     any iterable, is kept as the frozenset of the laws of LAWS that the
     operators satisfy; a seq-* law needs a seq_op, and and-is-plus a sense,
-    by which k-top ranks attacks. Every field is compared, in the order of
-    the constructor's parameters.
+    "min" or "max" (else None), by which k-top ranks attacks. The neutral
+    elements are probed by check_semiring_laws and folded by no engine.
+    Every field is compared, in the order of the constructor's parameters.
     """
 
     _compared = ("name", "kind", "or_op", "and_op", "seq_op", "or_neutral", "and_neutral",
@@ -114,15 +115,13 @@ class AttributeDomain(Record):
                 raise InvalidDomain(f"{name}: unknown law {law!r}; laws: {known}")
             if law.startswith("seq-") and seq_op is None:
                 raise InvalidDomain(f"{name}: law {law!r} needs a sequential operator")
+        if sense not in (None, "min", "max"):
+            raise InvalidDomain(f"{name}: unknown sense {sense!r}; senses: min, max")
         if "and-is-plus" in laws and sense is None:
             raise InvalidDomain(f"{name}: law 'and-is-plus' needs a sense")
         self.__dict__.update(name=name, kind=kind, or_op=or_op, and_op=and_op, seq_op=seq_op,
                              or_neutral=or_neutral, and_neutral=and_neutral, laws=laws,
                              sense=sense, components=components)
-
-    @property
-    def has_neutrals(self) -> bool:
-        return self.or_neutral is not None and self.and_neutral is not None
 
     def validate_value(self, v) -> None:
         if self.kind is ValueKind.NATURAL:
@@ -244,7 +243,7 @@ def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
         return pareto_prune(combined, directions)
 
     name = "pareto(" + ",".join(c.name for c in components) + ")"
-    neutrals_ok = all(c.has_neutrals for c in components)
+    neutrals_ok = all(c.or_neutral is not None and c.and_neutral is not None for c in components)
     return AttributeDomain(
         name=name,
         kind=ValueKind.PARETO,

@@ -107,10 +107,6 @@ class NotSemiringDynamic(AtError):
     pass
 
 
-class MissingNeutrals(AtError):
-    pass
-
-
 class UnsupportedDomainForKTop(AtError):
     pass
 

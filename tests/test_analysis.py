@@ -39,7 +39,6 @@ from atquant.errors import (
     IncompatibleDomain,
     InvalidRequest,
     MissingAttribution,
-    MissingNeutrals,
     NotProbability,
     NotSemiring,
     NotSemiringDynamic,
@@ -117,14 +116,13 @@ def test_bu_bdd_preconditions():
     a = alpha(t, {"n": 1, "t": 2, "p": 3})
     with pytest.raises(NotSemiring):
         bu_bdd(t, a, builtin("cost-to-defend"))
+    # no terminal holds a value, so a domain without neutrals, or with one
+    # outside its carrier (float("inf") is not INF), folds like any other
     bare = AttributeDomain(
         "bare-min-cost", ValueKind.NATURAL, min, nat_add, laws=frozenset({"and-over-or"})
     )
-    with pytest.raises(MissingNeutrals):
-        bu_bdd(t, a, bare)
-    # a neutral is folded as a value, so must be one: float("inf") is not INF
-    with pytest.raises(BadAttributeValue, match="got float inf"):
-        bu_bdd(t, a, domain_with(builtin("min-cost"), or_neutral=float("inf")))
+    for d in (bare, domain_with(builtin("min-cost"), or_neutral=float("inf"))):
+        assert bu_bdd(t, a, d) == oracle_metric_static(t, a, d) == 1
     with pytest.raises(MissingAttribution):
         bu_bdd(t, {t.id_of("n"): 1}, builtin("min-cost"))
 
@@ -349,6 +347,23 @@ def test_only_absorbing_domains_fold_the_compiled_diagram():
             assert top_paths(diagram) == minimal, name
     assert {n for n in cases if "or-absorbs-and" in builtin(n).laws} == {
         "min-skill", "min-time-par", "prob-max", "pareto(min-cost,prob-max)"}
+    # no terminal holds a value, so every semiring builtin folds alike
+    # without its neutrals or with the two swapped, on either diagram
+    rng = random.Random(47)
+    semirings = [d for d in map(builtin, BUILTIN_NAMES) if "and-over-or" in d.laws]
+    for d in semirings:
+        for variant in (domain_with(d, or_neutral=None, and_neutral=None),
+                        domain_with(d, or_neutral=d.and_neutral, and_neutral=d.or_neutral)):
+            for f in [t, overlap()] + [rand_dag(rng, max_bas=6) for _ in range(10)]:
+                a = rand_alpha(rng, f, d)
+                assert bu_bdd(f, a, variant) == oracle_metric_static(f, a, d), d.name
+    # a wrong or_neutral left in place changes no value: prob-max with
+    # or_op min keeps its neutral 0, which min would have read
+    f = overlap()
+    a = alpha(f, {"a": half, "b": third, "c": Fraction(1, 4)})
+    least = domain_with(builtin("prob-max"), or_op=min)
+    assert least.or_neutral == 0
+    assert bu_bdd(f, a, least) == oracle_metric_static(f, a, least) == Fraction(1, 8)
 
 
 def test_k_top_overlap_golden():
@@ -830,7 +845,7 @@ def test_engines_and_analyze_refuse_alike():
                     cell = (path.stem, name, d.name, algorithm)
                     answers[cell] = _answer(library, doc.tree, a, d)
                     assert _answer(request, doc.tree, a, d) == answers[cell], cell
-    assert len(answers) == 11 * 3 * 4  # eleven declared attributions
+    assert len(answers) == 13 * 3 * 4  # thirteen declared attributions
     # prob-max reads costs and times as probabilities: the class and the
     # domain are refused before any value
     assert answers["treasure", "time", "prob-max", "ktop k=1"][0] is UnsupportedDomainForKTop

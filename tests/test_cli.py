@@ -709,7 +709,7 @@ def test_every_algorithm_that_answers_gives_one_value(capsys):
                         values[algorithm] = json.loads(out)["value"]
                 if len(set(values.values())) > 1:
                     differ.append((path.name, domain, name, values))
-    assert requests == 352 and differ == []
+    assert requests == 416 and differ == []
 
 
 @pytest.mark.parametrize("enabled", [True, False])

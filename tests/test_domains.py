@@ -96,6 +96,11 @@ def test_a_domain_refuses_laws_it_cannot_declare():
     mc = builtin("min-cost")
     with pytest.raises(InvalidDomain, match="^min-cost: unknown law 'and-over-0r'; laws: "):
         domain_with(mc, laws=frozenset({"and-over-or", "and-over-0r"}))
+    # k-top and pareto pruning read any sense but "min" as "max", so a
+    # misspelt one would rank the worst attack first
+    unknown = "^min-cost: unknown sense 'minimum'; senses: min, max$"
+    with pytest.raises(InvalidDomain, match=unknown):
+        domain_with(mc, sense="minimum")
     for law in ("seq-over-and", "seq-over-or", "seq-is-and"):
         needs_seq = f"^min-cost: law '{law}' needs a sequential operator$"
         with pytest.raises(InvalidDomain, match=needs_seq):
