@@ -23,7 +23,7 @@ has a high edge into FALSE or a low edge into TRUE (see `minimise`), and
 its root is a decision node, so the fold reads no terminal: a node of
 variable value x holds x when its high child is TRUE, else and_op of the
 high child's value and x, joined by or_op to its low child's value unless
-that child is FALSE. No domain needs neutral elements for it.
+that child is FALSE. No domain needs an identity element for it.
 
 The tree fold (`_fold`) and the diagram fold hold a domain's values as
 `_kernel` decides by its operators: scaled integers with INF as one
@@ -179,8 +179,8 @@ def _kernel(domain: AttributeDomain, values: list) -> tuple:
     ops = (domain.or_op, domain.and_op, domain.seq_op or domain.and_op)
     if domain.or_op in (min, max):
         if all(op in _SCALED for op in ops):
-            scale, cap, held = _scaled_weights(values, 1)
-            return [_SCALED[op] for op in ops], held, lambda w: _unscaled(w, 1, scale, cap)
+            scale, cap, held = _scaled_weights(values)
+            return [_SCALED[op] for op in ops], held, lambda w: _unscaled(w, scale, cap)
         if domain.kind is ValueKind.PROBABILITY and all(op in _PAIRED for op in ops):
             pairs = [a.as_integer_ratio() for a in values]  # ints and Fractions
             return [_PAIRED[op] for op in ops], pairs, lambda p: Fraction(*p)
@@ -213,27 +213,27 @@ def bu(t: AttackTree, alpha: dict, domain: AttributeDomain):
     return _fold(t, alpha, domain)
 
 
-def _scaled_weights(values: list, sgn: int) -> tuple[int, int, list]:
+def _scaled_weights(values: list) -> tuple[int, int, list]:
     """(scale, cap, weight), the one place that decides how INF looks in
-    an integer fold: each value signed by sgn, a finite one as an integer
-    over the common denominator scale and INF as cap, 1 plus the sum of
-    all finite ones. Scaling by scale > 0 keeps every sum, comparison and
-    tie. An attack holds each value at most once, as a leaf of a proper
-    tree or as a variable on a diagram path, so the unsigned sum of its
-    weights is below cap when it holds no INF and at least cap when it
-    holds one: no comparison that tells a finite attack from an infinite
-    one changes, and `_unscaled` reads a sum of cap or more as INF."""
+    an integer fold: a finite value as an integer over the common
+    denominator scale and INF as cap, 1 plus the sum of all finite ones.
+    Scaling by scale > 0 keeps every sum, comparison and tie. An attack
+    holds each value at most once, as a leaf of a proper tree or as a
+    variable on a diagram path, so the sum of its weights is below cap
+    when it holds no INF and at least cap when it holds one: no comparison
+    that tells a finite attack from an infinite one changes, and
+    `_unscaled` reads a sum of cap or more as INF."""
     scale = math.lcm(*{a.denominator for a in values if a is not INF})
     scaled = [None if a is INF else a.numerator * (scale // a.denominator) for a in values]
     cap = 1 + sum(filter(None, scaled))  # drops INF's None (and zeros)
-    return scale, cap, [sgn * (cap if w is None else w) for w in scaled]
+    return scale, cap, [cap if w is None else w for w in scaled]
 
 
-def _unscaled(w: int, sgn: int, scale: int, cap: int):
+def _unscaled(w: int, scale: int, cap: int):
     """The metric of an attack of scaled weight w, exactly."""
-    if sgn * w >= cap:
+    if w >= cap:
         return INF
-    return sgn * w if scale == 1 else Fraction(sgn * w, scale)
+    return w if scale == 1 else Fraction(w, scale)
 
 
 def bu_bdd_detailed(
@@ -261,7 +261,7 @@ def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[
     on shared structures: the compiled one for a domain declaring
     or-absorbs-and, else the minimal-solutions one, folded over the values
     `_kernel` holds. No terminal holds a value (see the module docstring),
-    so the domain's neutral elements are never read. The values are
+    so the domain needs no identity element. The values are
     checked once the model and the domain pass: absorption only holds
     inside the domain's carrier."""
     return bu_bdd_detailed(t, alpha, domain, order)[0]
@@ -276,20 +276,20 @@ def k_top(
 ) -> list:
     """The k best (metric, attack) pairs, best first.
 
-    High edges carry the signed attribute of their variable, low edges are
-    free, and the k shortest root-to-TRUE paths of the minimal-solutions
-    diagram, found in one bottom-up pass, are the k best attacks; the sign
-    flips max domains into min problems. Ties break on the least decision
-    sequence, low edge before high, so k=1 is the first pair of any larger
-    k; as an infinite weight ties every path through its high edge, each
-    node keeps its k lexicographically least paths beside its k shortest.
-    Returns fewer than k pairs exactly when fewer minimal attacks exist.
-    Weights are the integers of `_scaled_weights`, over the least common
-    multiple of the attributes' denominators, so the metrics (divided
-    back, exactly) and the attacks are those of rational arithmetic. A
-    path through an INF weighs sgn * cap and is held there, so INF ties
-    stay ties. The values are checked once k, the model and the domain
-    pass.
+    High edges carry the attribute of their variable, low edges are free,
+    and the k shortest root-to-TRUE paths of the minimal-solutions diagram,
+    found in one bottom-up pass, are the k best attacks; a max domain takes
+    the k longest, by a reversed sort, which keeps equal weights in order as
+    Python's sort is stable. Ties break on the least decision sequence, low
+    edge before high, so k=1 is the first pair of any larger k; as an
+    infinite weight ties every path through its high edge, each node keeps
+    its k lexicographically least paths beside its k shortest. Returns
+    fewer than k pairs exactly when fewer minimal attacks exist. Weights
+    are the integers of `_scaled_weights`, over the least common multiple
+    of the attributes' denominators, so the metrics (divided back, exactly)
+    and the attacks are those of rational arithmetic. A path through an
+    INF weighs cap and is held there, so INF ties stay ties. The values
+    are checked once k, the model and the domain pass.
     """
     return k_top_detailed(t, alpha, domain, k, order)[0]
 
@@ -304,18 +304,16 @@ def k_top_detailed(
     if k < 1:
         raise InvalidRequest("k must be at least 1")
     _check("ktop", t, alpha, domain)
-    sgn = 1 if domain.sense == "min" else -1
     m = minimise(from_structure_function(t, order))
     ranks, lows, highs, bas_at = m.store.ranks, m.store.lows, m.store.highs, m.order.bas
-    # signed edge weights; top is the weight of every path through an INF
-    scale, cap, weight = _scaled_weights(list(map(alpha.__getitem__, bas_at)), sgn)
-    top = sgn * cap
+    # edge weights; cap is the weight of every path through an INF
+    scale, cap, weight = _scaled_weights(list(map(alpha.__getitem__, bas_at)))
     # a path is (weight, attack), an attack nested (bas, rest) pairs; a
     # node's lists are dropped once its last parent has read them. The lex
     # lists are read only under an infinite weight, so kept only if one is.
     best: dict[int, list] = {FALSE: [], TRUE: [(0, ())]}
     lex: Optional[dict[int, list]] = None
-    if top in weight:
+    if cap in weight:
         lex = {FALSE: [], TRUE: [()]}
     parents = [0] * len(lows)
     for v in m.postorder:
@@ -326,11 +324,11 @@ def k_top_detailed(
         if v >= 2:
             lo, hi, r = lows[v], highs[v], ranks[v]
             bas, a = bas_at[r], weight[r]
-            if a == top:
+            if a == cap:
                 up = [(a, (bas, rest)) for rest in lex[hi]]
-            else:  # a path held at top stays there, so INF ties stay ties
-                up = [(w if w == top else w + a, (bas, rest)) for w, rest in best[hi]]
-            best[v] = sorted(best[lo] + up, key=itemgetter(0))[:k]
+            else:  # a path held at cap stays there, so INF ties stay ties
+                up = [(w if w == cap else w + a, (bas, rest)) for w, rest in best[hi]]
+            best[v] = sorted(best[lo] + up, key=itemgetter(0), reverse=domain.sense == "max")[:k]
             if lex is not None:
                 lex[v] = (lex[lo] + [(bas, rest) for rest in lex[hi]])[:k]
             for c in (lo, hi):
@@ -346,7 +344,7 @@ def k_top_detailed(
         while attack:
             b, attack = attack
             taken.append(b)
-        out.append((_unscaled(w, sgn, scale, cap), frozenset(taken)))
+        out.append((_unscaled(w, scale, cap), frozenset(taken)))
     return out, m
 
 

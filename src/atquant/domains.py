@@ -2,7 +2,9 @@
 
 A domain bundles a value kind with a disjunctive operator (folded across
 alternative attacks), a conjunctive operator (folded within one attack) and,
-for dynamic models, a sequential operator. Scalar values are exact: python
+for dynamic models, a sequential operator. It holds no identity element,
+as no engine reads one: the tree fold combines children, and the diagram
+fold reads no terminal (see analysis). Scalar values are exact: python
 ints and fractions.Fraction, plus math.inf as INF, which orders above every
 one of them; only addition needs a guard (nat_add) to saturate at INF.
 Pareto fronts are frozensets of component tuples.
@@ -88,24 +90,21 @@ LAWS = frozenset(_LAW_PROBES)
 
 
 class AttributeDomain(Record):
-    """(V, or_op, and_op[, seq_op]) with optional neutral elements.
+    """(V, or_op, and_op[, seq_op]), with no identity elements.
 
     or_op is the fold across alternative attacks, and_op the fold within an
     attack, seq_op the fold along a sequential chain (dynamic models only;
     None when sequential composition is undefined for this domain). laws,
     any iterable, is kept as the frozenset of the laws of LAWS that the
     operators satisfy; a seq-* law needs a seq_op, and and-is-plus a sense,
-    "min" or "max" (else None), by which k-top ranks attacks. The neutral
-    elements are probed by check_semiring_laws and folded by no engine.
-    Every field is compared, in the order of the constructor's parameters.
+    "min" or "max" (else None), by which k-top ranks attacks. Every field
+    is compared, in the order of the constructor's parameters.
     """
 
-    _compared = ("name", "kind", "or_op", "and_op", "seq_op", "or_neutral", "and_neutral",
-                 "laws", "sense", "components")
+    _compared = ("name", "kind", "or_op", "and_op", "seq_op", "laws", "sense", "components")
 
     def __init__(self, name: str, kind: ValueKind, or_op: Callable, and_op: Callable,
-                 seq_op: Optional[Callable] = None, or_neutral: object = None,
-                 and_neutral: object = None, laws: Iterable[str] = frozenset(),
+                 seq_op: Optional[Callable] = None, laws: Iterable[str] = frozenset(),
                  sense: Optional[str] = None,  # "min" | "max": what or_op optimises
                  components: Optional[tuple[AttributeDomain, ...]] = None):  # pareto only
         laws = frozenset(laws)
@@ -120,8 +119,7 @@ class AttributeDomain(Record):
         if "and-is-plus" in laws and sense is None:
             raise InvalidDomain(f"{name}: law 'and-is-plus' needs a sense")
         self.__dict__.update(name=name, kind=kind, or_op=or_op, and_op=and_op, seq_op=seq_op,
-                             or_neutral=or_neutral, and_neutral=and_neutral, laws=laws,
-                             sense=sense, components=components)
+                             laws=laws, sense=sense, components=components)
 
     def validate_value(self, v) -> None:
         if self.kind is ValueKind.NATURAL:
@@ -203,7 +201,8 @@ def builtin(name: str) -> AttributeDomain:
     if m:
         if "pareto(" in m.group(1):
             raise EmptyProduct("pareto products do not nest")
-        parts = [p.strip() for p in m.group(1).split(",") if p.strip()]
+        # only pareto() is empty: a blank name between commas is an unknown domain
+        parts = [p.strip() for p in m.group(1).split(",")] if m.group(1).strip() else []
         return pareto_product([builtin(p) for p in parts])
     try:
         return _BUILTINS[name.strip()]
@@ -243,24 +242,20 @@ def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
         return pareto_prune(combined, directions)
 
     name = "pareto(" + ",".join(c.name for c in components) + ")"
-    neutrals_ok = all(c.or_neutral is not None and c.and_neutral is not None for c in components)
     return AttributeDomain(
         name=name,
         kind=ValueKind.PARETO,
         or_op=or_op,
         and_op=and_op,
         seq_op=None,
-        or_neutral=frozenset(),
-        and_neutral=frozenset({tuple(c.and_neutral for c in components)}) if neutrals_ok else None,
         laws={law for law in ("and-over-or", "or-absorbs-and")
               if all(law in c.laws for c in components)},
         components=components,
     )
 
 
-def _nat(name, or_op, and_op, seq_op, or_neutral, laws, sense) -> AttributeDomain:
-    return AttributeDomain(name, ValueKind.NATURAL, or_op, and_op, seq_op, or_neutral, 0,
-                           laws, sense)
+def _nat(name, or_op, and_op, seq_op, laws, sense) -> AttributeDomain:
+    return AttributeDomain(name, ValueKind.NATURAL, or_op, and_op, seq_op, laws, sense)
 
 
 # addition within an attack, sequential or not; a dynamic semiring whose
@@ -274,29 +269,28 @@ _ABSORBS = {"or-absorbs-and"}
 _BUILTINS: dict[str, AttributeDomain] = {d.name: d for d in (
     # (N∞, min, +), seq +: cheapest attack; + over + is not distributive,
     # so not a dynamic semiring even though seq composition is well defined.
-    _nat("min-cost", min, nat_add, nat_add, INF, _ADDITIVE | _ABSORBS, "min"),
+    _nat("min-cost", min, nat_add, nat_add, _ADDITIVE | _ABSORBS, "min"),
     # (N∞, min, +), seq +: shortest one-at-a-time schedule.
-    _nat("min-time-seq", min, nat_add, nat_add, INF, _ADDITIVE | _ABSORBS, "min"),
+    _nat("min-time-seq", min, nat_add, nat_add, _ADDITIVE | _ABSORBS, "min"),
     # (N∞, min, max), seq +: shortest schedule with unbounded parallelism;
     # + distributes over max and min, so this IS a dynamic semiring.
-    _nat("min-time-par", min, max, nat_add, INF, _DYNAMIC | _ABSORBS, "min"),
+    _nat("min-time-par", min, max, nat_add, _DYNAMIC | _ABSORBS, "min"),
     # (N∞, min, max), seq max: weakest adversary that still gets through.
-    _nat("min-skill", min, max, max, INF, _DYNAMIC | _ABSORBS | {"seq-is-and"}, "min"),
+    _nat("min-skill", min, max, max, _DYNAMIC | _ABSORBS | {"seq-is-and"}, "min"),
     # (N∞, max, max), seq max: hardest single obstacle on the best path;
     # max(x, max(x, y)) is not x once y > x, so no absorption.
-    _nat("max-challenge", max, max, max, 0, _DYNAMIC | {"seq-is-and"}, "max"),
+    _nat("max-challenge", max, max, max, _DYNAMIC | {"seq-is-and"}, "max"),
     # (N∞, max, +), seq +: worst-case cumulative damage; max(x, x + y) is
     # not x once y > 0, so no absorption.
-    _nat("max-damage", max, nat_add, nat_add, 0, _ADDITIVE, "max"),
+    _nat("max-damage", max, nat_add, nat_add, _ADDITIVE, "max"),
     # ([0,1], max, *), seq *: probability of the most likely attack; a
     # product of probabilities is at most each factor, so or absorbs and.
-    AttributeDomain("prob-max", ValueKind.PROBABILITY, max, mul, mul, Fraction(0),
-                    Fraction(1), {"and-over-or", "seq-is-and"} | _ABSORBS, "max"),
+    AttributeDomain("prob-max", ValueKind.PROBABILITY, max, mul, mul,
+                    {"and-over-or", "seq-is-and"} | _ABSORBS, "max"),
     # (N∞, +, min): cost to defend against every attack. min does NOT
     # distribute over +; kept as the stock non-semiring example, usable
     # only through the definitional oracle.
-    AttributeDomain("cost-to-defend", ValueKind.NATURAL, nat_add, min, None, 0, INF,
-                    {"and-idempotent"}),
+    AttributeDomain("cost-to-defend", ValueKind.NATURAL, nat_add, min, None, {"and-idempotent"}),
 )}
 
 
@@ -332,8 +326,8 @@ def check_semiring_laws(
 ) -> LawReport:
     """Probe the declared algebra laws on concrete value triples.
 
-    Checks associativity/commutativity of every present operator and neutral
-    laws unconditionally, and each law of LAWS the domain declares;
+    Checks associativity/commutativity of every present operator
+    unconditionally, and each law of LAWS the domain declares;
     and-over-or, the law every route but the oracle needs, is probed even
     when undeclared, so a non-semiring's failure is visible. Reports one
     pass/fail per law with the first counterexample found. The default
@@ -353,12 +347,6 @@ def check_semiring_laws(
                               lambda x, y, z, op=op: op(op(x, y), z) == op(x, op(y, z))))
         results.append(_probe(f"{opname}-commutative", triples,
                               lambda x, y, z, op=op: op(x, y) == op(y, x)))
-    if domain.or_neutral is not None:
-        results.append(_probe("or-neutral", triples,
-                              lambda x, y, z: domain.or_op(x, domain.or_neutral) == x))
-    if domain.and_neutral is not None:
-        results.append(_probe("and-neutral", triples,
-                              lambda x, y, z: domain.and_op(x, domain.and_neutral) == x))
     for law, holds in _LAW_PROBES.items():
         if law in domain.laws or law == "and-over-or":
             results.append(_probe(law, triples, partial(holds, domain)))

@@ -116,13 +116,11 @@ def test_bu_bdd_preconditions():
     a = alpha(t, {"n": 1, "t": 2, "p": 3})
     with pytest.raises(NotSemiring):
         bu_bdd(t, a, builtin("cost-to-defend"))
-    # no terminal holds a value, so a domain without neutrals, or with one
-    # outside its carrier (float("inf") is not INF), folds like any other
+    # a domain of its operators and one law folds like a builtin
     bare = AttributeDomain(
         "bare-min-cost", ValueKind.NATURAL, min, nat_add, laws=frozenset({"and-over-or"})
     )
-    for d in (bare, domain_with(builtin("min-cost"), or_neutral=float("inf"))):
-        assert bu_bdd(t, a, d) == oracle_metric_static(t, a, d) == 1
+    assert bu_bdd(t, a, bare) == oracle_metric_static(t, a, bare) == 1
     with pytest.raises(MissingAttribution):
         bu_bdd(t, {t.id_of("n"): 1}, builtin("min-cost"))
 
@@ -247,12 +245,11 @@ def _probability(rng):
 def test_product_tree_folds_over_integer_pairs_agree_with_the_operator_fold():
     # prob-max, and a prob-min beside it, fold (numerator, denominator)
     # pairs and make one Fraction at the root, in the tree fold and in the
-    # diagram fold, which a wrapped or_op and the oracle check on DAGs;
-    # min's neutral in [0, 1] is 1
+    # diagram fold, which a wrapped or_op and the oracle check on DAGs
     rng = random.Random(4096)
     prob_max = builtin("prob-max")
-    prob_min = domain_with(prob_max, name="prob-min", or_op=min, or_neutral=Fraction(1),
-                           sense="min", laws={"and-over-or", "seq-is-and"})
+    prob_min = domain_with(prob_max, name="prob-min", or_op=min, sense="min",
+                           laws={"and-over-or", "seq-is-and"})
     cases = 0
     for d in (prob_max, prob_min):
         wrapped = domain_with(d, or_op=lambda x, y, op=d.or_op: op(x, y))
@@ -347,22 +344,11 @@ def test_only_absorbing_domains_fold_the_compiled_diagram():
             assert top_paths(diagram) == minimal, name
     assert {n for n in cases if "or-absorbs-and" in builtin(n).laws} == {
         "min-skill", "min-time-par", "prob-max", "pareto(min-cost,prob-max)"}
-    # no terminal holds a value, so every semiring builtin folds alike
-    # without its neutrals or with the two swapped, on either diagram
-    rng = random.Random(47)
-    semirings = [d for d in map(builtin, BUILTIN_NAMES) if "and-over-or" in d.laws]
-    for d in semirings:
-        for variant in (domain_with(d, or_neutral=None, and_neutral=None),
-                        domain_with(d, or_neutral=d.and_neutral, and_neutral=d.or_neutral)):
-            for f in [t, overlap()] + [rand_dag(rng, max_bas=6) for _ in range(10)]:
-                a = rand_alpha(rng, f, d)
-                assert bu_bdd(f, a, variant) == oracle_metric_static(f, a, d), d.name
-    # a wrong or_neutral left in place changes no value: prob-max with
-    # or_op min keeps its neutral 0, which min would have read
+    # no terminal holds a value: prob-max with or_op min, still declaring
+    # absorption, folds the compiled diagram to the oracle's least attack
     f = overlap()
     a = alpha(f, {"a": half, "b": third, "c": Fraction(1, 4)})
     least = domain_with(builtin("prob-max"), or_op=min)
-    assert least.or_neutral == 0
     assert bu_bdd(f, a, least) == oracle_metric_static(f, a, least) == Fraction(1, 8)
 
 
@@ -570,7 +556,7 @@ def test_a_declared_seq_is_and_routes_bu_without_the_same_function():
     # the declared law, not the identity of the functions, routes bu
     d = AttributeDomain(
         "min-cost-own-seq", ValueKind.NATURAL, min, nat_add, lambda x, y: nat_add(x, y),
-        INF, 0, laws=frozenset({"and-over-or", "seq-is-and"}), sense="min",
+        laws=frozenset({"and-over-or", "seq-is-and"}), sense="min",
     )
     assert d.seq_op is not d.and_op
     rng = random.Random(26)
