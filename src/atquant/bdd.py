@@ -12,23 +12,22 @@ children, or a left fold, applies a growing diagram again at every step,
 which made a left-deep chain of n binary gates cost n^2/2 nodes. An
 operand that is one variable ranked above the accumulator needs no apply:
 f op acc is then a single node, (x, FALSE, acc) for AND and (x, acc, TRUE)
-for OR, made inline, so a gate over basic actions is built as its chain.
+for OR, made directly, so a gate over basic actions is built as its chain.
 
 `apply` and `minimise`'s `without` run on explicit work stacks, in the
 style of Brace, Rudell and Bryant (DAC 1990), and no function here calls
 itself, so a diagram's depth is not bounded by the interpreter's recursion
-limit. Every node is hash-consed inline where it is made: a (rank, low,
-high) triple already in the unique table is reused, and a new one takes
-the next id. `Bdd.postorder` walks the store's child arrays itself. Each
-runs once per node, where a call or a generic walk would cost more than
-the work itself. On top of the plain
+limit. Every node is made by `_Store.node`, one find-or-add on the unique
+table: a (rank, low, high) triple already there is reused, and a new one
+takes the next id. Each caller applies its own reduction rule first.
+`Bdd.postorder` walks the store's child arrays itself. On top of the plain
 ROBDD sits the minimal-solutions transform: a second diagram whose
 TRUE-paths (read as the set of variables taken on a high edge) are exactly
 the subset-minimal successful attacks. That diagram is meaningful under
-path semantics, not boolean semantics, so it is built with its own node
-constructor whose reduction rule drops nodes with a FALSE high child
-instead of merging equal children. Only the folds that need distinct
-minimal attacks, or a non-absorbing domain, build it (see `analysis`).
+path semantics, not boolean semantics, so its reduction rule drops nodes
+with a FALSE high child instead of merging equal children. Only the folds
+that need distinct minimal attacks, or a non-absorbing domain, build it
+(see `analysis`).
 """
 
 from __future__ import annotations
@@ -75,13 +74,26 @@ class _Store:
         self.unique: dict[tuple[int, int, int], int] = {}
         self.apply_memo: dict[tuple[str, int, int], int] = {}
 
+    def node(self, rank: int, low: int, high: int) -> int:
+        """The id of the node (rank, low, high): the one in the unique
+        table, or a new node with the next id. The only writer of the
+        table and the node arrays; it applies no reduction rule."""
+        key = (rank, low, high)
+        nid = self.unique.get(key)
+        if nid is None:
+            nid = self.unique[key] = len(self.ranks)
+            self.ranks.append(rank)
+            self.lows.append(low)
+            self.highs.append(high)
+        return nid
+
     def apply(self, op: str, f: int, g: int) -> int:
         """f op g for op "or" or "and", by Shannon expansion on the top
         variable; runs on an explicit stack, the low side first, so nodes
         are made in the order a recursive apply would make them. Equal
-        children reduce to one; other nodes are hash-consed inline."""
-        ranks, lows, highs = self.ranks, self.lows, self.highs
-        unique, memo = self.unique, self.apply_memo
+        children reduce to one; other nodes come from `node`."""
+        node, ranks, lows, highs = self.node, self.ranks, self.lows, self.highs
+        memo = self.apply_memo
         absorbing, neutral = (TRUE, FALSE) if op == "or" else (FALSE, TRUE)
         out: list[int] = []
         stack = [(f, g, _EXPAND)]
@@ -90,16 +102,7 @@ class _Store:
             if top != _EXPAND:
                 high = out.pop()
                 low = out.pop()
-                if low == high:
-                    r = low
-                else:
-                    key = (top, low, high)
-                    r = unique.get(key)
-                    if r is None:
-                        r = unique[key] = len(ranks)
-                        ranks.append(top)
-                        lows.append(low)
-                        highs.append(high)
+                r = low if low == high else node(top, low, high)
                 memo[(op, f, g)] = r
                 out.append(r)
                 continue
@@ -198,8 +201,8 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     the order, apply copies f once, with acc below it. The apply memo lives
     for the whole compile, so a tail of late-ranked actions that several
     operands share is combined with the accumulator once. An operand that
-    is a single variable ranked above acc's root is not applied: the node
-    apply would make is hash-consed inline, as is each basic action's. A
+    is a single variable ranked above acc's root is not applied: the one
+    node apply would make is made directly, as is each basic action's. A
     left-deep chain of n binary AND gates makes 2n+1 nodes, where pairing
     the children made about n^2/2."""
     if classify(t).dynamics is Dynamics.DYNAMIC:
@@ -209,8 +212,8 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     elif set(order.bas) != set(bas_of(t)):
         raise OrderMismatch("order must cover exactly the model's basic actions")
     store = _Store()
-    ranks, lows, highs, unique = store.ranks, store.lows, store.highs, store.unique
-    apply, rank_of = store.apply, order._rank
+    ranks, lows, highs = store.ranks, store.lows, store.highs
+    node, apply, rank_of = store.node, store.apply, order._rank
     types, children = t.types, t.children
     and_type = NodeType.AND
     # a gate with one parent, of its own type, hands its operands up to it
@@ -225,14 +228,8 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
     vals: list = [None] * len(types)
     for v in t.postorder:
         kids = children[v]
-        if not kids:  # a basic action: its variable's node, made inline
-            key = (rank_of[v], FALSE, TRUE)
-            if key not in unique:
-                unique[key] = len(ranks)
-                ranks.append(key[0])
-                lows.append(FALSE)
-                highs.append(TRUE)
-            vals[v] = unique[key]
+        if not kids:  # a basic action: its variable's node
+            vals[v] = node(rank_of[v], FALSE, TRUE)
             continue
         lists = [c for c in kids if up[c]]
         if lists:
@@ -258,15 +255,8 @@ def from_structure_function(t: AttackTree, order: Optional[VarOrder] = None) -> 
             r = ranks[f]
             if r < ranks[acc] and lows[f] == FALSE and highs[f] == TRUE:
                 # f is one variable above acc: f op acc is the single node
-                # apply would make, hash-consed here; its ranks increase
-                key = (r, FALSE, acc) if conj else (r, acc, TRUE)
-                found = unique.get(key)
-                if found is None:
-                    found = unique[key] = len(ranks)
-                    ranks.append(r)
-                    lows.append(key[1])
-                    highs.append(key[2])
-                acc = found
+                # apply would make; its ranks increase
+                acc = node(r, FALSE, acc) if conj else node(r, acc, TRUE)
             else:
                 acc = apply("and" if conj else "or", f, acc)
         vals[v] = acc
@@ -291,21 +281,12 @@ def minimise(b: Bdd) -> Bdd:
     all-false and the empty path survives it without a walk to find out.
     """
     store = b.store
-    ranks, lows, highs, unique = store.ranks, store.lows, store.highs, store.unique
+    node, ranks, lows, highs = store.node, store.ranks, store.lows, store.highs
     without_memo: dict[tuple[int, int], int] = {}
 
     def mk_path(rank: int, low: int, high: int) -> int:
-        """Hash-cons a node under the path rule, inline like `_Store.apply`."""
-        if high == FALSE:
-            return low  # a node whose high side died adds no paths
-        key = (rank, low, high)
-        nid = unique.get(key)
-        if nid is None:
-            nid = unique[key] = len(ranks)
-            ranks.append(rank)
-            lows.append(low)
-            highs.append(high)
-        return nid
+        """A node under the path rule: one whose high side died adds no paths."""
+        return low if high == FALSE else node(rank, low, high)
 
     def without(m: int, g: int) -> int:
         """Drop the TRUE-paths of m whose positive set satisfies g; runs on

@@ -95,10 +95,11 @@ class AttributeDomain(Record):
     or_op is the fold across alternative attacks, and_op the fold within an
     attack, seq_op the fold along a sequential chain (dynamic models only;
     None when sequential composition is undefined for this domain). laws,
-    any iterable, is kept as the frozenset of the laws of LAWS that the
-    operators satisfy; a seq-* law needs a seq_op, and and-is-plus a sense,
-    "min" or "max" (else None), by which k-top ranks attacks. Every field
-    is compared, in the order of the constructor's parameters.
+    any iterable of law names but a string, is kept as the frozenset of the
+    laws of LAWS that the operators satisfy; a seq-* law needs a seq_op,
+    and and-is-plus a sense, "min" or "max" (else None), by which k-top
+    ranks attacks. Every field is compared, in the order of the
+    constructor's parameters.
     """
 
     _compared = ("name", "kind", "or_op", "and_op", "seq_op", "laws", "sense", "components")
@@ -107,6 +108,9 @@ class AttributeDomain(Record):
                  seq_op: Optional[Callable] = None, laws: Iterable[str] = frozenset(),
                  sense: Optional[str] = None,  # "min" | "max": what or_op optimises
                  components: Optional[tuple[AttributeDomain, ...]] = None):  # pareto only
+        if isinstance(laws, str):  # else read as its characters
+            raise InvalidDomain(f"{name}: laws {laws!r} is one string; "
+                                "give a collection of law names")
         laws = frozenset(laws)
         for law in sorted(laws):
             if law not in LAWS:

@@ -203,8 +203,8 @@ def pairwise_prune(front: frozenset, directions: Sequence[str]) -> frozenset:
 
 
 def node(store: _Store, rank: int, low: int, high: int) -> int:
-    """Hash-cons a raw node into a diagram store, as the package's makers do
-    inline; callers enforce their own reduction rule."""
+    """Hash-cons a raw node into a diagram store, as `_Store.node` does;
+    callers enforce their own reduction rule."""
     key = (rank, low, high)
     found = store.unique.get(key)
     if found is not None:

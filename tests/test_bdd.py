@@ -539,6 +539,58 @@ def test_single_variable_operands_make_the_nodes_apply_makes(monkeypatch):
         assert calls == [] and b.node_count() == 4
 
 
+
+def interleaving(n):
+    """OR(S, g_0 ... g_n-1), S = AND(x_0 ... x_n-1, z) and g_i = AND(x_i, y_i):
+    the default order ranks every x above every y, so the compiled diagram
+    is exponential in n while the minimised one is linear."""
+    defs = [(f"{v}{i}", NodeType.BAS, []) for i in range(n) for v in "xy"]
+    defs.append(("z", NodeType.BAS, []))
+    defs.append(("S", NodeType.AND, [f"x{i}" for i in range(n)] + ["z"]))
+    defs += [(f"g{i}", NodeType.AND, [f"x{i}", f"y{i}"]) for i in range(n)]
+    defs.append(("root", NodeType.OR, ["S"] + [f"g{i}" for i in range(n)]))
+    return build(defs, "root")
+
+
+def test_every_node_is_made_by_the_store_node_constructor(monkeypatch):
+    # `_Store.node` is the store's one writer: the ids it hands out as new
+    # are every id past the terminals, in order, and each node is in the
+    # unique table once
+    made = []
+    store_node = _Store.node
+
+    def recording(store, rank, low, high):
+        size = len(store.ranks)
+        nid = store_node(store, rank, low, high)
+        if nid >= size:
+            made.append(nid)
+        return nid
+
+    monkeypatch.setattr(_Store, "node", recording)
+
+    def compile_and_minimise(t, order=None):
+        made.clear()
+        b = from_structure_function(t, order)
+        m = minimise(b)
+        s = b.store
+        assert made == list(range(2, len(s.ranks)))
+        assert len(s.unique) == len(s.ranks) - 2 == len(s.lows) - 2 == len(s.highs) - 2
+        return b, m
+
+    rng = random.Random(31)
+    t = ladder(300)
+    runs = [(t, None), (t, VarOrder(bas_of(t)[::-1]))]
+    runs += [(rand_dag(rng, 9), None) for _ in range(50)]
+    runs += [(static_projection(parse_model(p.read_text(encoding="utf-8")).tree), None)
+             for p in sorted(MODELS.glob("*.at"))]
+    for t, order in runs:
+        compile_and_minimise(t, order)
+    # the counts a node budget on this family would bound
+    for n in range(3, 11):
+        b, m = compile_and_minimise(interleaving(n))
+        assert (b.node_count(), m.node_count()) == (2 ** (n + 1) - 1, 3 * n), n
+
+
 NESTED_MODEL = """toplevel "r";
 "r" and "s" "c" "t";
 "s" and "a" "u";

@@ -108,6 +108,12 @@ def test_a_domain_refuses_laws_it_cannot_declare():
     # k-top ranks by the sense, so addition alone is not enough to go on
     with pytest.raises(InvalidDomain, match="^plus: law 'and-is-plus' needs a sense$"):
         AttributeDomain("plus", ValueKind.NATURAL, nat_add, nat_add, laws={"and-is-plus"})
+    # a string is refused whole: its characters are no laws, and a sense
+    # passed in laws' place would read as the laws 'm', 'i' and 'n'
+    for laws in ("and-over-or", "min", ""):
+        one_string = f"^plus: laws '{laws}' is one string; give a collection of law names$"
+        with pytest.raises(InvalidDomain, match=one_string):
+            AttributeDomain("plus", ValueKind.NATURAL, min, nat_add, None, laws)
     # any iterable of law names is kept as a frozenset
     sensed = AttributeDomain("plus", ValueKind.NATURAL, nat_add, nat_add, laws=["and-is-plus"],
                              sense="min")

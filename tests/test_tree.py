@@ -178,7 +178,6 @@ def test_exports_resolve_and_leave_out_the_removed_names():
         assert not any(hasattr(module, name) for name in names)
     assert not any(hasattr(tree.AttackTree, name) for name in ("nodes", "node"))
     assert not any(hasattr(bdd.Bdd, name) for name in ("evaluate", "canonical"))
-    assert not hasattr(bdd._Store, "node")
     assert not any(hasattr(bdd.VarOrder, name) for name in ("rank_of", "bas_at"))
     flags = ("is_semiring", "is_semiring_dynamic", "ktop_mode", "directions", "seq_equals_and")
     assert not any(hasattr(atquant.builtin("min-cost"), name) for name in flags)
