@@ -1,11 +1,12 @@
 """Metric computation: efficient algorithms plus the dispatcher.
 
-One table, `_ROUTES`, holds the routing rule: which structure classes each
-algorithm serves, and for each class the law sets (of domains.LAWS) of
-which a domain must declare one for the algorithm to be exact there. The
-auto route, the one check every engine makes (`_check`), the explicit
-algorithm choices of `analyze` and of the CLI, and the differential
-harness all read it, so a new route is one entry.
+One table, `_ROUTES`, holds the routing rule: each algorithm's engine, the
+structure classes it serves, and for each class the law sets (of
+domains.LAWS) of which a domain must declare one for it to be exact there.
+The definitional oracle is its last metric row, exact everywhere. The auto
+route, the one check every engine makes (`_check`), `analyze`, the CLI's
+algorithm choices and the differential harness all read it, so a new
+route is one entry.
 
 The fold over a decision diagram is the or_op over its root-to-TRUE paths
 of the and_op of the values of the path's high-edge variables, and the law
@@ -25,7 +26,7 @@ variable value x holds x when its high child is TRUE, else and_op of the
 high child's value and x, joined by or_op to its low child's value unless
 that child is FALSE. No domain needs an identity element for it.
 
-The tree fold (`_fold`) and the diagram fold hold a domain's values as
+The tree fold (`bu`) and the diagram fold hold a domain's values as
 `_kernel` decides by its operators: scaled integers with INF as one
 integer cap (`_scaled_weights`, which k_top also sums), integer pairs, or
 the values themselves.
@@ -38,7 +39,7 @@ import math
 import time
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bdd import FALSE, STATIC_ONLY, TRUE, Bdd, VarOrder, from_structure_function, minimise
 from .domains import INF, AttributeDomain, ValueKind, nat_add
@@ -71,35 +72,62 @@ DYNAMIC_TREE = StructureKind(Shape.TREE, Dynamics.DYNAMIC)
 _SEMIRING = (({"and-over-or"},), NotSemiring, "is not a semiring")
 _ADDITIVE = (({"and-is-plus"},), UnsupportedDomainForKTop,
              "does not reduce to additive shortest paths")
+_ORACLE = ((set(),), None, "definitional oracle is exponential in the number of basic actions")
+_NO_ROUTE = ((set(),), None, "no efficient algorithm is known for dynamic models with shared "
+                             "subtrees; falling back to the exponential definitional oracle")
 
-# algorithm -> structure class it serves -> (the law sets of which a domain
-# must declare one for it to be exact there, the error and reason that
-# refuse any other domain); algorithms cheapest first
+
+class _Route(NamedTuple):
+    engine: Callable  # request -> (value, diagram folded or None, k-top witnesses or None)
+    cells: dict
+
+
+def _k_top(r: AnalysisRequest) -> tuple:
+    pairs, diagram = k_top_detailed(r.tree, r.alpha, r.domain, r.k, r.order)
+    return pairs[0][0], diagram, tuple(pairs)  # every model has a successful attack
+
+
+def _oracle(r: AnalysisRequest) -> tuple:
+    """The definitional oracle of the model's dynamics, once `_check` passes."""
+    _check("oracle", r.tree, r.alpha, r.domain)
+    dynamic = classify(r.tree).dynamics is Dynamics.DYNAMIC
+    oracle = oracle_metric_dynamic if dynamic else oracle_metric_static
+    return oracle(r.tree, r.alpha, r.domain, r.budget), None, None
+
+
+# algorithm -> (its engine, structure class it serves -> (the law sets of
+# which a domain must declare one for it to be exact there, the error and
+# reason that refuse any other domain)); rows cheapest first. The oracle is
+# exact in every domain, so its cells hold no error but the auto route's
+# warning; as it admits every request, only a k request reaches k-top.
 _ROUTES = {
-    "bu": {
+    "bu": _Route(lambda r: (bu(r.tree, r.alpha, r.domain), None, None), {
         STATIC_TREE: _SEMIRING,
         DYNAMIC_TREE: (({"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"},
                         {"and-over-or", "seq-is-and"}),
                        NotSemiringDynamic, "does not support bottom-up dynamic evaluation"),
-    },
-    "bdd": {STATIC_TREE: _SEMIRING, STATIC_DAG: _SEMIRING},
-    "ktop": {STATIC_TREE: _ADDITIVE, STATIC_DAG: _ADDITIVE},
+    }),
+    "bdd": _Route(lambda r: (*bu_bdd_detailed(r.tree, r.alpha, r.domain, r.order), None),
+                  {STATIC_TREE: _SEMIRING, STATIC_DAG: _SEMIRING}),
+    "oracle": _Route(_oracle, {STATIC_TREE: _ORACLE, STATIC_DAG: _ORACLE, DYNAMIC_TREE: _ORACLE,
+                               StructureKind(Shape.DAG, Dynamics.DYNAMIC): _NO_ROUTE}),
+    "ktop": _Route(_k_top, {STATIC_TREE: _ADDITIVE, STATIC_DAG: _ADDITIVE}),
 }
 
-# the routes a metric request may name
-ALGORITHMS = ("auto", *(a for a in _ROUTES if a != "ktop"), "oracle")
+# the routes a metric request may name: the rows up to the oracle
+ALGORITHMS = ("auto", *list(_ROUTES)[:list(_ROUTES).index("oracle") + 1])
 
 
 def _refusal(algorithm: str, kind: StructureKind, d: AttributeDomain) -> Optional[AtError]:
     """Why the algorithm cannot answer for a model of the class in the
     domain, or None: a class its row does not serve, then a domain whose
     laws that class's law sets do not cover."""
-    row = _ROUTES[algorithm]
-    if kind not in row:
-        if kind.dynamics not in {c.dynamics for c in row}:
+    cells = _ROUTES[algorithm].cells
+    if kind not in cells:
+        if kind.dynamics not in {c.dynamics for c in cells}:
             return DynamicTreeRejected(STATIC_ONLY)
         return DagRejected(f"{algorithm} is only sound on proper trees; shared nodes double-count")
-    law_sets, error, reason = row[kind]
+    law_sets, error, reason = cells[kind]
     if not any(laws <= d.laws for laws in law_sets):
         return error(f"domain {d.name} {reason}")
     return None
@@ -187,14 +215,6 @@ def _kernel(domain: AttributeDomain, values: list) -> tuple:
     return [functools.partial(functools.reduce, op) for op in ops], values, lambda v: v
 
 
-def _fold(t: AttackTree, alpha: dict, domain: AttributeDomain):
-    """Memoized bottom-up fold of `_kernel`'s held values, once `_check`
-    has passed the request for `bu`; the memoization is what makes it
-    naive on DAGs (a shared node contributes one value to every parent)."""
-    ops, held, back = _kernel(domain, list(map(alpha.__getitem__, t.bas)))
-    return back(fold(t, held, *ops))
-
-
 def bu(t: AttackTree, alpha: dict, domain: AttributeDomain):
     """Bottom-up metric on a proper tree, static or well-formed dynamic.
 
@@ -210,7 +230,8 @@ def bu(t: AttackTree, alpha: dict, domain: AttributeDomain):
     # no well-formedness check: `is_well_formed` answers True on every
     # proper tree, whose ordering edges all run left to right in leaf order
     _check("bu", t, alpha, domain)
-    return _fold(t, alpha, domain)
+    ops, held, back = _kernel(domain, list(map(alpha.__getitem__, t.bas)))
+    return back(fold(t, held, *ops))
 
 
 def _scaled_weights(values: list) -> tuple[int, int, list]:
@@ -376,7 +397,7 @@ class AnalysisRequest(NamedTuple):
     tree: AttackTree
     alpha: dict
     domain: AttributeDomain
-    algorithm: str = "auto"  # one of ALGORITHMS
+    algorithm: str = "auto"  # one of ALGORITHMS: auto, or a row up to the oracle
     k: Optional[int] = None
     order: Optional[VarOrder] = None
     budget: int = DEFAULT_BUDGET
@@ -396,63 +417,41 @@ class AnalysisResult(Record):
                              stats={} if stats is None else stats)
 
 
-_ORACLE_WARNING = "definitional oracle is exponential in the number of basic actions"
-_NO_ROUTE_WARNING = ("no efficient algorithm is known for dynamic models with shared "
-                     "subtrees; falling back to the exponential definitional oracle")
-
-
 def auto_route(kind: StructureKind, domain: AttributeDomain) -> tuple[str, Optional[str]]:
-    """(algorithm, warning): the first algorithm but k-top that serves the
-    class and is exact for the domain, else the oracle with a warning that
-    says why."""
-    served = [a for a, row in _ROUTES.items() if a != "ktop" and kind in row]
-    for algorithm in served:
-        if _refusal(algorithm, kind, domain) is None:
-            return algorithm, None
-    return "oracle", _ORACLE_WARNING if served else _NO_ROUTE_WARNING
+    """(algorithm, warning): the first row that admits the class and the
+    domain (see `_refusal`), and its cell's warning; only the cells of the
+    oracle, the first row to admit every request, hold one."""
+    algorithm = next(a for a in _ROUTES if _refusal(a, kind, domain) is None)
+    _, error, warning = _ROUTES[algorithm].cells[kind]
+    return algorithm, None if error else warning
 
 
 def analyze(req: AnalysisRequest) -> AnalysisResult:
     """Route a request to the cheapest sound algorithm and time it.
 
-    The auto route reads `_ROUTES` (see `auto_route`) and falls back to the
-    exhaustive oracle with a warning. Explicit algorithm choices are
-    honored or rejected, never silently downgraded. Each engine checks the
-    request itself (see `_check`); the oracle's values are checked here.
+    The auto route reads `_ROUTES` (see `auto_route`), the oracle its last
+    metric row, with a warning; a k request takes the `ktop` row. Explicit
+    algorithm choices are honored or rejected, never silently downgraded.
+    Each engine checks the request itself (see `_check`).
     """
     started = time.perf_counter()
-    t, domain, alpha = req.tree, req.domain, req.alpha
-    warning = witnesses = None
-    stats: dict = {"nodes": len(t)}
-
+    algorithm, warning = req.algorithm, None
     if req.k is not None:
-        if req.algorithm != "auto":
-            raise InvalidRequest(f"k-top has no algorithm choice, got {req.algorithm!r}")
-        pairs, diagram = k_top_detailed(t, alpha, domain, req.k, req.order)
-        value: object = pairs[0][0]  # every model has a successful attack
-        witnesses = tuple(pairs)
+        if algorithm != "auto":
+            raise InvalidRequest(f"k-top has no algorithm choice, got {algorithm!r}")
         algorithm = "ktop"
-        stats["bdd_nodes"] = diagram.node_count()
-    else:
-        algorithm = req.algorithm
-        if algorithm == "auto":
-            algorithm, warning = auto_route(classify(t), domain)
-        if algorithm == "bu":
-            value = bu(t, alpha, domain)
-        elif algorithm == "bdd":
-            value, diagram = bu_bdd_detailed(t, alpha, domain, req.order)
-            stats["bdd_nodes"] = diagram.node_count()
-        elif algorithm == "oracle":
-            validate_attribution(t, alpha, domain)
-            dynamic = classify(t).dynamics is Dynamics.DYNAMIC
-            oracle = oracle_metric_dynamic if dynamic else oracle_metric_static
-            value = oracle(t, alpha, domain, req.budget)
-        else:
-            raise InvalidRequest(f"unknown algorithm {algorithm!r}")
+    elif algorithm == "auto":
+        algorithm, warning = auto_route(classify(req.tree), req.domain)
+    elif algorithm not in ALGORITHMS:
+        raise InvalidRequest(f"unknown algorithm {algorithm!r}")
+    value, diagram, witnesses = _ROUTES[algorithm].engine(req)
 
+    stats: dict = {"nodes": len(req.tree)}
+    if diagram is not None:
+        stats["bdd_nodes"] = diagram.node_count()
     stats["millis"] = int((time.perf_counter() - started) * 1000)
     return AnalysisResult(
-        metric=domain.name,
+        metric=req.domain.name,
         value=value,
         algorithm=algorithm,
         warnings=() if warning is None else (warning,),

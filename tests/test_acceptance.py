@@ -86,10 +86,12 @@ def timed(fn, *args, **kwargs):
 # Every random model of every structure class, in every domain, goes through
 # every algorithm of the table `analysis._ROUTES`. Its engine must give the
 # oracle's value where `_refusal` finds the class served and the domain
-# exact, and raise exactly that refusal elsewhere. `auto_route` must name
-# the first algorithm but k-top that serves the class and is exact for the
-# domain, and `analyze` must take that route and give the oracle's value, or
-# its error where the oracle refuses.
+# exact, and raise exactly that refusal elsewhere; the oracle's row, through
+# `analyze`, must give the definitional oracle's value or error. `auto_route`
+# must name the first algorithm but the oracle and k-top that serves the
+# class and is exact for the domain, else the oracle with a warning, and
+# `analyze` must take that route and give the oracle's value, or its error
+# where the oracle refuses.
 
 DYNAMIC_DAG = StructureKind(Shape.DAG, Dynamics.DYNAMIC)
 
@@ -102,6 +104,8 @@ ENGINES = {
     "bu": (False, lambda t, a, d, order: bu(t, a, d)),
     "bdd": (True, bu_bdd),
     "ktop": (False, lambda t, a, d, order: k_top(t, a, d, 1, order)[0][0]),
+    "oracle": (False, lambda t, a, d, order:
+               analyze(AnalysisRequest(t, a, d, algorithm="oracle")).value),
 }
 
 
@@ -186,7 +190,8 @@ def _check_cells(t, rng, domains, rep) -> None:
                 what = f"{engine} under order {i}" if i else engine
                 cell(d, what, _outcome(run, t, a, d, order), expected)
         algorithm, warning = auto_route(kind, d)
-        fast = [name for name in _ROUTES if name != "ktop" and refusals[name] is None]
+        fast = [name for name in _ROUTES
+                if name not in ("oracle", "ktop") and refusals[name] is None]
         cell(d, "auto_route", (algorithm, warning is None),
              (fast[0], True) if fast else ("oracle", False))
         res = _outcome(analyze, AnalysisRequest(t, a, d))

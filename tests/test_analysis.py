@@ -26,7 +26,7 @@ from atquant import (
     structure_function,
     total_probability_tree,
 )
-from atquant.analysis import bu_bdd_detailed, validate_attribution
+from atquant.analysis import ALGORITHMS, bu_bdd_detailed, validate_attribution
 from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise
 from atquant.domains import (
     BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, render_value,
@@ -740,8 +740,11 @@ def test_analyze_routing_matrix():
     t = treasure()
     a = alpha(t, {"n": 1, "t": 100, "p": 0})
     assert analyze(AnalysisRequest(t, a, mc)).algorithm == "bu"
-    res = analyze(AnalysisRequest(t, alpha(t, {"n": 1, "t": 2, "p": 3}), ctd))
-    assert res.algorithm == "oracle" and res.warnings
+    at = alpha(t, {"n": 1, "t": 2, "p": 3})
+    res = analyze(AnalysisRequest(t, at, ctd))
+    assert res.algorithm == "oracle"
+    assert res.warnings == ("definitional oracle is exponential in the number of basic actions",)
+    assert analyze(AnalysisRequest(t, at, ctd, algorithm="oracle")).warnings == ()
 
     f = overlap()
     af = alpha(f, {"a": 3, "b": 1, "c": 4})
@@ -767,8 +770,10 @@ def test_analyze_routing_matrix():
     ad = alpha(d, {"ff": 3, "w": 15, "cc": 1})
     res = analyze(AnalysisRequest(d, ad, builtin("min-time-par")))
     assert res.algorithm == "oracle"
-    assert any("shared subtrees" in w for w in res.warnings)
+    assert res.warnings == ("no efficient algorithm is known for dynamic models with shared "
+                            "subtrees; falling back to the exponential definitional oracle",)
     assert res.value == 15
+    assert analyze(AnalysisRequest(d, ad, builtin("min-time-par"), "oracle")).warnings == ()
 
 
 def test_analyze_never_runs_the_tree_fold_on_dags():
@@ -795,6 +800,11 @@ def test_analyze_honors_and_rejects_explicit_choices():
         analyze(AnalysisRequest(f, a, mc, algorithm="bu"))
     with pytest.raises(ValueError):
         analyze(AnalysisRequest(f, a, mc, algorithm="quantum"))
+    # k-top is a route only for a k request: a metric request may not name
+    # it, and the CLI's --algorithm choices stop at the oracle
+    with pytest.raises(InvalidRequest, match="unknown algorithm 'ktop'"):
+        analyze(AnalysisRequest(f, a, mc, algorithm="ktop"))
+    assert ALGORITHMS == ("auto", "bu", "bdd", "oracle")
 
 
 MODELS = Path(__file__).resolve().parent.parent / "models"

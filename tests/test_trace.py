@@ -31,7 +31,10 @@ def test_tracer_installs_spans_and_uninstalls(capsys):
         assert main(["ktop", "models/overlap.at", "--domain", "min-cost",
                      "--attribution", "cost", "--k", "2"]) == 0
         assert main(["check", "models/exploit.at"]) == 0
-        # a dynamic DAG goes to the oracle, which the route looks up at call time
+        # a static DAG in a non-semiring and a dynamic DAG go to the oracle,
+        # which the route looks up at call time
+        assert main(["metric", "models/overlap.at", "--domain", "cost-to-defend",
+                     "--attribution", "cost"]) == 0
         assert main(["metric", "models/exploit.at", "--domain", "min-time-par",
                      "--attribution", "time"]) == 0
         tracer.settle()
@@ -45,5 +48,6 @@ def test_tracer_installs_spans_and_uninstalls(capsys):
     assert {"io.parse", "io.emit", "tree.classify", "analysis.validate", "analysis.analyze",
             "bdd.compile", "bdd.minimise", "semantics.well_formed", "semantics.oracle"} <= names
     assert tracer.counts["analysis.route.bdd"] == tracer.counts["analysis.route.ktop"] == 1
-    assert tracer.counts["analysis.route.oracle"] == 1
+    assert tracer.counts["analysis.route.oracle"] == 2
+    assert sum(span[1] == "semantics.oracle" for span in tracer.spans) == 2
     assert tracer.counts["bdd.reachable_nodes"] > 0
