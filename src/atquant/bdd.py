@@ -14,10 +14,9 @@ operand that is one variable ranked above the accumulator needs no apply:
 f op acc is then a single node, (x, FALSE, acc) for AND and (x, acc, TRUE)
 for OR, made directly, so a gate over basic actions is built as its chain.
 
-`apply` and `minimise`'s `without` run on explicit work stacks, in the
-style of Brace, Rudell and Bryant (DAC 1990), and no function here calls
-itself, so a diagram's depth is not bounded by the interpreter's recursion
-limit. Every node is made by `_Store.node`, one find-or-add on the unique
+`apply` and `minimise` run on explicit work stacks, in the style of Brace,
+Rudell and Bryant (DAC 1990), and no function here calls itself, so a
+diagram's depth is not bounded by the interpreter's recursion limit. Every node is made by `_Store.node`, one find-or-add on the unique
 table: a (rank, low, high) triple already there is reused, and a new one
 takes the next id. Each caller applies its own reduction rule first.
 `Bdd.postorder` walks the store's child arrays itself. On top of the plain
@@ -43,7 +42,7 @@ FALSE = 0
 TRUE = 1
 # Rank slot marker on the work stacks of `apply` and `minimise`: _EXPAND is
 # a pair still to be solved, and a real rank makes that node once both halves
-# are done.
+# are done. In `minimise`'s g slot it marks a make step for an input node.
 _EXPAND = -1
 
 
@@ -273,32 +272,42 @@ def minimise(b: Bdd) -> Bdd:
     original sub-diagram f0, a monotone function we can evaluate on each
     candidate path; subtracting against the transformed low branch would
     test membership in a path family instead, which is a different (wrong)
-    predicate. Node construction drops FALSE high children, so afterwards
-    no high edge reaches FALSE. In a monotone input no low edge reaches
-    TRUE (f0 = TRUE would force f1 = f0 and the node away), so the pass
-    refuses a node with one when it reaches it (InvalidBdd). Every g the
+    predicate. One loop over `b.postorder` runs every subtraction on one
+    work stack, low side first like `_Store.apply`, with one memo. Nodes are
+    made under the path rule, which drops FALSE high children, so no high
+    edge reaches FALSE. In a monotone input no low edge reaches TRUE
+    (f0 = TRUE would force f1 = f0 and the node away), so the pass refuses
+    a node with one when it reaches it (InvalidBdd). Every g the
     subtraction meets has been checked by then, so g reads FALSE at
     all-false and the empty path survives it without a walk to find out.
     """
     store = b.store
     node, ranks, lows, highs = store.node, store.ranks, store.lows, store.highs
-    without_memo: dict[tuple[int, int], int] = {}
-
-    def mk_path(rank: int, low: int, high: int) -> int:
-        """A node under the path rule: one whose high side died adds no paths."""
-        return low if high == FALSE else node(rank, low, high)
-
-    def without(m: int, g: int) -> int:
-        """Drop the TRUE-paths of m whose positive set satisfies g; runs on
-        an explicit stack, low side first, like `_Store.apply`."""
-        out: list[int] = []
-        stack = [(m, g, _EXPAND)]
+    minsol: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+    # memo[(m, g)]: the TRUE-paths of m whose positive set does not satisfy g
+    memo: dict[tuple[int, int], int] = {}
+    out: list[int] = []
+    stack: list[tuple[int, int, int]] = []
+    # children before parents and the low side first; this order fixes the
+    # ids of the nodes made
+    for f in b.postorder:
+        if f < 2:
+            continue
+        f0 = lows[f]
+        if f0 == TRUE:
+            # f reads TRUE at all-false without being TRUE
+            raise InvalidBdd("minimise input was not monotone")
+        # f's make step (g slot _EXPAND) waits, low side on `out`, for minsol[f1] without f0
+        out.append(minsol[f0])
+        stack += ((f, _EXPAND, ranks[f]), (minsol[highs[f]], f0, _EXPAND))
         while stack:
             m, g, rank = stack.pop()
             if rank != _EXPAND:
-                high = out.pop()
-                r = mk_path(rank, out.pop(), high)
-                without_memo[(m, g)] = r
+                # the path rule: a node whose high side died adds no paths
+                high, low = out.pop(), out.pop()
+                r = low if high == FALSE else node(rank, low, high)
+                if g != _EXPAND:
+                    memo[(m, g)] = r
                 out.append(r)
                 continue
             if m >= 2 and g >= 2 and ranks[g] < ranks[m]:
@@ -313,7 +322,7 @@ def minimise(b: Bdd) -> Bdd:
                 # checked, so reads FALSE at all-false
                 out.append(m)
                 continue
-            found = without_memo.get((m, g))
+            found = memo.get((m, g))
             if found is not None:
                 out.append(found)
                 continue
@@ -322,16 +331,5 @@ def minimise(b: Bdd) -> Bdd:
                 stack += ((m, g, rm), (highs[m], g, _EXPAND), (lows[m], g, _EXPAND))
             else:
                 stack += ((m, g, rm), (highs[m], highs[g], _EXPAND), (lows[m], lows[g], _EXPAND))
-        return out[0]
-
-    # minimal solutions of each node, children before parents and the low
-    # side first; this order fixes the ids of the nodes it creates
-    minsol: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
-    for f in b.postorder:
-        if f >= 2:
-            f0, f1 = lows[f], highs[f]
-            if f0 == TRUE:
-                # f reads TRUE at all-false without being TRUE
-                raise InvalidBdd("minimise input was not monotone")
-            minsol[f] = mk_path(ranks[f], minsol[f0], without(minsol[f1], f0))
+        minsol[f] = out.pop()
     return Bdd(store, b.order, minsol[b.root])

@@ -13,7 +13,6 @@ so a tracer may swap them.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from types import SimpleNamespace
@@ -22,7 +21,8 @@ from .analysis import ALGORITHMS, DEFAULT_BUDGET, AnalysisRequest, analyze
 from .bdd import VarOrder, from_structure_function, minimise
 from .domains import ValueKind, builtin
 from .errors import AtError, BudgetExceeded
-from .io import collector_paused, emit_dot, emit_dot_bdd, emit_model, emit_result, parse_model
+from .io import (collector_paused, emit_dot, emit_dot_bdd, emit_json, emit_model, emit_result,
+                 parse_model)
 from .semantics import (
     is_well_formed,
     minimal_attacks_dynamic,
@@ -91,7 +91,7 @@ def cmd_check(args) -> int:
         doc = _load(args.model)
     except (AtError, OSError) as e:
         if args.format == "json":
-            _write(args, json.dumps({"valid": False, "error": str(e)}, indent=2) + "\n")
+            _write(args, emit_json({"valid": False, "error": str(e)}))
         else:
             print(f"invalid: {e}", file=sys.stderr)
         return 1
@@ -106,7 +106,7 @@ def cmd_check(args) -> int:
             "well_formed": well,
             "cycle": cycle_labels,
         }
-        _write(args, json.dumps(payload, indent=2) + "\n")
+        _write(args, emit_json(payload))
     else:
         line = f"{_shape_text(kind)}, {kind.dynamics.value}"
         if kind.dynamics is Dynamics.DYNAMIC:
@@ -138,7 +138,7 @@ def cmd_semantics(args) -> int:
         rows.append(row)
     if args.format == "json":
         payload = {"kind": f"{_shape_text(kind)}, {kind.dynamics.value}", "attacks": rows}
-        _write(args, json.dumps(payload, indent=2) + "\n")
+        _write(args, emit_json(payload))
         return 0
     lines = []
     for row in rows:
@@ -153,7 +153,7 @@ def cmd_semantics(args) -> int:
 def cmd_metric(args) -> int:
     """metric and ktop: one analysis request; ktop sets k."""
     doc = _load(args.model)
-    domain = builtin(args.domain)
+    domain = builtin(args.domain, args.budget)
     alpha = _alpha(doc, domain, args.attribution)
     req = AnalysisRequest(
         doc.tree,
@@ -204,7 +204,8 @@ _COMMANDS = {
         ("--algorithm", ALGORITHMS, "auto", False,
          "engine; auto routes to the cheapest exact one"),
         ("--order", str, None, False, "declared variable order to use for BDDs"),
-        ("--budget", int, DEFAULT_BUDGET, False, "max BAS count for the oracle"),
+        ("--budget", int, DEFAULT_BUDGET, False,
+         "max BAS count for the oracle, and 2**budget points per pareto conjunction"),
     )),
     "ktop": (cmd_metric, "rank the k best attacks",
              {"algorithm": "auto", "budget": DEFAULT_BUDGET}, (

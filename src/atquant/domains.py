@@ -7,7 +7,9 @@ as no engine reads one: the tree fold combines children, and the diagram
 fold reads no terminal (see analysis). Scalar values are exact: python
 ints and fractions.Fraction, plus math.inf as INF, which orders above every
 one of them; only addition needs a guard (nat_add) to saturate at INF.
-Pareto fronts are frozensets of component tuples.
+Pareto fronts are frozensets of component tuples; a product's
+conjunction refuses to build more than 2**budget points, through the
+oracle's own guard, check_budget.
 
 A domain declares, in `laws`, which laws of the vocabulary LAWS its
 operators satisfy: and-over-or (and_op distributes over or_op: a
@@ -38,7 +40,7 @@ from operator import itemgetter, mul
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
+from .errors import BadAttributeValue, BudgetExceeded, EmptyProduct, InvalidDomain, UnknownDomain
 from .record import Record
 
 
@@ -199,15 +201,28 @@ def pareto_prune(front: frozenset, directions: Sequence[str]) -> frozenset:
     return frozenset(kept)
 
 
-def builtin(name: str) -> AttributeDomain:
-    """Look up a builtin domain by name; pareto(a,b,...) builds a product."""
+# the basic actions the oracle enumerates unless told otherwise
+DEFAULT_BUDGET = 20
+
+
+def check_budget(size: int, budget: int, message: str) -> None:
+    """Refuse exponential work: raise BudgetExceeded(message) when `size`,
+    the rows or points about to be built, is past 2**budget, the rows of
+    the oracle's truth table at `budget` basic actions."""
+    if size > 2 ** budget:
+        raise BudgetExceeded(message)
+
+
+def builtin(name: str, budget: int = DEFAULT_BUDGET) -> AttributeDomain:
+    """Look up a builtin domain by name; pareto(a,b,...) builds a product
+    whose conjunctions refuse past `budget` (see `pareto_product`)."""
     m = re.fullmatch(r"pareto\((.*)\)", name.strip())
     if m:
         if "pareto(" in m.group(1):
             raise EmptyProduct("pareto products do not nest")
         # only pareto() is empty: a blank name between commas is an unknown domain
         parts = [p.strip() for p in m.group(1).split(",")] if m.group(1).strip() else []
-        return pareto_product([builtin(p) for p in parts])
+        return pareto_product([builtin(p) for p in parts], budget)
     try:
         return _BUILTINS[name.strip()]
     except KeyError:
@@ -215,11 +230,14 @@ def builtin(name: str) -> AttributeDomain:
         raise UnknownDomain(f"unknown domain {name!r}; builtins: {known}, pareto(...)") from None
 
 
-def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
+def pareto_product(
+    components: Sequence[AttributeDomain], budget: int = DEFAULT_BUDGET
+) -> AttributeDomain:
     """Product domain over vectors of the component values.
 
     Disjunction is union-then-prune of fronts; conjunction combines fronts
-    pairwise with the componentwise conjunctive ops, then prunes; each
+    pairwise with the componentwise conjunctive ops, then prunes, and
+    refuses (BudgetExceeded) to build more than 2**budget points; each
     component's `sense` says which way it optimises. Sequential composition
     is left undefined (open problem for the dynamic case). The product
     declares and-over-or, and or-absorbs-and, when every component does; it
@@ -240,6 +258,8 @@ def pareto_product(components: Sequence[AttributeDomain]) -> AttributeDomain:
         return pareto_prune(f | g, directions)
 
     def and_op(f, g):
+        check_budget(len(f) * len(g), budget,
+                     f"a pareto conjunction of {len(f)} x {len(g)} points exceeds 2**{budget}")
         combined = frozenset(
             tuple(c.and_op(a, b) for c, a, b in zip(components, u, w)) for u in f for w in g
         )

@@ -574,6 +574,12 @@ def _value_text(v) -> str:
     return rendered
 
 
+def emit_json(payload: dict) -> str:
+    """A command's JSON output: indented, one trailing newline, and labels
+    written as they are, not as \\u escapes."""
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
 def emit_result(res: AnalysisResult, t: AttackTree, fmt: str = "json") -> str:
     """Result record as stable JSON or terse text.
 
@@ -584,7 +590,7 @@ def emit_result(res: AnalysisResult, t: AttackTree, fmt: str = "json") -> str:
     value = render_value(res.value)
     if fmt == "text":
         lines = []
-        if res.algorithm == "ktop":
+        if res.witnesses is not None:  # only k-top ranks witnesses
             for v, attack in res.witnesses:
                 labels = ",".join(sorted(t.label_of(b) for b in attack))
                 lines.append(f"{render_value(v)} {{{labels}}}")
@@ -610,7 +616,7 @@ def emit_result(res: AnalysisResult, t: AttackTree, fmt: str = "json") -> str:
             for v, attack in res.witnesses
         ]
     payload["stats"] = res.stats
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return emit_json(payload)
 
 
 def _dot_escape(label: str) -> str:

@@ -30,17 +30,15 @@ import operator
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
-    BudgetExceeded,
     DynamicTreeRejected,
     IllFormed,
     IncompatibleDomain,
     MissingAttribution,
 )
-from .domains import AttributeDomain
+from .domains import DEFAULT_BUDGET, AttributeDomain, check_budget
 from .tree import (AttackTree, Dynamics, NodeType, Shape, bas_of, classify, descendants,
                    find_cycle, fold, static_projection)
 
-DEFAULT_BUDGET = 20
 
 class PosetAttack(NamedTuple):
     """An attack set together with the execution order imposed on it.
@@ -98,8 +96,7 @@ def minimal_attacks_static(t: AttackTree, budget: int = DEFAULT_BUDGET) -> froze
         raise DynamicTreeRejected("minimal_attacks_static needs a static model; project first")
     bas = bas_of(t)
     n = len(bas)
-    if n > budget:
-        raise BudgetExceeded(f"{n} basic actions exceed the oracle budget of {budget}")
+    check_budget(2 ** n, budget, f"{n} basic actions exceed the oracle budget of {budget}")
     table, columns = _truth_table(t)
     redundant = 0
     for j, column in enumerate(columns):

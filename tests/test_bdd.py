@@ -568,11 +568,15 @@ def test_every_node_is_made_by_the_store_node_constructor(monkeypatch):
 
     monkeypatch.setattr(_Store, "node", recording)
 
+    sizes = []  # store sizes after compiling and after minimising
+
     def compile_and_minimise(t, order=None):
         made.clear()
         b = from_structure_function(t, order)
-        m = minimise(b)
         s = b.store
+        compiled = len(s.ranks)
+        m = minimise(b)
+        sizes.append((compiled, len(s.ranks)))
         assert made == list(range(2, len(s.ranks)))
         assert len(s.unique) == len(s.ranks) - 2 == len(s.lows) - 2 == len(s.highs) - 2
         return b, m
@@ -585,6 +589,12 @@ def test_every_node_is_made_by_the_store_node_constructor(monkeypatch):
              for p in sorted(MODELS.glob("*.at"))]
     for t, order in runs:
         compile_and_minimise(t, order)
+    # the sizes repeat exactly, so a change to which nodes are made fails:
+    # the ladder under both orders, draw 31 (the one draw whose minimised
+    # diagram adds nodes) and the models, blackout.at to treasure.at
+    assert sizes[:2] == [(1200, 1796)] * 2
+    assert sizes[2 + 31] == (18, 22)
+    assert sizes[52:] == [(17, 18), (7, 7), (12, 13), (8, 8), (7, 7), (5, 5), (8, 9), (7, 7)]
     # the counts a node budget on this family would bound
     for n in range(3, 11):
         b, m = compile_and_minimise(interleaving(n))

@@ -87,6 +87,29 @@ def test_check_rejects_broken_model(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_every_json_output_writes_labels_as_they_are(tmp_path, capsys):
+    # one JSON writer: a non-ASCII label is written as itself, "ä", never as "\u00e4"
+    model = tmp_path / "umlaut.at"
+    model.write_text('toplevel "r";\n"r" and "ä" "b";\n"ä" bas;\n"b" bas;\n'
+                     'attribution "cost" {\n  "ä" = 1;\n  "b" = 2;\n}\n', encoding="utf-8")
+    cross = Path(MODELS, "illformed_cross.at").read_text().replace('"b"', '"ä"')
+    (tmp_path / "cross.at").write_text(cross, encoding="utf-8")
+    (tmp_path / "broken.at").write_text('toplevel "r";\n"r" or "ä";\n', encoding="utf-8")
+    cost = ["--domain", "min-cost", "--attribution", "cost"]
+    for argv, code, label_in in [
+        (["check", "cross.at"], 2, "cycle"),
+        (["check", "broken.at"], 1, "error"),
+        (["semantics", "umlaut.at"], 0, "attacks"),
+        (["metric", "umlaut.at", *cost], 0, None),
+        (["ktop", "umlaut.at", *cost, "--k", "1"], 0, "witnesses"),
+    ]:
+        argv[1] = str(tmp_path / argv[1])
+        got, out, _ = run(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        assert got == code and out == atquant.io.emit_json(doc), argv
+        assert "\\u" not in out and (label_in is None or "ä" in str(doc[label_in])), argv
+
+
 _TWO_BLOCKS = ('toplevel "r";\n"r" and "a" "b";\n"a" bas;\n"b" bas;\n\n'
                'attribution "cost" {\n  "a" = 1;\n  "b" = 2;\n}\n\nattribution "prob" {\n')
 
@@ -435,6 +458,33 @@ def test_budget_flag(capsys, tmp_path):
 
     code, _, err = run(capsys, "semantics", str(wide), "--budget", "3")
     assert code == 1 and "--budget" in err
+
+
+def test_budget_bounds_pareto_conjunctions(capsys, tmp_path):
+    # AND(OR(a0..a_n-1), c): the conjunction combines an n-point front with
+    # c's one point, so --budget 2 answers at n = 4 and refuses at n = 5
+    def model(n):
+        leaves = [f'"a{i}"' for i in range(n)]
+        path = tmp_path / f"or{n}.at"
+        path.write_text(
+            'toplevel "r";\n"r" and "o" "c";\n"o" or ' + " ".join(leaves) + ";\n"
+            + "".join(f"{q} bas;\n" for q in leaves + ['"c"'])
+            + 'attribution "cost" {\n' + "".join(f"  {q} = {i};\n" for i, q in enumerate(leaves))
+            + '  "c" = 0;\n}\nattribution "damage" {\n'
+            + "".join(f"  {q} = {i};\n" for i, q in enumerate(leaves)) + '  "c" = 0;\n}\n'
+        )
+        return str(path)
+
+    argv = ["--domain", "pareto(min-cost,max-damage)", "--attribution", "cost,damage",
+            "--budget", "2"]
+    code, out, _ = run(capsys, "metric", model(4), *argv)
+    assert code == 0 and 'value: [["0", "0"], ["1", "1"], ["2", "2"], ["3", "3"]]\n' in out
+    code, out, err = run(capsys, "metric", model(5), *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: a pareto conjunction of 5 x 1 points exceeds 2**2; "
+                   "pass --budget to acknowledge the exponential cost\n")
+    code, _, _ = run(capsys, "metric", model(5), *argv[:-1], "3")
+    assert code == 0
 
 
 def test_dump_model_roundtrip(capsys):

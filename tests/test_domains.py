@@ -14,7 +14,9 @@ from atquant.domains import (
     nat_add,
     pareto_prune,
 )
-from atquant.errors import BadAttributeValue, EmptyProduct, InvalidDomain, UnknownDomain
+from atquant.errors import (
+    BadAttributeValue, BudgetExceeded, EmptyProduct, InvalidDomain, UnknownDomain,
+)
 
 from helpers import domain_with, law_triples, pairwise_prune
 
@@ -198,6 +200,28 @@ def test_dynamic_semiring_laws_cover_seq():
     report = check_semiring_laws(d, law_triples(d, 300, 3))
     for law in ("seq-over-and", "seq-over-or", "and-over-or"):
         assert report.result(law).holds
+
+
+def test_pareto_conjunction_builds_at_most_two_to_the_budget_points():
+    # a front of (i, i) points under (min, max) has no dominated point, so
+    # f and g make |f| * |g| combined points before the prune
+    def front(n):
+        return frozenset((i, i) for i in range(n))
+
+    for budget in (0, 3, 5):
+        d = pareto_product([builtin("min-cost"), builtin("max-damage")], budget)
+        at = 2 ** budget
+        assert d.and_op(front(at), front(1)) == front(at)
+        assert builtin("pareto(min-cost,max-damage)", budget).and_op(front(1), front(at)) == front(at)
+        with pytest.raises(BudgetExceeded, match=rf"^a pareto conjunction of {at + 1} x 1 points "
+                                                 rf"exceeds 2\*\*{budget}$"):
+            d.and_op(front(at + 1), front(1))
+    # by default, the oracle's budget of 20
+    d = builtin("pareto(min-cost,max-damage)")
+    assert d.and_op(front(2 ** 5), front(2 ** 5)) == front(2 ** 6 - 1)
+    with pytest.raises(BudgetExceeded, match=r"^a pareto conjunction of 1025 x 1024 points "
+                                             r"exceeds 2\*\*20$"):
+        d.and_op(front(2 ** 10 + 1), front(2 ** 10))
 
 
 def test_pareto_dominance_and_prune():
