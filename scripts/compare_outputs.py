@@ -24,6 +24,9 @@ the algorithms (`atquant.analysis.ALGORITHMS`) each side offers:
 - ktop with k 1 and 3 for every builtin domain x every attribution, under
   the default and each declared order, text and JSON, so the refusals of
   the domains k-top does not take are compared too;
+- ktop with k 0 for every builtin domain over the first attribution in
+  sorted order, so the order of the checks is compared: k first, then the
+  class, then the domain;
 - metric in min-cost over the first attribution in sorted order by the
   oracle with --budget 1, if the model declares one;
 - one request with every option spelled four more ways: `--flag=value`,
@@ -78,6 +81,8 @@ def battery(model: str, attributions, orders, domains, algorithms) -> list[list[
              "--format", fmt, *order]
             for domain in domains for name in attributions for k in ("1", "3")
             for order in [[]] + [["--order", o] for o in orders] for fmt in FORMATS]
+    out += [["ktop", model, "--domain", domain, "--attribution", name, "--k", "0"]
+            for domain in domains for name in attributions[:1]]
     out += [["metric", model, "--domain", "min-cost", "--attribution", name,
              "--algorithm", "oracle", "--budget", "1"] for name in attributions[:1]]
     if attributions:

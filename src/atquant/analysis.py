@@ -4,9 +4,10 @@ One table, `_ROUTES`, holds the routing rule: each algorithm's engine, the
 structure classes it serves, and for each class the law sets (of
 domains.LAWS) of which a domain must declare one for it to be exact there.
 The definitional oracle is its last metric row, exact everywhere. The auto
-route, the one check every engine makes (`_check`), `analyze`, the CLI's
-algorithm choices and the differential harness all read it, so a new
-route is one entry.
+route, `_run`, `analyze`, the CLI's algorithm choices and the differential
+harness all read it, so a new route is one entry. `_run` is the one entry
+to every engine, a plain function of an `AnalysisRequest`: it checks the
+request once, then runs the row's engine.
 
 The fold over a decision diagram is the or_op over its root-to-TRUE paths
 of the and_op of the values of the path's high-edge variables, and the law
@@ -41,7 +42,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Optional
 
-from .bdd import FALSE, STATIC_ONLY, TRUE, Bdd, VarOrder, from_structure_function, minimise
+from .bdd import FALSE, STATIC_ONLY, TRUE, VarOrder, from_structure_function, minimise
 from .domains import INF, AttributeDomain, ValueKind, nat_add
 from .errors import (
     AtError,
@@ -68,79 +69,6 @@ from .tree import AttackTree, Dynamics, Shape, StructureKind, bas_of, classify, 
 STATIC_TREE = StructureKind(Shape.TREE, Dynamics.STATIC)
 STATIC_DAG = StructureKind(Shape.DAG, Dynamics.STATIC)
 DYNAMIC_TREE = StructureKind(Shape.TREE, Dynamics.DYNAMIC)
-
-_SEMIRING = (({"and-over-or"},), NotSemiring, "is not a semiring")
-_ADDITIVE = (({"and-is-plus"},), UnsupportedDomainForKTop,
-             "does not reduce to additive shortest paths")
-_ORACLE = ((set(),), None, "definitional oracle is exponential in the number of basic actions")
-_NO_ROUTE = ((set(),), None, "no efficient algorithm is known for dynamic models with shared "
-                             "subtrees; falling back to the exponential definitional oracle")
-
-
-class _Route(NamedTuple):
-    engine: Callable  # request -> (value, diagram folded or None, k-top witnesses or None)
-    cells: dict
-
-
-def _k_top(r: AnalysisRequest) -> tuple:
-    pairs, diagram = k_top_detailed(r.tree, r.alpha, r.domain, r.k, r.order)
-    return pairs[0][0], diagram, tuple(pairs)  # every model has a successful attack
-
-
-def _oracle(r: AnalysisRequest) -> tuple:
-    """The definitional oracle of the model's dynamics, once `_check` passes."""
-    _check("oracle", r.tree, r.alpha, r.domain)
-    dynamic = classify(r.tree).dynamics is Dynamics.DYNAMIC
-    oracle = oracle_metric_dynamic if dynamic else oracle_metric_static
-    return oracle(r.tree, r.alpha, r.domain, r.budget), None, None
-
-
-# algorithm -> (its engine, structure class it serves -> (the law sets of
-# which a domain must declare one for it to be exact there, the error and
-# reason that refuse any other domain)); rows cheapest first. The oracle is
-# exact in every domain, so its cells hold no error but the auto route's
-# warning; as it admits every request, only a k request reaches k-top.
-_ROUTES = {
-    "bu": _Route(lambda r: (bu(r.tree, r.alpha, r.domain), None, None), {
-        STATIC_TREE: _SEMIRING,
-        DYNAMIC_TREE: (({"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"},
-                        {"and-over-or", "seq-is-and"}),
-                       NotSemiringDynamic, "does not support bottom-up dynamic evaluation"),
-    }),
-    "bdd": _Route(lambda r: (*bu_bdd_detailed(r.tree, r.alpha, r.domain, r.order), None),
-                  {STATIC_TREE: _SEMIRING, STATIC_DAG: _SEMIRING}),
-    "oracle": _Route(_oracle, {STATIC_TREE: _ORACLE, STATIC_DAG: _ORACLE, DYNAMIC_TREE: _ORACLE,
-                               StructureKind(Shape.DAG, Dynamics.DYNAMIC): _NO_ROUTE}),
-    "ktop": _Route(_k_top, {STATIC_TREE: _ADDITIVE, STATIC_DAG: _ADDITIVE}),
-}
-
-# the routes a metric request may name: the rows up to the oracle
-ALGORITHMS = ("auto", *list(_ROUTES)[:list(_ROUTES).index("oracle") + 1])
-
-
-def _refusal(algorithm: str, kind: StructureKind, d: AttributeDomain) -> Optional[AtError]:
-    """Why the algorithm cannot answer for a model of the class in the
-    domain, or None: a class its row does not serve, then a domain whose
-    laws that class's law sets do not cover."""
-    cells = _ROUTES[algorithm].cells
-    if kind not in cells:
-        if kind.dynamics not in {c.dynamics for c in cells}:
-            return DynamicTreeRejected(STATIC_ONLY)
-        return DagRejected(f"{algorithm} is only sound on proper trees; shared nodes double-count")
-    law_sets, error, reason = cells[kind]
-    if not any(laws <= d.laws for laws in law_sets):
-        return error(f"domain {d.name} {reason}")
-    return None
-
-
-def _check(algorithm: str, t: AttackTree, alpha: dict, domain: AttributeDomain) -> None:
-    """Raise why the algorithm cannot answer the request, the one check of
-    every engine: the class, then the domain (see `_refusal`), then the
-    values."""
-    refusal = _refusal(algorithm, classify(t), domain)
-    if refusal is not None:
-        raise refusal
-    validate_attribution(t, alpha, domain)
 
 
 def validate_attribution(t: AttackTree, alpha: dict, domain: AttributeDomain) -> None:
@@ -227,11 +155,14 @@ def bu(t: AttackTree, alpha: dict, domain: AttributeDomain):
     the conjunctive one's values: then this computes the static fold of
     the projection, and the oracle the flat fold of each attack.
     """
+    return _run("bu", AnalysisRequest(t, alpha, domain))[0]
+
+
+def _bu(r: AnalysisRequest) -> tuple:
     # no well-formedness check: `is_well_formed` answers True on every
     # proper tree, whose ordering edges all run left to right in leaf order
-    _check("bu", t, alpha, domain)
-    ops, held, back = _kernel(domain, list(map(alpha.__getitem__, t.bas)))
-    return back(fold(t, held, *ops))
+    ops, held, back = _kernel(r.domain, list(map(r.alpha.__getitem__, r.tree.bas)))
+    return back(fold(r.tree, held, *ops)), None, None
 
 
 def _scaled_weights(values: list) -> tuple[int, int, list]:
@@ -257,26 +188,6 @@ def _unscaled(w: int, scale: int, cap: int):
     return w if scale == 1 else Fraction(w, scale)
 
 
-def bu_bdd_detailed(
-    t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None
-) -> tuple[object, Bdd]:
-    """(metric, the diagram folded): see `bu_bdd`."""
-    _check("bdd", t, alpha, domain)
-    m = from_structure_function(t, order)
-    if "or-absorbs-and" not in domain.laws:
-        m = minimise(m)
-    (or_, and_, _), at_rank, back = _kernel(domain, list(map(alpha.__getitem__, m.order.bas)))
-    vals: dict[int, object] = {}
-    ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
-    for v in m.postorder:
-        if v >= 2:
-            x, lo, hi = at_rank[ranks[v]], lows[v], highs[v]
-            if hi != TRUE:
-                x = and_((vals[hi], x))
-            vals[v] = x if lo == FALSE else or_((vals[lo], x))
-    return back(vals[m.root]), m
-
-
 def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[VarOrder] = None):
     """Metric through a decision diagram of the structure function, exact
     on shared structures: the compiled one for a domain declaring
@@ -285,7 +196,23 @@ def bu_bdd(t: AttackTree, alpha: dict, domain: AttributeDomain, order: Optional[
     so the domain needs no identity element. The values are
     checked once the model and the domain pass: absorption only holds
     inside the domain's carrier."""
-    return bu_bdd_detailed(t, alpha, domain, order)[0]
+    return _run("bdd", AnalysisRequest(t, alpha, domain, order=order))[0]
+
+
+def _bdd(r: AnalysisRequest) -> tuple:
+    m = from_structure_function(r.tree, r.order)
+    if "or-absorbs-and" not in r.domain.laws:
+        m = minimise(m)
+    (or_, and_, _), at_rank, back = _kernel(r.domain, list(map(r.alpha.__getitem__, m.order.bas)))
+    vals: dict[int, object] = {}
+    ranks, lows, highs = m.store.ranks, m.store.lows, m.store.highs
+    for v in m.postorder:
+        if v >= 2:
+            x, lo, hi = at_rank[ranks[v]], lows[v], highs[v]
+            if hi != TRUE:
+                x = and_((vals[hi], x))
+            vals[v] = x if lo == FALSE else or_((vals[lo], x))
+    return back(vals[m.root]), m, None
 
 
 def k_top(
@@ -312,23 +239,14 @@ def k_top(
     INF weighs cap and is held there, so INF ties stay ties. The values
     are checked once k, the model and the domain pass.
     """
-    return k_top_detailed(t, alpha, domain, k, order)[0]
+    return list(_run("ktop", AnalysisRequest(t, alpha, domain, k=k, order=order))[2])
 
 
-def k_top_detailed(
-    t: AttackTree,
-    alpha: dict,
-    domain: AttributeDomain,
-    k: int,
-    order: Optional[VarOrder] = None,
-) -> tuple[list, Bdd]:
-    if k < 1:
-        raise InvalidRequest("k must be at least 1")
-    _check("ktop", t, alpha, domain)
-    m = minimise(from_structure_function(t, order))
+def _k_top(r: AnalysisRequest) -> tuple:
+    m = minimise(from_structure_function(r.tree, r.order))
     ranks, lows, highs, bas_at = m.store.ranks, m.store.lows, m.store.highs, m.order.bas
     # edge weights; cap is the weight of every path through an INF
-    scale, cap, weight = _scaled_weights(list(map(alpha.__getitem__, bas_at)))
+    scale, cap, weight = _scaled_weights(list(map(r.alpha.__getitem__, bas_at)))
     # a path is (weight, attack), an attack nested (bas, rest) pairs; a
     # node's lists are dropped once its last parent has read them. The lex
     # lists are read only under an infinite weight, so kept only if one is.
@@ -341,15 +259,16 @@ def k_top_detailed(
         if v >= 2:
             parents[lows[v]] += 1
             parents[highs[v]] += 1
+    k, descending = r.k, r.domain.sense == "max"
     for v in m.postorder:
         if v >= 2:
-            lo, hi, r = lows[v], highs[v], ranks[v]
-            bas, a = bas_at[r], weight[r]
+            lo, hi, rank = lows[v], highs[v], ranks[v]
+            bas, a = bas_at[rank], weight[rank]
             if a == cap:
                 up = [(a, (bas, rest)) for rest in lex[hi]]
             else:  # a path held at cap stays there, so INF ties stay ties
                 up = [(w if w == cap else w + a, (bas, rest)) for w, rest in best[hi]]
-            best[v] = sorted(best[lo] + up, key=itemgetter(0), reverse=domain.sense == "max")[:k]
+            best[v] = sorted(best[lo] + up, key=itemgetter(0), reverse=descending)[:k]
             if lex is not None:
                 lex[v] = (lex[lo] + [(bas, rest) for rest in lex[hi]])[:k]
             for c in (lo, hi):
@@ -366,7 +285,78 @@ def k_top_detailed(
             b, attack = attack
             taken.append(b)
         out.append((_unscaled(w, scale, cap), frozenset(taken)))
-    return out, m
+    return out[0][0], m, tuple(out)  # every model has a successful attack
+
+
+def _oracle(r: AnalysisRequest) -> tuple:
+    """The definitional oracle of the model's dynamics."""
+    dynamic = classify(r.tree).dynamics is Dynamics.DYNAMIC
+    oracle = oracle_metric_dynamic if dynamic else oracle_metric_static
+    return oracle(r.tree, r.alpha, r.domain, r.budget), None, None
+
+
+_SEMIRING = (({"and-over-or"},), NotSemiring, "is not a semiring")
+_ADDITIVE = (({"and-is-plus"},), UnsupportedDomainForKTop,
+             "does not reduce to additive shortest paths")
+_ORACLE = ((set(),), None, "definitional oracle is exponential in the number of basic actions")
+_NO_ROUTE = ((set(),), None, "no efficient algorithm is known for dynamic models with shared "
+                             "subtrees; falling back to the exponential definitional oracle")
+
+
+class _Route(NamedTuple):
+    engine: Callable  # request -> (value, diagram folded or None, k-top witnesses or None)
+    cells: dict
+
+
+# algorithm -> (its engine, structure class it serves -> (the law sets of
+# which a domain must declare one for it to be exact there, the error and
+# reason that refuse any other domain)); rows cheapest first. The oracle is
+# exact in every domain, so its cells hold no error but the auto route's
+# warning; as it admits every request, only a k request reaches k-top.
+_ROUTES = {
+    "bu": _Route(_bu, {
+        STATIC_TREE: _SEMIRING,
+        DYNAMIC_TREE: (({"and-over-or", "seq-over-and", "seq-over-or", "and-idempotent"},
+                        {"and-over-or", "seq-is-and"}),
+                       NotSemiringDynamic, "does not support bottom-up dynamic evaluation"),
+    }),
+    "bdd": _Route(_bdd, {STATIC_TREE: _SEMIRING, STATIC_DAG: _SEMIRING}),
+    "oracle": _Route(_oracle, {STATIC_TREE: _ORACLE, STATIC_DAG: _ORACLE, DYNAMIC_TREE: _ORACLE,
+                               StructureKind(Shape.DAG, Dynamics.DYNAMIC): _NO_ROUTE}),
+    "ktop": _Route(_k_top, {STATIC_TREE: _ADDITIVE, STATIC_DAG: _ADDITIVE}),
+}
+
+# the routes a metric request may name: the rows up to the oracle
+ALGORITHMS = ("auto", *list(_ROUTES)[:list(_ROUTES).index("oracle") + 1])
+
+
+def _refusal(algorithm: str, kind: StructureKind, d: AttributeDomain) -> Optional[AtError]:
+    """Why the algorithm cannot answer for a model of the class in the
+    domain, or None: a class its row does not serve, then a domain whose
+    laws that class's law sets do not cover."""
+    cells = _ROUTES[algorithm].cells
+    if kind not in cells:
+        if kind.dynamics not in {c.dynamics for c in cells}:
+            return DynamicTreeRejected(STATIC_ONLY)
+        return DagRejected(f"{algorithm} is only sound on proper trees; shared nodes double-count")
+    law_sets, error, reason = cells[kind]
+    if not any(laws <= d.laws for laws in law_sets):
+        return error(f"domain {d.name} {reason}")
+    return None
+
+
+def _run(algorithm: str, r: AnalysisRequest) -> tuple:
+    """(value, diagram folded or None, k-top witnesses or None) of the
+    algorithm's engine on the request, once the one check of every engine
+    passes: k, when set, at least 1; then the class and the domain (see
+    `_refusal`); then the values."""
+    if r.k is not None and r.k < 1:
+        raise InvalidRequest("k must be at least 1")
+    refusal = _refusal(algorithm, classify(r.tree), r.domain)
+    if refusal is not None:
+        raise refusal
+    validate_attribution(r.tree, r.alpha, r.domain)
+    return _ROUTES[algorithm].engine(r)
 
 
 def total_probability_tree(t: AttackTree, alpha: dict) -> Fraction:
@@ -432,7 +422,7 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
     The auto route reads `_ROUTES` (see `auto_route`), the oracle its last
     metric row, with a warning; a k request takes the `ktop` row. Explicit
     algorithm choices are honored or rejected, never silently downgraded.
-    Each engine checks the request itself (see `_check`).
+    `_run` checks the request and runs the row's engine.
     """
     started = time.perf_counter()
     algorithm, warning = req.algorithm, None
@@ -444,7 +434,7 @@ def analyze(req: AnalysisRequest) -> AnalysisResult:
         algorithm, warning = auto_route(classify(req.tree), req.domain)
     elif algorithm not in ALGORITHMS:
         raise InvalidRequest(f"unknown algorithm {algorithm!r}")
-    value, diagram, witnesses = _ROUTES[algorithm].engine(req)
+    value, diagram, witnesses = _run(algorithm, req)
 
     stats: dict = {"nodes": len(req.tree)}
     if diagram is not None:

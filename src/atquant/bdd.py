@@ -16,7 +16,8 @@ for OR, made directly, so a gate over basic actions is built as its chain.
 
 `apply` and `minimise` run on explicit work stacks, in the style of Brace,
 Rudell and Bryant (DAC 1990), and no function here calls itself, so a
-diagram's depth is not bounded by the interpreter's recursion limit. Every node is made by `_Store.node`, one find-or-add on the unique
+diagram's depth is not bounded by the interpreter's recursion limit.
+Every node is made by `_Store.node`, one find-or-add on the unique
 table: a (rank, low, high) triple already there is reused, and a new one
 takes the next id. Each caller applies its own reduction rule first.
 `Bdd.postorder` walks the store's child arrays itself. On top of the plain

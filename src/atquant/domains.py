@@ -100,8 +100,10 @@ class AttributeDomain(Record):
     any iterable of law names but a string, is kept as the frozenset of the
     laws of LAWS that the operators satisfy; a seq-* law needs a seq_op,
     and and-is-plus a sense, "min" or "max" (else None), by which k-top
-    ranks attacks. Every field is compared, in the order of the
-    constructor's parameters.
+    ranks attacks, and which a builtin min or max or_op may not
+    contradict. kind is a ValueKind, and components, the component
+    domains, are given exactly when it is PARETO. Every field is compared,
+    in the order of the constructor's parameters.
     """
 
     _compared = ("name", "kind", "or_op", "and_op", "seq_op", "laws", "sense", "components")
@@ -120,8 +122,19 @@ class AttributeDomain(Record):
                 raise InvalidDomain(f"{name}: unknown law {law!r}; laws: {known}")
             if law.startswith("seq-") and seq_op is None:
                 raise InvalidDomain(f"{name}: law {law!r} needs a sequential operator")
+        if not isinstance(kind, ValueKind):
+            kinds = ", ".join(k.value for k in ValueKind)
+            raise InvalidDomain(f"{name}: kind {kind!r} is no ValueKind; kinds: {kinds}")
+        if kind is ValueKind.PARETO and not components:
+            raise InvalidDomain(f"{name}: kind pareto needs components")
+        if kind is not ValueKind.PARETO and components is not None:
+            raise InvalidDomain(f"{name}: components need kind pareto, not {kind.value}")
         if sense not in (None, "min", "max"):
             raise InvalidDomain(f"{name}: unknown sense {sense!r}; senses: min, max")
+        # k-top ranks by the sense: one that contradicts a builtin or_op
+        # would rank the worst attack first
+        if (or_op is min and sense == "max") or (or_op is max and sense == "min"):
+            raise InvalidDomain(f"{name}: or_op {or_op.__name__} contradicts sense {sense!r}")
         if "and-is-plus" in laws and sense is None:
             raise InvalidDomain(f"{name}: law 'and-is-plus' needs a sense")
         self.__dict__.update(name=name, kind=kind, or_op=or_op, and_op=and_op, seq_op=seq_op,
@@ -209,7 +222,9 @@ def check_budget(size: int, budget: int, message: str) -> None:
     """Refuse exponential work: raise BudgetExceeded(message) when `size`,
     the rows or points about to be built, is past 2**budget, the rows of
     the oracle's truth table at `budget` basic actions."""
-    if size > 2 ** budget:
+    # size > 2**budget needs size.bit_length() > budget, so the power is
+    # built only when it is at most twice size
+    if budget < size.bit_length() and size > 2 ** budget:
         raise BudgetExceeded(message)
 
 

@@ -37,7 +37,7 @@ from atquant import (
     total_probability_tree,
 )
 from atquant.analysis import (
-    DYNAMIC_TREE, STATIC_DAG, STATIC_TREE, _ROUTES, _refusal, auto_route, bu_bdd_detailed,
+    DYNAMIC_TREE, STATIC_DAG, STATIC_TREE, _ROUTES, _refusal, _run, auto_route,
 )
 from atquant.cli import main
 from atquant.domains import BUILTIN_NAMES, LAWS, nat_add
@@ -559,7 +559,7 @@ def test_criterion_10_scalability_smoke(suites, tmp_path, capsys):
 
     visited = 0
     for s in suites.static_dag_samples[:25]:
-        _, diagram = bu_bdd_detailed(s, {b: 1 for b in bas_of(s)}, builtin("min-cost"))
+        _, diagram, _ = _run("bdd", AnalysisRequest(s, {b: 1 for b in bas_of(s)}, builtin("min-cost")))
         assert len(diagram.postorder) == diagram.node_count() + 2
         visited += len(diagram.postorder)
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 from decimal import Decimal
@@ -11,6 +13,7 @@ import pytest
 from atquant import (
     INF,
     AnalysisRequest,
+    analysis,
     ModelDocument,
     analyze,
     bas_of,
@@ -26,7 +29,7 @@ from atquant import (
     structure_function,
     total_probability_tree,
 )
-from atquant.analysis import ALGORITHMS, bu_bdd_detailed, validate_attribution
+from atquant.analysis import ALGORITHMS, _run, validate_attribution
 from atquant.bdd import FALSE, TRUE, VarOrder, from_structure_function, minimise
 from atquant.domains import (
     BUILTIN_NAMES, AttributeDomain, ValueKind, nat_add, render_value,
@@ -150,7 +153,7 @@ def test_bu_bdd_visits_every_diagram_node_once():
     for _ in range(40):
         t = rand_dag(rng, 7)
         a = {b: rng.randint(0, 9) for b in bas_of(t)}
-        _, diagram = bu_bdd_detailed(t, a, builtin("min-cost"))
+        _, diagram, _ = _run("bdd", AnalysisRequest(t, a, builtin("min-cost")))
         assert len(diagram.postorder) == diagram.node_count() + 2
 
 
@@ -295,7 +298,7 @@ def test_the_prob_max_tree_fold_makes_one_fraction(monkeypatch):
     dag = tt(("and", *(("or", f"x{i}", f"x{i + 1}") for i in range(60))))
     a = {b: Fraction(rng.randint(1, 9), 10) for b in bas_of(dag)}
     del made[:]
-    got, diagram = bu_bdd_detailed(dag, a, d)
+    got, diagram, _ = _run("bdd", AnalysisRequest(dag, a, d))
     assert len(made) <= 1 and diagram.node_count() > 60
     assert got == bu_bdd(dag, a, domain_with(d, or_op=lambda x, y: max(x, y)))
 
@@ -308,10 +311,10 @@ def test_only_absorbing_domains_fold_the_compiled_diagram():
     compiled = from_structure_function(t)
     minimal = {frozenset(map(t.id_of, "ab")), frozenset({t.id_of("c")})}
     assert frozenset(map(t.id_of, "ac")) in top_paths(compiled)
-    value, diagram = bu_bdd_detailed(t, a, builtin("min-cost"))
+    value, diagram, _ = _run("bdd", AnalysisRequest(t, a, builtin("min-cost")))
     assert value == 5 and canonical(diagram) == canonical(compiled)
     # max is not absorbing over +: {a, c} would read 15
-    value, diagram = bu_bdd_detailed(t, a, builtin("max-damage"))
+    value, diagram, _ = _run("bdd", AnalysisRequest(t, a, builtin("max-damage")))
     assert value == 11 and top_paths(diagram) == minimal
     # nor is min over a negative value, where {a, c} would read -5: the
     # values are checked before any diagram is folded
@@ -336,7 +339,7 @@ def test_only_absorbing_domains_fold_the_compiled_diagram():
         if d.kind is ValueKind.PARETO:
             table = {k: frozenset(v) for k, v in table.items()}
             want = frozenset(want)
-        value, diagram = bu_bdd_detailed(t, alpha(t, table), d)
+        value, diagram, _ = _run("bdd", AnalysisRequest(t, alpha(t, table), d))
         assert value == want, name
         if "or-absorbs-and" in d.laws:
             assert canonical(diagram) == canonical(compiled), name
@@ -344,11 +347,12 @@ def test_only_absorbing_domains_fold_the_compiled_diagram():
             assert top_paths(diagram) == minimal, name
     assert {n for n in cases if "or-absorbs-and" in builtin(n).laws} == {
         "min-skill", "min-time-par", "prob-max", "pareto(min-cost,prob-max)"}
-    # no terminal holds a value: prob-max with or_op min, still declaring
-    # absorption, folds the compiled diagram to the oracle's least attack
+    # no terminal holds a value: prob-max with or_op min (and so sense
+    # min), still declaring absorption, folds the compiled diagram to the
+    # oracle's least attack
     f = overlap()
     a = alpha(f, {"a": half, "b": third, "c": Fraction(1, 4)})
-    least = domain_with(builtin("prob-max"), or_op=min)
+    least = domain_with(builtin("prob-max"), or_op=min, sense="min")
     assert bu_bdd(f, a, least) == oracle_metric_static(f, a, least) == Fraction(1, 8)
 
 
@@ -848,6 +852,23 @@ def test_engines_and_analyze_refuse_alike():
     assert answers["overlap", "cost", "prob-max", "bu"][0] is DagRejected
     assert answers["treasure", "time", "prob-max", "bdd"][0] is BadAttributeValue
 
+
+def test_only_run_checks_a_request():
+    # one checked entry: `_run` checks the values, `_run` and the auto
+    # route ask `_refusal`, and the engines of `_ROUTES` check nothing, so
+    # no request is checked twice or reaches an engine unchecked
+    module = ast.parse(inspect.getsource(analysis))
+    callers: dict = {}
+    for fn in ast.walk(module):
+        if isinstance(fn, ast.FunctionDef):
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                    callers.setdefault(call.func.id, set()).add(fn.name)
+    assert callers["validate_attribution"] == {"_run"}
+    assert callers["_refusal"] == {"_run", "auto_route"}
+    engines = {route.engine.__name__ for route in analysis._ROUTES.values()}
+    assert engines == {"_bu", "_bdd", "_k_top", "_oracle"}
+    assert not engines & (callers["validate_attribution"] | callers["_refusal"])
 
 def test_analyze_rejects_an_algorithm_choice_with_k():
     f = overlap()

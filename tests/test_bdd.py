@@ -11,6 +11,7 @@ from itertools import chain, combinations
 import pytest
 
 from atquant import (
+    AnalysisRequest,
     analysis,
     bas_of,
     bdd,
@@ -122,18 +123,16 @@ def test_postorder_is_the_generic_walk_on_random_diagrams():
 
 def test_folds_need_a_value_for_every_basic_action():
     # b is absorbed: a OR (a AND b) is a, so no node branches on b; the
-    # diagram engines check every value first all the same
+    # diagram engines check every value first all the same. bu_bdd and
+    # k_top reach their engines through `analysis._run`, as `analyze` does,
+    # so these calls cover that path too
     t = tt(("or", "a", ("and", "a", "b")))
     a = {t.id_of("a"): 3}
-    for fold_call in (partial(analysis.bu_bdd_detailed, t, a, builtin("min-cost")),
-                      partial(bu_bdd, t, a, builtin("min-cost")),
-                      partial(analysis.k_top_detailed, t, a, builtin("min-cost"), 2),
+    for fold_call in (partial(bu_bdd, t, a, builtin("min-cost")),
                       partial(k_top, t, a, builtin("min-cost"), 2)):
         with pytest.raises(MissingAttribution, match="'b'"):
             fold_call()
-    for fold_call in (partial(analysis.bu_bdd_detailed, t, {}, builtin("min-cost")),
-                      partial(bu_bdd, t, {}, builtin("min-cost")),
-                      partial(analysis.k_top_detailed, t, {}, builtin("min-cost"), 1),
+    for fold_call in (partial(bu_bdd, t, {}, builtin("min-cost")),
                       partial(k_top, t, {}, builtin("min-cost"), 1)):
         with pytest.raises(MissingAttribution, match="'a'"):
             fold_call()
@@ -465,11 +464,11 @@ def test_min_cost_fold_makes_no_node_beyond_the_compile():
         p = {b: Fraction(1, v) for b, v in a.items()}
         compiled = len(from_structure_function(t).store.unique)
         for name, values in (("min-cost", a), ("min-skill", a), ("prob-max", p)):
-            _, diagram = analysis.bu_bdd_detailed(t, values, builtin(name))
+            _, diagram, _ = analysis._run("bdd", AnalysisRequest(t, values, builtin(name)))
             assert len(diagram.store.unique) == compiled, name
-        _, m = analysis.bu_bdd_detailed(t, a, builtin("max-damage"))
+        _, m, _ = analysis._run("bdd", AnalysisRequest(t, a, builtin("max-damage")))
         assert len(m.store.unique) > compiled
-        _, m = analysis.k_top_detailed(t, a, builtin("min-cost"), 5)
+        _, m, _ = analysis._run("ktop", AnalysisRequest(t, a, builtin("min-cost"), k=5))
         assert len(m.store.unique) > compiled
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from atquant import (
 from atquant.domains import (
     LAWS,
     ValueKind,
+    check_budget,
     nat_add,
     pareto_prune,
 )
@@ -124,6 +126,43 @@ def test_a_domain_refuses_laws_it_cannot_declare():
                     "or-absorbs-and", "and-idempotent"}
 
 
+def test_a_domain_refuses_a_kind_that_is_no_value_kind():
+    # a string kind would validate no value it is given
+    with pytest.raises(InvalidDomain, match="^s: kind 'natural' is no ValueKind; "
+                                            "kinds: natural, probability, pareto$"):
+        AttributeDomain("s", "natural", min, nat_add, laws={"and-over-or"})
+
+
+def test_a_pareto_domain_needs_components():
+    # a front's points are checked component by component
+    for components in (None, ()):
+        with pytest.raises(InvalidDomain, match="^p: kind pareto needs components$"):
+            AttributeDomain("p", ValueKind.PARETO, min, max, components=components)
+
+
+def test_a_scalar_domain_takes_no_components():
+    mc = builtin("min-cost")
+    for kind in (ValueKind.NATURAL, ValueKind.PROBABILITY):
+        with pytest.raises(InvalidDomain, match=f"^s: components need kind pareto, "
+                                                f"not {kind.value}$"):
+            AttributeDomain("s", kind, min, nat_add, components=(mc,))
+
+
+def test_a_sense_may_not_contradict_a_builtin_or_op():
+    # k-top ranks by the sense: min with sense max would rank the costliest
+    # attack first, where the metric is the cheapest
+    laws = {"and-over-or", "and-is-plus", "seq-is-and", "or-absorbs-and"}
+    for or_op, sense in ((min, "max"), (max, "min")):
+        with pytest.raises(InvalidDomain, match=f"^x: or_op {or_op.__name__} "
+                                                f"contradicts sense '{sense}'$"):
+            AttributeDomain("x", ValueKind.NATURAL, or_op, nat_add, nat_add, laws, sense=sense)
+    # a sense that agrees, or no sense, is kept; an or_op of its own is not judged
+    for or_op, sense in ((min, "min"), (max, "max"), (min, None), (lambda x, y: min(x, y), "max")):
+        assert AttributeDomain("x", ValueKind.NATURAL, or_op, nat_add, sense=sense).sense == sense
+    for name in BUILTIN_NAMES:
+        d = builtin(name)
+        assert d.sense == {min: "min", max: "max"}.get(d.or_op, d.sense), name
+
 def test_validate_value_accepts_and_rejects():
     mc = builtin("min-cost")
     mc.validate_value(0)
@@ -223,6 +262,32 @@ def test_pareto_conjunction_builds_at_most_two_to_the_budget_points():
                                              r"exceeds 2\*\*20$"):
         d.and_op(front(2 ** 10 + 1), front(2 ** 10))
 
+
+def test_check_budget_agrees_with_the_power_it_may_skip():
+    # the test reads size's bit length before any power of two, and gives
+    # the answer of size > 2**budget for every size and budget, a negative
+    # budget included
+    for budget in range(-3, 41):
+        limit = 2 ** budget
+        for size in range(2 ** 12 + 2):
+            try:
+                check_budget(size, budget, "x")
+                refused = False
+            except BudgetExceeded:
+                refused = True
+            assert refused == (size > limit), (size, budget)
+
+
+def test_check_budget_builds_no_power_of_a_large_budget():
+    # 2**(1 << 26) alone is an 8 MB integer; a pareto conjunction checks
+    # its budget once per call
+    tracemalloc.start()
+    try:
+        check_budget(5, 1 << 26, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 def test_pareto_dominance_and_prune():
     dirs = ("min", "min")

@@ -20,7 +20,7 @@ def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
                           SRC, SRC, *models], cwd=ROOT, capture_output=True, text=True,
                          timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "832 requests on 2 models, 0 differ\n"
+    assert run.stdout == "848 requests on 2 models, 0 differ\n"
 
 
 def test_the_readme_python_examples_run_and_print_what_they_say(monkeypatch):
